@@ -1,0 +1,77 @@
+package electd_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/electd"
+	"repro/internal/fault"
+	"repro/internal/rt"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// TestForgedReplySenderNeitherPanicsNorCounts: a reply's sender id is wire
+// input. Every server here answers each request twice — first with a
+// forged copy claiming a sender outside [0, n), then honestly — while the
+// client carries a partition plan, whose reply-loss hook indexes a
+// per-server table with the sender it is handed. The forged id must never
+// reach that hook (it used to, straight from the pre-decode peek: an
+// index-out-of-range panic on the connection's read loop), and a forged
+// reply must never stand in for a quorum member (it used to be counted,
+// because the dedup guard merely skipped ids it could not index).
+func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
+	const n = 3
+	networks := map[string]transport.Network{
+		"loopback": transport.NewLoopback(),
+		"udp":      transport.NewUDP(),
+	}
+	for name, nw := range networks {
+		t.Run(name, func(t *testing.T) {
+			addrs := make([]string, n)
+			for j := range addrs {
+				id := rt.ProcID(j)
+				ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
+					kind := wire.KindAck
+					if m.Kind == wire.KindCollect {
+						kind = wire.KindView
+					}
+					for _, from := range []rt.ProcID{n + 5, id} {
+						c.Send(&wire.Msg{Kind: kind, Election: m.Election, Call: m.Call, From: from, Reg: m.Reg}) //nolint:errcheck // loss; the client retransmits
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				addrs[j] = ln.Addr()
+			}
+			pool, err := electd.DialPool(nw, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+
+			// A partition that is open from the start but has nobody on its
+			// small side: nothing is cut, and every reply consults the plan.
+			plan := &fault.Plan{N: n, Partition: &fault.PartitionPlan{Minority: make([]bool, n)}}
+			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, nil)
+			client.SetFaults(electd.FaultProfile{
+				ReplyDrop:  func(from int) bool { return plan.CutAt(from, 0, 0) },
+				Retransmit: 20 * time.Millisecond,
+			})
+			client.Propagate("r", 1)
+			views := client.Collect("r")
+			if len(views) != client.QuorumSize() {
+				t.Fatalf("collect returned %d views, want a quorum of %d", len(views), client.QuorumSize())
+			}
+			seen := map[rt.ProcID]bool{}
+			for _, v := range views {
+				if v.From < 0 || v.From >= n || seen[v.From] {
+					t.Fatalf("quorum contains a forged or repeated sender: %+v", views)
+				}
+				seen[v.From] = true
+			}
+		})
+	}
+}

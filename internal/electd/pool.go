@@ -390,7 +390,10 @@ func (pl *Pool) CoalesceStats() (msgs, frames int64) {
 // header and the client's replyDrop hook — concurrency-safe, it runs on
 // every connection's read loop — decides whether this reply died on the
 // (server → client) link. Dropping here, before decode, is exactly where
-// a lost reply would have vanished on a real wire.
+// a lost reply would have vanished on a real wire. The hook only ever sees
+// a server id in [0, n): it indexes per-server fault tables with it, and
+// the peeked id is unvalidated wire input — a reply claiming any other
+// sender passes through to the router, which drops it.
 func (pl *Pool) keepReply(body []byte) bool {
 	k, call, from, ok := wire.PeekReplyFrom(body)
 	if !ok || (k != wire.KindAck && k != wire.KindView && k != wire.KindBusy) {
@@ -409,7 +412,7 @@ func (pl *Pool) keepReply(body []byte) bool {
 		el = p.cli.election // read under the shard lock; gone calls trace as election 0
 	}
 	sh.mu.Unlock()
-	if keep && drop != nil && drop(int(from)) {
+	if keep && drop != nil && from >= 0 && int(from) < pl.n && drop(int(from)) {
 		return false
 	}
 	if !keep && pl.trace != nil {
@@ -425,9 +428,12 @@ func (pl *Pool) keepReply(body []byte) bool {
 // makes recycling a completed call's slot safe: once the call is deleted
 // under the shard lock, no router touches its channel. Replies to completed
 // calls are dropped — those are the stragglers beyond the quorum, the same
-// abandoned-buffer asymmetry the in-process backend has.
+// abandoned-buffer asymmetry the in-process backend has. So are replies
+// whose sender id is not one of the n servers: a quorum counts distinct
+// servers, and an id outside [0, n) names none.
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
-	if m.Kind != wire.KindAck && m.Kind != wire.KindView && m.Kind != wire.KindBusy {
+	if (m.Kind != wire.KindAck && m.Kind != wire.KindView && m.Kind != wire.KindBusy) ||
+		m.From < 0 || int(m.From) >= pl.n {
 		wire.RecycleMsg(m) // protocol noise; nobody saw its entries
 		return
 	}
@@ -438,13 +444,12 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 		// Retransmitted requests draw duplicate replies from servers that
 		// already answered; dedup by sender so a repeat answer can never
 		// stand in for a distinct quorum member.
-		if f := int(m.From); f >= 0 && f < len(p.seen) && p.seen[f] {
+		if p.seen[m.From] {
 			sh.mu.Unlock()
 			wire.RecycleMsg(m)
 			return
-		} else if f >= 0 && f < len(p.seen) {
-			p.seen[f] = true
 		}
+		p.seen[m.From] = true
 		p.routed++
 		p.cli.msgs.Add(1)
 		p.cli.bytes.Add(int64(m.WireSize()))

@@ -1,7 +1,9 @@
 package electd
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/rt"
@@ -16,14 +18,14 @@ import (
 // The structure is RCU over immutable values with per-cell CAS beneath:
 //
 //   - store.regs is an atomically published immutable directory
-//     (register name → *regArray). Adding a register — once per register
-//     name per instance — copies the directory and CASes the pointer.
-//   - regArray.cells is the same one level down (owner → *cellSlot);
-//     adding a slot happens once per owner per register.
-//   - a cellSlot holds an atomic pointer to an immutable cellVal. A merge
-//     is a CAS on that pointer guarded by the writer version: higher
-//     sequence numbers win, exactly the versioning rule the mutex-guarded
-//     store enforced, now enforced by the retry loop instead of the lock.
+//     (register name → *regArray, sorted by name). Adding a register — once
+//     per register name per instance — copies it and CASes the pointer.
+//   - regArray.cells is indexed by owner id. A cell is an atomic pointer
+//     to an immutable cellVal, and a merge is a CAS on it guarded by the
+//     writer version: higher sequence numbers win, the rule the
+//     mutex-guarded store enforced, now enforced by the retry loop. The
+//     array grows a bucket at a time, each published by one CAS from nil;
+//     a published cell never moves, so no merge lands in a discarded copy.
 //   - regArray.snap is the RCU-published snapshot: an immutable bundle of
 //     the owner-ordered entries and their cached wire encoding, tagged
 //     with the array version it was built at. Collects load it with one
@@ -54,14 +56,30 @@ type store struct {
 }
 
 // regDir is the immutable published directory of an instance's register
-// arrays. Mutation = copy + CAS (see store.array).
-type regDir = map[string]*regArray
+// arrays, sorted by name. A slice because an election has a dozen registers
+// — a binary search costs what hashing the name would — and because a
+// straggler propagate re-admits an instance RemoveElection just evicted,
+// which then lingers with one register: 56 bytes here, 300 as a map.
+type regDir []regEntry
+
+type regEntry struct {
+	name string
+	arr  *regArray
+}
+
+// find returns reg's array, or nil and the position reg would take.
+func (d regDir) find(reg string) (arr *regArray, i int) {
+	i, found := slices.BinarySearchFunc(d, reg, func(e regEntry, reg string) int { return strings.Compare(e.name, reg) })
+	if found {
+		arr = d[i].arr
+	}
+	return arr, i
+}
 
 // newStore builds an instance with an empty published directory.
 func newStore() *store {
 	st := &store{}
-	dir := regDir{}
-	st.regs.Store(&dir)
+	st.regs.Store(&regDir{})
 	return st
 }
 
@@ -73,19 +91,24 @@ type regArray struct {
 	// so any reader that observes the new version also observes the cell
 	// write that caused it.
 	version atomic.Uint64
-	cells   atomic.Pointer[cellDir]
+	cells   [cellBuckets]atomic.Pointer[[]cell]
 	snap    atomic.Pointer[snapshot]
 }
 
-// cellDir is the immutable published owner → slot directory of one array.
-type cellDir = map[rt.ProcID]*cellSlot
+// cell is one owner's register, nil until the owner's first write.
+type cell = atomic.Pointer[cellVal]
 
-// cellSlot is one owner's cell: an atomic pointer to the immutable
-// current value. The slot itself is permanent once published in a
-// cellDir; only the value pointer moves.
-type cellSlot struct {
-	v atomic.Pointer[cellVal]
-}
+// Bucket b holds cellBase<<b cells, for the owners from cellBase<<b −
+// cellBase up: each bucket doubles the array, and cellBuckets of them cover
+// maxOwners (8184) ids. An entry for an owner beyond that is corrupt or
+// hostile input, dropped rather than allowed to size an allocation. The
+// first bucket is small for the lingering instances regDir describes.
+const (
+	cellShift   = 3
+	cellBase    = 1 << cellShift
+	cellBuckets = 10
+	maxOwners   = cellBase<<cellBuckets - cellBase
+)
 
 // cellVal is one immutable register-cell state under writer versioning.
 type cellVal struct {
@@ -103,53 +126,34 @@ type snapshot struct {
 	enc     []byte
 }
 
-// newRegArray builds an array with an empty published cell directory.
-func (st *store) newRegArray() *regArray {
-	arr := &regArray{}
-	dir := cellDir{}
-	arr.cells.Store(&dir)
-	return arr
-}
-
 // array returns the register array for reg, creating and publishing it on
 // first use. Lock-free: creation copies the directory and CASes the
 // pointer, retrying if a concurrent creator won (and adopting its array).
 func (st *store) array(reg string) *regArray {
 	for {
 		dirp := st.regs.Load()
-		if arr := (*dirp)[reg]; arr != nil {
+		arr, i := dirp.find(reg)
+		if arr != nil {
 			return arr
 		}
-		next := make(regDir, len(*dirp)+1)
-		for k, v := range *dirp {
-			next[k] = v
-		}
-		arr := st.newRegArray()
-		next[reg] = arr
+		arr = &regArray{}
+		next := slices.Concat((*dirp)[:i], regDir{{reg, arr}}, (*dirp)[i:])
 		if st.regs.CompareAndSwap(dirp, &next) {
 			return arr
 		}
 	}
 }
 
-// slot returns owner's cell slot of arr, creating and publishing it on
-// first use, with the same copy-and-CAS discipline as store.array.
-func (arr *regArray) slot(owner rt.ProcID) *cellSlot {
-	for {
-		dirp := arr.cells.Load()
-		if s := (*dirp)[owner]; s != nil {
-			return s
-		}
-		next := make(cellDir, len(*dirp)+1)
-		for k, v := range *dirp {
-			next[k] = v
-		}
-		s := &cellSlot{}
-		next[owner] = s
-		if arr.cells.CompareAndSwap(dirp, &next) {
-			return s
-		}
+// cell returns owner's cell, publishing its bucket on first use by a CAS
+// from nil, so racing creators agree on one. owner is in [0, maxOwners).
+func (arr *regArray) cell(owner rt.ProcID) *cell {
+	j := uint(owner) + cellBase // bucket b spans j in [cellBase<<b, cellBase<<(b+1))
+	b := bits.Len(j) - 1 - cellShift
+	if arr.cells[b].Load() == nil {
+		fresh := make([]cell, cellBase<<b)
+		arr.cells[b].CompareAndSwap(nil, &fresh) // lost to a racing creator: use its bucket
 	}
+	return &(*arr.cells[b].Load())[j-cellBase<<b]
 }
 
 // merge applies an entry under writer versioning: higher sequence numbers
@@ -158,14 +162,17 @@ func (arr *regArray) slot(owner rt.ProcID) *cellSlot {
 // winning merge installs the new immutable cell value and bumps the array
 // version, lazily invalidating the snapshot.
 func (st *store) merge(e rt.Entry) {
+	if e.Owner < 0 || e.Owner >= maxOwners {
+		return // no such processor; see maxOwners
+	}
 	arr := st.array(e.Reg)
-	s := arr.slot(e.Owner)
+	c := arr.cell(e.Owner)
 	for {
-		cur := s.v.Load()
+		cur := c.Load()
 		if cur != nil && e.Seq <= cur.seq {
 			return // losing merge: a newer (or equal) write already holds the cell
 		}
-		if s.v.CompareAndSwap(cur, &cellVal{seq: e.Seq, val: e.Val}) {
+		if c.CompareAndSwap(cur, &cellVal{seq: e.Seq, val: e.Val}) {
 			arr.version.Add(1)
 			return
 		}
@@ -177,15 +184,11 @@ func (st *store) merge(e rt.Entry) {
 // owner order — the canonical order both backends' stores use) of one
 // register array, with zero locking: the common case is one atomic load
 // of the published snapshot. When a merge has won since it was built, the
-// caller rebuilds from the CAS cells and re-publishes; concurrent
-// rebuilds may duplicate that work but each returns a valid snapshot, and
-// the version tag keeps any stale publication self-correcting. hit
-// reports whether the published encoding was served as-is (tracing
-// detail; an empty or absent array counts as a hit — nothing was
-// rebuilt). The returned bytes are immutable.
+// caller rebuilds from the cells and re-publishes (see Progress above).
+// hit reports whether the published encoding was served as-is (tracing
+// detail; an absent array counts as a hit). The bytes are immutable.
 func (st *store) snapshotTail(reg string) (tail []byte, hit bool) {
-	dirp := st.regs.Load()
-	arr := (*dirp)[reg]
+	arr, _ := st.regs.Load().find(reg)
 	if arr == nil {
 		return emptyTail, true
 	}
@@ -198,36 +201,32 @@ func (st *store) snapshotTail(reg string) (tail []byte, hit bool) {
 	if snap := arr.snap.Load(); snap != nil && snap.ver == ver {
 		return snap.enc, true
 	}
-	snap := arr.rebuild(reg, ver)
-	if snap == nil {
-		return emptyTail, false
-	}
-	if len(snap.entries) == 0 {
-		return emptyTail, true
-	}
-	return snap.enc, false
+	return arr.rebuild(reg, ver).enc, false
 }
 
 // rebuild assembles and publishes a fresh snapshot of arr at version ver.
-// It returns nil only for values outside the codec's domain — impossible
-// for state that arrived through the codec; treated as an empty view
-// rather than corrupting the stream.
 func (arr *regArray) rebuild(reg string, ver uint64) *snapshot {
 	old := arr.snap.Load()
-	dirp := arr.cells.Load()
-	out := make([]rt.Entry, 0, len(*dirp))
-	for owner, s := range *dirp {
-		if cv := s.v.Load(); cv != nil {
-			out = append(out, rt.Entry{Reg: reg, Owner: owner, Seq: cv.seq, Val: cv.val})
+	var out []rt.Entry
+	if old != nil { // cells only fill, and usually one merge separates two rebuilds
+		out = make([]rt.Entry, 0, len(old.entries)+1)
+	}
+	// Index order is owner order, the canonical snapshot order: no sort.
+	for b := range arr.cells {
+		bucket := arr.cells[b].Load()
+		if bucket == nil {
+			continue
+		}
+		for i := range *bucket {
+			if cv := (*bucket)[i].Load(); cv != nil {
+				out = append(out, rt.Entry{Reg: reg, Owner: rt.ProcID(cellBase<<b - cellBase + i), Seq: cv.seq, Val: cv.val})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
-	snap := &snapshot{ver: ver, entries: out}
-	if len(out) > 0 {
-		enc, err := wire.AppendEntries(nil, reg, out)
-		if err != nil {
-			return nil
-		}
+	// emptyTail stands in for an array caught before its first cell write,
+	// and for values the codec cannot encode — none can arrive through it.
+	snap := &snapshot{ver: ver, entries: out, enc: emptyTail}
+	if enc, err := wire.AppendEntries(nil, reg, out); err == nil {
 		snap.enc = enc
 	}
 	// Publish unless somebody else already did: CAS from the observed old

@@ -117,12 +117,14 @@ func writeStamp(w io.Writer, stamp bool) error {
 // broadcast comes back as a batched quorum of replies — without the server
 // layer knowing batches exist. The first corrupt body aborts the dispatch
 // (already-dispatched messages stand, as on any mid-stream severance).
-func dispatchGroup(c Conn, h Handler, keep FrameFilter, bodies ...[]byte) error {
+// dec is the calling read loop's stream decoder: it must not be shared
+// with any other goroutine.
+func dispatchGroup(c Conn, h Handler, keep FrameFilter, dec *wire.Decoder, bodies ...[]byte) error {
 	if len(bodies) == 1 && len(bodies[0]) > 0 && wire.Kind(bodies[0][0]) != wire.KindBatch {
 		if keep != nil && !keep(bodies[0]) {
 			return nil
 		}
-		m, err := wire.Decode(bodies[0])
+		m, err := dec.Decode(bodies[0])
 		if err != nil {
 			return err
 		}
@@ -136,7 +138,7 @@ func dispatchGroup(c Conn, h Handler, keep FrameFilter, bodies ...[]byte) error 
 			if keep != nil && !keep(sub) {
 				return nil
 			}
-			m, err := wire.Decode(sub)
+			m, err := dec.Decode(sub)
 			if err != nil {
 				return err
 			}

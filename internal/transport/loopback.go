@@ -218,6 +218,7 @@ func (c *loopConn) SendEncoded(frame []byte) error {
 func (c *loopConn) pump() {
 	frames := make([][]byte, 0, 16)
 	bodies := make([][]byte, 0, 16)
+	var dec wire.Decoder
 	for {
 		select {
 		case <-c.done:
@@ -255,7 +256,7 @@ func (c *loopConn) pump() {
 				decT0 = trace.Now()
 			}
 			if err == nil {
-				err = dispatchGroup(c, c.handler, c.loadFilter(), bodies...)
+				err = dispatchGroup(c, c.handler, c.loadFilter(), &dec, bodies...)
 			}
 			if c.rec != nil {
 				c.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(bodies)))

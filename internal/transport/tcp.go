@@ -388,10 +388,10 @@ func (t *tcpConn) writeLoop() {
 }
 
 // readLoop decodes inbound frames — dispatching a batch frame's messages
-// back to back with their replies coalesced — reusing one body buffer and
-// one message slice across frames. Any stream error — peer close, crash,
-// corruption — severs the connection: message loss, the model's one
-// failure mode for links.
+// back to back with their replies coalesced — reusing one body buffer
+// across frames and one wire.Decoder for the life of the stream. Any
+// stream error — peer close, crash, corruption — severs the connection:
+// message loss, the model's one failure mode for links.
 func (t *tcpConn) readLoop() {
 	r := readerPool.Get().(*bufio.Reader)
 	r.Reset(t.c)
@@ -402,6 +402,7 @@ func (t *tcpConn) readLoop() {
 	body := wire.GetBuf()
 	defer func() { wire.PutBuf(body) }()
 	var stamp [wire.StampSize]byte
+	var dec wire.Decoder
 	for {
 		var err error
 		if body, err = wire.ReadFrame(r, body); err != nil {
@@ -428,7 +429,7 @@ func (t *tcpConn) readLoop() {
 		if t.rec != nil {
 			decT0 = trace.Now()
 		}
-		if err = dispatchGroup(t, t.handler, t.loadFilter(), body); err != nil {
+		if err = dispatchGroup(t, t.handler, t.loadFilter(), &dec, body); err != nil {
 			t.Close()
 			return
 		}

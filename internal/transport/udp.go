@@ -135,8 +135,8 @@ type udpEndpoint struct {
 	connected  bool
 	// dispatch consumes one inbound frame body (length prefix already
 	// stripped and validated); src is the datagram's source address. It
-	// runs on the read loop.
-	dispatch func(src netip.AddrPort, body []byte)
+	// runs on the read loop, which owns dec.
+	dispatch func(dec *wire.Decoder, src netip.AddrPort, body []byte)
 	onClose  func()
 
 	out       chan pkt
@@ -332,6 +332,7 @@ func (e *udpEndpoint) readLoop() {
 	}
 	lens := make([]int, udpRecvBatch)
 	srcs := make([]netip.AddrPort, udpRecvBatch)
+	var dec wire.Decoder
 	for {
 		n, err := e.io.recvPackets(e, bufs, lens, srcs)
 		if err != nil {
@@ -369,7 +370,7 @@ func (e *udpEndpoint) readLoop() {
 			if e.rec != nil {
 				decT0 = trace.Now()
 			}
-			e.dispatch(srcs[i], body)
+			e.dispatch(&dec, srcs[i], body)
 			if e.rec != nil {
 				e.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
 			}
@@ -443,9 +444,9 @@ func (c *udpConn) loadFilter() FrameFilter {
 	return nil
 }
 
-func (c *udpConn) dispatchBody(_ netip.AddrPort, body []byte) {
+func (c *udpConn) dispatchBody(dec *wire.Decoder, _ netip.AddrPort, body []byte) {
 	// A decode error is one bad datagram, not a broken stream: drop it.
-	dispatchGroup(c, c.handler, c.loadFilter(), body) //nolint:errcheck
+	dispatchGroup(c, c.handler, c.loadFilter(), dec, body) //nolint:errcheck
 }
 
 // Send implements Conn.
@@ -560,12 +561,12 @@ func (l *UDPListener) Err() error {
 // dispatchBody routes one inbound frame body to the handler via the
 // source's peer conn, so replies travel back to the right address (and the
 // replies of one inbound batch coalesce into one outbound datagram).
-func (l *UDPListener) dispatchBody(src netip.AddrPort, body []byte) {
+func (l *UDPListener) dispatchBody(dec *wire.Decoder, src netip.AddrPort, body []byte) {
 	if l.crashed.Load() {
 		return // a crashed node loses inbound messages silently
 	}
 	p := l.peer(src)
-	dispatchGroup(p, l.handler, nil, body) //nolint:errcheck // one bad datagram is loss, not severance
+	dispatchGroup(p, l.handler, nil, dec, body) //nolint:errcheck // one bad datagram is loss, not severance
 }
 
 // peer returns the reply conn for one source address, creating it on first

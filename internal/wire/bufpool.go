@@ -8,9 +8,21 @@ import "sync"
 // connection's write queue, and the write loop puts it back after the
 // socket write — so the pool must be one package-level instance rather
 // than per-layer pools that would drain into each other.
-var bufPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 512) },
-}
+//
+// A sync.Pool stores `any`, and putting a slice into one boxes its
+// three-word header on the heap — one allocation per recycle, which at one
+// recycle per frame was a sixth of the socket path's allocations. So the
+// pool holds pointer-shaped holders (*[]byte, which box for free) and the
+// emptied holders cycle through a second pool: GetBuf moves a holder from
+// bufPool to holderPool, PutBuf moves one back, and a steady-state
+// GetBuf→PutBuf cycle allocates nothing.
+var (
+	bufPool = sync.Pool{New: func() any {
+		b := make([]byte, 0, 512)
+		return &b
+	}}
+	holderPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // maxPooledBuf keeps one-off giants (a snapshot of a huge register array)
 // from pinning memory in the pool; anything larger is left to the GC.
@@ -19,14 +31,20 @@ const maxPooledBuf = 1 << 20
 // GetBuf returns an empty frame buffer with whatever capacity the pool has
 // on hand. Append to it; return it with PutBuf once the bytes are dead.
 func GetBuf() []byte {
-	return bufPool.Get().([]byte)[:0]
+	h := bufPool.Get().(*[]byte)
+	b := *h
+	*h = nil // an idle holder must not pin (or alias) the buffer it carried
+	holderPool.Put(h)
+	return b
 }
 
 // PutBuf recycles a frame buffer. The caller must not touch the slice (or
 // any alias of its array) afterwards.
 func PutBuf(b []byte) {
 	if cap(b) > 0 && cap(b) <= maxPooledBuf {
-		bufPool.Put(b[:0]) //nolint:staticcheck // slice headers are cheap next to the frames they save
+		h := holderPool.Get().(*[]byte)
+		*h = b[:0]
+		bufPool.Put(h)
 	}
 }
 

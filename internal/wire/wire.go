@@ -429,20 +429,27 @@ func (d *decoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) string() (string, error) {
+// bytes consumes one length-prefixed byte string and returns it as a span
+// of the input; callers copy what they keep.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(d.b)) {
-		return "", fmt.Errorf("wire: string length %d exceeds remaining %d bytes", n, len(d.b))
+		return nil, fmt.Errorf("wire: string length %d exceeds remaining %d bytes", n, len(d.b))
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s, nil
 }
 
-func (d *decoder) value() (rt.Value, error) {
+// value consumes one tagged register value. With build unset it only walks
+// the encoding — the same validation, no allocation, a nil result — which
+// is how Decoder finds a value's byte span before looking it up; keeping
+// both modes in one walk is what guarantees they accept exactly the same
+// inputs.
+func (d *decoder) value(build bool) (rt.Value, error) {
 	tag, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -458,15 +465,22 @@ func (d *decoder) value() (rt.Value, error) {
 		if b > 1 {
 			return nil, fmt.Errorf("wire: bool byte %d", b)
 		}
+		if !build {
+			return nil, nil
+		}
 		return b == 1, nil
 	case vInt:
 		u, err := d.uvarint()
-		if err != nil {
+		if err != nil || !build {
 			return nil, err
 		}
 		return int(int64(u>>1) ^ -int64(u&1)), nil
 	case vString:
-		return d.string()
+		s, err := d.bytes()
+		if err != nil || !build {
+			return nil, err
+		}
+		return string(s), nil
 	case vStatus:
 		stat, err := d.byte()
 		if err != nil {
@@ -479,18 +493,23 @@ func (d *decoder) value() (rt.Value, error) {
 		if count > uint64(len(d.b)) { // every id takes ≥1 byte
 			return nil, fmt.Errorf("wire: status list count %d exceeds remaining %d bytes", count, len(d.b))
 		}
-		st := core.Status{Stat: core.StatKind(stat)}
-		if count > 0 {
-			st.List = make([]rt.ProcID, count)
-			for i := range st.List {
-				id, err := d.procID()
-				if err != nil {
-					return nil, err
-				}
-				st.List[i] = id
+		var list []rt.ProcID
+		if build && count > 0 {
+			list = make([]rt.ProcID, count)
+		}
+		for i := uint64(0); i < count; i++ {
+			id, err := d.procID()
+			if err != nil {
+				return nil, err
+			}
+			if build {
+				list[i] = id
 			}
 		}
-		return st, nil
+		if !build {
+			return nil, nil
+		}
+		return core.Status{Stat: core.StatKind(stat), List: list}, nil
 	case vNameSet:
 		words, err := d.uvarint()
 		if err != nil {
@@ -498,6 +517,10 @@ func (d *decoder) value() (rt.Value, error) {
 		}
 		if words > uint64(len(d.b))/8 { // divide, never multiply: words*8 could wrap
 			return nil, fmt.Errorf("wire: name-set of %d words exceeds remaining %d bytes", words, len(d.b))
+		}
+		if !build {
+			d.b = d.b[8*words:]
+			return nil, nil
 		}
 		set := make(renaming.NameSet, words)
 		for i := range set {
@@ -514,17 +537,14 @@ func (d *decoder) value() (rt.Value, error) {
 // message comes from the message pool: a terminal consumer — one after
 // which nothing references the message — may hand it back with PutMsg,
 // making the steady-state hot path allocate only the entry payloads;
-// consumers that cannot tell simply let the GC have it.
+// consumers that cannot tell simply let the GC have it. This is the
+// table-less form of Decoder.Decode: every name and value it returns is
+// freshly allocated.
 func Decode(body []byte) (*Msg, error) {
-	m := GetMsg()
-	if err := m.decode(body); err != nil {
-		PutMsg(m)
-		return nil, err
-	}
-	return m, nil
+	return (*Decoder)(nil).Decode(body)
 }
 
-func (m *Msg) decode(body []byte) error {
+func (m *Msg) decode(body []byte, dec *Decoder) error {
 	d := decoder{b: body}
 	kind, err := d.byte()
 	if err != nil {
@@ -551,7 +571,7 @@ func (m *Msg) decode(body []byte) error {
 		return err
 	}
 	m.From = from
-	if m.Reg, err = d.string(); err != nil {
+	if m.Reg, err = dec.name(&d); err != nil {
 		return err
 	}
 	if m.Kind == KindPropagate || m.Kind == KindView {
@@ -580,7 +600,7 @@ func (m *Msg) decode(body []byte) error {
 				if err != nil {
 					return err
 				}
-				val, err := d.value()
+				val, err := dec.value(&d)
 				if err != nil {
 					return err
 				}
@@ -718,7 +738,9 @@ func PeekReply(body []byte) (k Kind, call uint64, ok bool) {
 // PeekReplyFrom additionally extracts the replying server's id — what a
 // fault-injecting reply filter needs to sample per-link loss on the reply
 // direction, and what reply dedup under retransmission keys on. Same
-// contract as PeekReply: header parse only, no canonicality check.
+// contract as PeekReply: header parse only, no canonicality check — except
+// that the id is held to the MaxID bound the full decoder enforces, so the
+// conversion to rt.ProcID cannot wrap (ok is false past it).
 func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 	if len(body) == 0 {
 		return 0, 0, 0, false
@@ -735,7 +757,7 @@ func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 		return k, call, 0, false
 	}
 	f, n := binary.Uvarint(rest[n:])
-	if n <= 0 {
+	if n <= 0 || f > MaxID {
 		return k, call, 0, false
 	}
 	return k, call, rt.ProcID(f), true

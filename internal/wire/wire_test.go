@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -372,4 +373,23 @@ func ExampleMsg_WireSize() {
 	frame, _ := Encode(m)
 	fmt.Println(m.WireSize(), len(frame))
 	// Output: 5 6
+}
+
+// TestPeekReplyFromBoundsSender: the peeked sender id obeys the MaxID bound
+// the full decoder enforces — reply filters hand it to code that indexes
+// per-server tables, and an unbounded uvarint would wrap negative in the
+// conversion to rt.ProcID.
+func TestPeekReplyFromBoundsSender(t *testing.T) {
+	header := func(from uint64) []byte {
+		b := []byte{byte(KindAck), 1, 2} // kind, election, call
+		return binary.AppendUvarint(b, from)
+	}
+	if _, call, from, ok := PeekReplyFrom(header(MaxID)); !ok || call != 2 || from != MaxID {
+		t.Fatalf("PeekReplyFrom at MaxID = call %d from %d ok %v", call, from, ok)
+	}
+	for _, hostile := range []uint64{MaxID + 1, 1 << 63, 1<<64 - 1} {
+		if _, _, from, ok := PeekReplyFrom(header(hostile)); ok {
+			t.Fatalf("PeekReplyFrom accepted sender id %d as %d", hostile, from)
+		}
+	}
 }
