@@ -70,12 +70,48 @@ func electionShard(election uint64) uint64 {
 // operations copy it, mutate the copy, and republish under mu. The
 // trailing pad keeps neighbouring stripes' hot fields off one cache line,
 // so two cores serving disjoint elections do not false-share.
+//
+// retired is the stripe's memory of finished elections: a ring of the last
+// retiredRing IDs RemoveElection was called with (TTL and LRU evictions are
+// not recorded — an instance the sweeper took may still be running). A
+// broadcast outlives its quorum, so a straggler propagate routinely reaches
+// a slow server after the election has finished and been removed; admit
+// consults the ring and refuses to create an instance for it, which would
+// otherwise live forever on a server without a TTL. Guarded by mu and read
+// only on admit's slow path. The memory is bounded, so the protection is
+// too: an ID ages out after retiredRing further removals on the stripe
+// (16×retiredRing on the server, on average), and a straggler later than
+// that — very many concurrent elections, or a replica that far behind —
+// is admitted like a first propagate. Such a server still wants a TTL.
 type shard struct {
 	mu     sync.Mutex
 	live   atomic.Pointer[electionMap]
 	served atomic.Int64
 
-	_ [40]byte // pad to a cache line; see struct comment
+	retired  [retiredRing]uint64
+	nRetired uint64 // IDs ever retired; the next one lands in retired[nRetired%retiredRing]
+
+	_ [32]byte // pad to three cache lines; see struct comment
+}
+
+// retiredRing is how many removed election IDs one stripe remembers.
+const retiredRing = 16
+
+// retire records that election was removed. Caller holds mu.
+func (sh *shard) retire(election uint64) {
+	sh.retired[sh.nRetired%retiredRing] = election
+	sh.nRetired++
+}
+
+// wasRetired reports whether election is among the stripe's recently
+// removed IDs. Caller holds mu.
+func (sh *shard) wasRetired(election uint64) bool {
+	for _, id := range sh.retired[:min(sh.nRetired, retiredRing)] {
+		if id == election {
+			return true
+		}
+	}
+	return false
 }
 
 // electionMap is the immutable published election ID → instance map of one
@@ -112,7 +148,8 @@ type Server struct {
 	started atomic.Int64 // election instances created
 	evicted atomic.Int64 // instances the sweeper reclaimed (TTL + LRU)
 	removed atomic.Int64 // instances evicted by explicit RemoveElection
-	shed    atomic.Int64 // propagates refused with a busy reply
+	shed    atomic.Int64 // propagates refused admission (bound hit, or draining)
+	late    atomic.Int64 // propagates refused because their election was already removed
 
 	// lockedOps counts request-path shard-mutex acquisitions. With the
 	// lock-free hot path the only request that may lock is a propagate
@@ -173,9 +210,18 @@ func (s *Server) LockedOps() int64 { return s.lockedOps.Load() }
 // its lifecycle half: the shard's map is republished without the
 // instance, while in-flight requests keep working on the map they loaded,
 // so teardown churn never stalls any request, related or not.
+//
+// Removal retires the ID: propagates for it that arrive afterwards — the
+// stragglers of the election's last broadcasts, typically — are refused
+// with a busy reply instead of re-creating the instance (see shard.retired;
+// counted in LatePropagates). The ID is recorded even when this replica
+// holds no instance yet, since a slow replica can receive an election's
+// first propagate after its removal. Election IDs are therefore single-use
+// across RemoveElection.
 func (s *Server) RemoveElection(election uint64) {
 	sh := &s.shards[electionShard(election)]
 	sh.mu.Lock()
+	sh.retire(election)
 	cur := sh.instances()
 	if _, ok := cur[election]; ok {
 		next := make(electionMap, len(cur)-1)
@@ -225,9 +271,11 @@ var emptyTail = []byte{0}
 // election instance while the server is draining, or while the instance's
 // shard is at its live-election bound, is answered with a busy reply
 // instead — an explicit shed the client surfaces as a BusyError, never
-// silent loss. Requests for instances that already exist always proceed
-// (in-flight elections are allowed to finish), and collects never create
-// state, so they are never shed.
+// silent loss. So is a propagate for an election RemoveElection has
+// already retired (a straggler nobody waits for, or a caller reusing an
+// ID), counted apart from the sheds. Requests for instances that already
+// exist always proceed (in-flight elections are allowed to finish), and
+// collects never create state, so they are never shed.
 //
 // Steady state is lock-free end to end: requests find their instance with
 // one atomic load of the shard's published map, merges CAS the register
@@ -256,7 +304,6 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 		if st == nil {
 			st = s.admit(sh, m.Election)
 			if st == nil {
-				s.shed.Add(1)
 				sh.served.Add(1)
 				s.reply(c, wire.KindBusy, m, nil)
 				return
@@ -313,7 +360,9 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 // counted in lockedOps — it re-checks the map (a racing propagate may
 // have created the instance), applies admission control, and otherwise
 // creates the instance and republishes the map. Returns nil when the
-// propagate must be shed with a busy reply.
+// propagate must be refused with a busy reply, having counted why: late
+// for an election RemoveElection already retired — no state is created for
+// it — and shed for the admission bound or a drain.
 func (s *Server) admit(sh *shard, election uint64) *store {
 	s.lockedOps.Add(1)
 	sh.mu.Lock()
@@ -322,7 +371,12 @@ func (s *Server) admit(sh *shard, election uint64) *store {
 	if st := cur[election]; st != nil {
 		return st
 	}
+	if sh.wasRetired(election) {
+		s.late.Add(1)
+		return nil
+	}
 	if s.draining.Load() || (s.opts.MaxLivePerShard > 0 && len(cur) >= s.opts.MaxLivePerShard) {
+		s.shed.Add(1)
 		return nil
 	}
 	st := newStore()

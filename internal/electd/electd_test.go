@@ -113,6 +113,68 @@ func TestMultiplexedElections(t *testing.T) {
 	}
 }
 
+// TestStragglersDoNotReadmitRemovedElections: a broadcast outlives its
+// quorum, so when an election finishes and is removed, requests to the
+// slowest server are still on their way. Here every request to the last
+// server rides a 2 ms delay: each election completes on the other two and
+// is removed at once, and its tail of propagates lands afterwards. Those
+// must not re-create the instance — on a server without a TTL it would
+// live forever, one leaked instance per straggler-hit election — and must
+// be counted as late, not as admission sheds.
+func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
+	const n, k, elections = 3, 3, 20
+	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	slow := cl.Server(n - 1)
+	delay := func(server int) time.Duration {
+		if server == n-1 {
+			return 2 * time.Millisecond
+		}
+		return 0
+	}
+	sent := int64(0) // requests addressed to each server: one per communicate call
+	for e := 0; e < elections; e++ {
+		id := cl.NextElectionID()
+		clients := make([]*electd.Client, k)
+		decisions := make([]core.Decision, k)
+		var wg sync.WaitGroup
+		for i := range clients {
+			p := electd.NewParticipant(rt.ProcID(i), n, int64(e*k+i+1))
+			clients[i] = cl.NewComm(p, id, delay)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				decisions[i] = core.LeaderElectWithState(clients[i], "elect", core.NewState(p, "leaderelect"))
+			}(i)
+		}
+		wg.Wait()
+		cl.RemoveElection(id) // every participant has returned; the slow server's tail has not landed
+		uniqueWinner(t, fmt.Sprintf("election %d", e), decisions)
+		for _, c := range clients {
+			sent += int64(c.Calls())
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); slow.Served() < sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow server answered %d of the %d requests sent to it", slow.Served(), sent)
+		}
+	}
+	for j := 0; j < n; j++ {
+		if got := cl.Server(rt.ProcID(j)).Elections(); got != 0 {
+			t.Errorf("server %d hosts %d instances after all %d elections were removed", j, got, elections)
+		}
+	}
+	if slow.LatePropagates() == 0 {
+		t.Error("no propagate reached the slow server after its election was removed — the test exercised nothing")
+	}
+	if got := slow.Shed(); got != 0 {
+		t.Errorf("%d late propagates were counted as admission sheds", got)
+	}
+}
+
 // TestClientServerSplitOverTCP: participants in a "separate process" shape —
 // their own DialPool over real TCP sockets, servers behind listeners — with
 // more participants than servers (clients are not replicas).

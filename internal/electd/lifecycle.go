@@ -240,8 +240,14 @@ func (s *Server) Close() error {
 // (TTL and LRU combined, drain included).
 func (s *Server) Evicted() int64 { return s.evicted.Load() }
 
-// Shed reports how many propagates the server refused with a busy reply.
+// Shed reports how many propagates admission control refused with a busy
+// reply: the shard was at its bound, or the server draining.
 func (s *Server) Shed() int64 { return s.shed.Load() }
+
+// LatePropagates reports how many propagates were refused because their
+// election had already been removed (see RemoveElection) — stragglers of a
+// finished election's last broadcasts, not load the server turned away.
+func (s *Server) LatePropagates() int64 { return s.late.Load() }
 
 // Started reports how many election instances the server has created.
 func (s *Server) Started() int64 { return s.started.Load() }

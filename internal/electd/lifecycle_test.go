@@ -334,16 +334,40 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	defer cl.Close()
 	uniqueWinner(t, "metrics election", electOnce(t, cl, cl.NextElectionID(), 3, 9))
 
-	var served int64
-	for i := 0; i < cl.N(); i++ {
-		served += cl.Server(rt.ProcID(i)).Served()
+	// The election's last broadcasts are still landing on the slowest
+	// replica — a quorum of 2 lets the election finish before the third
+	// replica has seen its first propagate — so wait until every replica
+	// has started its instance, and take the snapshot between two reads of
+	// the servers' own counters that agree. Nothing is removed before this
+	// point, so the third propagate always lands.
+	total := func() (served int64) {
+		for i := 0; i < cl.N(); i++ {
+			served += cl.Server(rt.ProcID(i)).Served()
+		}
+		return served
 	}
-	snap := reg.Snapshot()
+	var (
+		served   int64
+		snap     obs.Snapshot
+		deadline = time.Now().Add(10 * time.Second)
+	)
+	for {
+		served = total()
+		snap = reg.Snapshot()
+		started := snap.Total("electd_elections_started_total")
+		if started > 3 {
+			t.Fatalf("started total %d, want 3 (one instance per replica)", started)
+		}
+		if started == 3 && total() == served {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("started total %d after 10s, want 3 (one instance per replica); served %d", started, served)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if got := snap.Total("electd_requests_served_total"); got != served {
 		t.Fatalf("metrics served %d != servers' %d", got, served)
-	}
-	if got := snap.Total("electd_elections_started_total"); got != 3 {
-		t.Fatalf("started total %d, want 3 (one instance per replica)", got)
 	}
 	h, ok := snap.Histogram("electd_quorum_roundtrip_usec")
 	if !ok || h.Count == 0 {

@@ -2,6 +2,7 @@ package electd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"testing"
@@ -161,14 +162,19 @@ func TestOneShardChurnCollectPropagateEvictRestart(t *testing.T) {
 	})
 	defer srv.Close()
 	conn := discardConn{}
-	ids := sameShardElections(16)
+	// Four rings' worth of IDs: an explicitly removed one is refused until
+	// retiredRing further removals age it out, so with the evictor cycling
+	// through this many, every ID keeps coming back — re-creation and
+	// refusal both stay in the mix.
+	ids := sameShardElections(4 * retiredRing)
 
 	stop := make(chan struct{})
 	time.AfterFunc(150*time.Millisecond, func() { close(stop) })
 	var wg sync.WaitGroup
 
 	// Steady-state + creation traffic: propagates recreate whatever the
-	// sweeper or the evictor goroutine tears down.
+	// sweeper tore down, and what the evictor goroutine did once the ID
+	// has aged out of the shard's retired ring.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -221,9 +227,77 @@ func TestOneShardChurnCollectPropagateEvictRestart(t *testing.T) {
 	if got := srv.Served(); got != served+1 {
 		t.Fatalf("served accounting drifted: %d → %d after one request", served, got)
 	}
-	if srv.Started() == 0 || srv.Evicted()+srv.removed.Load() == 0 {
-		t.Fatalf("churn test exercised nothing: started=%d evicted=%d removed=%d",
-			srv.Started(), srv.Evicted(), srv.removed.Load())
+	if srv.Started() <= int64(len(ids)) || srv.Evicted()+srv.removed.Load() == 0 || srv.LatePropagates() == 0 {
+		t.Fatalf("churn test exercised too little: started=%d (of %d ids) evicted=%d removed=%d late=%d",
+			srv.Started(), len(ids), srv.Evicted(), srv.removed.Load(), srv.LatePropagates())
+	}
+}
+
+// kindConn records the kind of the last reply frame the server sent.
+type kindConn struct{ last wire.Kind }
+
+func (c *kindConn) Send(*wire.Msg) error { return nil }
+func (c *kindConn) SendEncoded(frame []byte) error {
+	_, n := binary.Uvarint(frame)
+	c.last = wire.Kind(frame[n])
+	wire.PutBuf(frame)
+	return nil
+}
+func (c *kindConn) Close() error { return nil }
+
+// TestRemovedElectionIsNotReadmitted: RemoveElection retires the ID. A
+// propagate arriving afterwards — what a finished election's straggling
+// broadcasts are — is answered busy, creates no state, and is counted as
+// late, not as shed; that holds for an ID this replica never hosted (a slow
+// replica's first propagate can come after the removal); collects of a
+// removed election still read the empty view; and the ring is bounded, so
+// after retiredRing further removals on the shard the ID is admitted again.
+func TestRemovedElectionIsNotReadmitted(t *testing.T) {
+	srv := NewServer(0)
+	conn := &kindConn{}
+	ids := sameShardElections(retiredRing + 1)
+	gone, never, fillers := ids[0], ids[1], ids[2:]
+
+	srv.Handle(conn, propagateFrame(gone, "r", 1, 1, 0))
+	if conn.last != wire.KindAck || srv.Elections() != 1 {
+		t.Fatalf("first propagate: reply %v, %d instances", conn.last, srv.Elections())
+	}
+	srv.RemoveElection(gone)
+	srv.RemoveElection(never)
+	locked := srv.LockedOps()
+	for i, e := range []uint64{gone, never, gone} {
+		srv.Handle(conn, propagateFrame(e, "r", 1, uint64(i+2), 0))
+		if conn.last != wire.KindBusy {
+			t.Fatalf("propagate %d for removed election %d answered %v, want busy", i, e, conn.last)
+		}
+	}
+	if got := srv.Elections(); got != 0 {
+		t.Fatalf("%d instances re-admitted after RemoveElection", got)
+	}
+	if late, shed, started := srv.LatePropagates(), srv.Shed(), srv.Started(); late != 3 || shed != 0 || started != 1 {
+		t.Fatalf("late=%d shed=%d started=%d, want 3, 0, 1", late, shed, started)
+	}
+	if got := srv.LockedOps() - locked; got != 3 {
+		t.Fatalf("refusals took the shard lock %d times, want once each (admit's slow path)", got)
+	}
+	srv.Handle(conn, &wire.Msg{Kind: wire.KindCollect, Election: gone, Call: 9, From: 1, Reg: "r"})
+	if conn.last != wire.KindView || srv.Elections() != 0 {
+		t.Fatalf("collect of a removed election: reply %v, %d instances", conn.last, srv.Elections())
+	}
+
+	// The ring forgets, oldest first: retiredRing-2 more removals fill it
+	// around the two IDs above, and the next one overwrites gone's slot.
+	for _, e := range fillers[:retiredRing-2] {
+		srv.RemoveElection(e)
+	}
+	srv.Handle(conn, propagateFrame(gone, "r", 1, 10, 0))
+	if conn.last != wire.KindBusy {
+		t.Fatalf("election %d re-admitted while still among the last %d removed", gone, retiredRing)
+	}
+	srv.RemoveElection(fillers[retiredRing-2])
+	srv.Handle(conn, propagateFrame(gone, "r", 1, 11, 0))
+	if conn.last != wire.KindAck || srv.Elections() != 1 {
+		t.Fatalf("after %d further removals: reply %v, %d instances — the retired ring is not bounded", retiredRing, conn.last, srv.Elections())
 	}
 }
 

@@ -1,0 +1,186 @@
+package electd_test
+
+import (
+	"bytes"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/electd"
+	"repro/internal/fault"
+	"repro/internal/rt"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// unfiltered is a Network whose dialed connections hide SetFilter, so the
+// pool's pre-decode straggler filter is never installed and every reply —
+// the ones beyond the quorum too — is decoded and reaches Pool.handle. It
+// also reports each view's sender once the pool's handler has returned,
+// which is how the test orders a busy reply or a starvation verdict after
+// a view already sits in the call's reply queue.
+type unfiltered struct {
+	transport.Network
+	routed chan rt.ProcID
+}
+
+func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, error) {
+	c, err := u.Network.Dial(addr, func(c transport.Conn, m *wire.Msg) {
+		kind, from := m.Kind, m.From
+		h(c, m)
+		if kind == wire.KindView {
+			u.routed <- from
+		}
+	})
+	return struct{ transport.Conn }{c}, err
+}
+
+// TestRecycleNeverClearsSharedEntries drives a view-memo hit down every
+// client path that discards a reply with RecycleMsg — stragglers past the
+// quorum (routed late and drained by rpc, or arriving after the call is
+// gone), the quorum's views when a busy reply sheds the call, and when a
+// fault plan declares the client starved — while the test holds the same
+// arrays through an earlier Collect, as a participant would. None of those
+// paths may clear a memoized array or keep it as a decode arena: the held
+// views must read the same afterwards, with propagates (whose decode is
+// what would reuse an arena) interleaved throughout.
+func TestRecycleNeverClearsSharedEntries(t *testing.T) {
+	const n, election, reg = 3, 1, "sift/1/status"
+	nw := &unfiltered{Network: transport.NewLoopback(), routed: make(chan rt.ProcID, 1024)}
+	entries := []rt.Entry{
+		{Reg: reg, Owner: 0, Seq: 3, Val: core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}},
+		{Reg: reg, Owner: 1, Seq: 1, Val: core.Status{Stat: core.HighPri, List: []rt.ProcID{1}}},
+		{Reg: reg, Owner: 2, Seq: 2, Val: 300},
+	}
+	// collectReply scripts how server j answers a collect; nil answers the
+	// view. Propagates are always acknowledged.
+	var collectReply atomic.Pointer[func(j rt.ProcID) (wire.Kind, bool)]
+	addrs := make([]string, n)
+	for j := range addrs {
+		id := rt.ProcID(j)
+		ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
+			reply := &wire.Msg{Kind: wire.KindAck, Election: m.Election, Call: m.Call, From: id}
+			if m.Kind == wire.KindCollect {
+				reply.Kind, reply.Reg, reply.Entries = wire.KindView, m.Reg, entries
+				if script := collectReply.Load(); script != nil {
+					kind, ok := (*script)(id)
+					if !ok {
+						return
+					}
+					if kind == wire.KindBusy {
+						reply.Kind, reply.Reg, reply.Entries = kind, "", nil
+					}
+				}
+			}
+			c.Send(reply) //nolint:errcheck // loopback; a lost reply fails the collect below
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[j] = ln.Addr()
+	}
+	pool, err := electd.DialPool(nw, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	client := pool.NewComm(electd.NewParticipant(0, n, 1), election, nil)
+	want, err := wire.AppendEntries(nil, reg, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// held is what a participant keeps across communicate calls: per
+	// server, the entry array its first view handed out.
+	held := map[rt.ProcID][]rt.Entry{}
+	check := func(phase string) {
+		t.Helper()
+		for from, es := range held {
+			if got, err := wire.AppendEntries(nil, reg, es); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: the view held from server %d changed: %+v (%v)", phase, from, es, err)
+			}
+		}
+	}
+	collect := func(phase string) {
+		t.Helper()
+		for _, v := range client.Collect(reg) {
+			if prev, ok := held[v.From]; !ok {
+				held[v.From] = v.Entries
+			} else if &prev[0] != &v.Entries[0] {
+				t.Fatalf("%s: server %d's repeated view was rebuilt, not a memo hit", phase, v.From)
+			}
+		}
+		client.Propagate("other", 7) // server-side decodes draw on the same message pool
+		check(phase)
+	}
+	drain := func() {
+		for len(nw.routed) > 0 {
+			<-nw.routed
+		}
+	}
+
+	// Stragglers: all three servers answer, two make the quorum, the third
+	// view is decoded (no filter), routed late or not at all, and recycled.
+	for i := 0; i < 20; i++ {
+		collect("stragglers")
+	}
+	if len(held) != n {
+		t.Fatalf("views from %d of %d servers made a quorum in 20 collects", len(held), n)
+	}
+
+	// Shed: server 0's view is queued, then server 1 answers busy; rpc
+	// recycles the queued view and unwinds.
+	drain()
+	shed := func(j rt.ProcID) (wire.Kind, bool) {
+		switch j {
+		case 0:
+			return wire.KindView, true
+		case 1:
+			for from := range nw.routed {
+				if from == 0 {
+					break
+				}
+			}
+			return wire.KindBusy, true
+		}
+		return 0, false
+	}
+	collectReply.Store(&shed)
+	var busy *electd.BusyError
+	if err := electd.CatchBusy(func() { client.Collect(reg) }); !errors.As(err, &busy) {
+		t.Fatalf("collect with a busy server returned %v, want a BusyError", err)
+	}
+	check("shed")
+	collectReply.Store(nil)
+	collect("after shed")
+
+	// Starved: only server 0 answers, and once its view is queued the
+	// plan's verdict fires; rpc recycles the view and unwinds.
+	drain()
+	lonely := func(j rt.ProcID) (wire.Kind, bool) { return wire.KindView, j == 0 }
+	collectReply.Store(&lonely)
+	verdict := make(chan struct{})
+	starving := pool.NewComm(electd.NewParticipant(1, n, 2), election, nil)
+	starving.SetFaults(electd.FaultProfile{NoQuorum: verdict, Proc: 1})
+	go func() {
+		select {
+		case <-nw.routed:
+		case <-time.After(10 * time.Second): // the collect below then fails on its own
+		}
+		close(verdict)
+	}()
+	func() {
+		defer func() {
+			if _, ok := recover().(*fault.NoQuorumError); !ok {
+				t.Error("a starved collect did not unwind with a NoQuorumError")
+			}
+		}()
+		starving.Collect(reg)
+	}()
+	check("starved")
+	collectReply.Store(nil)
+	collect("after starved")
+}

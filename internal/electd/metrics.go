@@ -21,7 +21,8 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.NewCounterFunc("electd_elections_started_total", "election instances created", s.started.Load, l)
 	r.NewCounterFunc("electd_elections_evicted_total", "instances reclaimed by the sweeper (TTL + LRU + drain)", s.evicted.Load, l)
 	r.NewCounterFunc("electd_elections_removed_total", "instances evicted by explicit RemoveElection", s.removed.Load, l)
-	r.NewCounterFunc("electd_admission_shed_total", "propagates refused with a busy reply", s.shed.Load, l)
+	r.NewCounterFunc("electd_admission_shed_total", "propagates refused by admission control (bound hit, or draining)", s.shed.Load, l)
+	r.NewCounterFunc("electd_late_propagates_total", "propagates refused because their election was already removed", s.late.Load, l)
 	r.NewGaugeFunc("electd_elections_live", "election instances currently holding state", func() int64 {
 		return int64(s.Elections())
 	}, l)

@@ -32,7 +32,11 @@ import (
 //     atomic read; a winning merge bumps the version, which lazily
 //     invalidates the published snapshot (the next collect rebuilds and
 //     re-publishes). A published snapshot is never mutated — readers
-//     holding one keep a consistent view forever.
+//     holding one keep a consistent view forever. A rebuild sizes its
+//     entry slice and its encoding from the snapshot it replaces, so one
+//     register-array version costs the server one build of three
+//     allocations — and, with the clients' view memo (wire.Decoder), each
+//     client stream one decode.
 //
 // Progress: every operation is lock-free (a stalled reader or writer
 // cannot block others; CAS retries only when somebody else made
@@ -57,9 +61,8 @@ type store struct {
 
 // regDir is the immutable published directory of an instance's register
 // arrays, sorted by name. A slice because an election has a dozen registers
-// — a binary search costs what hashing the name would — and because a
-// straggler propagate re-admits an instance RemoveElection just evicted,
-// which then lingers with one register: 56 bytes here, 300 as a map.
+// — a binary search costs what hashing the name would — and its first
+// register costs 56 bytes where a map's costs 300.
 type regDir []regEntry
 
 type regEntry struct {
@@ -102,7 +105,8 @@ type cell = atomic.Pointer[cellVal]
 // cellBase up: each bucket doubles the array, and cellBuckets of them cover
 // maxOwners (8184) ids. An entry for an owner beyond that is corrupt or
 // hostile input, dropped rather than allowed to size an allocation. The
-// first bucket is small for the lingering instances regDir describes.
+// first bucket is small because many registers only ever see a few owners
+// (a late sift round has few survivors).
 const (
 	cellShift   = 3
 	cellBase    = 1 << cellShift
@@ -115,6 +119,11 @@ type cellVal struct {
 	seq uint64
 	val rt.Value
 }
+
+// rebuildSlack is the room rebuild leaves beyond the old encoding's length
+// for what a merge or two can add: a new entry carrying a status with a few
+// dozen one-byte ids.
+const rebuildSlack = 64
 
 // snapshot is the RCU-published view of one register array: the
 // owner-ordered entries and their encoded reply tail (wire.AppendEntries),
@@ -205,12 +214,20 @@ func (st *store) snapshotTail(reg string) (tail []byte, hit bool) {
 }
 
 // rebuild assembles and publishes a fresh snapshot of arr at version ver.
+// Both halves are sized from the snapshot being replaced — cells only fill,
+// and usually one merge separates two rebuilds, so the old lengths plus
+// room for one more entry are almost always exact — which makes a rebuild
+// three allocations (entries, encoding, the snapshot box) instead of a
+// dozen steps of append growth from nil. A guess that falls short costs an
+// append regrowth, nothing else.
 func (arr *regArray) rebuild(reg string, ver uint64) *snapshot {
 	old := arr.snap.Load()
-	var out []rt.Entry
-	if old != nil { // cells only fill, and usually one merge separates two rebuilds
-		out = make([]rt.Entry, 0, len(old.entries)+1)
+	n, size := 0, 0
+	if old != nil {
+		n, size = len(old.entries), len(old.enc)
 	}
+	out := make([]rt.Entry, 0, n+1)
+	enc := make([]byte, 0, size+rebuildSlack)
 	// Index order is owner order, the canonical snapshot order: no sort.
 	for b := range arr.cells {
 		bucket := arr.cells[b].Load()
@@ -226,7 +243,7 @@ func (arr *regArray) rebuild(reg string, ver uint64) *snapshot {
 	// emptyTail stands in for an array caught before its first cell write,
 	// and for values the codec cannot encode — none can arrive through it.
 	snap := &snapshot{ver: ver, entries: out, enc: emptyTail}
-	if enc, err := wire.AppendEntries(nil, reg, out); err == nil {
+	if enc, err := wire.AppendEntries(enc, reg, out); err == nil {
 		snap.enc = enc
 	}
 	// Publish unless somebody else already did: CAS from the observed old

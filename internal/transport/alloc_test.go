@@ -22,6 +22,67 @@ import (
 // lossy.
 const tcpEchoAllocs = 4
 
+// batchDispatchAllocs: one read loop dispatching an inbound batch frame of
+// 16 collect-shaped requests, the handler answering each through the Conn
+// it was handed, the answers leaving as one batch frame. Measured 0 — the
+// stream decoder lives in the read loop and the reply coalescer with the
+// connection, messages and frame buffers are pooled. Before that the
+// coalescer was made per batch and escaped each time, on client read loops
+// (whose handler never replies) as on server ones.
+const batchDispatchAllocs = 0
+
+// sinkConn stands for a connection's write queue: it counts and recycles
+// the frames it is handed.
+type sinkConn struct{ frames int }
+
+func (s *sinkConn) Send(*wire.Msg) error { return nil }
+func (s *sinkConn) SendEncoded(frame []byte) error {
+	s.frames++
+	wire.PutBuf(frame)
+	return nil
+}
+func (s *sinkConn) Close() error { return nil }
+
+func TestBatchDispatchAllocBudget(t *testing.T) {
+	msgs := make([]*wire.Msg, 16)
+	for i := range msgs {
+		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(i + 1), From: 3, Reg: "leaderelect/sift/3/status"}
+	}
+	frame, err := wire.EncodeBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := frameBody(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec wire.Decoder
+	var sink sinkConn
+	rc := replyCoalescer{conn: &sink}
+	handled := 0
+	h := func(c Conn, m *wire.Msg) {
+		handled++
+		ack, err := wire.AppendReplyFrame(wire.GetBuf(), wire.KindAck, m.Election, m.Call, 0, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SendEncoded(ack) //nolint:errcheck // sinkConn never fails
+		wire.RecycleMsg(m)
+	}
+	dispatch := func() {
+		if err := dispatchGroup(&rc, h, nil, &dec, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dispatch() // the first group interns the register name
+	if handled != 16 || sink.frames != 1 {
+		t.Fatalf("one 16-message batch: %d messages handled, %d reply frames (want 16, 1)", handled, sink.frames)
+	}
+	if got := testing.AllocsPerRun(1000, dispatch); got > batchDispatchAllocs {
+		t.Fatalf("dispatch of a 16-message batch: %v allocs, budget %d", got, batchDispatchAllocs)
+	}
+}
+
 func TestTCPEchoAllocBudget(t *testing.T) {
 	nw := NewTCP()
 	ln, err := nw.Listen(func(c Conn, m *wire.Msg) {

@@ -26,9 +26,10 @@ const maxRunBytes = 1 << 20
 // per-connection FIFO is preserved either way. Every frame buffer is
 // recycled. The caller flushes w afterwards. With stamp set, every outer
 // frame is followed by its send-time trace stamp (see wire.PutStamp);
-// the receiving read loop must expect it.
-func coalesceFrames(w io.Writer, frames [][]byte, stamp bool) error {
-	var hdr []byte
+// the receiving read loop must expect it. hdr is the write loop's
+// batch-header scratch, reused across drains (w is an interface, so a
+// header built here would escape once per drain).
+func coalesceFrames(w io.Writer, frames [][]byte, stamp bool, hdr *[]byte) error {
 	for i := 0; i < len(frames); {
 		j, size := i, 0
 		for j < len(frames) && size+len(frames[j]) <= maxRunBytes && wire.BatchableFrame(frames[j]) {
@@ -37,13 +38,13 @@ func coalesceFrames(w io.Writer, frames [][]byte, stamp bool) error {
 		}
 		if j-i >= 2 {
 			var err error
-			if hdr, err = wire.AppendBatchHeader(hdr[:0], j-i, size); err != nil {
+			if *hdr, err = wire.AppendBatchHeader((*hdr)[:0], j-i, size); err != nil {
 				return err // unreachable under the run caps; defensive
 			}
-			if _, err := w.Write(hdr); err != nil {
+			if _, err := w.Write(*hdr); err != nil {
 				return err
 			}
-			countBatchOut(j-i, len(hdr)+size)
+			countBatchOut(j-i, len(*hdr)+size)
 			for ; i < j; i++ {
 				_, err := w.Write(frames[i])
 				wire.PutBuf(frames[i])
@@ -108,18 +109,17 @@ func writeStamp(w io.Writer, stamp bool) error {
 // dispatchGroup streams the messages of a group of frame bodies to h in
 // order: each message is filtered (keep may veto its decode — stragglers
 // beyond a quorum die here, and because dispatch is streaming, the filter
-// sees routing state current up to the previous message), decoded, and
-// handed to h before the next one is touched. For anything beyond a single
-// plain frame, the Conn the handler sees is a replyCoalescer: every reply
-// h sends while the group is dispatched accumulates into one outbound
-// batch frame, flushed when the last message returns. That keeps the
-// request/reply symmetry of the coalesced hot path — a batched quorum
-// broadcast comes back as a batched quorum of replies — without the server
-// layer knowing batches exist. The first corrupt body aborts the dispatch
-// (already-dispatched messages stand, as on any mid-stream severance).
-// dec is the calling read loop's stream decoder: it must not be shared
-// with any other goroutine.
-func dispatchGroup(c Conn, h Handler, keep FrameFilter, dec *wire.Decoder, bodies ...[]byte) error {
+// sees routing state current up to the previous message), decoded by the
+// read loop's dec, and handed to h before the next one is touched. For
+// anything beyond a single plain frame, the Conn the handler sees is rc,
+// the connection's replyCoalescer: every reply h sends while the group is
+// dispatched accumulates into one outbound batch frame, flushed when the
+// last message returns. That keeps the request/reply symmetry of the
+// coalesced hot path — a batched quorum broadcast comes back as a batched
+// quorum of replies — without the server layer knowing batches exist. The
+// first corrupt body aborts the dispatch (already-dispatched messages
+// stand, as on any mid-stream severance).
+func dispatchGroup(rc *replyCoalescer, h Handler, keep FrameFilter, dec *wire.Decoder, bodies ...[]byte) error {
 	if len(bodies) == 1 && len(bodies[0]) > 0 && wire.Kind(bodies[0][0]) != wire.KindBatch {
 		if keep != nil && !keep(bodies[0]) {
 			return nil
@@ -128,10 +128,10 @@ func dispatchGroup(c Conn, h Handler, keep FrameFilter, dec *wire.Decoder, bodie
 		if err != nil {
 			return err
 		}
-		h(c, m)
+		h(rc.conn, m)
 		return nil
 	}
-	rc := replyCoalescer{conn: c}
+	rc.begin()
 	var err error
 	for _, body := range bodies {
 		if err = wire.ForEachFrame(body, func(sub []byte) error {
@@ -142,7 +142,7 @@ func dispatchGroup(c Conn, h Handler, keep FrameFilter, dec *wire.Decoder, bodie
 			if err != nil {
 				return err
 			}
-			h(&rc, m)
+			h(rc, m)
 			return nil
 		}); err != nil {
 			break
@@ -155,15 +155,27 @@ func dispatchGroup(c Conn, h Handler, keep FrameFilter, dec *wire.Decoder, bodie
 // replyCoalescer is the Conn a handler replies through while one inbound
 // batch is dispatched: Sends append pre-encoded sub-frames to one buffer,
 // and flush forwards them as a single frame — plain for one reply, batch
-// for several. After the flush, sends fall through to the underlying
-// connection (for the rare handler that replies asynchronously).
+// for several. It belongs to one connection for that connection's life
+// (conn is set once, before the read loop starts), so the handler sees it
+// through the Conn interface without one escaping to the heap per inbound
+// batch — on client read loops too, whose handler never replies — and
+// whatever reaches it, whenever, goes to that connection's peer: between
+// groups sends fall straight through, and a reply sent after its handler
+// returned (the Handler contract forbids it) at worst rides a later
+// batch to the same peer.
 type replyCoalescer struct {
-	conn Conn
+	mu    sync.Mutex
+	conn  Conn   // the connection replied on; immutable
+	buf   []byte // concatenated length-prefixed frames, from wire.GetBuf
+	count int
+	open  bool // a group is being dispatched: buffer, don't pass through
+}
 
-	mu      sync.Mutex
-	buf     []byte // concatenated length-prefixed frames, from wire.GetBuf
-	count   int
-	flushed bool
+// begin starts a group.
+func (rc *replyCoalescer) begin() {
+	rc.mu.Lock()
+	rc.open = true
+	rc.mu.Unlock()
 }
 
 // Send implements Conn: encode now (the caller may reuse m immediately),
@@ -171,7 +183,7 @@ type replyCoalescer struct {
 // message loss at flush, as on any closed connection.
 func (rc *replyCoalescer) Send(m *wire.Msg) error {
 	rc.mu.Lock()
-	if rc.flushed {
+	if !rc.open {
 		rc.mu.Unlock()
 		return rc.conn.Send(m)
 	}
@@ -190,7 +202,7 @@ func (rc *replyCoalescer) Send(m *wire.Msg) error {
 // SendEncoded implements Conn.
 func (rc *replyCoalescer) SendEncoded(frame []byte) error {
 	rc.mu.Lock()
-	if rc.flushed {
+	if !rc.open {
 		rc.mu.Unlock()
 		return rc.conn.SendEncoded(frame)
 	}
@@ -213,7 +225,7 @@ func (rc *replyCoalescer) Close() error { return rc.conn.Close() }
 func (rc *replyCoalescer) flush() {
 	rc.mu.Lock()
 	buf, count := rc.buf, rc.count
-	rc.buf, rc.flushed = nil, true
+	rc.buf, rc.count, rc.open = nil, 0, false
 	rc.mu.Unlock()
 	switch {
 	case count == 0:

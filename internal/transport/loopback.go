@@ -219,6 +219,7 @@ func (c *loopConn) pump() {
 	frames := make([][]byte, 0, 16)
 	bodies := make([][]byte, 0, 16)
 	var dec wire.Decoder
+	rc := replyCoalescer{conn: c}
 	for {
 		select {
 		case <-c.done:
@@ -256,7 +257,7 @@ func (c *loopConn) pump() {
 				decT0 = trace.Now()
 			}
 			if err == nil {
-				err = dispatchGroup(c, c.handler, c.loadFilter(), &dec, bodies...)
+				err = dispatchGroup(&rc, c.handler, c.loadFilter(), &dec, bodies...)
 			}
 			if c.rec != nil {
 				c.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(bodies)))

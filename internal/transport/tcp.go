@@ -345,6 +345,7 @@ func (t *tcpConn) writeLoop() {
 		writerPool.Put(w)
 	}()
 	frames := make([][]byte, 0, 64)
+	var hdr []byte // coalesceFrames' batch-header scratch
 	for {
 		select {
 		case <-t.done:
@@ -371,7 +372,7 @@ func (t *tcpConn) writeLoop() {
 				// still merges the bytes into one write, as it always did.
 				err = writePlain(w, frames, t.rec != nil)
 			} else {
-				err = coalesceFrames(w, frames, t.rec != nil)
+				err = coalesceFrames(w, frames, t.rec != nil, &hdr)
 			}
 			if err == nil {
 				err = w.Flush()
@@ -389,9 +390,9 @@ func (t *tcpConn) writeLoop() {
 
 // readLoop decodes inbound frames — dispatching a batch frame's messages
 // back to back with their replies coalesced — reusing one body buffer
-// across frames and one wire.Decoder for the life of the stream. Any
-// stream error — peer close, crash, corruption — severs the connection:
-// message loss, the model's one failure mode for links.
+// across frames, and one wire.Decoder and one replyCoalescer for the life
+// of the stream. Any stream error — peer close, crash, corruption — severs
+// the connection: message loss, the model's one failure mode for links.
 func (t *tcpConn) readLoop() {
 	r := readerPool.Get().(*bufio.Reader)
 	r.Reset(t.c)
@@ -403,6 +404,7 @@ func (t *tcpConn) readLoop() {
 	defer func() { wire.PutBuf(body) }()
 	var stamp [wire.StampSize]byte
 	var dec wire.Decoder
+	rc := replyCoalescer{conn: t}
 	for {
 		var err error
 		if body, err = wire.ReadFrame(r, body); err != nil {
@@ -429,7 +431,7 @@ func (t *tcpConn) readLoop() {
 		if t.rec != nil {
 			decT0 = trace.Now()
 		}
-		if err = dispatchGroup(t, t.handler, t.loadFilter(), &dec, body); err != nil {
+		if err = dispatchGroup(&rc, t.handler, t.loadFilter(), &dec, body); err != nil {
 			t.Close()
 			return
 		}

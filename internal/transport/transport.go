@@ -55,7 +55,9 @@ type Conn interface {
 // batch frame are dispatched back to back in batch order, and replies the
 // handler sends during that dispatch are coalesced into one outbound batch
 // frame. The Conn handed to a handler is only guaranteed valid for the
-// duration of the call; do not retain it for replies from other goroutines.
+// duration of the call; do not retain it for replies from other goroutines
+// (a reply sent through it later goes to the same peer while the connection
+// lives, but on its own or in some later batch).
 type Handler func(c Conn, m *wire.Msg)
 
 // FrameFilter vetoes the decoding of one inbound message body (the read

@@ -380,14 +380,15 @@ func TestCoalesceFrames(t *testing.T) {
 	// First drain: a run of 3, a pre-batched frame, then a lone plain frame.
 	// Second drain: a run of 2.
 	var stream bytes.Buffer
+	var hdr []byte
 	if err := coalesceFrames(&stream, [][]byte{
 		mkFrame(1), mkFrame(2), mkFrame(3),
 		append(wire.GetBuf(), preBatched...),
 		mkFrame(4),
-	}, false); err != nil {
+	}, false, &hdr); err != nil {
 		t.Fatal(err)
 	}
-	if err := coalesceFrames(&stream, [][]byte{mkFrame(5), mkFrame(6)}, false); err != nil {
+	if err := coalesceFrames(&stream, [][]byte{mkFrame(5), mkFrame(6)}, false, &hdr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -421,6 +422,131 @@ func TestCoalesceFrames(t *testing.T) {
 
 // TestSendDelayed: the fault hook delivers late but does deliver, and the
 // inflight group lets shutdown wait for stragglers.
+// captureConn records the frames a read loop's handler replies with.
+type captureConn struct{ frames [][]byte }
+
+func (c *captureConn) Send(m *wire.Msg) error {
+	frame, err := wire.Append(nil, m)
+	if err != nil {
+		return err
+	}
+	return c.SendEncoded(frame)
+}
+func (c *captureConn) SendEncoded(frame []byte) error {
+	c.frames = append(c.frames, frame)
+	return nil
+}
+func (c *captureConn) Close() error { return nil }
+
+// TestReplyCoalescerServesEveryGroup: a connection's one reply coalescer
+// lives as long as the connection, so it must start every group clean —
+// each inbound batch's replies leave as exactly one batch frame with
+// exactly that group's replies, and a group that replies nothing sends
+// nothing.
+func TestReplyCoalescerServesEveryGroup(t *testing.T) {
+	reply := true
+	h := func(c Conn, m *wire.Msg) {
+		if reply {
+			c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call}) //nolint:errcheck // captureConn never fails
+		}
+	}
+	var dec wire.Decoder
+	conn := &captureConn{}
+	rc := replyCoalescer{conn: conn}
+	for g, size := range []int{3, 16, 2} {
+		first := 100 * (g + 1)
+		if err := dispatchGroup(&rc, h, nil, &dec, collectBatch(t, first, size)); err != nil {
+			t.Fatal(err)
+		}
+		if len(conn.frames) != g+1 {
+			t.Fatalf("group %d: %d reply frames so far, want %d", g, len(conn.frames), g+1)
+		}
+		if got := ackCalls(t, conn.frames[g]); len(got) != size || got[0] != uint64(first) || got[size-1] != uint64(first+size-1) {
+			t.Fatalf("group %d: reply frame answers calls %v, want %d..%d", g, got, first, first+size-1)
+		}
+	}
+	reply = false
+	if err := dispatchGroup(&rc, h, nil, &dec, collectBatch(t, 900, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.frames) != 3 {
+		t.Fatalf("a group that replied nothing sent %d frames", len(conn.frames)-3)
+	}
+}
+
+// TestLateReplyReachesItsOwnPeer: a UDP listener's one read loop serves
+// every peer, each through its own coalescer, so a handler that breaks the
+// contract and replies through a Conn it kept from an earlier call — even
+// while another peer's group is being dispatched — still reaches the peer
+// that Conn stood for, never the one being served.
+func TestLateReplyReachesItsOwnPeer(t *testing.T) {
+	var dec wire.Decoder
+	a, b := &captureConn{}, &captureConn{}
+	rcA, rcB := replyCoalescer{conn: a}, replyCoalescer{conn: b}
+	var kept Conn
+	h := func(c Conn, m *wire.Msg) {
+		if kept == nil {
+			kept = c
+		}
+		c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call}) //nolint:errcheck // captureConn never fails
+		if m.Call == 201 {
+			kept.Send(&wire.Msg{Kind: wire.KindAck, Call: 999}) //nolint:errcheck
+		}
+	}
+	if err := dispatchGroup(&rcA, h, nil, &dec, collectBatch(t, 100, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dispatchGroup(&rcB, h, nil, &dec, collectBatch(t, 200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.frames) != 2 || len(b.frames) != 1 {
+		t.Fatalf("peer a got %d frames, peer b %d; want a's batch and its late reply, and b's batch", len(a.frames), len(b.frames))
+	}
+	if got := ackCalls(t, a.frames[1]); len(got) != 1 || got[0] != 999 {
+		t.Fatalf("peer a's late frame answers calls %v, want [999]", got)
+	}
+	if got := ackCalls(t, b.frames[0]); len(got) != 3 || got[0] != 200 || got[2] != 202 {
+		t.Fatalf("peer b's batch answers calls %v, want [200 201 202]", got)
+	}
+}
+
+// collectBatch is the body of a batch frame of count collect requests with
+// call ids first, first+1, ….
+func collectBatch(t *testing.T, first, count int) []byte {
+	t.Helper()
+	msgs := make([]*wire.Msg, count)
+	for i := range msgs {
+		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(first + i), Reg: "r"}
+	}
+	frame, err := wire.EncodeBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := frameBody(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// ackCalls decodes one reply frame, plain or batch, into its call ids.
+func ackCalls(t *testing.T, frame []byte) []uint64 {
+	t.Helper()
+	body, err := frameBody(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks, err := wire.DecodeFrames(nil, body)
+	if err != nil {
+		t.Fatalf("reply frame does not decode: %v", err)
+	}
+	calls := make([]uint64, len(acks))
+	for i, a := range acks {
+		calls[i] = a.Call
+	}
+	return calls
+}
+
 func TestSendDelayed(t *testing.T) {
 	nw := NewLoopback()
 	got := make(chan *wire.Msg, 2)

@@ -412,6 +412,7 @@ type udpConn struct {
 	ep      *udpEndpoint
 	handler Handler
 	filter  atomic.Value // FrameFilter, installed via SetFilter
+	rc      replyCoalescer
 }
 
 func dialUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pack int) (Conn, error) {
@@ -429,6 +430,7 @@ func dialUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pack 
 		return nil, err
 	}
 	c := &udpConn{ep: ep, handler: h}
+	c.rc.conn = c
 	ep.dispatch = c.dispatchBody
 	ep.start()
 	return c, nil
@@ -446,7 +448,7 @@ func (c *udpConn) loadFilter() FrameFilter {
 
 func (c *udpConn) dispatchBody(dec *wire.Decoder, _ netip.AddrPort, body []byte) {
 	// A decode error is one bad datagram, not a broken stream: drop it.
-	dispatchGroup(c, c.handler, c.loadFilter(), dec, body) //nolint:errcheck
+	dispatchGroup(&c.rc, c.handler, c.loadFilter(), dec, body) //nolint:errcheck
 }
 
 // Send implements Conn.
@@ -566,7 +568,7 @@ func (l *UDPListener) dispatchBody(dec *wire.Decoder, src netip.AddrPort, body [
 		return // a crashed node loses inbound messages silently
 	}
 	p := l.peer(src)
-	dispatchGroup(p, l.handler, nil, dec, body) //nolint:errcheck // one bad datagram is loss, not severance
+	dispatchGroup(&p.rc, l.handler, nil, dec, body) //nolint:errcheck // one bad datagram is loss, not severance
 }
 
 // peer returns the reply conn for one source address, creating it on first
@@ -577,6 +579,7 @@ func (l *UDPListener) peer(src netip.AddrPort) *udpPeerConn {
 	p := l.peers[src]
 	if p == nil {
 		p = &udpPeerConn{l: l, to: src}
+		p.rc.conn = p
 		l.peers[src] = p
 	}
 	l.mu.Unlock()
@@ -650,10 +653,13 @@ func (l *UDPListener) Close() error {
 
 // udpPeerConn is the Conn a server handler replies through: the listener's
 // socket aimed at one peer address. Closing it severs nothing — peers have
-// no connection state to sever — it just drops the reuse-cache entry.
+// no connection state to sever — it just drops the reuse-cache entry. One
+// read loop serves every peer, so the reply coalescer lives here, per peer:
+// a reply can only ever leave for the address it was sent to.
 type udpPeerConn struct {
 	l  *UDPListener
 	to netip.AddrPort
+	rc replyCoalescer
 }
 
 // Send implements Conn.

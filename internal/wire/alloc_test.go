@@ -11,12 +11,18 @@ const (
 	// bufCycleAllocs: one GetBuf→PutBuf cycle. Measured 0 — the pool
 	// stores pointer-shaped holders and recycles them.
 	bufCycleAllocs = 0
-	// warmViewAllocs: a warm Decoder decoding a 32-entry status view it has
-	// seen before, the message then released as Client.Collect releases it
-	// (PutMsg: the view keeps the entries). Measured 1 — the entry array;
-	// the 32 statuses, their lists and the register name all come from the
-	// tables. The table-less Decode of the same body makes 66.
+	// warmViewAllocs: a warm Decoder decoding a 32-entry status view whose
+	// values it has seen before but whose tail is new to the view memo (one
+	// entry's sequence number moves every decode), the message then released
+	// as Client.Collect releases it (PutMsg: the view keeps the entries).
+	// Measured 1 — the entry array; the 32 statuses, their lists and the
+	// register name all come from the tables. The table-less Decode of the
+	// same body makes 66.
 	warmViewAllocs = 2
+	// repeatViewAllocs: the same decode when the tail repeats the previous
+	// view of that register byte for byte — a view-memo hit. Measured 0:
+	// one compare, and the table's entry array is handed out again.
+	repeatViewAllocs = 0
 )
 
 func TestBufPoolCycleAllocs(t *testing.T) {
@@ -30,10 +36,13 @@ func TestBufPoolCycleAllocs(t *testing.T) {
 	}
 }
 
-func TestWarmDecoderViewAllocs(t *testing.T) {
-	body := statusView(t, 32)
+// warmViewDecode returns a 32-entry status view body and a function that
+// decodes it on one warm Decoder and releases the message as
+// Client.Collect does.
+func warmViewDecode(t *testing.T) (body []byte, decode func()) {
+	body = statusView(t, 32)
 	var dec Decoder
-	decode := func() {
+	decode = func() {
 		m, err := dec.Decode(body)
 		if err != nil {
 			t.Fatal(err)
@@ -41,8 +50,28 @@ func TestWarmDecoderViewAllocs(t *testing.T) {
 		PutMsg(m)
 	}
 	decode() // first decode fills the tables
-	got := testing.AllocsPerRun(1000, decode)
+	return body, decode
+}
+
+func TestWarmDecoderViewAllocs(t *testing.T) {
+	body, decode := warmViewDecode(t)
+	// The body ends in the last entry's one-byte sequence number and its
+	// four-byte value (tag, stat, count 1, one id). Alternating that
+	// sequence number makes every tail differ from the remembered one while
+	// every value stays interned.
+	seq := len(body) - 5
+	got := testing.AllocsPerRun(1000, func() {
+		body[seq] ^= 1
+		decode()
+	})
 	if got > warmViewAllocs {
-		t.Fatalf("warm decode of a 32-entry status view: %v allocs, budget %d", got, warmViewAllocs)
+		t.Fatalf("warm decode of a changed 32-entry status view: %v allocs, budget %d", got, warmViewAllocs)
+	}
+}
+
+func TestRepeatViewDecodeAllocs(t *testing.T) {
+	_, decode := warmViewDecode(t)
+	if got := testing.AllocsPerRun(1000, decode); got > repeatViewAllocs {
+		t.Fatalf("repeat decode of a 32-entry status view: %v allocs, budget %d", got, repeatViewAllocs)
 	}
 }

@@ -70,12 +70,25 @@ func PutMsg(m *Msg) {
 // RecycleMsg recycles a message AND its entry storage: the Entries array
 // rides back into the pool and the next Decode on this message reuses its
 // capacity instead of allocating — the arena that takes per-entry
-// allocation out of the server's propagate path and the client's discard
-// paths. The bar is higher than PutMsg's: the caller must own everything
-// the message references — nothing may retain m.Entries or any sub-slice
-// of it. A consumer that hands entries onward (Collect's views keep their
-// reply's entries alive) must use PutMsg, which drops the array.
+// allocation out of the server's propagate path. The bar is higher than
+// PutMsg's: the caller must own everything the message references —
+// nothing may retain m.Entries or any sub-slice of it. A consumer that
+// hands entries onward (Collect's views keep their reply's entries alive)
+// must use PutMsg, which drops the array.
+//
+// The one array a caller never owns is a stream Decoder's memoized view
+// (see Decoder): the table and any number of other messages reference it.
+// On a stream that is every view up to viewTailMax, hit or miss, so for the
+// views a client discards RecycleMsg is PutMsg: the array is dropped, never
+// cleared, never re-armed as an arena. The message carries the bit
+// (Msg.shared) as a safety net, not an optimisation — a handler cannot
+// know what decoded the message it was handed, and RecycleMsg must stay
+// safe to call on any message whose entries the handler itself let go of.
 func RecycleMsg(m *Msg) {
+	if m.shared {
+		PutMsg(m)
+		return
+	}
 	// Clear the whole capacity, not just the live window: a shorter decode
 	// shrinks len below an earlier one, and entries parked in [len, cap)
 	// would otherwise pin their rt.Values for the arena's lifetime.

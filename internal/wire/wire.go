@@ -121,6 +121,12 @@ type Msg struct {
 	// means "not decoded": WireSize computes. Mutating a decoded message
 	// invalidates it; no path in the repository does.
 	size int
+
+	// shared marks Entries as owned by a Decoder's view memo rather than by
+	// this message: the array may back other messages and views, so
+	// RecycleMsg drops it instead of clearing it or keeping it as an arena.
+	// It exists only so that RecycleMsg is safe on every decoded message.
+	shared bool
 }
 
 // WireSize returns the exact encoded size of the frame body (the length
@@ -575,6 +581,16 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 		return err
 	}
 	if m.Kind == KindPropagate || m.Kind == KindView {
+		// A view's tail — everything after the register name — is looked up
+		// whole before it is walked; see Decoder.
+		tail := d.b
+		memo := dec.memoizes(m.Kind, tail)
+		if memo {
+			if entries, ok := dec.views.get(m.Election, m.Reg, tail); ok {
+				m.Entries, m.shared, m.size = entries, true, len(body)
+				return nil
+			}
+		}
 		count, err := d.uvarint()
 		if err != nil {
 			return err
@@ -586,7 +602,9 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 			// Reuse the entry arena a RecycleMsg left behind when it is big
 			// enough; elements in [len, cap) are zero by the recycle
 			// contract, and the loop below overwrites [0, count) entirely.
-			if uint64(cap(m.Entries)) >= count {
+			// An array the view memo is about to own is always fresh: the
+			// table outlives this message.
+			if !memo && uint64(cap(m.Entries)) >= count {
 				m.Entries = m.Entries[:count]
 			} else {
 				m.Entries = make([]rt.Entry, count)
@@ -606,6 +624,10 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 				}
 				m.Entries[i] = rt.Entry{Reg: m.Reg, Owner: owner, Seq: seq, Val: val}
 			}
+		}
+		if memo && len(d.b) == 0 { // remember only what the whole decode accepted
+			dec.views.put(m.Election, m.Reg, tail, m.Entries)
+			m.shared = true
 		}
 	}
 	if len(d.b) != 0 {
