@@ -4,9 +4,11 @@ package electd
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rt"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -28,6 +30,13 @@ const (
 	// box, each allocated once at its final size. Appending both from nil
 	// took about 10.
 	rebuildAllocs = 3
+	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
+	// the in-process network, servers included. Measured 11 — the cellVal
+	// box on each of the quorum+slack = 11 servers asked (16 when the call
+	// goes to all n) — and nothing for the tick the call arms and stops.
+	thriftyPropagateAllocs = 12
+	// thriftyCollectAllocs: the same for a collect. Measured 0.
+	thriftyCollectAllocs = 1
 )
 
 func TestHandleAllocBudget(t *testing.T) {
@@ -82,5 +91,38 @@ func TestRebuildAllocBudget(t *testing.T) {
 	}
 	if len(snap.entries) != n || len(snap.enc) < n {
 		t.Fatalf("rebuilt snapshot holds %d entries in %d bytes", len(snap.entries), len(snap.enc))
+	}
+}
+
+// TestThriftyCallAllocBudget: a quorum call whose first wave is a subset
+// arms a tick on every call; the timer is the client's own, re-armed and
+// stopped, so the wait loop costs a steady-state call no allocation.
+func TestThriftyCallAllocBudget(t *testing.T) {
+	const n, reg = 16, "leaderelect/sift/3/status"
+	cl, err := NewCluster(transport.NewLoopback(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck // teardown
+	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
+	c := cl.NewComm(NewParticipant(0, n, 1), 1, nil)
+	if c.wide {
+		t.Fatalf("n=%d client starts wide; the test needs a thrifty first wave", n)
+	}
+	for range 50 { // pools, pending slots, the timer, the servers' cells
+		c.Propagate(reg, val)
+		c.Collect(reg)
+	}
+	if got := testing.AllocsPerRun(500, func() { c.arm(time.Second); c.tmr.Stop() }); got != 0 {
+		t.Fatalf("re-arming the client's tick timer: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(500, func() { c.Propagate(reg, val) }); got > thriftyPropagateAllocs {
+		t.Fatalf("steady-state thrifty propagate: %v allocs, budget %d", got, thriftyPropagateAllocs)
+	}
+	if got := testing.AllocsPerRun(500, func() { c.Collect(reg) }); got > thriftyCollectAllocs {
+		t.Fatalf("steady-state thrifty collect: %v allocs, budget %d", got, thriftyCollectAllocs)
+	}
+	if cl.Pool().widened.Load() != 0 {
+		t.Fatalf("%d calls widened on an idle in-process cluster", cl.Pool().widened.Load())
 	}
 }

@@ -30,6 +30,12 @@ type coalescer struct {
 	msgs   atomic.Int64 // messages enqueued
 	frames atomic.Int64 // frames actually sent (≤ msgs; the gap is the win)
 
+	// dead latches once the connection refuses a frame (severed by a crash,
+	// closed): from then on enqueue reports the link down, so a quorum call
+	// picks another server for its first wave instead of waiting out a tick
+	// on this one. Redial installs fresh coalescers, which clears it.
+	dead atomic.Bool
+
 	// hist, when set (Pool.registerMetrics), records each flush's batch
 	// size — the observable distribution behind the msgs/frames ratio.
 	// Installed before traffic flows; nil on a bare pool.
@@ -40,7 +46,13 @@ type coalescer struct {
 // server's pending batch. The bytes are copied, so the caller keeps
 // ownership of frame. If no flush is in progress the calling goroutine
 // flushes — the group-commit bargain: everyone else enqueues and leaves.
-func (co *coalescer) enqueue(frame []byte) {
+// It reports false when the connection is known to be down: the frame went
+// nowhere. A caller that flushed learns of a send error at once; one that
+// left its frame to another flusher learns of it on its next call.
+func (co *coalescer) enqueue(frame []byte) bool {
+	if co.dead.Load() {
+		return false
+	}
 	co.mu.Lock()
 	if co.buf == nil {
 		co.buf = wire.GetBuf()
@@ -49,17 +61,19 @@ func (co *coalescer) enqueue(frame []byte) {
 	co.count++
 	if co.flushing {
 		co.mu.Unlock()
-		return
+		return true
 	}
 	co.flushing = true
 	co.mu.Unlock()
 	co.flush()
+	return !co.dead.Load()
 }
 
 // flush drains the pending batch — repeatedly, since new messages
 // accumulate while the previous frame is being handed to the transport —
 // and clears the flushing flag only once the batch is empty. Send errors
-// are message loss, the model's prerogative for a dead link.
+// are message loss, the model's prerogative for a dead link; they latch
+// dead so later calls route around the link.
 func (co *coalescer) flush() {
 	for {
 		co.mu.Lock()
@@ -78,7 +92,7 @@ func (co *coalescer) flush() {
 		}
 		if count == 1 {
 			// A single length-prefixed frame is already the wire form.
-			co.conn.SendEncoded(buf) //nolint:errcheck
+			co.send(buf)
 			continue
 		}
 		batch, err := wire.AppendBatchFrame(wire.GetBuf(), count, buf)
@@ -92,13 +106,20 @@ func (co *coalescer) flush() {
 				size, n := binary.Uvarint(rest)
 				end := n + int(size)
 				one := append(wire.GetBuf(), rest[:end]...)
-				co.conn.SendEncoded(one) //nolint:errcheck
+				co.send(one)
 				rest = rest[end:]
 			}
 			wire.PutBuf(buf)
 			continue
 		}
 		wire.PutBuf(buf)
-		co.conn.SendEncoded(batch) //nolint:errcheck
+		co.send(batch)
+	}
+}
+
+// send hands one frame to the transport, latching dead on refusal.
+func (co *coalescer) send(frame []byte) {
+	if co.conn.SendEncoded(frame) != nil {
+		co.dead.Store(true)
 	}
 }

@@ -45,7 +45,9 @@ var batchSizeBounds = obs.ExpBuckets(1, 2, 9)
 
 // registerMetrics exposes the pool's client-side instruments on r and
 // installs the two hot-path histograms (quorum round-trip latency, batch
-// sizes). Called from DialPoolOpts when PoolOptions.Metrics is set.
+// sizes). Called from DialPoolOpts when PoolOptions.Metrics is set. A
+// fault-free deployment reads 0 on the widened counter; anything else means
+// calls are paying a tick for servers that do not answer.
 func (pl *Pool) registerMetrics(r *obs.Registry) {
 	r.NewGaugeFunc("electd_pending_calls", "communicate calls awaiting quorum replies", func() int64 {
 		var n int64
@@ -66,6 +68,8 @@ func (pl *Pool) registerMetrics(r *obs.Registry) {
 		return frames
 	})
 	r.NewCounterFunc("electd_busy_shed_total", "quorum calls aborted by a server's busy reply", pl.busy.Load)
+	r.NewCounterFunc("electd_pool_widened_calls_total", "quorum calls whose quorum+slack first wave fell short within a tick and went to all n servers", pl.widened.Load)
+	r.NewCounterFunc("electd_pool_retransmits_total", "retransmit ticks of quorum calls already sent to all n servers (lossy transports, fault plans)", pl.resent.Load)
 	pl.rpcHist = r.NewHistogram("electd_quorum_roundtrip_usec", "quorum round-trip latency, microseconds", quorumLatencyBounds)
 	pl.batchHist = r.NewHistogram("electd_coalesce_batch_msgs", "messages per coalescer flush", batchSizeBounds)
 	for j := range pl.links {

@@ -38,6 +38,38 @@ func coalShardOf(election uint64) int {
 	return int((election * 0x9E3779B97F4A7C15) >> (64 - coalShardBits))
 }
 
+// thriftySlack is how many servers beyond the ⌊n/2⌋+1 quorum a communicate
+// call's first wave asks. The call needs quorum answers, so asking all n
+// buys nothing but the ⌈n/2⌉−1 replies it then throws away; asking exactly
+// a quorum would make every call wait for its slowest member. Two spares
+// absorb a slow or lossy server or two without a tick. Measured at n=32 on
+// loopback TCP (2 cores): 19 requests per call against 32, −26 % messages
+// and −32…−40 % CPU per election, no call of ≈160 k widening. The price is
+// the order statistic: a third slow server inside the set is waited for,
+// where asking all n would have routed around it (docs/ELECTD.md has the
+// slow-third and WAN numbers).
+const thriftySlack = 2
+
+// widenAfter is how long a call whose first wave went to a subset waits
+// for its quorum before it asks every server that has not answered. It
+// must sit past the tail of a loaded quorum round-trip, not inside it: at
+// 5 ms, 2.4–4 % of the calls of a saturated 2-core host widened while
+// merely slow and election p95 got worse (48.8 → 54.9…83.6 ms); at 20 ms
+// and at 50 ms, 0 of ≈160 k did. A fault plan's own retransmit period
+// replaces it (SetFaults): the plan knows how fast its losses must heal.
+const widenAfter = 50 * time.Millisecond
+
+// firstWaveStart maps an election ID to the server its calls' first waves
+// start at, with the same Fibonacci hash as the coalescer stripes. The set
+// is picked per election, not per participant: one election's wave then
+// rides quorum+slack connections (fewer writes, reads and reader wake-ups,
+// which is where the socket path's cost sits) while concurrent elections
+// still spread over all n servers. Rotating by participant ID was measured
+// and gains nothing — every connection stays hot, only messages drop.
+func firstWaveStart(election uint64, n int) int {
+	return int(((election * 0x9E3779B97F4A7C15) >> 32) % uint64(n))
+}
+
 // callShard is one stripe of the pending-call table, padded so stripes'
 // locks sit on distinct cache lines.
 type callShard struct {
@@ -92,11 +124,14 @@ type Pool struct {
 	// so Close can wait for stragglers instead of racing them.
 	inflight sync.WaitGroup
 
-	// Observability, installed by registerMetrics when PoolOptions.Metrics
-	// is set; all nil/zero (and unused) on a bare pool. The histograms are
-	// nil-safe, but rpc still checks before observing to keep the bare hot
-	// path free of even the no-op call.
+	// Observability. The counters are bumped where the event happens (all
+	// three off the steady-state path) and read at scrape time; the
+	// histograms are installed by registerMetrics when PoolOptions.Metrics
+	// is set and nil on a bare pool. They are nil-safe, but rpc still checks
+	// before observing to keep the bare hot path free of even the no-op call.
 	busy      atomic.Int64 // quorum calls aborted by a busy reply
+	widened   atomic.Int64 // calls whose first wave fell short and went to all n
+	resent    atomic.Int64 // retransmit ticks of calls already sent to all n
 	rpcHist   *obs.Histogram
 	batchHist *obs.Histogram
 
@@ -501,6 +536,13 @@ func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) tim
 		// The pool's baseline resend period (set on lossy transports);
 		// SetFaults may arm a plan-specific one on top, never disarm this.
 		retransmit: pl.defaultRetransmit,
+		// A thrifty first wave widens no sooner than widenAfter, however
+		// short the pool's resend period: its spares already cover a lost
+		// datagram or two, and a call that is merely slow must not widen.
+		widenTick: max(pl.defaultRetransmit, widenAfter),
+		first:     firstWaveStart(election, pl.n),
+		// Up to quorum+slack servers the first wave is all of them.
+		wide: pl.n <= pl.n/2+1+thriftySlack,
 		// A per-client jitter stream (xorshift64) decorrelates retransmit
 		// timers across participants and elections: seeded from both IDs
 		// so equal configurations still tick at different phases. The ^1
@@ -510,10 +552,13 @@ func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) tim
 }
 
 // Client is one participant's rt.Comm in one election instance: every
-// communicate call broadcasts to all n servers through the pool and blocks
-// until ⌊n/2⌋+1 of them answer — so any two calls, by any participants,
-// intersect in at least one server, the property every proof in the paper
-// stands on.
+// communicate call blocks until ⌊n/2⌋+1 of the n servers answered it — so
+// any two calls, by any participants, intersect in at least one server, the
+// property every proof in the paper stands on. Which servers are *asked* is
+// below that: a call first asks quorum+thriftySlack live servers, starting
+// at a per-election offset, and asks all the others only if a tick passes
+// without a quorum (see rpc). A server never asked is one whose message the
+// model delays forever.
 type Client struct {
 	pool     *Pool
 	p        rt.Procer
@@ -523,6 +568,15 @@ type Client struct {
 	seqs     map[string]uint64 // per-register write versions of the own cell
 	calls    int
 	round    int32 // current protocol round, for span attribution (SetRound)
+
+	// first is the server this election's first waves start at, fixed at
+	// NewComm. wide makes every first wave go to all n: set from the start
+	// when n is within quorum+slack, and for the rest of the election by
+	// the first call that had to widen — whatever silenced the set is
+	// likely still there, so a failure costs this participant one tick,
+	// not one per call.
+	first int
+	wide  bool
 
 	// Single-goroutine scratch, reused across communicate calls: the
 	// request message (safe because every send path has finished with it
@@ -540,6 +594,8 @@ type Client struct {
 	drop       func(server int) bool // request-direction loss; algorithm goroutine
 	replyDrop  func(server int) bool // reply-direction loss; any read loop (must be concurrency-safe)
 	retransmit time.Duration         // quorum-wait resend period; 0 = never resend
+	widenTick  time.Duration         // how long a thrifty first wave waits before widening
+	tmr        *time.Timer           // the quorum wait's tick, reused across calls; nil until one arms it
 	jit        uint64                // xorshift64 retransmit-jitter state; algorithm goroutine
 	noq        <-chan struct{}       // closed when this client is provably starved of quorums
 	noqProc    int                   // participant id reported in the NoQuorumError
@@ -555,8 +611,9 @@ type Client struct {
 // the connections' read loops, so it must be safe for concurrent calls.
 // Retransmit > 0 makes quorum waits rebroadcast on that period — required
 // for liveness under partitions, flaky links, and crash-recovery, since
-// the algorithms themselves never resend. NoQuorum, when it fires, aborts
-// the client's current and future quorum waits by unwinding the
+// the algorithms themselves never resend — and makes the first of those
+// ticks the one that widens a thrifty first wave. NoQuorum, when it fires,
+// aborts the client's current and future quorum waits by unwinding the
 // participant's goroutine with a *fault.NoQuorumError panic — the typed
 // no-quorum outcome for clients the plan has provably cut off; recover it
 // like a crash at the election runner.
@@ -575,7 +632,7 @@ type FaultProfile struct {
 func (c *Client) SetFaults(fp FaultProfile) {
 	c.drop, c.replyDrop = fp.Drop, fp.ReplyDrop
 	if fp.Retransmit > 0 {
-		c.retransmit = fp.Retransmit
+		c.retransmit, c.widenTick = fp.Retransmit, fp.Retransmit
 	}
 	c.noq, c.noqProc = fp.NoQuorum, fp.Proc
 }
@@ -660,11 +717,21 @@ func (c *Client) Collect(reg string) []rt.View {
 	return c.views
 }
 
-// rpc broadcasts m to every server and blocks until a quorum has answered,
+// rpc sends m to the servers and blocks until a quorum has answered,
 // returning the replies when keep is set (collects) and discarding them
-// otherwise (propagate acks carry no payload). Sends to crashed or
+// otherwise (propagate acks carry no payload).
+//
+// The first wave goes to quorum+thriftySlack servers, walking the ring from
+// the election's offset and passing over links that are undialed or known
+// dead — so a crashed server costs nothing once its connection has closed.
+// If a tick passes without a quorum the call widens: it asks every server
+// that has not answered, and the client stays wide for the rest of its
+// election. On lossy transports and under fault plans that tick is the
+// retransmit tick, which keeps firing (selective, backed off, jittered);
+// on a reliable transport it is widenAfter, once. Sends to crashed or
 // unreachable servers are message loss; the quorum wait rides on the
-// ⌊n/2⌋+1 live majority the model guarantees.
+// ⌊n/2⌋+1 live majority the model guarantees, all of which a widened call
+// has asked.
 //
 // A busy reply arriving within the quorum wait aborts the call: the write
 // is not known to be on a quorum, and rt.Comm has no error path, so after
@@ -692,135 +759,153 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	// PayloadBytes; the length prefix — and a batch frame's header — is
 	// transport framing, not payload.
 	size := int64(m.WireSize())
-	var frame []byte // encoded once, lazily; every broadcast reuses the bytes
-	broadcast := func(skip []bool) {
-		sent := int64(0)
-		for j := 0; j < pl.n; j++ {
-			if skip != nil && skip[j] {
-				continue // this server already answered; nothing to gain
-			}
-			link := pl.links[j].Load()
-			if link == nil {
-				continue // server was unreachable at dial time: nothing to send
-			}
-			sent++ // a dropped request still went onto the wire and died there
-			if c.drop != nil && c.drop(j) {
-				continue
-			}
-			if c.delay != nil {
-				if d := c.delay(j); d > 0 {
-					transport.SendDelayed(link.conn(c.cshard), m, d, &pl.inflight)
-					continue
-				}
-			}
-			if link.cos != nil {
-				if frame == nil {
-					var encT0 int64
-					if rec != nil {
-						encT0 = trace.Now()
-					}
-					var err error
-					if frame, err = wire.Append(wire.GetBuf(), m); err != nil {
-						// Unencodable payloads cannot reach any server: loss on
-						// every link, exactly as the per-conn Send path reports.
-						wire.PutBuf(frame)
-						frame = nil
-						break
-					}
-					if rec != nil {
-						rec.Record(c.election, c.round, trace.PEncode, encT0, trace.Now()-encT0, int64(len(frame)))
-					}
-				}
-				link.cos[c.cshard].enqueue(frame)
-			} else {
-				link.conn(c.cshard).Send(m) //nolint:errcheck // loss, per the model
+	var frame []byte // encoded once, lazily; every send reuses the bytes
+	// send puts the request on server j's link and reports whether it went
+	// onto the wire — a request the fault plan then drops did, and died
+	// there; one to an undialed or severed link did not.
+	send := func(j int) bool {
+		link := pl.links[j].Load()
+		if link == nil {
+			return false // server was unreachable at dial time: nothing to send
+		}
+		if c.drop != nil && c.drop(j) {
+			return true
+		}
+		if c.delay != nil {
+			if d := c.delay(j); d > 0 {
+				transport.SendDelayed(link.conn(c.cshard), m, d, &pl.inflight)
+				return true
 			}
 		}
-		c.msgs.Add(sent)
-		c.bytes.Add(sent * size)
+		if link.cos == nil {
+			return link.conn(c.cshard).Send(m) == nil
+		}
+		if frame == nil {
+			var encT0 int64
+			if rec != nil {
+				encT0 = trace.Now()
+			}
+			var err error
+			if frame, err = wire.Append(wire.GetBuf(), m); err != nil {
+				// Unencodable payloads cannot reach any server: loss on
+				// every link, exactly as the per-conn Send path reports.
+				wire.PutBuf(frame)
+				frame = nil
+				return false
+			}
+			if rec != nil {
+				rec.Record(c.election, c.round, trace.PEncode, encT0, trace.Now()-encT0, int64(len(frame)))
+			}
+		}
+		return link.cos[c.cshard].enqueue(frame)
+	}
+	// wave sends to up to want servers, walking the ring from the election's
+	// offset and passing over servers that already answered (skip) and links
+	// that take nothing, and returns how many requests went out.
+	wave := func(want int, skip []bool) int {
+		sent := 0
+		for i, j := 0, c.first; i < pl.n && sent < want; i++ {
+			if (skip == nil || !skip[j]) && send(j) {
+				sent++
+			}
+			if j++; j == pl.n {
+				j = 0
+			}
+		}
+		c.msgs.Add(int64(sent))
+		c.bytes.Add(int64(sent) * size)
+		return sent
+	}
+
+	need := c.QuorumSize()
+	thrifty := !c.wide
+	want := pl.n
+	if thrifty {
+		want = need + thriftySlack
 	}
 	var sendT0, waitT0 int64
 	if rec != nil {
 		sendT0 = trace.Now()
 	}
-	broadcast(nil)
+	sent := wave(want, nil)
 	if rec != nil {
 		waitT0 = trace.Now()
-		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(pl.n))
+		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	need := c.QuorumSize()
+	// One wait loop for every configuration: replies, the tick (a nil
+	// channel when nothing arms it: a reliable transport's call that already
+	// went to all n) and the no-quorum abort (nil without a fault plan).
+	period := c.retransmit
+	var tickC <-chan time.Time
+	if thrifty {
+		tickC = c.arm(c.widenTick)
+	} else if period > 0 {
+		tickC = c.arm(period)
+	}
 	c.replies = c.replies[:0]
 	shed, starved := false, false
-	if c.retransmit == 0 && c.noq == nil {
-		// The bare fast path: nothing to select on but the replies.
-		for len(c.replies) < need {
-			r := <-p.ch
+	var resends int64
+	var skip []bool
+wait:
+	for len(c.replies) < need {
+		select {
+		case r := <-p.ch:
 			if r.Kind == wire.KindBusy {
 				shed = true
 				wire.RecycleMsg(r)
-				break
+				break wait
 			}
 			c.replies = append(c.replies, r)
-		}
-	} else {
-		var resends int64
-		var tmr *time.Timer
-		var tickC <-chan time.Time
-		period := c.retransmit
-		if period > 0 {
-			tmr = time.NewTimer(c.jitter(period))
-			defer tmr.Stop()
-			tickC = tmr.C
-		}
-		var skip []bool
-	wait:
-		for len(c.replies) < need {
-			select {
-			case r := <-p.ch:
-				if r.Kind == wire.KindBusy {
-					shed = true
-					wire.RecycleMsg(r)
-					break wait
-				}
-				c.replies = append(c.replies, r)
-			case <-tickC:
-				// Resend — but only to servers that haven't answered this
-				// call, and with the period doubling each round (capped)
-				// plus 0–25% jitter. A blanket fixed-period rebroadcast
-				// amplifies itself on a loss-free substrate: a call that
-				// merely runs slow under load re-floods all n servers every
-				// tick, slowing the others past their ticks in turn — and
-				// with many concurrent elections sharing connections,
-				// unjittered timers synchronize into resend bursts that
-				// convoy the datagram sockets, which is exactly the udp
-				// degradation T15 measured at conc=64. Selective, backed-off,
-				// desynchronized resends still carry the call across
-				// partitions, flaky links, and crash-recovery windows;
-				// duplicate replies are deduped by the router.
-				if rec != nil {
-					resends++
-					rec.Event(c.election, c.round, trace.PRetransmit, resends)
-				}
-				if skip == nil {
-					skip = make([]bool, len(p.seen))
-				}
-				sh.mu.Lock()
-				copy(skip, p.seen)
-				sh.mu.Unlock()
-				broadcast(skip)
+		case <-tickC:
+			// Send again — to every server that hasn't answered this call,
+			// asked before or not, and with the period doubling each round
+			// (capped) plus 0–25% jitter. A blanket fixed-period rebroadcast
+			// amplifies itself on a loss-free substrate: a call that merely
+			// runs slow under load re-floods all n servers every tick,
+			// slowing the others past their ticks in turn — and with many
+			// concurrent elections sharing connections, unjittered timers
+			// synchronize into resend bursts that convoy the datagram
+			// sockets, which is exactly the udp degradation T15 measured at
+			// conc=64. Selective, backed-off, desynchronized resends still
+			// carry the call across partitions, flaky links, and
+			// crash-recovery windows; duplicate replies are deduped by the
+			// router.
+			if thrifty {
+				thrifty, c.wide = false, true
+				pl.widened.Add(1)
+			} else {
+				resends++
+				pl.resent.Add(1)
+			}
+			if rec != nil {
+				rec.Event(c.election, c.round, trace.PRetransmit, resends) // 0 = the widen
+			}
+			if skip == nil {
+				skip = make([]bool, len(p.seen))
+			}
+			sh.mu.Lock()
+			copy(skip, p.seen)
+			sh.mu.Unlock()
+			wave(pl.n, skip)
+			if period == 0 {
+				tickC = nil // reliable transport: everyone has now been asked
+			} else {
 				if period < c.retransmit<<6 {
 					period *= 2
 				}
-				tmr.Reset(c.jitter(period))
-			case <-c.noq:
-				// The plan proved this client can never reach a quorum
-				// again, and the grace period is over: abort with the typed
-				// no-quorum outcome instead of waiting forever.
-				starved = true
-				break wait
+				c.tmr.Reset(c.jitter(period))
 			}
+		case <-c.noq:
+			// The plan proved this client can never reach a quorum
+			// again, and the grace period is over: abort with the typed
+			// no-quorum outcome instead of waiting forever.
+			starved = true
+			break wait
 		}
+	}
+	if tickC != nil {
+		c.tmr.Stop()
 	}
 	if rec != nil {
 		rec.Record(c.election, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(len(c.replies)))
@@ -874,4 +959,18 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		return nil
 	}
 	return c.replies
+}
+
+// arm starts the client's tick timer at d plus jitter and returns its
+// channel. The timer is made once per client and re-armed per call (go 1.23+
+// timers: Reset and Stop leave no stale tick behind), so arming allocates
+// nothing in steady state.
+func (c *Client) arm(d time.Duration) <-chan time.Time {
+	d = c.jitter(d)
+	if c.tmr == nil {
+		c.tmr = time.NewTimer(d)
+	} else {
+		c.tmr.Reset(d)
+	}
+	return c.tmr.C
 }

@@ -21,9 +21,12 @@ import (
 // `electd -soak`.
 //
 // The run is batched: elections execute in waves of bounded concurrency,
-// and between waves the harness forces a GC and samples the live heap.
-// Post-GC HeapAlloc is the honest signal — it excludes garbage awaiting
-// collection and pool slack, so a monotonic rise means retained state.
+// and between waves the harness lets the TTL sweeper catch up, forces a GC
+// and samples the live heap. Post-GC HeapAlloc with no instance awaiting
+// its sweep is the honest signal — it excludes garbage awaiting collection,
+// pool slack and the hundreds of finished instances a wave leaves behind
+// for one TTL (whose count at an arbitrary instant swings the heap by more
+// than the 10% bar), so a rise means state retained past eviction.
 
 // SoakConfig parameterizes one soak run. Zero fields take the defaults
 // noted on each.
@@ -264,11 +267,19 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		logf = func(string, ...any) {}
 	}
 
+	// An idle instance is gone one TTL plus one sweep after its last
+	// request; the rest is margin for a loaded host.
+	sweepWait := cfg.TTL + 10*cfg.SweepInterval
 	runWave(0, wave) // warmup: steady-state the pools off the record
 	next := wave
 	for s := 0; s < cfg.HeapSamples && next < cfg.Elections+wave; s++ {
 		runWave(next, wave)
 		next += wave
+		if live := awaitSweep(cl, sweepWait); live > 0 {
+			// Not a verdict here: the instances stay in the sample, and
+			// Check sees them as heap growth and as FinalLive.
+			logf("soak: %d instances still live %v after their wave", live, sweepWait)
+		}
 		rep.HeapAlloc = append(rep.HeapAlloc, heapSample())
 		logf("soak: %d elections, heap %d KiB, %d live instances",
 			elections.Load(), rep.HeapAlloc[len(rep.HeapAlloc)-1]>>10, cl.Server(0).Elections())
@@ -297,8 +308,30 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	return rep, nil
 }
 
-// heapSample forces a collection and reads the live heap.
+// awaitSweep waits, up to timeout, for every server's sweeper to reclaim
+// the instances the finished wave left idle, and returns how many are
+// still live. No client is running, so nothing re-arms an instance's TTL.
+func awaitSweep(cl *Cluster, timeout time.Duration) int {
+	deadline := time.Now().Add(timeout)
+	for {
+		live := 0
+		for i := 0; i < cl.N(); i++ {
+			live += cl.Server(rt.ProcID(i)).Elections()
+		}
+		if live == 0 || !time.Now().Before(deadline) {
+			return live
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// heapSample forces two collections and reads the live heap: the first
+// moves every sync.Pool's contents to its victim cache, the second frees
+// them, so the wire buffers and pending slots parked in pools — whose
+// number follows the last wave's peak concurrency, not the state the
+// service retains — are out of the sample.
 func heapSample() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -3,6 +3,7 @@ package electd_test
 import (
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/electd"
@@ -38,5 +39,31 @@ func TestSoakServiceEndurance(t *testing.T) {
 		rep.Elections, rep.Shed, rep.Invalid, rep.Served, rep.Evicted, rep.FinalLive, rep.FirstQMean, rep.LastQMean)
 	if err := rep.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// leaked is what TestSoakCatchesInjectedLeak retains; package-level so the
+// collector cannot prove it dead.
+var leaked [][]byte
+
+// TestSoakCatchesInjectedLeak: the heap gate must still bite. The harness
+// calls Log once per heap sample, so a Log that retains 256 KiB per call is
+// a leak of the size the 10% + slack bar exists to catch — growing through
+// every sample, sweeper caught up or not — and Check has to name it.
+func TestSoakCatchesInjectedLeak(t *testing.T) {
+	defer func() { leaked = nil }()
+	rep, err := electd.Soak(electd.SoakConfig{
+		Elections: 320,
+		Log: func(string, ...any) {
+			leaked = append(leaked, make([]byte, 256<<10))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rep.Check()
+	if err == nil || !strings.Contains(err.Error(), "leak") {
+		t.Fatalf("a 256 KiB-per-sample leak passed the soak check (heap %.0f → %.0f bytes): %v",
+			rep.FirstQMean, rep.LastQMean, err)
 	}
 }

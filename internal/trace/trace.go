@@ -47,8 +47,9 @@ const (
 
 	// PEncode is request encoding: building the canonical wire frame.
 	PEncode
-	// PSend is the broadcast: handing one encoded frame to every
-	// server link (coalescer enqueue or direct conn send).
+	// PSend is the first wave: handing one encoded frame to each server
+	// link it goes to (coalescer enqueue or direct conn send; Detail =
+	// requests sent — all n on the chan substrate, quorum+slack on electd).
 	PSend
 	// PQuorumWait is the wait from broadcast until a majority of
 	// replies has arrived.
@@ -56,8 +57,10 @@ const (
 	// PStraggler counts replies dropped pre-decode because their call
 	// already completed (Detail = sender ID). Duration is zero.
 	PStraggler
-	// PRetransmit counts retransmit ticks fired while waiting for a
-	// quorum under lossy plans (Detail = attempt number).
+	// PRetransmit counts ticks fired while waiting for a quorum: electd's
+	// widen of a quorum+slack first wave to all n servers (Detail = 0) and
+	// the resends to unanswered servers on lossy transports and under
+	// fault plans (Detail = attempt number, from 1).
 	PRetransmit
 
 	// Transport-layer phases.

@@ -196,6 +196,12 @@ func (c *loopConn) SendEncoded(frame []byte) error {
 		wire.PutStamp(b[:], trace.Now())
 		frame = append(frame, b[:]...)
 	}
+	select { // closed wins over queue space, as on tcpConn
+	case <-c.done:
+		wire.PutBuf(frame)
+		return ErrClosed
+	default:
+	}
 	select {
 	case <-c.done:
 		wire.PutBuf(frame)
@@ -265,6 +271,11 @@ func (c *loopConn) pump() {
 			for _, f := range frames {
 				wire.PutBuf(f)
 			}
+			// The buffers are the pool's again: drop the stale references,
+			// or a connection pins its largest drain's worth of them past
+			// every GC (the whole of the soak harness's heap drift).
+			clear(frames)
+			clear(bodies)
 			if err != nil {
 				// A corrupt frame on a real socket kills the connection;
 				// mirror that.

@@ -322,6 +322,16 @@ func (t *tcpConn) SendEncoded(frame []byte) error {
 	if t.rec != nil {
 		t.rec.Event(0, 0, trace.PEnqueue, int64(len(t.out)))
 	}
+	// A severed connection refuses every frame: checked on its own first,
+	// because a select with both cases ready picks at random and would
+	// take half the frames into a queue nobody drains — and senders that
+	// route around dead links (electd's quorum calls) go by this error.
+	select {
+	case <-t.done:
+		wire.PutBuf(frame)
+		return ErrClosed
+	default:
+	}
 	select {
 	case <-t.done:
 		wire.PutBuf(frame)
