@@ -296,7 +296,7 @@ func BenchmarkT13TransportLatency(b *testing.B) {
 // the campaign engine with every run multiplexed onto one shared electd
 // server set over loopback TCP — the service-under-load shape: one quorum
 // system, many concurrent clients, and the shape that benefits most from
-// the pool's frame coalescing (concurrent elections share each server
+// the write loops' frame coalescing (concurrent elections share each server
 // connection, so whole broadcast waves ride single frames). The nobatch
 // variants re-run the same load with coalescing off.
 func BenchmarkT14ElectdCampaignThroughput(b *testing.B) {

@@ -79,7 +79,7 @@ type Config struct {
 	// scenarios run one cluster per election instead: crashing a shared
 	// server would leak faults across runs.
 	Transport live.Transport
-	// NoBatch (networked transports only) disables the client pools' frame
+	// NoBatch (networked transports only) disables the connections' frame
 	// coalescing for the whole campaign — shared cluster and per-run
 	// clusters alike — the unbatched baseline the benchmarks compare
 	// against.

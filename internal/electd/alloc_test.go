@@ -33,10 +33,12 @@ const (
 	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
 	// the in-process network, servers included. Measured 11 — the cellVal
 	// box on each of the quorum+slack = 11 servers asked (16 when the call
-	// goes to all n) — and nothing for the tick the call arms and stops.
-	thriftyPropagateAllocs = 12
+	// goes to all n) — and nothing for the tick the call arms and stops,
+	// the per-connection copies of the request frame (pooled), the send
+	// queues or the harvest.
+	thriftyPropagateAllocs = 11
 	// thriftyCollectAllocs: the same for a collect. Measured 0.
-	thriftyCollectAllocs = 1
+	thriftyCollectAllocs = 0
 )
 
 func TestHandleAllocBudget(t *testing.T) {

@@ -401,18 +401,21 @@ func TestDialFailureClosesUDPSockets(t *testing.T) {
 }
 
 // TestCoalescedElectionsBatchFrames: concurrent elections multiplexed over
-// one pool must elect correctly AND actually coalesce — fewer wire frames
-// than messages — while a NoCoalesce pool sends frame-per-message and
-// reports zero coalescer traffic. Byte accounting must agree between the
-// two modes: batching is transport framing, not payload.
+// one pool must elect correctly AND share frames on the wire — the pool
+// hands every request to its connection on its own, and the transport write
+// loops, the one batching layer, wrap whatever queued while the last write
+// was in flight into batch frames: fewer frames than messages. Spec.NoBatch
+// turns exactly that off. Byte accounting must not notice: batching is
+// transport framing, not payload.
 func TestCoalescedElectionsBatchFrames(t *testing.T) {
 	const n, k, elections = 5, 4, 8
-	run := func(opts electd.PoolOptions) (msgs, frames, bytes int64) {
-		cl, err := electd.NewClusterOpts(transport.NewLoopback(), n, opts)
+	run := func(spec transport.Spec) (st transport.Stats, requests, bytes int64) {
+		cl, err := electd.NewClusterSpec(spec, n, electd.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
+		before := transport.ReadStats()
 		var wg sync.WaitGroup
 		results := make([][]core.Decision, elections)
 		clients := make([][]*electd.Client, elections)
@@ -445,27 +448,31 @@ func TestCoalescedElectionsBatchFrames(t *testing.T) {
 				bytes += c.Bytes()
 			}
 		}
-		msgs, frames = cl.Pool().CoalesceStats()
-		return msgs, frames, bytes
+		after := transport.ReadStats()
+		st.FramesOut = after.FramesOut - before.FramesOut
+		st.BatchesOut = after.BatchesOut - before.BatchesOut
+		st.MsgsCoalesced = after.MsgsCoalesced - before.MsgsCoalesced
+		requests, frames := cl.Pool().CoalesceStats()
+		if requests == 0 || frames != requests {
+			t.Fatalf("pool handed %d requests to its connections in %d frames, want one frame each", requests, frames)
+		}
+		return st, requests, bytes
 	}
 
-	msgs, frames, batchedBytes := run(electd.PoolOptions{})
-	if msgs == 0 {
-		t.Fatal("coalescers saw no traffic")
+	st, requests, batchedBytes := run(transport.Spec{})
+	msgs := st.FramesOut - st.BatchesOut + st.MsgsCoalesced
+	if st.BatchesOut == 0 || st.FramesOut >= msgs {
+		t.Fatalf("%d elections in flight put %d messages on the wire in %d frames (%d batches): the write loops batched nothing",
+			elections, msgs, st.FramesOut, st.BatchesOut)
 	}
-	if frames > msgs {
-		t.Fatalf("impossible stats: %d messages in %d frames", msgs, frames)
+	if msgs < requests {
+		t.Fatalf("the transport counted %d messages out, fewer than the pool's %d requests", msgs, requests)
 	}
-	// Pool-level multi-op coalescing is opportunistic (it needs enqueues to
-	// overlap a flush, which scheduling may or may not produce here — the
-	// deterministic guarantee is pinned by TestCoalescerBatchesUnderLoad,
-	// and the transport write loops batch again downstream), so the ratio
-	// is reported rather than asserted.
-	t.Logf("pool coalesced %d messages into %d frames (%.2fx)", msgs, frames, float64(msgs)/float64(frames))
+	t.Logf("write loops put %d messages into %d frames (%.2fx)", msgs, st.FramesOut, float64(msgs)/float64(st.FramesOut))
 
-	plainMsgs, plainFrames, plainBytes := run(electd.PoolOptions{NoCoalesce: true})
-	if plainMsgs != 0 || plainFrames != 0 {
-		t.Fatalf("NoCoalesce pool reported coalescer traffic: %d msgs, %d frames", plainMsgs, plainFrames)
+	plain, _, plainBytes := run(transport.Spec{NoBatch: true})
+	if plain.BatchesOut != 0 || plain.MsgsCoalesced != 0 {
+		t.Fatalf("NoBatch connections assembled %d batch frames around %d messages", plain.BatchesOut, plain.MsgsCoalesced)
 	}
 	if batchedBytes == 0 || plainBytes == 0 {
 		t.Fatal("byte accounting went silent")

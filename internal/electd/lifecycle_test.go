@@ -373,7 +373,10 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	if !ok || h.Count == 0 {
 		t.Fatal("quorum round-trip histogram recorded nothing")
 	}
-	if got := snap.Total("electd_pool_coalesced_msgs_total"); got == 0 {
-		t.Fatal("coalescer totals recorded nothing")
+	// The pool counts a request when it hands it to a connection, the
+	// server when it has answered: the last one or two may still be in
+	// flight, never the other way round.
+	if got := snap.Total("electd_pool_requests_total"); got < served || served == 0 {
+		t.Fatalf("pool sent %d requests, servers served %d", got, served)
 	}
 }

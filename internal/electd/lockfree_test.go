@@ -168,8 +168,21 @@ func TestOneShardChurnCollectPropagateEvictRestart(t *testing.T) {
 	// refusal both stay in the mix.
 	ids := sameShardElections(4 * retiredRing)
 
+	// exercised is what the run must have seen to count: instances re-created
+	// past the ID set, removals of either kind, and refused late propagates.
+	exercised := func() bool {
+		return srv.Started() > int64(len(ids)) && srv.Evicted()+srv.removed.Load() > 0 && srv.LatePropagates() > 0
+	}
+	// Run for 150 ms, then — on a host too busy to have got that far — until
+	// the churn has been exercised, within reason.
 	stop := make(chan struct{})
-	time.AfterFunc(150*time.Millisecond, func() { close(stop) })
+	go func() {
+		defer close(stop)
+		time.Sleep(150 * time.Millisecond)
+		for limit := time.Now().Add(5 * time.Second); !exercised() && time.Now().Before(limit); {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
 	var wg sync.WaitGroup
 
 	// Steady-state + creation traffic: propagates recreate whatever the
@@ -227,7 +240,7 @@ func TestOneShardChurnCollectPropagateEvictRestart(t *testing.T) {
 	if got := srv.Served(); got != served+1 {
 		t.Fatalf("served accounting drifted: %d → %d after one request", served, got)
 	}
-	if srv.Started() <= int64(len(ids)) || srv.Evicted()+srv.removed.Load() == 0 || srv.LatePropagates() == 0 {
+	if !exercised() {
 		t.Fatalf("churn test exercised too little: started=%d (of %d ids) evicted=%d removed=%d late=%d",
 			srv.Started(), len(ids), srv.Evicted(), srv.removed.Load(), srv.LatePropagates())
 	}

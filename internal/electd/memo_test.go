@@ -20,7 +20,7 @@ import (
 // the ones beyond the quorum too — is decoded and reaches Pool.handle. It
 // also reports each view's sender once the pool's handler has returned,
 // which is how the test orders a busy reply or a starvation verdict after
-// a view already sits in the call's reply queue.
+// a view already sits on the call's pending slot.
 type unfiltered struct {
 	transport.Network
 	routed chan rt.ProcID
@@ -39,9 +39,9 @@ func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, err
 
 // TestRecycleNeverClearsSharedEntries drives a view-memo hit down every
 // client path that discards a reply with RecycleMsg — stragglers past the
-// quorum (routed late and drained by rpc, or arriving after the call is
-// gone), the quorum's views when a busy reply sheds the call, and when a
-// fault plan declares the client starved — while the test holds the same
+// quorum (dropped by the router, whether the call is complete or gone), the
+// harvested views when a busy reply sheds the call, and when a fault plan
+// declares the client starved — while the test holds the same
 // arrays through an earlier Collect, as a participant would. None of those
 // paths may clear a memoized array or keep it as a decode arena: the held
 // views must read the same afterwards, with propagates (whose decode is
@@ -116,23 +116,37 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 		client.Propagate("other", 7) // server-side decodes draw on the same message pool
 		check(phase)
 	}
+	// drain waits until every view the unscripted collects so far drew —
+	// one per server per collect, stragglers too — has passed the router,
+	// and forgets them: a server still working through an old collect would
+	// otherwise run the next phase's script on it, and a late straggler
+	// would stand in for the view that phase waits for.
+	collects := 0
 	drain := func() {
-		for len(nw.routed) > 0 {
-			<-nw.routed
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); collects > 0; collects-- {
+			select {
+			case <-nw.routed:
+			case <-time.After(time.Until(deadline)):
+				t.Fatalf("%d views of earlier collects never reached the router", collects)
+			}
 		}
 	}
 
 	// Stragglers: all three servers answer, two make the quorum, the third
-	// view is decoded (no filter), routed late or not at all, and recycled.
-	for i := 0; i < 20; i++ {
+	// view is decoded (no filter), reaches the router late, and is recycled
+	// there. Which two win is the scheduler's choice; go on until each
+	// server's view has been held once.
+	for i := 0; i < 20 || len(held) < n; i++ {
+		if i == 10000 {
+			t.Fatalf("views from %d of %d servers made a quorum in %d collects", len(held), n, i)
+		}
 		collect("stragglers")
-	}
-	if len(held) != n {
-		t.Fatalf("views from %d of %d servers made a quorum in 20 collects", len(held), n)
+		collects += n
 	}
 
-	// Shed: server 0's view is queued, then server 1 answers busy; rpc
-	// recycles the queued view and unwinds.
+	// Shed: server 0's view is on the pending slot, then server 1 answers
+	// busy; rpc harvests the view, recycles it and unwinds.
 	drain()
 	shed := func(j rt.ProcID) (wire.Kind, bool) {
 		switch j {
@@ -156,9 +170,11 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	check("shed")
 	collectReply.Store(nil)
 	collect("after shed")
+	collects = n
 
-	// Starved: only server 0 answers, and once its view is queued the
-	// plan's verdict fires; rpc recycles the view and unwinds.
+	// Starved: only server 0 answers, and once its view is on the pending
+	// slot the plan's verdict fires; rpc harvests the view, recycles it and
+	// unwinds.
 	drain()
 	lonely := func(j rt.ProcID) (wire.Kind, bool) { return wire.KindView, j == 0 }
 	collectReply.Store(&lonely)

@@ -39,46 +39,27 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 // a congested TCP quorum in the middle, and stalls in the overflow.
 var quorumLatencyBounds = obs.ExpBuckets(25, 2, 16)
 
-// batchSizeBounds buckets coalescer flushes by messages per frame:
-// 1 (no batching win) up to the transport's maxCoalesce-scale runs.
-var batchSizeBounds = obs.ExpBuckets(1, 2, 9)
-
 // registerMetrics exposes the pool's client-side instruments on r and
-// installs the two hot-path histograms (quorum round-trip latency, batch
-// sizes). Called from DialPoolOpts when PoolOptions.Metrics is set. A
-// fault-free deployment reads 0 on the widened counter; anything else means
-// calls are paying a tick for servers that do not answer.
+// installs the hot-path histogram (quorum round-trip latency). Called from
+// DialPoolOpts when PoolOptions.Metrics is set. A fault-free deployment
+// reads 0 on the widened counter; anything else means calls are paying a
+// tick for servers that do not answer.
 func (pl *Pool) registerMetrics(r *obs.Registry) {
-	r.NewGaugeFunc("electd_pending_calls", "communicate calls awaiting quorum replies", func() int64 {
-		var n int64
-		for i := range pl.shards {
-			sh := &pl.shards[i]
-			sh.mu.Lock()
-			n += int64(len(sh.calls))
-			sh.mu.Unlock()
-		}
-		return n
-	})
-	r.NewCounterFunc("electd_pool_coalesced_msgs_total", "messages sent through the pool's coalescers", func() int64 {
-		msgs, _ := pl.CoalesceStats()
-		return msgs
-	})
-	r.NewCounterFunc("electd_pool_frames_total", "wire frames the pool's coalescers emitted", func() int64 {
-		_, frames := pl.CoalesceStats()
-		return frames
-	})
+	r.NewGaugeFunc("electd_pending_calls", "communicate calls awaiting quorum replies", pl.pendingCalls)
+	r.NewCounterFunc("electd_pool_requests_total", "requests the pool handed to its server connections, one frame each", pl.requests.Load)
 	r.NewCounterFunc("electd_busy_shed_total", "quorum calls aborted by a server's busy reply", pl.busy.Load)
 	r.NewCounterFunc("electd_pool_widened_calls_total", "quorum calls whose quorum+slack first wave fell short within a tick and went to all n servers", pl.widened.Load)
 	r.NewCounterFunc("electd_pool_retransmits_total", "retransmit ticks of quorum calls already sent to all n servers (lossy transports, fault plans)", pl.resent.Load)
 	pl.rpcHist = r.NewHistogram("electd_quorum_roundtrip_usec", "quorum round-trip latency, microseconds", quorumLatencyBounds)
-	pl.batchHist = r.NewHistogram("electd_coalesce_batch_msgs", "messages per coalescer flush", batchSizeBounds)
-	for j := range pl.links {
-		link := pl.links[j].Load()
-		if link == nil {
-			continue
-		}
-		for _, co := range link.cos {
-			co.hist = pl.batchHist
-		}
+}
+
+// pendingCalls counts the communicate calls awaiting quorum replies.
+func (pl *Pool) pendingCalls() (n int64) {
+	for i := range pl.shards {
+		sh := &pl.shards[i]
+		sh.mu.Lock()
+		n += int64(len(sh.calls))
+		sh.mu.Unlock()
 	}
+	return n
 }

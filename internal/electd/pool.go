@@ -22,20 +22,13 @@ import (
 // once practically never serialize on a call-table lock.
 const callShards = 16
 
-// coalShards is the number of independent group-commit coalescers per
-// server connection. Elections are pinned to a coalescer by election-ID
-// hash: participants of one election still batch together (their messages
-// are the ones that naturally travel as one wave), while unrelated
-// elections enqueue on different locks and flush in parallel.
-const (
-	coalShardBits = 3
-	coalShards    = 1 << coalShardBits
-)
-
-// coalShardOf maps an election ID to its coalescer stripe, with the same
-// Fibonacci hash as the server side (see electionShard).
-func coalShardOf(election uint64) int {
-	return int((election * 0x9E3779B97F4A7C15) >> (64 - coalShardBits))
+// connShardOf maps an election ID to one of a server's conns connections,
+// with the same Fibonacci hash as the server side (see electionShard): all
+// participants of one election ride one connection per server, so their
+// wave is one write loop's batch, while concurrent elections spread over
+// the shards.
+func connShardOf(election uint64, conns int) int {
+	return int((election*0x9E3779B97F4A7C15)>>61) % conns
 }
 
 // thriftySlack is how many servers beyond the ⌊n/2⌋+1 quorum a communicate
@@ -60,7 +53,7 @@ const thriftySlack = 2
 const widenAfter = 50 * time.Millisecond
 
 // firstWaveStart maps an election ID to the server its calls' first waves
-// start at, with the same Fibonacci hash as the coalescer stripes. The set
+// start at, with the same Fibonacci hash as the connection shards. The set
 // is picked per election, not per participant: one election's wave then
 // rides quorum+slack connections (fewer writes, reads and reader wake-ups,
 // which is where the socket path's cost sits) while concurrent elections
@@ -84,26 +77,27 @@ type callShard struct {
 // and election instance in the process, with a call table routing replies
 // back to the communicate call that is waiting for them.
 //
-// The pool is the coalescing and routing point of the quorum hot path, and
-// both roles are sharded so concurrent elections scale with cores instead
-// of convoying on one mutex: the pending-call table is striped by call ID,
-// and each server connection carries coalShards group-commit coalescers
-// striped by election ID — two elections never touch the same lock on
-// either path. Each request frame is encoded once, not once per server,
-// and pending-call slots and their reply channels are recycled, so a
-// steady-state election allocates only its payload entries.
+// The pool is the routing point of the quorum hot path, and the router is
+// where a call's quorum is assembled: the connections' read loops append
+// each reply to the call's pending slot and wake the waiting participant
+// once, when the quorum is complete (see handle). The pending-call table is
+// striped by call ID so concurrent elections scale with cores instead of
+// convoying on one mutex. Each request frame is encoded once, not once per
+// server, and handed to each asked connection's send queue as a pooled
+// copy; batching is the transport write loops' job, the one batching layer.
+// Pending-call slots are recycled, so a steady-state election allocates
+// only its payload entries.
 type Pool struct {
 	n int
 	// links holds one slot per server, each an atomically swappable
-	// connection + coalescer bundle: sends load the slot lock-free, and
-	// Redial swaps in a fresh bundle when a crashed server recovers — the
-	// transport half of crash-recovery. A nil slot is an undialed server.
+	// connection bundle: sends load the slot lock-free, and Redial swaps in
+	// a fresh bundle when a crashed server recovers — the transport half of
+	// crash-recovery. A nil slot is an undialed server.
 	links []atomic.Pointer[serverLink]
 
 	// Redial context, fixed at dial time.
 	nw         transport.Network
 	addrs      []string
-	noCoalesce bool
 	connShards int // connections dialed per server; ≥ 1
 
 	// defaultRetransmit arms every NewComm client with a baseline resend
@@ -113,27 +107,23 @@ type Pool struct {
 
 	shards [callShards]callShard
 	next   atomic.Uint64
-	pend   sync.Pool // recycled pending slots with quorum-capacity channels
-
-	// Coalescer totals of links retired by Redial, folded in so
-	// CoalesceStats stays monotonic across recoveries.
-	retiredMsgs   atomic.Int64
-	retiredFrames atomic.Int64
+	pend   sync.Pool // recycled pending slots
 
 	// inflight tracks delayed (fault-injected) sends still riding timers,
 	// so Close can wait for stragglers instead of racing them.
 	inflight sync.WaitGroup
 
-	// Observability. The counters are bumped where the event happens (all
-	// three off the steady-state path) and read at scrape time; the
-	// histograms are installed by registerMetrics when PoolOptions.Metrics
-	// is set and nil on a bare pool. They are nil-safe, but rpc still checks
-	// before observing to keep the bare hot path free of even the no-op call.
-	busy      atomic.Int64 // quorum calls aborted by a busy reply
-	widened   atomic.Int64 // calls whose first wave fell short and went to all n
-	resent    atomic.Int64 // retransmit ticks of calls already sent to all n
-	rpcHist   *obs.Histogram
-	batchHist *obs.Histogram
+	// Observability. The counters are bumped where the event happens (once
+	// per wave for requests, the other three off the steady-state path) and
+	// read at scrape time; the histogram is installed by registerMetrics
+	// when PoolOptions.Metrics is set and nil on a bare pool. It is nil-safe,
+	// but rpc still checks before observing to keep the bare hot path free
+	// of even the no-op call.
+	requests atomic.Int64 // requests handed to connections
+	busy     atomic.Int64 // quorum calls aborted by a busy reply
+	widened  atomic.Int64 // calls whose first wave fell short and went to all n
+	resent   atomic.Int64 // retransmit ticks of calls already sent to all n
+	rpcHist  *obs.Histogram
 
 	// trace, when non-nil, is the election flight recorder: rpc records
 	// encode/send/quorum-wait spans and straggler/retransmit events into
@@ -143,21 +133,15 @@ type Pool struct {
 }
 
 // PoolOptions tunes a Pool at dial time. Every field's zero value is the
-// default — one connection per server, coalescing on, no default
-// retransmit, unobserved, untraced — so PoolOptions{} is always valid;
-// NewPool folds a transport.Spec's knobs into the zero fields.
+// default — one connection per server, no default retransmit, unobserved,
+// untraced — so PoolOptions{} is always valid; NewPool folds a
+// transport.Spec's knobs into the zero fields.
 type PoolOptions struct {
-	// NoCoalesce disables per-server frame batching: every message travels
-	// as its own frame and is encoded per connection, the pre-batching wire
-	// behavior. It exists for the benchmarks' unbatched baseline and for
-	// debugging frame-level traces; production paths leave it off.
-	NoCoalesce bool
-
 	// ConnShards is how many connections the pool dials per server, with
-	// elections hashed across them (the same Fibonacci hash as the
-	// coalescer stripes) so concurrent elections' decode and write loops
-	// parallelize instead of funneling through one read loop per server.
-	// 0 or 1 means one connection per server, the pre-sharding behavior.
+	// elections hashed across them (connShardOf) so concurrent elections'
+	// decode and write loops parallelize instead of funneling through one
+	// read loop per server. 0 or 1 means one connection per server, the
+	// pre-sharding behavior.
 	ConnShards int
 
 	// Retransmit arms every client of this pool with a default quorum-wait
@@ -170,8 +154,8 @@ type PoolOptions struct {
 	Retransmit time.Duration
 
 	// Metrics, when non-nil, registers the pool's client-side instruments
-	// (pending-call depth, coalescing totals, quorum round-trip latency,
-	// batch-size distribution, busy sheds) on the registry.
+	// (pending-call depth, requests sent, quorum round-trip latency, busy
+	// sheds, widened calls and retransmits) on the registry.
 	Metrics *obs.Registry
 
 	// Trace, when non-nil, records per-call client-phase spans (encode,
@@ -182,30 +166,28 @@ type PoolOptions struct {
 
 // serverLink is one server's connection bundle: its connShards transport
 // connections (elections hash across them, so two elections in flight
-// ride different read and write loops) and the coalescer stripes (nil
-// when coalescing is off; stripe s writes connection s mod connShards, so
-// an election's coalescer and connection choices agree). Immutable once
-// published in a Pool slot; Redial replaces the whole bundle.
+// ride different read and write loops). Immutable once published in a Pool
+// slot; Redial replaces the whole bundle.
 type serverLink struct {
 	conns []transport.Conn // [connShards]
-	cos   []*coalescer     // [coalShards]; nil when coalescing off
 }
 
-// conn returns the connection an election's coalescer stripe rides.
-func (l *serverLink) conn(cshard int) transport.Conn {
-	if len(l.conns) == 1 {
-		return l.conns[0]
-	}
-	return l.conns[cshard%len(l.conns)]
-}
-
-// pending is one outstanding communicate call awaiting quorum replies.
+// pending is one outstanding communicate call awaiting quorum replies. The
+// router fills it and the waiting rpc harvests it, both under the call's
+// shard mutex; sig is the one wake-up between them. A call is complete once
+// its quorum is in or a busy reply beat it: the router signals exactly
+// then, exactly once, and from then on every reply to the call is a
+// straggler.
 type pending struct {
-	ch     chan *wire.Msg
-	cli    *Client
-	routed int    // replies routed so far, guarded by the call's shard mutex
-	seen   []bool // [server]; dedups retransmission-induced duplicate replies
+	sig     chan struct{} // one slot: the router's single wake-up of the waiting rpc
+	cli     *Client
+	replies []*wire.Msg // distinct senders' answers, at most a quorum
+	busy    bool        // a busy reply arrived before the quorum
+	seen    []bool      // [server]; dedups retransmission-induced duplicate replies
 }
+
+// complete reports whether the router has signalled (or is about to).
+func (p *pending) complete(need int) bool { return p.busy || len(p.replies) >= need }
 
 // callShardOf routes a call ID to its stripe. Plain masking is the right
 // hash here: IDs are consecutive, so concurrent calls occupy distinct
@@ -214,8 +196,8 @@ func (pl *Pool) callShardOf(call uint64) *callShard {
 	return &pl.shards[call&(callShards-1)]
 }
 
-// DialPool connects to every server address over the given network, with
-// frame coalescing on. The address slice is indexed by server id; its
+// DialPool connects to every server address over the given network. The
+// address slice is indexed by server id; its
 // length is the quorum system size n. Unreachable servers are tolerated up
 // to the model's fault budget ⌈n/2⌉−1 — a dead replica at dial time is the
 // same fault as one that crashes later, and quorum calls route around it;
@@ -226,13 +208,12 @@ func DialPool(nw transport.Network, addrs []string) (*Pool, error) {
 }
 
 // mergeSpec folds a transport spec's pool-facing knobs into options whose
-// corresponding fields are still zero: sharding and batching follow the
-// spec, the flight recorder threads through, and an unreliable substrate
+// corresponding fields are still zero: sharding follows the spec (batching
+// is the spec's own network's business), the flight recorder threads through, and an unreliable substrate
 // arms the default retransmit period — the client-side reliability layer
 // that sits strictly below the quorum semantics (dedup lives in the reply
 // router; see pending.seen).
 func mergeSpec(spec transport.Spec, opts PoolOptions) PoolOptions {
-	opts.NoCoalesce = opts.NoCoalesce || spec.NoBatch
 	if opts.ConnShards == 0 {
 		opts.ConnShards = spec.Shards
 	}
@@ -276,7 +257,6 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		links:             make([]atomic.Pointer[serverLink], len(addrs)),
 		nw:                nw,
 		addrs:             append([]string(nil), addrs...),
-		noCoalesce:        opts.NoCoalesce,
 		connShards:        shards,
 		defaultRetransmit: opts.Retransmit,
 		trace:             opts.Trace,
@@ -285,7 +265,7 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		pl.shards[i].calls = make(map[uint64]*pending)
 	}
 	pl.pend.New = func() any {
-		return &pending{ch: make(chan *wire.Msg, pl.n), seen: make([]bool, pl.n)}
+		return &pending{sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n)}
 	}
 	var down []string
 	for i, addr := range addrs {
@@ -331,21 +311,10 @@ func (pl *Pool) dialLink(addr string) ([]transport.Conn, error) {
 	return conns, nil
 }
 
-// newLink dials nothing: it wraps established connections in a link
-// bundle — fresh coalescers (hist pre-installed when metrics are on), the
-// straggler/fault reply filter armed on every shard. Shared by dial time
-// and Redial.
+// newLink dials nothing: it wraps established connections in a link bundle
+// with the straggler/fault reply filter armed on every shard. Shared by
+// dial time and Redial.
 func (pl *Pool) newLink(conns []transport.Conn) *serverLink {
-	link := &serverLink{conns: conns}
-	if !pl.noCoalesce {
-		link.cos = make([]*coalescer, coalShards)
-		for s := range link.cos {
-			// Stripe s flushes on connection s mod connShards — the same
-			// reduction serverLink.conn applies — so one election's
-			// messages always ride one connection, batched or not.
-			link.cos[s] = &coalescer{conn: conns[s%len(conns)], hist: pl.batchHist}
-		}
-	}
 	for _, c := range conns {
 		if fc, ok := c.(transport.FilteredConn); ok {
 			// Drop straggler replies — answers to calls that already
@@ -358,7 +327,7 @@ func (pl *Pool) newLink(conns []transport.Conn) *serverLink {
 			fc.SetFilter(pl.keepReply)
 		}
 	}
-	return link
+	return &serverLink{conns: conns}
 }
 
 // Redial reconnects the pool to server j — the client half of
@@ -366,8 +335,7 @@ func (pl *Pool) newLink(conns []transport.Conn) *serverLink {
 // connection (severed by the crash anyway) is closed and its link slot
 // atomically replaced, so in-flight broadcasts resolve either bundle,
 // never a torn one; retransmitting calls pick up the fresh connection on
-// their next tick. The retired coalescers' totals fold into the pool's so
-// CoalesceStats stays monotonic.
+// their next tick.
 func (pl *Pool) Redial(j int) error {
 	if j < 0 || j >= pl.n {
 		return fmt.Errorf("electd: redial server %d of a %d-server pool", j, pl.n)
@@ -376,12 +344,7 @@ func (pl *Pool) Redial(j int) error {
 	if err != nil {
 		return fmt.Errorf("electd: redial server %d at %s: %w", j, pl.addrs[j], err)
 	}
-	old := pl.links[j].Swap(pl.newLink(conns))
-	if old != nil {
-		for _, co := range old.cos {
-			pl.retiredMsgs.Add(co.msgs.Load())
-			pl.retiredFrames.Add(co.frames.Load())
-		}
+	if old := pl.links[j].Swap(pl.newLink(conns)); old != nil {
 		for _, c := range old.conns {
 			c.Close()
 		}
@@ -389,29 +352,20 @@ func (pl *Pool) Redial(j int) error {
 	return nil
 }
 
-// CoalesceStats reports the pool's batching effectiveness: msgs is the
-// number of messages that went through the coalescers, frames the number
-// of wire frames they were sent in. frames < msgs means multi-op batching
-// happened; a NoCoalesce pool reports zeros.
+// CoalesceStats is what is left of the pool's own batching layer: the pool
+// hands every request to its connection as one frame, so both values are
+// the requests sent (electd_pool_requests_total). The benchmark of record
+// reads the ratio as electd.msgs_per_frame; the transport's Stats say what
+// the write loops then batched.
 func (pl *Pool) CoalesceStats() (msgs, frames int64) {
-	msgs, frames = pl.retiredMsgs.Load(), pl.retiredFrames.Load()
-	for j := range pl.links {
-		link := pl.links[j].Load()
-		if link == nil {
-			continue
-		}
-		for _, co := range link.cos {
-			msgs += co.msgs.Load()
-			frames += co.frames.Load()
-		}
-	}
-	return msgs, frames
+	n := pl.requests.Load()
+	return n, n
 }
 
 // keepReply is the pool's pre-decode filter (transport.FrameFilter): a
 // reply is a straggler — nobody will ever read it — once its call is no
-// longer pending or a full quorum has already been routed, and stragglers
-// are dropped before their decode. With streaming dispatch the routed
+// longer pending or is already complete, and stragglers are dropped before
+// their decode. With streaming dispatch the routed
 // count is current up to the previous reply of the same inbound batch, so
 // at n replies per broadcast almost half of all view decodes (entries,
 // statuses, their allocations) simply never happen. Anything that is not a
@@ -437,7 +391,7 @@ func (pl *Pool) keepReply(body []byte) bool {
 	sh := pl.callShardOf(call)
 	sh.mu.Lock()
 	p := sh.calls[call]
-	keep := p != nil && p.routed < pl.n/2+1
+	keep := p != nil && !p.complete(pl.n/2+1)
 	var drop func(int) bool
 	if keep {
 		drop = p.cli.replyDrop
@@ -456,49 +410,54 @@ func (pl *Pool) keepReply(body []byte) bool {
 	return keep
 }
 
-// handle is the pool's reply router: it runs on each connection's read loop
-// and must never block, so pending channels are buffered for every possible
-// reply (n servers answer a call at most once each) and the send is
-// non-blocking even while the call's shard lock is held — which is what
-// makes recycling a completed call's slot safe: once the call is deleted
-// under the shard lock, no router touches its channel. Replies to completed
-// calls are dropped — those are the stragglers beyond the quorum, the same
-// abandoned-buffer asymmetry the in-process backend has. So are replies
+// handle is the pool's reply router and the place a quorum is assembled:
+// it runs on each connection's read loop, appends the reply to its call's
+// pending slot under the call's shard lock, and wakes the waiting rpc at
+// most once per call — when the reply that completes the quorum lands, or a
+// busy reply before it. One mutex-guarded append per reply, one wake-up per
+// call, and it never blocks: exactly one signal is sent per use of a slot,
+// into a one-slot channel the rpc empties before the slot is recycled.
+// Replies to complete or departed calls are dropped — those are the
+// stragglers beyond the quorum, the same abandoned-buffer asymmetry the
+// in-process backend has — and so is a busy reply after the quorum: the
+// quorum property already holds. So are duplicates (retransmitted requests
+// draw repeat answers from servers that already answered; dedup by sender
+// so a repeat can never stand in for a distinct quorum member) and replies
 // whose sender id is not one of the n servers: a quorum counts distinct
-// servers, and an id outside [0, n) names none.
+// servers, and an id outside [0, n) names none. A dropped reply dies here,
+// entries unseen, so the arena keeps them.
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	if (m.Kind != wire.KindAck && m.Kind != wire.KindView && m.Kind != wire.KindBusy) ||
 		m.From < 0 || int(m.From) >= pl.n {
 		wire.RecycleMsg(m) // protocol noise; nobody saw its entries
 		return
 	}
+	need := pl.n/2 + 1
 	sh := pl.callShardOf(m.Call)
-	routed := false
 	sh.mu.Lock()
-	if p := sh.calls[m.Call]; p != nil {
-		// Retransmitted requests draw duplicate replies from servers that
-		// already answered; dedup by sender so a repeat answer can never
-		// stand in for a distinct quorum member.
-		if p.seen[m.From] {
-			sh.mu.Unlock()
-			wire.RecycleMsg(m)
-			return
-		}
-		p.seen[m.From] = true
-		p.routed++
-		p.cli.msgs.Add(1)
-		p.cli.bytes.Add(int64(m.WireSize()))
-		select {
-		case p.ch <- m:
-			routed = true
-		default: // over-full only if a server misbehaves; drop
-		}
-	}
-	sh.mu.Unlock()
-	if !routed {
-		// Straggler past the filter race, or the misbehaving-server drop:
-		// the reply dies here, entries unseen, so the arena keeps them.
+	p := sh.calls[m.Call]
+	if p == nil || p.complete(need) || p.seen[m.From] {
+		sh.mu.Unlock()
 		wire.RecycleMsg(m)
+		return
+	}
+	p.seen[m.From] = true
+	busy := m.Kind == wire.KindBusy
+	if busy {
+		p.busy = true
+	} else {
+		p.replies = append(p.replies, m) // m is the slot's now: hands off after the unlock
+	}
+	done := p.complete(need)
+	sh.mu.Unlock()
+	if busy {
+		wire.RecycleMsg(m)
+	}
+	if done {
+		// After the unlock, so the woken rpc does not run into the lock it
+		// needs next. The slot cannot be recycled under this send: rpc
+		// recycles it only after receiving the token.
+		p.sig <- struct{}{}
 	}
 }
 
@@ -529,10 +488,8 @@ func (pl *Pool) Close() error {
 func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) time.Duration) *Client {
 	return &Client{
 		pool: pl, p: p, election: election, delay: delay,
-		// The election's coalescer stripe: all participants of one election
-		// batch together; different elections flush on different locks.
-		cshard: coalShardOf(election),
-		seqs:   make(map[string]uint64),
+		shard: connShardOf(election, pl.connShards),
+		seqs:  make(map[string]uint64),
 		// The pool's baseline resend period (set on lossy transports);
 		// SetFaults may arm a plan-specific one on top, never disarm this.
 		retransmit: pl.defaultRetransmit,
@@ -563,7 +520,7 @@ type Client struct {
 	pool     *Pool
 	p        rt.Procer
 	election uint64
-	cshard   int // coalescer stripe of this election, fixed at NewComm
+	shard    int // connection shard of this election, fixed at NewComm
 	delay    func(int) time.Duration
 	seqs     map[string]uint64 // per-register write versions of the own cell
 	calls    int
@@ -581,9 +538,9 @@ type Client struct {
 	// Single-goroutine scratch, reused across communicate calls: the
 	// request message (safe because every send path has finished with it
 	// before rpc returns — except delayed sends, which get fresh messages),
-	// its one-entry payload, the quorum-reply collection slice, and the
-	// views Collect hands back (valid until the participant's next
-	// communicate call, per the rt.Comm contract).
+	// its one-entry payload, the harvested quorum replies, and the views
+	// Collect hands back (valid until the participant's next communicate
+	// call, per the rt.Comm contract).
 	req     wire.Msg
 	entry   [1]rt.Entry
 	replies []*wire.Msg
@@ -600,7 +557,7 @@ type Client struct {
 	noq        <-chan struct{}       // closed when this client is provably starved of quorums
 	noqProc    int                   // participant id reported in the NoQuorumError
 
-	msgs  atomic.Int64 // frames sent + replies received (the router bumps these)
+	msgs  atomic.Int64 // requests sent + replies harvested
 	bytes atomic.Int64
 }
 
@@ -668,8 +625,10 @@ func (c *Client) QuorumSize() int { return c.pool.n/2 + 1 }
 // metric. Read it after the participant's goroutine has returned.
 func (c *Client) Calls() int { return c.calls }
 
-// Messages reports the frames this participant sent plus the replies that
-// reached it; Bytes the same in encoded bytes.
+// Messages reports the requests this participant sent plus the replies its
+// calls harvested — up to a quorum each; the stragglers past it die in the
+// router uncounted, like the ones the pre-decode filter drops. Bytes is the
+// same in encoded bytes.
 func (c *Client) Messages() int64 { return c.msgs.Load() }
 
 // Bytes reports the participant's total wire traffic in bytes.
@@ -733,6 +692,11 @@ func (c *Client) Collect(reg string) []rt.View {
 // ⌊n/2⌋+1 live majority the model guarantees, all of which a widened call
 // has asked.
 //
+// The wait is for one signal: the router assembles the quorum on the call's
+// pending slot and wakes this goroutine once, when it is complete (see
+// Pool.handle); rpc then retires the call and takes the replies under the
+// same stripe lock.
+//
 // A busy reply arriving within the quorum wait aborts the call: the write
 // is not known to be on a quorum, and rt.Comm has no error path, so after
 // restoring the pool's state rpc unwinds the participant's goroutine with
@@ -773,12 +737,9 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		}
 		if c.delay != nil {
 			if d := c.delay(j); d > 0 {
-				transport.SendDelayed(link.conn(c.cshard), m, d, &pl.inflight)
+				transport.SendDelayed(link.conns[c.shard], m, d, &pl.inflight)
 				return true
 			}
-		}
-		if link.cos == nil {
-			return link.conn(c.cshard).Send(m) == nil
 		}
 		if frame == nil {
 			var encT0 int64
@@ -788,7 +749,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 			var err error
 			if frame, err = wire.Append(wire.GetBuf(), m); err != nil {
 				// Unencodable payloads cannot reach any server: loss on
-				// every link, exactly as the per-conn Send path reports.
+				// every link.
 				wire.PutBuf(frame)
 				frame = nil
 				return false
@@ -797,7 +758,10 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 				rec.Record(c.election, c.round, trace.PEncode, encT0, trace.Now()-encT0, int64(len(frame)))
 			}
 		}
-		return link.cos[c.cshard].enqueue(frame)
+		// The connection takes ownership of what it is sent, so each gets
+		// its own pooled copy. A refusal is the connection's ErrClosed: the
+		// link is severed, and the wave passes over it.
+		return link.conns[c.shard].SendEncoded(append(wire.GetBuf(), frame...)) == nil
 	}
 	// wave sends to up to want servers, walking the ring from the election's
 	// offset and passing over servers that already answered (skip) and links
@@ -814,6 +778,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		}
 		c.msgs.Add(int64(sent))
 		c.bytes.Add(int64(sent) * size)
+		pl.requests.Add(int64(sent))
 		return sent
 	}
 
@@ -833,9 +798,10 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// One wait loop for every configuration: replies, the tick (a nil
-	// channel when nothing arms it: a reliable transport's call that already
-	// went to all n) and the no-quorum abort (nil without a fault plan).
+	// One wait loop for every configuration: the router's signal, the tick (a
+	// nil channel when nothing arms it: a reliable transport's call that
+	// already went to all n) and the no-quorum abort (nil without a fault
+	// plan).
 	period := c.retransmit
 	var tickC <-chan time.Time
 	if thrifty {
@@ -843,20 +809,14 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	} else if period > 0 {
 		tickC = c.arm(period)
 	}
-	c.replies = c.replies[:0]
-	shed, starved := false, false
+	starved := false
 	var resends int64
 	var skip []bool
 wait:
-	for len(c.replies) < need {
+	for {
 		select {
-		case r := <-p.ch:
-			if r.Kind == wire.KindBusy {
-				shed = true
-				wire.RecycleMsg(r)
-				break wait
-			}
-			c.replies = append(c.replies, r)
+		case <-p.sig:
+			break wait
 		case <-tickC:
 			// Send again — to every server that hasn't answered this call,
 			// asked before or not, and with the period doubling each round
@@ -907,45 +867,42 @@ wait:
 	if tickC != nil {
 		c.tmr.Stop()
 	}
-	if rec != nil {
-		rec.Record(c.election, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(len(c.replies)))
-	}
 	if frame != nil {
 		wire.PutBuf(frame)
 	}
+	// Retire the call and harvest what the router assembled, under the one
+	// lock: once the call is deleted no router touches the slot.
 	sh.mu.Lock()
 	delete(sh.calls, call)
+	c.replies = append(c.replies[:0], p.replies...)
+	shed := p.busy
+	clear(p.replies)
+	p.replies, p.busy, p.cli = p.replies[:0], false, nil
+	clear(p.seen)
 	sh.mu.Unlock()
-	// After the delete, no router holds the slot: drain the stragglers that
-	// beat the deletion and recycle everything — entries too, since these
-	// replies were never handed to the caller.
-	for {
-		select {
-		case m := <-p.ch:
-			wire.RecycleMsg(m)
-			continue
-		default:
-		}
-		break
+	if starved && (shed || len(c.replies) >= need) {
+		<-p.sig // the call completed as the abort fired: its signal is in flight
 	}
-	for i := range p.seen {
-		p.seen[i] = false
-	}
-	p.cli, p.routed = nil, 0
 	pl.pend.Put(p)
+	if rec != nil {
+		rec.Record(c.election, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(len(c.replies)))
+	}
+	var got int64
+	for _, r := range c.replies {
+		got += int64(r.WireSize())
+	}
+	c.msgs.Add(int64(len(c.replies)))
+	c.bytes.Add(got)
 	c.calls++
-	if shed {
+	if starved || shed {
 		for _, r := range c.replies {
 			wire.RecycleMsg(r)
+		}
+		if starved {
+			panic(&fault.NoQuorumError{Proc: c.noqProc})
 		}
 		pl.busy.Add(1)
 		panic(&BusyError{Election: c.election})
-	}
-	if starved {
-		for _, r := range c.replies {
-			wire.RecycleMsg(r)
-		}
-		panic(&fault.NoQuorumError{Proc: c.noqProc})
 	}
 	if pl.rpcHist != nil {
 		pl.rpcHist.Observe(time.Since(t0).Microseconds())

@@ -86,9 +86,9 @@ type Config struct {
 	// Ignored (an owned cluster hosts exactly one election) otherwise.
 	ElectionID uint64
 	// NoBatch (networked transports with an owned cluster only) disables
-	// the client pool's frame coalescing: every quorum message travels as
-	// its own wire frame, the pre-batching behavior the benchmarks compare
-	// against. On a shared Cluster the pool's own options govern.
+	// the connections' write-loop frame coalescing: every quorum message
+	// travels as its own wire frame, the pre-batching behavior the
+	// benchmarks compare against. On a shared Cluster its own spec governs.
 	NoBatch bool
 	// ConnShards (networked transports with an owned cluster only) is how
 	// many connections the client pool dials per server, elections hashed

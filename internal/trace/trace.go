@@ -48,7 +48,7 @@ const (
 	// PEncode is request encoding: building the canonical wire frame.
 	PEncode
 	// PSend is the first wave: handing one encoded frame to each server
-	// link it goes to (coalescer enqueue or direct conn send; Detail =
+	// link it goes to (a pooled copy onto the connection's send queue; Detail =
 	// requests sent — all n on the chan substrate, quorum+slack on electd).
 	PSend
 	// PQuorumWait is the wait from broadcast until a majority of

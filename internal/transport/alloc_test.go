@@ -123,3 +123,23 @@ func TestTCPEchoAllocBudget(t *testing.T) {
 		t.Fatalf("TCP echo round trip: %v allocs, budget %d", got, tcpEchoAllocs)
 	}
 }
+
+// TestSendQueueCycleAllocs: a put and the take that drains it allocate
+// nothing once the queue's two backing arrays have grown — the consumer
+// hands each batch back as the next backing array.
+func TestSendQueueCycleAllocs(t *testing.T) {
+	q := newSendQueue(func([]byte) {})
+	frame := make([]byte, 8)
+	var batch [][]byte
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			q.put(frame) //nolint:errcheck // open queue with room
+		}
+		batch, _ = q.take(batch)
+	}
+	cycle()
+	cycle() // both arrays have held a batch now
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Fatalf("steady-state put/take cycle: %v allocs, want 0", got)
+	}
+}

@@ -138,26 +138,18 @@ func (l *loopListener) Close() error {
 	return nil
 }
 
-// loopQueueDepth is the per-connection frame queue: deep enough that a
-// quorum broadcast never blocks the sender in practice, shallow enough to
-// model backpressure under sustained overload, matching the TCP write
-// queue.
-const loopQueueDepth = 256
-
 // loopConn is one half of a loopback connection: frames enqueued by the
 // peer's Send are decoded and dispatched to this half's handler by pump.
 type loopConn struct {
-	handler   Handler
-	filter    atomic.Value    // FrameFilter, installed via SetFilter
-	rec       *trace.Recorder // set at accept; nil = untraced, no stamps
-	peer      *loopConn
-	q         chan []byte
-	done      chan struct{}
-	closeOnce sync.Once
+	handler Handler
+	filter  atomic.Value    // FrameFilter, installed via SetFilter
+	rec     *trace.Recorder // set at accept; nil = untraced, no stamps
+	peer    *loopConn
+	q       *sendQueue[[]byte] // inbound: the peer's sends, drained by pump
 }
 
 func newLoopConn(h Handler) *loopConn {
-	return &loopConn{handler: h, q: make(chan []byte, loopQueueDepth), done: make(chan struct{})}
+	return &loopConn{handler: h, q: newSendQueue(wire.PutBuf)}
 }
 
 // SetFilter implements FilteredConn.
@@ -182,37 +174,29 @@ func (c *loopConn) Send(m *wire.Msg) error {
 	return c.SendEncoded(frame)
 }
 
-// SendEncoded implements Conn, taking ownership of frame.
+// SendEncoded implements Conn, taking ownership of frame. Close closes
+// both halves' queues, so a severed connection refuses every frame from
+// either side.
 func (c *loopConn) SendEncoded(frame []byte) error {
-	p := c.peer
 	rawLen := len(frame) // stats count the frame, never the trace stamp
 	if c.rec != nil {
 		// Traced connections suffix every queued frame with its enqueue
 		// stamp — the peer's pump strips it and records queue transit as
 		// the wire span. Both halves share the network's recorder, so
 		// stamping is always symmetric.
-		c.rec.Event(0, 0, trace.PEnqueue, int64(len(p.q)))
 		var b [wire.StampSize]byte
 		wire.PutStamp(b[:], trace.Now())
 		frame = append(frame, b[:]...)
 	}
-	select { // closed wins over queue space, as on tcpConn
-	case <-c.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	default:
+	depth, err := c.peer.q.put(frame)
+	if err != nil {
+		return err
 	}
-	select {
-	case <-c.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	case <-p.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	case p.q <- frame:
-		countOut(rawLen)
-		return nil
+	if c.rec != nil {
+		c.rec.Event(0, 0, trace.PEnqueue, int64(depth))
 	}
+	countOut(rawLen)
+	return nil
 }
 
 // pump is the read loop: each wakeup drains every frame already queued and
@@ -222,78 +206,64 @@ func (c *loopConn) SendEncoded(frame []byte) error {
 // gets from write-loop coalescing plus batch decode. Frame buffers are
 // recycled as they are decoded.
 func (c *loopConn) pump() {
-	frames := make([][]byte, 0, 16)
+	var frames [][]byte
 	bodies := make([][]byte, 0, 16)
 	var dec wire.Decoder
 	rc := replyCoalescer{conn: c}
 	for {
-		select {
-		case <-c.done:
+		var ok bool
+		if frames, ok = c.q.take(frames); !ok {
 			return
-		case frame := <-c.q:
-			frames = append(frames[:0], frame)
-		drain:
-			for len(frames) < maxCoalesce {
-				select {
-				case frame = <-c.q:
-					frames = append(frames, frame)
-				default:
-					break drain
-				}
+		}
+		bodies = bodies[:0]
+		var err error
+		for _, f := range frames {
+			if c.rec != nil && len(f) >= wire.StampSize {
+				// Strip the enqueue stamp the traced sender
+				// suffixed; queue transit is the wire span.
+				sent := wire.GetStamp(f[len(f)-wire.StampSize:])
+				f = f[:len(f)-wire.StampSize]
+				c.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(f)))
 			}
-			bodies = bodies[:0]
-			var err error
-			for _, f := range frames {
-				if c.rec != nil && len(f) >= wire.StampSize {
-					// Strip the enqueue stamp the traced sender
-					// suffixed; queue transit is the wire span.
-					sent := wire.GetStamp(f[len(f)-wire.StampSize:])
-					f = f[:len(f)-wire.StampSize]
-					c.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(f)))
-				}
-				var body []byte
-				if body, err = frameBody(f); err != nil {
-					break
-				}
-				countIn(len(body))
-				bodies = append(bodies, body)
+			var body []byte
+			if body, err = frameBody(f); err != nil {
+				break
 			}
-			var decT0 int64
-			if c.rec != nil {
-				decT0 = trace.Now()
-			}
-			if err == nil {
-				err = dispatchGroup(&rc, c.handler, c.loadFilter(), &dec, bodies...)
-			}
-			if c.rec != nil {
-				c.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(bodies)))
-			}
-			for _, f := range frames {
-				wire.PutBuf(f)
-			}
-			// The buffers are the pool's again: drop the stale references,
-			// or a connection pins its largest drain's worth of them past
-			// every GC (the whole of the soak harness's heap drift).
-			clear(frames)
-			clear(bodies)
-			if err != nil {
-				// A corrupt frame on a real socket kills the connection;
-				// mirror that.
-				c.Close()
-				return
-			}
+			countIn(len(body))
+			bodies = append(bodies, body)
+		}
+		var decT0 int64
+		if c.rec != nil {
+			decT0 = trace.Now()
+		}
+		if err == nil {
+			err = dispatchGroup(&rc, c.handler, c.loadFilter(), &dec, bodies...)
+		}
+		if c.rec != nil {
+			c.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(bodies)))
+		}
+		for _, f := range frames {
+			wire.PutBuf(f)
+		}
+		// The buffers are the pool's again: drop the stale references, or
+		// a connection pins its largest drain's worth of them past every
+		// GC (the whole of the soak harness's heap drift). The next take
+		// clears frames.
+		clear(bodies)
+		if err != nil {
+			// A corrupt frame on a real socket kills the connection;
+			// mirror that.
+			c.Close()
+			return
 		}
 	}
 }
 
 // Close implements Conn. Closing either half severs both, like a socket.
-// Each half's done channel is closed under its own Once, never recursively
-// through the peer's Close (which would re-enter this half's Once and
-// deadlock).
 func (c *loopConn) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
+	c.q.close()
 	if p := c.peer; p != nil {
-		p.closeOnce.Do(func() { close(p.done) })
+		p.q.close()
 	}
 	return nil
 }

@@ -38,8 +38,8 @@ type Spec struct {
 	// elections hashed across them so decode and write loops parallelize
 	// (see electd.PoolOptions.ConnShards). 0 or 1 means one connection.
 	Shards int
-	// NoBatch disables frame coalescing on every connection and in the
-	// client pool: each message travels as its own frame, the pre-batching
+	// NoBatch disables the write loops' frame coalescing on every
+	// connection: each message travels as its own frame, the pre-batching
 	// baseline behavior.
 	NoBatch bool
 	// Trace, when non-nil, threads the election flight recorder through

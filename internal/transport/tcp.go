@@ -247,10 +247,6 @@ func dialTCP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder) (Conn
 	return conn, nil
 }
 
-// tcpQueueDepth bounds a connection's outbound frame queue; a full queue
-// backpressures Send, mirroring socket buffers.
-const tcpQueueDepth = 256
-
 // tcpBufSize sizes the per-connection bufio reader and writer. Large
 // enough that a full quorum broadcast's worth of coalesced frames — or a
 // register-array snapshot at benchmark sizes — crosses the socket in one
@@ -279,8 +275,7 @@ type tcpConn struct {
 	filter     atomic.Value    // FrameFilter, installed via SetFilter
 	noCoalesce bool            // set before start; read-only afterwards
 	rec        *trace.Recorder // set before start; nil = untraced, no stamps
-	out        chan []byte
-	done       chan struct{}
+	out        *sendQueue[[]byte]
 	closeOnce  sync.Once
 	onClose    func() // set before start; read-only afterwards
 }
@@ -288,7 +283,7 @@ type tcpConn struct {
 // newTCPConn wraps an established socket; the read/write loops launch on
 // start, after the owner has finished wiring onClose.
 func newTCPConn(c net.Conn, h Handler) *tcpConn {
-	return &tcpConn{c: c, handler: h, out: make(chan []byte, tcpQueueDepth), done: make(chan struct{})}
+	return &tcpConn{c: c, handler: h, out: newSendQueue(wire.PutBuf)}
 }
 
 func (t *tcpConn) start() {
@@ -317,28 +312,15 @@ func (t *tcpConn) Send(m *wire.Msg) error {
 	return t.SendEncoded(frame)
 }
 
-// SendEncoded implements Conn, taking ownership of frame.
+// SendEncoded implements Conn, taking ownership of frame. A severed
+// connection refuses every frame: senders that route around dead links
+// (electd's quorum calls) go by this error.
 func (t *tcpConn) SendEncoded(frame []byte) error {
-	if t.rec != nil {
-		t.rec.Event(0, 0, trace.PEnqueue, int64(len(t.out)))
+	depth, err := t.out.put(frame)
+	if err == nil && t.rec != nil {
+		t.rec.Event(0, 0, trace.PEnqueue, int64(depth))
 	}
-	// A severed connection refuses every frame: checked on its own first,
-	// because a select with both cases ready picks at random and would
-	// take half the frames into a queue nobody drains — and senders that
-	// route around dead links (electd's quorum calls) go by this error.
-	select {
-	case <-t.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-t.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	case t.out <- frame:
-		return nil
-	}
+	return err
 }
 
 // writeLoop drains the outbound queue onto the socket: each wakeup picks
@@ -354,46 +336,34 @@ func (t *tcpConn) writeLoop() {
 		w.Reset(nil) // drop the conn reference; buffered bytes are dead anyway
 		writerPool.Put(w)
 	}()
-	frames := make([][]byte, 0, 64)
+	var frames [][]byte
 	var hdr []byte // coalesceFrames' batch-header scratch
 	for {
-		select {
-		case <-t.done:
+		var ok bool
+		if frames, ok = t.out.take(frames); !ok {
 			return
-		case frame := <-t.out:
-			frames = append(frames[:0], frame)
-		drain:
-			for len(frames) < maxCoalesce {
-				select {
-				case frame = <-t.out:
-					frames = append(frames, frame)
-				default:
-					break drain
-				}
-			}
-			var drainT0 int64
-			if t.rec != nil {
-				drainT0 = trace.Now()
-			}
-			n := len(frames)
-			var err error
-			if t.noCoalesce {
-				// Unbatched baseline: frames keep their own framing; bufio
-				// still merges the bytes into one write, as it always did.
-				err = writePlain(w, frames, t.rec != nil)
-			} else {
-				err = coalesceFrames(w, frames, t.rec != nil, &hdr)
-			}
-			if err == nil {
-				err = w.Flush()
-			}
-			if err != nil {
-				t.Close()
-				return
-			}
-			if t.rec != nil {
-				t.rec.Record(0, 0, trace.PWriteDrain, drainT0, trace.Now()-drainT0, int64(n))
-			}
+		}
+		var drainT0 int64
+		if t.rec != nil {
+			drainT0 = trace.Now()
+		}
+		var err error
+		if t.noCoalesce {
+			// Unbatched baseline: frames keep their own framing; bufio
+			// still merges the bytes into one write, as it always did.
+			err = writePlain(w, frames, t.rec != nil)
+		} else {
+			err = coalesceFrames(w, frames, t.rec != nil, &hdr)
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if err != nil {
+			t.Close()
+			return
+		}
+		if t.rec != nil {
+			t.rec.Record(0, 0, trace.PWriteDrain, drainT0, trace.Now()-drainT0, int64(len(frames)))
 		}
 	}
 }
@@ -432,10 +402,8 @@ func (t *tcpConn) readLoop() {
 			t.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(body)))
 		}
 		countIn(len(body))
-		select {
-		case <-t.done:
+		if t.out.closed.Load() {
 			return
-		default:
 		}
 		var decT0 int64
 		if t.rec != nil {
@@ -454,7 +422,7 @@ func (t *tcpConn) readLoop() {
 // Close implements Conn.
 func (t *tcpConn) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.done)
+		t.out.close()
 		t.c.Close()
 		if t.onClose != nil {
 			t.onClose()

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -633,6 +634,96 @@ func TestCrashRecoverRestoresListener(t *testing.T) {
 			ln.Close()
 			if err := rec.Recover(); err == nil {
 				t.Fatal("Recover after Close succeeded; closed must be final")
+			}
+		})
+	}
+}
+
+// TestClosedConnRefusesEveryFrame: a closed connection refuses every frame
+// with ErrClosed, on every network and from either end — never a share of
+// them, as a select between "closed" and "queue has room" would. Senders
+// that route around dead links (electd's thrifty first wave) go by this
+// error, and an accepted frame would sit in a queue nobody drains. On the
+// accepted side a UDP "connection" is the listener's socket aimed at one
+// peer, so the listener's Close is what severs it; the last row is the
+// window udpPeerConn.SendEncoded leaves between loading the endpoint and
+// sending on it.
+func TestClosedConnRefusesEveryFrame(t *testing.T) {
+	type ends struct {
+		send  func(frame []byte) error
+		close func()
+	}
+	// open connects a client to a fresh listener and returns the dialed
+	// conn, the Conn the server's handler was given, and the listener.
+	open := func(t *testing.T, nw Network) (Conn, Conn, Listener) {
+		t.Helper()
+		accepted := make(chan Conn, 1)
+		ln, err := nw.Listen(func(c Conn, _ *wire.Msg) { accepted <- c })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() }) //nolint:errcheck // teardown
+		dialed, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dialed.Close() }) //nolint:errcheck // teardown
+		if err := dialed.Send(&wire.Msg{Kind: wire.KindCollect, Reg: "hello"}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case c := <-accepted:
+			return dialed, c, ln
+		case <-time.After(5 * time.Second):
+			t.Fatal("the listener never saw the first frame")
+			return nil, nil, nil
+		}
+	}
+	// side closes and sends on one end of a fresh connection.
+	side := func(mk func() Network, accepted bool) func(*testing.T) ends {
+		return func(t *testing.T) ends {
+			c, srv, _ := open(t, mk())
+			if accepted {
+				c = srv
+			}
+			return ends{send: c.SendEncoded, close: func() { c.Close() }} //nolint:errcheck // under test
+		}
+	}
+	tcp, loop := func() Network { return NewTCP() }, func() Network { return NewLoopback() }
+	cases := map[string]func(*testing.T) ends{
+		"tcp/dialed":        side(tcp, false),
+		"tcp/accepted":      side(tcp, true),
+		"loopback/dialed":   side(loop, false),
+		"loopback/accepted": side(loop, true),
+		"udp/dialed":        side(func() Network { return NewUDP() }, false),
+		"udp/accepted": func(t *testing.T) ends {
+			_, c, ln := open(t, NewUDP())
+			return ends{send: c.SendEncoded, close: func() { ln.Close() }} //nolint:errcheck // under test
+		},
+		"udp/accepted-endpoint-held": func(t *testing.T) ends {
+			_, c, ln := open(t, NewUDP())
+			ep, to := ln.(*UDPListener).ep.Load(), c.(*udpPeerConn).to
+			return ends{send: func(frame []byte) error { return ep.send(frame, to) }, close: func() { ln.Close() }} //nolint:errcheck // under test
+		},
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := mk(t)
+			e.close()
+			refused := 0
+			for i := 0; i < 200; i++ {
+				frame, err := wire.Append(wire.GetBuf(), &wire.Msg{Kind: wire.KindAck, Call: uint64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.send(frame); errors.Is(err, ErrClosed) {
+					refused++
+				} else if err != nil {
+					t.Fatalf("send %d after Close: %v, want ErrClosed", i, err)
+				}
+			}
+			if refused != 200 {
+				t.Fatalf("%d of 200 sends after Close returned ErrClosed", refused)
 			}
 		})
 	}

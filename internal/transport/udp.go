@@ -74,10 +74,6 @@ func (u *UDP) Dial(addr string, h Handler) (Conn, error) {
 }
 
 const (
-	// udpQueueDepth bounds an endpoint's outbound packet queue; a full
-	// queue backpressures Send, mirroring socket buffers (and
-	// tcpQueueDepth).
-	udpQueueDepth = 256
 	// udpRecvBatch is how many datagrams one recvmmsg wakeup may pull.
 	udpRecvBatch = 8
 	// udpMaxDatagram is the receive-slot size and the largest frame the
@@ -139,8 +135,7 @@ type udpEndpoint struct {
 	dispatch func(dec *wire.Decoder, src netip.AddrPort, body []byte)
 	onClose  func()
 
-	out       chan pkt
-	done      chan struct{}
+	out       *sendQueue[pkt]
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
@@ -161,8 +156,7 @@ func newUDPEndpoint(pc *net.UDPConn, connected bool, noCoalesce bool, rec *trace
 		noCoalesce: noCoalesce,
 		pack:       pack,
 		connected:  connected,
-		out:        make(chan pkt, udpQueueDepth),
-		done:       make(chan struct{}),
+		out:        newSendQueue(func(p pkt) { wire.PutBuf(p.buf) }),
 	}
 	io, err := newPacketIO(e)
 	if err != nil {
@@ -189,21 +183,16 @@ func (e *udpEndpoint) send(frame []byte, to netip.AddrPort) error {
 		wire.PutBuf(frame)
 		return errFrameTooLarge
 	}
-	if e.rec != nil {
-		e.rec.Event(0, 0, trace.PEnqueue, int64(len(e.out)))
+	depth, err := e.out.put(pkt{buf: frame, to: to})
+	if err == nil && e.rec != nil {
+		e.rec.Event(0, 0, trace.PEnqueue, int64(depth))
 	}
-	select {
-	case <-e.done:
-		wire.PutBuf(frame)
-		return ErrClosed
-	case e.out <- pkt{buf: frame, to: to}:
-		return nil
-	}
+	return err
 }
 
 func (e *udpEndpoint) close() {
 	e.closeOnce.Do(func() {
-		close(e.done)
+		e.out.close()
 		e.pc.Close()
 		if e.onClose != nil {
 			e.onClose()
@@ -218,44 +207,29 @@ func (e *udpEndpoint) close() {
 // syscalls as the platform allows.
 func (e *udpEndpoint) writeLoop() {
 	defer e.wg.Done()
-	frames := make([]pkt, 0, 64)
+	var frames []pkt
 	pkts := make([]pkt, 0, 64)
 	for {
-		select {
-		case <-e.done:
+		var ok bool
+		if frames, ok = e.out.take(frames); !ok {
 			return
-		case p := <-e.out:
-			frames = append(frames[:0], p)
-		drain:
-			for len(frames) < maxCoalesce {
-				select {
-				case p = <-e.out:
-					frames = append(frames, p)
-				default:
-					break drain
-				}
-			}
-			var drainT0 int64
-			if e.rec != nil {
-				drainT0 = trace.Now()
-			}
-			n := len(frames)
-			pkts = packDatagrams(pkts[:0], frames, e.pack, e.noCoalesce, e.rec != nil)
-			err := e.io.sendPackets(e, pkts)
-			for i := range pkts {
-				wire.PutBuf(pkts[i].buf)
-				pkts[i] = pkt{}
-			}
-			for i := range frames {
-				frames[i] = pkt{}
-			}
-			if err != nil {
-				e.close()
-				return
-			}
-			if e.rec != nil {
-				e.rec.Record(0, 0, trace.PWriteDrain, drainT0, trace.Now()-drainT0, int64(n))
-			}
+		}
+		var drainT0 int64
+		if e.rec != nil {
+			drainT0 = trace.Now()
+		}
+		pkts = packDatagrams(pkts[:0], frames, e.pack, e.noCoalesce, e.rec != nil)
+		err := e.io.sendPackets(e, pkts)
+		for i := range pkts {
+			wire.PutBuf(pkts[i].buf)
+		}
+		clear(pkts)
+		if err != nil {
+			e.close()
+			return
+		}
+		if e.rec != nil {
+			e.rec.Record(0, 0, trace.PWriteDrain, drainT0, trace.Now()-drainT0, int64(len(frames)))
 		}
 	}
 }
@@ -336,10 +310,8 @@ func (e *udpEndpoint) readLoop() {
 	for {
 		n, err := e.io.recvPackets(e, bufs, lens, srcs)
 		if err != nil {
-			select {
-			case <-e.done:
+			if e.out.closed.Load() {
 				return
-			default:
 			}
 			if errors.Is(err, net.ErrClosed) {
 				e.close()
