@@ -6,12 +6,11 @@ package repro_test
 // multiplexed onto one shared electd server set; T15 sweeps the number of
 // concurrent elections on both substrates — the contention-scaling curve
 // the sharded electd maps, the sharded client pool and the live SystemPool
-// exist for. All run the batched, pooled hot path by default (T13/T14 add
-// explicit unbatched variants, T13/T15 add flight-recorder-enabled "traced"
-// variants whose traced/untraced metric ratios CI gates with benchgate
-// -ratio). Their headline metrics are additionally emitted to
-// BENCH_net.json — the network perf trajectory the CI bench job gates on
-// (docs/BENCH.md) — regenerated by:
+// exist for. All run the batched, pooled hot path (T13/T15 add
+// flight-recorder-enabled "traced" variants whose traced/untraced metric
+// ratios CI gates with benchgate -ratio). Their headline metrics are
+// additionally emitted to BENCH_net.json — the network perf trajectory the
+// CI bench job gates on (docs/BENCH.md) — regenerated by:
 //
 //	go test -run=NONE -bench 'T13Transport|T14Electd|T15Contention' .
 //
@@ -205,14 +204,10 @@ func writeBenchNet(metrics map[string]float64, phases []trace.File) error {
 // BenchmarkT13TransportLatency measures one complete PoisonPill election
 // per iteration on each transport: chan (in-process mailboxes), tcp
 // (loopback sockets through electd and the wire codec, with the batched,
-// pooled hot path — the default), tcp-nobatch (the same sockets with
-// frame coalescing disabled, the pre-batching baseline), tcp-sharded
-// (four election-hashed connections per server, the parallel decode/write
-// path) and udp (datagram sockets with the retransmit/dedup reliability
-// layer and mmsg batching on Linux). ns/op is the election latency; the
-// tcp/chan ratio is the cost of the real network boundary, the
-// tcp-nobatch/tcp ratio the win from batching, and the udp/tcp ratio the
-// win from dropping the stream abstraction.
+// pooled hot path) and udp (datagram sockets with the retransmit/dedup
+// reliability layer and mmsg batching on Linux). ns/op is the election
+// latency; the tcp/chan ratio is the cost of the real network boundary and
+// the udp/tcp ratio the win from dropping the stream abstraction.
 // Bytes/election reports the wire-codec payload volume — batching is
 // transport framing and must not change it materially — and
 // allocs/election the whole-process allocation count per election.
@@ -225,18 +220,14 @@ func writeBenchNet(metrics map[string]float64, phases []trace.File) error {
 // milliseconds go.
 func BenchmarkT13TransportLatency(b *testing.B) {
 	variants := []struct {
-		name    string
-		tr      live.Transport
-		noBatch bool
-		traced  bool
-		shards  int
+		name   string
+		tr     live.Transport
+		traced bool
 	}{
-		{"chan", live.TransportChan, false, false, 0},
-		{"tcp", live.TransportTCP, false, false, 0},
-		{"tcp-nobatch", live.TransportTCP, true, false, 0},
-		{"tcp-sharded", live.TransportTCP, false, false, 4},
-		{"udp", live.TransportUDP, false, false, 0},
-		{"tcp-traced", live.TransportTCP, false, true, 0},
+		{"chan", live.TransportChan, false},
+		{"tcp", live.TransportTCP, false},
+		{"udp", live.TransportUDP, false},
+		{"tcp-traced", live.TransportTCP, true},
 	}
 	for _, v := range variants {
 		for _, n := range []int{8, 32} {
@@ -252,10 +243,7 @@ func BenchmarkT13TransportLatency(b *testing.B) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := live.Elect(live.Config{
-						N: n, Seed: int64(i), Transport: v.tr, NoBatch: v.noBatch,
-						ConnShards: v.shards, Trace: rec,
-					})
+					res, err := live.Elect(live.Config{N: n, Seed: int64(i), Transport: v.tr, Trace: rec})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -297,35 +285,26 @@ func BenchmarkT13TransportLatency(b *testing.B) {
 // server set over loopback TCP — the service-under-load shape: one quorum
 // system, many concurrent clients, and the shape that benefits most from
 // the write loops' frame coalescing (concurrent elections share each server
-// connection, so whole broadcast waves ride single frames). The nobatch
-// variants re-run the same load with coalescing off.
+// connection, so whole broadcast waves ride single frames).
 func BenchmarkT14ElectdCampaignThroughput(b *testing.B) {
 	const runsPerIter = 24
-	for _, noBatch := range []bool{false, true} {
-		for _, workers := range []int{1, 4, 16} {
-			name := "workers=" + strconv.Itoa(workers)
-			metric := fmt.Sprintf("t14/workers=%d/elections-per-sec", workers)
-			if noBatch {
-				name = "nobatch/" + name
-				metric = fmt.Sprintf("t14/nobatch/workers=%d/elections-per-sec", workers)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var tput float64
-				for i := 0; i < b.N; i++ {
-					rep, err := campaign.Run(campaign.Config{
-						Runs: runsPerIter, Workers: workers, N: 16, BaseSeed: int64(i),
-						Transport: live.TransportTCP, NoBatch: noBatch,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					tput += rep.Throughput
+	for _, workers := range []int{1, 4, 16} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var tput float64
+			for i := 0; i < b.N; i++ {
+				rep, err := campaign.Run(campaign.Config{
+					Runs: runsPerIter, Workers: workers, N: 16, BaseSeed: int64(i),
+					Transport: live.TransportTCP,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(tput/float64(b.N), "elections/s")
-				recordNet(metric, tput/float64(b.N))
-			})
-		}
+				tput += rep.Throughput
+			}
+			b.ReportMetric(tput/float64(b.N), "elections/s")
+			recordNet(fmt.Sprintf("t14/workers=%d/elections-per-sec", workers), tput/float64(b.N))
+		})
 	}
 }
 

@@ -2,20 +2,17 @@
 // checked-in baseline and fails (exit 1) on regressions beyond a threshold
 // in the gated metrics — the CI bench job's regression gate.
 //
-// Both files hold the repository's benchmark-metric schema (docs/BENCH.md).
-// Three generations parse: the legacy flat JSON array of {"name": ...,
-// "value": ...} objects, the object form {"metrics": [...], "phases":
-// [...]}, and the current host-profile form {"profiles": [{"host":
-// {cores, gomaxprocs, goos, goarch}, "metrics": [...], "phases": [...]}]}.
-// benchgate gates only the scalar metrics; the phases ride along as
-// recorded context for perf PRs.
+// Both files hold the repository's benchmark-metric schema (docs/BENCH.md):
+// {"profiles": [{"host": {cores, gomaxprocs, goos, goarch}, "metrics":
+// [{"name": ..., "value": ...}], "phases": [...]}]}. benchgate gates only
+// the scalar metrics; the phases ride along as recorded context for perf
+// PRs.
 //
 // Contention numbers are host-shaped, so profile selection (-host) decides
 // which section of a profiled file is compared: "auto" (the default) picks
 // the profile measured on a machine like this one (cores, goos, goarch
 // equal), "cores=N" picks by core count, and "any" requires the file to
-// hold exactly one profile. Legacy files count as one wildcard profile
-// matching every host. When the *baseline* holds no matching profile —
+// hold exactly one profile. When the *baseline* holds no matching profile —
 // the checked-in numbers came from a different machine shape — the
 // baseline compare is skipped with a note and exit 0: comparing a
 // single-core container's curve against a many-core runner's would gate
@@ -48,6 +45,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,8 +63,7 @@ type metric struct {
 }
 
 // hostProfile keys one profile section of a BENCH_*.json file: the machine
-// shape its numbers were measured on. The zero value is the wildcard
-// profile legacy (unprofiled) files are treated as.
+// shape its numbers were measured on.
 type hostProfile struct {
 	Cores      int    `json:"cores"`
 	Gomaxprocs int    `json:"gomaxprocs"`
@@ -74,12 +71,7 @@ type hostProfile struct {
 	Goarch     string `json:"goarch"`
 }
 
-func (h hostProfile) wildcard() bool { return h == hostProfile{} }
-
 func (h hostProfile) String() string {
-	if h.wildcard() {
-		return "unprofiled (legacy schema, matches any host)"
-	}
 	return fmt.Sprintf("cores=%d gomaxprocs=%d %s/%s", h.Cores, h.Gomaxprocs, h.Goos, h.Goarch)
 }
 
@@ -107,15 +99,11 @@ func parseHostSelector(s string) (hostSelector, error) {
 	}
 }
 
-// matches reports whether a profile satisfies the selector. Wildcard
-// profiles (legacy files) match everything. "auto" matches on machine
-// shape — cores, goos, goarch — but not gomaxprocs: an explicitly lowered
-// or raised GOMAXPROCS is an experiment, and its profile is selected
-// explicitly (cores=...), never silently.
+// matches reports whether a profile satisfies the selector. "auto" matches
+// on machine shape — cores, goos, goarch — but not gomaxprocs: an
+// explicitly lowered or raised GOMAXPROCS is an experiment, and its profile
+// is selected explicitly (cores=...), never silently.
 func (sel hostSelector) matches(h hostProfile) bool {
-	if h.wildcard() {
-		return true
-	}
 	switch sel.mode {
 	case "auto":
 		return h.Cores == runtime.NumCPU() && h.Goos == runtime.GOOS && h.Goarch == runtime.GOARCH &&
@@ -266,14 +254,10 @@ func main() {
 }
 
 // load reads one BENCH_*.json metric file and selects the profile the
-// selector asks for. All three schema generations parse: the legacy flat
-// array of metrics and the {"metrics": [...]} object form become one
-// wildcard profile; the {"profiles": [...]} form is searched for a
-// matching host. ok is false — with the available profiles described in
-// note — when a profiled file holds no match; the caller decides whether
-// that is a skip (baseline) or an error (current). The "phases"
-// attribution baselines are ignored throughout — context, not gated
-// numbers.
+// selector asks for. ok is false — with the available profiles described
+// in note — when the file holds no match; the caller decides whether that
+// is a skip (baseline) or an error (current). The "phases" attribution
+// baselines are ignored throughout — context, not gated numbers.
 func load(path string, sel hostSelector) (out map[string]float64, ok bool, note string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -293,40 +277,33 @@ func load(path string, sel hostSelector) (out map[string]float64, ok bool, note 
 	return out, true, note, nil
 }
 
-// parseMetrics decodes any BENCH_*.json schema generation and applies the
-// profile selector; see load.
+// parseMetrics decodes a BENCH_*.json file and applies the profile
+// selector; see load. A file without a "profiles" key is a parse error.
 func parseMetrics(raw []byte, sel hostSelector) (ms []metric, ok bool, note string, err error) {
-	if err := json.Unmarshal(raw, &ms); err == nil {
-		return ms, true, "", nil // legacy flat array: wildcard profile
-	}
 	var obj struct {
-		Metrics  []metric `json:"metrics"`
 		Profiles []struct {
 			Host    hostProfile `json:"host"`
 			Metrics []metric    `json:"metrics"`
 		} `json:"profiles"`
 	}
-	if err := json.Unmarshal(raw, &obj); err != nil {
-		return nil, false, "", err
+	err = json.Unmarshal(raw, &obj)
+	if err == nil && obj.Profiles == nil {
+		err = errors.New("key absent")
 	}
-	switch {
-	case obj.Profiles != nil:
-		if sel.mode == "any" && len(obj.Profiles) > 1 {
-			return nil, false, "", fmt.Errorf("-host any needs exactly one profile, file holds %d", len(obj.Profiles))
-		}
-		var hosts []string
-		for _, p := range obj.Profiles {
-			if sel.matches(p.Host) {
-				return p.Metrics, true, fmt.Sprintf("profile: %s", p.Host), nil
-			}
-			hosts = append(hosts, p.Host.String())
-		}
-		return nil, false, fmt.Sprintf("no profile matches this host; file holds: %s", strings.Join(hosts, "; ")), nil
-	case obj.Metrics != nil:
-		return obj.Metrics, true, "", nil // unprofiled object form: wildcard
-	default:
-		return nil, false, "", fmt.Errorf("neither a metric array nor an object with a \"metrics\" or \"profiles\" key")
+	if err != nil {
+		return nil, false, "", fmt.Errorf("want an object with a \"profiles\" key: %w", err)
 	}
+	if sel.mode == "any" && len(obj.Profiles) > 1 {
+		return nil, false, "", fmt.Errorf("-host any needs exactly one profile, file holds %d", len(obj.Profiles))
+	}
+	var hosts []string
+	for _, p := range obj.Profiles {
+		if sel.matches(p.Host) {
+			return p.Metrics, true, fmt.Sprintf("profile: %s", p.Host), nil
+		}
+		hosts = append(hosts, p.Host.String())
+	}
+	return nil, false, fmt.Sprintf("no profile matches this host; file holds: %s", strings.Join(hosts, "; ")), nil
 }
 
 // ratioRow is one paired-variant comparison inside the current file.

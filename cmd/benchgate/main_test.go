@@ -125,31 +125,26 @@ func TestImprovementsAndNewMetricsPass(t *testing.T) {
 	}
 }
 
-// TestParseMetricsAllSchemas: the legacy flat metric array, the object form
-// with a phases section, and the host-profiled form all load; a JSON object
-// without "metrics" or "profiles" is rejected rather than silently read as
-// zero metrics. The two legacy generations count as wildcard profiles, so
-// they load under any selector.
-func TestParseMetricsAllSchemas(t *testing.T) {
+// TestParseMetricsSchema: the host-profiled form loads; the flat metric
+// array and the unprofiled object that preceded it, and any other object
+// without a "profiles" key, are rejected with a message naming the key
+// rather than silently read as zero metrics.
+func TestParseMetricsSchema(t *testing.T) {
 	auto := hostSelector{mode: "auto"}
-	flat := []byte(`[{"name":"a","value":1},{"name":"b","value":2}]`)
-	obj := []byte(`{"metrics":[{"name":"a","value":1}],"phases":[{"meta":{"name":"t13/tcp/n=32"},"breakdown":{"phases":[]}}]}`)
 	prof := []byte(`{"profiles":[{"host":{"cores":` + itoa(runtime.NumCPU()) + `,"gomaxprocs":` + itoa(runtime.NumCPU()) +
 		`,"goos":"` + runtime.GOOS + `","goarch":"` + runtime.GOARCH + `"},"metrics":[{"name":"p","value":3}],"phases":[]}]}`)
-	ms, ok, _, err := parseMetrics(flat, auto)
-	if err != nil || !ok || len(ms) != 2 {
-		t.Fatalf("flat schema: err=%v ok=%v, %d metrics", err, ok, len(ms))
-	}
-	ms, ok, _, err = parseMetrics(obj, auto)
-	if err != nil || !ok || len(ms) != 1 || ms[0].Name != "a" {
-		t.Fatalf("object schema: err=%v ok=%v, metrics=%+v", err, ok, ms)
-	}
-	ms, ok, _, err = parseMetrics(prof, auto)
+	ms, ok, _, err := parseMetrics(prof, auto)
 	if err != nil || !ok || len(ms) != 1 || ms[0].Name != "p" {
 		t.Fatalf("profiled schema: err=%v ok=%v, metrics=%+v", err, ok, ms)
 	}
-	if _, _, _, err := parseMetrics([]byte(`{"something":"else"}`), auto); err == nil {
-		t.Error("object without a metrics or profiles key accepted")
+	for _, bad := range []string{
+		`[{"name":"a","value":1},{"name":"b","value":2}]`,
+		`{"metrics":[{"name":"a","value":1}],"phases":[]}`,
+		`{"something":"else"}`,
+	} {
+		if _, _, _, err := parseMetrics([]byte(bad), auto); err == nil || !strings.Contains(err.Error(), `"profiles"`) {
+			t.Errorf("non-profile file %s: err=%v, want a parse error naming the profiles key", bad, err)
+		}
 	}
 }
 

@@ -79,15 +79,6 @@ type Config struct {
 	// scenarios run one cluster per election instead: crashing a shared
 	// server would leak faults across runs.
 	Transport live.Transport
-	// NoBatch (networked transports only) disables the connections' frame
-	// coalescing for the whole campaign — shared cluster and per-run
-	// clusters alike — the unbatched baseline the benchmarks compare
-	// against.
-	NoBatch bool
-	// ConnShards (networked transports only) is how many connections each
-	// client pool dials per server, elections hashed across them — shared
-	// cluster and per-run clusters alike. 0 or 1 means one connection.
-	ConnShards int
 	// Trace, when non-nil, records phase-level spans for every run into the
 	// given flight recorder: client pool, transport and server spans on the
 	// TCP substrate (shared cluster and per-run clusters alike), send and
@@ -263,12 +254,6 @@ func (cfg *Config) normalize() error {
 	default:
 		return fmt.Errorf("campaign: unknown transport %q", cfg.Transport)
 	}
-	if cfg.NoBatch && !cfg.Transport.Networked() {
-		return fmt.Errorf("campaign: NoBatch tunes a networked transport's client pools; transport %q has no frames to batch", cfg.Transport)
-	}
-	if cfg.ConnShards != 0 && !cfg.Transport.Networked() {
-		return fmt.Errorf("campaign: ConnShards shards a networked transport's connections; transport %q has none", cfg.Transport)
-	}
 	return nil
 }
 
@@ -305,13 +290,6 @@ func (cfg *Config) runOne(sc fault.Scenario, idx int) (runStats, error) {
 		lcfg := live.Config{
 			N: cfg.N, K: cfg.K, Seed: seed, Algorithm: cfg.Algorithm, Scenario: sc,
 			Transport: cfg.Transport, Pool: cfg.spool, Trace: cfg.Trace,
-		}
-		if cfg.cluster == nil {
-			// Owned clusters (per-run, under fault scenarios) inherit the
-			// campaign's batching and sharding choices; a shared cluster
-			// was already dialed with them.
-			lcfg.NoBatch = cfg.NoBatch
-			lcfg.ConnShards = cfg.ConnShards
 		}
 		if cfg.cluster != nil {
 			lcfg.Cluster = cfg.cluster
@@ -423,12 +401,7 @@ func RunMatrix(cfg Config, scenarios []fault.Scenario) (MatrixReport, error) {
 			}
 		}
 		if shared {
-			spec := transport.Spec{
-				Name:    string(cfg.Transport),
-				Shards:  cfg.ConnShards,
-				NoBatch: cfg.NoBatch,
-				Trace:   cfg.Trace,
-			}
+			spec := transport.Spec{Name: string(cfg.Transport), Trace: cfg.Trace}
 			cluster, err := electd.NewClusterSpec(spec, cfg.N, electd.ClusterOptions{
 				Server: electd.ServerOptions{Trace: cfg.Trace},
 			})

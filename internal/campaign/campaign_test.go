@@ -237,24 +237,6 @@ func TestRunMatrixTCPScenarios(t *testing.T) {
 	}
 }
 
-// TestCampaignTCPNoBatch: the unbatched TCP baseline still elects across a
-// shared cluster, and NoBatch is rejected off the TCP transport.
-func TestCampaignTCPNoBatch(t *testing.T) {
-	rep, err := Run(Config{
-		Runs: 6, Workers: 3, N: 5, BaseSeed: 4,
-		Transport: live.TransportTCP, NoBatch: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Elected != rep.Runs {
-		t.Errorf("unbatched TCP campaign elected %d of %d", rep.Elected, rep.Runs)
-	}
-	if _, err := Run(Config{Runs: 1, N: 4, NoBatch: true}); err == nil {
-		t.Error("NoBatch accepted on the chan transport")
-	}
-}
-
 // TestRunWithScenario: Config.Scenario routes a single-scenario campaign
 // through Run, and fault-free campaigns report full validity.
 func TestRunWithScenario(t *testing.T) {

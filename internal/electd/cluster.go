@@ -32,19 +32,14 @@ type ClusterOptions struct {
 }
 
 // NewCluster starts n servers on the network and dials the shared pool,
-// with the pool's frame coalescing on.
+// all options at their defaults.
 func NewCluster(nw transport.Network, n int) (*Cluster, error) {
-	return NewClusterOpts(nw, n, PoolOptions{})
-}
-
-// NewClusterOpts is NewCluster with explicit pool options.
-func NewClusterOpts(nw transport.Network, n int, opts PoolOptions) (*Cluster, error) {
-	return NewClusterWith(nw, n, ClusterOptions{Pool: opts})
+	return NewClusterWith(nw, n, ClusterOptions{})
 }
 
 // NewClusterSpec starts an in-process cluster under a transport spec: the
 // servers listen and the pool dials on the substrate the spec names, with
-// the spec's knobs folded into the pool options exactly as NewPool does —
+// the spec folded into the pool options exactly as NewPool does —
 // including the default retransmit layer on unreliable substrates. The
 // symmetric counterpart of NewPool for single-process deployments.
 func NewClusterSpec(spec transport.Spec, n int, opts ClusterOptions) (*Cluster, error) {

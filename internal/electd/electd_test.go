@@ -327,8 +327,8 @@ func TestDialFailureClosesDialedConns(t *testing.T) {
 }
 
 // failAfterNetwork counts dials through countingNetwork but fails every
-// dial after the first ok successes — the instrument for a mid-link shard
-// failure, where a server's connection set is only partially established.
+// dial after the first ok successes — the instrument for a startup where
+// only a minority of the servers can be reached.
 type failAfterNetwork struct {
 	countingNetwork
 	ok       int64
@@ -342,11 +342,11 @@ func (n *failAfterNetwork) Dial(addr string, h transport.Handler) (transport.Con
 	return n.countingNetwork.Dial(addr, h)
 }
 
-// TestDialFailureClosesShardedConns: the startup-failure contract with
-// connection sharding on. Every shard of every server that did answer must
-// be closed — including a link's partial shard set when the failure lands
-// mid-link — so a retry loop never accumulates sockets, on TCP or UDP.
-func TestDialFailureClosesShardedConns(t *testing.T) {
+// TestDialFailureClosesConns: the startup-failure contract through
+// DialPool. The connection of every server that did answer must be closed
+// before the no-majority error is reported, so a retry loop never
+// accumulates sockets.
+func TestDialFailureClosesConns(t *testing.T) {
 	const n = 5
 	lo := transport.NewLoopback()
 	cl, err := electd.NewCluster(lo, n)
@@ -355,19 +355,17 @@ func TestDialFailureClosesShardedConns(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Dials 1–3 succeed; dial 4 — server 1's second shard — and everything
-	// after it fail. Server 0 connects whole (2 shards), server 1 half-
-	// connects, servers 2–4 never do: majority impossible, and all 3
-	// established connections must come back closed.
-	nw := &failAfterNetwork{countingNetwork: countingNetwork{Network: lo}, ok: 3}
-	if _, err := electd.DialPoolOpts(nw, cl.Addrs(), electd.PoolOptions{ConnShards: 2}); err == nil {
-		t.Fatal("pool came up with four of five servers undialable")
+	// Servers 0–1 connect, servers 2–4 never do: majority impossible, and
+	// both established connections must come back closed.
+	nw := &failAfterNetwork{countingNetwork: countingNetwork{Network: lo}, ok: 2}
+	if _, err := electd.DialPool(nw, cl.Addrs()); err == nil {
+		t.Fatal("pool came up with three of five servers undialable")
 	}
-	if d := nw.dialed.Load(); d != 3 {
-		t.Fatalf("dialed %d connections, want 3", d)
+	if d := nw.dialed.Load(); d != 2 {
+		t.Fatalf("dialed %d connections, want 2", d)
 	}
-	if c := nw.closed.Load(); c != 3 {
-		t.Fatalf("startup failure closed %d of 3 dialed connections — the rest leaked", c)
+	if c := nw.closed.Load(); c != 2 {
+		t.Fatalf("startup failure closed %d of 2 dialed connections — the rest leaked", c)
 	}
 }
 
@@ -404,77 +402,66 @@ func TestDialFailureClosesUDPSockets(t *testing.T) {
 // one pool must elect correctly AND share frames on the wire — the pool
 // hands every request to its connection on its own, and the transport write
 // loops, the one batching layer, wrap whatever queued while the last write
-// was in flight into batch frames: fewer frames than messages. Spec.NoBatch
-// turns exactly that off. Byte accounting must not notice: batching is
-// transport framing, not payload.
+// was in flight into batch frames: fewer frames than messages. Byte
+// accounting counts payload, not transport framing, and must not go silent.
 func TestCoalescedElectionsBatchFrames(t *testing.T) {
 	const n, k, elections = 5, 4, 8
-	run := func(spec transport.Spec) (st transport.Stats, requests, bytes int64) {
-		cl, err := electd.NewClusterSpec(spec, n, electd.ClusterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		before := transport.ReadStats()
-		var wg sync.WaitGroup
-		results := make([][]core.Decision, elections)
-		clients := make([][]*electd.Client, elections)
-		for e := 0; e < elections; e++ {
-			wg.Add(1)
-			go func(e int) {
-				defer wg.Done()
-				decisions := make([]core.Decision, k)
-				cls := make([]*electd.Client, k)
-				var inner sync.WaitGroup
-				for i := 0; i < k; i++ {
-					inner.Add(1)
-					go func(i int) {
-						defer inner.Done()
-						p := electd.NewParticipant(rt.ProcID(i), k, int64(e*100+i+1))
-						c := cl.NewComm(p, uint64(e+1), nil)
-						cls[i] = c
-						s := core.NewState(p, "leaderelect")
-						decisions[i] = core.LeaderElectWithState(c, "elect", s)
-					}(i)
-				}
-				inner.Wait()
-				results[e], clients[e] = decisions, cls
-			}(e)
-		}
-		wg.Wait()
-		for e, decisions := range results {
-			uniqueWinner(t, fmt.Sprintf("election %d", e), decisions)
-			for _, c := range clients[e] {
-				bytes += c.Bytes()
-			}
-		}
-		after := transport.ReadStats()
-		st.FramesOut = after.FramesOut - before.FramesOut
-		st.BatchesOut = after.BatchesOut - before.BatchesOut
-		st.MsgsCoalesced = after.MsgsCoalesced - before.MsgsCoalesced
-		requests, frames := cl.Pool().CoalesceStats()
-		if requests == 0 || frames != requests {
-			t.Fatalf("pool handed %d requests to its connections in %d frames, want one frame each", requests, frames)
-		}
-		return st, requests, bytes
+	cl, err := electd.NewClusterSpec(transport.Spec{}, n, electd.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	st, requests, batchedBytes := run(transport.Spec{})
-	msgs := st.FramesOut - st.BatchesOut + st.MsgsCoalesced
-	if st.BatchesOut == 0 || st.FramesOut >= msgs {
+	defer cl.Close()
+	before := transport.ReadStats()
+	var wg sync.WaitGroup
+	results := make([][]core.Decision, elections)
+	clients := make([][]*electd.Client, elections)
+	for e := 0; e < elections; e++ {
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			decisions := make([]core.Decision, k)
+			cls := make([]*electd.Client, k)
+			var inner sync.WaitGroup
+			for i := 0; i < k; i++ {
+				inner.Add(1)
+				go func(i int) {
+					defer inner.Done()
+					p := electd.NewParticipant(rt.ProcID(i), k, int64(e*100+i+1))
+					c := cl.NewComm(p, uint64(e+1), nil)
+					cls[i] = c
+					s := core.NewState(p, "leaderelect")
+					decisions[i] = core.LeaderElectWithState(c, "elect", s)
+				}(i)
+			}
+			inner.Wait()
+			results[e], clients[e] = decisions, cls
+		}(e)
+	}
+	wg.Wait()
+	var bytes int64
+	for e, decisions := range results {
+		uniqueWinner(t, fmt.Sprintf("election %d", e), decisions)
+		for _, c := range clients[e] {
+			bytes += c.Bytes()
+		}
+	}
+	after := transport.ReadStats()
+	framesOut := after.FramesOut - before.FramesOut
+	batchesOut := after.BatchesOut - before.BatchesOut
+	requests, frames := cl.Pool().CoalesceStats()
+	if requests == 0 || frames != requests {
+		t.Fatalf("pool handed %d requests to its connections in %d frames, want one frame each", requests, frames)
+	}
+	msgs := framesOut - batchesOut + after.MsgsCoalesced - before.MsgsCoalesced
+	if batchesOut == 0 || framesOut >= msgs {
 		t.Fatalf("%d elections in flight put %d messages on the wire in %d frames (%d batches): the write loops batched nothing",
-			elections, msgs, st.FramesOut, st.BatchesOut)
+			elections, msgs, framesOut, batchesOut)
 	}
 	if msgs < requests {
 		t.Fatalf("the transport counted %d messages out, fewer than the pool's %d requests", msgs, requests)
 	}
-	t.Logf("write loops put %d messages into %d frames (%.2fx)", msgs, st.FramesOut, float64(msgs)/float64(st.FramesOut))
-
-	plain, _, plainBytes := run(transport.Spec{NoBatch: true})
-	if plain.BatchesOut != 0 || plain.MsgsCoalesced != 0 {
-		t.Fatalf("NoBatch connections assembled %d batch frames around %d messages", plain.BatchesOut, plain.MsgsCoalesced)
-	}
-	if batchedBytes == 0 || plainBytes == 0 {
+	t.Logf("write loops put %d messages into %d frames (%.2fx)", msgs, framesOut, float64(msgs)/float64(framesOut))
+	if bytes == 0 {
 		t.Fatal("byte accounting went silent")
 	}
 }

@@ -22,15 +22,6 @@ import (
 // once practically never serialize on a call-table lock.
 const callShards = 16
 
-// connShardOf maps an election ID to one of a server's conns connections,
-// with the same Fibonacci hash as the server side (see electionShard): all
-// participants of one election ride one connection per server, so their
-// wave is one write loop's batch, while concurrent elections spread over
-// the shards.
-func connShardOf(election uint64, conns int) int {
-	return int((election*0x9E3779B97F4A7C15)>>61) % conns
-}
-
 // thriftySlack is how many servers beyond the ⌊n/2⌋+1 quorum a communicate
 // call's first wave asks. The call needs quorum answers, so asking all n
 // buys nothing but the ⌈n/2⌉−1 replies it then throws away; asking exactly
@@ -53,7 +44,7 @@ const thriftySlack = 2
 const widenAfter = 50 * time.Millisecond
 
 // firstWaveStart maps an election ID to the server its calls' first waves
-// start at, with the same Fibonacci hash as the connection shards. The set
+// start at, with the same Fibonacci hash as electionShard. The set
 // is picked per election, not per participant: one election's wave then
 // rides quorum+slack connections (fewer writes, reads and reader wake-ups,
 // which is where the socket path's cost sits) while concurrent elections
@@ -90,15 +81,14 @@ type callShard struct {
 type Pool struct {
 	n int
 	// links holds one slot per server, each an atomically swappable
-	// connection bundle: sends load the slot lock-free, and Redial swaps in
-	// a fresh bundle when a crashed server recovers — the transport half of
+	// connection: sends load the slot lock-free, and Redial swaps in a
+	// fresh one when a crashed server recovers — the transport half of
 	// crash-recovery. A nil slot is an undialed server.
 	links []atomic.Pointer[serverLink]
 
 	// Redial context, fixed at dial time.
-	nw         transport.Network
-	addrs      []string
-	connShards int // connections dialed per server; ≥ 1
+	nw    transport.Network
+	addrs []string
 
 	// defaultRetransmit arms every NewComm client with a baseline resend
 	// period (PoolOptions.Retransmit) — the reliability layer under lossy
@@ -133,17 +123,9 @@ type Pool struct {
 }
 
 // PoolOptions tunes a Pool at dial time. Every field's zero value is the
-// default — one connection per server, no default retransmit, unobserved,
-// untraced — so PoolOptions{} is always valid; NewPool folds a
-// transport.Spec's knobs into the zero fields.
+// default — no default retransmit, unobserved, untraced — so PoolOptions{}
+// is always valid; NewPool fills the zero fields from a transport.Spec.
 type PoolOptions struct {
-	// ConnShards is how many connections the pool dials per server, with
-	// elections hashed across them (connShardOf) so concurrent elections'
-	// decode and write loops parallelize instead of funneling through one
-	// read loop per server. 0 or 1 means one connection per server, the
-	// pre-sharding behavior.
-	ConnShards int
-
 	// Retransmit arms every client of this pool with a default quorum-wait
 	// resend period, as if a fault plan demanded it: rpc rebroadcasts on
 	// that tick and the router dedups the duplicate replies by sender.
@@ -164,12 +146,11 @@ type PoolOptions struct {
 	Trace *trace.Recorder
 }
 
-// serverLink is one server's connection bundle: its connShards transport
-// connections (elections hash across them, so two elections in flight
-// ride different read and write loops). Immutable once published in a Pool
-// slot; Redial replaces the whole bundle.
+// serverLink boxes one server's transport connection, because the atomic
+// slot needs a pointer. Immutable once published in a Pool slot; Redial
+// replaces the box.
 type serverLink struct {
-	conns []transport.Conn // [connShards]
+	conn transport.Conn
 }
 
 // pending is one outstanding communicate call awaiting quorum replies. The
@@ -207,16 +188,12 @@ func DialPool(nw transport.Network, addrs []string) (*Pool, error) {
 	return DialPoolOpts(nw, addrs, PoolOptions{})
 }
 
-// mergeSpec folds a transport spec's pool-facing knobs into options whose
-// corresponding fields are still zero: sharding follows the spec (batching
-// is the spec's own network's business), the flight recorder threads through, and an unreliable substrate
+// mergeSpec fills options whose fields are still zero from a transport
+// spec: the flight recorder threads through, and an unreliable substrate
 // arms the default retransmit period — the client-side reliability layer
 // that sits strictly below the quorum semantics (dedup lives in the reply
 // router; see pending.seen).
 func mergeSpec(spec transport.Spec, opts PoolOptions) PoolOptions {
-	if opts.ConnShards == 0 {
-		opts.ConnShards = spec.Shards
-	}
 	if opts.Trace == nil {
 		opts.Trace = spec.Trace
 	}
@@ -235,8 +212,8 @@ func mergeSpec(spec transport.Spec, opts PoolOptions) PoolOptions {
 const DefaultDatagramRetransmit = 5 * time.Millisecond
 
 // NewPool dials a client pool under the given transport spec — the one
-// entry point that keeps the spec's knobs (sharding, batching, tracing,
-// reliability) consistent between the transport and the pool on top of it.
+// entry point that keeps tracing and reliability consistent between the
+// transport and the pool on top of it.
 // DialPool/DialPoolOpts remain for callers that build a Network themselves.
 func NewPool(spec transport.Spec, addrs []string, opts PoolOptions) (*Pool, error) {
 	nw, err := spec.Network()
@@ -248,16 +225,11 @@ func NewPool(spec transport.Spec, addrs []string, opts PoolOptions) (*Pool, erro
 
 // DialPoolOpts is DialPool with explicit options.
 func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool, error) {
-	shards := opts.ConnShards
-	if shards < 1 {
-		shards = 1
-	}
 	pl := &Pool{
 		n:                 len(addrs),
 		links:             make([]atomic.Pointer[serverLink], len(addrs)),
 		nw:                nw,
 		addrs:             append([]string(nil), addrs...),
-		connShards:        shards,
 		defaultRetransmit: opts.Retransmit,
 		trace:             opts.Trace,
 	}
@@ -269,12 +241,12 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 	}
 	var down []string
 	for i, addr := range addrs {
-		conns, err := pl.dialLink(addr)
+		conn, err := pl.nw.Dial(addr, pl.handle)
 		if err != nil {
 			down = append(down, fmt.Sprintf("server %d at %s: %v", i, addr, err))
 			continue
 		}
-		pl.links[i].Store(pl.newLink(conns))
+		pl.links[i].Store(pl.newLink(conn))
 	}
 	if len(down) > (len(addrs)-1)/2 {
 		// Startup failure must not leak the minority that did answer:
@@ -292,62 +264,38 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 // N returns the quorum system size.
 func (pl *Pool) N() int { return pl.n }
 
-// dialLink dials the connShards connections of one server. A server is
-// connected whole or not at all: if any shard fails, the partial set is
-// closed before the error is reported, so a failed dial never leaks
-// bound sockets (the same discipline DialPool applies across servers).
-func (pl *Pool) dialLink(addr string) ([]transport.Conn, error) {
-	conns := make([]transport.Conn, pl.connShards)
-	for s := range conns {
-		c, err := pl.nw.Dial(addr, pl.handle)
-		if err != nil {
-			for _, d := range conns[:s] {
-				d.Close()
-			}
-			return nil, err
-		}
-		conns[s] = c
+// newLink dials nothing: it boxes an established connection with the
+// straggler/fault reply filter armed. Shared by dial time and Redial.
+func (pl *Pool) newLink(conn transport.Conn) *serverLink {
+	if fc, ok := conn.(transport.FilteredConn); ok {
+		// Drop straggler replies — answers to calls that already
+		// reached quorum — before they are decoded: at n servers per
+		// broadcast, almost half of all view replies are stragglers,
+		// and their decode (entries, statuses, allocations) is the
+		// single largest avoidable cost on the client's read loops.
+		// Under a fault plan the same filter also samples
+		// reply-direction link loss (see keepReply).
+		fc.SetFilter(pl.keepReply)
 	}
-	return conns, nil
-}
-
-// newLink dials nothing: it wraps established connections in a link bundle
-// with the straggler/fault reply filter armed on every shard. Shared by
-// dial time and Redial.
-func (pl *Pool) newLink(conns []transport.Conn) *serverLink {
-	for _, c := range conns {
-		if fc, ok := c.(transport.FilteredConn); ok {
-			// Drop straggler replies — answers to calls that already
-			// reached quorum — before they are decoded: at n servers per
-			// broadcast, almost half of all view replies are stragglers,
-			// and their decode (entries, statuses, allocations) is the
-			// single largest avoidable cost on the client's read loops.
-			// Under a fault plan the same filter also samples
-			// reply-direction link loss (see keepReply).
-			fc.SetFilter(pl.keepReply)
-		}
-	}
-	return &serverLink{conns: conns}
+	return &serverLink{conn: conn}
 }
 
 // Redial reconnects the pool to server j — the client half of
 // crash-recovery, called after the server's listener Recovered. The old
 // connection (severed by the crash anyway) is closed and its link slot
-// atomically replaced, so in-flight broadcasts resolve either bundle,
+// atomically replaced, so in-flight broadcasts resolve either connection,
 // never a torn one; retransmitting calls pick up the fresh connection on
 // their next tick.
 func (pl *Pool) Redial(j int) error {
 	if j < 0 || j >= pl.n {
 		return fmt.Errorf("electd: redial server %d of a %d-server pool", j, pl.n)
 	}
-	conns, err := pl.dialLink(pl.addrs[j])
+	conn, err := pl.nw.Dial(pl.addrs[j], pl.handle)
 	if err != nil {
 		return fmt.Errorf("electd: redial server %d at %s: %w", j, pl.addrs[j], err)
 	}
-	if old := pl.links[j].Swap(pl.newLink(conns)); old != nil {
-		for _, c := range old.conns {
-			c.Close()
-		}
+	if old := pl.links[j].Swap(pl.newLink(conn)); old != nil {
+		old.conn.Close()
 	}
 	return nil
 }
@@ -461,13 +409,11 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	}
 }
 
-// closeConns severs every established server connection, all shards.
+// closeConns severs every established server connection.
 func (pl *Pool) closeConns() {
 	for j := range pl.links {
 		if link := pl.links[j].Load(); link != nil {
-			for _, c := range link.conns {
-				c.Close()
-			}
+			link.conn.Close()
 		}
 	}
 }
@@ -488,8 +434,7 @@ func (pl *Pool) Close() error {
 func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) time.Duration) *Client {
 	return &Client{
 		pool: pl, p: p, election: election, delay: delay,
-		shard: connShardOf(election, pl.connShards),
-		seqs:  make(map[string]uint64),
+		seqs: make(map[string]uint64),
 		// The pool's baseline resend period (set on lossy transports);
 		// SetFaults may arm a plan-specific one on top, never disarm this.
 		retransmit: pl.defaultRetransmit,
@@ -520,7 +465,6 @@ type Client struct {
 	pool     *Pool
 	p        rt.Procer
 	election uint64
-	shard    int // connection shard of this election, fixed at NewComm
 	delay    func(int) time.Duration
 	seqs     map[string]uint64 // per-register write versions of the own cell
 	calls    int
@@ -737,7 +681,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		}
 		if c.delay != nil {
 			if d := c.delay(j); d > 0 {
-				transport.SendDelayed(link.conns[c.shard], m, d, &pl.inflight)
+				transport.SendDelayed(link.conn, m, d, &pl.inflight)
 				return true
 			}
 		}
@@ -761,7 +705,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		// The connection takes ownership of what it is sent, so each gets
 		// its own pooled copy. A refusal is the connection's ErrClosed: the
 		// link is severed, and the wave passes over it.
-		return link.conns[c.shard].SendEncoded(append(wire.GetBuf(), frame...)) == nil
+		return link.conn.SendEncoded(append(wire.GetBuf(), frame...)) == nil
 	}
 	// wave sends to up to want servers, walking the ring from the election's
 	// offset and passing over servers that already answered (skip) and links

@@ -246,9 +246,7 @@ func TestThriftySkipsDeadLinks(t *testing.T) {
 	t.Run("undialed", func(t *testing.T) {
 		cl := newThriftyCluster(t, transport.NewLoopback(), thriftyN)
 		for _, j := range dead {
-			for _, conn := range cl.Pool().links[j].Swap(nil).conns {
-				conn.Close() //nolint:errcheck // teardown
-			}
+			cl.Pool().links[j].Swap(nil).conn.Close() //nolint:errcheck // teardown
 		}
 		check(t, cl)
 	})
@@ -260,7 +258,7 @@ func TestThriftySkipsDeadLinks(t *testing.T) {
 		// A crash reaches the client as its connection closing; wait for
 		// that, as a later election would find it.
 		for _, j := range dead {
-			conn := cl.Pool().links[j].Load().conns[0]
+			conn := cl.Pool().links[j].Load().conn
 			for deadline := time.Now().Add(10 * time.Second); conn.Send(&wire.Msg{Kind: wire.KindCollect, Reg: "probe"}) == nil; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("connection to crashed server %d never closed", j)

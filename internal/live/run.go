@@ -85,16 +85,6 @@ type Config struct {
 	// ElectionID namespaces this run's register state on a shared Cluster.
 	// Ignored (an owned cluster hosts exactly one election) otherwise.
 	ElectionID uint64
-	// NoBatch (networked transports with an owned cluster only) disables
-	// the connections' write-loop frame coalescing: every quorum message
-	// travels as its own wire frame, the pre-batching behavior the
-	// benchmarks compare against. On a shared Cluster its own spec governs.
-	NoBatch bool
-	// ConnShards (networked transports with an owned cluster only) is how
-	// many connections the client pool dials per server, elections hashed
-	// across them; 0 or 1 means one. On a shared Cluster the pool's own
-	// options govern.
-	ConnShards int
 	// Pool recycles whole Systems across runs instead of building and
 	// tearing one down per run — the campaign engine's high-throughput
 	// path. The pool's size and substrate shape must match the run (N and
@@ -205,19 +195,7 @@ func (cfg *Config) normalize() error {
 		if cfg.ElectionID != 0 {
 			return fmt.Errorf("live: election IDs exist only on networked transports")
 		}
-		if cfg.NoBatch {
-			return fmt.Errorf("live: NoBatch tunes a networked transport's client pool; the %q transport has no frames to batch", cfg.Transport)
-		}
-		if cfg.ConnShards != 0 {
-			return fmt.Errorf("live: ConnShards shards a networked transport's connections; the %q transport has none", cfg.Transport)
-		}
 	} else if cfg.Cluster != nil {
-		if cfg.NoBatch {
-			return fmt.Errorf("live: NoBatch cannot apply to a shared cluster (its pool is already dialed); configure the cluster instead")
-		}
-		if cfg.ConnShards != 0 {
-			return fmt.Errorf("live: ConnShards cannot apply to a shared cluster (its pool is already dialed); configure the cluster instead")
-		}
 		if cfg.Cluster.N() != cfg.N {
 			return fmt.Errorf("live: shared cluster has %d servers, run wants n=%d", cfg.Cluster.N(), cfg.N)
 		}
@@ -479,12 +457,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			election = sys.traceID
 		}
 		if cluster == nil {
-			spec := transport.Spec{
-				Name:    string(cfg.Transport),
-				Shards:  cfg.ConnShards,
-				NoBatch: cfg.NoBatch,
-				Trace:   cfg.Trace,
-			}
+			spec := transport.Spec{Name: string(cfg.Transport), Trace: cfg.Trace}
 			cluster, err = electd.NewClusterSpec(spec, cfg.N, electd.ClusterOptions{
 				Server: electd.ServerOptions{Trace: cfg.Trace},
 			})

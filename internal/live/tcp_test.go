@@ -202,7 +202,7 @@ func TestTCPSift(t *testing.T) {
 }
 
 // TestTCPFacade: the transport is reachable through the public repro API,
-// via WithTransport and the BackendTCP shorthand, and misconfigurations are
+// via WithBackend(Live) plus WithTransport, and misconfigurations are
 // refused loudly.
 func TestTCPFacade(t *testing.T) {
 	res, err := repro.Elect(repro.WithN(5), repro.WithSeed(4),
@@ -213,9 +213,6 @@ func TestTCPFacade(t *testing.T) {
 	if res.Winner < 0 || res.PayloadBytes <= 0 {
 		t.Fatalf("WithTransport: winner=%d payload=%d", res.Winner, res.PayloadBytes)
 	}
-	if _, err := repro.Elect(repro.WithN(5), repro.WithSeed(4), repro.WithBackend(repro.BackendTCP)); err != nil {
-		t.Fatalf("BackendTCP: %v", err)
-	}
 	if _, err := repro.Elect(repro.WithN(4), repro.WithTransport(repro.TCPTransport)); err == nil {
 		t.Error("TCP transport accepted on the sim backend")
 	}
@@ -224,23 +221,24 @@ func TestTCPFacade(t *testing.T) {
 		t.Error("unknown transport accepted")
 	}
 	rep, err := repro.Campaign(repro.WithN(6), repro.WithRuns(6), repro.WithWorkers(2),
-		repro.WithSeed(9), repro.WithBackend(repro.BackendTCP))
+		repro.WithSeed(9), repro.WithBackend(repro.Live), repro.WithTransport(repro.TCPTransport))
 	if err != nil {
-		t.Fatalf("BackendTCP campaign: %v", err)
+		t.Fatalf("TCP campaign: %v", err)
 	}
 	if rep.Elected != rep.Runs {
-		t.Fatalf("BackendTCP campaign: %d of %d elected", rep.Elected, rep.Runs)
+		t.Fatalf("TCP campaign: %d of %d elected", rep.Elected, rep.Runs)
 	}
 	// Scenario campaigns over TCP run one cluster per election (a shared
 	// cluster would leak faults across runs) and must still balance their
 	// validity counts.
 	screp, err := repro.Campaign(repro.WithN(5), repro.WithRuns(4), repro.WithWorkers(2),
-		repro.WithSeed(3), repro.WithBackend(repro.BackendTCP), repro.WithScenario("crash-1"))
+		repro.WithSeed(3), repro.WithBackend(repro.Live), repro.WithTransport(repro.TCPTransport),
+		repro.WithScenario("crash-1"))
 	if err != nil {
-		t.Fatalf("BackendTCP crash campaign: %v", err)
+		t.Fatalf("TCP crash campaign: %v", err)
 	}
 	if screp.Elected+screp.WinnerCrashed != screp.Runs {
-		t.Errorf("BackendTCP crash campaign counts don't balance: %+v", screp)
+		t.Errorf("TCP crash campaign counts don't balance: %+v", screp)
 	}
 }
 
@@ -256,7 +254,8 @@ func TestChanByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpRes, err := repro.Elect(repro.WithN(8), repro.WithSeed(5), repro.WithBackend(repro.BackendTCP))
+	tcpRes, err := repro.Elect(repro.WithN(8), repro.WithSeed(5),
+		repro.WithBackend(repro.Live), repro.WithTransport(repro.TCPTransport))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,26 +178,6 @@ func TestUDPSharedClusterDirect(t *testing.T) {
 	}
 }
 
-// TestUDPConnShards: the election-hashed connection shards apply to
-// datagram sockets too — each shard is its own socket with its own write
-// loop — and replies still route to the right calls.
-func TestUDPConnShards(t *testing.T) {
-	for _, tr := range []live.Transport{live.TransportTCP, live.TransportUDP} {
-		res, err := live.Elect(live.Config{N: 8, Seed: 7, Transport: tr, ConnShards: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
-		if res.Winner < 0 {
-			t.Fatalf("%s: no winner over sharded connections", tr)
-		}
-	}
-	// Sharding is a networked-transport knob; the chan substrate has no
-	// connections to shard and must refuse it loudly.
-	if _, err := live.Elect(live.Config{N: 4, Seed: 1, ConnShards: 2}); err == nil {
-		t.Error("ConnShards accepted on the chan transport")
-	}
-}
-
 // TestUDPSift: the standalone sifting rounds hold their survivor guarantee
 // over datagrams too.
 func TestUDPSift(t *testing.T) {

@@ -74,26 +74,6 @@ func coalesceFrames(w io.Writer, frames [][]byte, stamp bool, hdr *[]byte) error
 	return nil
 }
 
-// writePlain writes a drained run of encoded frames onto w as-is — the
-// NoCoalesce write path: per-frame framing untouched, byte-level merging
-// left to the buffered writer. Every frame buffer is recycled. With stamp
-// set, every frame is followed by its send-time trace stamp.
-func writePlain(w io.Writer, frames [][]byte, stamp bool) error {
-	for i, f := range frames {
-		countOut(len(f))
-		_, err := w.Write(f)
-		wire.PutBuf(f)
-		frames[i] = nil
-		if err != nil {
-			return err
-		}
-		if err := writeStamp(w, stamp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeStamp follows one just-written outer frame with its send-time
 // trace stamp; a no-op when stamping is off.
 func writeStamp(w io.Writer, stamp bool) error {

@@ -13,8 +13,8 @@ import (
 // package — so it has no name here; layers that accept it resolve it before
 // building a Spec.
 const (
-	// SpecTCP is the stream transport: one (or Shards many) long-lived
-	// connections per server, length-prefixed frames, kernel backpressure.
+	// SpecTCP is the stream transport: one long-lived connection per
+	// server, length-prefixed frames, kernel backpressure.
 	SpecTCP = "tcp"
 	// SpecUDP is the datagram transport: wire frames as UDP payloads with
 	// MTU-bounded packing and batched syscalls. The transport itself is
@@ -25,30 +25,17 @@ const (
 )
 
 // Spec is the one description of a socket transport that every layer
-// consumes: a name plus the knobs the layers used to spell three different
-// ways (live.Config, campaign.Config and electd's options each had their
-// own). The zero value means "TCP, loopback host, one connection per
-// server, coalescing on, untraced" — every field's zero is the default.
+// consumes: the substrate's name, the listeners' bind host and the flight
+// recorder. The zero value means "TCP, loopback host, untraced" — every
+// field's zero is the default.
 type Spec struct {
 	// Name picks the substrate: SpecTCP (default when empty) or SpecUDP.
 	Name string
 	// Host is the listeners' bind host, without a port. Default 127.0.0.1.
 	Host string
-	// Shards is how many connections a client pool dials per server, with
-	// elections hashed across them so decode and write loops parallelize
-	// (see electd.PoolOptions.ConnShards). 0 or 1 means one connection.
-	Shards int
-	// NoBatch disables the write loops' frame coalescing on every
-	// connection: each message travels as its own frame, the pre-batching
-	// baseline behavior.
-	NoBatch bool
 	// Trace, when non-nil, threads the election flight recorder through
 	// every connection the network creates and turns on wire stamping.
 	Trace *trace.Recorder
-	// MaxDatagram (SpecUDP only) bounds the packing of small frames into
-	// one datagram; 0 means a conservative single-MTU default. Frames
-	// larger than the bound still travel, each as its own datagram.
-	MaxDatagram int
 }
 
 // Network builds the transport the spec describes. An unknown Name is a
@@ -60,7 +47,6 @@ func (s Spec) Network() (Network, error) {
 		if s.Host != "" {
 			t.Host = s.Host
 		}
-		t.NoCoalesce = s.NoBatch
 		t.Trace = s.Trace
 		return t, nil
 	case SpecUDP:
@@ -68,9 +54,7 @@ func (s Spec) Network() (Network, error) {
 		if s.Host != "" {
 			u.Host = s.Host
 		}
-		u.NoCoalesce = s.NoBatch
 		u.Trace = s.Trace
-		u.MaxDatagram = s.MaxDatagram
 		return u, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown transport %q (want %q or %q)", s.Name, SpecTCP, SpecUDP)

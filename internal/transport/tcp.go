@@ -21,11 +21,6 @@ type TCP struct {
 	// "127.0.0.1" — loopback TCP: real sockets, kernel scheduling and
 	// backpressure, no external reachability.
 	Host string
-	// NoCoalesce disables the write loops' frame batching on every
-	// connection this network creates: each frame is written and flushed
-	// on its own, the pre-batching wire behavior. It exists for the
-	// benchmarks' unbatched baseline; production paths leave it off.
-	NoCoalesce bool
 	// Trace, when non-nil, records transport-phase spans (enqueue depth,
 	// write-loop drains, read-loop decodes) on every connection this
 	// network creates, and turns on wire stamping: each outer frame is
@@ -46,22 +41,21 @@ func (t *TCP) Listen(h Handler) (Listener, error) {
 	if host == "" {
 		host = "127.0.0.1"
 	}
-	return listenTCP(net.JoinHostPort(host, "0"), h, t.NoCoalesce, t.Trace)
+	return listenTCP(net.JoinHostPort(host, "0"), h, t.Trace)
 }
 
 // Dial implements Network.
 func (t *TCP) Dial(addr string, h Handler) (Conn, error) {
-	return dialTCP(addr, h, t.NoCoalesce, t.Trace)
+	return dialTCP(addr, h, t.Trace)
 }
 
 // TCPListener is a server-side TCP endpoint: an accept loop spawning one
 // read loop per inbound connection.
 type TCPListener struct {
-	handler    Handler
-	rec        *trace.Recorder // fixed at listen time; nil = untraced
-	noCoalesce bool            // fixed at listen time
-	addr       string          // resolved listen address, fixed at listen time; Recover rebinds it
-	crashed    atomic.Bool
+	handler Handler
+	rec     *trace.Recorder // fixed at listen time; nil = untraced
+	addr    string          // resolved listen address, fixed at listen time; Recover rebinds it
+	crashed atomic.Bool
 
 	mu        sync.Mutex
 	ln        net.Listener // swapped by Recover
@@ -76,15 +70,15 @@ type TCPListener struct {
 // ListenTCP binds addr (host:port; port 0 for ephemeral) and serves inbound
 // frames to h, with write-side frame coalescing on.
 func ListenTCP(addr string, h Handler) (*TCPListener, error) {
-	return listenTCP(addr, h, false, nil)
+	return listenTCP(addr, h, nil)
 }
 
-func listenTCP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder) (*TCPListener, error) {
+func listenTCP(addr string, h Handler, rec *trace.Recorder) (*TCPListener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	l := &TCPListener{ln: ln, handler: h, noCoalesce: noCoalesce, rec: rec, addr: ln.Addr().String(), conns: make(map[*tcpConn]struct{}), done: make(chan struct{})}
+	l := &TCPListener{ln: ln, handler: h, rec: rec, addr: ln.Addr().String(), conns: make(map[*tcpConn]struct{}), done: make(chan struct{})}
 	l.wg.Add(1)
 	go l.accept(ln, l.done)
 	return l, nil
@@ -139,7 +133,6 @@ func (l *TCPListener) accept(ln net.Listener, done chan struct{}) {
 				l.handler(tc, m)
 			}
 		})
-		conn.noCoalesce = l.noCoalesce
 		conn.rec = l.rec
 		l.mu.Lock()
 		if l.closed {
@@ -232,16 +225,15 @@ func (l *TCPListener) Close() error {
 // DialTCP connects to a TCP listener, with write-side frame coalescing
 // on; h receives the frames the server sends back on this connection.
 func DialTCP(addr string, h Handler) (Conn, error) {
-	return dialTCP(addr, h, false, nil)
+	return dialTCP(addr, h, nil)
 }
 
-func dialTCP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder) (Conn, error) {
+func dialTCP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	conn := newTCPConn(c, h)
-	conn.noCoalesce = noCoalesce
 	conn.rec = rec
 	conn.start()
 	return conn, nil
@@ -270,14 +262,13 @@ var (
 // buffer, so the steady-state stream allocates only what the decoded
 // messages themselves need.
 type tcpConn struct {
-	c          net.Conn
-	handler    Handler
-	filter     atomic.Value    // FrameFilter, installed via SetFilter
-	noCoalesce bool            // set before start; read-only afterwards
-	rec        *trace.Recorder // set before start; nil = untraced, no stamps
-	out        *sendQueue[[]byte]
-	closeOnce  sync.Once
-	onClose    func() // set before start; read-only afterwards
+	c         net.Conn
+	handler   Handler
+	filter    atomic.Value    // FrameFilter, installed via SetFilter
+	rec       *trace.Recorder // set before start; nil = untraced, no stamps
+	out       *sendQueue[[]byte]
+	closeOnce sync.Once
+	onClose   func() // set before start; read-only afterwards
 }
 
 // newTCPConn wraps an established socket; the read/write loops launch on
@@ -347,14 +338,7 @@ func (t *tcpConn) writeLoop() {
 		if t.rec != nil {
 			drainT0 = trace.Now()
 		}
-		var err error
-		if t.noCoalesce {
-			// Unbatched baseline: frames keep their own framing; bufio
-			// still merges the bytes into one write, as it always did.
-			err = writePlain(w, frames, t.rec != nil)
-		} else {
-			err = coalesceFrames(w, frames, t.rec != nil, &hdr)
-		}
+		err := coalesceFrames(w, frames, t.rec != nil, &hdr)
 		if err == nil {
 			err = w.Flush()
 		}

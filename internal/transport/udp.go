@@ -25,7 +25,7 @@ import (
 // semantics the paper's proofs use.
 //
 // The write path packs runs of small batchable frames headed for the same
-// peer into one batch-frame datagram, bounded by MaxDatagram — the
+// peer into one batch-frame datagram, bounded by udpDefaultPack — the
 // datagram analogue of the TCP write loop's coalescing — and ships the
 // resulting packets with one sendmmsg call per drain on Linux; the read
 // path pulls up to udpRecvBatch datagrams per recvmmsg. Non-Linux builds
@@ -35,10 +35,6 @@ type UDP struct {
 	// "127.0.0.1" — loopback datagrams: real sockets, kernel buffers and
 	// genuine loss under overrun, no external reachability.
 	Host string
-	// NoCoalesce disables the write loops' frame packing: every frame is
-	// its own datagram. It exists for the benchmarks' unbatched baseline;
-	// production paths leave it off.
-	NoCoalesce bool
 	// Trace, when non-nil, records transport-phase spans on every endpoint
 	// this network creates and turns on wire stamping: each datagram ends
 	// with a send-time stamp so the receiver records wire transit
@@ -46,11 +42,6 @@ type UDP struct {
 	// endpoints must come from the same traced Network — which they do for
 	// in-process clusters, the only place tracing is wired.
 	Trace *trace.Recorder
-	// MaxDatagram bounds the byte size of one packed datagram; 0 means
-	// udpDefaultPack, a conservative single-MTU budget. A lone frame
-	// larger than the bound still travels as its own datagram (loopback
-	// and jumbo paths carry it); only the merging is bounded.
-	MaxDatagram int
 }
 
 // NewUDP returns the loopback-UDP network.
@@ -62,7 +53,7 @@ func (u *UDP) Listen(h Handler) (Listener, error) {
 	if host == "" {
 		host = "127.0.0.1"
 	}
-	return listenUDP(net.JoinHostPort(host, "0"), h, u.NoCoalesce, u.Trace, u.MaxDatagram)
+	return listenUDP(net.JoinHostPort(host, "0"), h, u.Trace)
 }
 
 // Dial implements Network: a connected UDP socket. There is no handshake,
@@ -70,7 +61,7 @@ func (u *UDP) Listen(h Handler) (Listener, error) {
 // server surfaces as message loss, exactly the model's failure mode; only
 // address resolution errors fail the dial.
 func (u *UDP) Dial(addr string, h Handler) (Conn, error) {
-	return dialUDP(addr, h, u.NoCoalesce, u.Trace, u.MaxDatagram)
+	return dialUDP(addr, h, u.Trace)
 }
 
 const (
@@ -81,9 +72,11 @@ const (
 	// power of two. A frame beyond it cannot cross this transport and is
 	// dropped at Send — loss, reported to the caller.
 	udpMaxDatagram = 64 << 10
-	// udpDefaultPack is the default packing bound for merged datagrams: a
+	// udpDefaultPack is the packing bound for merged datagrams: a
 	// conservative Ethernet-MTU budget, so a packed datagram never
-	// fragments on a real network path.
+	// fragments on a real network path. A lone frame larger than the bound
+	// still travels as its own datagram (loopback and jumbo paths carry
+	// it); only the merging is bounded.
 	udpDefaultPack = 1400
 	// udpSockBuf is the socket buffer depth requested per endpoint. Quorum
 	// bursts are n small datagrams wide per participant, all arriving at
@@ -123,12 +116,10 @@ type pkt struct {
 // datagram batches (recvmmsg on Linux) and hands each frame body to
 // dispatch.
 type udpEndpoint struct {
-	pc         *net.UDPConn
-	io         packetIO
-	rec        *trace.Recorder
-	noCoalesce bool
-	pack       int
-	connected  bool
+	pc        *net.UDPConn
+	io        packetIO
+	rec       *trace.Recorder
+	connected bool
 	// dispatch consumes one inbound frame body (length prefix already
 	// stripped and validated); src is the datagram's source address. It
 	// runs on the read loop, which owns dec.
@@ -140,10 +131,7 @@ type udpEndpoint struct {
 	wg        sync.WaitGroup
 }
 
-func newUDPEndpoint(pc *net.UDPConn, connected bool, noCoalesce bool, rec *trace.Recorder, pack int) (*udpEndpoint, error) {
-	if pack <= 0 {
-		pack = udpDefaultPack
-	}
+func newUDPEndpoint(pc *net.UDPConn, connected bool, rec *trace.Recorder) (*udpEndpoint, error) {
 	// Deep socket buffers: a quorum broadcast is a burst of n datagrams per
 	// participant, and the stock ~200KiB rcvbuf overruns under n=32 bursts —
 	// every overrun is real loss that costs a full retransmit tick to
@@ -151,12 +139,10 @@ func newUDPEndpoint(pc *net.UDPConn, connected bool, noCoalesce bool, rec *trace
 	pc.SetReadBuffer(udpSockBuf)  //nolint:errcheck
 	pc.SetWriteBuffer(udpSockBuf) //nolint:errcheck
 	e := &udpEndpoint{
-		pc:         pc,
-		rec:        rec,
-		noCoalesce: noCoalesce,
-		pack:       pack,
-		connected:  connected,
-		out:        newSendQueue(func(p pkt) { wire.PutBuf(p.buf) }),
+		pc:        pc,
+		rec:       rec,
+		connected: connected,
+		out:       newSendQueue(func(p pkt) { wire.PutBuf(p.buf) }),
 	}
 	io, err := newPacketIO(e)
 	if err != nil {
@@ -218,7 +204,7 @@ func (e *udpEndpoint) writeLoop() {
 		if e.rec != nil {
 			drainT0 = trace.Now()
 		}
-		pkts = packDatagrams(pkts[:0], frames, e.pack, e.noCoalesce, e.rec != nil)
+		pkts = packDatagrams(pkts[:0], frames, e.rec != nil)
 		err := e.io.sendPackets(e, pkts)
 		for i := range pkts {
 			wire.PutBuf(pkts[i].buf)
@@ -236,20 +222,18 @@ func (e *udpEndpoint) writeLoop() {
 
 // packDatagrams turns a drained run of encoded frames into the datagrams to
 // send: every maximal run of batchable frames headed for the same peer (two
-// or more, fitting the pack bound together) merges into one batch-frame
+// or more, fitting udpDefaultPack together) merges into one batch-frame
 // datagram — the datagram analogue of coalesceFrames — and everything else
 // passes through as its own datagram. Merged sources are recycled
 // immediately; every returned packet buffer is owned by the caller. With
 // stamp set, each datagram gets its send-time trace stamp appended.
-func packDatagrams(dst []pkt, frames []pkt, pack int, noCoalesce bool, stamp bool) []pkt {
+func packDatagrams(dst []pkt, frames []pkt, stamp bool) []pkt {
 	for i := 0; i < len(frames); {
 		j, size := i, 0
-		if !noCoalesce {
-			for j < len(frames) && frames[j].to == frames[i].to &&
-				size+len(frames[j].buf) <= pack && wire.BatchableFrame(frames[j].buf) {
-				size += len(frames[j].buf)
-				j++
-			}
+		for j < len(frames) && frames[j].to == frames[i].to &&
+			size+len(frames[j].buf) <= udpDefaultPack && wire.BatchableFrame(frames[j].buf) {
+			size += len(frames[j].buf)
+			j++
 		}
 		if j-i >= 2 {
 			merged, err := wire.AppendBatchHeader(wire.GetBuf(), j-i, size)
@@ -387,7 +371,7 @@ type udpConn struct {
 	rc      replyCoalescer
 }
 
-func dialUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pack int) (Conn, error) {
+func dialUDP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -396,7 +380,7 @@ func dialUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pack 
 	if err != nil {
 		return nil, err
 	}
-	ep, err := newUDPEndpoint(pc, true, noCoalesce, rec, pack)
+	ep, err := newUDPEndpoint(pc, true, rec)
 	if err != nil {
 		pc.Close()
 		return nil, err
@@ -450,12 +434,10 @@ func (c *udpConn) Close() error {
 // they do on TCP — for a datagram socket that connection is the listener's
 // socket plus the peer's address.
 type UDPListener struct {
-	handler    Handler
-	rec        *trace.Recorder
-	noCoalesce bool
-	pack       int
-	addr       string // resolved listen address, fixed at listen time; Recover rebinds it
-	crashed    atomic.Bool
+	handler Handler
+	rec     *trace.Recorder
+	addr    string // resolved listen address, fixed at listen time; Recover rebinds it
+	crashed atomic.Bool
 
 	ep atomic.Pointer[udpEndpoint] // current socket; nil while crashed
 
@@ -469,10 +451,10 @@ type UDPListener struct {
 // ListenUDP binds addr (host:port; port 0 for ephemeral) and serves inbound
 // frames to h, with write-side frame packing on.
 func ListenUDP(addr string, h Handler) (*UDPListener, error) {
-	return listenUDP(addr, h, false, nil, 0)
+	return listenUDP(addr, h, nil)
 }
 
-func listenUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pack int) (*UDPListener, error) {
+func listenUDP(addr string, h Handler, rec *trace.Recorder) (*UDPListener, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -482,13 +464,11 @@ func listenUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pac
 		return nil, err
 	}
 	l := &UDPListener{
-		handler:    h,
-		rec:        rec,
-		noCoalesce: noCoalesce,
-		pack:       pack,
-		addr:       pc.LocalAddr().String(),
-		peers:      make(map[netip.AddrPort]*udpPeerConn),
-		done:       make(chan struct{}),
+		handler: h,
+		rec:     rec,
+		addr:    pc.LocalAddr().String(),
+		peers:   make(map[netip.AddrPort]*udpPeerConn),
+		done:    make(chan struct{}),
 	}
 	if err := l.arm(pc, l.done); err != nil {
 		pc.Close()
@@ -500,7 +480,7 @@ func listenUDP(addr string, h Handler, noCoalesce bool, rec *trace.Recorder, pac
 // arm wraps a bound socket in an endpoint and starts its loops; done is
 // closed when the endpoint's read loop exits.
 func (l *UDPListener) arm(pc *net.UDPConn, done chan struct{}) error {
-	ep, err := newUDPEndpoint(pc, false, l.noCoalesce, l.rec, l.pack)
+	ep, err := newUDPEndpoint(pc, false, l.rec)
 	if err != nil {
 		return err
 	}

@@ -85,13 +85,6 @@ const (
 	// substrate is orthogonal — pick it with WithTransport (ChanTransport,
 	// TCPTransport or UDPTransport).
 	Live Backend = "live"
-	// BackendTCP is shorthand for WithBackend(Live) plus
-	// WithTransport(TCPTransport).
-	//
-	// Deprecated: backend and transport are independent axes; select them
-	// separately with WithBackend(Live) and WithTransport. BackendTCP
-	// remains as an alias and is folded into that pair.
-	BackendTCP Backend = "live-tcp"
 )
 
 // Transport selects the Live backend's comm substrate (see internal/live
@@ -147,9 +140,7 @@ func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = 
 // schedules exist only on the Sim backend.
 func WithSchedule(s Schedule) Option { return func(c *config) { c.schedule = s } }
 
-// WithBackend selects the execution backend: Sim (default) or Live. The
-// deprecated BackendTCP alias is accepted and folded into Live +
-// TCPTransport.
+// WithBackend selects the execution backend: Sim (default) or Live.
 func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
 
 // WithTransport selects the Live backend's comm substrate: ChanTransport
@@ -188,16 +179,6 @@ func buildConfig(opts []Option) config {
 		c.k = c.n
 	}
 	return c
-}
-
-// resolveBackend folds the BackendTCP shorthand into Live + TCPTransport.
-func (c *config) resolveBackend() {
-	if c.backend == BackendTCP {
-		c.backend = Live
-		if c.transport == "" {
-			c.transport = TCPTransport
-		}
-	}
 }
 
 func (c config) validate() error {
@@ -292,7 +273,6 @@ type ElectionResult struct {
 // winner's uniqueness is deterministic.
 func Elect(opts ...Option) (ElectionResult, error) {
 	c := buildConfig(opts)
-	c.resolveBackend()
 	if err := c.validate(); err != nil {
 		return ElectionResult{}, err
 	}
@@ -401,7 +381,6 @@ func Campaign(opts ...Option) (CampaignReport, error) {
 	if c.k == 0 {
 		c.k = c.n
 	}
-	c.resolveBackend()
 	if err := c.validate(); err != nil {
 		return CampaignReport{}, err
 	}
@@ -450,7 +429,6 @@ type RenameResult struct {
 // distinct name in [1, n].
 func Rename(opts ...Option) (RenameResult, error) {
 	c := buildConfig(opts)
-	c.resolveBackend()
 	if err := c.validate(); err != nil {
 		return RenameResult{}, err
 	}
@@ -507,7 +485,6 @@ const (
 // HetSift or NaiveSift). At least one participant always survives.
 func Sift(opts ...Option) (SiftResult, error) {
 	c := buildConfig(opts)
-	c.resolveBackend()
 	if err := c.validate(); err != nil {
 		return SiftResult{}, err
 	}
