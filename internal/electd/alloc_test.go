@@ -4,7 +4,6 @@ package electd
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rt"
@@ -108,15 +107,12 @@ func TestThriftyCallAllocBudget(t *testing.T) {
 	defer cl.Close() //nolint:errcheck // teardown
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
 	c := cl.NewComm(NewParticipant(0, n, 1), 1, nil)
-	if c.wide {
+	if c.sched.Wide() {
 		t.Fatalf("n=%d client starts wide; the test needs a thrifty first wave", n)
 	}
 	for range 50 { // pools, pending slots, the timer, the servers' cells
 		c.Propagate(reg, val)
 		c.Collect(reg)
-	}
-	if got := testing.AllocsPerRun(500, func() { c.arm(time.Second); c.tmr.Stop() }); got != 0 {
-		t.Fatalf("re-arming the client's tick timer: %v allocs, want 0", got)
 	}
 	if got := testing.AllocsPerRun(500, func() { c.Propagate(reg, val) }); got > thriftyPropagateAllocs {
 		t.Fatalf("steady-state thrifty propagate: %v allocs, budget %d", got, thriftyPropagateAllocs)

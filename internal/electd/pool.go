@@ -22,27 +22,6 @@ import (
 // once practically never serialize on a call-table lock.
 const callShards = 16
 
-// thriftySlack is how many servers beyond the ⌊n/2⌋+1 quorum a communicate
-// call's first wave asks. The call needs quorum answers, so asking all n
-// buys nothing but the ⌈n/2⌉−1 replies it then throws away; asking exactly
-// a quorum would make every call wait for its slowest member. Two spares
-// absorb a slow or lossy server or two without a tick. Measured at n=32 on
-// loopback TCP (2 cores): 19 requests per call against 32, −26 % messages
-// and −32…−40 % CPU per election, no call of ≈160 k widening. The price is
-// the order statistic: a third slow server inside the set is waited for,
-// where asking all n would have routed around it (docs/ELECTD.md has the
-// slow-third and WAN numbers).
-const thriftySlack = 2
-
-// widenAfter is how long a call whose first wave went to a subset waits
-// for its quorum before it asks every server that has not answered. It
-// must sit past the tail of a loaded quorum round-trip, not inside it: at
-// 5 ms, 2.4–4 % of the calls of a saturated 2-core host widened while
-// merely slow and election p95 got worse (48.8 → 54.9…83.6 ms); at 20 ms
-// and at 50 ms, 0 of ≈160 k did. A fault plan's own retransmit period
-// replaces it (SetFaults): the plan knows how fast its losses must heal.
-const widenAfter = 50 * time.Millisecond
-
 // firstWaveStart maps an election ID to the server its calls' first waves
 // start at, with the same Fibonacci hash as electionShard. The set
 // is picked per election, not per participant: one election's wave then
@@ -435,21 +414,13 @@ func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) tim
 	return &Client{
 		pool: pl, p: p, election: election, delay: delay,
 		seqs: make(map[string]uint64),
-		// The pool's baseline resend period (set on lossy transports);
-		// SetFaults may arm a plan-specific one on top, never disarm this.
-		retransmit: pl.defaultRetransmit,
-		// A thrifty first wave widens no sooner than widenAfter, however
-		// short the pool's resend period: its spares already cover a lost
-		// datagram or two, and a call that is merely slow must not widen.
-		widenTick: max(pl.defaultRetransmit, widenAfter),
-		first:     firstWaveStart(election, pl.n),
-		// Up to quorum+slack servers the first wave is all of them.
-		wide: pl.n <= pl.n/2+1+thriftySlack,
-		// A per-client jitter stream (xorshift64) decorrelates retransmit
-		// timers across participants and elections: seeded from both IDs
-		// so equal configurations still tick at different phases. The ^1
-		// guards the all-zero state xorshift cannot leave.
-		jit: (uint64(p.ID())+1)*0x9E3779B97F4A7C15 ^ election ^ 1,
+		// No caller is a server here (self −1). The pool's baseline resend
+		// period (set on lossy transports) rides along; SetFaults may arm a
+		// plan's on top, never disarm this. The jitter seed mixes both IDs
+		// so equal configurations tick at different phases; the ^1 guards
+		// the all-zero state xorshift cannot leave.
+		sched: rt.NewSchedule(pl.n, firstWaveStart(election, pl.n), -1, pl.defaultRetransmit,
+			(uint64(p.ID())+1)*0x9E3779B97F4A7C15^election^1),
 	}
 }
 
@@ -457,10 +428,9 @@ func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) tim
 // communicate call blocks until ⌊n/2⌋+1 of the n servers answered it — so
 // any two calls, by any participants, intersect in at least one server, the
 // property every proof in the paper stands on. Which servers are *asked* is
-// below that: a call first asks quorum+thriftySlack live servers, starting
-// at a per-election offset, and asks all the others only if a tick passes
-// without a quorum (see rpc). A server never asked is one whose message the
-// model delays forever.
+// below that, and is rt.Schedule's business: a call first asks a quorum plus
+// two spare live servers, starting at a per-election offset, and asks all
+// the others only if a tick passes without a quorum (see rpc).
 type Client struct {
 	pool     *Pool
 	p        rt.Procer
@@ -470,14 +440,11 @@ type Client struct {
 	calls    int
 	round    int32 // current protocol round, for span attribution (SetRound)
 
-	// first is the server this election's first waves start at, fixed at
-	// NewComm. wide makes every first wave go to all n: set from the start
-	// when n is within quorum+slack, and for the rest of the election by
-	// the first call that had to widen — whatever silenced the set is
-	// likely still there, so a failure costs this participant one tick,
-	// not one per call.
-	first int
-	wide  bool
+	// sched picks the servers each call asks and times its ticks — the
+	// schedule the in-process substrate runs too; what is electd's own is
+	// where the ring starts (firstWaveStart) and which links a wave passes
+	// over (rpc's send).
+	sched rt.Schedule
 
 	// Single-goroutine scratch, reused across communicate calls: the
 	// request message (safe because every send path has finished with it
@@ -492,14 +459,10 @@ type Client struct {
 
 	// Fault-plan hooks, installed by SetFaults before the participant
 	// starts; all nil/zero on a bare client, leaving the hot path alone.
-	drop       func(server int) bool // request-direction loss; algorithm goroutine
-	replyDrop  func(server int) bool // reply-direction loss; any read loop (must be concurrency-safe)
-	retransmit time.Duration         // quorum-wait resend period; 0 = never resend
-	widenTick  time.Duration         // how long a thrifty first wave waits before widening
-	tmr        *time.Timer           // the quorum wait's tick, reused across calls; nil until one arms it
-	jit        uint64                // xorshift64 retransmit-jitter state; algorithm goroutine
-	noq        <-chan struct{}       // closed when this client is provably starved of quorums
-	noqProc    int                   // participant id reported in the NoQuorumError
+	drop      func(server int) bool // request-direction loss; algorithm goroutine
+	replyDrop func(server int) bool // reply-direction loss; any read loop (must be concurrency-safe)
+	noq       <-chan struct{}       // closed when this client is provably starved of quorums
+	noqProc   int                   // participant id reported in the NoQuorumError
 
 	msgs  atomic.Int64 // requests sent + replies harvested
 	bytes atomic.Int64
@@ -533,24 +496,9 @@ type FaultProfile struct {
 func (c *Client) SetFaults(fp FaultProfile) {
 	c.drop, c.replyDrop = fp.Drop, fp.ReplyDrop
 	if fp.Retransmit > 0 {
-		c.retransmit, c.widenTick = fp.Retransmit, fp.Retransmit
+		c.sched.SetRetransmit(fp.Retransmit)
 	}
 	c.noq, c.noqProc = fp.NoQuorum, fp.Proc
-}
-
-// jitter stretches a retransmit period by a uniform 0–25%, advancing the
-// client's xorshift64 stream. Strictly upward on purpose: spreading the
-// phase is what breaks resend synchronization, and firing *early* would
-// add spurious duplicates on quorum calls that were about to complete
-// anyway. Runs on the algorithm goroutine only (the jit state is
-// unsynchronized scratch, like the rest of the client's arena).
-func (c *Client) jitter(d time.Duration) time.Duration {
-	x := c.jit
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	c.jit = x
-	return d + d*time.Duration(x%256)/1024
 }
 
 // SetRound records the protocol round in progress, so subsequent spans
@@ -624,17 +572,15 @@ func (c *Client) Collect(reg string) []rt.View {
 // returning the replies when keep is set (collects) and discarding them
 // otherwise (propagate acks carry no payload).
 //
-// The first wave goes to quorum+thriftySlack servers, walking the ring from
-// the election's offset and passing over links that are undialed or known
-// dead — so a crashed server costs nothing once its connection has closed.
-// If a tick passes without a quorum the call widens: it asks every server
-// that has not answered, and the client stays wide for the rest of its
-// election. On lossy transports and under fault plans that tick is the
-// retransmit tick, which keeps firing (selective, backed off, jittered);
-// on a reliable transport it is widenAfter, once. Sends to crashed or
-// unreachable servers are message loss; the quorum wait rides on the
-// ⌊n/2⌋+1 live majority the model guarantees, all of which a widened call
-// has asked.
+// Whom it asks and when it asks again is the shared schedule's (rt.Schedule:
+// a quorum plus two spares first, everyone unanswered after a tick, wide from
+// then on). electd's part is send: the ring starts at the election's offset,
+// and a wave passes over links that are undialed or known dead — so a crashed
+// server costs nothing once its connection has closed. On lossy transports
+// and under fault plans the tick is the retransmit tick, which keeps firing;
+// on a reliable transport it is rt.WidenAfter, once. Sends to crashed or
+// unreachable servers are message loss; the quorum wait rides on the ⌊n/2⌋+1
+// live majority the model guarantees, all of which a widened call has asked.
 //
 // The wait is for one signal: the router assembles the quorum on the call's
 // pending slot and wakes this goroutine once, when it is complete (see
@@ -707,36 +653,20 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		// link is severed, and the wave passes over it.
 		return link.conn.SendEncoded(append(wire.GetBuf(), frame...)) == nil
 	}
-	// wave sends to up to want servers, walking the ring from the election's
-	// offset and passing over servers that already answered (skip) and links
-	// that take nothing, and returns how many requests went out.
-	wave := func(want int, skip []bool) int {
-		sent := 0
-		for i, j := 0, c.first; i < pl.n && sent < want; i++ {
-			if (skip == nil || !skip[j]) && send(j) {
-				sent++
-			}
-			if j++; j == pl.n {
-				j = 0
-			}
-		}
+	// book accounts one wave's requests.
+	book := func(sent int) {
 		c.msgs.Add(int64(sent))
 		c.bytes.Add(int64(sent) * size)
 		pl.requests.Add(int64(sent))
-		return sent
 	}
 
 	need := c.QuorumSize()
-	thrifty := !c.wide
-	want := pl.n
-	if thrifty {
-		want = need + thriftySlack
-	}
 	var sendT0, waitT0 int64
 	if rec != nil {
 		sendT0 = trace.Now()
 	}
-	sent := wave(want, nil)
+	sent := c.sched.Begin(send)
+	book(sent)
 	if rec != nil {
 		waitT0 = trace.Now()
 		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
@@ -746,59 +676,30 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	// nil channel when nothing arms it: a reliable transport's call that
 	// already went to all n) and the no-quorum abort (nil without a fault
 	// plan).
-	period := c.retransmit
-	var tickC <-chan time.Time
-	if thrifty {
-		tickC = c.arm(c.widenTick)
-	} else if period > 0 {
-		tickC = c.arm(period)
-	}
 	starved := false
-	var resends int64
 	var skip []bool
 wait:
 	for {
 		select {
 		case <-p.sig:
 			break wait
-		case <-tickC:
-			// Send again — to every server that hasn't answered this call,
-			// asked before or not, and with the period doubling each round
-			// (capped) plus 0–25% jitter. A blanket fixed-period rebroadcast
-			// amplifies itself on a loss-free substrate: a call that merely
-			// runs slow under load re-floods all n servers every tick,
-			// slowing the others past their ticks in turn — and with many
-			// concurrent elections sharing connections, unjittered timers
-			// synchronize into resend bursts that convoy the datagram
-			// sockets, which is exactly the udp degradation T15 measured at
-			// conc=64. Selective, backed-off, desynchronized resends still
-			// carry the call across partitions, flaky links, and
-			// crash-recovery windows; duplicate replies are deduped by the
-			// router.
-			if thrifty {
-				thrifty, c.wide = false, true
-				pl.widened.Add(1)
-			} else {
-				resends++
-				pl.resent.Add(1)
-			}
-			if rec != nil {
-				rec.Event(c.election, c.round, trace.PRetransmit, resends) // 0 = the widen
-			}
+		case <-c.sched.C():
+			// The router owns the answered set; the tick gets a copy.
 			if skip == nil {
 				skip = make([]bool, len(p.seen))
 			}
 			sh.mu.Lock()
 			copy(skip, p.seen)
 			sh.mu.Unlock()
-			wave(pl.n, skip)
-			if period == 0 {
-				tickC = nil // reliable transport: everyone has now been asked
+			sent, resend := c.sched.Tick(skip, send)
+			book(sent)
+			if resend == 0 {
+				pl.widened.Add(1)
 			} else {
-				if period < c.retransmit<<6 {
-					period *= 2
-				}
-				c.tmr.Reset(c.jitter(period))
+				pl.resent.Add(1)
+			}
+			if rec != nil {
+				rec.Event(c.election, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 			}
 		case <-c.noq:
 			// The plan proved this client can never reach a quorum
@@ -808,9 +709,7 @@ wait:
 			break wait
 		}
 	}
-	if tickC != nil {
-		c.tmr.Stop()
-	}
+	c.sched.End()
 	if frame != nil {
 		wire.PutBuf(frame)
 	}
@@ -860,18 +759,4 @@ wait:
 		return nil
 	}
 	return c.replies
-}
-
-// arm starts the client's tick timer at d plus jitter and returns its
-// channel. The timer is made once per client and re-armed per call (go 1.23+
-// timers: Reset and Stop leave no stale tick behind), so arming allocates
-// nothing in steady state.
-func (c *Client) arm(d time.Duration) <-chan time.Time {
-	d = c.jitter(d)
-	if c.tmr == nil {
-		c.tmr = time.NewTimer(d)
-	} else {
-		c.tmr.Reset(d)
-	}
-	return c.tmr.C
 }

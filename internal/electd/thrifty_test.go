@@ -15,11 +15,16 @@ import (
 
 // The thrifty quorum call: a communicate call's first wave asks
 // quorum+thriftySlack servers on a ring walk from the election's offset,
-// and only a tick without a quorum sends it to the rest. Every count below
-// is derived from that arithmetic at n=16: quorum 9, first wave 11, 5
-// servers never asked.
+// and only a tick without a quorum sends it to the rest (rt.Schedule, whose
+// own tests hold the walk and the tick; these hold what a Client does with
+// it). Every count below is derived from that arithmetic at n=16: quorum 9,
+// first wave 11, 5 servers never asked.
 
-const thriftyN = 16
+const (
+	thriftyN     = 16
+	thriftySlack = rt.ThriftySlack
+	widenAfter   = rt.WidenAfter
+)
 
 // firstWave returns the servers election's first wave asks on a healthy
 // n-server pool, in ring order, and the ones it leaves out.
@@ -98,8 +103,8 @@ func TestThriftyFirstWave(t *testing.T) {
 	if got, lo, hi := c.Messages(), 2*(want+int64(c.QuorumSize())), 4*want; got < lo || got > hi {
 		t.Errorf("client counted %d messages, want %d requests plus %d–%d replies", got, 2*want, lo-2*want, hi-2*want)
 	}
-	if c.wide || cl.Pool().widened.Load() != 0 {
-		t.Errorf("a healthy call widened (client wide=%v, pool widened=%d)", c.wide, cl.Pool().widened.Load())
+	if c.sched.Wide() || cl.Pool().widened.Load() != 0 {
+		t.Errorf("a healthy call widened (client wide=%v, pool widened=%d)", c.sched.Wide(), cl.Pool().widened.Load())
 	}
 }
 
@@ -164,7 +169,7 @@ func TestThriftyWidensOnceThenStaysWide(t *testing.T) {
 	if got := pl.resent.Load(); got != 0 {
 		t.Errorf("pool counted %d retransmits on a reliable transport, want 0", got)
 	}
-	if !c.wide {
+	if !c.sched.Wide() {
 		t.Error("client did not stay wide after widening")
 	}
 	from := map[rt.ProcID]bool{}
@@ -270,21 +275,19 @@ func TestThriftySkipsDeadLinks(t *testing.T) {
 }
 
 // TestThriftyDegeneratesToBroadcast: up to n = quorum+slack the first wave
-// is every server and no tick is armed — small deployments behave exactly
-// as before; one server more and the wave is a strict subset.
+// is every server — small deployments behave exactly as before (that such a
+// call arms no tick is rt's TestWideFromStart); one server more and the wave
+// is a strict subset.
 func TestThriftyDegeneratesToBroadcast(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		cl := newThriftyCluster(t, transport.NewLoopback(), n)
 		c := cl.NewComm(NewParticipant(0, n, 1), 1, nil)
 		want := min(n, n/2+1+thriftySlack)
-		if c.wide != (want == n) {
-			t.Errorf("n=%d: client wide=%v, want %v", n, c.wide, want == n)
+		if c.sched.Wide() != (want == n) {
+			t.Errorf("n=%d: client wide=%v, want %v", n, c.sched.Wide(), want == n)
 		}
 		c.Propagate("r", 1)
 		served(t, cl, int64(want))
-		if c.wide && c.tmr != nil {
-			t.Errorf("n=%d: a full-broadcast call on a reliable transport armed a tick", n)
-		}
 	}
 }
 

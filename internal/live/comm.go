@@ -11,17 +11,19 @@ import (
 )
 
 // Comm is the live backend's communicate handle; it implements rt.Comm for
-// one processor. Each call broadcasts a request to all n−1 peers' server
-// mailboxes and blocks until a majority quorum (the caller included) has
-// answered, exactly mirroring the [ABND95] primitive the paper builds on.
-// Methods must be called from the processor's algorithm goroutine.
+// one processor. Each call sends a request to peers' server mailboxes and
+// blocks until a majority quorum (the caller included) has answered — the
+// [ABND95] primitive the paper builds on. Which peers a call asks sits below
+// that (see communicate). Methods must be called from the processor's
+// algorithm goroutine.
 type Comm struct {
 	p     *Proc
-	round int32 // current protocol round, for span attribution (SetRound)
+	round int32       // current protocol round, for span attribution (SetRound)
+	sched rt.Schedule // whom each call asks, and when it asks again
 
 	// Single-goroutine arena, reused across communicate calls: the reply
 	// collection scratch, the views Collect hands back, and the per-call
-	// replier-dedup bitmap the fault path uses. Collect's return value is
+	// replier-dedup bitmap. Collect's return value is
 	// valid until the processor's next communicate call, per the rt.Comm
 	// contract — the entries inside stay valid, they are shared immutable
 	// snapshots.
@@ -30,8 +32,16 @@ type Comm struct {
 	seen  []bool
 }
 
-// NewComm builds the communicate handle for an algorithm running on p.
-func NewComm(p *Proc) *Comm { return &Comm{p: p} }
+// NewComm builds the communicate handle for an algorithm running on p. Its
+// ring walks start at p's right-hand neighbour and never ask p itself; under
+// a plan that loses messages its calls tick on the plan's period.
+func NewComm(p *Proc) *Comm {
+	c := &Comm{p: p, sched: rt.NewSchedule(p.sys.n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
+	if pl := p.sys.plan; pl.NeedsRetransmit() {
+		c.sched.SetRetransmit(pl.RetransmitTick())
+	}
+	return c
+}
 
 // Proc implements rt.Comm.
 func (c *Comm) Proc() rt.Procer { return c.p }
@@ -92,26 +102,35 @@ func (c *Comm) Collect(reg string) []rt.View {
 	return c.views
 }
 
-// communicate broadcasts req to every peer and waits for quorum−1 replies
-// (the caller's local effect is the quorum's first member). The reply
-// channel is buffered for all n−1 eventual repliers: the quorum wait reads
-// only the first quorum−1, and stragglers land in the abandoned buffer
-// without ever blocking a server — that asymmetry is what gives live runs
-// their stale-view, adversary-like interleavings. The returned reply slice
-// is scratch, valid until the next communicate call.
+// communicate sends req to peers' server mailboxes and waits for quorum−1
+// distinct replies (the caller's local effect is the quorum's first member).
+// Whom it asks is the shared call schedule's (rt.Schedule): the quorum−1 it
+// needs plus two spares first, walking the ring from its right-hand
+// neighbour so the callers of one election spread their waves over all n
+// mailboxes, and every peer that has not answered once a tick passes
+// without a quorum — after which this processor's calls stay wide. Nothing
+// here consults a peer's crash flag: like a datagram sender, a chan caller
+// is never told a peer is dead, it pays one tick finding out.
+//
+// The reply channel is buffered for n−1 replies: the wait reads only until
+// it holds quorum−1 distinct senders, and stragglers land in the abandoned
+// buffer without ever blocking a server — that asymmetry is what gives live
+// runs their stale-view, adversary-like interleavings. Servers drop a reply
+// that finds the buffer full. Without a fault plan that cannot cost a call
+// its quorum: only a widen makes a peer answer twice, so a full buffer
+// holds at least ⌈(n−1)/2⌉ senders the wait has not counted yet, which is
+// all it can still need. The returned reply slice is scratch, valid until
+// the next communicate call.
 //
 // Under a scenario plan each outgoing message may carry an injected delay
 // (link latency, slow-processor tax, reordering); the delivery then rides a
-// helper goroutine so one slow link never stalls the rest of the broadcast.
-// With only crashes and delays the quorum wait needs no fault handling:
-// at most ⌈n/2⌉−1 crashes leave at least ⌊n/2⌋ live peers answering every
-// delivered request, exactly the quorum−1 replies awaited here. Partitions,
-// flaky links and crash-recovery break that arithmetic — a message (or its
-// reply) can be lost while its server is, or becomes, able to answer — so
-// under those plans the wait retransmits the request on the plan's tick,
-// dedups the duplicate replies by sender, samples reply-direction loss at
-// receipt (the chan analogue of dropping a reply on the wire), and aborts
-// with a typed fault.NoQuorumError once the plan has provably starved this
+// helper goroutine so one slow link never stalls the rest of the wave.
+// Partitions, flaky links and crash-recovery can lose a message (or its
+// reply) while its server is, or becomes, able to answer — so under those
+// plans the schedule keeps ticking on the plan's period (selective, backed
+// off, jittered), the wait samples reply-direction loss at receipt (the
+// chan analogue of dropping a reply on the wire), and it aborts with a
+// typed fault.NoQuorumError once the plan has provably starved this
 // processor of majority quorums and the grace period has passed.
 func (c *Comm) communicate(req request) []reply {
 	p := c.p
@@ -138,98 +157,86 @@ func (c *Comm) communicate(req request) []reply {
 	}
 	reqSize := int64((&wire.Msg{Kind: wk, Call: req.call, From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
 	pl := p.sys.plan
+	lossy := pl.HasLinkFaults()
 	rec := p.sys.rec
-	broadcast := func() {
-		for j := 0; j < n; j++ {
-			if rt.ProcID(j) == p.id {
-				continue
-			}
-			inbox := p.sys.procs[j].inbox
-			p.sys.messages.Add(1)
-			p.sys.bytes.Add(reqSize)
-			if pl.DropMsg(p.frng, int(p.id), j, p.sys.elapsed()) {
-				continue // lost on the wire: sent, never delivered
-			}
-			// Booked as outstanding before the hand-off (delayed or not), so
-			// quiescence waits never miss a request that is still in flight.
-			p.sys.reqs.Add(1)
-			if d := pl.SendDelay(p.frng, int(p.id), j); d > 0 {
-				// Delayed delivery. The inflight group lets Shutdown wait for
-				// stragglers before closing the mailboxes.
-				p.sys.inflight.Add(1)
-				go func() {
-					defer p.sys.inflight.Done()
-					time.Sleep(d)
-					inbox <- req
-				}()
-				continue
-			}
-			inbox <- req
+	// send hands the request to peer j's mailbox. It never refuses: a
+	// message the plan drops was sent, and died on the wire.
+	send := func(j int) bool {
+		if lossy && pl.DropMsg(p.frng, int(p.id), j, p.sys.elapsed()) {
+			return true
 		}
+		inbox := p.sys.procs[j].inbox
+		// Booked as outstanding before the hand-off (delayed or not), so
+		// quiescence waits never miss a request that is still in flight.
+		p.sys.reqs.Add(1)
+		if d := pl.SendDelay(p.frng, int(p.id), j); d > 0 {
+			// Delayed delivery. The inflight group lets Shutdown wait for
+			// stragglers before closing the mailboxes.
+			p.sys.inflight.Add(1)
+			late := req // only a delayed request outlives the call on the heap
+			go func() {
+				defer p.sys.inflight.Done()
+				time.Sleep(d)
+				inbox <- late
+			}()
+			return true
+		}
+		inbox <- req
+		return true
+	}
+	book := func(sent int) {
+		p.sys.messages.Add(int64(sent))
+		p.sys.bytes.Add(int64(sent) * reqSize)
 	}
 	var sendT0, waitT0 int64
 	if rec != nil {
 		sendT0 = trace.Now()
 	}
-	broadcast()
+	sent := c.sched.Begin(send)
+	book(sent)
 	if rec != nil {
 		waitT0 = trace.Now()
-		rec.Record(p.sys.traceID, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(n-1))
-	}
-	if !pl.NeedsRetransmit() && p.noq == nil {
-		// The bare wait: every reply counts, nothing to resend or abort.
-		if cap(c.out) < need {
-			c.out = make([]reply, need)
-		}
-		out := c.out[:need]
-		for i := range out {
-			out[i] = <-ch
-		}
-		if rec != nil {
-			rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(need))
-		}
-		p.maybeCrash()
-		return out
+		rec.Record(p.sys.traceID, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	var tickC <-chan time.Time
-	if pl.NeedsRetransmit() {
-		tick := time.NewTicker(pl.RetransmitTick())
-		defer tick.Stop()
-		tickC = tick.C
-	}
+	// One wait for every configuration: a reply, the tick (nil once a call
+	// without a plan has asked everyone) and the no-quorum abort (nil unless
+	// the plan starves this processor). seen is both the per-sender dedup —
+	// a peer asked twice can answer twice, and a repeat must never stand in
+	// for a distinct quorum member — and the tick's answered set.
 	if cap(c.seen) < n {
 		c.seen = make([]bool, n)
 	}
 	seen := c.seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	clear(seen)
 	out := c.out[:0]
 	for len(out) < need {
 		select {
 		case r := <-ch:
 			f := int(r.from)
 			if seen[f] {
-				continue // duplicate answer drawn by a retransmission
+				continue
 			}
 			// Reply-direction loss, sampled at receipt — where the reply
 			// would have vanished on a real wire. An undropped reply from a
 			// dropped server can still arrive later via retransmission.
-			if pl.DropMsg(p.frng, f, int(p.id), p.sys.elapsed()) {
+			if lossy && pl.DropMsg(p.frng, f, int(p.id), p.sys.elapsed()) {
 				continue
 			}
 			seen[f] = true
 			out = append(out, r)
-		case <-tickC:
+		case <-c.sched.C():
+			sent, resend := c.sched.Tick(seen, send)
+			book(sent)
 			if rec != nil {
-				rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(n-1))
+				rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 			}
-			broadcast()
 		case <-p.noq:
+			c.sched.End()
 			panic(&fault.NoQuorumError{Proc: int(p.id)})
 		}
 	}
+	c.sched.End()
 	if rec != nil {
 		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(need))
 	}

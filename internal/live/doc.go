@@ -17,12 +17,16 @@
 // Every processor runs a server goroutine draining a buffered mailbox of
 // quorum requests (the reactive half — the paper's standing assumption that
 // all processors always reply). Participants additionally run an algorithm
-// goroutine that issues communicate calls through Comm: a request is
-// broadcast to all n−1 peers and the caller blocks until ⌊n/2⌋+1 processors
-// (itself included) have answered, so any two communicate calls intersect —
-// the quorum property every proof in the paper relies on. Replies beyond
-// the quorum arrive late into an abandoned buffered channel, naturally
-// reproducing the stale-view behaviour the adversary model abstracts.
+// goroutine that issues communicate calls through Comm: a request goes to
+// peers' mailboxes and the caller blocks until ⌊n/2⌋+1 processors (itself
+// included) have answered, so any two communicate calls intersect — the
+// quorum property every proof in the paper relies on. Which peers are asked
+// sits below that and follows the call schedule shared with electd
+// (rt.Schedule): the quorum it needs plus two spares among its right-hand
+// neighbours first, everyone who has not answered after a tick without a
+// quorum, and everyone at once from then on. Replies beyond the quorum
+// arrive late into an abandoned buffered channel, naturally reproducing the
+// stale-view behaviour the adversary model abstracts.
 //
 // # Fault and latency injection
 //
@@ -33,7 +37,7 @@
 //
 //   - message delays (link distributions, slow-processor taxes, reorder
 //     jitter) are sampled on the sending side and ride helper goroutines,
-//     so one slow link never stalls the rest of a broadcast, and Shutdown
+//     so one slow link never stalls the rest of a wave, and Shutdown
 //     waits for stragglers before closing mailboxes;
 //   - a crashed processor's server keeps draining its mailbox but drops
 //     every request unanswered (messages to the dead are lost, senders
@@ -41,7 +45,9 @@
 //     panic at its next backend interaction;
 //   - quorum liveness is preserved by construction: with at most ⌈n/2⌉−1
 //     crashes, every communicate call still assembles its ⌊n/2⌋+1
-//     acknowledgments from the survivors.
+//     acknowledgments from the survivors — after one tick (rt.WidenAfter)
+//     for a processor whose first wave the crashes left short: nothing
+//     tells it a peer is dead, so it finds out once, then asks everyone.
 //
 // Crashed participants appear in Result.Crashed rather than Decisions; an
 // election whose every survivor lost is reported with Winner == -1 — the

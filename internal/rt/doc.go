@@ -19,6 +19,12 @@
 //     with genuine contention), optionally degraded by the fault/latency
 //     scenarios of internal/fault.
 //
+// Beside the seam sits Schedule, the quorum-call schedule the deployed
+// substrates share: whom a communicate call asks first, when it widens, how
+// it resends. internal/live and internal/electd drive it with their own
+// delivery and reply assembly; the sim kernel keeps the paper's send-to-all,
+// whose exact counts are the reference.
+//
 // The shared data types (ProcID, Entry, View) live here so that views
 // collected on either backend are interchangeable and the algorithm code is
 // backend-blind. Keeping algorithms backend-blind is what lets one

@@ -57,10 +57,10 @@ const (
 	// PStraggler counts replies dropped pre-decode because their call
 	// already completed (Detail = sender ID). Duration is zero.
 	PStraggler
-	// PRetransmit counts ticks fired while waiting for a quorum: electd's
-	// widen of a quorum+slack first wave to all n servers (Detail = 0) and
-	// the resends to unanswered servers on lossy transports and under
-	// fault plans (Detail = attempt number, from 1).
+	// PRetransmit counts ticks fired while waiting for a quorum, on either
+	// substrate: the widen of a quorum+slack first wave to everyone
+	// unanswered (Detail = 0) and the resends after it on lossy transports
+	// and under fault plans (Detail = attempt number, from 1).
 	PRetransmit
 
 	// Transport-layer phases.

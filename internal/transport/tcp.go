@@ -121,10 +121,6 @@ func (l *TCPListener) accept(ln net.Listener, done chan struct{}) {
 			l.mu.Unlock()
 			return // listener closed, crashed, or failed
 		}
-		if l.crashed.Load() {
-			c.Close()
-			continue
-		}
 		conn := newTCPConn(c, func(tc Conn, m *wire.Msg) {
 			// A crashed node loses inbound messages silently: connections
 			// may linger a moment after Crash, but nothing reaches the
@@ -135,10 +131,15 @@ func (l *TCPListener) accept(ln net.Listener, done chan struct{}) {
 		})
 		conn.rec = l.rec
 		l.mu.Lock()
-		if l.closed {
+		// Crash and Close set their flag and then snapshot conns under mu,
+		// so a connection registered here is either in that snapshot or
+		// sees the flag. (Checking crashed before taking mu let one accepted
+		// during a Crash outlive it: a live link to a server that drops
+		// every request.) The closed listener fails the next Accept.
+		if l.closed || l.crashed.Load() {
 			l.mu.Unlock()
 			conn.Close()
-			return
+			continue
 		}
 		l.conns[conn] = struct{}{}
 		conn.onClose = func() {

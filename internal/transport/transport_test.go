@@ -728,3 +728,66 @@ func TestClosedConnRefusesEveryFrame(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashSeversConnectionsAcceptedDuringIt races dials against Crash: a
+// connection the accept loop was still setting up when the crash took its
+// snapshot of the established ones must be closed all the same. Left open,
+// it is a live link to a server that drops every request, and a client that
+// routes by link state (electd's first wave) waits out a tick on it.
+func TestCrashSeversConnectionsAcceptedDuringIt(t *testing.T) {
+	nw := NewTCP()
+	ln, err := nw.Listen(echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck // teardown
+	probe := &wire.Msg{Kind: wire.KindCollect, Reg: "probe"}
+	dialed := 0
+	for round := 0; round < 300; round++ {
+		// Three dialers, so that a crash is likely to find the accept loop
+		// with a connection in hand. (A SYN that meets the closing listener
+		// is retried by the kernel a second later; the odd round waits that
+		// out below.)
+		const dialers = 3
+		stop, done := make(chan struct{}), make(chan []Conn, dialers)
+		for range dialers {
+			go func() {
+				var conns []Conn
+				for {
+					select {
+					case <-stop:
+						done <- conns
+						return
+					default:
+					}
+					if c, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {}); err == nil {
+						conns = append(conns, c)
+					}
+				}
+			}()
+		}
+		// Vary where in the dial loop the crash lands.
+		time.Sleep(time.Duration(round%8) * 25 * time.Microsecond)
+		ln.Crash()
+		close(stop)
+		var conns []Conn
+		for range dialers {
+			conns = append(conns, <-done...)
+		}
+		dialed += len(conns)
+		for _, c := range conns {
+			for deadline := time.Now().Add(2 * time.Second); c.Send(probe) == nil; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: a connection dialed while the listener crashed is still open 2 s later", round)
+				}
+			}
+			c.Close() //nolint:errcheck // already severed
+		}
+		if err := ln.(Recoverer).Recover(); err != nil {
+			t.Fatalf("round %d: recover: %v", round, err)
+		}
+	}
+	if dialed == 0 {
+		t.Fatal("no dial ever succeeded: the race was never run")
+	}
+}
