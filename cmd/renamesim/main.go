@@ -46,6 +46,9 @@ func run(n, k int, seed int64, seeds int, algo, sched string, faults int, showNa
 			Schedule:  expt.Schedule(sched),
 			Faults:    faults,
 		}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
 		r := expt.Run(cfg)
 		if r.Err != nil {
 			return fmt.Errorf("seed %d: %w", cfg.Seed, r.Err)

@@ -7,9 +7,10 @@
 // by production coordination services: n *servers* replicate the register
 // state (a majority of them must stay up — the paper's ⌈n/2⌉−1 crash
 // bound), while any number of *participants* run the election algorithms as
-// clients, each communicate call broadcasting to all n servers and waiting
-// for ⌊n/2⌋+1 answers. Any two quorums intersect in a correct server, which
-// is the only property the paper's proofs use — so PoisonPill, the
+// clients, each communicate call waiting for ⌊n/2⌋+1 of the n servers'
+// answers — asking a quorum plus two spares first and all n only when a
+// tick passes without one (rt.Schedule). Any two quorums intersect in a
+// correct server, which is the only property the paper's proofs use — so PoisonPill, the
 // tournament and the sifting rounds run unchanged through rt.Comm.
 //
 // One server set multiplexes many concurrent election instances: every

@@ -248,11 +248,13 @@ func (pl *Pool) N() int { return pl.n }
 func (pl *Pool) newLink(conn transport.Conn) *serverLink {
 	if fc, ok := conn.(transport.FilteredConn); ok {
 		// Drop straggler replies — answers to calls that already
-		// reached quorum — before they are decoded: at n servers per
-		// broadcast, almost half of all view replies are stragglers,
-		// and their decode (entries, statuses, allocations) is the
-		// single largest avoidable cost on the client's read loops.
-		// Under a fault plan the same filter also samples
+		// reached quorum — before they are decoded. A thrifty first
+		// wave leaves only its two spares' replies to drop (2 of 19 at
+		// n=32); what the filter still buys is the other half of every
+		// reply to a client that has widened, the repeat answers a
+		// retransmitting one draws, and a view's decode (entries,
+		// statuses, allocations) being the dearest thing a read loop
+		// does. Under a fault plan the same filter also samples
 		// reply-direction link loss (see keepReply).
 		fc.SetFilter(pl.keepReply)
 	}
@@ -294,8 +296,9 @@ func (pl *Pool) CoalesceStats() (msgs, frames int64) {
 // longer pending or is already complete, and stragglers are dropped before
 // their decode. With streaming dispatch the routed
 // count is current up to the previous reply of the same inbound batch, so
-// at n replies per broadcast almost half of all view decodes (entries,
-// statuses, their allocations) simply never happen. Anything that is not a
+// the decodes past the quorum (entries, statuses, their allocations) simply
+// never happen: the two spares of a thrifty wave, and almost half of all
+// replies once a client has widened to all n. Anything that is not a
 // well-formed reply header passes through to the full decoder, which is
 // the arbiter of validity. The filter is advisory and racy by design: a
 // call completing between this check and the router's is dropped there

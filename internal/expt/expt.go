@@ -142,13 +142,35 @@ func buildAdversary(cfg Config) sim.Adversary {
 	}
 }
 
+// Validate reports a configuration Run cannot execute: a size out of range
+// or a name that is no algorithm or schedule. Run panics on one; a command
+// line checks its flags here first.
+func (cfg Config) Validate() error {
+	if cfg.N < 1 || cfg.K < 0 || cfg.K > cfg.N {
+		return fmt.Errorf("expt: n=%d k=%d, want n ≥ 1 and 0 ≤ k ≤ n", cfg.N, cfg.K)
+	}
+	switch cfg.Algorithm {
+	case AlgoPoisonPill, AlgoTournament, AlgoBasicSift, AlgoHetSift, AlgoNaiveSift,
+		AlgoHetSqrtBias, AlgoHetInverseBias, AlgoHetFairBias, AlgoRenaming, AlgoRandomScan:
+	default:
+		return fmt.Errorf("expt: unknown algorithm %q", cfg.Algorithm)
+	}
+	switch cfg.Schedule {
+	case "", SchedFair, SchedLockStep, SchedSequential, SchedSeqRounds, SchedFlipAware,
+		SchedCrash, SchedBubble, SchedStaleViews:
+	default:
+		return fmt.Errorf("expt: unknown schedule %q", cfg.Schedule)
+	}
+	return nil
+}
+
 // Run executes one configured run and returns its result.
 func Run(cfg Config) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.K == 0 {
 		cfg.K = cfg.N
-	}
-	if cfg.K > cfg.N {
-		panic(fmt.Sprintf("expt: k=%d exceeds n=%d", cfg.K, cfg.N))
 	}
 	res := Result{
 		Config:     cfg,

@@ -12,19 +12,19 @@ import (
 // The chan substrate's per-call allocation budget, in steady state at n=32
 // (run without the race detector, as the socket path's budgets are).
 const (
-	// chanPropagateAllocs: the reply channel (two — header and a buffer
-	// that holds pointers) and the one-entry payload the cells adopt, all
-	// three by design (see Comm.Propagate and communicate).
-	chanPropagateAllocs = 3
-	// chanCollectAllocs: the reply channel. The snapshots are cached, and
-	// the schedule's tick timer and the answered set are the handle's own,
-	// re-armed and cleared per call.
-	chanCollectAllocs = 2
+	// chanPropagateAllocs: the one-entry payload the cells adopt, by design
+	// (see Comm.Propagate). The quorum is assembled on the handle's call
+	// slot, which — like the schedule's tick timer and the answered set — is
+	// the handle's own, reopened per call.
+	chanPropagateAllocs = 1
+	// chanCollectAllocs: nothing. The snapshots are cached, the views land
+	// in the slot and in the handle's scratch.
+	chanCollectAllocs = 0
 )
 
 // TestChanCallAllocBudget: a thrifty call arms a tick on every call and
-// keeps a per-sender answered set; neither may cost a warm call anything
-// beyond what a send-to-all call allocated.
+// its quorum is assembled, per-sender answered set and all, on a slot the
+// servers fill; none of it may cost a warm call an allocation.
 func TestChanCallAllocBudget(t *testing.T) {
 	const n, reg = 32, "leaderelect/sift/3/status"
 	sys := NewSystem(n, 1)
@@ -34,7 +34,7 @@ func TestChanCallAllocBudget(t *testing.T) {
 	if c.sched.Wide() {
 		t.Fatalf("n=%d handle starts wide; the test needs a thrifty first wave", n)
 	}
-	for range 50 { // the timer, the scratch, the peers' cells and snapshots
+	for range 50 { // the timer, the view scratch, the peers' cells and snapshots
 		c.Propagate(reg, val)
 		c.Collect(reg)
 	}

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -21,24 +23,109 @@ type Comm struct {
 	round int32       // current protocol round, for span attribution (SetRound)
 	sched rt.Schedule // whom each call asks, and when it asks again
 
-	// Single-goroutine arena, reused across communicate calls: the reply
-	// collection scratch, the views Collect hands back, and the per-call
-	// replier-dedup bitmap. Collect's return value is
-	// valid until the processor's next communicate call, per the rt.Comm
-	// contract — the entries inside stay valid, they are shared immutable
-	// snapshots.
-	out   []reply
-	views []rt.View
-	seen  []bool
+	// slot is where the servers assemble each call's quorum; requests carry
+	// its address.
+	slot callSlot
+
+	// Single-goroutine arena, reused across communicate calls: the views
+	// Collect hands back and the tick's copy of the answered set. Collect's
+	// return value is valid until the processor's next communicate call, per
+	// the rt.Comm contract — the entries inside stay valid, they are shared
+	// immutable snapshots.
+	views    []rt.View
+	answered []bool
+}
+
+// callSlot is one Comm's call slot, reused for every call of the election:
+// the chan substrate's counterpart of electd's pending slot (sig, replies
+// and seen are that slot's fields; electd's lives in a call table under a
+// stripe lock and carries busy, this one carries its own lock and, in place
+// of a table key, the ordinal of the call it is open for). The servers fill
+// it (deliver) and the waiting communicate harvests it, both under mu; sig
+// is the one wake-up between them.
+//
+// A call returns on need distinct peers and nothing else: deliver counts a
+// reply only while the slot is open for the reply's own ordinal, its sender
+// has not been counted and the quorum is short. Ordinals are unique per
+// handle and the slot is opened for one at a time, so a straggler of an
+// earlier ordinal can never match and dies uncounted, entries unseen (one
+// of an earlier election goes to that election's handle, closed for good);
+// so does a peer's second answer after a widen, and everything past the
+// quorum.
+//
+// No wake-up is lost and no server ever blocks: replies are appended under
+// mu and refused once len(replies) == need, so exactly one delivery per
+// ordinal observes the quorum complete and sends exactly one token, into a
+// one-slot channel the caller has emptied before it opens the next ordinal —
+// communicate leaves its wait by that token alone, except through the
+// no-quorum abort, and an aborted handle is never used again.
+type callSlot struct {
+	mu      sync.Mutex
+	call    uint64        // ordinal of the call collecting; 0 = none
+	need    int           // quorum−1: the caller's own store is the first member
+	replies []reply       // distinct peers' answers, at most need
+	seen    []bool        // [peer]; dedups the repeat answers a widen or resend draws
+	sig     chan struct{} // one slot: the completing delivery's single wake-up
+
+	// Reply-direction loss under a plan with link faults (nil without): a
+	// stream of the caller's own, sampled by whichever server delivers, so
+	// guarded by mu. to is the caller, the link's receiving end.
+	loss *rand.Rand
+	to   *Proc
+}
+
+// deliver is a server handing the slot its reply to call. Under a plan that
+// loses messages, loss is sampled here, once per reply that would otherwise
+// count — where the reply would have died on a real wire, and where electd
+// samples it (FaultProfile.ReplyDrop) — so a complete slot is complete on
+// every plan, and a dropped sender's retransmitted reply can still count.
+func (s *callSlot) deliver(call uint64, r reply) {
+	s.mu.Lock()
+	if s.call != call || s.seen[r.from] || len(s.replies) >= s.need ||
+		(s.loss != nil && s.to.sys.plan.DropMsg(s.loss, int(r.from), int(s.to.id), s.to.sys.elapsed())) {
+		s.mu.Unlock()
+		return
+	}
+	s.seen[r.from] = true
+	s.replies = append(s.replies, r)
+	done := len(s.replies) == s.need
+	s.mu.Unlock()
+	if done {
+		// After the unlock, so the woken caller does not run into the lock it
+		// takes next.
+		s.sig <- struct{}{}
+	}
+}
+
+// open starts collecting for call; close ends it. Between calls the slot is
+// closed and refuses everything.
+func (s *callSlot) open(call uint64) {
+	s.mu.Lock()
+	s.call = call
+	s.replies = s.replies[:0]
+	clear(s.seen)
+	s.mu.Unlock()
+}
+
+func (s *callSlot) close() {
+	s.mu.Lock()
+	s.call = 0
+	s.mu.Unlock()
 }
 
 // NewComm builds the communicate handle for an algorithm running on p. Its
 // ring walks start at p's right-hand neighbour and never ask p itself; under
 // a plan that loses messages its calls tick on the plan's period.
 func NewComm(p *Proc) *Comm {
-	c := &Comm{p: p, sched: rt.NewSchedule(p.sys.n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
-	if pl := p.sys.plan; pl.NeedsRetransmit() {
+	n := p.sys.n
+	c := &Comm{p: p, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
+	c.slot = callSlot{need: n / 2, replies: make([]reply, 0, n/2), seen: make([]bool, n), sig: make(chan struct{}, 1)}
+	pl := p.sys.plan
+	if pl.NeedsRetransmit() {
 		c.sched.SetRetransmit(pl.RetransmitTick())
+	}
+	if pl.HasLinkFaults() {
+		c.slot.loss, c.slot.to = replyLossStream(p.sys.seed, int(p.id)), p
 	}
 	return c
 }
@@ -112,15 +199,13 @@ func (c *Comm) Collect(reg string) []rt.View {
 // here consults a peer's crash flag: like a datagram sender, a chan caller
 // is never told a peer is dead, it pays one tick finding out.
 //
-// The reply channel is buffered for n−1 replies: the wait reads only until
-// it holds quorum−1 distinct senders, and stragglers land in the abandoned
-// buffer without ever blocking a server — that asymmetry is what gives live
-// runs their stale-view, adversary-like interleavings. Servers drop a reply
-// that finds the buffer full. Without a fault plan that cannot cost a call
-// its quorum: only a widen makes a peer answer twice, so a full buffer
-// holds at least ⌈(n−1)/2⌉ senders the wait has not counted yet, which is
-// all it can still need. The returned reply slice is scratch, valid until
-// the next communicate call.
+// The wait is for one signal: the servers assemble the quorum on the
+// handle's call slot and the delivery that completes it wakes this goroutine
+// once (see callSlot); communicate then closes the slot and returns what it
+// holds. Replies past the quorum find the slot complete or closed and die at
+// the server, unread — that asymmetry is what gives live runs their
+// stale-view, adversary-like interleavings. The returned reply slice is the
+// slot's, valid until the next communicate call.
 //
 // Under a scenario plan each outgoing message may carry an injected delay
 // (link latency, slow-processor tax, reordering); the delivery then rides a
@@ -128,26 +213,25 @@ func (c *Comm) Collect(reg string) []rt.View {
 // Partitions, flaky links and crash-recovery can lose a message (or its
 // reply) while its server is, or becomes, able to answer — so under those
 // plans the schedule keeps ticking on the plan's period (selective, backed
-// off, jittered), the wait samples reply-direction loss at receipt (the
-// chan analogue of dropping a reply on the wire), and it aborts with a
-// typed fault.NoQuorumError once the plan has provably starved this
-// processor of majority quorums and the grace period has passed.
+// off, jittered), reply-direction loss is sampled as the reply is delivered
+// (callSlot.deliver), and the wait aborts with a typed fault.NoQuorumError
+// once the plan has provably starved this processor of majority quorums and
+// the grace period has passed.
 func (c *Comm) communicate(req request) []reply {
 	p := c.p
 	p.maybeCrash()
 	p.commCalls++
 	req.call = uint64(p.commCalls)
-	n := p.sys.n
-	need := c.QuorumSize() - 1
-	if need == 0 {
+	s := &c.slot
+	if s.need == 0 {
 		// Single-processor system: the local effect already is a quorum.
 		// Still yield once so solo runs keep a scheduling point per call,
 		// as the sim backend does.
 		runtime.Gosched()
 		return nil
 	}
-	ch := make(chan reply, n-1)
-	req.reply = ch
+	s.open(req.call) // before any request is out: a reply never finds its call unopened
+	req.slot = s
 	// Byte accounting uses the request's internal/wire equivalent, so the
 	// channel backend reports the same bit complexity the codec would put
 	// on a socket (and the sim kernel's PayloadBytes measures).
@@ -199,34 +283,23 @@ func (c *Comm) communicate(req request) []reply {
 		rec.Record(p.sys.traceID, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// One wait for every configuration: a reply, the tick (nil once a call
-	// without a plan has asked everyone) and the no-quorum abort (nil unless
-	// the plan starves this processor). seen is both the per-sender dedup —
-	// a peer asked twice can answer twice, and a repeat must never stand in
-	// for a distinct quorum member — and the tick's answered set.
-	if cap(c.seen) < n {
-		c.seen = make([]bool, n)
-	}
-	seen := c.seen[:n]
-	clear(seen)
-	out := c.out[:0]
-	for len(out) < need {
+	// One wait for every configuration: the completing delivery's signal,
+	// the tick (nil once a call without a plan has asked everyone) and the
+	// no-quorum abort (nil unless the plan starves this processor).
+wait:
+	for {
 		select {
-		case r := <-ch:
-			f := int(r.from)
-			if seen[f] {
-				continue
-			}
-			// Reply-direction loss, sampled at receipt — where the reply
-			// would have vanished on a real wire. An undropped reply from a
-			// dropped server can still arrive later via retransmission.
-			if lossy && pl.DropMsg(p.frng, f, int(p.id), p.sys.elapsed()) {
-				continue
-			}
-			seen[f] = true
-			out = append(out, r)
+		case <-s.sig:
+			break wait
 		case <-c.sched.C():
-			sent, resend := c.sched.Tick(seen, send)
+			// The servers own the answered set; the tick gets a copy.
+			if c.answered == nil {
+				c.answered = make([]bool, len(s.seen))
+			}
+			s.mu.Lock()
+			copy(c.answered, s.seen)
+			s.mu.Unlock()
+			sent, resend := c.sched.Tick(c.answered, send)
 			book(sent)
 			if rec != nil {
 				rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
@@ -237,10 +310,10 @@ func (c *Comm) communicate(req request) []reply {
 		}
 	}
 	c.sched.End()
+	s.close() // from here no server touches the replies
 	if rec != nil {
-		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(need))
+		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(s.need))
 	}
-	c.out = out // keep the grown scratch for the next call
 	p.maybeCrash()
-	return out
+	return s.replies
 }

@@ -1,7 +1,7 @@
 // Package live is the real-concurrency execution backend of the runtime
 // seam (internal/rt): it runs the same leader-election algorithms as the
 // deterministic discrete-event kernel (internal/sim + internal/quorum), but
-// on real OS-scheduled goroutines with channel-backed best-effort broadcast
+// on real OS-scheduled goroutines with channel-backed best-effort sends
 // and majority-quorum collect.
 //
 // Where the sim backend hands every interleaving decision to a strong
@@ -24,9 +24,11 @@
 // sits below that and follows the call schedule shared with electd
 // (rt.Schedule): the quorum it needs plus two spares among its right-hand
 // neighbours first, everyone who has not answered after a tick without a
-// quorum, and everyone at once from then on. Replies beyond the quorum
-// arrive late into an abandoned buffered channel, naturally reproducing the
-// stale-view behaviour the adversary model abstracts.
+// quorum, and everyone at once from then on. The servers assemble the
+// quorum on the caller's call slot and wake it once, when it is complete;
+// replies beyond the quorum find the slot complete or closed and are
+// refused unread, naturally reproducing the stale-view behaviour the
+// adversary model abstracts.
 //
 // # Fault and latency injection
 //

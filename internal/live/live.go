@@ -35,15 +35,15 @@ const (
 // request is one quorum message travelling to a server goroutine.
 type request struct {
 	kind    msgKind
-	call    uint64       // caller's communicate-call ordinal (byte accounting)
-	entries []rt.Entry   // propagateReq payload (treated as immutable)
-	reg     string       // collectReq target register array
-	reply   chan<- reply // per-call buffered channel; never blocks the server
+	call    uint64     // caller's communicate-call ordinal: what its slot is open for
+	entries []rt.Entry // propagateReq payload (treated as immutable)
+	reg     string     // collectReq target register array
+	slot    *callSlot  // the caller's call slot, where the server delivers its reply
 }
 
 // reply answers a request: an ack for propagateReq, a view for collectReq.
-// from identifies the replying server — what reply-direction fault sampling
-// keys on, and what dedups the duplicate replies retransmission induces.
+// from identifies the replying server — what the caller's slot dedups on
+// and what reply-direction fault sampling keys on.
 type reply struct {
 	from rt.ProcID
 	view rt.View
@@ -102,6 +102,7 @@ type crashSignal struct{ id rt.ProcID }
 // Comm handles, then Shutdown.
 type System struct {
 	n        int
+	seed     int64 // of the current run; the per-processor streams derive from it
 	plan     *fault.Plan
 	procs    []*Proc
 	serving  bool
@@ -144,7 +145,7 @@ func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
 // replaces the channel-backed quorum with electd servers, leaving the
 // in-process mailboxes unused.
 func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
-	sys := &System{n: n, plan: plan, serving: serve, procs: make([]*Proc, n)}
+	sys := &System{n: n, seed: seed, plan: plan, serving: serve, procs: make([]*Proc, n)}
 	for i := 0; i < n; i++ {
 		p := &Proc{
 			id:  rt.ProcID(i),
@@ -154,9 +155,9 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			// has one outstanding communicate call), but a descheduled
 			// server can accumulate more: requests from calls that already
 			// reached quorum elsewhere linger here. A full mailbox then
-			// throttles broadcasting callers. That is backpressure, not a
-			// deadlock risk — servers drain unconditionally and their
-			// replies go to buffered per-call channels, so every send
+			// throttles sending callers. That is backpressure, not a
+			// deadlock risk — servers drain unconditionally and delivering
+			// a reply never blocks them (see callSlot), so every send
 			// eventually completes.
 			inbox: make(chan request, n),
 		}
@@ -187,12 +188,19 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 // from its coin-flip stream (both are derived from the same sharded seed).
 const faultStreamSalt = 0x3C6EF372FE94F82A
 
-// replyStreamSalt seeds a client's reply-direction loss-sampling stream on
-// the TCP transport: it is drawn on the pool's connection read loops —
-// concurrent goroutines, behind a per-client mutex — so it cannot share
-// the goroutine-owned frng, and the salt keeps it decorrelated from both
-// the coin-flip and the send-side fault streams.
+// replyStreamSalt seeds a participant's reply-direction loss-sampling
+// stream: it is drawn wherever its replies are delivered — the chan servers'
+// goroutines, behind the call slot's mutex; the TCP pool's connection read
+// loops, behind a per-client one — so it cannot share the goroutine-owned
+// frng, and the salt keeps it decorrelated from both the coin-flip and the
+// send-side fault streams.
 const replyStreamSalt uint64 = 0x94D049BB133111EB
+
+// replyLossStream is participant i's reply-direction loss stream in a run
+// seeded seed. Not safe for concurrent use: its owner supplies the lock.
+func replyLossStream(seed int64, i int) *rand.Rand {
+	return rand.New(rand.NewSource(int64((uint64(seed) + uint64(i)*SeedStride) ^ replyStreamSalt)))
+}
 
 // N returns the system size.
 func (sys *System) N() int { return sys.n }
@@ -316,7 +324,7 @@ func (p *Proc) Rand() *rand.Rand { return p.rng }
 
 // Send implements rt.Procer: it delivers payload into the recipient's raw
 // mailbox and wakes any Await blocked there. Quorum traffic does not pass
-// through here — Comm uses dedicated request/reply channels — but the
+// through here — Comm uses the request mailboxes and its call slot — but the
 // primitive keeps the seam complete for algorithms written directly against
 // Send/Await.
 func (p *Proc) Send(to rt.ProcID, payload any) {
@@ -355,7 +363,7 @@ func (p *Proc) AwaitRaw(want int) {
 // merges are lock-free and wake nobody, so a condition must never read the
 // register store — none of the paper's algorithms do (their only waiting
 // primitive is the quorum wait inside communicate, which has its own
-// channel-based signalling).
+// signalling).
 func (p *Proc) Await(cond func() bool) {
 	if cond == nil {
 		panic("live: Await requires a non-nil condition; use Pause")
@@ -530,18 +538,16 @@ func (p *Proc) snapshotSized(reg string) ([]rt.Entry, int) {
 // serve is the server goroutine: the reactive half of the processor. It
 // drains the mailbox until Shutdown closes it, merging propagations and
 // answering collects; between runs of a pooled system it simply parks on
-// the empty mailbox. Replies go to per-call buffered channels sized for
-// all n−1 repliers, so the server never blocks and the system cannot
-// deadlock. A crashed processor's server keeps draining — senders must
-// never block on a dead peer — but drops every request unanswered. Every
-// drained request is marked served on sys.reqs, crashed or not, so
-// quiescence (Reset, pool checkout) can wait for the mailboxes to empty.
-// Reply sends are non-blocking: the per-call channels are buffered for all
-// n−1 distinct repliers, so on a fault-free run a send never finds them
-// full — but a retransmitted request (fault plans with partitions, flaky
-// links or recovery) can draw a second reply from the same server, and an
-// overflowing duplicate is simply dropped: loss, the model's prerogative,
-// recovered by the next retransmission.
+// the empty mailbox. A reply is delivered onto the caller's call slot —
+// one short critical section and at most one non-blocking wake-up (see
+// callSlot.deliver) — so the server never blocks and the system cannot
+// deadlock; whether the reply still counts (a straggler, a repeat answer
+// to a retransmitted request, one the plan loses) is the slot's business,
+// and it is booked as sent either way. A crashed processor's server keeps
+// draining — senders must never block on a dead peer — but drops every
+// request unanswered. Every drained request is marked served on sys.reqs,
+// crashed or not, so quiescence (Reset, pool checkout) can wait for the
+// mailboxes to empty.
 func (p *Proc) serve() {
 	defer p.sys.servers.Done()
 	for req := range p.inbox {
@@ -554,17 +560,11 @@ func (p *Proc) serve() {
 			for i := range req.entries {
 				p.merge(&req.entries[i])
 			}
-			select {
-			case req.reply <- reply{from: p.id}:
-			default:
-			}
+			req.slot.deliver(req.call, reply{from: p.id})
 			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindAck, Call: req.call, From: p.id}).WireSize()))
 		case collectReq:
 			entries, size := p.snapshotSized(req.reg)
-			select {
-			case req.reply <- reply{from: p.id, view: rt.View{From: p.id, Entries: entries}}:
-			default:
-			}
+			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: entries}})
 			// The reply's wire size from cached parts: the header of its
 			// internal/wire equivalent plus the snapshot's cached entry
 			// bytes — identical arithmetic to wire.Msg.WireSize without

@@ -18,6 +18,34 @@ func (sys *System) quiesce() {
 	sys.reqs.Wait()
 }
 
+// release drops everything the last run left in the processors' stores —
+// register cells (with the payloads they adopted), snapshot caches, raw
+// mailboxes and published state — keeping the arrays themselves: register
+// names repeat across runs of the same algorithm. Put calls it so a parked
+// system does not hold its last election's state until the next checkout;
+// Reset calls it again (idempotent — Reset is also public on systems that
+// were never pooled); every write to a cell bumps its array's version, so an
+// array still at version 0 holds no entry and the second sweep walks no
+// cells. Quiescent systems only, but the stores stay atomic so the race
+// detector sees the same access discipline the hot path uses.
+func (sys *System) release() {
+	for _, p := range sys.procs {
+		for _, arr := range *p.regs.Load() {
+			if arr.version.Load() != 0 {
+				for i := range arr.cells {
+					arr.cells[i].v.Store(nil)
+				}
+				arr.version.Store(0)
+			}
+			arr.snap.Store(nil)
+		}
+		p.mu.Lock()
+		p.raw = nil
+		p.published = nil
+		p.mu.Unlock()
+	}
+}
+
 // Reset reinitializes the system in place for a new run with the given seed
 // and fault plan, the recycling path of SystemPool: server goroutines stay
 // parked on their mailboxes (nothing is torn down or respawned — a crashed
@@ -31,7 +59,8 @@ func (sys *System) quiesce() {
 // system whose previous run has fully joined.
 func (sys *System) Reset(seed int64, plan *fault.Plan) {
 	sys.quiesce()
-	sys.plan = plan
+	sys.release()
+	sys.seed, sys.plan = seed, plan
 	sys.messages.Store(0)
 	sys.bytes.Store(0)
 	for i, p := range sys.procs {
@@ -49,21 +78,6 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 		p.crashed.Store(false)
 		p.down.Store(false)
 		p.noq = nil
-		for _, arr := range *p.regs.Load() {
-			// Keep the allocated arrays — register names repeat across runs
-			// of the same algorithm — but restore construction state. The
-			// system is quiescent, but the stores stay atomic so the race
-			// detector sees the same access discipline the hot path uses.
-			for i := range arr.cells {
-				arr.cells[i].v.Store(nil)
-			}
-			arr.version.Store(0)
-			arr.snap.Store(nil)
-		}
-		p.mu.Lock()
-		p.raw = nil
-		p.published = nil
-		p.mu.Unlock()
 		p.commCalls = 0
 	}
 }
@@ -123,15 +137,18 @@ func (sp *SystemPool) Get(seed int64, plan *fault.Plan) *System {
 }
 
 // Put parks a system for reuse. The caller must have joined every algorithm
-// goroutine of its run; Put waits out whatever mailbox traffic is still in
-// flight, so the parked system is quiescent. Systems from timed-out runs
-// must not be returned — their goroutines are still live.
+// goroutine of its run and read what it wants from the processors' stores:
+// Put waits out whatever mailbox traffic is still in flight and releases the
+// run's register state, so the parked system is quiescent and holds nothing
+// of its last election. Systems from timed-out runs must not be returned —
+// their goroutines are still live.
 func (sp *SystemPool) Put(sys *System) {
 	if sys.n != sp.n || sys.serving != sp.serve {
 		panic(fmt.Sprintf("live: pooling a %d-processor system (serving=%v) in a %d-processor pool (serving=%v)",
 			sys.n, sys.serving, sp.n, sp.serve))
 	}
 	sys.quiesce()
+	sys.release()
 	sp.mu.Lock()
 	sp.free = append(sp.free, sys)
 	sp.mu.Unlock()

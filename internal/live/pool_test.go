@@ -53,6 +53,47 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	pool.Put(got)
 }
 
+// TestParkedSystemHoldsNoElectionState: Put releases what the run left in
+// the stores, so a system waiting in the pool pins no cell, no adopted
+// payload, no snapshot, no raw message and no published state — only the
+// empty arrays, kept for the next run of the same algorithm.
+func TestParkedSystemHoldsNoElectionState(t *testing.T) {
+	const n = 8
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	if _, err := Elect(Config{N: n, Seed: 1, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	sys := pool.Get(2, nil)
+	sys.Proc(0).Send(1, "raw")
+	sys.Proc(1).Publish("state")
+	c := NewComm(sys.Proc(0))
+	c.Propagate("r", "dirty")
+	c.Collect("r")
+	pool.Put(sys)
+
+	arrays := 0
+	for _, p := range sys.procs {
+		for reg, arr := range *p.regs.Load() {
+			arrays++
+			for owner := range arr.cells {
+				if e := arr.cells[owner].v.Load(); e != nil {
+					t.Fatalf("parked processor %d still holds %s[%d] = %+v", p.id, reg, owner, *e)
+				}
+			}
+			if snap := arr.snap.Load(); snap != nil || arr.version.Load() != 0 {
+				t.Fatalf("parked processor %d still holds a snapshot of %s (version %d)", p.id, reg, arr.version.Load())
+			}
+		}
+		if p.rawLen() != 0 || p.Published() != nil {
+			t.Fatalf("parked processor %d still holds %d raw messages and published state %v", p.id, p.rawLen(), p.Published())
+		}
+	}
+	if arrays == 0 {
+		t.Fatal("the election left no register array behind; the test checked nothing")
+	}
+}
+
 // TestResetMatchesFreshSeeding: a recycled system's PRNG streams are
 // indistinguishable from a freshly constructed system's — equal seeds give
 // equal coin flips whether the System came from NewSystem or the pool, so

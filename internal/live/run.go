@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -493,7 +492,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 					fp.Drop = func(to int) bool {
 						return plan.DropMsg(p.frng, int(p.id), to, sys.elapsed())
 					}
-					rrng := rand.New(rand.NewSource(int64((uint64(cfg.Seed) + uint64(i)*SeedStride) ^ replyStreamSalt)))
+					rrng := replyLossStream(cfg.Seed, i)
 					var rmu sync.Mutex
 					pid := int(p.id)
 					fp.ReplyDrop = func(from int) bool {
