@@ -1,10 +1,10 @@
 package repro_test
 
 // The benchmark harness regenerates every experiment of the paper's
-// evaluation (see DESIGN.md §3 and EXPERIMENTS.md): one benchmark per table
-// (T1–T13, ablations A1–A2) and per claim-figure (F1–F3), each reporting the
-// experiment's headline quantity as a custom metric, plus micro-benchmarks
-// of the simulation substrate.
+// evaluation (docs/PAPER_MAP.md maps the paper's claims to them): one
+// benchmark per table (T1–T13, ablations A1–A2) and per claim-figure (F1–F3), each
+// reporting the experiment's headline quantity as a custom metric, plus
+// micro-benchmarks of the simulation substrate.
 //
 // Run with:
 //
@@ -30,8 +30,8 @@ import (
 	"repro/internal/sim"
 )
 
-// benchScale keeps every experiment benchmark in seconds; cmd/reproduce
-// regenerates the full-scale tables recorded in EXPERIMENTS.md.
+// benchScale keeps every experiment benchmark in seconds; the full-scale
+// tables are `reproduce -scale standard -markdown` output.
 var benchScale = expt.Scale{Seeds: 2, MaxN: 64}
 
 // runTable executes one experiment generator per iteration.
@@ -263,12 +263,12 @@ func BenchmarkA1BiasAblation(b *testing.B) {
 
 // --- live backend (wall-clock) benchmarks --------------------------------
 
-// BenchmarkT11LiveElectionWallClock measures the wall-clock latency of one
+// BenchmarkLiveElectionWallClock measures the wall-clock latency of one
 // complete PoisonPill election on the real-concurrency goroutine backend at
 // several system sizes. ns/op is the election latency; the custom metrics
 // carry the paper's complexity measures for cross-checking against the sim
 // backend (T3/T9).
-func BenchmarkT11LiveElectionWallClock(b *testing.B) {
+func BenchmarkLiveElectionWallClock(b *testing.B) {
 	for _, n := range []int{8, 64, 256} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			var rounds, calls float64
@@ -286,12 +286,12 @@ func BenchmarkT11LiveElectionWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkT12CampaignThroughput measures elections/second through the
+// BenchmarkLiveCampaignThroughput measures elections/second through the
 // parallel campaign engine at one worker and at GOMAXPROCS workers. The
 // ratio between the two sub-benchmarks' elections/s metrics is the
 // multi-core speedup; on a multi-core machine it exceeds 1 because campaign
 // runs are independent and share no state.
-func BenchmarkT12CampaignThroughput(b *testing.B) {
+func BenchmarkLiveCampaignThroughput(b *testing.B) {
 	workers := []int{1}
 	if g := runtime.GOMAXPROCS(0); g > 1 {
 		workers = append(workers, g)

@@ -26,4 +26,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	if err := run(4, 9, 1, 1, "poisonpill", "fair", 0); err == nil {
 		t.Error("k > n ran")
 	}
+	if err := run(1<<13, 2, 1, 1, "poisonpill", "fair", 0); err == nil {
+		t.Error("n beyond the register store's owner bound ran")
+	}
 }

@@ -17,21 +17,15 @@ import (
 // pool). Run without the race detector, which makes sync.Pool lossy.
 const (
 	// handlePropagateAllocs: one winning single-entry propagate into an
-	// existing register. Measured 1 — the immutable cellVal box the CAS
+	// existing register. Measured 1 — the heap copy of the entry the CAS
 	// installs; finding the cell is an index, the ack frame is pooled.
 	handlePropagateAllocs = 3
 	// handleCollectAllocs: one collect served from the published snapshot.
 	// Measured 0 — an atomic load and a pooled reply frame.
 	handleCollectAllocs = 1
-	// rebuildAllocs: one snapshot rebuild of a 32-cell register array that
-	// has a published snapshot to size from — the collect after a winning
-	// merge. Measured 3: the entry slice, the encoding and the snapshot
-	// box, each allocated once at its final size. Appending both from nil
-	// took about 10.
-	rebuildAllocs = 3
 	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
-	// the in-process network, servers included. Measured 11 — the cellVal
-	// box on each of the quorum+slack = 11 servers asked (16 when the call
+	// the in-process network, servers included. Measured 11 — the entry
+	// copy on each of the quorum+slack = 11 servers asked (16 when the call
 	// goes to all n) — and nothing for the tick the call arms and stops,
 	// the per-connection copies of the request frame (pooled), the send
 	// queues or the harvest.
@@ -70,28 +64,6 @@ func TestHandleAllocBudget(t *testing.T) {
 	collect() // rebuilds and publishes the snapshot
 	if got := testing.AllocsPerRun(1000, collect); got > handleCollectAllocs {
 		t.Fatalf("snapshot-hit collect: %v allocs, budget %d", got, handleCollectAllocs)
-	}
-}
-
-func TestRebuildAllocBudget(t *testing.T) {
-	const n, reg = 32, "leaderelect/sift/3/status"
-	list := make([]rt.ProcID, n)
-	for i := range list {
-		list[i] = rt.ProcID(i)
-	}
-	st := newStore()
-	for i := 0; i < n; i++ {
-		st.merge(rt.Entry{Reg: reg, Owner: rt.ProcID(i), Seq: 1, Val: core.Status{Stat: core.LowPri, List: list[:n-i]}})
-	}
-	arr := st.array(reg)
-	arr.rebuild(reg, arr.version.Load()) // the first build has nothing to size from
-	var snap *snapshot
-	got := testing.AllocsPerRun(1000, func() { snap = arr.rebuild(reg, arr.version.Load()) })
-	if got > rebuildAllocs {
-		t.Fatalf("rebuild of a %d-cell array: %v allocs, budget %d", n, got, rebuildAllocs)
-	}
-	if len(snap.entries) != n || len(snap.enc) < n {
-		t.Fatalf("rebuilt snapshot holds %d entries in %d bytes", len(snap.entries), len(snap.enc))
 	}
 }
 

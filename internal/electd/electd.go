@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -253,8 +254,22 @@ func (s *Server) Restart() { s.crashed.Store(false) }
 // Crashed reports whether the replica has been crashed.
 func (s *Server) Crashed() bool { return s.crashed.Load() }
 
-// emptyTail is the encoded tail of a view over an empty or absent register
-// array: an entry count of zero.
+// store is one election instance on one server: its register state
+// (lock-free, see internal/regstore) and its idle clock — the UnixNano of the
+// most recent request that touched it — which the sweeper compares against
+// the TTL and the drain idle bar.
+type store struct {
+	regs *regstore.Store
+	last atomic.Int64
+}
+
+// newStore builds an empty instance whose snapshots carry the encoded view
+// tail (wire.AppendEntries) that Handle splices into collect replies.
+func newStore() *store { return &store{regs: regstore.New(wire.AppendEntries)} }
+
+// emptyTail is the encoded tail of a view over an absent register array, and
+// of one whose entries the codec refuses (none can arrive through it): an
+// entry count of zero.
 var emptyTail = []byte{0}
 
 // Handle is the transport.Handler of the replica: merge propagates, answer
@@ -280,7 +295,7 @@ var emptyTail = []byte{0}
 //
 // Steady state is lock-free end to end: requests find their instance with
 // one atomic load of the shard's published map, merges CAS the register
-// cells, and collects serve the RCU-published snapshot (see regstore.go).
+// cells, and collects serve the RCU-published snapshot (see internal/regstore).
 // The only request that can touch the shard mutex is a propagate whose
 // instance does not exist yet — admission control needs an exact live
 // count — and that acquisition is counted in Server.LockedOps so tests
@@ -315,8 +330,8 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			rec.Record(m.Election, 0, trace.PShardWait, lookT0, mergeT0-lookT0, 0)
 		}
 		st.last.Store(now)
-		for _, e := range m.Entries {
-			st.merge(e)
+		for i := range m.Entries {
+			st.regs.MergeCopy(&m.Entries[i]) // m's entry storage is recycled with it
 		}
 		if rec != nil {
 			rec.Record(m.Election, 0, trace.PMerge, mergeT0, trace.Now()-mergeT0, int64(len(m.Entries)))
@@ -340,8 +355,10 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 		hit := int64(1) // an absent instance or array rebuilds nothing
 		if st != nil {
 			st.last.Store(now) // reads keep an instance live, like writes
-			var cached bool
-			tail, cached = st.snapshotTail(m.Reg)
+			snap, cached := st.regs.Snapshot(m.Reg)
+			if snap.Enc != nil {
+				tail = snap.Enc
+			}
 			if !cached {
 				hit = 0
 			}

@@ -1,7 +1,6 @@
 package electd
 
 import (
-	"bytes"
 	"encoding/binary"
 	"runtime"
 	"sync"
@@ -93,55 +92,6 @@ func TestSteadyStateHotPathTakesNoLock(t *testing.T) {
 	}
 	if got := srv.Served(); got < int64(elections+workers*opsPerWorker) {
 		t.Fatalf("Served() = %d, want ≥ %d", got, elections+workers*opsPerWorker)
-	}
-}
-
-// TestSnapshotImmutableUnderWinningMerge pins the RCU contract: a
-// published snapshot handed to a reader never changes afterwards, no
-// matter how many winning merges race with and follow the read. The
-// retained encoding must stay byte-identical to the copy taken at read
-// time, while fresh reads must observe the new writes.
-func TestSnapshotImmutableUnderWinningMerge(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	st := newStore()
-	for owner := rt.ProcID(0); owner < 4; owner++ {
-		st.merge(rt.Entry{Reg: "r", Owner: owner, Seq: 1, Val: int(owner)})
-	}
-	tail, _ := st.snapshotTail("r")
-	retained := tail
-	pinned := append([]byte(nil), tail...)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(owner rt.ProcID) {
-			defer wg.Done()
-			for seq := uint64(2); seq < 400; seq++ {
-				st.merge(rt.Entry{Reg: "r", Owner: owner, Seq: seq, Val: int(seq)})
-				if seq%16 == 0 {
-					st.snapshotTail("r") // concurrent rebuild/republish traffic
-				}
-			}
-		}(rt.ProcID(w))
-	}
-	wg.Wait()
-
-	if !bytes.Equal(retained, pinned) {
-		t.Fatalf("published snapshot mutated under racing merges:\n  at read: %x\n  now:     %x", pinned, retained)
-	}
-	fresh, _ := st.snapshotTail("r")
-	if bytes.Equal(fresh, pinned) {
-		t.Fatalf("snapshot after %d winning merges is byte-identical to the pre-merge one", 4*398)
-	}
-	// The fresh snapshot must carry the final sequence numbers.
-	snap := st.array("r").snap.Load()
-	if snap == nil {
-		t.Fatal("no published snapshot after collects")
-	}
-	for _, e := range snap.entries {
-		if e.Seq != 399 {
-			t.Fatalf("entry owner=%d seq=%d after merges up to 399", e.Owner, e.Seq)
-		}
 	}
 }
 
@@ -342,56 +292,5 @@ func TestAdmissionControlExactUnderRace(t *testing.T) {
 	}
 	if srv.Shed() == 0 {
 		t.Fatal("no propagate was shed despite 32 elections racing for 4 slots")
-	}
-}
-
-// TestCellBucketsKeepOwnerOrder: owners on both sides of every bucket
-// boundary land in distinct cells, snapshots come back in owner order with
-// no sort, racing first writes into one fresh bucket all survive, and an
-// owner id past maxOwners — corrupt or hostile wire input — is dropped
-// instead of sizing an allocation.
-func TestCellBucketsKeepOwnerOrder(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	st := newStore()
-	owners := []rt.ProcID{maxOwners - 1, 64, 0, cellBase, cellBase - 1, 3*cellBase - 1, 3 * cellBase, 5000, 1}
-	var wg sync.WaitGroup
-	for _, owner := range owners {
-		wg.Add(1)
-		go func(owner rt.ProcID) {
-			defer wg.Done()
-			st.merge(rt.Entry{Reg: "r", Owner: owner, Seq: 1, Val: int(owner)})
-		}(owner)
-	}
-	wg.Wait()
-	for _, hostile := range []rt.ProcID{maxOwners, wire.MaxID, -1} {
-		st.merge(rt.Entry{Reg: "r", Owner: hostile, Seq: 1, Val: 0})
-	}
-	st.snapshotTail("r")
-	snap := st.array("r").snap.Load()
-	if len(snap.entries) != len(owners) {
-		t.Fatalf("snapshot holds %d entries, want %d: %+v", len(snap.entries), len(owners), snap.entries)
-	}
-	for i, e := range snap.entries {
-		if e.Val != int(e.Owner) {
-			t.Fatalf("owner %d reads back %v", e.Owner, e.Val)
-		}
-		if i > 0 && snap.entries[i-1].Owner >= e.Owner {
-			t.Fatalf("snapshot out of owner order: %+v", snap.entries)
-		}
-	}
-}
-
-// TestEmptyArraySnapshotStaysWellFormed: a collect can catch a register
-// array between its creation and its first cell write. The snapshot it
-// publishes then must keep answering with the empty view's encoding — an
-// entry count of zero — and not with no bytes at all, which the client
-// would reject as a truncated frame.
-func TestEmptyArraySnapshotStaysWellFormed(t *testing.T) {
-	st := newStore()
-	st.array("r")            // created, nothing merged yet
-	for i := 0; i < 2; i++ { // second read is served from the published snapshot
-		if tail, _ := st.snapshotTail("r"); !bytes.Equal(tail, emptyTail) {
-			t.Fatalf("read %d of an empty array returned tail %x, want %x", i, tail, emptyTail)
-		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// This file holds the ablation experiments for the design choices DESIGN.md
-// calls out, plus the self-check of the time metric (Claim 2.1). They go
-// beyond the paper's stated results: each one removes or replaces one
-// ingredient of the construction and shows the bound degrading exactly the
-// way the paper's analysis says it must.
+// This file holds the ablation experiments for the construction's design
+// choices (the coin biases), plus the self-check of the time metric (Claim
+// 2.1). They go beyond the paper's stated results: each one removes or
+// replaces one ingredient of the construction and shows the bound degrading
+// exactly the way the paper's analysis says it must.
 
 // A1BiasAblation sweeps the coin bias of the basic PoisonPill under the
 // sequential schedule of Section 3.2. The paper argues 1/√n is provably

@@ -1,8 +1,9 @@
 // Package expt is the experiment harness: it wires algorithms, adversary
 // strategies and the kernel into runnable experiments, aggregates multi-seed
-// sweeps, fits scaling exponents and renders the tables recorded in
-// EXPERIMENTS.md. Every table and claim-figure of the paper's evaluation has
-// a generator here, driven by cmd/reproduce and bench_test.go.
+// sweeps, fits scaling exponents and renders the tables that `reproduce
+// -scale standard -markdown` prints. Every table and claim-figure of the
+// paper's evaluation has a generator here, driven by cmd/reproduce and
+// bench_test.go.
 //
 // The harness runs on the sim backend exclusively: its experiments quantify
 // the paper's claims under the model's strong adaptive adversary, where

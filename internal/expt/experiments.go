@@ -20,7 +20,7 @@ type Scale struct {
 var (
 	// Quick keeps every experiment in seconds (benchmarks, CI).
 	Quick = Scale{Seeds: 5, MaxN: 128}
-	// Standard is the EXPERIMENTS.md reproduction scale.
+	// Standard is the reproduction's scale of record.
 	Standard = Scale{Seeds: 10, MaxN: 256}
 	// Large pushes the sweeps out another doubling for the curves.
 	Large = Scale{Seeds: 10, MaxN: 512}

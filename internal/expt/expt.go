@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/quorum"
+	"repro/internal/regstore"
 	"repro/internal/renaming"
 	"repro/internal/sim"
 )
@@ -148,6 +149,9 @@ func buildAdversary(cfg Config) sim.Adversary {
 func (cfg Config) Validate() error {
 	if cfg.N < 1 || cfg.K < 0 || cfg.K > cfg.N {
 		return fmt.Errorf("expt: n=%d k=%d, want n ≥ 1 and 0 ≤ k ≤ n", cfg.N, cfg.K)
+	}
+	if cfg.N > regstore.MaxOwners {
+		return fmt.Errorf("expt: n=%d exceeds the register store's %d owners", cfg.N, regstore.MaxOwners)
 	}
 	switch cfg.Algorithm {
 	case AlgoPoisonPill, AlgoTournament, AlgoBasicSift, AlgoHetSift, AlgoNaiveSift,

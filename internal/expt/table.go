@@ -8,8 +8,7 @@ import (
 )
 
 // Table is a rendered experiment: a title, the paper claim it reproduces,
-// column headers and formatted rows. cmd/reproduce prints these and
-// EXPERIMENTS.md records them.
+// column headers and formatted rows. cmd/reproduce prints these.
 type Table struct {
 	ID     string // experiment identifier, e.g. "T1"
 	Title  string
@@ -42,8 +41,8 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Markdown writes the table as a GitHub-flavored markdown table (used to
-// regenerate EXPERIMENTS.md).
+// Markdown writes the table as a GitHub-flavored markdown table
+// (reproduce -markdown).
 func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title)
 	if t.Claim != "" {

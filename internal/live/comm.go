@@ -142,35 +142,16 @@ func (c *Comm) SetRound(r int) { c.round = int32(r) }
 func (c *Comm) QuorumSize() int { return c.p.sys.n/2 + 1 }
 
 // Propagate implements rt.Comm: bump the caller's own cell of reg to val,
-// then push the new cell to a quorum. One communicate call. The own-cell
-// bump is a CAS like any other merge — the algorithm goroutine is the only
-// writer that *increments* its own sequence, but a retransmitted propagate
-// of an older own entry can race in through the server goroutine, and the
-// CAS keeps writer versioning exact either way.
+// then push the new cell to a quorum. One communicate call.
 func (c *Comm) Propagate(reg string, val rt.Value) {
-	p := c.p
-	arr := p.array(reg)
-	s := &arr.cells[p.id]
 	// The one-entry payload is allocated per call on purpose, and it is the
 	// *only* allocation of the whole merge path: requests travel to the
 	// server goroutines by reference, a straggler server may read the
-	// entries long after this call returned, and the own cell below (plus
-	// any peer cell this entry wins) adopts a pointer into this very slice —
-	// so the backing array must never be reused across calls.
-	payload := []rt.Entry{{Reg: reg, Owner: p.id, Seq: 1, Val: val}}
-	e := &payload[0]
-	for {
-		cur := s.v.Load()
-		if cur != nil {
-			// Mutating the unpublished entry is safe: nobody can see it
-			// until the CAS below wins.
-			e.Seq = cur.Seq + 1
-		}
-		if s.v.CompareAndSwap(cur, e) {
-			arr.version.Add(1)
-			break
-		}
-	}
+	// entries long after this call returned, and the own cell (plus any peer
+	// cell this entry wins) adopts a pointer into this very slice — so the
+	// backing array must never be reused across calls.
+	payload := []rt.Entry{{Reg: reg, Owner: c.p.id, Val: val}}
+	c.p.regs.Write(&payload[0])
 	c.communicate(request{kind: propagateReq, reg: reg, entries: payload})
 }
 
@@ -180,9 +161,8 @@ func (c *Comm) Propagate(reg string, val rt.Value) {
 // the processor's next communicate call.
 func (c *Comm) Collect(reg string) []rt.View {
 	p := c.p
-	own := rt.View{From: p.id, Entries: p.snapshot(reg)}
-	c.views = c.views[:0]
-	c.views = append(c.views, own)
+	own, _ := p.regs.Snapshot(reg)
+	c.views = append(c.views[:0], rt.View{From: p.id, Entries: own.Entries})
 	for _, r := range c.communicate(request{kind: collectReq, reg: reg}) {
 		c.views = append(c.views, r.view)
 	}

@@ -30,6 +30,12 @@
 // refused unread, naturally reproducing the stale-view behaviour the
 // adversary model abstracts.
 //
+// A processor's register arrays — what a propagate merges into and a collect
+// reads — are one regstore.Store, shared by its server goroutine and its
+// algorithm goroutine without a lock (internal/regstore, whose package
+// comment is the memory-order argument, including why a cell may adopt a
+// pointer into the caller's propagate payload).
+//
 // # Fault and latency injection
 //
 // The model's remaining adversarial powers — delaying messages arbitrarily

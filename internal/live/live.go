@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -48,48 +49,6 @@ type reply struct {
 	from rt.ProcID
 	view rt.View
 }
-
-// cellSlot is one register-array slot — a CAS cell holding the freshest
-// entry written for its owner (owner-versioned: higher sequence numbers
-// win; nil is ⊥, never written). Slots are allocated once per array (the
-// backend knows n) and only the entry pointer moves. The pointed-to
-// entries are *adopted*, never allocated: a propagate's one-entry payload
-// is already allocated per call and shared immutably with every server
-// goroutine (see Comm.Propagate), so the cell points into that payload
-// and the whole merge path adds zero allocations.
-type cellSlot struct {
-	v atomic.Pointer[rt.Entry]
-}
-
-// regArray is one named register array with a CAS cell per processor
-// beneath an RCU-published snapshot, the live-backend twin of the electd
-// server's store (see internal/electd/regstore.go for the full memory-model
-// argument): merges CAS the owner's cell and bump version; collects load
-// the published snapshot with one atomic read and rebuild + republish only
-// when a merge has won since it was built. Collect replies during a
-// quiescent spell therefore share one immutable entry slice (and its
-// precomputed wire size), and neither the server goroutine nor the
-// algorithm goroutine ever takes a lock for register state — the paper's
-// atomic-register model, made literal.
-type regArray struct {
-	version atomic.Uint64
-	cells   []cellSlot // fixed length n; slots never move
-	snap    atomic.Pointer[liveSnap]
-}
-
-// liveSnap is the RCU-published snapshot of one array: non-⊥ cells in
-// owner order plus their precomputed total WireSize, valid at array
-// version ver. Published snapshots are immutable.
-type liveSnap struct {
-	ver     uint64
-	entries []rt.Entry
-	size    int
-}
-
-// regDir is the immutable published register directory of one processor
-// (name → array). Adding an array — once per register name — copies the
-// directory and CASes the pointer.
-type regDir = map[string]*regArray
 
 // crashSignal unwinds a crashed processor's algorithm goroutine: the
 // backend panics with it at the processor's next interaction (communicate,
@@ -160,9 +119,8 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			// a reply never blocks them (see callSlot), so every send
 			// eventually completes.
 			inbox: make(chan request, n),
+			regs:  regstore.New(nil),
 		}
-		dir := regDir{}
-		p.regs.Store(&dir)
 		if plan != nil {
 			// A separate delay-sampling PRNG, also algorithm-goroutine
 			// owned: injected latency must not perturb the coin-flip
@@ -299,10 +257,11 @@ type Proc struct {
 	noq   <-chan struct{}
 	inbox chan request
 
-	// regs is the RCU register directory: lock-free for every reader and
-	// writer (see regArray). It lives outside the mutex — register state
-	// is not Await-visible; see Await.
-	regs atomic.Pointer[regDir]
+	// regs is the processor's register state: lock-free for every reader
+	// and writer (see internal/regstore), so neither the server goroutine nor
+	// the algorithm goroutine ever takes a lock for it. It lives outside the
+	// mutex — register state is not Await-visible; see Await.
+	regs *regstore.Store
 
 	mu        sync.Mutex
 	cond      *sync.Cond // broadcast whenever guarded state changes
@@ -441,100 +400,6 @@ func (p *Proc) Published() any {
 // valid once its algorithm goroutine has returned.
 func (p *Proc) CommCalls() int { return p.commCalls }
 
-// array returns the register array for reg, creating and publishing it on
-// first use. Lock-free: creation copies the directory and CASes the
-// pointer, retrying if a concurrent creator won (and adopting its array).
-func (p *Proc) array(reg string) *regArray {
-	for {
-		dirp := p.regs.Load()
-		if arr := (*dirp)[reg]; arr != nil {
-			return arr
-		}
-		next := make(regDir, len(*dirp)+1)
-		for k, v := range *dirp {
-			next[k] = v
-		}
-		arr := &regArray{cells: make([]cellSlot, p.sys.n)}
-		next[reg] = arr
-		if p.regs.CompareAndSwap(dirp, &next) {
-			return arr
-		}
-	}
-}
-
-// merge applies an entry if it is newer than the local cell (writer
-// versioning, identical to the sim backend's store), via a CAS retry loop
-// on the owner's cell. Lock-free; safe from any goroutine. The entry is
-// adopted by reference — e must stay valid and unmutated forever (request
-// payloads satisfy this: they are allocated per propagate call and never
-// reused), which is what keeps the merge path allocation-free.
-func (p *Proc) merge(e *rt.Entry) {
-	arr := p.array(e.Reg)
-	s := &arr.cells[e.Owner]
-	for {
-		cur := s.v.Load()
-		if cur != nil && e.Seq <= cur.Seq {
-			return // stale: a newer (or equal) write already holds the cell
-		}
-		if s.v.CompareAndSwap(cur, e) {
-			arr.version.Add(1)
-			return
-		}
-	}
-}
-
-// snapshot returns the non-⊥ cells of reg as entries in owner order. The
-// returned slice is an RCU-published immutable snapshot shared with every
-// other reader of the same version — a winning merge replaces it rather
-// than mutating it, so handing it to concurrent repliers is safe.
-// Lock-free; safe from any goroutine.
-func (p *Proc) snapshot(reg string) []rt.Entry {
-	entries, _ := p.snapshotSized(reg)
-	return entries
-}
-
-// snapshotSized is snapshot plus the snapshot's total entry WireSize,
-// cached alongside it so per-reply byte accounting never re-walks the
-// entries. The common case is one atomic load of the published snapshot;
-// after a winning merge the caller rebuilds from the CAS cells and
-// re-publishes. Version is loaded before the cells are gathered, so a
-// snapshot tagged V contains every merge version V counted (Go atomics
-// are sequentially consistent); at worst a build is fresher than its tag
-// and the next reader rebuilds once more.
-func (p *Proc) snapshotSized(reg string) ([]rt.Entry, int) {
-	dirp := p.regs.Load()
-	arr := (*dirp)[reg]
-	if arr == nil {
-		return nil, 0
-	}
-	ver := arr.version.Load()
-	old := arr.snap.Load()
-	if old != nil && old.ver == ver {
-		return old.entries, old.size
-	}
-	// Sized for the worst case (every cell non-⊥) so the gather never
-	// reallocates mid-append — one slice allocation per rebuild.
-	entries := make([]rt.Entry, 0, len(arr.cells))
-	size := 0
-	for owner := range arr.cells {
-		if ep := arr.cells[owner].v.Load(); ep != nil {
-			entries = append(entries, *ep)
-			size += ep.WireSize()
-		}
-	}
-	if len(entries) == 0 {
-		entries = nil
-	}
-	snap := &liveSnap{ver: ver, entries: entries, size: size}
-	// Publish unless a fresher snapshot already landed: CAS from the
-	// observed old value so concurrent rebuilds never clobber each other;
-	// a lost race costs nothing — this build still serves this reply.
-	if old == nil || old.ver <= ver {
-		arr.snap.CompareAndSwap(old, snap)
-	}
-	return entries, size
-}
-
 // serve is the server goroutine: the reactive half of the processor. It
 // drains the mailbox until Shutdown closes it, merging propagations and
 // answering collects; between runs of a pooled system it simply parks on
@@ -557,19 +422,21 @@ func (p *Proc) serve() {
 		}
 		switch req.kind {
 		case propagateReq:
+			// The store adopts the entries: the payload is allocated per
+			// propagate call and never reused (see Comm.Propagate).
 			for i := range req.entries {
-				p.merge(&req.entries[i])
+				p.regs.Merge(&req.entries[i])
 			}
 			req.slot.deliver(req.call, reply{from: p.id})
 			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindAck, Call: req.call, From: p.id}).WireSize()))
 		case collectReq:
-			entries, size := p.snapshotSized(req.reg)
-			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: entries}})
+			snap, _ := p.regs.Snapshot(req.reg)
+			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: snap.Entries}})
 			// The reply's wire size from cached parts: the header of its
 			// internal/wire equivalent plus the snapshot's cached entry
 			// bytes — identical arithmetic to wire.Msg.WireSize without
 			// re-walking the entries.
-			p.sys.bytes.Add(int64(viewReplySize(req.call, p.id, req.reg, len(entries), size)))
+			p.sys.bytes.Add(int64(viewReplySize(req.call, p.id, req.reg, len(snap.Entries), snap.Size)))
 		}
 		p.sys.messages.Add(1) // the reply
 		p.sys.reqs.Done()

@@ -152,6 +152,9 @@ func TestElectValidation(t *testing.T) {
 	if _, err := Elect(Config{N: 4, K: 5}); err == nil {
 		t.Error("k>n accepted")
 	}
+	if _, err := Elect(Config{N: 1 << 13, K: 2}); err == nil {
+		t.Error("n beyond the register store's owner bound accepted")
+	}
 	if _, err := Elect(Config{N: 4, Algorithm: AlgoBasicSift}); err == nil {
 		t.Error("sift algorithm accepted by Elect")
 	}

@@ -23,22 +23,11 @@ func (sys *System) quiesce() {
 // mailboxes and published state — keeping the arrays themselves: register
 // names repeat across runs of the same algorithm. Put calls it so a parked
 // system does not hold its last election's state until the next checkout;
-// Reset calls it again (idempotent — Reset is also public on systems that
-// were never pooled); every write to a cell bumps its array's version, so an
-// array still at version 0 holds no entry and the second sweep walks no
-// cells. Quiescent systems only, but the stores stay atomic so the race
-// detector sees the same access discipline the hot path uses.
+// Reset calls it again (idempotent and then cheap — Reset is also public on
+// systems that were never pooled). Quiescent systems only.
 func (sys *System) release() {
 	for _, p := range sys.procs {
-		for _, arr := range *p.regs.Load() {
-			if arr.version.Load() != 0 {
-				for i := range arr.cells {
-					arr.cells[i].v.Store(nil)
-				}
-				arr.version.Store(0)
-			}
-			arr.snap.Store(nil)
-		}
+		p.regs.Reset()
 		p.mu.Lock()
 		p.raw = nil
 		p.published = nil

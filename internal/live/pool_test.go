@@ -55,8 +55,9 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 
 // TestParkedSystemHoldsNoElectionState: Put releases what the run left in
 // the stores, so a system waiting in the pool pins no cell, no adopted
-// payload, no snapshot, no raw message and no published state — only the
-// empty arrays, kept for the next run of the same algorithm.
+// payload, no snapshot, no raw message and no published state. (That the
+// stores keep their empty arrays for the next run of the same algorithm is
+// regstore's TestResetKeepsArraysDropsState.)
 func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 	const n = 8
 	pool := NewSystemPool(n, true)
@@ -70,27 +71,33 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 	c := NewComm(sys.Proc(0))
 	c.Propagate("r", "dirty")
 	c.Collect("r")
+	sys.quiesce() // the first wave's stragglers have merged too
+	holders := 0
+	for _, p := range sys.procs {
+		if p.regs.Load("r", 0) != nil {
+			holders++
+		}
+	}
+	if holders <= n/2 {
+		t.Fatalf("%d processors hold r[0] after a propagate, want a majority: the test would check nothing", holders)
+	}
 	pool.Put(sys)
 
-	arrays := 0
+	// "r" is this test's register; the others are the election's first two.
 	for _, p := range sys.procs {
-		for reg, arr := range *p.regs.Load() {
-			arrays++
-			for owner := range arr.cells {
-				if e := arr.cells[owner].v.Load(); e != nil {
+		for _, reg := range []string{"r", "elect/door", "elect/round"} {
+			for owner := rt.ProcID(0); owner < n; owner++ {
+				if e := p.regs.Load(reg, owner); e != nil {
 					t.Fatalf("parked processor %d still holds %s[%d] = %+v", p.id, reg, owner, *e)
 				}
 			}
-			if snap := arr.snap.Load(); snap != nil || arr.version.Load() != 0 {
-				t.Fatalf("parked processor %d still holds a snapshot of %s (version %d)", p.id, reg, arr.version.Load())
+			if snap, _ := p.regs.Snapshot(reg); len(snap.Entries) != 0 || snap.Size != 0 {
+				t.Fatalf("parked processor %d still serves a snapshot of %s: %+v", p.id, reg, snap.Entries)
 			}
 		}
 		if p.rawLen() != 0 || p.Published() != nil {
 			t.Fatalf("parked processor %d still holds %d raw messages and published state %v", p.id, p.rawLen(), p.Published())
 		}
-	}
-	if arrays == 0 {
-		t.Fatal("the election left no register array behind; the test checked nothing")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -164,6 +165,9 @@ type Result struct {
 func (cfg *Config) normalize() error {
 	if cfg.N < 1 {
 		return fmt.Errorf("live: system size %d must be at least 1", cfg.N)
+	}
+	if cfg.N > regstore.MaxOwners {
+		return fmt.Errorf("live: system size %d exceeds the register store's %d owners", cfg.N, regstore.MaxOwners)
 	}
 	if cfg.K == 0 {
 		cfg.K = cfg.N

@@ -3,94 +3,9 @@ package quorum
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
-
-func TestMergeConvergesRegardlessOfOrder(t *testing.T) {
-	// Property: applying the same set of entries in any order yields the
-	// same store state (merge is commutative and idempotent) — the reason
-	// stale retransmissions are harmless.
-	f := func(seqs []uint8, perm int64) bool {
-		const n = 4
-		var entries []Entry
-		for i, s := range seqs {
-			owner := i % n
-			seq := uint64(s%8) + 1
-			// In the real protocol (owner, seq) determines the value: the
-			// cell has a single writer that bumps seq on every write. Keep
-			// the generated entries consistent with that.
-			entries = append(entries, Entry{
-				Reg:   "r",
-				Owner: sim.ProcID(owner),
-				Seq:   seq,
-				Val:   int(seq)*10 + owner,
-			})
-		}
-		a := NewStore(0, n)
-		for _, e := range entries {
-			a.merge(e)
-		}
-		b := NewStore(0, n)
-		rng := rand.New(rand.NewSource(perm))
-		for _, i := range rng.Perm(len(entries)) {
-			b.merge(entries[i])
-		}
-		// Apply twice to b: idempotence.
-		for _, e := range entries {
-			b.merge(e)
-		}
-		for j := 0; j < n; j++ {
-			av, aok := a.Local("r", sim.ProcID(j))
-			bv, bok := b.Local("r", sim.ProcID(j))
-			if aok != bok || (aok && av != bv) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSnapshotCacheInvalidation(t *testing.T) {
-	s := NewStore(0, 3)
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 1, Val: "a"})
-	snap1 := s.Snapshot("r")
-	snap1b := s.Snapshot("r")
-	if &snap1[0] != &snap1b[0] {
-		t.Fatal("unchanged store should reuse the cached snapshot")
-	}
-	// An ineffective merge (stale seq) must not invalidate the cache.
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 1, Val: "stale"})
-	if snapCached := s.Snapshot("r"); &snapCached[0] != &snap1[0] {
-		t.Fatal("stale merge invalidated the cache")
-	}
-	// An effective merge must.
-	s.merge(Entry{Reg: "r", Owner: 2, Seq: 1, Val: "b"})
-	snap2 := s.Snapshot("r")
-	if len(snap2) != 2 {
-		t.Fatalf("snapshot after write has %d entries, want 2", len(snap2))
-	}
-}
-
-func TestSnapshotSizeTracksEntries(t *testing.T) {
-	s := NewStore(0, 3)
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 1, Val: 5})
-	entries, size := s.snapshotSized("r")
-	want := 0
-	for _, e := range entries {
-		want += e.WireSize()
-	}
-	if size != want {
-		t.Fatalf("snapshotSized = %d, want %d", size, want)
-	}
-	if _, size := s.snapshotSized("missing"); size != 0 {
-		t.Fatal("missing register should have zero size")
-	}
-}
 
 func TestClassify(t *testing.T) {
 	cases := []struct {

@@ -8,8 +8,10 @@
 // State is organised as register arrays: a register array is a named vector
 // with one cell per processor, and each cell is written only by its owner
 // with a monotonically increasing sequence number (so stale propagations
-// never overwrite fresh ones). Two operations are provided, matching the
-// paper's two message forms:
+// never overwrite fresh ones). The arrays live in the register store every
+// backend shares (internal/regstore; the sim kernel is single-threaded, so
+// the store's atomics are uncontended and invisible to it). Two operations
+// are provided, matching the paper's two message forms:
 //
 //   - Propagate (the paper's "propagate, v"): write the caller's own cell and
 //     push it to a quorum;
@@ -23,6 +25,7 @@ package quorum
 import (
 	"fmt"
 
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/sim"
 )
@@ -144,41 +147,11 @@ type pendingCall struct {
 type Store struct {
 	id   sim.ProcID
 	n    int
-	regs map[string]*regArray // register name -> cells indexed by owner
+	regs *regstore.Store
 
 	nextCall int64
 	pending  map[int64]*pendingCall
 	free     *pendingCall // one-deep recycled-slot freelist; see pendingCall
-}
-
-type cell struct {
-	seq uint64
-	val Value
-}
-
-// regArray holds one register array plus a published version-tagged
-// snapshot: collect replies during a quiescent spell share one immutable
-// entry slice instead of re-copying the array per reply, which dominates
-// large-n runs. The shape — immutable snapshot bundle behind a pointer,
-// lazily invalidated by the write version — deliberately mirrors the
-// lock-free stores of the live backend and the electd server; the sim
-// kernel is deterministic and single-threaded, so the pointer needs no
-// atomics, but keeping the same publication discipline keeps the three
-// backends line-for-line comparable.
-type regArray struct {
-	cells   []cell
-	version uint64    // bumped on every effective write
-	snap    *snapshot // published snapshot; nil or stale ⇒ rebuild
-}
-
-// snapshot is one published register-array view: the non-⊥ cells in owner
-// order plus their precomputed total WireSize, valid at array version ver.
-// Published snapshots are immutable — a winning merge makes them stale,
-// never different.
-type snapshot struct {
-	ver     uint64
-	entries []Entry
-	size    int
 }
 
 // NewStore creates the store for processor id in a system of n processors.
@@ -186,19 +159,9 @@ func NewStore(id sim.ProcID, n int) *Store {
 	return &Store{
 		id:      id,
 		n:       n,
-		regs:    make(map[string]*regArray),
+		regs:    regstore.New(nil),
 		pending: make(map[int64]*pendingCall),
 	}
-}
-
-// array returns the register array for reg, creating it on first use.
-func (s *Store) array(reg string) *regArray {
-	arr := s.regs[reg]
-	if arr == nil {
-		arr = &regArray{cells: make([]cell, s.n)}
-		s.regs[reg] = arr
-	}
-	return arr
 }
 
 // InstallStores equips every processor of the kernel with a fresh Store and
@@ -217,13 +180,13 @@ func InstallStores(k *sim.Kernel) []*Store {
 func (s *Store) HandleMessage(from sim.ProcID, payload any) (any, bool) {
 	switch m := payload.(type) {
 	case propagateMsg:
-		for _, e := range m.Entries {
-			s.merge(e)
+		for i := range m.Entries {
+			s.regs.Merge(&m.Entries[i]) // adopted: propagated entries are immutable
 		}
 		return ackMsg{Call: m.Call, From: s.id}, true
 	case collectMsg:
-		entries, size := s.snapshotSized(m.Reg)
-		return collectAck{Call: m.Call, From: s.id, Entries: entries, entriesSize: size}, true
+		snap, _ := s.regs.Snapshot(m.Reg)
+		return collectAck{Call: m.Call, From: s.id, Entries: snap.Entries, entriesSize: snap.Size}, true
 	case ackMsg:
 		if c, ok := s.pending[m.Call]; ok {
 			c.acks++
@@ -242,57 +205,23 @@ func (s *Store) HandleMessage(from sim.ProcID, payload any) (any, bool) {
 	}
 }
 
-// merge applies an entry if it is newer than the local cell (writer
-// versioning: higher sequence numbers win; owners never regress).
-func (s *Store) merge(e Entry) {
-	arr := s.array(e.Reg)
-	if e.Seq > arr.cells[e.Owner].seq {
-		arr.cells[e.Owner] = cell{seq: e.Seq, val: e.Val}
-		arr.version++
-	}
-}
-
 // Snapshot returns the non-⊥ cells of a register array as entries, in owner
 // order. The slice belongs to the published snapshot, shared across callers
 // of the same version: it and the values it references must be treated as
 // immutable.
 func (s *Store) Snapshot(reg string) []Entry {
-	entries, _ := s.snapshotSized(reg)
-	return entries
-}
-
-// snapshotSized returns the published snapshot together with its total wire
-// size, so per-ack accounting does not re-walk the entries. A stale (or
-// absent) publication is rebuilt from the cells and republished.
-func (s *Store) snapshotSized(reg string) ([]Entry, int) {
-	arr := s.regs[reg]
-	if arr == nil {
-		return nil, 0
-	}
-	if sn := arr.snap; sn != nil && sn.ver == arr.version {
-		return sn.entries, sn.size
-	}
-	out := make([]Entry, 0, s.n)
-	size := 0
-	for owner, c := range arr.cells {
-		if c.seq > 0 {
-			e := Entry{Reg: reg, Owner: sim.ProcID(owner), Seq: c.seq, Val: c.val}
-			size += e.WireSize()
-			out = append(out, e)
-		}
-	}
-	arr.snap = &snapshot{ver: arr.version, entries: out, size: size}
-	return out, size
+	snap, _ := s.regs.Snapshot(reg)
+	return snap.Entries
 }
 
 // Local returns this store's current value for owner j's cell of register
 // reg; ok is false for ⊥.
 func (s *Store) Local(reg string, j sim.ProcID) (Value, bool) {
-	arr := s.regs[reg]
-	if arr == nil || arr.cells[j].seq == 0 {
+	e := s.regs.Load(reg, j)
+	if e == nil {
 		return nil, false
 	}
-	return arr.cells[j].val, true
+	return e.Val, true
 }
 
 // Comm is the algorithm-side handle for issuing communicate calls from one
@@ -327,12 +256,9 @@ func (c *Comm) QuorumSize() int { return c.st.n/2 + 1 }
 // caller's cell of register reg to val and pushes it to at least a quorum.
 // One communicate call; blocks until ⌊n/2⌋+1 acks (self included) arrive.
 func (c *Comm) Propagate(reg string, val Value) {
-	arr := c.st.array(reg)
-	self := c.p.ID()
-	arr.cells[self] = cell{seq: arr.cells[self].seq + 1, val: val}
-	arr.version++
-	entry := Entry{Reg: reg, Owner: self, Seq: arr.cells[self].seq, Val: val}
-	c.broadcast(propagateEntriesCall{entries: []Entry{entry}})
+	payload := []Entry{{Reg: reg, Owner: c.p.ID(), Val: val}}
+	c.st.regs.Write(&payload[0])
+	c.broadcast(propagateEntriesCall{entries: payload})
 }
 
 // PropagateEntries pushes an arbitrary set of already-versioned entries
@@ -342,8 +268,8 @@ func (c *Comm) Propagate(reg string, val Value) {
 func (c *Comm) PropagateEntries(entries []Entry) {
 	// Relayed entries are merged locally first so the self-ack is honest:
 	// the caller's store reflects everything the call pushes.
-	for _, e := range entries {
-		c.st.merge(e)
+	for i := range entries {
+		c.st.regs.Merge(&entries[i])
 	}
 	c.broadcast(propagateEntriesCall{entries: entries})
 }

@@ -90,13 +90,13 @@ func TestTwoCallsIntersect(t *testing.T) {
 
 func TestSeqNewerWinsOlderIgnored(t *testing.T) {
 	s := NewStore(0, 3)
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 2, Val: "new"})
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 1, Val: "old"})
+	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 2, Val: "new"})
+	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 1, Val: "old"})
 	got, ok := s.Local("r", 1)
 	if !ok || got != "new" {
 		t.Fatalf("Local = %v,%v want new,true", got, ok)
 	}
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 3, Val: "newest"})
+	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 3, Val: "newest"})
 	if got, _ := s.Local("r", 1); got != "newest" {
 		t.Fatalf("Local after newer merge = %v, want newest", got)
 	}
@@ -104,8 +104,8 @@ func TestSeqNewerWinsOlderIgnored(t *testing.T) {
 
 func TestSnapshotSparseAndOrdered(t *testing.T) {
 	s := NewStore(0, 4)
-	s.merge(Entry{Reg: "r", Owner: 3, Seq: 1, Val: "c"})
-	s.merge(Entry{Reg: "r", Owner: 1, Seq: 1, Val: "a"})
+	s.regs.Merge(&Entry{Reg: "r", Owner: 3, Seq: 1, Val: "c"})
+	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 1, Val: "a"})
 	snap := s.Snapshot("r")
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d entries, want 2 (sparse)", len(snap))

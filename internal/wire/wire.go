@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/renaming"
@@ -783,10 +782,4 @@ func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 		return k, call, 0, false
 	}
 	return k, call, rt.ProcID(f), true
-}
-
-// SortEntries orders entries by owner, the canonical snapshot order shared
-// by both backends' stores and the electd servers.
-func SortEntries(entries []rt.Entry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Owner < entries[j].Owner })
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/live"
+	"repro/internal/regstore"
 	"repro/internal/sim"
 )
 
@@ -184,6 +185,9 @@ func buildConfig(opts []Option) config {
 func (c config) validate() error {
 	if c.n < 1 {
 		return fmt.Errorf("repro: system size %d must be at least 1", c.n)
+	}
+	if c.n > regstore.MaxOwners {
+		return fmt.Errorf("repro: system size %d exceeds the register store's %d owners", c.n, regstore.MaxOwners)
 	}
 	if c.k < 1 || c.k > c.n {
 		return fmt.Errorf("repro: participants %d must be in [1, %d]", c.k, c.n)

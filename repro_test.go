@@ -82,6 +82,9 @@ func TestElectValidation(t *testing.T) {
 	if _, err := repro.Elect(repro.WithN(4), repro.WithParticipants(5)); err == nil {
 		t.Fatal("k>n accepted")
 	}
+	if _, err := repro.Elect(repro.WithN(1 << 13)); err == nil {
+		t.Fatal("n beyond the register store's owner bound accepted")
+	}
 }
 
 func TestRename(t *testing.T) {
@@ -175,4 +178,62 @@ func TestElectUnderCrashesMayHaveNoWinner(t *testing.T) {
 		t.Fatal("crashes prevented every election from electing (suspicious)")
 	}
 	_ = sawNoWinner // either outcome is legal; both together show the API surface
+}
+
+// TestSimGolden pins the seeded sim kernel across commits: every row's
+// literals were generated at the commit before the register stores became
+// one (internal/regstore), so a store change that perturbs what the sim can
+// observe — entry order, sizes, merge outcomes — fails here, where
+// TestElectDeterministic (two runs of one binary) cannot see it. outcome is
+// the winner's id for elections, the survivor count for single sifts and
+// Σ (id+1)·name for renaming.
+func TestSimGolden(t *testing.T) {
+	type measures struct {
+		outcome, rounds, time, calls int
+		msgs, bytes                  int64
+	}
+	sum := func(xs []int) (s int) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	elect := func(opts ...repro.Option) (measures, error) {
+		r, err := repro.Elect(opts...)
+		return measures{int(r.Winner), r.Rounds, r.Time, sum(r.Stats.CommCalls), r.Messages, r.PayloadBytes}, err
+	}
+	sift := func(opts ...repro.Option) (measures, error) {
+		r, err := repro.Sift(opts...)
+		return measures{r.Survivors, 0, r.Stats.MaxCommunicateCalls(), sum(r.Stats.CommCalls), r.Stats.MessagesSent, r.Stats.PayloadBytes}, err
+	}
+	rename := func(opts ...repro.Option) (measures, error) {
+		r, err := repro.Rename(opts...)
+		names := 0
+		for id, name := range r.Names {
+			names += (int(id) + 1) * name
+		}
+		return measures{names, 0, r.Time, sum(r.Stats.CommCalls), r.Messages, r.Stats.PayloadBytes}, err
+	}
+	for _, row := range []struct {
+		name string
+		run  func(...repro.Option) (measures, error)
+		opts []repro.Option
+		want measures
+	}{
+		{"poisonpill/n16/seed1", sift, []repro.Option{repro.WithAlgorithm(repro.BasicSift), repro.WithN(16), repro.WithSeed(1)}, measures{3, 0, 3, 48, 1439, 38065}},
+		{"het-poisonpill/n32/seed2", sift, []repro.Option{repro.WithAlgorithm(repro.HetSift), repro.WithN(32), repro.WithSeed(2)}, measures{3, 0, 4, 128, 7935, 1469937}},
+		{"leaderelect/n24/seed7", elect, []repro.Option{repro.WithN(24), repro.WithSeed(7)}, measures{18, 6, 34, 248, 11408, 743728}},
+		{"leaderelect/n64/seed3", elect, []repro.Option{repro.WithN(64), repro.WithSeed(3)}, measures{35, 7, 40, 568, 71568, 21785400}},
+		{"leaderelect/n32k8/lockstep/seed5", elect, []repro.Option{repro.WithN(32), repro.WithParticipants(8), repro.WithSchedule(repro.LockStep), repro.WithSeed(5)}, measures{5, 4, 22, 84, 5208, 142228}},
+		{"tournament/n16/seed2", elect, []repro.Option{repro.WithAlgorithm(repro.Tournament), repro.WithN(16), repro.WithSeed(2)}, measures{11, 7, 46, 369, 11070, 246390}},
+		{"renaming/n8/seed4", rename, []repro.Option{repro.WithN(8), repro.WithSeed(4)}, measures{149, 0, 40, 170, 2380, 59626}},
+		{"renaming/n16/staleviews/seed6", rename, []repro.Option{repro.WithN(16), repro.WithSchedule(repro.StaleViews), repro.WithSeed(6)}, measures{1152, 0, 13, 208, 6231, 160363}},
+	} {
+		got, err := row.run(row.opts...)
+		if err != nil {
+			t.Errorf("%s: %v", row.name, err)
+		} else if got != row.want {
+			t.Errorf("%s: got %+v, want %+v", row.name, got, row.want)
+		}
+	}
 }
