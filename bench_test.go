@@ -1,21 +1,25 @@
 package repro_test
 
-// The benchmark harness regenerates every experiment of the paper's
-// evaluation (docs/PAPER_MAP.md maps the paper's claims to them): one
-// benchmark per table (T1–T13, ablations A1–A2) and per claim-figure (F1–F3), each
-// reporting the experiment's headline quantity as a custom metric, plus
-// micro-benchmarks of the simulation substrate.
+// This file holds the root package's `go test -bench` benchmarks:
+//
+//   - the paper's evaluation, one benchmark per table (T1–T13, ablations
+//     A1–A2) and per claim-figure (F1–F3), each running its experiment at
+//     Quick scale per iteration and reporting the headline quantity as a
+//     custom metric — ns/op there is only the experiment's cost
+//     (docs/PAPER_MAP.md maps the paper's claims to them);
+//   - micro-benchmarks of the simulation substrate;
+//   - wall-clock benchmarks of the live goroutine backend;
+//   - T15, the transport × GOMAXPROCS × concurrency contention sweep.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The Tx/Fx benchmarks execute their full experiment at Quick scale per
-// iteration; absolute ns/op therefore measures experiment cost, while the
-// custom metrics carry the reproduced quantities (survivors, communicate
-// calls, message ratios, ...).
+// None of them writes a file or gates anything; the benchmark of record is
+// the separate module under benchmark/ (benchmark/README.md).
 
 import (
+	"fmt"
 	"runtime"
 	"strconv"
 	"testing"
@@ -377,4 +381,59 @@ func BenchmarkA2HetBiasAblation(b *testing.B) {
 	fair := lastField(b, tab, 3, func(r []string) bool { return r[1] == "1/2" && r[2] == "sequential" })
 	b.ReportMetric(paper, "paper-bias-survivors")
 	b.ReportMetric(fair, "fair-bias-survivors")
+}
+
+// --- contention sweep ----------------------------------------------------
+
+// baseProcs is the ambient GOMAXPROCS of the run, captured at package init
+// before T15's procs sweep moves it.
+var baseProcs = runtime.GOMAXPROCS(0)
+
+// BenchmarkT15ContentionScaling measures how elections/second scales with
+// the number of elections in flight at once, on every comm substrate: the
+// campaign engine runs conc workers over a shared system pool (chan) or a
+// shared electd server set plus the system pool (tcp, udp), so every added
+// level of concurrency lands on the same sharded server maps, sharded
+// client call table and recycled Systems. allocs/election is the pooling
+// metric: it must stay flat — or fall — as concurrency grows. Each
+// iteration runs 2·conc elections so every worker sustains pipeline
+// pressure rather than a single wave.
+//
+// The sweep repeats at 1×, 2× and 4× the ambient GOMAXPROCS (`procs=<p>`):
+// the lock-free register store only shows its worth when several OS threads
+// contend on the same cells and published snapshots, and an oversubscribed
+// GOMAXPROCS surfaces convoy effects (a descheduled lock holder stalls every
+// waiter; a descheduled lock-free reader stalls nobody) even on one core.
+// docs/BENCH.md explains how to read the surface.
+func BenchmarkT15ContentionScaling(b *testing.B) {
+	for _, tr := range []live.Transport{live.TransportChan, live.TransportTCP, live.TransportUDP} {
+		for _, mult := range []int{1, 2, 4} {
+			procs := mult * baseProcs
+			for _, conc := range []int{1, 4, 16, 64} {
+				b.Run(fmt.Sprintf("transport=%s/procs=%d/conc=%d", tr, procs, conc), func(b *testing.B) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					runs := 2 * conc
+					var tput float64
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rep, err := campaign.Run(campaign.Config{
+							Runs: runs, Workers: conc, N: 16, BaseSeed: int64(i),
+							Transport: tr,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						tput += rep.Throughput
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					b.ReportMetric(tput/float64(b.N), "elections/s")
+					b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runs), "allocs/election")
+				})
+			}
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rt"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -69,10 +70,20 @@ func TestHandleAllocBudget(t *testing.T) {
 
 // TestThriftyCallAllocBudget: a quorum call whose first wave is a subset
 // arms a tick on every call; the timer is the client's own, re-armed and
-// stopped, so the wait loop costs a steady-state call no allocation.
+// stopped, so the wait loop costs a steady-state call no allocation. The
+// traced case is the flight recorder's overhead contract: with client and
+// server spans recording into a preallocated ring, a warm call is held to
+// the same constants.
 func TestThriftyCallAllocBudget(t *testing.T) {
+	t.Run("untraced", func(t *testing.T) { thriftyCallAllocBudget(t, nil) })
+	t.Run("traced", func(t *testing.T) { thriftyCallAllocBudget(t, trace.NewRecorder(1<<12)) })
+}
+
+func thriftyCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	const n, reg = 16, "leaderelect/sift/3/status"
-	cl, err := NewCluster(transport.NewLoopback(), n)
+	cl, err := NewClusterWith(transport.NewLoopback(), n, ClusterOptions{
+		Pool: PoolOptions{Trace: rec}, Server: ServerOptions{Trace: rec},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,5 +105,8 @@ func TestThriftyCallAllocBudget(t *testing.T) {
 	}
 	if cl.Pool().widened.Load() != 0 {
 		t.Fatalf("%d calls widened on an idle in-process cluster", cl.Pool().widened.Load())
+	}
+	if rec != nil && rec.Recorded() == 0 {
+		t.Fatal("traced run recorded no span")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // The chan substrate's per-call allocation budget, in steady state at n=32
@@ -24,11 +25,20 @@ const (
 
 // TestChanCallAllocBudget: a thrifty call arms a tick on every call and
 // its quorum is assembled, per-sender answered set and all, on a slot the
-// servers fill; none of it may cost a warm call an allocation.
+// servers fill; none of it may cost a warm call an allocation. The traced
+// case is the flight recorder's overhead contract: with the send and
+// quorum-wait spans recording into a preallocated ring, a warm call is held
+// to the same constants.
 func TestChanCallAllocBudget(t *testing.T) {
+	t.Run("untraced", func(t *testing.T) { chanCallAllocBudget(t, nil) })
+	t.Run("traced", func(t *testing.T) { chanCallAllocBudget(t, trace.NewRecorder(1<<12)) })
+}
+
+func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	const n, reg = 32, "leaderelect/sift/3/status"
 	sys := NewSystem(n, 1)
 	defer sys.Shutdown()
+	sys.rec, sys.traceID = rec, 1
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
 	c := NewComm(sys.Proc(0))
 	if c.sched.Wide() {
@@ -46,5 +56,8 @@ func TestChanCallAllocBudget(t *testing.T) {
 	}
 	if c.sched.Wide() {
 		t.Fatal("a call widened on an idle system")
+	}
+	if rec != nil && rec.Recorded() == 0 {
+		t.Fatal("traced run recorded no span")
 	}
 }
