@@ -46,7 +46,7 @@ const (
 	TransportTCP Transport = "tcp"
 	// TransportUDP routes quorum traffic through electd servers over
 	// loopback UDP datagrams: the same wire frames, packed MTU-bounded into
-	// datagrams with batched syscalls, with the client pool's default
+	// datagrams, one datagram per syscall, with the client pool's default
 	// retransmit-and-dedup as the reliability layer (strictly below the
 	// quorum semantics — see electd.PoolOptions.Retransmit).
 	TransportUDP Transport = "udp"

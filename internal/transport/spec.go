@@ -17,7 +17,7 @@ const (
 	// server, length-prefixed frames, kernel backpressure.
 	SpecTCP = "tcp"
 	// SpecUDP is the datagram transport: wire frames as UDP payloads with
-	// MTU-bounded packing and batched syscalls. The transport itself is
+	// MTU-bounded packing, one datagram per syscall. The transport itself is
 	// lossy by design; the electd client pool layers retransmit-and-dedup
 	// on top by default (see electd.NewPool), keeping reliability strictly
 	// below the quorum semantics.

@@ -1,6 +1,6 @@
 // Package transport carries wire frames between the nodes of an election
 // cluster: the network boundary beneath internal/electd and the live
-// backend's TCP mode.
+// backend's TCP and UDP modes.
 //
 // The abstraction is a message-oriented, connection-based RPC substrate.
 // Servers Listen and receive every inbound message together with the Conn
@@ -9,13 +9,15 @@
 // the connection for the life of the run — the connection pool is the set
 // of Conns, each with its own write loop.
 //
-// Two Networks implement the interface: Loopback (in-process queues that
+// Three Networks implement the interface: Loopback (in-process queues that
 // still round-trip every message through the internal/wire codec — the
-// reference implementation and test double) and TCP (real sockets on the
-// host, one listener per server, length-prefixed frames). The fault engine
-// plugs in here: a crashed node's Listener drops its connections and stops
-// answering (transport.Listener.Crash), and injected link latency rides
-// delayed writes (transport.SendDelayed).
+// reference implementation and test double), TCP (real sockets on the
+// host, one listener per server, length-prefixed frames) and UDP (one
+// datagram socket per endpoint, one frame per datagram, lossy by design:
+// its "connection" is a socket plus a peer address — see udp.go). The fault
+// engine plugs in here: a crashed node's Listener drops its connections and
+// stops answering (transport.Listener.Crash), and injected link latency
+// rides delayed writes (transport.SendDelayed).
 package transport
 
 import (

@@ -26,10 +26,9 @@ import (
 //
 // The write path packs runs of small batchable frames headed for the same
 // peer into one batch-frame datagram, bounded by udpDefaultPack — the
-// datagram analogue of the TCP write loop's coalescing — and ships the
-// resulting packets with one sendmmsg call per drain on Linux; the read
-// path pulls up to udpRecvBatch datagrams per recvmmsg. Non-Linux builds
-// fall back to portable ReadFrom/WriteTo loops (see udp_mmsg_portable.go).
+// datagram analogue of the TCP write loop's coalescing. That packing is the
+// only batching: each datagram is one portable net.UDPConn write, each read
+// one ReadFrom, on every platform.
 type UDP struct {
 	// Host is the bind address for Listen, without a port. Default
 	// "127.0.0.1" — loopback datagrams: real sockets, kernel buffers and
@@ -65,9 +64,7 @@ func (u *UDP) Dial(addr string, h Handler) (Conn, error) {
 }
 
 const (
-	// udpRecvBatch is how many datagrams one recvmmsg wakeup may pull.
-	udpRecvBatch = 8
-	// udpMaxDatagram is the receive-slot size and the largest frame the
+	// udpMaxDatagram is the receive-buffer size and the largest frame the
 	// transport will put on the wire: the UDP payload ceiling rounded to a
 	// power of two. A frame beyond it cannot cross this transport and is
 	// dropped at Send — loss, reported to the caller.
@@ -82,27 +79,32 @@ const (
 	// bursts are n small datagrams wide per participant, all arriving at
 	// once; the kernel grants min(this, rmem_max).
 	udpSockBuf = 4 << 20
+	// udpMaxPeers caps a listener's peer cache. Source addresses are
+	// unvalidated outside input — a long-lived server sees every client
+	// ephemeral port it was ever sent from, a spoofed flood as many as it
+	// likes — so the cache starts over when it reaches the cap.
+	udpMaxPeers = 4096
 )
 
 // errFrameTooLarge reports a frame that exceeds the datagram ceiling; the
 // caller treats it as message loss, like any dead link.
 var errFrameTooLarge = errors.New("transport: frame exceeds the UDP datagram ceiling")
 
-// udpSlab backs one endpoint's receive slots (udpRecvBatch datagram-sized
-// buffers carved from one allocation). Slabs are recycled through a pool:
-// benchmark and campaign workloads build clusters — dozens of endpoints —
-// per election, and re-zeroing half a megabyte per endpoint would dominate
-// setup.
-var udpSlabPool = sync.Pool{
+// udpReadBufs recycles the endpoints' receive buffers, one udpMaxDatagram
+// buffer per read loop. Campaign and benchmark workloads build a cluster —
+// dozens of endpoints — per run and drop it after a few elections; a fresh
+// 64 KiB per endpoint measured 8 % off the elections/s of such a workload
+// (T15 at one election in flight), a recycled one none.
+var udpReadBufs = sync.Pool{
 	New: func() any {
-		b := make([]byte, udpRecvBatch*udpMaxDatagram)
+		b := make([]byte, udpMaxDatagram)
 		return &b
 	},
 }
 
-// pkt is one datagram in a batched send or receive: the payload and the
-// peer. An invalid (zero) addr means the endpoint's socket is connected
-// and the kernel routes.
+// pkt is one outbound datagram (or one queued frame on its way into one):
+// the payload and the peer. An invalid (zero) addr means the endpoint's
+// socket is connected and the kernel routes.
 type pkt struct {
 	buf []byte
 	to  netip.AddrPort
@@ -111,15 +113,12 @@ type pkt struct {
 // udpEndpoint is one UDP socket with its write and read loops — the shared
 // machinery under both a dialed client conn and a server listener. Sends
 // enqueue encoded frames; the write loop drains the queue, packs runs of
-// small same-destination frames into batch datagrams, and hands the packet
-// run to the platform sender (sendmmsg on Linux). The read loop pulls
-// datagram batches (recvmmsg on Linux) and hands each frame body to
-// dispatch.
+// small same-destination frames into batch datagrams, and writes them one
+// datagram per syscall. The read loop reads one datagram per syscall and
+// hands its frame body to dispatch.
 type udpEndpoint struct {
-	pc        *net.UDPConn
-	io        packetIO
-	rec       *trace.Recorder
-	connected bool
+	pc  *net.UDPConn
+	rec *trace.Recorder
 	// dispatch consumes one inbound frame body (length prefix already
 	// stripped and validated); src is the datagram's source address. It
 	// runs on the read loop, which owns dec.
@@ -131,25 +130,18 @@ type udpEndpoint struct {
 	wg        sync.WaitGroup
 }
 
-func newUDPEndpoint(pc *net.UDPConn, connected bool, rec *trace.Recorder) (*udpEndpoint, error) {
+func newUDPEndpoint(pc *net.UDPConn, rec *trace.Recorder) *udpEndpoint {
 	// Deep socket buffers: a quorum broadcast is a burst of n datagrams per
 	// participant, and the stock ~200KiB rcvbuf overruns under n=32 bursts —
 	// every overrun is real loss that costs a full retransmit tick to
 	// recover. Best-effort: the kernel clamps to its rmem_max/wmem_max.
 	pc.SetReadBuffer(udpSockBuf)  //nolint:errcheck
 	pc.SetWriteBuffer(udpSockBuf) //nolint:errcheck
-	e := &udpEndpoint{
-		pc:        pc,
-		rec:       rec,
-		connected: connected,
-		out:       newSendQueue(func(p pkt) { wire.PutBuf(p.buf) }),
+	return &udpEndpoint{
+		pc:  pc,
+		rec: rec,
+		out: newSendQueue(func(p pkt) { wire.PutBuf(p.buf) }),
 	}
-	io, err := newPacketIO(e)
-	if err != nil {
-		return nil, err
-	}
-	e.io = io
-	return e, nil
 }
 
 func (e *udpEndpoint) start() {
@@ -188,9 +180,8 @@ func (e *udpEndpoint) close() {
 
 // writeLoop drains the outbound queue onto the socket: each wakeup picks up
 // every frame already queued (the queue accumulates exactly while the
-// previous syscall is in flight, so the busier the socket, the bigger the
-// batches), packs them into datagrams, and ships the whole run with as few
-// syscalls as the platform allows.
+// previous write is in flight, so the busier the socket, the bigger the
+// batches), packs them into datagrams, and writes the datagrams out.
 func (e *udpEndpoint) writeLoop() {
 	defer e.wg.Done()
 	var frames []pkt
@@ -205,7 +196,7 @@ func (e *udpEndpoint) writeLoop() {
 			drainT0 = trace.Now()
 		}
 		pkts = packDatagrams(pkts[:0], frames, e.rec != nil)
-		err := e.io.sendPackets(e, pkts)
+		err := e.sendPackets(pkts)
 		for i := range pkts {
 			wire.PutBuf(pkts[i].buf)
 		}
@@ -273,8 +264,8 @@ func appendStamp(buf []byte, stamp bool) []byte {
 	return append(buf, b[:]...)
 }
 
-// readLoop pulls datagram batches off the socket and dispatches each frame
-// body. Datagrams are independent, so a corrupt or truncated one is
+// readLoop reads datagrams off the socket and dispatches each frame body.
+// Datagrams are independent, so a corrupt or truncated one is
 // dropped alone — loss — rather than severing the endpoint; only a closed
 // socket ends the loop. Transient socket errors (an ICMP port-unreachable
 // surfacing as ECONNREFUSED on a connected socket, say) are likewise loss:
@@ -282,17 +273,12 @@ func appendStamp(buf []byte, stamp bool) []byte {
 // server crash and reach the recovered server on the same socket.
 func (e *udpEndpoint) readLoop() {
 	defer e.wg.Done()
-	slab := udpSlabPool.Get().(*[]byte)
-	defer udpSlabPool.Put(slab)
-	bufs := make([][]byte, udpRecvBatch)
-	for i := range bufs {
-		bufs[i] = (*slab)[i*udpMaxDatagram : (i+1)*udpMaxDatagram]
-	}
-	lens := make([]int, udpRecvBatch)
-	srcs := make([]netip.AddrPort, udpRecvBatch)
+	bp := udpReadBufs.Get().(*[]byte)
+	defer udpReadBufs.Put(bp)
+	buf := *bp
 	var dec wire.Decoder
 	for {
-		n, err := e.io.recvPackets(e, bufs, lens, srcs)
+		n, src, err := e.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if e.out.closed.Load() {
 				return
@@ -303,41 +289,39 @@ func (e *udpEndpoint) readLoop() {
 			}
 			continue // transient: datagram-level loss
 		}
-		for i := 0; i < n; i++ {
-			b := bufs[i][:lens[i]]
-			if e.rec != nil {
-				if len(b) < wire.StampSize {
-					continue // truncated: loss
-				}
-				sent := wire.GetStamp(b[len(b)-wire.StampSize:])
-				b = b[:len(b)-wire.StampSize]
-				e.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(b)))
+		b := buf[:n]
+		if e.rec != nil {
+			if len(b) < wire.StampSize {
+				continue // truncated: loss
 			}
-			// One length-prefixed frame per datagram: the prefix is
-			// redundant with the datagram length, which is exactly what
-			// makes it a truncation check.
-			size, un := binary.Uvarint(b)
-			if un <= 0 || int(size) != len(b)-un {
-				continue // corrupt or truncated: loss
-			}
-			body := b[un:]
-			countIn(len(body))
-			var decT0 int64
-			if e.rec != nil {
-				decT0 = trace.Now()
-			}
-			e.dispatch(&dec, srcs[i], body)
-			if e.rec != nil {
-				e.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
-			}
+			sent := wire.GetStamp(b[len(b)-wire.StampSize:])
+			b = b[:len(b)-wire.StampSize]
+			e.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(b)))
+		}
+		// One length-prefixed frame per datagram: the prefix is redundant
+		// with the datagram length, which is exactly what makes it a
+		// truncation check.
+		size, un := binary.Uvarint(b)
+		if un <= 0 || int(size) != len(b)-un {
+			continue // corrupt or truncated: loss
+		}
+		body := b[un:]
+		countIn(len(body))
+		var decT0 int64
+		if e.rec != nil {
+			decT0 = trace.Now()
+		}
+		e.dispatch(&dec, src, body)
+		if e.rec != nil {
+			e.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
 		}
 	}
 }
 
-// sendPacketsGeneric is the portable packet sender: one WriteTo (or Write,
-// on a connected socket) per datagram. Per-datagram errors are loss; only
-// a closed socket is fatal.
-func sendPacketsGeneric(e *udpEndpoint, pkts []pkt) error {
+// sendPackets writes the datagrams out: one WriteTo (or Write, on a
+// connected socket) each. Per-datagram errors are loss; only a closed
+// socket is fatal.
+func (e *udpEndpoint) sendPackets(pkts []pkt) error {
 	for _, p := range pkts {
 		var err error
 		if p.to.IsValid() {
@@ -350,17 +334,6 @@ func sendPacketsGeneric(e *udpEndpoint, pkts []pkt) error {
 		}
 	}
 	return nil
-}
-
-// recvPacketsGeneric is the portable packet receiver: one blocking
-// ReadFrom per call.
-func recvPacketsGeneric(e *udpEndpoint, bufs [][]byte, lens []int, srcs []netip.AddrPort) (int, error) {
-	n, addr, err := e.pc.ReadFromUDPAddrPort(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	lens[0], srcs[0] = n, addr
-	return 1, nil
 }
 
 // udpConn is the dialed (client) side: Conn over one connected socket.
@@ -380,11 +353,7 @@ func dialUDP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep, err := newUDPEndpoint(pc, true, rec)
-	if err != nil {
-		pc.Close()
-		return nil, err
-	}
+	ep := newUDPEndpoint(pc, rec)
 	c := &udpConn{ep: ep, handler: h}
 	c.rc.conn = c
 	ep.dispatch = c.dispatchBody
@@ -441,11 +410,10 @@ type UDPListener struct {
 
 	ep atomic.Pointer[udpEndpoint] // current socket; nil while crashed
 
-	mu      sync.Mutex
-	closed  bool
-	peers   map[netip.AddrPort]*udpPeerConn
-	readErr error         // why the read loop died, nil for Close/Crash; guarded by mu
-	done    chan struct{} // closed when the current read loop exits; swapped by Recover
+	mu     sync.Mutex
+	closed bool
+	peers  map[netip.AddrPort]*udpPeerConn
+	done   chan struct{} // closed when the current read loop exits; swapped by Recover
 }
 
 // ListenUDP binds addr (host:port; port 0 for ephemeral) and serves inbound
@@ -470,25 +438,18 @@ func listenUDP(addr string, h Handler, rec *trace.Recorder) (*UDPListener, error
 		peers:   make(map[netip.AddrPort]*udpPeerConn),
 		done:    make(chan struct{}),
 	}
-	if err := l.arm(pc, l.done); err != nil {
-		pc.Close()
-		return nil, err
-	}
+	l.arm(pc, l.done)
 	return l, nil
 }
 
 // arm wraps a bound socket in an endpoint and starts its loops; done is
 // closed when the endpoint's read loop exits.
-func (l *UDPListener) arm(pc *net.UDPConn, done chan struct{}) error {
-	ep, err := newUDPEndpoint(pc, false, l.rec)
-	if err != nil {
-		return err
-	}
+func (l *UDPListener) arm(pc *net.UDPConn, done chan struct{}) {
+	ep := newUDPEndpoint(pc, l.rec)
 	ep.dispatch = l.dispatchBody
 	ep.onClose = func() { close(done) }
 	l.ep.Store(ep)
 	ep.start()
-	return nil
 }
 
 // Addr implements Listener. Fixed at listen time (resolved port for
@@ -504,13 +465,10 @@ func (l *UDPListener) Done() <-chan struct{} {
 	return l.done
 }
 
-// Err reports why the serve loop exited: nil for a deliberate Close or
-// Crash. Meaningful once Done is closed.
-func (l *UDPListener) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readErr
-}
+// Err reports why the serve loop exited. Always nil: a datagram read loop
+// rides out every socket error as loss and ends only on a deliberate Close
+// or Crash.
+func (l *UDPListener) Err() error { return nil }
 
 // dispatchBody routes one inbound frame body to the handler via the
 // source's peer conn, so replies travel back to the right address (and the
@@ -525,11 +483,15 @@ func (l *UDPListener) dispatchBody(dec *wire.Decoder, src netip.AddrPort, body [
 
 // peer returns the reply conn for one source address, creating it on first
 // contact. Peers carry no per-connection state beyond the address, so the
-// map is only a reuse cache; Crash clears it.
+// map is only a reuse cache: Crash clears it, and so does reaching
+// udpMaxPeers — a dropped peer is rebuilt by its next datagram.
 func (l *UDPListener) peer(src netip.AddrPort) *udpPeerConn {
 	l.mu.Lock()
 	p := l.peers[src]
 	if p == nil {
+		if len(l.peers) >= udpMaxPeers {
+			clear(l.peers)
+		}
 		p = &udpPeerConn{l: l, to: src}
 		p.rc.conn = p
 		l.peers[src] = p
@@ -579,12 +541,8 @@ func (l *UDPListener) Recover() error {
 		return net.ErrClosed
 	}
 	l.done = done
-	l.readErr = nil
 	l.mu.Unlock()
-	if err := l.arm(pc, done); err != nil {
-		pc.Close()
-		return err
-	}
+	l.arm(pc, done)
 	l.crashed.Store(false)
 	return nil
 }
@@ -641,14 +599,4 @@ func (p *udpPeerConn) Close() error {
 	delete(p.l.peers, p.to)
 	p.l.mu.Unlock()
 	return nil
-}
-
-// packetIO is the platform seam for batched datagram syscalls: Linux moves
-// whole packet runs per syscall via sendmmsg/recvmmsg, everything else
-// loops over the portable net.UDPConn calls. recvPackets fills bufs (and
-// lens/srcs in parallel) and reports how many datagrams arrived; it blocks
-// until at least one does or the socket dies.
-type packetIO interface {
-	sendPackets(e *udpEndpoint, pkts []pkt) error
-	recvPackets(e *udpEndpoint, bufs [][]byte, lens []int, srcs []netip.AddrPort) (int, error)
 }

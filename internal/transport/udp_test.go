@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -293,4 +294,61 @@ func TestUDPOversizeFrameIsLoss(t *testing.T) {
 	if err := conn.Send(&wire.Msg{Kind: wire.KindAck}); err != nil {
 		t.Fatalf("send after oversize rejection: %v", err)
 	}
+}
+
+// TestUDPPeerCacheBounded: the listener keeps one reply conn per source
+// address it has heard from, and source addresses are outside input — so
+// the cache must stay under udpMaxPeers however many distinct sockets send,
+// and a peer dropped from it must still be answered.
+func TestUDPPeerCacheBounded(t *testing.T) {
+	ln, err := ListenUDP("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	raddr, err := net.ResolveUDPAddr("udp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := wire.Append(nil, &wire.Msg{Kind: wire.KindPropagate, Call: 1, From: 1, Reg: "r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *net.UDPConn {
+		c, err := net.DialUDP("udp", nil, raddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	reply := make([]byte, 256)
+	roundTrip := func(c *net.UDPConn) {
+		t.Helper()
+		for try := 0; try < 50; try++ { // loopback datagrams may drop: resend
+			if _, err := c.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
+			if _, err := c.Read(reply); err == nil {
+				return
+			}
+		}
+		t.Fatalf("no reply to %v", c.LocalAddr())
+	}
+
+	first := dial()
+	defer first.Close()
+	roundTrip(first)
+	for i := 0; i < 2*udpMaxPeers; i++ {
+		c := dial()
+		roundTrip(c)
+		c.Close()
+	}
+	ln.mu.Lock()
+	cached := len(ln.peers)
+	ln.mu.Unlock()
+	if cached > udpMaxPeers {
+		t.Fatalf("peer cache holds %d entries after %d sockets, cap %d", cached, 2*udpMaxPeers+1, udpMaxPeers)
+	}
+	roundTrip(first)
 }

@@ -101,9 +101,10 @@ const (
 	// loopback TCP: a real network boundary under the same algorithms.
 	TCPTransport = live.TransportTCP
 	// UDPTransport routes quorum traffic through electd servers over
-	// loopback UDP datagrams: the same wire frames packed into datagrams
-	// with batched syscalls, and the client pool's retransmit-and-dedup as
-	// the reliability layer, strictly below the quorum semantics.
+	// loopback UDP datagrams: the same wire frames packed MTU-bounded into
+	// datagrams, one datagram per syscall, and the client pool's
+	// retransmit-and-dedup as the reliability layer, strictly below the
+	// quorum semantics.
 	UDPTransport = live.TransportUDP
 )
 
