@@ -69,7 +69,7 @@ const (
 	// outbound queue (Detail = queue depth observed at enqueue).
 	PEnqueue
 	// PWriteDrain is one write-loop drain: collecting queued frames,
-	// coalescing and flushing them (Detail = frames drained).
+	// coalescing and writing them (Detail = frames drained).
 	PWriteDrain
 	// PReadDecode is one read-loop iteration: reading a frame off the
 	// socket and dispatching it (Detail = frame bytes).

@@ -3,9 +3,14 @@
 package transport
 
 import (
+	"encoding/binary"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/rt"
 	"repro/internal/wire"
 )
 
@@ -125,6 +130,129 @@ func TestEchoAllocBudget(t *testing.T) {
 				t.Fatalf("%s echo round trip: %v allocs, budget %d", name, got, echoAllocs)
 			}
 		})
+	}
+}
+
+// retainedPerPair bounds the heap one idle dialed TCP connection pair
+// keeps: its two pooled tcpBufSize read buffers and small change. Measured
+// 68 KiB, after a small frame and after a 256 KiB one alike. With a
+// bufio reader and writer per end and a read-side body buffer that kept
+// its high-water mark it was 134 KiB, and 667 KiB once a 256 KiB frame had
+// crossed.
+const retainedPerPair = 80 << 10
+
+// heapAfterGC is the live heap once garbage and the sync.Pools' contents
+// (which survive one collection) are gone.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+func TestIdleTCPConnRetainsOneReadBuffer(t *testing.T) {
+	nw := NewTCP()
+	ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
+		c.Send(m) //nolint:errcheck // a lost echo fails the wait below
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck // teardown
+	const pairs = 32
+	got := make(chan struct{}, pairs)
+	base := heapAfterGC()
+	conns := make([]Conn, pairs)
+	for i := range conns {
+		if conns[i], err = nw.Dial(ln.Addr(), func(Conn, *wire.Msg) { got <- struct{}{} }); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close() //nolint:errcheck // teardown
+	}
+	for _, payload := range []int{8, 256 << 10} {
+		for i, c := range conns {
+			if err := c.Send(&wire.Msg{Kind: wire.KindPropagate, Call: uint64(i), Reg: "r",
+				Entries: []rt.Entry{{Reg: "r", Owner: 1, Seq: 1, Val: strings.Repeat("x", payload)}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range conns {
+			select {
+			case <-got:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d-byte payload: echo %d of %d never arrived", payload, i, pairs)
+			}
+		}
+		perPair := (heapAfterGC() - base) / pairs
+		t.Logf("after a %d-byte payload each way: %.1f KiB retained per idle pair", payload, float64(perPair)/1024)
+		if perPair > retainedPerPair {
+			t.Fatalf("after a %d-byte payload each way: %d bytes retained per idle pair, budget %d", payload, perPair, retainedPerPair)
+		}
+	}
+}
+
+// hostileHeapGrowth bounds the heap a listener may take for eight
+// connections that each sent only a length prefix claiming MaxFrame. Read
+// buffers grow with the bytes received, so the eight cost their pooled
+// read buffers (256 KiB together); sizing a buffer from the prefix cost
+// 128 MiB.
+const hostileHeapGrowth = 8 << 20
+
+func TestTCPLengthPrefixSizesNoBuffer(t *testing.T) {
+	nw := NewTCP()
+	ln, err := nw.Listen(echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := ln.(*TCPListener)
+	base := heapAfterGC()
+	prefix := binary.AppendUvarint(nil, wire.MaxFrame)
+	raws := make([]net.Conn, 8)
+	for i := range raws {
+		if raws[i], err = net.Dial("tcp", ln.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		defer raws[i].Close() //nolint:errcheck // teardown; closed below on success
+		if _, err := raws[i].Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan *wire.Msg, 1)
+	conn, err := nw.Dial(ln.Addr(), func(_ Conn, m *wire.Msg) { got <- m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // teardown
+	if err := conn.Send(&wire.Msg{Kind: wire.KindPropagate, Call: 1, Reg: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a well-behaved client got no echo beside the hostile prefixes")
+	}
+	waitConns(t, l, len(raws)+1)
+	// The read loops take the prefixes in their own time; an allocation
+	// sized by one shows within a few scheduler rounds.
+	var grown int64
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if grown = heapAfterGC() - base; grown >= hostileHeapGrowth {
+			t.Fatalf("%d MaxFrame prefixes (%d bytes sent in all) grew the heap by %.1f MiB, budget %d MiB",
+				len(raws), len(raws)*len(prefix), float64(grown)/(1<<20), hostileHeapGrowth>>20)
+		}
+	}
+	t.Logf("%d MaxFrame prefixes and one echo grew the heap by %.1f KiB", len(raws), float64(grown)/1024)
+	for _, c := range raws {
+		c.Close() //nolint:errcheck // under test: ends the server's read loop
+	}
+	waitConns(t, l, 1)
+	closed := make(chan error, 1)
+	go func() { closed <- ln.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the listener's Close did not return")
 	}
 }
 

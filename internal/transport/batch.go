@@ -2,34 +2,40 @@ package transport
 
 import (
 	"encoding/binary"
-	"io"
+	"slices"
 	"sync"
 
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // maxCoalesce bounds one write-loop drain: how many queued frames a single
 // wakeup may pick up and coalesce. It caps the latency any one frame can
-// accumulate behind its runmates and keeps a drain from starving the flush.
+// accumulate behind its runmates and keeps a drain from starving its write.
 const maxCoalesce = 256
 
 // maxRunBytes bounds the byte size of one coalesced batch, comfortably
 // under wire.MaxFrame: a run that would exceed it is split across batches.
 const maxRunBytes = 1 << 20
 
-// coalesceFrames writes a drained run of encoded frames onto w, wrapping
-// every maximal run of batchable frames (two or more, up to maxRunBytes)
-// into one batch frame — the frame-level analogue of the byte-level
-// coalescing bufio already gives the write loop. Frames that are already
-// batches (no nesting) or malformed pass through untouched, in order; the
-// per-connection FIFO is preserved either way. Every frame buffer is
-// recycled. The caller flushes w afterwards. With stamp set, every outer
-// frame is followed by its send-time trace stamp (see wire.PutStamp);
-// the receiving read loop must expect it. hdr is the write loop's
-// batch-header scratch, reused across drains (w is an interface, so a
-// header built here would escape once per drain).
-func coalesceFrames(w io.Writer, frames [][]byte, stamp bool, hdr *[]byte) error {
+// drainOverhead bounds the bytes a drain adds per queued frame: at most
+// one batch header (a ≤ 4-byte prefix, the kind, a ≤ 3-byte count) and
+// one trace stamp.
+const drainOverhead = 8 + wire.StampSize
+
+// coalesceFrames gathers a drained run of encoded frames onto dst — the
+// bytes of one socket write — wrapping every maximal run of batchable
+// frames (two or more, up to maxRunBytes) into one batch frame. Frames that
+// are already batches (no nesting) or malformed pass through untouched, in
+// order; the per-connection FIFO is preserved either way. dst is grown to
+// the drain's size once, up front, and every frame buffer is recycled.
+// With stamp set, every outer frame is followed by its send-time trace
+// stamp (see wire.PutStamp); the receiving read loop must expect it.
+func coalesceFrames(dst []byte, frames [][]byte, stamp bool) []byte {
+	need := 0
+	for _, f := range frames {
+		need += len(f) + drainOverhead
+	}
+	dst = slices.Grow(dst, need)
 	for i := 0; i < len(frames); {
 		j, size := i, 0
 		for j < len(frames) && size+len(frames[j]) <= maxRunBytes && wire.BatchableFrame(frames[j]) {
@@ -37,53 +43,27 @@ func coalesceFrames(w io.Writer, frames [][]byte, stamp bool, hdr *[]byte) error
 			j++
 		}
 		if j-i >= 2 {
-			var err error
-			if *hdr, err = wire.AppendBatchHeader((*hdr)[:0], j-i, size); err != nil {
-				return err // unreachable under the run caps; defensive
-			}
-			if _, err := w.Write(*hdr); err != nil {
-				return err
-			}
-			countBatchOut(j-i, len(*hdr)+size)
-			for ; i < j; i++ {
-				_, err := w.Write(frames[i])
-				wire.PutBuf(frames[i])
-				frames[i] = nil
-				if err != nil {
-					return err
+			// AppendBatchHeader cannot fail under the run caps; if it did,
+			// the run's first frame would go out alone below.
+			if withHdr, err := wire.AppendBatchHeader(dst, j-i, size); err == nil {
+				countBatchOut(j-i, len(withHdr)-len(dst)+size)
+				for dst = withHdr; i < j; i++ {
+					dst = append(dst, frames[i]...)
+					wire.PutBuf(frames[i])
+					frames[i] = nil
 				}
+				dst = appendStamp(dst, stamp)
+				continue
 			}
-			if err := writeStamp(w, stamp); err != nil {
-				return err
-			}
-			continue
 		}
 		// A lone batchable frame, or an unbatchable one: as-is.
 		countOut(len(frames[i]))
-		_, err := w.Write(frames[i])
+		dst = appendStamp(append(dst, frames[i]...), stamp)
 		wire.PutBuf(frames[i])
 		frames[i] = nil
 		i++
-		if err != nil {
-			return err
-		}
-		if err := writeStamp(w, stamp); err != nil {
-			return err
-		}
 	}
-	return nil
-}
-
-// writeStamp follows one just-written outer frame with its send-time
-// trace stamp; a no-op when stamping is off.
-func writeStamp(w io.Writer, stamp bool) error {
-	if !stamp {
-		return nil
-	}
-	var b [wire.StampSize]byte
-	wire.PutStamp(b[:], trace.Now())
-	_, err := w.Write(b[:])
-	return err
+	return dst
 }
 
 // dispatchGroup streams the messages of a group of frame bodies to h in

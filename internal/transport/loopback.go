@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -268,13 +267,13 @@ func (c *loopConn) Close() error {
 	return nil
 }
 
-// frameBody strips a frame's length prefix, validating it against the
-// actual body — the loopback queues carry whole frames, so a mismatch is a
-// framing bug, not a short read.
+// frameBody strips the length prefix of a buffer that must hold exactly one
+// frame — a loopback queue entry, a UDP datagram — so a mismatch is a
+// framing bug or a truncation, never a short read.
 func frameBody(frame []byte) ([]byte, error) {
-	size, n := binary.Uvarint(frame)
-	if n <= 0 || size != uint64(len(frame)-n) {
-		return nil, fmt.Errorf("transport: malformed frame prefix (%d bytes declared, %d present)", size, len(frame)-n)
+	body, n, err := wire.SplitFrame(frame)
+	if err == nil && (n == 0 || n != len(frame)) {
+		err = fmt.Errorf("transport: malformed frame (%d of %d bytes framed)", n, len(frame))
 	}
-	return frame[n:], nil
+	return body, err
 }

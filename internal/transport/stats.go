@@ -25,6 +25,8 @@ var stats struct {
 	bytesIn    atomic.Int64
 	batchesOut atomic.Int64
 	coalesced  atomic.Int64
+	writeCalls atomic.Int64
+	readCalls  atomic.Int64
 }
 
 // Stats is one read of the process's transport counters.
@@ -35,6 +37,11 @@ type Stats struct {
 	// BatchesOut counts the write-loop batch frames assembled and
 	// MsgsCoalesced the plain frames wrapped inside them.
 	BatchesOut, MsgsCoalesced int64
+	// WriteCalls counts socket write calls (one per TCP drain, one per
+	// UDP datagram) and ReadCalls the socket reads that returned data;
+	// reads the runtime retried after the socket had nothing are not
+	// counted.
+	WriteCalls, ReadCalls int64
 }
 
 // ReadStats returns the current counter values.
@@ -46,6 +53,8 @@ func ReadStats() Stats {
 		BytesIn:       stats.bytesIn.Load(),
 		BatchesOut:    stats.batchesOut.Load(),
 		MsgsCoalesced: stats.coalesced.Load(),
+		WriteCalls:    stats.writeCalls.Load(),
+		ReadCalls:     stats.readCalls.Load(),
 	}
 }
 
@@ -58,7 +67,15 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_bytes_in_total", "frame-body bytes read", stats.bytesIn.Load)
 	r.NewCounterFunc("transport_batches_out_total", "write-loop batch frames assembled", stats.batchesOut.Load)
 	r.NewCounterFunc("transport_msgs_coalesced_total", "plain frames wrapped into outbound batches", stats.coalesced.Load)
+	r.NewCounterFunc("transport_write_calls_total", "socket write calls (one per TCP drain, one per UDP datagram)", stats.writeCalls.Load)
+	r.NewCounterFunc("transport_read_calls_total", "socket reads that returned data", stats.readCalls.Load)
 }
+
+// countWrite records one socket write call.
+func countWrite() { stats.writeCalls.Add(1) }
+
+// countRead records one socket read that returned data.
+func countRead() { stats.readCalls.Add(1) }
 
 // countOut records one outbound wire frame of the given size.
 func countOut(size int) {

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -240,28 +238,30 @@ func dialTCP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	return conn, nil
 }
 
-// tcpBufSize sizes the per-connection bufio reader and writer. Large
-// enough that a full quorum broadcast's worth of coalesced frames — or a
-// register-array snapshot at benchmark sizes — crosses the socket in one
-// syscall.
+// tcpBufSize sizes each connection's read buffer, and so its largest read:
+// large enough that a burst — a full quorum broadcast's worth of coalesced
+// frames, or a register-array snapshot at benchmark sizes — crosses the
+// socket in one read call.
 const tcpBufSize = 32 << 10
 
-// Stream buffers are recycled across connections: a cluster of n nodes
-// opens O(n) connections per side, and at tcpBufSize per direction the
-// bufio buffers would otherwise dominate a short-lived cluster's
+// tcpReadBufs recycles the read loops' buffers across connections: a
+// cluster of n nodes opens O(n) connections per side, and a fresh
+// tcpBufSize buffer each would dominate a short-lived cluster's
 // allocations (and their zeroing its CPU).
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, tcpBufSize) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, tcpBufSize) }}
-)
+var tcpReadBufs = sync.Pool{New: func() any {
+	b := make([]byte, tcpBufSize)
+	return &b
+}}
 
 // tcpConn frames wire messages onto one TCP stream: Send enqueues encoded
 // frames to a dedicated write loop (so one slow peer never stalls a
 // broadcast mid-loop), and a read loop decodes inbound frames into the
-// handler. Frame buffers come from the wire package's pool on Send and
-// return to it after the socket write, and the read loop reuses one body
-// buffer, so the steady-state stream allocates only what the decoded
-// messages themselves need.
+// handler. The one stream buffer a connection keeps is its pooled read
+// buffer: the write loop gathers each drain into a frame buffer from the
+// wire package's pool and returns it after the one socket write, and the
+// read loop decodes frames in place, so the steady-state stream allocates
+// what the decoded messages themselves need and a buffer for each frame
+// larger than tcpBufSize.
 type tcpConn struct {
 	c         net.Conn
 	handler   Handler
@@ -316,20 +316,13 @@ func (t *tcpConn) SendEncoded(frame []byte) error {
 }
 
 // writeLoop drains the outbound queue onto the socket: each wakeup picks
-// up every frame already queued, coalesces runs of them into batch frames
-// (the queue accumulates exactly while the previous write is in flight, so
-// the busier the socket, the bigger the batches), writes them through the
-// buffered writer, and flushes once — no frame waits for a timer, and no
-// frame is ever left unflushed on an idle queue.
+// up every frame already queued, gathers them into one pooled buffer with
+// runs coalesced into batch frames (the queue accumulates exactly while
+// the previous write is in flight, so the busier the socket, the bigger
+// the batches), and writes that buffer with one call — no frame waits for
+// a timer, and nothing outlives the drain.
 func (t *tcpConn) writeLoop() {
-	w := writerPool.Get().(*bufio.Writer)
-	w.Reset(t.c)
-	defer func() {
-		w.Reset(nil) // drop the conn reference; buffered bytes are dead anyway
-		writerPool.Put(w)
-	}()
 	var frames [][]byte
-	var hdr []byte // coalesceFrames' batch-header scratch
 	for {
 		var ok bool
 		if frames, ok = t.out.take(frames); !ok {
@@ -339,10 +332,10 @@ func (t *tcpConn) writeLoop() {
 		if t.rec != nil {
 			drainT0 = trace.Now()
 		}
-		err := coalesceFrames(w, frames, t.rec != nil, &hdr)
-		if err == nil {
-			err = w.Flush()
-		}
+		buf := coalesceFrames(wire.GetBuf(), frames, t.rec != nil)
+		_, err := t.c.Write(buf)
+		countWrite()
+		wire.PutBuf(buf)
 		if err != nil {
 			t.Close()
 			return
@@ -353,53 +346,75 @@ func (t *tcpConn) writeLoop() {
 	}
 }
 
-// readLoop decodes inbound frames — dispatching a batch frame's messages
-// back to back with their replies coalesced — reusing one body buffer
-// across frames, and one wire.Decoder and one replyCoalescer for the life
-// of the stream. Any stream error — peer close, crash, corruption — severs
-// the connection: message loss, the model's one failure mode for links.
+// readLoop reads the stream into one pooled tcpBufSize buffer and
+// dispatches every complete frame straight from it — a batch frame's
+// messages back to back with their replies coalesced — through one
+// wire.Decoder and one replyCoalescer for the life of the stream. A frame
+// that outgrows the buffer gets a larger one, grown with the bytes
+// actually received (never to the size its prefix claims) and dropped
+// once that frame is dispatched. Any stream error — peer close, crash,
+// corruption — severs the connection: message loss, the model's one
+// failure mode for links.
 func (t *tcpConn) readLoop() {
-	r := readerPool.Get().(*bufio.Reader)
-	r.Reset(t.c)
-	defer func() {
-		r.Reset(nil)
-		readerPool.Put(r)
-	}()
-	body := wire.GetBuf()
-	defer func() { wire.PutBuf(body) }()
-	var stamp [wire.StampSize]byte
+	bp := tcpReadBufs.Get().(*[]byte)
+	defer tcpReadBufs.Put(bp)
+	b, r, w := *bp, 0, 0 // b[r:w] is read and not yet dispatched
+	stamp := 0
+	if t.rec != nil {
+		stamp = wire.StampSize // a traced peer follows every outer frame with its send stamp
+	}
 	var dec wire.Decoder
 	rc := replyCoalescer{conn: t}
 	for {
-		var err error
-		if body, err = wire.ReadFrame(r, body); err != nil {
-			t.Close()
-			return
+		n, rerr := t.c.Read(b[w:])
+		if n > 0 {
+			countRead()
+			w += n
 		}
-		if t.rec != nil {
-			// A traced peer follows every outer frame with its send
-			// stamp; transit from that stamp to here is the wire span.
-			if _, err = io.ReadFull(r, stamp[:]); err != nil {
+		for {
+			body, size, err := wire.SplitFrame(b[r:w])
+			if err != nil {
 				t.Close()
 				return
 			}
-			sent := wire.GetStamp(stamp[:])
-			t.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(body)))
+			if size == 0 || w-r < size+stamp {
+				break // the next frame is still arriving
+			}
+			if t.rec != nil {
+				// Transit from the send stamp to here is the wire span.
+				sent := wire.GetStamp(b[r+size:])
+				t.rec.Record(0, 0, trace.PWire, sent, trace.Now()-sent, int64(len(body)))
+			}
+			r += size + stamp
+			countIn(len(body))
+			if t.out.closed.Load() {
+				return
+			}
+			var decT0 int64
+			if t.rec != nil {
+				decT0 = trace.Now()
+			}
+			if err = dispatchGroup(&rc, t.handler, t.loadFilter(), &dec, body); err != nil {
+				t.Close()
+				return
+			}
+			if t.rec != nil {
+				t.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
+			}
 		}
-		countIn(len(body))
-		if t.out.closed.Load() {
-			return
-		}
-		var decT0 int64
-		if t.rec != nil {
-			decT0 = trace.Now()
-		}
-		if err = dispatchGroup(&rc, t.handler, t.loadFilter(), &dec, body); err != nil {
+		if rerr != nil {
 			t.Close()
 			return
 		}
-		if t.rec != nil {
-			t.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
+		switch pending := w - r; {
+		case pending < len(*bp) && (r > 0 || len(b) > len(*bp)):
+			// The start of the next frame moves to the front of the pooled
+			// buffer, which drops a grown one.
+			b, r, w = *bp, 0, copy(*bp, b[r:w])
+		case w == len(b):
+			// One frame fills the buffer: twice the bytes it has so far.
+			grown := make([]byte, 2*pending)
+			b, r, w = grown, 0, copy(grown, b[r:w])
 		}
 	}
 }

@@ -1,16 +1,18 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/rt"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -357,11 +359,11 @@ func TestCorruptFrameSeversConnection(t *testing.T) {
 	}
 }
 
-// TestCoalesceFrames: the write loops' frame-run coalescer wraps runs of
-// plain frames into batch frames without reordering or altering a single
-// message, passes pre-batched frames through unbatched (no nesting), and
-// actually reduces the frame count — pinned deterministically against an
-// in-memory stream.
+// TestCoalesceFrames: the write loop's gather wraps runs of plain frames
+// into batch frames without reordering or altering a single message,
+// passes pre-batched frames through unbatched (no nesting), and actually
+// reduces the frame count — pinned deterministically on the bytes two
+// drains append to one stream.
 func TestCoalesceFrames(t *testing.T) {
 	mkFrame := func(call uint64) []byte {
 		frame, err := wire.Append(wire.GetBuf(), &wire.Msg{Kind: wire.KindAck, Call: call})
@@ -380,27 +382,21 @@ func TestCoalesceFrames(t *testing.T) {
 
 	// First drain: a run of 3, a pre-batched frame, then a lone plain frame.
 	// Second drain: a run of 2.
-	var stream bytes.Buffer
-	var hdr []byte
-	if err := coalesceFrames(&stream, [][]byte{
+	stream := coalesceFrames(nil, [][]byte{
 		mkFrame(1), mkFrame(2), mkFrame(3),
 		append(wire.GetBuf(), preBatched...),
 		mkFrame(4),
-	}, false, &hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := coalesceFrames(&stream, [][]byte{mkFrame(5), mkFrame(6)}, false, &hdr); err != nil {
-		t.Fatal(err)
-	}
+	}, false)
+	stream = coalesceFrames(stream, [][]byte{mkFrame(5), mkFrame(6)}, false)
 
-	r := bufio.NewReader(&stream)
 	var wireFrames int
 	var calls []uint64
-	var body []byte
-	for {
-		if body, err = wire.ReadFrame(r, body); err != nil {
-			break
+	for len(stream) > 0 {
+		body, n, err := wire.SplitFrame(stream)
+		if err != nil || n == 0 {
+			t.Fatalf("stream does not split into whole frames: n %d, %v", n, err)
 		}
+		stream = stream[n:]
 		wireFrames++
 		ms, err := wire.DecodeFrames(nil, body)
 		if err != nil {
@@ -418,6 +414,105 @@ func TestCoalesceFrames(t *testing.T) {
 	// batch{5,6} — the run of 3 and the run of 2 each collapsed.
 	if wireFrames != 4 {
 		t.Fatalf("%d frames on the wire, want 4 (runs collapsed into batches)", wireFrames)
+	}
+}
+
+// TestTCPReadLoopSplitsAnyChunking: a TCP read loop takes frames off the
+// stream however its bytes arrive. A raw socket writes plain frames, batch
+// frames and frames larger than the read buffer — on a traced network each
+// outer frame followed by its send stamp — in random chunks from one byte
+// up, and every message must reach the handler exactly once, in order.
+func TestTCPReadLoopSplitsAnyChunking(t *testing.T) {
+	for name, nw := range map[string]*TCP{
+		"plain":   NewTCP(),
+		"stamped": {Host: "127.0.0.1", Trace: trace.NewRecorder(1 << 12)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			seed := uint64(time.Now().UnixNano())
+			t.Logf("seed %d", seed)
+			rng := rand.New(rand.NewPCG(seed, 0))
+
+			var stream []byte
+			var want []uint64
+			msg := func(payload int) *wire.Msg {
+				call := uint64(len(want) + 1)
+				want = append(want, call)
+				return &wire.Msg{Kind: wire.KindPropagate, Call: call, Reg: "r",
+					Entries: []rt.Entry{{Reg: "r", Owner: 1, Seq: call, Val: strings.Repeat("x", payload)}}}
+			}
+			for len(want) < 400 {
+				var msgs []*wire.Msg
+				switch rng.IntN(8) {
+				case 0: // larger than the read buffer
+					msgs = append(msgs, msg(tcpBufSize+rng.IntN(3*tcpBufSize)))
+				case 1, 2:
+					for range 2 + rng.IntN(7) {
+						msgs = append(msgs, msg(rng.IntN(64)))
+					}
+				default:
+					msgs = append(msgs, msg(rng.IntN(64)))
+				}
+				frame, err := wire.EncodeBatch(msgs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream = append(stream, frame...)
+				if nw.Trace != nil {
+					stream = appendStamp(stream, true)
+				}
+			}
+
+			got := make(chan uint64, len(want))
+			ln, err := nw.Listen(func(_ Conn, m *wire.Msg) { got <- m.Call })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close() //nolint:errcheck // teardown
+			raw, err := net.Dial("tcp", ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close() //nolint:errcheck // teardown
+			for rest := stream; len(rest) > 0; {
+				chunk := min(len(rest), 1+rng.IntN(1<<rng.IntN(17)))
+				if _, err := raw.Write(rest[:chunk]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[chunk:]
+			}
+			for i, call := range want {
+				select {
+				case c := <-got:
+					if c != call {
+						t.Fatalf("message %d: call %d, want %d", i, c, call)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("message %d of %d never arrived", i, len(want))
+				}
+			}
+			raw.Close() //nolint:errcheck // ends the server's read loop
+			waitConns(t, ln.(*TCPListener), 0)
+			if len(got) != 0 {
+				t.Fatalf("%d messages arrived twice", len(got))
+			}
+		})
+	}
+}
+
+// waitConns waits until l holds exactly want accepted connections — until
+// the read loops of the others have ended.
+func waitConns(t *testing.T, l *TCPListener, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		n := len(l.conns)
+		l.mu.Unlock()
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("listener holds %d connections, want %d", n, want)
+		}
 	}
 }
 

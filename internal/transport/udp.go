@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
 	"net/netip"
@@ -289,6 +288,7 @@ func (e *udpEndpoint) readLoop() {
 			}
 			continue // transient: datagram-level loss
 		}
+		countRead()
 		b := buf[:n]
 		if e.rec != nil {
 			if len(b) < wire.StampSize {
@@ -301,11 +301,10 @@ func (e *udpEndpoint) readLoop() {
 		// One length-prefixed frame per datagram: the prefix is redundant
 		// with the datagram length, which is exactly what makes it a
 		// truncation check.
-		size, un := binary.Uvarint(b)
-		if un <= 0 || int(size) != len(b)-un {
+		body, err := frameBody(b)
+		if err != nil {
 			continue // corrupt or truncated: loss
 		}
-		body := b[un:]
 		countIn(len(body))
 		var decT0 int64
 		if e.rec != nil {
@@ -329,6 +328,7 @@ func (e *udpEndpoint) sendPackets(pkts []pkt) error {
 		} else {
 			_, err = e.pc.Write(p.buf)
 		}
+		countWrite()
 		if err != nil && errors.Is(err, net.ErrClosed) {
 			return err
 		}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -163,6 +167,65 @@ func FuzzDecode(f *testing.F) {
 		}
 		if got := frame[PrefixSize(len(body)):]; !bytes.Equal(got, body) {
 			t.Fatalf("batch decode∘encode not identity:\n in  %x\n out %x", body, got)
+		}
+	})
+}
+
+// checkedInDecodeCorpus returns the frame bodies checked in for FuzzDecode
+// under testdata/fuzz/FuzzDecode, parsed from the fuzzing engine's corpus
+// file format: a version line, then one []byte literal.
+func checkedInDecodeCorpus(f *testing.F) [][]byte {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no checked-in FuzzDecode corpus (%v)", err)
+	}
+	var out [][]byte
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lit, okPrefix := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		lit, okSuffix := strings.CutSuffix(strings.TrimSpace(lit), ")")
+		s, err := strconv.Unquote(lit)
+		if !okPrefix || !okSuffix || err != nil {
+			f.Fatalf("%s: not a one-[]byte corpus file (%v)", path, err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
+}
+
+// FuzzSplitFrame: no input, however hostile, panics the stream splitter;
+// a split it accepts is exactly one frame — n is the prefix length plus
+// the size the prefix declares, and the body is the bytes after the
+// prefix, in place in the input — and it asks for more only while the
+// declared frame is longer than the input. Seeded with the checked-in
+// FuzzDecode bodies: framed, two frames back to back, and bare.
+func FuzzSplitFrame(f *testing.F) {
+	for _, body := range checkedInDecodeCorpus(f) {
+		frame := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+		f.Add(frame)
+		f.Add(append(append([]byte{}, frame...), frame...))
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		body, n, err := SplitFrame(b)
+		size, p := binary.Uvarint(b)
+		if err != nil || n == 0 {
+			if body != nil || n != 0 {
+				t.Fatalf("no frame (%v), yet a %d-byte body and n %d", err, len(body), n)
+			}
+			if err == nil && p > 0 && uint64(len(b)-p) >= size {
+				t.Fatalf("asked for more with the whole %d-byte frame in %d bytes", p+int(size), len(b))
+			}
+			return
+		}
+		if p <= 0 || n != p+int(size) || n > len(b) {
+			t.Fatalf("n %d for a %d-byte prefix declaring %d bytes, in %d bytes", n, p, size, len(b))
+		}
+		if uint64(len(body)) != size || (size > 0 && &body[0] != &b[p]) {
+			t.Fatalf("the %d-byte body is not the %d bytes after the prefix, in place", len(body), size)
 		}
 	})
 }

@@ -636,50 +636,35 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 	return nil
 }
 
-// FrameReader is the stream a frame is read from — typically a
-// *bufio.Reader wrapping a socket.
-type FrameReader interface {
-	io.ByteReader
-	io.Reader
-}
+// maxPrefix is the length of the longest legal frame prefix:
+// PrefixSize(MaxFrame).
+const maxPrefix = 4
 
-// ReadFrame reads one length-prefixed frame body from r into buf, growing
-// it only when the capacity does not suffice, and returns the body. Read
-// loops pass the same buffer every call for an allocation-free steady
-// state: Decode and DecodeFrames copy everything they return, so the
-// buffer is reusable as soon as decoding is done. It returns io.EOF
-// cleanly when the stream ends on a frame boundary.
-func ReadFrame(r FrameReader, buf []byte) ([]byte, error) {
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
+// SplitFrame splits the first length-prefixed frame off b in place: body
+// is its body, aliasing b (capacity clipped, so appending to it cannot
+// clobber what follows), and n the bytes the frame takes — prefix plus
+// body. While b holds only the start of a frame, n is 0 and err nil: the
+// caller reads more and splits again. The prefix is checked against
+// MaxFrame but never sizes anything, so a stream reader grows its buffer
+// with the bytes that actually arrive, never with what a peer claims it
+// will send. A prefix longer than any legal one, or a size over MaxFrame,
+// is an error. Decode and DecodeFrames copy everything they return, so the
+// buffer is reusable as soon as a body has been decoded.
+func SplitFrame(b []byte) (body []byte, n int, err error) {
+	size, p := binary.Uvarint(b[:min(len(b), maxPrefix)])
+	if p == 0 {
+		if len(b) < maxPrefix {
+			return nil, 0, nil // the prefix is still arriving
+		}
+		return nil, 0, fmt.Errorf("wire: frame length prefix longer than %d bytes", maxPrefix)
 	}
 	if size > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", size)
+		return nil, 0, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", size)
 	}
-	if uint64(cap(buf)) < size {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
+	if n = p + int(size); len(b) < n {
+		return nil, 0, nil // the body is still arriving
 	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadMsg reads and decodes one length-prefixed frame from r. It returns
-// io.EOF cleanly when the stream ends on a frame boundary. Hot read loops
-// use ReadFrame with a reused buffer instead.
-func ReadMsg(r FrameReader) (*Msg, error) {
-	body, err := ReadFrame(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(body)
+	return b[p:n:n], n, nil
 }
 
 // AppendEntries encodes a register-array tail — the entry count followed

@@ -1,11 +1,11 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -70,7 +70,11 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("msg %d: encode: %v", i, err)
 		}
-		got, err := ReadMsg(bufio.NewReader(bytes.NewReader(frame)))
+		body, n, err := SplitFrame(frame)
+		if err != nil || n != len(frame) {
+			t.Fatalf("msg %d: split: %d of %d bytes, %v", i, n, len(frame), err)
+		}
+		got, err := Decode(body)
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -200,30 +204,66 @@ func TestDecodeRejectsHostileLengths(t *testing.T) {
 	}
 }
 
-// TestReadMsgStream: several frames back to back parse cleanly off one
-// buffered stream, the TCP read loop's exact code path.
-func TestReadMsgStream(t *testing.T) {
+// TestSplitFrame: frames split in place off a stream buffer, the TCP read
+// loop's code path. A whole frame splits to its body, aliasing the input;
+// every cut short of it, in the prefix or in the body, asks for more
+// without error; frames back to back split one after another; and a prefix
+// that is too long, overflows or claims more than MaxFrame is an error
+// before any body byte arrives.
+func TestSplitFrame(t *testing.T) {
+	if PrefixSize(MaxFrame) != maxPrefix {
+		t.Fatalf("maxPrefix is %d, PrefixSize(MaxFrame) %d", maxPrefix, PrefixSize(MaxFrame))
+	}
+	// A body over 127 bytes takes a two-byte prefix, so cuts land in it too.
+	m := &Msg{Kind: KindCollect, Election: 1, Call: 2, From: 3, Reg: strings.Repeat("r", 200)}
+	frame, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PrefixSize(m.WireSize())
+	body, n, err := SplitFrame(frame)
+	if err != nil || n != len(frame) || len(body) != m.WireSize() || &body[0] != &frame[p] {
+		t.Fatalf("whole frame: %d-byte body, n %d of %d, %v; want the body in place", len(body), n, len(frame), err)
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		if body, n, err := SplitFrame(frame[:cut]); body != nil || n != 0 || err != nil {
+			t.Fatalf("cut at %d of %d: %d-byte body, n %d, %v; want need-more", cut, len(frame), len(body), n, err)
+		}
+	}
+	if body, n, err := SplitFrame([]byte{0, byte(KindAck)}); err != nil || n != 1 || len(body) != 0 {
+		t.Fatalf("zero-length body: %d-byte body, n %d, %v", len(body), n, err)
+	}
+
 	msgs := sampleMsgs(t)
-	var buf bytes.Buffer
+	var stream []byte
 	for _, m := range msgs {
-		frame, err := Encode(m)
-		if err != nil {
+		if stream, err = Append(stream, m); err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(frame)
 	}
-	r := bufio.NewReader(&buf)
 	for i, want := range msgs {
-		got, err := ReadMsg(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		body, n, err := SplitFrame(stream)
+		if err != nil || n == 0 {
+			t.Fatalf("frame %d: n %d, %v", i, n, err)
 		}
-		if !reflect.DeepEqual(normalize(want), normalize(got)) {
-			t.Fatalf("frame %d: mismatch", i)
+		got, err := Decode(body)
+		if err != nil || !reflect.DeepEqual(normalize(want), normalize(got)) {
+			t.Fatalf("frame %d: mismatch (%v)", i, err)
+		}
+		stream = stream[n:]
+	}
+
+	for name, b := range map[string][]byte{
+		"over-long prefix":   {0x80, 0x80, 0x80, 0x80, 0x00},
+		"overflowing":        bytes.Repeat([]byte{0xff}, 11),
+		"size over MaxFrame": binary.AppendUvarint(nil, MaxFrame+1),
+	} {
+		if _, n, err := SplitFrame(b); err == nil {
+			t.Fatalf("%s: %x split as a %d-byte frame", name, b, n)
 		}
 	}
-	if _, err := ReadMsg(r); err == nil {
-		t.Fatal("stream should end after the last frame")
+	if _, n, err := SplitFrame(binary.AppendUvarint(nil, MaxFrame)); n != 0 || err != nil {
+		t.Fatalf("a MaxFrame prefix alone: n %d, %v; want need-more", n, err)
 	}
 }
 
@@ -237,9 +277,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("count %d: encode: %v", count, err)
 		}
-		body, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
-		if err != nil {
-			t.Fatalf("count %d: read: %v", count, err)
+		body, n, err := SplitFrame(frame)
+		if err != nil || n != len(frame) {
+			t.Fatalf("count %d: split: %d of %d bytes, %v", count, n, len(frame), err)
 		}
 		got, err := DecodeFrames(nil, body)
 		if err != nil {
@@ -315,27 +355,6 @@ func TestBatchRejects(t *testing.T) {
 		if _, err := DecodeFrames(nil, body); err == nil {
 			t.Fatalf("%s: DecodeFrames accepted a malformed batch %x", name, body)
 		}
-	}
-}
-
-// TestReadFrameReusesBuffer: a large-enough buffer passed to ReadFrame is
-// returned with the body in place, no allocation — the read loops' steady
-// state.
-func TestReadFrameReusesBuffer(t *testing.T) {
-	frame, err := Encode(&Msg{Kind: KindCollect, Election: 3, Call: 4, From: 5, Reg: "r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, 256)
-	body, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &buf[:1][0] != &body[:1][0] {
-		t.Fatal("ReadFrame reallocated despite sufficient capacity")
-	}
-	if m, err := Decode(body); err != nil || m.Reg != "r" {
-		t.Fatalf("decode from reused buffer: %v %+v", err, m)
 	}
 }
 
