@@ -322,8 +322,8 @@ func runSoak(n, k, elections int, metricsOut string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("soak: %d elections (%d shed, %d invalid), served %d, evicted %d, final live %d, heap %.0f → %.0f bytes\n",
-		rep.Elections, rep.Shed, rep.Invalid, rep.Served, rep.Evicted, rep.FinalLive, rep.FirstQMean, rep.LastQMean)
+	fmt.Printf("soak: %d elections (%d invalid), served %d, evicted %d, final live %d, heap %.0f → %.0f bytes\n",
+		rep.Elections, rep.Invalid, rep.Served, rep.Evicted, rep.FinalLive, rep.FirstQMean, rep.LastQMean)
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)
 		if err != nil {

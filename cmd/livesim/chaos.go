@@ -2,30 +2,24 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/electd"
 	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/transport"
 )
 
 // The chaos runner sweeps fault.ChaosGrid() — partitions, crash-recovery,
-// flaky links and their combination — across seeds and backends, validating
-// every single election rather than aggregating: a run is valid when it has
-// a unique winner among the survivors, or every quorumless abort is a typed
-// fault.NoQuorumError hitting a participant the plan provably starved. A
-// single invalid run fails the whole sweep (exit 1), which is what the CI
-// chaos-grid job keys on. Link-only scenarios additionally run multiplexed
-// on a shared electd cluster next to fault-free sibling elections, counting
-// the blast radius: siblings of a partitioned run must all still elect.
+// flaky links and their combination — across seeds and backends as four
+// campaign.RunMatrix columns, and reports the campaign verdict on every
+// election rather than aggregating it away. A single invalid run fails the
+// whole sweep (exit 1), which is what the CI chaos-grid job keys on.
 
-// chaosSiblings is the number of fault-free elections run concurrently with
-// each chaos election on the shared cluster for blast-radius accounting.
+// chaosSiblings is the number of other scenarios' elections each
+// tcp-shared election runs beside on the shared cluster.
 const chaosSiblings = 2
 
 // chaosCell aggregates one (scenario, backend) cell of the grid.
@@ -57,72 +51,46 @@ type chaosReport struct {
 	BaseSeed  int64       `json:"base_seed"`
 	Algorithm string      `json:"algorithm"`
 	Cells     []chaosCell `json:"cells"`
-	// SiblingRuns and SiblingInvalid account the blast radius: fault-free
-	// elections multiplexed on a shared cluster next to a chaos election,
-	// and how many of them its faults broke (must be zero).
+	// SiblingRuns and SiblingInvalid account the blast radius: the
+	// tcp-shared column's elections, each multiplexed on one cluster beside
+	// other scenarios' elections, and how many of them were invalid (must
+	// be zero). They are already counted in Cells and Invalid.
 	SiblingRuns    int   `json:"sibling_runs"`
 	SiblingInvalid int   `json:"sibling_invalid"`
 	Invalid        int   `json:"invalid"`
 	ElapsedMillis  int64 `json:"elapsed_ms"`
 }
 
-// chaosSeed decorrelates the grid's per-run seeds with the splitmix64
-// finalizer, like the campaign engine's seed sharding: cell c, seed index s
-// must not hand neighbouring runs overlapping per-processor PRNG streams.
-func chaosSeed(base int64, cell, s int) int64 {
-	z := uint64(base) + uint64(cell*1_000_003+s)*live.SeedStride
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+// chaosColumn is one backend of the grid: a transport, the scenarios it
+// runs, and how many elections run at once.
+type chaosColumn struct {
+	backend   string
+	transport live.Transport
+	scenarios []fault.Scenario
+	workers   int
 }
 
-// validateChaosRun checks one completed election against the chaos validity
-// contract and returns one line per violation. The plan is re-derived from
-// (scenario, n, seed) — Plan is deterministic, so this is exactly the plan
-// the run executed under.
-func validateChaosRun(sc fault.Scenario, n, k int, seed int64, res live.Result) []string {
-	var bad []string
-	plan, err := sc.Plan(n, seed)
-	if err != nil {
-		return []string{fmt.Sprintf("plan(%d, %d): %v", n, seed, err)}
-	}
-	// Every participant must be accounted for exactly once: a decision, a
-	// scenario crash, or a typed no-quorum abort.
-	if got := len(res.Decisions) + len(res.Crashed) + len(res.NoQuorum); got != k {
-		bad = append(bad, fmt.Sprintf("seed %d: %d of %d participants accounted for", seed, got, k))
-	}
-	// A typed no-quorum abort is only valid for a participant the plan
-	// provably starved; an electable participant aborting quorumless means
-	// the injection layer lost a quorum it should have been able to form.
-	for _, id := range res.NoQuorum {
-		if plan == nil || plan.Electable(int(id)) {
-			bad = append(bad, fmt.Sprintf("seed %d: electable participant %d aborted with NoQuorumError", seed, id))
+// chaosColumns lays the grid out. chan, tcp and udp run every scenario one
+// election at a time; the grid holds crash scenarios, so RunMatrix gives
+// tcp and udp one cluster per run. tcp-shared runs the scenarios whose
+// faults are link-only (client-side, per election) or absent — the
+// configurations a deployed service would multiplex — on one shared
+// cluster, 1+chaosSiblings elections at a time: the blast-radius check,
+// since each must still meet the contract beside other scenarios' faults.
+func chaosColumns() []chaosColumn {
+	grid := fault.ChaosGrid()
+	var shared []fault.Scenario
+	for _, sc := range grid {
+		if !sc.Active() || sc.LinkOnly() {
+			shared = append(shared, sc)
 		}
 	}
-	if !sc.NoQuorumOK && len(res.NoQuorum) > 0 {
-		bad = append(bad, fmt.Sprintf("seed %d: scenario %q promised electability but %d participants starved",
-			seed, sc.Name, len(res.NoQuorum)))
+	return []chaosColumn{
+		{"chan", live.TransportChan, grid, 1},
+		{"tcp", live.TransportTCP, grid, 1},
+		{"udp", live.TransportUDP, grid, 1},
+		{"tcp-shared", live.TransportTCP, shared, 1 + chaosSiblings},
 	}
-	// Winner uniqueness is enforced inside live.Elect (a second Win is a
-	// run error, counted by the caller); a winnerless run is valid only
-	// when the linearized winner is among the crashed or starved.
-	if res.Winner < 0 && len(res.Crashed) == 0 && len(res.NoQuorum) == 0 {
-		bad = append(bad, fmt.Sprintf("seed %d: no winner, no crashes, no starvation", seed))
-	}
-	return bad
-}
-
-// chaosBackends lists the backends scenario sc runs on: every transport
-// always — udp included, so datagram loss composes with injected faults
-// under validation — plus the shared multiplexed cluster when the
-// scenario's faults are link-only (client-side, per election) or absent,
-// the configurations a deployed service would actually multiplex.
-func chaosBackends(sc fault.Scenario) []string {
-	b := []string{"chan", "tcp", "udp"}
-	if !sc.Active() || sc.LinkOnly() {
-		b = append(b, "tcp-shared")
-	}
-	return b
 }
 
 // runChaos executes the chaos grid and writes the report artifact. It
@@ -135,23 +103,44 @@ func runChaos(cfg config, seeds int, out string) error {
 	if k == 0 {
 		k = cfg.n
 	}
-	grid := fault.ChaosGrid()
 	rep := chaosReport{N: cfg.n, K: k, Seeds: seeds, BaseSeed: cfg.seed, Algorithm: cfg.algo}
+	columns := chaosColumns()
+	rows := map[[2]string]campaign.ScenarioReport{}
 	start := time.Now()
-	cellIdx := 0
-	for _, sc := range grid {
-		for _, backend := range chaosBackends(sc) {
-			cell, err := runChaosCell(cfg, sc, backend, seeds, cellIdx, &rep)
-			if err != nil {
-				return err
-			}
-			rep.Cells = append(rep.Cells, cell)
-			rep.Invalid += cell.Invalid
-			cellIdx++
+	for _, col := range columns {
+		m, err := campaign.RunMatrix(campaign.Config{
+			Runs: seeds, Workers: col.workers, N: cfg.n, K: cfg.k, BaseSeed: cfg.seed,
+			Algorithm: live.Algorithm(cfg.algo), Transport: col.transport,
+		}, col.scenarios)
+		if err != nil && !errors.Is(err, campaign.ErrInvalidRuns) {
+			return fmt.Errorf("chaos %s: %w", col.backend, err)
+		}
+		for _, row := range m.Scenarios {
+			rows[[2]string{row.Scenario.Name, col.backend}] = row
 		}
 	}
-	rep.Invalid += rep.SiblingInvalid
 	rep.ElapsedMillis = time.Since(start).Milliseconds()
+
+	for _, sc := range fault.ChaosGrid() {
+		for _, col := range columns {
+			row, ok := rows[[2]string{sc.Name, col.backend}]
+			if !ok {
+				continue
+			}
+			rep.Cells = append(rep.Cells, chaosCell{
+				Scenario: sc.Name, Backend: col.backend, Runs: row.Runs,
+				Elected: row.Elected, WinnerCrashed: row.WinnerCrashed, NoQuorumRuns: row.NoQuorum,
+				Crashed: row.Crashed, Starved: row.Starved,
+				Invalid: row.Invalid, Violations: row.Violations,
+				P50Micros: row.Latency.P50.Microseconds(), MaxMicros: row.Latency.Max.Microseconds(),
+			})
+			rep.Invalid += row.Invalid
+			if col.backend == "tcp-shared" {
+				rep.SiblingRuns += row.Runs
+				rep.SiblingInvalid += row.Invalid
+			}
+		}
+	}
 
 	printChaos(rep)
 	if out != "" {
@@ -170,113 +159,6 @@ func runChaos(cfg config, seeds int, out string) error {
 	return nil
 }
 
-// runChaosCell executes one (scenario, backend) cell: seeds elections, each
-// validated individually. On the tcp-shared backend every election is
-// multiplexed onto one cluster and raced against fault-free siblings whose
-// validity is booked into the report's blast-radius counters.
-func runChaosCell(cfg config, sc fault.Scenario, backend string, seeds, cellIdx int, rep *chaosReport) (chaosCell, error) {
-	cell := chaosCell{Scenario: sc.Name, Backend: backend, Runs: seeds}
-	var cluster *electd.Cluster
-	if backend == "tcp-shared" {
-		nw := transport.NewTCP()
-		cl, err := electd.NewCluster(nw, cfg.n)
-		if err != nil {
-			return cell, fmt.Errorf("chaos %s/%s: start shared cluster: %w", sc.Name, backend, err)
-		}
-		defer cl.Close()
-		cluster = cl
-	}
-	var lats []time.Duration
-	for s := 0; s < seeds; s++ {
-		seed := chaosSeed(cfg.seed, cellIdx, s)
-		lcfg := live.Config{
-			N: cfg.n, K: cfg.k, Seed: seed,
-			Algorithm: live.Algorithm(cfg.algo), Scenario: sc,
-		}
-		switch backend {
-		case "chan":
-			lcfg.Transport = live.TransportChan
-		case "tcp":
-			lcfg.Transport = live.TransportTCP
-		case "udp":
-			lcfg.Transport = live.TransportUDP
-		case "tcp-shared":
-			lcfg.Transport = live.TransportTCP
-			lcfg.Cluster = cluster
-			lcfg.ElectionID = cluster.NextElectionID()
-		}
-
-		// Blast-radius siblings: fault-free elections multiplexed on the
-		// same cluster, concurrent with the chaos election. Launched first
-		// so they overlap the fault window, joined after.
-		type sibOut struct {
-			res live.Result
-			err error
-		}
-		var sibs chan sibOut
-		if cluster != nil {
-			sibs = make(chan sibOut, chaosSiblings)
-			for j := 0; j < chaosSiblings; j++ {
-				scfg := live.Config{
-					N: cfg.n, K: cfg.k, Seed: chaosSeed(cfg.seed^0x5CA1AB1E, cellIdx, s*chaosSiblings+j),
-					Algorithm: live.Algorithm(cfg.algo), Transport: live.TransportTCP,
-					Cluster: cluster, ElectionID: cluster.NextElectionID(),
-				}
-				go func(scfg live.Config) {
-					res, err := live.Elect(scfg)
-					sibs <- sibOut{res, err}
-				}(scfg)
-			}
-		}
-
-		res, err := live.Elect(lcfg)
-		if cluster != nil {
-			cluster.RemoveElection(lcfg.ElectionID)
-			for j := 0; j < chaosSiblings; j++ {
-				so := <-sibs
-				rep.SiblingRuns++
-				// A sibling is untouched by the chaos election's faults iff
-				// it elects cleanly: any error, missing winner, crash or
-				// starvation is leakage across the multiplexing boundary.
-				if so.err != nil || so.res.Winner < 0 || len(so.res.Crashed) > 0 || len(so.res.NoQuorum) > 0 {
-					rep.SiblingInvalid++
-					cell.Violations = append(cell.Violations,
-						fmt.Sprintf("seed %d: fault-free sibling broken: winner=%d err=%v", seed, so.res.Winner, so.err))
-				}
-			}
-		}
-		if err != nil {
-			// Safety violations (two winners), undecided returns and
-			// timeouts surface as Elect errors: invalid, not fatal — the
-			// sweep completes and reports them all.
-			cell.Invalid++
-			cell.Violations = append(cell.Violations, fmt.Sprintf("seed %d: %v", seed, err))
-			continue
-		}
-		if bad := validateChaosRun(sc, cfg.n, rep.K, seed, res); len(bad) > 0 {
-			cell.Invalid++
-			cell.Violations = append(cell.Violations, bad...)
-		}
-		switch {
-		case res.Winner >= 0:
-			cell.Elected++
-		case len(res.Crashed) > 0:
-			cell.WinnerCrashed++
-		default:
-			cell.NoQuorumRuns++
-		}
-		cell.Crashed += len(res.Crashed)
-		cell.Starved += len(res.NoQuorum)
-		lats = append(lats, res.Elapsed)
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		cell.P50Micros = lats[len(lats)/2].Microseconds()
-		cell.MaxMicros = lats[len(lats)-1].Microseconds()
-	}
-	return cell, nil
-}
-
 // printChaos renders the grid, one line per cell.
 func printChaos(rep chaosReport) {
 	fmt.Printf("chaos grid: n=%d k=%d seeds=%d algorithm=%s\n", rep.N, rep.K, rep.Seeds, rep.Algorithm)
@@ -290,8 +172,8 @@ func printChaos(rep chaosReport) {
 			fmt.Printf("    violation: %s\n", v)
 		}
 	}
-	fmt.Printf("\nblast radius: %d sibling elections on shared clusters, %d broken\n",
+	fmt.Printf("\nblast radius: %d elections beside other scenarios on shared clusters, %d invalid\n",
 		rep.SiblingRuns, rep.SiblingInvalid)
 	fmt.Printf("invalid: %d of %d elections (%dms)\n",
-		rep.Invalid, len(rep.Cells)*rep.Seeds+rep.SiblingRuns, rep.ElapsedMillis)
+		rep.Invalid, len(rep.Cells)*rep.Seeds, rep.ElapsedMillis)
 }

@@ -37,12 +37,16 @@
 //	livesim -n 8 -chaos                          # fault.ChaosGrid × 6 seeds × backends
 //	livesim -n 8 -chaos -chaos-seeds 12 -chaos-out chaos.json
 //
-// The chaos grid validates every election individually — unique winner among
-// the survivors, or typed no-quorum aborts only on clients the fault plan
-// provably starved — and exits nonzero on any invalid run. Link-only
-// scenarios also run multiplexed on a shared electd cluster next to
-// fault-free sibling elections (blast-radius accounting). -chaos-out writes
-// the machine-readable JSON report CI archives.
+// The chaos grid is four campaign matrices (chan, tcp, udp, tcp-shared) and
+// reports the campaign engine's verdict on every election — unique winner
+// among the survivors, or typed no-quorum aborts only on clients the fault
+// plan provably starved — exiting nonzero on any invalid run. Link-only
+// scenarios also run multiplexed on a shared electd cluster, three
+// scenarios' elections at a time (blast-radius accounting). -chaos-out
+// writes the machine-readable JSON report CI archives.
+//
+// A campaign runs all of its elections under the same verdict; if any is
+// invalid, livesim exits nonzero naming the first violation.
 //
 // Algorithms: poisonpill (default), tournament. Backends: live (default),
 // sim. Transports (live backend): chan (default, in-process mailboxes), tcp

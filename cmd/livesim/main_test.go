@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // Smoke tests: the binary's two entry points run end to end at n=8 and
@@ -24,7 +27,8 @@ func TestRunCampaign(t *testing.T) {
 }
 
 // TestRunChaosWritesReport: one seed of the chaos grid, every backend: no
-// invalid election, and a report whose cells account for every run.
+// invalid election, the grid's 30 (scenario, backend) cells in scenario
+// order, and a report whose cells account for every run.
 func TestRunChaosWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "chaos.json")
 	if err := runChaos(smokeConfig("chan"), 1, out); err != nil {
@@ -44,10 +48,61 @@ func TestRunChaosWritesReport(t *testing.T) {
 	if rep.Invalid != 0 || rep.SiblingInvalid != 0 {
 		t.Errorf("%d invalid elections, %d invalid siblings", rep.Invalid, rep.SiblingInvalid)
 	}
+	if rep.SiblingRuns != 6 {
+		t.Errorf("%d tcp-shared elections, want 6 (one per link-only or fault-free scenario)", rep.SiblingRuns)
+	}
+	var want []string
+	for _, sc := range []struct {
+		name   string
+		shared bool
+	}{
+		{"baseline", true}, {"partition-heal", true}, {"partition-minority", true},
+		{"partition-majority", true}, {"crash-recovery", false}, {"flaky", true},
+		{"flaky-asym", true}, {"chaos-recovery", false},
+	} {
+		want = append(want, sc.name+"/chan", sc.name+"/tcp", sc.name+"/udp")
+		if sc.shared {
+			want = append(want, sc.name+"/tcp-shared")
+		}
+	}
+	var got []string
+	for _, c := range rep.Cells {
+		got = append(got, c.Scenario+"/"+c.Backend)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("cells\n got %v\nwant %v", got, want)
+	}
 	for _, c := range rep.Cells {
 		if c.Runs == 0 || c.Elected+c.WinnerCrashed+c.NoQuorumRuns != c.Runs {
 			t.Errorf("%s/%s: %d elected + %d winner-crashed + %d no-quorum of %d runs",
 				c.Scenario, c.Backend, c.Elected, c.WinnerCrashed, c.NoQuorumRuns, c.Runs)
 		}
+	}
+}
+
+// TestChaosColumnsShareOnlyLinkOnly: the grid holds at least one scenario
+// that crashes servers — which is what makes the tcp and udp matrices build
+// one cluster per run — and the tcp-shared column, whose matrix shares one
+// cluster, holds only fault-free or link-only scenarios.
+func TestChaosColumnsShareOnlyLinkOnly(t *testing.T) {
+	if !slices.ContainsFunc(fault.ChaosGrid(), func(sc fault.Scenario) bool {
+		return sc.Active() && !sc.LinkOnly()
+	}) {
+		t.Error("fault.ChaosGrid has no scenario that is active and not link-only")
+	}
+	shared := 0
+	for _, col := range chaosColumns() {
+		if col.backend != "tcp-shared" {
+			continue
+		}
+		for _, sc := range col.scenarios {
+			shared++
+			if sc.Active() && !sc.LinkOnly() {
+				t.Errorf("tcp-shared runs %q, which is active and not link-only", sc.Name)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no tcp-shared column")
 	}
 }

@@ -1,13 +1,14 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/expt"
 	"repro/internal/fault"
@@ -28,6 +29,11 @@ const (
 	// time, OS scheduling).
 	BackendLive Backend = "live"
 )
+
+// ErrInvalidRuns is wrapped by the error Run and RunMatrix return, beside
+// the complete report, when any election broke the validity contract (see
+// ScenarioReport.Violations).
+var ErrInvalidRuns = errors.New("campaign: invalid election runs")
 
 // shardSeed derives run idx's seed from the base seed with the full
 // splitmix64 step (stride + finalizer). The finalizer matters: the live
@@ -128,14 +134,28 @@ func shapeOf(k, n int, meanRounds, meanMsgs float64) Shape {
 	return s
 }
 
-// Report aggregates one campaign.
+// Report aggregates one campaign: the row of its one scenario plus the
+// pool-level numbers.
 type Report struct {
-	// Runs and Workers echo the effective configuration.
-	Runs, Workers int
+	ScenarioReport
+	// Workers echoes the effective worker-pool size.
+	Workers int
 	// Elapsed is the campaign's wall-clock duration.
 	Elapsed time.Duration
 	// Throughput is elections completed per second of wall-clock time.
 	Throughput float64
+	// Shape compares the measured means against the paper's predicted
+	// asymptotic shape for this campaign's k and n.
+	Shape Shape
+}
+
+// ScenarioReport is one row of a matrix campaign: the aggregate of one
+// scenario's runs.
+type ScenarioReport struct {
+	// Scenario is the injected environment this row measured.
+	Scenario fault.Scenario
+	// Runs is the number of elections executed under the scenario.
+	Runs int
 	// Latency summarises per-election wall-clock latencies.
 	Latency Latency
 	// MeanTime is the mean of the paper's time metric (max communicate
@@ -149,42 +169,21 @@ type Report struct {
 	// A.5 bounds rounds by O(log* k) and total messages by O(kn).
 	MeanRounds float64
 	MeanMsgs   float64
-	// Shape compares the measured means against the paper's predicted
-	// asymptotic shape for this campaign's k and n.
-	Shape Shape
 	// Elected counts runs that ended with a unique surviving winner,
 	// WinnerCrashed those in which every survivor lost because the
 	// linearized winner crashed first, and NoQuorum those in which no
 	// participant crashed yet none could assemble majority quorums —
 	// possible only under NoQuorumOK scenarios (never-healing partitions)
-	// where every client aborted with a typed fault.NoQuorumError. The
-	// three always sum to Runs. Crashed totals the participants killed
-	// across all runs and Starved those that aborted quorumless. All are
-	// scenario-driven: a fault-free campaign reports Elected == Runs.
+	// where every client gave up with a typed fault.NoQuorumError. A run
+	// whose election returned an error has no outcome to book, so the
+	// three sum to Runs when Invalid is 0. Crashed totals the participants
+	// killed across all runs and Starved those that gave up quorumless.
+	// All are scenario-driven: a fault-free campaign reports Elected == Runs.
 	Elected, WinnerCrashed, NoQuorum, Crashed, Starved int
-}
-
-// ScenarioReport is one row of a matrix campaign: the aggregate of one
-// scenario's runs.
-type ScenarioReport struct {
-	// Scenario is the injected environment this row measured.
-	Scenario fault.Scenario
-	// Runs is the number of elections executed under the scenario.
-	Runs int
-	// Latency summarises the scenario's per-election wall-clock latencies.
-	Latency Latency
-	// MeanTime is the mean of the paper's time metric across the
-	// scenario's runs.
-	MeanTime float64
-	// MaxRounds is the highest election round reached under the scenario.
-	MaxRounds int
-	// MeanRounds and MeanMsgs mirror Report's paper-shape counters for the
-	// scenario's runs.
-	MeanRounds float64
-	MeanMsgs   float64
-	// Elected, WinnerCrashed, NoQuorum, Crashed and Starved are the
-	// election-validity counts; see Report.
-	Elected, WinnerCrashed, NoQuorum, Crashed, Starved int
+	// Invalid counts the runs that broke the validity contract, and
+	// Violations carries one line per broken clause, in run order.
+	Invalid    int
+	Violations []string
 }
 
 // MatrixReport aggregates a scenario-matrix campaign.
@@ -271,22 +270,27 @@ func (cfg *Config) checkScenario(sc fault.Scenario) error {
 	return nil
 }
 
-// runStats reports one completed election run to the aggregator.
-type runStats struct {
-	lat     time.Duration
-	time    int
-	rounds  int
-	msgs    int64 // point-to-point messages the run exchanged
-	elected bool  // a unique surviving winner decided Win
-	crashed int   // participants the scenario killed
-	starved int   // participants that aborted with fault.NoQuorumError
+// judgedRun is one election run and the verdict on it.
+type judgedRun struct {
+	res    live.Result
+	failed bool     // the election returned an error: no outcome to book
+	bad    []string // the verdict's violations; empty for a valid run
 }
 
-// runOne executes election run idx under scenario sc.
-func (cfg *Config) runOne(sc fault.Scenario, idx int) (runStats, error) {
+// runOne executes election run idx under scenario sc and judges it.
+func (cfg *Config) runOne(sc fault.Scenario, idx int) judgedRun {
 	seed := shardSeed(cfg.BaseSeed, idx)
-	switch cfg.Backend {
-	case BackendLive:
+	res, err := cfg.elect(sc, seed)
+	bad := verdict(sc, cfg.N, cfg.K, seed, res, err)
+	res.Decisions = nil // judged; the aggregate needs only the counts
+	return judgedRun{res: res, failed: err != nil, bad: bad}
+}
+
+// elect runs one election on the configured backend. A sim run reports in
+// the live backend's Result, with its kernel error or a winner count other
+// than one as the error.
+func (cfg *Config) elect(sc fault.Scenario, seed int64) (live.Result, error) {
+	if cfg.Backend == BackendLive {
 		lcfg := live.Config{
 			N: cfg.N, K: cfg.K, Seed: seed, Algorithm: cfg.Algorithm, Scenario: sc,
 			Transport: cfg.Transport, Pool: cfg.spool, Trace: cfg.Trace,
@@ -299,44 +303,78 @@ func (cfg *Config) runOne(sc fault.Scenario, idx int) (runStats, error) {
 			// accumulate one store per election on the shared servers.
 			defer cfg.cluster.RemoveElection(lcfg.ElectionID)
 		}
-		res, err := live.Elect(lcfg)
-		if err != nil {
-			return runStats{}, fmt.Errorf("run %d (seed %d, scenario %q): %w", idx, seed, sc.Name, err)
-		}
-		return runStats{
-			lat: res.Elapsed, time: res.Time, rounds: res.Rounds,
-			msgs:    res.Messages,
-			elected: res.Winner >= 0, crashed: len(res.Crashed),
-			starved: len(res.NoQuorum),
-		}, nil
-	default: // BackendSim
-		start := time.Now()
-		r := expt.Run(expt.Config{
-			N: cfg.N, K: cfg.K, Seed: seed,
-			Algorithm: expt.Algorithm(cfg.Algorithm), Schedule: cfg.Schedule,
-		})
-		elapsed := time.Since(start)
-		if r.Err != nil {
-			return runStats{}, fmt.Errorf("run %d (seed %d): %w", idx, seed, r.Err)
-		}
-		if w := r.Winners(); w != 1 {
-			return runStats{}, fmt.Errorf("run %d (seed %d): %d winners", idx, seed, w)
-		}
-		return runStats{
-			lat: elapsed, time: r.Stats.MaxCommunicateCalls(),
-			rounds: r.MaxRound, msgs: int64(r.Stats.MessagesSent),
-			elected: true,
-		}, nil
+		return live.Elect(lcfg)
 	}
+	start := time.Now()
+	r := expt.Run(expt.Config{
+		N: cfg.N, K: cfg.K, Seed: seed,
+		Algorithm: expt.Algorithm(cfg.Algorithm), Schedule: cfg.Schedule,
+	})
+	res := live.Result{
+		Winner: -1, Decisions: r.Decisions, Rounds: r.MaxRound,
+		Time: r.Stats.MaxCommunicateCalls(), Messages: int64(r.Stats.MessagesSent),
+		Elapsed: time.Since(start),
+	}
+	if r.Err != nil {
+		return res, r.Err
+	}
+	if w := r.Winners(); w != 1 {
+		return res, fmt.Errorf("%d winners", w)
+	}
+	for id, d := range r.Decisions {
+		if d == core.Win {
+			res.Winner = id
+		}
+	}
+	return res, nil
+}
+
+// verdict judges one election run against the paper's test-and-set
+// contract (Theorem A.5, Lemma A.3) — at most one winner among the
+// survivors, and no winner only when the linearized winner crashed or
+// starved — and returns one line per broken clause; none means valid.
+// err is the run's own error: live.Elect reports two winners, an undecided
+// return, a winnerless run with nobody crashed or starved (ErrNoWinner)
+// and a timeout that way, and elect a sim run's kernel error or winner
+// count. The fault plan is re-derived from (sc, n, seed): Plan is
+// deterministic, so it is exactly the plan the run executed under.
+func verdict(sc fault.Scenario, n, k int, seed int64, res live.Result, err error) []string {
+	if err != nil {
+		return []string{fmt.Sprintf("seed %d: %v", seed, err)}
+	}
+	plan, err := sc.Plan(n, seed)
+	if err != nil {
+		return []string{fmt.Sprintf("seed %d: plan(%d): %v", seed, n, err)}
+	}
+	var bad []string
+	// Every participant is accounted for exactly once: a decision, a
+	// scenario crash, or a typed fault.NoQuorumError.
+	if got := len(res.Decisions) + len(res.Crashed) + len(res.NoQuorum); got != k {
+		bad = append(bad, fmt.Sprintf("seed %d: %d of %d participants accounted for", seed, got, k))
+	}
+	// A fault.NoQuorumError is only valid for a participant the plan
+	// provably starves; an electable participant giving up quorumless means
+	// the injection layer lost a quorum it should have been able to form.
+	for _, id := range res.NoQuorum {
+		if plan == nil || plan.Electable(int(id)) {
+			bad = append(bad, fmt.Sprintf("seed %d: electable participant %d gave up with NoQuorumError", seed, id))
+		}
+	}
+	if !sc.NoQuorumOK && len(res.NoQuorum) > 0 {
+		bad = append(bad, fmt.Sprintf("seed %d: scenario %q promised electability but %d participants starved",
+			seed, sc.Name, len(res.NoQuorum)))
+	}
+	return bad
 }
 
 // Run executes the campaign — under Config.Scenario when set — and
-// aggregates its report. The first run error aborts the campaign
-// (remaining queued runs are skipped). It is the single-scenario special
-// case of RunMatrix.
+// aggregates its report. It is the single-scenario special case of
+// RunMatrix, and like it runs and judges every election: when any run is
+// invalid it returns the complete report with an error wrapping
+// ErrInvalidRuns.
 func Run(cfg Config) (Report, error) {
 	m, err := RunMatrix(cfg, []fault.Scenario{cfg.Scenario})
-	if err != nil {
+	if len(m.Scenarios) == 0 {
 		return Report{}, err
 	}
 	s := m.Scenarios[0]
@@ -345,14 +383,10 @@ func Run(cfg Config) (Report, error) {
 		k = n
 	}
 	return Report{
-		Runs: m.Runs, Workers: m.Workers,
+		ScenarioReport: s, Workers: m.Workers,
 		Elapsed: m.Elapsed, Throughput: m.Throughput,
-		Latency: s.Latency, MeanTime: s.MeanTime, MaxRounds: s.MaxRounds,
-		MeanRounds: s.MeanRounds, MeanMsgs: s.MeanMsgs,
-		Shape:   shapeOf(k, n, s.MeanRounds, s.MeanMsgs),
-		Elected: s.Elected, WinnerCrashed: s.WinnerCrashed,
-		NoQuorum: s.NoQuorum, Crashed: s.Crashed, Starved: s.Starved,
-	}, nil
+		Shape: shapeOf(k, n, s.MeanRounds, s.MeanMsgs),
+	}, err
 }
 
 // RunMatrix executes the cross product scenarios × Config.Runs seeds on one
@@ -360,7 +394,9 @@ func Run(cfg Config) (Report, error) {
 // the sharded seed of flat index s·Runs + i, so every cell of the matrix
 // runs a decorrelated PRNG stream and a single-scenario matrix reproduces
 // Run's seed set exactly. Config.Scenario is ignored — the explicit list
-// governs. The first run error aborts the whole matrix.
+// governs. Every run completes and is judged by the same verdict; when any
+// is invalid, RunMatrix returns the complete report together with an error
+// that wraps ErrInvalidRuns and names the first violation.
 func RunMatrix(cfg Config, scenarios []fault.Scenario) (MatrixReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return MatrixReport{}, err
@@ -414,114 +450,94 @@ func RunMatrix(cfg Config, scenarios []fault.Scenario) (MatrixReport, error) {
 	}
 	total := len(scenarios) * cfg.Runs
 
-	// Per-worker, per-scenario accumulators: no shared state on the hot
-	// path except the abort flag, which lets the first error stop every
-	// worker instead of letting the survivors grind through the remaining
-	// queued runs.
-	type acc struct {
-		lats           []time.Duration
-		times          int64
-		rounds         int
-		roundSum       int64 // sum of per-run max rounds, for the shape mean
-		msgs           int64 // sum of per-run message counts
-		elected, crash int
-		noquorum       int // runs in which every participant starved
-		starved        int // participants that aborted quorumless
-	}
-	accs := make([][]acc, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	for w := range accs {
-		accs[w] = make([]acc, len(scenarios))
-	}
-	var abort atomic.Bool
+	// Each judged run lands in the slot of its seed index, so scenario s
+	// owns out[s·Runs : (s+1)·Runs], in run order.
+	out := make([]judgedRun, total)
 	next := make(chan int, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for job := range next {
-				if abort.Load() {
-					continue // keep draining so the feeder never blocks
-				}
-				s := job / cfg.Runs
-				st, err := cfg.runOne(scenarios[s], job)
-				if err != nil {
-					errs[w] = err
-					abort.Store(true)
-					continue
-				}
-				a := &accs[w][s]
-				a.lats = append(a.lats, st.lat)
-				a.times += int64(st.time)
-				a.roundSum += int64(st.rounds)
-				a.msgs += st.msgs
-				if st.rounds > a.rounds {
-					a.rounds = st.rounds
-				}
-				if st.elected {
-					a.elected++
-				} else if st.crashed == 0 && st.starved > 0 {
-					// Nobody won and nobody crashed: the partition starved
-					// every client of quorums — a no-quorum run, not a
-					// winner-crashed one. (A run with both crashes and
-					// starvation counts as winner-crashed: the linearized
-					// winner was among the crash victims.)
-					a.noquorum++
-				}
-				a.crash += st.crashed
-				a.starved += st.starved
+			for idx := range next {
+				out[idx] = cfg.runOne(scenarios[idx/cfg.Runs], idx)
 			}
-		}(w)
+		}()
 	}
-	for job := 0; job < total; job++ {
-		next <- job
+	// Seed-major, round-robin across scenarios: concurrent workers run
+	// different scenarios side by side, so on a shared cluster every
+	// election has other scenarios' elections as neighbours.
+	for i := 0; i < cfg.Runs; i++ {
+		for s := range scenarios {
+			next <- s*cfg.Runs + i
+		}
 	}
 	close(next)
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := MatrixReport{Runs: total, Workers: cfg.Workers, Elapsed: elapsed}
-	for _, err := range errs {
-		if err != nil {
-			return rep, fmt.Errorf("campaign: %w", err)
-		}
+	rep := MatrixReport{
+		Runs: total, Workers: cfg.Workers,
+		Elapsed: elapsed, Throughput: float64(total) / elapsed.Seconds(),
 	}
-	completed := 0
+	invalid, first := 0, ""
 	for s, sc := range scenarios {
-		row := ScenarioReport{Scenario: sc, Runs: cfg.Runs}
-		var lats []time.Duration
-		var times, roundSum, msgs int64
-		for w := range accs {
-			a := &accs[w][s]
-			lats = append(lats, a.lats...)
-			times += a.times
-			roundSum += a.roundSum
-			msgs += a.msgs
-			if a.rounds > row.MaxRounds {
-				row.MaxRounds = a.rounds
-			}
-			row.Elected += a.elected
-			row.NoQuorum += a.noquorum
-			row.Crashed += a.crash
-			row.Starved += a.starved
+		row := aggregate(sc, out[s*cfg.Runs:(s+1)*cfg.Runs])
+		if invalid == 0 && row.Invalid > 0 {
+			first = fmt.Sprintf("scenario %q: %s", sc.Name, row.Violations[0])
 		}
-		completed += len(lats)
-		if len(lats) == cfg.Runs {
-			row.WinnerCrashed = cfg.Runs - row.Elected - row.NoQuorum
-			row.MeanTime = float64(times) / float64(cfg.Runs)
-			row.MeanRounds = float64(roundSum) / float64(cfg.Runs)
-			row.MeanMsgs = float64(msgs) / float64(cfg.Runs)
-			row.Latency = summarize(lats)
-		}
+		invalid += row.Invalid
 		rep.Scenarios = append(rep.Scenarios, row)
 	}
-	if completed != total {
-		return rep, fmt.Errorf("campaign: %d of %d runs completed", completed, total)
+	if invalid > 0 {
+		return rep, fmt.Errorf("%w: %d of %d (first: %s)", ErrInvalidRuns, invalid, total, first)
 	}
-	rep.Throughput = float64(total) / elapsed.Seconds()
 	return rep, nil
+}
+
+// aggregate books one scenario's judged runs into its report row.
+func aggregate(sc fault.Scenario, runs []judgedRun) ScenarioReport {
+	row := ScenarioReport{Scenario: sc, Runs: len(runs)}
+	var lats []time.Duration
+	var times, roundSum, msgs int64
+	for _, j := range runs {
+		if len(j.bad) > 0 {
+			row.Invalid++
+			row.Violations = append(row.Violations, j.bad...)
+		}
+		if j.failed {
+			continue
+		}
+		r := j.res
+		lats = append(lats, r.Elapsed)
+		times += int64(r.Time)
+		roundSum += int64(r.Rounds)
+		msgs += r.Messages
+		row.MaxRounds = max(row.MaxRounds, r.Rounds)
+		switch {
+		case r.Winner >= 0:
+			row.Elected++
+		case len(r.Crashed) > 0:
+			// The linearized winner was among the crash victims, starved
+			// participants beside them or not.
+			row.WinnerCrashed++
+		default:
+			// Nobody won and nobody crashed: the partition starved every
+			// client of quorums.
+			row.NoQuorum++
+		}
+		row.Crashed += len(r.Crashed)
+		row.Starved += len(r.NoQuorum)
+	}
+	if len(lats) > 0 {
+		done := float64(len(lats))
+		row.MeanTime = float64(times) / done
+		row.MeanRounds = float64(roundSum) / done
+		row.MeanMsgs = float64(msgs) / done
+		row.Latency = summarize(lats)
+	}
+	return row
 }
 
 // summarize sorts a non-empty latency sample and extracts the headline

@@ -1,13 +1,17 @@
 package campaign
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/live"
+	"repro/internal/rt"
 )
 
 // TestCampaignLive: a live-backend campaign completes every run, reports
@@ -165,6 +169,9 @@ func TestRunMatrix(t *testing.T) {
 			t.Errorf("%s: elected %d + winner-crashed %d != runs %d",
 				row.Scenario.Name, row.Elected, row.WinnerCrashed, row.Runs)
 		}
+		if row.Invalid != 0 || len(row.Violations) != 0 {
+			t.Errorf("%s: %d invalid runs: %v", row.Scenario.Name, row.Invalid, row.Violations)
+		}
 		l := row.Latency
 		if l.P50 > l.P90 || l.P90 > l.P99 || l.P99 > l.Max {
 			t.Errorf("%s: unordered percentiles %+v", row.Scenario.Name, l)
@@ -179,6 +186,64 @@ func TestRunMatrix(t *testing.T) {
 	}
 	if m.Throughput <= 0 {
 		t.Error("non-positive matrix throughput")
+	}
+}
+
+// TestVerdict: one case per clause the verdict checks, plus the valid
+// outcomes. want lists a substring of each expected violation, in order;
+// none means the run is valid.
+func TestVerdict(t *testing.T) {
+	const n = 5
+	// decided maps participants lo..n-1 to Lose, and winner (≥ 0) to Win.
+	decided := func(lo, winner int) map[rt.ProcID]core.Decision {
+		m := map[rt.ProcID]core.Decision{}
+		for i := lo; i < n; i++ {
+			m[rt.ProcID(i)] = core.Lose
+		}
+		if winner >= 0 {
+			m[rt.ProcID(winner)] = core.Win
+		}
+		return m
+	}
+	win := live.Result{Winner: 2, Decisions: decided(0, 2)}
+	starved0 := live.Result{Winner: 2, Decisions: decided(1, 2), NoQuorum: []rt.ProcID{0}}
+	blackout := fault.Scenario{Name: "blackout", LossProb: 1, LossLinks: fault.AllLinks, NoQuorumOK: true}
+	cases := []struct {
+		name string
+		sc   fault.Scenario
+		res  live.Result
+		err  error
+		want []string
+	}{
+		{"clean win", fault.Baseline(), win, nil, nil},
+		{"elect error: two winners", fault.Baseline(), live.Result{Winner: 1},
+			errors.New("live: safety violation: processors 1 and 3 both won"), []string{"both won"}},
+		{"elect error: no winner, nobody crashed or starved", fault.Baseline(),
+			live.Result{Winner: -1, Decisions: decided(0, -1)}, live.ErrNoWinner, []string{"without a winner"}},
+		{"elect error: timeout", fault.Baseline(), live.Result{Winner: -1}, live.ErrTimeout, []string{"timed out"}},
+		{"unplannable scenario", fault.Scenario{Name: "over-budget", Crashes: 3}, win, nil, []string{"plan(5)"}},
+		{"participant not accounted for", fault.Baseline(),
+			live.Result{Winner: 2, Decisions: decided(1, 2)}, nil, []string{"4 of 5 participants accounted for"}},
+		{"electable participant in NoQuorum", fault.PartitionMajority(), starved0, nil,
+			[]string{"electable participant 0 gave up"}},
+		{"starvation under a non-NoQuorumOK scenario", fault.PartitionHeal(), starved0, nil,
+			[]string{"electable participant 0 gave up", `"partition-heal" promised electability but 1 participants starved`}},
+		{"winnerless with a crash", fault.CrashOne(),
+			live.Result{Winner: -1, Decisions: decided(1, -1), Crashed: []rt.ProcID{0}}, nil, nil},
+		{"winnerless with everyone starved", blackout,
+			live.Result{Winner: -1, NoQuorum: []rt.ProcID{0, 1, 2, 3, 4}}, nil, nil},
+	}
+	for _, c := range cases {
+		got := verdict(c.sc, n, n, 7, c.res, c.err)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: violations %q, want %d", c.name, got, len(c.want))
+			continue
+		}
+		for i, w := range c.want {
+			if !strings.Contains(got[i], w) {
+				t.Errorf("%s: violation %q does not name %q", c.name, got[i], w)
+			}
+		}
 	}
 }
 

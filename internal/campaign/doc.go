@@ -29,4 +29,11 @@
 // participants the crash schedules killed in total. Run is the
 // single-scenario special case (Config.Scenario; the zero value is
 // fault-free).
+//
+// # One verdict
+//
+// Every run completes and is judged by one function against the paper's
+// test-and-set contract and the run's fault plan. A row counts its invalid
+// runs and lists their violations; a campaign with any returns its
+// complete report and an error wrapping ErrInvalidRuns.
 package campaign

@@ -34,27 +34,25 @@ type SoakConfig struct {
 	N         int // servers; default 3
 	K         int // participants per election; default 4
 	Elections int // total elections; default 2000
-	Workers   int // concurrent elections per wave; default 8
-
-	// Server lifecycle under test. TTL defaults to 100ms with a 20ms sweep
-	// — short enough that eviction happens constantly during the run —
-	// and MaxLivePerShard to 512 (a backstop; the soak should never hit it).
-	TTL             time.Duration
-	SweepInterval   time.Duration
-	MaxLivePerShard int
-
-	// HeapSamples is how many post-GC heap samples to take; default 16.
-	// One extra warmup wave runs before sampling starts, so pools and
-	// caches reach steady state off the record.
-	HeapSamples int
-
-	// Network defaults to in-process loopback; pass transport.NewTCP() to
-	// soak real sockets.
-	Network transport.Network
 
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
+
+// The soak's fixed shape: soakWorkers concurrent elections per wave over
+// in-process loopback, and a server lifecycle whose TTL and sweep are
+// short enough that eviction happens constantly during the run.
+// soakMaxLivePerShard is a backstop the soak must never reach: an
+// election shed by a busy replica counts as invalid. soakHeapSamples
+// post-GC heap samples are taken, after one extra warmup wave that brings
+// pools and caches to steady state off the record.
+const (
+	soakWorkers         = 8
+	soakTTL             = 100 * time.Millisecond
+	soakSweepInterval   = 20 * time.Millisecond
+	soakMaxLivePerShard = 512
+	soakHeapSamples     = 16
+)
 
 func (cfg *SoakConfig) defaults() {
 	if cfg.N <= 0 {
@@ -66,32 +64,15 @@ func (cfg *SoakConfig) defaults() {
 	if cfg.Elections <= 0 {
 		cfg.Elections = 2000
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 100 * time.Millisecond
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = 20 * time.Millisecond
-	}
-	if cfg.MaxLivePerShard <= 0 {
-		cfg.MaxLivePerShard = 512
-	}
-	if cfg.HeapSamples <= 0 {
-		cfg.HeapSamples = 16
-	}
-	if cfg.Network == nil {
-		cfg.Network = transport.NewLoopback()
-	}
 }
 
 // SoakReport is one run's evidence: what ran, what the service counted,
 // what the heap did. Check turns it into a verdict.
 type SoakReport struct {
 	Elections int // elections completed (warmup included)
-	Invalid   int // elections without a unique winner — must be 0
-	Shed      int // election attempts aborted by busy replies and retried
+	// Invalid counts elections without a unique winner or shed by a busy
+	// replica — must be 0.
+	Invalid int
 
 	// Server-side accounting, summed across replicas at the end.
 	Served     int64 // requests answered
@@ -125,7 +106,7 @@ const heapSlack = 512 << 10
 // of its first, and the metrics agreeing with the service's own counters.
 func (r *SoakReport) Check() error {
 	if r.Invalid != 0 {
-		return fmt.Errorf("soak: %d of %d elections had no unique winner", r.Invalid, r.Elections)
+		return fmt.Errorf("soak: %d of %d elections had no unique winner or were shed", r.Invalid, r.Elections)
 	}
 	if r.Evicted == 0 {
 		return fmt.Errorf("soak: TTL sweeper evicted nothing across %d elections — eviction is not running", r.Elections)
@@ -160,12 +141,12 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	transport.RegisterMetrics(reg)
-	cl, err := NewClusterWith(cfg.Network, cfg.N, ClusterOptions{
+	cl, err := NewClusterWith(transport.NewLoopback(), cfg.N, ClusterOptions{
 		Pool: PoolOptions{Metrics: reg},
 		Server: ServerOptions{
-			TTL:             cfg.TTL,
-			SweepInterval:   cfg.SweepInterval,
-			MaxLivePerShard: cfg.MaxLivePerShard,
+			TTL:             soakTTL,
+			SweepInterval:   soakSweepInterval,
+			MaxLivePerShard: soakMaxLivePerShard,
 			Metrics:         reg,
 		},
 	})
@@ -175,76 +156,54 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	defer cl.Close()
 
 	rep := &SoakReport{}
-	var invalid, shed, elections atomic.Int64
+	var invalid, elections atomic.Int64
 	var clientMsgs, clientBytes atomic.Int64
 
-	// runOne runs a single election to a valid conclusion, retrying (with a
-	// fresh instance ID) attempts that a busy server sheds. Seeds derive
-	// from the run index so reruns are reproducible.
+	// runOne runs a single election and judges it: valid when exactly one
+	// participant wins and no replica shed it. Seeds derive from the run
+	// index so reruns are reproducible.
 	runOne := func(run int) {
-		for attempt := 0; ; attempt++ {
-			id := cl.NextElectionID()
-			decisions := make([]core.Decision, cfg.K)
-			busy := make([]bool, cfg.K)
-			var wg sync.WaitGroup
-			for i := 0; i < cfg.K; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					seed := int64(run)*1_000_003 + int64(attempt)*7919 + int64(i) + 1
-					p := NewParticipant(rt.ProcID(i), cfg.K, seed)
-					c := cl.NewComm(p, id, nil)
-					err := CatchBusy(func() {
-						s := core.NewState(p, "leaderelect")
-						decisions[i] = core.LeaderElectWithState(c, "elect", s)
-					})
-					busy[i] = err != nil
-					clientMsgs.Add(c.Messages())
-					clientBytes.Add(c.Bytes())
-				}(i)
-			}
-			wg.Wait()
-			wasShed := false
-			for _, b := range busy {
-				wasShed = wasShed || b
-			}
-			if wasShed {
-				// The attempt was refused admission somewhere; its partial
-				// state is the TTL sweeper's to reclaim. Back off and rerun
-				// the whole election under a fresh ID.
-				shed.Add(1)
-				if attempt < 50 {
-					time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-					continue
+		id := cl.NextElectionID()
+		decisions := make([]core.Decision, cfg.K)
+		var shed atomic.Bool
+		var wg sync.WaitGroup
+		for i := 0; i < cfg.K; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p := NewParticipant(rt.ProcID(i), cfg.K, int64(run)*1_000_003+int64(i)+1)
+				c := cl.NewComm(p, id, nil)
+				if err := CatchBusy(func() {
+					s := core.NewState(p, "leaderelect")
+					decisions[i] = core.LeaderElectWithState(c, "elect", s)
+				}); err != nil {
+					shed.Store(true)
 				}
-				invalid.Add(1) // persistent refusal counts against the run
-			} else {
-				winners := 0
-				for _, d := range decisions {
-					if d == core.Win {
-						winners++
-					}
-				}
-				if winners != 1 {
-					invalid.Add(1)
-				}
-			}
-			elections.Add(1)
-			return
+				clientMsgs.Add(c.Messages())
+				clientBytes.Add(c.Bytes())
+			}(i)
 		}
+		wg.Wait()
+		winners := 0
+		for _, d := range decisions {
+			if d == core.Win {
+				winners++
+			}
+		}
+		if shed.Load() || winners != 1 {
+			invalid.Add(1)
+		}
+		elections.Add(1)
 	}
 
-	// runWave runs count elections at the configured concurrency.
+	// runWave runs count elections at the soak's concurrency.
 	runWave := func(first, count int) {
 		idx := make(chan int, count)
 		for i := 0; i < count; i++ {
 			idx <- first + i
 		}
 		close(idx)
-		workers := cfg.Workers
-		if workers > count {
-			workers = count
-		}
+		workers := min(soakWorkers, count)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -258,7 +217,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		wg.Wait()
 	}
 
-	wave := cfg.Elections / cfg.HeapSamples
+	wave := cfg.Elections / soakHeapSamples
 	if wave < 1 {
 		wave = 1
 	}
@@ -269,10 +228,10 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 
 	// An idle instance is gone one TTL plus one sweep after its last
 	// request; the rest is margin for a loaded host.
-	sweepWait := cfg.TTL + 10*cfg.SweepInterval
+	sweepWait := soakTTL + 10*soakSweepInterval
 	runWave(0, wave) // warmup: steady-state the pools off the record
 	next := wave
-	for s := 0; s < cfg.HeapSamples && next < cfg.Elections+wave; s++ {
+	for s := 0; s < soakHeapSamples && next < cfg.Elections+wave; s++ {
 		runWave(next, wave)
 		next += wave
 		if live := awaitSweep(cl, sweepWait); live > 0 {
@@ -293,7 +252,6 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	rep.Elections = int(elections.Load())
 	rep.Invalid = int(invalid.Load())
-	rep.Shed = int(shed.Load())
 	rep.ClientMsgs = clientMsgs.Load()
 	rep.ClientBytes = clientBytes.Load()
 	for i := 0; i < cl.N(); i++ {

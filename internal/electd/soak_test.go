@@ -35,8 +35,8 @@ func TestSoakServiceEndurance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("soak: %d elections (%d shed, %d invalid), served %d, evicted %d, final live %d, heap %.0f → %.0f bytes",
-		rep.Elections, rep.Shed, rep.Invalid, rep.Served, rep.Evicted, rep.FinalLive, rep.FirstQMean, rep.LastQMean)
+	t.Logf("soak: %d elections (%d invalid), served %d, evicted %d, final live %d, heap %.0f → %.0f bytes",
+		rep.Elections, rep.Invalid, rep.Served, rep.Evicted, rep.FinalLive, rep.FirstQMean, rep.LastQMean)
 	if err := rep.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -221,12 +221,9 @@ func (l *TCPListener) Close() error {
 	return err
 }
 
-// DialTCP connects to a TCP listener, with write-side frame coalescing
-// on; h receives the frames the server sends back on this connection.
-func DialTCP(addr string, h Handler) (Conn, error) {
-	return dialTCP(addr, h, nil)
-}
-
+// dialTCP connects to a TCP listener, with write-side frame coalescing
+// on; h receives the frames the server sends back on this connection, and
+// rec, when non-nil, records the connection's spans.
 func dialTCP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -719,32 +719,12 @@ func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.Proc
 	return append(dst, tail...), nil
 }
 
-// PeekReply extracts the kind and call id from an encoded message body
-// without decoding it — what a reply router's pre-decode filter needs to
-// decide whether anyone is still waiting. ok is false when the header does
-// not parse; canonicality is not checked here (the full decoder validates
-// whatever the filter keeps).
-func PeekReply(body []byte) (k Kind, call uint64, ok bool) {
-	if len(body) == 0 {
-		return 0, 0, false
-	}
-	k = Kind(body[0])
-	rest := body[1:]
-	_, n := binary.Uvarint(rest) // election
-	if n <= 0 {
-		return k, 0, false
-	}
-	call, n = binary.Uvarint(rest[n:])
-	if n <= 0 {
-		return k, 0, false
-	}
-	return k, call, true
-}
-
-// PeekReplyFrom additionally extracts the replying server's id — what a
-// fault-injecting reply filter needs to sample per-link loss on the reply
-// direction, and what reply dedup under retransmission keys on. Same
-// contract as PeekReply: header parse only, no canonicality check — except
+// PeekReplyFrom extracts the kind, call id and replying server's id from
+// an encoded message body without decoding it — what a fault-injecting
+// reply filter needs to sample per-link loss on the reply direction, and
+// what reply dedup under retransmission keys on. ok is false when the
+// header does not parse. Only the header is parsed and canonicality is not
+// checked (the full decoder validates whatever the filter keeps) — except
 // that the id is held to the MaxID bound the full decoder enforces, so the
 // conversion to rt.ProcID cannot wrap (ok is false past it).
 func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
