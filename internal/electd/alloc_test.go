@@ -18,19 +18,22 @@ import (
 // pool). Run without the race detector, which makes sync.Pool lossy.
 const (
 	// handlePropagateAllocs: one winning single-entry propagate into an
-	// existing register. Measured 1 — the heap copy of the entry the CAS
-	// installs; finding the cell is an index, the ack frame is pooled.
-	handlePropagateAllocs = 3
+	// existing register. Measured 0 — the copy of the entry the CAS installs
+	// takes a slot of the instance's slab (one 64-entry slab per 64 wins;
+	// it was a heap copy each, 1); finding the cell is an index, the ack
+	// frame is pooled.
+	handlePropagateAllocs = 0
 	// handleCollectAllocs: one collect served from the published snapshot.
 	// Measured 0 — an atomic load and a pooled reply frame.
 	handleCollectAllocs = 1
 	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
-	// the in-process network, servers included. Measured 11 — the entry
-	// copy on each of the quorum+slack = 11 servers asked (16 when the call
-	// goes to all n) — and nothing for the tick the call arms and stops,
-	// the per-connection copies of the request frame (pooled), the send
-	// queues or the harvest.
-	thriftyPropagateAllocs = 11
+	// the in-process network, servers included. Measured 0: the entry copy
+	// on each of the quorum+slack = 11 servers asked (16 when the call goes
+	// to all n) takes a slab slot, one 64-entry slab per ≈6 calls (it was
+	// 11, a heap copy each); nothing for the tick the call arms and stops, the
+	// per-connection copies of the request frame (pooled), the send queues
+	// or the harvest.
+	thriftyPropagateAllocs = 0
 	// thriftyCollectAllocs: the same for a collect. Measured 0.
 	thriftyCollectAllocs = 0
 )

@@ -278,10 +278,11 @@ var emptyTail = []byte{0}
 // arrived as one (see transport.Handler) — and are assembled directly from
 // header fields plus the cached encoded snapshot, so the server never
 // builds or walks a reply message. Handle takes ownership of m and of its
-// entry storage: the server is a request's terminal consumer (merging
-// copies the entries' values, never the slice), so the message recycles
-// whole on the way out and the next decode on it reuses the entry array —
-// the propagate path's steady state allocates nothing per request.
+// entry storage: the server is a request's terminal consumer (a winning
+// merge copies the entry into the instance's slab, never keeps the slice),
+// so a request recycles whole on the way out and the next decode on it
+// reuses the entry array — the propagate path's steady state allocates
+// nothing per request but one slab per 64 winning merges.
 //
 // Admission control lives here: a propagate that would create a new
 // election instance while the server is draining, or while the instance's
@@ -303,6 +304,13 @@ var emptyTail = []byte{0}
 // the instance lookup/admission span: in steady state it collapses to the
 // cost of an atomic load, which is the point.
 func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
+	if m.Kind != wire.KindPropagate && m.Kind != wire.KindCollect {
+		// Replies arriving at a server are protocol noise. A view's entries
+		// may be its read loop's view memo (wire.Decoder), not the server's
+		// to recycle: drop the message whole.
+		wire.PutMsg(m)
+		return
+	}
 	defer wire.RecycleMsg(m)
 	if s.crashed.Load() {
 		return // a crashed server loses requests, no acknowledgment
@@ -368,8 +376,6 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 		}
 		sh.served.Add(1)
 		s.reply(c, wire.KindView, m, tail)
-	default:
-		// Replies arriving at a server are protocol noise; ignore.
 	}
 }
 

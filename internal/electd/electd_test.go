@@ -563,4 +563,15 @@ func TestServerIgnoresNoise(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server stopped answering after noise")
 	}
+
+	// A view's entries may be its read loop's view memo, which others read:
+	// the server drops such a message whole and never clears the array.
+	want := rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 5}
+	held := []rt.Entry{want}
+	m := wire.GetMsg()
+	m.Kind, m.Call, m.From, m.Reg, m.Entries = wire.KindView, 4, 3, "r", held
+	srv.Handle(nil, m)
+	if held[0] != want {
+		t.Fatalf("a view handled by the server had its entries cleared: %+v", held[0])
+	}
 }

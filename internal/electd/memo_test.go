@@ -38,14 +38,15 @@ func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, err
 }
 
 // TestRecycleNeverClearsSharedEntries drives a view-memo hit down every
-// client path that discards a reply with RecycleMsg — stragglers past the
-// quorum (dropped by the router, whether the call is complete or gone), the
-// harvested views when a busy reply sheds the call, and when a fault plan
-// declares the client starved — while the test holds the same
-// arrays through an earlier Collect, as a participant would. None of those
-// paths may clear a memoized array or keep it as a decode arena: the held
-// views must read the same afterwards, with propagates (whose decode is
-// what would reuse an arena) interleaved throughout.
+// client path that discards a reply — stragglers past the quorum (dropped
+// by the router, whether the call is complete or gone), the harvested views
+// when a busy reply sheds the call, and when a fault plan declares the
+// client starved — while the test holds the same arrays through an earlier
+// Collect, as a participant would. None of those paths may clear a memoized
+// array or keep it as a decode arena (a view is discarded with PutMsg, never
+// RecycleMsg): the held views must read the same afterwards, with
+// propagates (whose decode is what would reuse an arena) interleaved
+// throughout.
 func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	const n, election, reg = 3, 1, "sift/1/status"
 	nw := &unfiltered{Network: transport.NewLoopback(), routed: make(chan rt.ProcID, 1024)}

@@ -359,7 +359,7 @@ func (pl *Pool) keepReply(body []byte) bool {
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	if (m.Kind != wire.KindAck && m.Kind != wire.KindView && m.Kind != wire.KindBusy) ||
 		m.From < 0 || int(m.From) >= pl.n {
-		wire.RecycleMsg(m) // protocol noise; nobody saw its entries
+		discard(m) // protocol noise; nobody saw its entries
 		return
 	}
 	need := pl.n/2 + 1
@@ -368,7 +368,7 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	p := sh.calls[m.Call]
 	if p == nil || p.complete(need) || p.seen[m.From] {
 		sh.mu.Unlock()
-		wire.RecycleMsg(m)
+		discard(m)
 		return
 	}
 	p.seen[m.From] = true
@@ -381,13 +381,27 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	done := p.complete(need)
 	sh.mu.Unlock()
 	if busy {
-		wire.RecycleMsg(m)
+		discard(m)
 	}
 	if done {
 		// After the unlock, so the woken rpc does not run into the lock it
 		// needs next. The slot cannot be recycled under this send: rpc
 		// recycles it only after receiving the token.
 		p.sig <- struct{}{}
+	}
+}
+
+// discard recycles a reply nobody reads. A view's entry array may be its
+// read loop's view memo (wire.Decoder) — every stream-decoded view up to
+// 4 KiB is — so a view goes back with PutMsg, which drops the array. Any
+// other reply carries no entries and keeps the empty arena it was decoded
+// with: RecycleMsg hands that to the next decode, which in an in-process
+// cluster is often a server's propagate.
+func discard(m *wire.Msg) {
+	if m.Kind == wire.KindView {
+		wire.PutMsg(m)
+	} else {
+		wire.RecycleMsg(m)
 	}
 }
 
@@ -742,7 +756,7 @@ wait:
 	c.calls++
 	if starved || shed {
 		for _, r := range c.replies {
-			wire.RecycleMsg(r)
+			discard(r)
 		}
 		if starved {
 			panic(&fault.NoQuorumError{Proc: c.noqProc})
@@ -754,10 +768,10 @@ wait:
 		pl.rpcHist.Observe(time.Since(t0).Microseconds())
 	}
 	if !keep {
-		// Propagate acks carry no entries the caller ever sees; recycle
-		// whole so ack decodes stay allocation-free.
+		// Propagate acks carry no entries the caller ever sees; discard
+		// keeps their entry arenas for the decodes that follow.
 		for _, r := range c.replies {
-			wire.RecycleMsg(r)
+			discard(r)
 		}
 		return nil
 	}

@@ -3,6 +3,7 @@
 package regstore
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -18,9 +19,17 @@ const (
 	// slice, the encoding and the snapshot box, each allocated once at its
 	// final size. Appending both from nil took about 10.
 	rebuildAllocs = 3
-	// mergeCopyAllocs: a winning MergeCopy's heap copy of the entry. A
-	// losing one, and any Merge or Write (they adopt), allocate nothing.
-	mergeCopyAllocs = 1
+	// mergeCopyAllocs: a winning MergeCopy. Measured 0: its copy takes a
+	// slab slot, and one slab serves slabEntries wins (1000 wins take 16
+	// slabs, which AllocsPerRun's whole-number mean reads as 0); it was 1,
+	// a heap copy per win. A losing one, and any Merge or Write (they adopt),
+	// allocate nothing.
+	mergeCopyAllocs = 0
+	// newRegisterAllocs: the first merge into a register the store does not
+	// hold yet. Measured 3: the array, its first cell bucket inline, and the
+	// directory copy — the grown slice and the header box its CAS
+	// publishes; it was 5, with the bucket and its header allocated apart.
+	newRegisterAllocs = 3
 )
 
 func TestRebuildAllocBudget(t *testing.T) {
@@ -66,5 +75,14 @@ func TestMergeAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(900, func() { s.Write(next()) }); got != 0 {
 		t.Fatalf("Write: %v allocs, want 0 (it adopts)", got)
+	}
+
+	fresh := make([]rt.Entry, 1002)
+	for j := range fresh {
+		fresh[j] = rt.Entry{Reg: fmt.Sprintf("new/%04d", j), Owner: 3, Seq: 1, Val: 1}
+	}
+	j := 0
+	if got := testing.AllocsPerRun(1000, func() { j++; s.Merge(&fresh[j]) }); got > newRegisterAllocs {
+		t.Fatalf("first merge into a new register: %v allocs, budget %d", got, newRegisterAllocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,6 +162,112 @@ func TestSnapshotImmutableUnderWinningMerge(t *testing.T) {
 	}
 }
 
+// TestMergeCopySlabRollover tortures the slab behind MergeCopy: goroutines
+// race winning and losing merges on shared owners and on owners of their
+// own, in two registers of one store, across hundreds of slab boundaries,
+// with snapshots taken alongside. Each merges from one entry it overwrites
+// after every call, as electd's recycled messages do. Three things must
+// hold: every cell ends at the highest sequence merged into it; a published
+// entry's address is never seen holding anything else — no slot is handed
+// out twice or written after publication; and a snapshot, once taken, never
+// changes.
+func TestMergeCopySlabRollover(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Every merge into a worker's own owner wins: 8·2000·2 = 32 000 wins,
+	// 500 slabs, besides whatever the shared owners' races leave to win.
+	const workers, seqs = 8, 2000
+	regs := []string{"a", "b"}
+	val := func(owner rt.ProcID, seq uint64) int { return int(seq)*1000 + int(owner) }
+	s := New(wire.AppendEntries)
+
+	type retained struct {
+		snap    *Snapshot
+		entries []rt.Entry
+		enc     []byte
+	}
+	seen := make([]map[*rt.Entry]rt.Entry, workers) // per worker: address → what it held
+	kept := make([][]retained, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen[w] = map[*rt.Entry]rt.Entry{}
+			// Owners 0–2 are everybody's; owner 10+w is this worker's alone.
+			owners := []rt.ProcID{0, 1, 2, rt.ProcID(10 + w)}
+			var e rt.Entry // the recycled decode slot
+			for seq := uint64(1); seq <= seqs; seq++ {
+				for _, reg := range regs {
+					for _, owner := range owners {
+						e = rt.Entry{Reg: reg, Owner: owner, Seq: seq, Val: val(owner, seq)}
+						s.MergeCopy(&e)
+						e = rt.Entry{Reg: "scribbled", Owner: owner, Seq: 1 << 40, Val: -1}
+					}
+				}
+				if seq%50 != 0 {
+					continue
+				}
+				for _, reg := range regs {
+					snap, _ := s.Snapshot(reg)
+					kept[w] = append(kept[w], retained{snap, slices.Clone(snap.Entries), bytes.Clone(snap.Enc)})
+					for _, owner := range owners {
+						if p := s.Load(reg, owner); p != nil {
+							if prev, ok := seen[w][p]; ok && prev != *p {
+								t.Errorf("entry at %p changed from %+v to %+v", p, prev, *p)
+								return
+							}
+							seen[w][p] = *p
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, reg := range regs {
+		for owner := rt.ProcID(0); owner < 10+workers; owner++ {
+			e := s.Load(reg, owner)
+			if owner > 2 && owner < 10 {
+				if e != nil {
+					t.Fatalf("%s[%d] was never merged into, holds %+v", reg, owner, *e)
+				}
+				continue
+			}
+			if e == nil || *e != (rt.Entry{Reg: reg, Owner: owner, Seq: seqs, Val: val(owner, seqs)}) {
+				t.Fatalf("%s[%d] ends at %+v, want sequence %d", reg, owner, e, seqs)
+			}
+		}
+	}
+	all := map[*rt.Entry]rt.Entry{}
+	for _, m := range seen {
+		for p, e := range m {
+			if prev, ok := all[p]; ok && prev != e {
+				t.Fatalf("one address published twice: %+v and %+v", prev, e)
+			}
+			if *p != e {
+				t.Fatalf("published entry at %p changed from %+v to %+v", p, e, *p)
+			}
+			all[p] = e
+		}
+	}
+	if want := workers * seqs / 50 * len(regs); len(all) < want { // every look at an own owner finds a new entry
+		t.Fatalf("saw %d published entries, want at least %d", len(all), want)
+	}
+	for _, ks := range kept {
+		for _, k := range ks {
+			if !slices.Equal(k.snap.Entries, k.entries) || !bytes.Equal(k.snap.Enc, k.enc) {
+				t.Fatalf("a retained snapshot changed:\n  taken %+v\n  now   %+v", k.entries, k.snap.Entries)
+			}
+			for _, e := range k.entries {
+				if e.Val != val(e.Owner, e.Seq) {
+					t.Fatalf("snapshot holds a torn entry %+v", e)
+				}
+			}
+		}
+	}
+}
+
 // TestCellBucketsKeepOwnerOrder: owners on both sides of every bucket
 // boundary land in distinct cells, snapshots come back in owner order with
 // no sort, racing first writes into one fresh bucket all survive, and an
@@ -220,10 +327,10 @@ func TestEmptyArraySnapshotStaysWellFormed(t *testing.T) {
 }
 
 // TestResetKeepsArraysDropsState: after Reset every cell is ⊥, every version
-// 0 and no snapshot is published — nothing of the last election is pinned —
-// while the directory and the cell buckets are the same objects, so the next
-// election of the same algorithm allocates neither; and the store then
-// behaves as a fresh one, sequence numbers included.
+// 0, no snapshot is published and no slab is kept — nothing of the last
+// election is pinned — while the directory and the cell buckets are the same
+// objects, so the next election of the same algorithm allocates neither; and
+// the store then behaves as a fresh one, sequence numbers included.
 func TestResetKeepsArraysDropsState(t *testing.T) {
 	s := New(wire.AppendEntries)
 	for _, reg := range []string{"a", "b"} {
@@ -232,13 +339,14 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 		}
 		s.Snapshot(reg)
 	}
+	s.MergeCopy(&rt.Entry{Reg: "b", Owner: 1, Seq: 9, Val: "copied"})
 	s.array("untouched")
 	dir := s.dir.Load()
-	buckets := map[*array][cellBuckets]*[]cell{}
+	buckets := map[*array][cellBuckets - 1]*[]cell{}
 	for _, d := range *dir {
-		var bs [cellBuckets]*[]cell
-		for b := range d.arr.cells {
-			bs[b] = d.arr.cells[b].Load()
+		var bs [cellBuckets - 1]*[]cell
+		for b := range d.arr.more {
+			bs[b] = d.arr.more[b].Load()
 		}
 		buckets[d.arr] = bs
 	}
@@ -249,20 +357,22 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 	if s.dir.Load() != dir || len(*dir) != 3 {
 		t.Fatalf("Reset replaced the directory (%d arrays)", len(*s.dir.Load()))
 	}
+	if s.slab.Load() != nil {
+		t.Fatal("Reset kept the slab of the last election's copies")
+	}
 	for _, d := range *dir {
 		if v, snap := d.arr.version.Load(), d.arr.snap.Load(); v != 0 || snap != nil {
 			t.Fatalf("%s after Reset: version %d, snapshot %v", d.name, v, snap)
 		}
-		for b := range d.arr.cells {
-			bucket := d.arr.cells[b].Load()
-			if bucket != buckets[d.arr][b] {
-				t.Fatalf("%s after Reset: bucket %d was replaced", d.name, b)
+		for b := range d.arr.more {
+			if d.arr.more[b].Load() != buckets[d.arr][b] {
+				t.Fatalf("%s after Reset: bucket %d was replaced", d.name, b+1)
 			}
-			if bucket == nil {
-				continue
-			}
-			for i := range *bucket {
-				if e := (*bucket)[i].Load(); e != nil {
+		}
+		for b := range cellBuckets {
+			bucket := d.arr.bucket(b)
+			for i := range bucket {
+				if e := bucket[i].Load(); e != nil {
 					t.Fatalf("%s after Reset: bucket %d cell %d still holds %+v", d.name, b, i, *e)
 				}
 			}

@@ -78,17 +78,10 @@ func PutMsg(m *Msg) {
 //
 // The one array a caller never owns is a stream Decoder's memoized view
 // (see Decoder): the table and any number of other messages reference it.
-// On a stream that is every view up to viewTailMax, hit or miss, so for the
-// views a client discards RecycleMsg is PutMsg: the array is dropped, never
-// cleared, never re-armed as an arena. The message carries the bit
-// (Msg.shared) as a safety net, not an optimisation — a handler cannot
-// know what decoded the message it was handed, and RecycleMsg must stay
-// safe to call on any message whose entries the handler itself let go of.
+// On a stream that is every view up to viewTailMax, hit or miss, so a view
+// from a stream Decoder goes back with PutMsg, never with RecycleMsg — which
+// would clear the table's array and re-arm it as the next decode's arena.
 func RecycleMsg(m *Msg) {
-	if m.shared {
-		PutMsg(m)
-		return
-	}
 	// Clear the whole capacity, not just the live window: a shorter decode
 	// shrinks len below an earlier one, and entries parked in [len, cap)
 	// would otherwise pin their rt.Values for the arena's lifetime.

@@ -40,9 +40,9 @@ import (
 //
 // A memoized entry array is owned by the table and carries the same
 // contract as the values: it may back any number of messages and views,
-// and nobody writes, sorts or appends to it. The message says so
-// (Msg.shared), and RecycleMsg drops such an array rather than clear it
-// or re-arm it as a decode arena.
+// and nobody writes, sorts or appends to it — so a consumer done with a
+// view hands it back with PutMsg, never RecycleMsg, which would clear the
+// array and re-arm it as a decode arena.
 //
 // A Decoder is not safe for concurrent use; the zero value is ready. A
 // nil *Decoder decodes without tables, which is what package-level Decode

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -75,7 +76,7 @@ func TestDecoderOwnsWhatItInterns(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xFF
 	}
-	if !sameMsg(first, want) {
+	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("decoded message changed when its source buffer was overwritten:\n got  %+v\n want %+v", first, want)
 	}
 	// Same entries under another election: the view memo (keyed by election)
@@ -90,7 +91,7 @@ func TestDecoderOwnsWhatItInterns(t *testing.T) {
 	if &again.Entries[0] == &first.Entries[0] {
 		t.Fatal("the view memo served another election's view; the intern tables were not exercised")
 	}
-	if !sameMsg(again, want) {
+	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("interned values were corrupted by the overwritten buffer:\n got  %+v\n want %+v", again, want)
 	}
 }
@@ -175,9 +176,6 @@ func TestDecoderViewMemoHits(t *testing.T) {
 	if &a.Entries[0] != &b.Entries[0] {
 		t.Fatal("a repeated view was rebuilt, not served from the memo")
 	}
-	if !a.shared || !b.shared {
-		t.Fatal("a memoized view does not say its entries are shared")
-	}
 	other := decode(viewBody(t, 1, "sift/2", 1000)) // same tail bytes, another name
 	if &other.Entries[0] == &a.Entries[0] || other.Entries[0].Reg != "sift/2" {
 		t.Fatalf("the tail of sift/1 was served for sift/2: %+v", other.Entries[0])
@@ -192,16 +190,18 @@ func TestDecoderViewMemoHits(t *testing.T) {
 	if back := decode(viewBody(t, 1, "sift/1", 1000)); &back.Entries[0] == &a.Entries[0] {
 		t.Fatal("the memo kept a tail it had replaced")
 	}
-	// Propagates are a server's to recycle: never memoized, never shared.
+	// Propagates are a server's to recycle: never memoized.
 	pm := &Msg{Kind: KindPropagate, Reg: "sift/1", Entries: []rt.Entry{{Reg: "sift/1", Seq: 1, Val: 1000}}}
 	frame, err := Encode(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range 2 {
-		if p := decode(frame[PrefixSize(pm.WireSize()):]); p.shared {
-			t.Fatal("a propagate came back marked shared")
-		}
+	body := frame[PrefixSize(pm.WireSize()):]
+	if p, q := decode(body), decode(body); &p.Entries[0] == &q.Entries[0] {
+		t.Fatal("a repeated propagate was served from the memo")
+	}
+	if _, ok := dec.views[viewKey{pm.Election, pm.Reg}]; ok {
+		t.Fatal("a propagate was remembered by the view memo")
 	}
 }
 
@@ -237,7 +237,7 @@ func TestDecoderViewMemoOwnsItsBytes(t *testing.T) {
 	if &again.Entries[0] != &first.Entries[0] {
 		t.Fatal("the pristine frame missed the memo after the buffer was overwritten")
 	}
-	if !sameMsg(again, want) {
+	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("memoized view was corrupted by the overwritten buffer:\n got  %+v\n want %+v", again, want)
 	}
 }
@@ -288,52 +288,11 @@ func TestDecoderViewMemoStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.shared || len(got.Entries[0].Val.(core.Status).List) != len(giant) {
-			t.Fatalf("oversized view: shared=%v, %d ids", got.shared, len(got.Entries[0].Val.(core.Status).List))
+		if len(got.Entries[0].Val.(core.Status).List) != len(giant) {
+			t.Fatalf("oversized view: %d ids", len(got.Entries[0].Val.(core.Status).List))
 		}
 	}
 	if _, ok := dec.views[viewKey{1, "giant"}]; ok {
 		t.Fatalf("a %d-byte tail was remembered (bound %d)", len(body), viewTailMax)
-	}
-}
-
-// TestRecycleDropsSharedEntries is the wire half of the ownership rule: a
-// memoized array that goes through RecycleMsg is neither cleared (other
-// views read it) nor kept as the next decode's arena (which would
-// overwrite it); an array the message owns still is.
-func TestRecycleDropsSharedEntries(t *testing.T) {
-	body := statusView(t, 8)
-	want, err := Decode(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec Decoder
-	held, err := dec.Decode(body) // stands for a view some participant still reads
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := held.Entries
-	for range 3 {
-		m, err := dec.Decode(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &m.Entries[0] != &entries[0] {
-			t.Fatal("expected a memo hit")
-		}
-		RecycleMsg(m)
-		if m.Entries != nil || m.shared {
-			t.Fatalf("RecycleMsg kept a shared array as an arena: %d-cap entries, shared=%v", cap(m.Entries), m.shared)
-		}
-		// Whatever message the pool hands out next must not decode into it.
-		o, err := Decode(viewBody(t, 9, "other", 77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		PutMsg(o)
-	}
-	held.Entries = entries
-	if !sameMsg(held, want) {
-		t.Fatalf("shared entries changed under RecycleMsg:\n got  %+v\n want %+v", held, want)
 	}
 }

@@ -74,16 +74,6 @@ func floodBodies() [][]byte {
 	return out
 }
 
-// sameMsg is deep equality over everything a consumer of a message can
-// observe — the size memo included, so WireSize agrees too. Who owns the
-// entry array (Msg.shared) is between the decoder and RecycleMsg, not part
-// of the value: a memo hit and a cold decode are the same message.
-func sameMsg(a, b *Msg) bool {
-	x, y := *a, *b
-	x.shared, y.shared = false, false
-	return reflect.DeepEqual(&x, &y)
-}
-
 // checkWarm holds a stream Decoder to the table-less Decode on one body:
 // the same accept/reject decision and the same message, on a first decode
 // (which may fill the tables and the view memo), on a second (served from
@@ -103,7 +93,7 @@ func checkWarm(t *testing.T, dec *Decoder, flood [][]byte, body []byte, cold *Ms
 		if (err == nil) != (coldErr == nil) {
 			t.Fatalf("pass %d: warm Decoder err=%v, cold Decode err=%v", pass, err, coldErr)
 		}
-		if err == nil && !sameMsg(warm, cold) {
+		if err == nil && !reflect.DeepEqual(warm, cold) {
 			t.Fatalf("pass %d: warm Decoder disagrees with cold Decode:\n warm %+v\n cold %+v", pass, warm, cold)
 		}
 	}

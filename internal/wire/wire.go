@@ -120,12 +120,6 @@ type Msg struct {
 	// means "not decoded": WireSize computes. Mutating a decoded message
 	// invalidates it; no path in the repository does.
 	size int
-
-	// shared marks Entries as owned by a Decoder's view memo rather than by
-	// this message: the array may back other messages and views, so
-	// RecycleMsg drops it instead of clearing it or keeping it as an arena.
-	// It exists only so that RecycleMsg is safe on every decoded message.
-	shared bool
 }
 
 // WireSize returns the exact encoded size of the frame body (the length
@@ -586,7 +580,7 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 		memo := dec.memoizes(m.Kind, tail)
 		if memo {
 			if entries, ok := dec.views.get(m.Election, m.Reg, tail); ok {
-				m.Entries, m.shared, m.size = entries, true, len(body)
+				m.Entries, m.size = entries, len(body)
 				return nil
 			}
 		}
@@ -626,7 +620,6 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 		}
 		if memo && len(d.b) == 0 { // remember only what the whole decode accepted
 			dec.views.put(m.Election, m.Reg, tail, m.Entries)
-			m.shared = true
 		}
 	}
 	if len(d.b) != 0 {
