@@ -306,8 +306,8 @@ var emptyTail = []byte{0}
 func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 	if m.Kind != wire.KindPropagate && m.Kind != wire.KindCollect {
 		// Replies arriving at a server are protocol noise. A view's entries
-		// may be its read loop's view memo (wire.Decoder), not the server's
-		// to recycle: drop the message whole.
+		// may be the process-wide view memo's (wire.DecodeShared), not the
+		// server's to recycle: drop the message whole.
 		wire.PutMsg(m)
 		return
 	}

@@ -564,8 +564,8 @@ func TestServerIgnoresNoise(t *testing.T) {
 		t.Fatal("server stopped answering after noise")
 	}
 
-	// A view's entries may be its read loop's view memo, which others read:
-	// the server drops such a message whole and never clears the array.
+	// A view's entries may be the process-wide view memo's, which others
+	// read: the server drops such a message whole and never clears the array.
 	want := rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 5}
 	held := []rt.Entry{want}
 	m := wire.GetMsg()

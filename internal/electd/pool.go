@@ -391,9 +391,9 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	}
 }
 
-// discard recycles a reply nobody reads. A view's entry array may be its
-// read loop's view memo (wire.Decoder) — every stream-decoded view up to
-// 4 KiB is — so a view goes back with PutMsg, which drops the array. Any
+// discard recycles a reply nobody reads. A view's entry array may be the
+// process-wide view memo's (wire.DecodeShared) — every non-empty view up
+// to 4 KiB is — so a view goes back with PutMsg, which drops the array. Any
 // other reply carries no entries and keeps the empty arena it was decoded
 // with: RecycleMsg hands that to the next decode, which in an in-process
 // cluster is often a server's propagate.
@@ -428,9 +428,13 @@ func (pl *Pool) Close() error {
 // sampler may use a goroutine-owned PRNG. The handle must only be used
 // from p's algorithm goroutine.
 func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) time.Duration) *Client {
+	q := pl.n/2 + 1
 	return &Client{
 		pool: pl, p: p, election: election, delay: delay,
 		seqs: make(map[string]uint64),
+		// A call harvests exactly a quorum, so the scratch never grows.
+		replies: make([]*wire.Msg, 0, q),
+		views:   make([]rt.View, 0, q),
 		// No caller is a server here (self −1). The pool's baseline resend
 		// period (set on lossy transports) rides along; SetFaults may arm a
 		// plan's on top, never disarm this. The jitter seed mixes both IDs

@@ -20,20 +20,21 @@ import (
 // listAudit wraps a Network and watches every decoded message on its way
 // to the servers and to the pool: the first time a status list's backing
 // array is seen its contents are copied aside, and every later sighting —
-// and a sweep after every election — must find the array unchanged. The
-// read loops' decoders intern values, so the same array reaches many views
-// and many participants; anything that wrote through one (an in-place
-// sort, an append into spare capacity) would be caught here by value, and
-// under -race by the detector, since the audit reads on the read loops
-// while participants run.
+// and a sweep after every election — must find the array unchanged. Every
+// read loop decodes through one process-wide cache that interns values, so
+// the same array reaches many views, many participants and the servers'
+// propagates; anything that wrote through one (an in-place sort, an append
+// into spare capacity) would be caught here by value, and under -race by
+// the detector, since the audit reads on the read loops while participants
+// run.
 //
-// Whole views are shared the same way: a client read loop's view memo
-// hands one entry array to every view whose bytes repeat. Every non-empty
-// view reaching the pool is such an array (the memo owns what it decodes),
-// so the audit keeps each one's encoding — a checksum over owners,
-// sequence numbers and values, in order — and holds it to that. Arrays on
-// the way to a server are not tracked: the server owns those, and recycles
-// them into the next decode.
+// Whole views are shared the same way: the cache's view memo hands one
+// entry array to every view whose bytes repeat, on any connection. Every
+// non-empty view reaching the pool is such an array (the memo owns what it
+// decodes), so the audit keeps each one's encoding — a checksum over
+// owners, sequence numbers and values, in order — and holds it to that.
+// Arrays on the way to a server are not tracked: the server owns those,
+// and recycles them into the next decode.
 type listAudit struct {
 	transport.Network
 	mu     sync.Mutex

@@ -31,10 +31,11 @@ const echoAllocs = 4
 // batchDispatchAllocs: one read loop dispatching an inbound batch frame of
 // 16 collect-shaped requests, the handler answering each through the Conn
 // it was handed, the answers leaving as one batch frame. Measured 0 — the
-// stream decoder lives in the read loop and the reply coalescer with the
-// connection, messages and frame buffers are pooled. Before that the
-// coalescer was made per batch and escaped each time, on client read loops
-// (whose handler never replies) as on server ones.
+// register name comes from the process-wide decode cache, the reply
+// coalescer lives with the connection, messages and frame buffers are
+// pooled. Before that the coalescer was made per batch and escaped each
+// time, on client read loops (whose handler never replies) as on server
+// ones.
 const batchDispatchAllocs = 0
 
 // sinkConn stands for a connection's write queue: it counts and recycles
@@ -62,7 +63,6 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dec wire.Decoder
 	var sink sinkConn
 	rc := replyCoalescer{conn: &sink}
 	handled := 0
@@ -76,7 +76,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 		wire.RecycleMsg(m)
 	}
 	dispatch := func() {
-		if err := dispatchGroup(&rc, h, nil, &dec, body); err != nil {
+		if err := dispatchGroup(&rc, h, nil, body); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -207,7 +207,6 @@ func (c *loopConn) SendEncoded(frame []byte) error {
 func (c *loopConn) pump() {
 	var frames [][]byte
 	bodies := make([][]byte, 0, 16)
-	var dec wire.Decoder
 	rc := replyCoalescer{conn: c}
 	for {
 		var ok bool
@@ -236,7 +235,7 @@ func (c *loopConn) pump() {
 			decT0 = trace.Now()
 		}
 		if err == nil {
-			err = dispatchGroup(&rc, c.handler, c.loadFilter(), &dec, bodies...)
+			err = dispatchGroup(&rc, c.handler, c.loadFilter(), bodies...)
 		}
 		if c.rec != nil {
 			c.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(bodies)))

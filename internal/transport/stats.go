@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Process-wide wire-traffic counters, updated by every Network this package
@@ -59,7 +61,9 @@ func ReadStats() Stats {
 }
 
 // RegisterMetrics exposes the transport counters on an obs registry, under
-// the transport_ prefix.
+// the transport_ prefix, and beside them the hit and miss counts of the
+// process-wide view memo every read loop decodes through, one series per
+// memo shard (wire_view_memo_{hits,misses}_total{shard="i"}).
 func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_frames_out_total", "wire frames written (a batch counts once)", stats.framesOut.Load)
 	r.NewCounterFunc("transport_bytes_out_total", "bytes written, framing included", stats.bytesOut.Load)
@@ -69,6 +73,13 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_msgs_coalesced_total", "plain frames wrapped into outbound batches", stats.coalesced.Load)
 	r.NewCounterFunc("transport_write_calls_total", "socket write calls (one per TCP drain, one per UDP datagram)", stats.writeCalls.Load)
 	r.NewCounterFunc("transport_read_calls_total", "socket reads that returned data", stats.readCalls.Load)
+	for i := range wire.ViewMemoShards {
+		shard := obs.L("shard", strconv.Itoa(i))
+		r.NewCounterFunc("wire_view_memo_hits_total", "views served whole from the process-wide view memo",
+			func() int64 { hits, _ := wire.ViewMemoCounts(i); return hits }, shard)
+		r.NewCounterFunc("wire_view_memo_misses_total", "memoizable views the view memo did not hold, decoded in full",
+			func() int64 { _, misses := wire.ViewMemoCounts(i); return misses }, shard)
+	}
 }
 
 // countWrite records one socket write call.

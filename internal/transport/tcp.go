@@ -346,10 +346,10 @@ func (t *tcpConn) writeLoop() {
 // readLoop reads the stream into one pooled tcpBufSize buffer and
 // dispatches every complete frame straight from it — a batch frame's
 // messages back to back with their replies coalesced — through one
-// wire.Decoder and one replyCoalescer for the life of the stream. A frame
-// that outgrows the buffer gets a larger one, grown with the bytes
-// actually received (never to the size its prefix claims) and dropped
-// once that frame is dispatched. Any stream error — peer close, crash,
+// replyCoalescer for the life of the stream. A frame that outgrows the
+// buffer gets a larger one, grown with the bytes actually received (never
+// to the size its prefix claims) and dropped once that frame is
+// dispatched. Any stream error — peer close, crash,
 // corruption — severs the connection: message loss, the model's one
 // failure mode for links.
 func (t *tcpConn) readLoop() {
@@ -360,7 +360,6 @@ func (t *tcpConn) readLoop() {
 	if t.rec != nil {
 		stamp = wire.StampSize // a traced peer follows every outer frame with its send stamp
 	}
-	var dec wire.Decoder
 	rc := replyCoalescer{conn: t}
 	for {
 		n, rerr := t.c.Read(b[w:])
@@ -391,7 +390,7 @@ func (t *tcpConn) readLoop() {
 			if t.rec != nil {
 				decT0 = trace.Now()
 			}
-			if err = dispatchGroup(&rc, t.handler, t.loadFilter(), &dec, body); err != nil {
+			if err = dispatchGroup(&rc, t.handler, t.loadFilter(), body); err != nil {
 				t.Close()
 				return
 			}

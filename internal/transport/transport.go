@@ -64,7 +64,7 @@ type Handler func(c Conn, m *wire.Msg)
 
 // FrameFilter vetoes the decoding of one inbound message body (the read
 // loops consult it per message, inside wire.ForEachFrame's walk, before
-// wire.Decoder.Decode): return false to drop it before it is decoded
+// wire.DecodeShared): return false to drop it before it is decoded
 // — the reply router's escape from paying full decode for the stragglers
 // beyond a quorum. It runs on the connection's read loop; the body aliases
 // the read buffer and must not be retained.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -546,12 +547,11 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 			c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call}) //nolint:errcheck // captureConn never fails
 		}
 	}
-	var dec wire.Decoder
 	conn := &captureConn{}
 	rc := replyCoalescer{conn: conn}
 	for g, size := range []int{3, 16, 2} {
 		first := 100 * (g + 1)
-		if err := dispatchGroup(&rc, h, nil, &dec, collectBatch(t, first, size)); err != nil {
+		if err := dispatchGroup(&rc, h, nil, collectBatch(t, first, size)); err != nil {
 			t.Fatal(err)
 		}
 		if len(conn.frames) != g+1 {
@@ -562,11 +562,51 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 		}
 	}
 	reply = false
-	if err := dispatchGroup(&rc, h, nil, &dec, collectBatch(t, 900, 4)); err != nil {
+	if err := dispatchGroup(&rc, h, nil, collectBatch(t, 900, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if len(conn.frames) != 3 {
 		t.Fatalf("a group that replied nothing sent %d frames", len(conn.frames)-3)
+	}
+}
+
+// TestViewMemoMetrics: RegisterMetrics puts the view memo's counters on
+// the registry, one series per shard, and a view dispatched twice — on two
+// connections — shows up as a miss and then a hit.
+func TestViewMemoMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	name := fmt.Sprintf("metrics/%d", rand.Uint64())
+	frame, err := wire.Encode(&wire.Msg{Kind: wire.KindView, Reg: name,
+		Entries: []rt.Entry{{Reg: name, Owner: 1, Seq: 1, Val: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := frameBody(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	h := func(_ Conn, m *wire.Msg) { wire.PutMsg(m) }
+	for _, rc := range []*replyCoalescer{{conn: &captureConn{}}, {conn: &captureConn{}}} {
+		if err := dispatchGroup(rc, h, nil, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := reg.Snapshot()
+	series := 0
+	for _, p := range after.Counters {
+		if p.Name == "wire_view_memo_hits_total" {
+			series++
+		}
+	}
+	if series != wire.ViewMemoShards {
+		t.Fatalf("%d wire_view_memo_hits_total series, want one per shard (%d)", series, wire.ViewMemoShards)
+	}
+	for _, metric := range []string{"wire_view_memo_hits_total", "wire_view_memo_misses_total"} {
+		if after.Total(metric) <= before.Total(metric) {
+			t.Fatalf("%s did not move: %d → %d", metric, before.Total(metric), after.Total(metric))
+		}
 	}
 }
 
@@ -576,7 +616,6 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 // while another peer's group is being dispatched — still reaches the peer
 // that Conn stood for, never the one being served.
 func TestLateReplyReachesItsOwnPeer(t *testing.T) {
-	var dec wire.Decoder
 	a, b := &captureConn{}, &captureConn{}
 	rcA, rcB := replyCoalescer{conn: a}, replyCoalescer{conn: b}
 	var kept Conn
@@ -589,10 +628,10 @@ func TestLateReplyReachesItsOwnPeer(t *testing.T) {
 			kept.Send(&wire.Msg{Kind: wire.KindAck, Call: 999}) //nolint:errcheck
 		}
 	}
-	if err := dispatchGroup(&rcA, h, nil, &dec, collectBatch(t, 100, 2)); err != nil {
+	if err := dispatchGroup(&rcA, h, nil, collectBatch(t, 100, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dispatchGroup(&rcB, h, nil, &dec, collectBatch(t, 200, 3)); err != nil {
+	if err := dispatchGroup(&rcB, h, nil, collectBatch(t, 200, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.frames) != 2 || len(b.frames) != 1 {

@@ -120,8 +120,8 @@ type udpEndpoint struct {
 	rec *trace.Recorder
 	// dispatch consumes one inbound frame body (length prefix already
 	// stripped and validated); src is the datagram's source address. It
-	// runs on the read loop, which owns dec.
-	dispatch func(dec *wire.Decoder, src netip.AddrPort, body []byte)
+	// runs on the read loop.
+	dispatch func(src netip.AddrPort, body []byte)
 	onClose  func()
 
 	out       *sendQueue[pkt]
@@ -275,7 +275,6 @@ func (e *udpEndpoint) readLoop() {
 	bp := udpReadBufs.Get().(*[]byte)
 	defer udpReadBufs.Put(bp)
 	buf := *bp
-	var dec wire.Decoder
 	for {
 		n, src, err := e.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -310,7 +309,7 @@ func (e *udpEndpoint) readLoop() {
 		if e.rec != nil {
 			decT0 = trace.Now()
 		}
-		e.dispatch(&dec, src, body)
+		e.dispatch(src, body)
 		if e.rec != nil {
 			e.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
 		}
@@ -371,9 +370,9 @@ func (c *udpConn) loadFilter() FrameFilter {
 	return nil
 }
 
-func (c *udpConn) dispatchBody(dec *wire.Decoder, _ netip.AddrPort, body []byte) {
+func (c *udpConn) dispatchBody(_ netip.AddrPort, body []byte) {
 	// A decode error is one bad datagram, not a broken stream: drop it.
-	dispatchGroup(&c.rc, c.handler, c.loadFilter(), dec, body) //nolint:errcheck
+	dispatchGroup(&c.rc, c.handler, c.loadFilter(), body) //nolint:errcheck
 }
 
 // Send implements Conn.
@@ -473,12 +472,12 @@ func (l *UDPListener) Err() error { return nil }
 // dispatchBody routes one inbound frame body to the handler via the
 // source's peer conn, so replies travel back to the right address (and the
 // replies of one inbound batch coalesce into one outbound datagram).
-func (l *UDPListener) dispatchBody(dec *wire.Decoder, src netip.AddrPort, body []byte) {
+func (l *UDPListener) dispatchBody(src netip.AddrPort, body []byte) {
 	if l.crashed.Load() {
 		return // a crashed node loses inbound messages silently
 	}
 	p := l.peer(src)
-	dispatchGroup(&p.rc, l.handler, nil, dec, body) //nolint:errcheck // one bad datagram is loss, not severance
+	dispatchGroup(&p.rc, l.handler, nil, body) //nolint:errcheck // one bad datagram is loss, not severance
 }
 
 // peer returns the reply conn for one source address, creating it on first

@@ -2,7 +2,10 @@
 
 package wire
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // The wire layer's share of the socket path's per-message allocation
 // budget (ROADMAP aim 1, item b), gated in steady state. The race detector
@@ -11,18 +14,24 @@ const (
 	// bufCycleAllocs: one GetBuf→PutBuf cycle. Measured 0 — the pool
 	// stores pointer-shaped holders and recycles them.
 	bufCycleAllocs = 0
-	// warmViewAllocs: a warm Decoder decoding a 32-entry status view whose
-	// values it has seen before but whose tail is new to the view memo (one
-	// entry's sequence number moves every decode), the message then released
-	// as Client.Collect releases it (PutMsg: the view keeps the entries).
-	// Measured 1 — the entry array; the 32 statuses, their lists and the
-	// register name all come from the tables. The table-less Decode of the
-	// same body makes 66.
+	// warmViewAllocs: DecodeShared of a 32-entry status view whose values
+	// the cache holds but whose tail the view memo has never seen (one
+	// entry's sequence number is new every decode), the message then
+	// released as Client.Collect releases it (PutMsg: the view keeps the
+	// entries). Measured 1 — the entry array; the 32 statuses, their lists
+	// and the register name all come from the cache, and the memo copies
+	// the key into a slot buffer it already has. The cache-less Decode of
+	// the same body makes 66.
 	warmViewAllocs = 2
-	// repeatViewAllocs: the same decode when the tail repeats the previous
-	// view of that register byte for byte — a view-memo hit. Measured 0:
-	// one compare, and the table's entry array is handed out again.
+	// repeatViewAllocs: the same decode when the view repeats one the memo
+	// holds. Measured 0: one hash, one compare, and the memo's entry array
+	// is handed out again.
 	repeatViewAllocs = 0
+	// crossStreamViewAllocs: a view one read loop decoded first, arriving
+	// on another. Measured 0 — the memo is process-wide, so the second
+	// connection's first copy is already a repeat; with a memo per
+	// connection it cost what warmViewAllocs does.
+	crossStreamViewAllocs = 0
 )
 
 func TestBufPoolCycleAllocs(t *testing.T) {
@@ -36,42 +45,67 @@ func TestBufPoolCycleAllocs(t *testing.T) {
 	}
 }
 
-// warmViewDecode returns a 32-entry status view body and a function that
-// decodes it on one warm Decoder and releases the message as
+// releaseView decodes body through the cache and releases the message as
 // Client.Collect does.
-func warmViewDecode(t *testing.T) (body []byte, decode func()) {
-	body = statusView(t, 32)
-	var dec Decoder
-	decode = func() {
-		m, err := dec.Decode(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		PutMsg(m)
+func releaseView(t *testing.T, body []byte) {
+	m, err := DecodeShared(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	decode() // first decode fills the tables
-	return body, decode
+	PutMsg(m)
 }
 
 func TestWarmDecoderViewAllocs(t *testing.T) {
-	body, decode := warmViewDecode(t)
-	// The body ends in the last entry's one-byte sequence number and its
-	// four-byte value (tag, stat, count 1, one id). Alternating that
-	// sequence number makes every tail differ from the remembered one while
-	// every value stays interned.
-	seq := len(body) - 5
+	// 1001 tails the memo has not seen (AllocsPerRun's warm-up run takes
+	// the first), over the same 32 values.
+	bodies := make([][]byte, 1001)
+	base := freshSeq()
+	for i := range bodies {
+		bodies[i] = statusViewSeq(t, 32, base+uint64(i))
+	}
+	releaseView(t, statusView(t, 32)) // the values and the name
+	next := 0
 	got := testing.AllocsPerRun(1000, func() {
-		body[seq] ^= 1
-		decode()
+		releaseView(t, bodies[next])
+		next++
 	})
 	if got > warmViewAllocs {
-		t.Fatalf("warm decode of a changed 32-entry status view: %v allocs, budget %d", got, warmViewAllocs)
+		t.Fatalf("warm decode of a new 32-entry status view: %v allocs, budget %d", got, warmViewAllocs)
 	}
 }
 
 func TestRepeatViewDecodeAllocs(t *testing.T) {
-	_, decode := warmViewDecode(t)
-	if got := testing.AllocsPerRun(1000, decode); got > repeatViewAllocs {
+	body := statusView(t, 32)
+	releaseView(t, body)
+	if got := testing.AllocsPerRun(1000, func() { releaseView(t, body) }); got > repeatViewAllocs {
 		t.Fatalf("repeat decode of a 32-entry status view: %v allocs, budget %d", got, repeatViewAllocs)
+	}
+}
+
+func TestCrossStreamViewAllocs(t *testing.T) {
+	const views = 100
+	releaseView(t, statusView(t, 32)) // the values, the name, a pooled message
+	var mallocs uint64
+	for i := range views {
+		body := statusViewSeq(t, 32, freshSeq()+uint64(i))
+		done := make(chan error)
+		go func() { // stream A
+			m, err := DecodeShared(body)
+			if err == nil {
+				PutMsg(m)
+			}
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		releaseView(t, body) // stream B
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if got := mallocs / views; got > crossStreamViewAllocs {
+		t.Fatalf("a view decoded on one stream, then on another: %d allocs there, budget %d", got, crossStreamViewAllocs)
 	}
 }

@@ -76,11 +76,12 @@ func PutMsg(m *Msg) {
 // hands entries onward (Collect's views keep their reply's entries alive)
 // must use PutMsg, which drops the array.
 //
-// The one array a caller never owns is a stream Decoder's memoized view
-// (see Decoder): the table and any number of other messages reference it.
-// On a stream that is every view up to viewTailMax, hit or miss, so a view
-// from a stream Decoder goes back with PutMsg, never with RecycleMsg — which
-// would clear the table's array and re-arm it as the next decode's arena.
+// The one array a caller never owns is a memoized view (see DecodeShared):
+// the process-wide view memo and any number of other messages, on any
+// connection, reference it. That is every non-empty view DecodeShared
+// returns within the memo's key bound, hit or miss, so such a view goes
+// back with PutMsg, never with RecycleMsg — which would clear the memo's
+// array and re-arm it as the next decode's arena.
 func RecycleMsg(m *Msg) {
 	// Clear the whole capacity, not just the live window: a shorter decode
 	// shrinks len below an earlier one, and entries parked in [len, cap)

@@ -2,197 +2,182 @@ package wire
 
 import (
 	"bytes"
+	"hash/maphash"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rt"
 )
 
-// Decoder is the per-stream form of Decode: one value owned by one read
-// loop, remembering what that stream decoded before. A collect reply
-// carries a whole register array, and nearly every entry of it is
-// byte-identical to one the same connection decoded a moment ago — so the
-// decoder interns register names and encoded register values, keyed by
-// their exact bytes, and hands the previously decoded value back instead
-// of rebuilding (and reallocating) it. The codec is canonical, so
-// identical bytes mean an identical value: no assumption about (owner,
-// seq) uniqueness, and no election-lifecycle hook, is needed.
+// DecodeShared is Decode through the process-wide decode cache: the form
+// every read loop uses. A collect returns the register array of ⌊n/2⌋+1
+// replicas, and once a propagate has landed those replicas serve the same
+// cells — so one client process receives the same view bytes from many
+// connections, and nearly every entry of a new view is byte-identical to
+// one decoded a moment ago. The cache remembers three things, each keyed by
+// its exact encoded bytes:
 //
-// Sharing contract: a name or value returned by a Decoder may be returned
-// again — to other messages, other views, other participants — for as long
-// as the table holds it. Interned values, including the backing array of a
-// core.Status list or a renaming.NameSet, are immutable: consumers must
-// never write through them, sort them in place or append to them. (The
-// chan backend's entry adoption already imposes the same contract.)
+//   - whole views, keyed by the register name plus the tail after it (entry
+//     count and entries): a repeat gets the remembered entry array back
+//     after one hash and one compare, with no walk;
+//   - register values, keyed by their encoding: a view the cache has not
+//     seen, and every propagate, builds only the values it has not seen;
+//   - register names.
 //
-// Above the per-value tables sits the view memo. The server serves one
-// cached encoding of a register array until the next winning merge, and a
-// round's participants collect a mostly quiescent array, so most views a
-// stream carries repeat the previous view of the same register byte for
-// byte. The decoder keeps, per (election, register name), the last view
-// tail it decoded — entry count and entries, everything after the name —
-// and the entry array it built from it; a view whose tail equals the
-// remembered bytes gets that array back after one compare, with no walk.
-// Byte equality suffices: the codec is canonical, the remembered tail was
-// accepted whole (trailing-byte check included), and Entry.Reg is restored
-// from the name, which is part of the key — so identical bytes under the
-// same name are an identical view by construction. The election is in the
-// key only for the hit rate: concurrent elections sharing a connection
-// name the same registers.
+// The codec is canonical, so identical bytes are an identical value: no
+// assumption about (owner, seq) uniqueness, about which election or which
+// connection a frame came from, or about when an election ends. In
+// particular the election is not part of a view's key — Entry.Reg is
+// restored from the name, which is, so identical bytes under the same name
+// are an identical view by construction. A miss still walks and validates
+// the whole body, and only what the whole decode accepted is remembered; a
+// hit requires exact byte equality with those remembered bytes.
 //
-// A memoized entry array is owned by the table and carries the same
-// contract as the values: it may back any number of messages and views,
-// and nobody writes, sorts or appends to it — so a consumer done with a
-// view hands it back with PutMsg, never RecycleMsg, which would clear the
-// array and re-arm it as a decode arena.
+// Sharing contract: a name, value or entry array returned by DecodeShared
+// may be returned again — to other messages, other connections, other
+// participants — for as long as the cache holds it. They are immutable:
+// consumers must never write through them, sort them in place or append to
+// them (including the backing array of a core.Status list or a
+// renaming.NameSet; the chan backend's entry adoption imposes the same
+// contract). A consumer done with a view hands it back with PutMsg, never
+// RecycleMsg, which would clear the array and re-arm it as a decode arena.
+// Propagates are never remembered whole: a server owns the entry array of
+// a propagate it decodes and recycles it with the message.
 //
-// A Decoder is not safe for concurrent use; the zero value is ready. A
-// nil *Decoder decodes without tables, which is what package-level Decode
-// does.
-type Decoder struct {
-	names internTable[string]
-	vals  internTable[rt.Value]
-	views viewTable
-}
+// Nothing DecodeShared returns aliases body.
+func DecodeShared(body []byte) (*Msg, error) { return decodeMsg(body, true) }
 
-// Intern tables are bounded by two fixed constants: a table holds at most
-// internEntries keys and is cleared when the next one would not fit, and a
-// key longer than internKeyMax bytes is never remembered, so neither many
-// distinct values nor one giant value can make a read loop's tables grow.
-// The sizes are set by what a stream actually repeats: statuses are
-// content-addressed, so the entries of one sift round's views share a
-// handful of distinct encodings (every Commit is the same three bytes,
-// most priority statuses carry the same ℓ list), and a table this small
-// already serves over 95% of the values on the benchmark's TCP elections
-// while the 2n read loops of an n=32 cluster together hold about 0.4 MB.
-// A status list of up to ~250 one-byte ids fits the key bound; larger
-// values decode as they always did.
+// The view memo: ViewMemoShards × cacheWays = 64 slots, a key (name + tail)
+// longer than viewKeyMax bytes decoded but never remembered. Measured on
+// the benchmark's TCP workloads (2-core host, 8 s runs), 64 slots serve
+// 99.3 % of the memoizable views on solo-tcp-n32 and 97.9 % on
+// load-tcp-n16-c4, where a memo per connection served 86.6 % and 77.7 %;
+// 32 and 128 slots measured the same within 0.2 points. A 32-entry status
+// view is ≈300 B on the wire and ≈1.5 KB decoded, so a full memo holds
+// ≈120 KB. The bound, whatever peers send: 64 slots of < 8 KiB of key
+// buffer plus the entries decoded from one ≤ 4 KiB tail (≤ 1365 entries,
+// ≈100 KiB with their values), ≈6.5 MiB. ViewMemoShards is exported for
+// the metrics that count the memo's hits (ViewMemoCounts).
 const (
-	internEntries = 32
-	internKeyMax  = 256
+	ViewMemoShards = 8
+	viewKeyMax     = 4 << 10
 )
 
-// internTable maps encoded bytes to their decoded form.
-type internTable[V any] map[string]V
+// The value table has valueShards × cacheWays = 256 slots, and a value
+// longer than internKeyMax bytes is decoded but never remembered (a status
+// list of up to ~250 one-byte ids fits). Statuses are content-addressed,
+// so one sift round's entries share a handful of distinct encodings: on
+// the same runs 256 slots serve 99.8 % and 99.7 % of the value lookups
+// (tables per connection: 94.9 % and 92.5 %; 128 and 512 slots: within
+// 0.2 points), and hold at most 256 × (< 512 B of key + ≤ 2 KiB of
+// value). The name table is nameSlots direct-mapped slots: those runs
+// missed it 14–17 times in all, once per distinct register name, so
+// collisions are rare; it holds at most 256 × 256 B.
+const (
+	valueShards  = 32
+	internKeyMax = 256
+	nameSlots    = 256
+	cacheWays    = 8
+)
 
-// get looks key up without allocating (the compiler elides the string
-// conversion in a map index expression).
-func (t internTable[V]) get(key []byte) (V, bool) {
-	v, ok := t[string(key)]
+var (
+	cacheSeed = maphash.MakeSeed()
+	views     [ViewMemoShards]shard[[]rt.Entry]
+	values    [valueShards]shard[rt.Value]
+	names     [nameSlots]atomic.Pointer[string]
+)
+
+// shard is one lock's worth of a cache table: cacheWays slots, each an
+// owned copy of a key — reused in place when the slot is overwritten — and
+// what it decodes to. A key is found by its full hash and then compared
+// byte for byte; a new key takes the oldest slot (FIFO). Hits and misses
+// are counted under the lock, which the lookup holds anyway.
+type shard[V any] struct {
+	mu           sync.Mutex
+	hash         [cacheWays]uint64
+	key          [cacheWays][]byte
+	val          [cacheWays]V
+	next         int // the slot the next new key takes
+	hits, misses int64
+}
+
+// find returns the slot holding key, or -1. The caller holds s.mu.
+func (s *shard[V]) find(h uint64, key []byte) int {
+	for i := range s.hash {
+		if s.hash[i] == h && bytes.Equal(s.key[i], key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// get returns the value remembered for key, counting the lookup.
+func (s *shard[V]) get(h uint64, key []byte) (v V, ok bool) {
+	s.mu.Lock()
+	if i := s.find(h, key); i >= 0 {
+		v, ok = s.val[i], true
+		s.hits++
+	} else {
+		s.misses++
+	}
+	s.mu.Unlock()
 	return v, ok
 }
 
-// put remembers v under a copy of key, within the bounds above.
-func (t *internTable[V]) put(key []byte, v V) {
-	if len(key) > internKeyMax {
-		return
+// put remembers v under a copy of key. Two read loops that missed on the
+// same key both put it; the second finds the first's slot and overwrites
+// it, so a key holds at most one slot. The value an overwritten slot held
+// is dropped, never reused: it may still back messages in flight.
+func (s *shard[V]) put(h uint64, key []byte, v V) {
+	s.mu.Lock()
+	i := s.find(h, key)
+	if i < 0 {
+		i = s.next
+		s.next = (s.next + 1) % cacheWays
+		s.hash[i] = h
+		s.key[i] = append(s.key[i][:0], key...)
 	}
-	if len(*t) >= internEntries {
-		clear(*t)
-	}
-	if *t == nil {
-		*t = make(internTable[V])
-	}
-	(*t)[string(key)] = v
+	s.val[i] = v
+	s.mu.Unlock()
 }
 
-// The view memo has the same two-constant shape: at most viewEntries
-// registers, cleared when full, and a tail longer than viewTailMax bytes is
-// decoded but never remembered. An election walks through a dozen register
-// names, a few of them live at once, and a connection carries a handful of
-// concurrent elections; a 32-entry status view is about 300 B on the wire
-// and 1.5 KB decoded, so a full table holds about 15 KB.
-const (
-	viewEntries = 8
-	viewTailMax = 4 << 10
-)
-
-// viewTable is the view memo: per register of an election, the last view
-// tail decoded and the entries built from it. Both are the table's own —
-// tail a copy of the stream's bytes, entries never handed out writable.
-type viewTable map[viewKey]*viewMemo
-
-type viewKey struct {
-	election uint64
-	reg      string
+// ViewMemoCounts reads one view-memo shard's counters: views found in the
+// memo, and memoizable views (non-empty, within the key bound) that were
+// not and were decoded.
+func ViewMemoCounts(i int) (hits, misses int64) {
+	s := &views[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits, s.misses
 }
 
-type viewMemo struct {
-	tail    []byte
-	entries []rt.Entry
-}
-
-// memoizes reports whether a message of this kind and tail goes through
-// the view memo: views only (a server owns and recycles the one-entry
-// arrays of the propagates it decodes), non-empty ones, within the bound.
-func (dec *Decoder) memoizes(kind Kind, tail []byte) bool {
-	return dec != nil && kind == KindView && len(tail) > 1 && len(tail) <= viewTailMax
-}
-
-// get returns the remembered entries when tail repeats the last view of
-// (election, reg) byte for byte.
-func (t viewTable) get(election uint64, reg string, tail []byte) ([]rt.Entry, bool) {
-	if vm := t[viewKey{election, reg}]; vm != nil && bytes.Equal(vm.tail, tail) {
-		return vm.entries, true
+// internName returns the register name b as a string, shared with every
+// earlier decode of the same bytes while its slot holds it. Names are few
+// and read on every message, so the table takes no lock: each slot is an
+// atomic pointer to an immutable string. A reader that loads a pointer
+// sees the string it was published with (the store happens before the
+// load that observes it); a racing store only replaces one valid name with
+// another, and the compare decides.
+func internName(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
-	return nil, false
-}
-
-// put replaces what the table remembers for (election, reg). The tail is
-// copied into the slot's own buffer; entries is adopted as is — an earlier
-// array may still back views in flight, so it is dropped, never reused.
-func (t *viewTable) put(election uint64, reg string, tail []byte, entries []rt.Entry) {
-	key := viewKey{election, reg}
-	vm := (*t)[key]
-	if vm == nil {
-		if len(*t) >= viewEntries {
-			clear(*t)
-		}
-		if *t == nil {
-			*t = make(viewTable)
-		}
-		vm = new(viewMemo)
-		(*t)[key] = vm
+	if len(b) > internKeyMax {
+		return string(b)
 	}
-	vm.tail = append(vm.tail[:0], tail...)
-	vm.entries = entries
-}
-
-// Decode parses one frame body like package-level Decode, serving register
-// names and values — and whole views — from the decoder's tables where the
-// stream has carried the same bytes before. Nothing it returns aliases
-// body.
-func (dec *Decoder) Decode(body []byte) (*Msg, error) {
-	m := GetMsg()
-	if err := m.decode(body, dec); err != nil {
-		PutMsg(m)
-		return nil, err
-	}
-	return m, nil
-}
-
-// name consumes a register name.
-func (dec *Decoder) name(d *decoder) (string, error) {
-	b, err := d.bytes()
-	if err != nil || len(b) == 0 {
-		return "", err
-	}
-	if dec == nil {
-		return string(b), nil
-	}
-	if s, ok := dec.names.get(b); ok {
-		return s, nil
+	slot := &names[maphash.Bytes(cacheSeed, b)%nameSlots]
+	if s := slot.Load(); s != nil && *s == string(b) {
+		return *s
 	}
 	s := string(b)
-	dec.names.put(b, s)
-	return s, nil
+	slot.Store(&s)
+	return s
 }
 
-// value consumes a register value: walk it once without building anything
-// to validate it and find its span, look the span up, and build only on a
-// miss.
-func (dec *Decoder) value(d *decoder) (rt.Value, error) {
-	if dec == nil {
-		return d.value(true)
-	}
+// sharedValue consumes a register value: walk it once without building
+// anything to validate it and find its span, look the span up, and build
+// only on a miss.
+func (d *decoder) sharedValue() (rt.Value, error) {
 	start := d.b
 	if _, err := d.value(false); err != nil {
 		return nil, err
@@ -200,16 +185,18 @@ func (dec *Decoder) value(d *decoder) (rt.Value, error) {
 	span := start[:len(start)-len(d.b)]
 	// A span of one or two bytes is ⊥, a bool or a one-byte int: building
 	// those does not touch the heap (Go boxes bools and small non-negative
-	// ints statically), so a table slot would only crowd out values that do.
-	intern := len(span) > 2
-	if intern {
-		if v, ok := dec.vals.get(span); ok {
-			return v, nil
-		}
+	// ints statically), so a slot would only crowd out values that do.
+	if len(span) <= 2 || len(span) > internKeyMax {
+		return (&decoder{b: span}).value(true)
+	}
+	h := maphash.Bytes(cacheSeed, span)
+	s := &values[h%valueShards]
+	if v, ok := s.get(h, span); ok {
+		return v, nil
 	}
 	v, err := (&decoder{b: span}).value(true)
-	if intern && err == nil { // err is unreachable: the walk above accepted these bytes
-		dec.vals.put(span, v)
+	if err == nil { // unreachable otherwise: the walk above accepted these bytes
+		s.put(h, span, v)
 	}
 	return v, err
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,45 +55,23 @@ func seedCorpus() [][]byte {
 	return out
 }
 
-// floodBodies returns internEntries+1 single-entry views, each naming a
-// distinct register and carrying a distinct interned-size value: decoding
-// them all forces at least one clear of each of a Decoder's tables, the
-// smaller view memo included.
-func floodBodies() [][]byte {
-	out := make([][]byte, 0, internEntries+1)
-	for i := 0; i <= internEntries; i++ {
-		reg := fmt.Sprintf("flood/%d", i)
-		m := &Msg{Kind: KindView, Reg: reg, Entries: []rt.Entry{{Reg: reg, Seq: 1, Val: 1<<20 + i}}}
-		frame, err := Encode(m)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, frame[PrefixSize(m.WireSize()):])
-	}
-	return out
-}
-
-// checkWarm holds a stream Decoder to the table-less Decode on one body:
-// the same accept/reject decision and the same message, on a first decode
-// (which may fill the tables and the view memo), on a second (served from
-// them — for a view, a whole-view memo hit), and on a third after the
-// tables were flooded until they cleared.
-func checkWarm(t *testing.T, dec *Decoder, flood [][]byte, body []byte, cold *Msg, coldErr error) {
+// checkWarm holds the process-wide decode cache to the cache-less Decode
+// on one body: the same accept/reject decision and the same message, on a
+// first DecodeShared (which may fill the value table and the view memo),
+// on a second (served from them — for a view, a whole-view memo hit), and
+// on a third after every slot was evicted in place.
+func checkWarm(t *testing.T, body []byte, cold *Msg, coldErr error) {
 	t.Helper()
 	for pass := 0; pass < 3; pass++ {
 		if pass == 2 {
-			for _, fb := range flood {
-				if _, err := dec.Decode(fb); err != nil {
-					t.Fatalf("flood body rejected: %v", err)
-				}
-			}
+			evictAll()
 		}
-		warm, err := dec.Decode(body)
+		warm, err := DecodeShared(body)
 		if (err == nil) != (coldErr == nil) {
-			t.Fatalf("pass %d: warm Decoder err=%v, cold Decode err=%v", pass, err, coldErr)
+			t.Fatalf("pass %d: DecodeShared err=%v, cold Decode err=%v", pass, err, coldErr)
 		}
 		if err == nil && !reflect.DeepEqual(warm, cold) {
-			t.Fatalf("pass %d: warm Decoder disagrees with cold Decode:\n warm %+v\n cold %+v", pass, warm, cold)
+			t.Fatalf("pass %d: DecodeShared disagrees with cold Decode:\n warm %+v\n cold %+v", pass, warm, cold)
 		}
 	}
 }
@@ -103,9 +80,9 @@ func checkWarm(t *testing.T, dec *Decoder, flood [][]byte, body []byte, cold *Ms
 // (single-message Decode and the batch-aware DecodeFrames) or decode into
 // messages that do not re-encode to the identical bytes — decode∘encode is
 // the identity on both decoders' accepted sets, and the two decoders agree
-// wherever their domains overlap. Every input also goes through a warm
-// stream Decoder (tables already holding the seed corpus), which must
-// agree with the table-less Decode exactly; see checkWarm.
+// wherever their domains overlap. Every input also goes through the warm
+// process-wide cache (already holding the seed corpus), which must agree
+// with the cache-less Decode exactly; see checkWarm.
 func FuzzDecode(f *testing.F) {
 	corpus := seedCorpus()
 	for _, body := range corpus {
@@ -114,15 +91,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindAck)})
 	f.Add([]byte{byte(KindBatch), 2, 5, byte(KindAck), 0, 0, 0, 0, 5, byte(KindAck), 0, 0, 0, 0})
-	flood := floodBodies()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, mErr := Decode(body)
 		ms, msErr := DecodeFrames(nil, body)
-		var dec Decoder
 		for _, seed := range corpus {
-			dec.Decode(seed) //nolint:errcheck // warming only; batch bodies are rejected
+			DecodeShared(seed) //nolint:errcheck // warming only; batch bodies are rejected
 		}
-		checkWarm(t, &dec, flood, body, m, mErr)
+		checkWarm(t, body, m, mErr)
 		if mErr == nil {
 			// Plain bodies: both decoders must accept and agree.
 			if msErr != nil {

@@ -17,6 +17,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 
 	"repro/internal/core"
@@ -445,7 +446,7 @@ func (d *decoder) bytes() ([]byte, error) {
 
 // value consumes one tagged register value. With build unset it only walks
 // the encoding — the same validation, no allocation, a nil result — which
-// is how Decoder finds a value's byte span before looking it up; keeping
+// is how sharedValue finds a value's byte span before looking it up; keeping
 // both modes in one walk is what guarantees they accept exactly the same
 // inputs.
 func (d *decoder) value(build bool) (rt.Value, error) {
@@ -537,13 +538,22 @@ func (d *decoder) value(build bool) (rt.Value, error) {
 // which nothing references the message — may hand it back with PutMsg,
 // making the steady-state hot path allocate only the entry payloads;
 // consumers that cannot tell simply let the GC have it. This is the
-// table-less form of Decoder.Decode: every name and value it returns is
-// freshly allocated.
-func Decode(body []byte) (*Msg, error) {
-	return (*Decoder)(nil).Decode(body)
+// cache-less form of DecodeShared: every name, value and entry array it
+// returns is freshly allocated.
+func Decode(body []byte) (*Msg, error) { return decodeMsg(body, false) }
+
+func decodeMsg(body []byte, shared bool) (*Msg, error) {
+	m := GetMsg()
+	if err := m.decode(body, shared); err != nil {
+		PutMsg(m)
+		return nil, err
+	}
+	return m, nil
 }
 
-func (m *Msg) decode(body []byte, dec *Decoder) error {
+// decode parses body into m, through the process-wide decode cache when
+// shared is set (see DecodeShared).
+func (m *Msg) decode(body []byte, shared bool) error {
 	d := decoder{b: body}
 	kind, err := d.byte()
 	if err != nil {
@@ -570,20 +580,30 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 		return err
 	}
 	m.From = from
-	if m.Reg, err = dec.name(&d); err != nil {
+	key := d.b // a view's memo key: the register name and everything after it
+	reg, err := d.bytes()
+	if err != nil {
 		return err
 	}
-	if m.Kind == KindPropagate || m.Kind == KindView {
-		// A view's tail — everything after the register name — is looked up
-		// whole before it is walked; see Decoder.
-		tail := d.b
-		memo := dec.memoizes(m.Kind, tail)
-		if memo {
-			if entries, ok := dec.views.get(m.Election, m.Reg, tail); ok {
-				m.Entries, m.size = entries, len(body)
-				return nil
-			}
+	// A non-empty view within the key bound is looked up whole before it
+	// is walked (see DecodeShared). Its tail is at least two bytes: an
+	// entry count of zero is the one-byte tail of an empty view.
+	var memo *shard[[]rt.Entry]
+	var h uint64
+	if shared && m.Kind == KindView && len(d.b) > 1 && len(key) <= viewKeyMax {
+		h = maphash.Bytes(cacheSeed, key)
+		memo = &views[h%ViewMemoShards]
+		if entries, ok := memo.get(h, key); ok {
+			m.Reg, m.Entries, m.size = entries[0].Reg, entries, len(body)
+			return nil
 		}
+	}
+	if shared {
+		m.Reg = internName(reg)
+	} else {
+		m.Reg = string(reg)
+	}
+	if m.Kind == KindPropagate || m.Kind == KindView {
 		count, err := d.uvarint()
 		if err != nil {
 			return err
@@ -596,8 +616,8 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 			// enough; elements in [len, cap) are zero by the recycle
 			// contract, and the loop below overwrites [0, count) entirely.
 			// An array the view memo is about to own is always fresh: the
-			// table outlives this message.
-			if !memo && uint64(cap(m.Entries)) >= count {
+			// memo outlives this message.
+			if memo == nil && uint64(cap(m.Entries)) >= count {
 				m.Entries = m.Entries[:count]
 			} else {
 				m.Entries = make([]rt.Entry, count)
@@ -611,15 +631,20 @@ func (m *Msg) decode(body []byte, dec *Decoder) error {
 				if err != nil {
 					return err
 				}
-				val, err := dec.value(&d)
+				var val rt.Value
+				if shared {
+					val, err = d.sharedValue()
+				} else {
+					val, err = d.value(true)
+				}
 				if err != nil {
 					return err
 				}
 				m.Entries[i] = rt.Entry{Reg: m.Reg, Owner: owner, Seq: seq, Val: val}
 			}
 		}
-		if memo && len(d.b) == 0 { // remember only what the whole decode accepted
-			dec.views.put(m.Election, m.Reg, tail, m.Entries)
+		if memo != nil && len(d.b) == 0 && len(m.Entries) > 0 { // remember only what the whole decode accepted
+			memo.put(h, key, m.Entries)
 		}
 	}
 	if len(d.b) != 0 {
