@@ -191,6 +191,9 @@ type State struct {
 	// observability plumbing (the live backends use it to stamp election
 	// spans with their round) and must not touch protocol state.
 	RoundHook func(round int)
+
+	// scratch is the sifting decisions' table, reused across sifts.
+	scratch siftScratch
 }
 
 // SetRound records a round transition, notifying RoundHook if installed.

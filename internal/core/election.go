@@ -10,11 +10,12 @@ import (
 func doorReg(inst string) string  { return inst + "/door" }
 func roundReg(inst string) string { return inst + "/round" }
 
-// siftInst names the disjoint heterogeneous-PoisonPill namespace of round r
+// siftStatusReg names the status register of round r's heterogeneous
+// PoisonPill, statusReg of the round's own sift namespace
 // ("HeterogeneousPoisonPill protocols for different rounds are completely
-// disjoint from each other", Section A.1).
-func siftInst(inst string, r int) string {
-	return inst + "/sift/" + strconv.Itoa(r)
+// disjoint from each other", Section A.1), built with one allocation.
+func siftStatusReg(inst string, r int) string {
+	return inst + "/sift/" + strconv.Itoa(r) + "/status"
 }
 
 // Doorway executes the doorway procedure (Figure 5). The participant
@@ -45,8 +46,13 @@ func Doorway(c rt.Comm, inst string, s *State) Decision {
 // (lines 49-50), if R < r−1 it wins (lines 51-52), otherwise it proceeds
 // (line 53).
 func PreRound(c rt.Comm, inst string, r int, s *State) Decision {
+	return preRound(c, roundReg(inst), r, s)
+}
+
+// preRound is PreRound on the round register reg, named by the caller: an
+// election builds the name once, not once per round.
+func preRound(c rt.Comm, reg string, r int, s *State) Decision {
 	s.setStage(StagePreRound)
-	reg := roundReg(inst)
 	c.Propagate(reg, r)     // lines 45-46
 	views := c.Collect(reg) // line 47
 
@@ -105,14 +111,15 @@ func LeaderElectWithState(c rt.Comm, inst string, s *State) Decision {
 		s.decide(Lose)
 		return Lose
 	}
+	round := roundReg(inst)
 	for r := 1; ; r++ { // lines 65, 71-72
 		s.SetRound(r)
-		d := PreRound(c, inst, r, s) // line 66
-		if d == Win || d == Lose {   // lines 67-68
+		d := preRound(c, round, r, s) // line 66
+		if d == Win || d == Lose {    // lines 67-68
 			s.decide(d)
 			return d
 		}
-		if HetPoisonPill(c, siftInst(inst, r), s) == Die { // line 69
+		if hetPoisonPill(c, siftStatusReg(inst, r), PaperBias, s) == Die { // line 69
 			s.decide(Lose) // line 70
 			return Lose
 		}

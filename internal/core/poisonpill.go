@@ -9,6 +9,16 @@ import (
 // statusReg names the status register array of a sift instance.
 func statusReg(inst string) string { return inst + "/status" }
 
+// The statuses without an ℓ list, boxed once for the package: a register
+// value is immutable, so every propagate and every store may share one, and
+// a sift pays no allocation to publish them. A heterogeneous priority status
+// carries the participant's own ℓ list and is boxed per sift.
+var (
+	commitStatus rt.Value = Status{Stat: Commit}
+	lowStatus    rt.Value = Status{Stat: LowPri}
+	highStatus   rt.Value = Status{Stat: HighPri}
+)
+
 // PoisonPill executes one instance of the basic PoisonPill technique
 // (Figure 1) for the participant behind c, using register namespace inst.
 //
@@ -38,16 +48,16 @@ func PoisonPillBiased(c rt.Comm, inst string, prob float64, s *State) Outcome {
 	reg := statusReg(inst)
 
 	s.setStage(StageCommit)
-	c.Propagate(reg, Status{Stat: Commit}) // lines 2-3
+	c.Propagate(reg, commitStatus) // lines 2-3
 
 	s.setStage(StageFlip)
 	s.Flip = -1
 	coin := p.Flip(prob) // line 4
 	s.Flip = coin
 
-	mine := Status{Stat: LowPri} // line 5
+	mine := lowStatus // line 5
 	if coin == 1 {
-		mine = Status{Stat: HighPri} // line 6
+		mine = highStatus // line 6
 	}
 	s.setStage(StagePriority)
 	c.Propagate(reg, mine)  // line 7
@@ -56,7 +66,7 @@ func PoisonPillBiased(c rt.Comm, inst string, prob float64, s *State) Outcome {
 
 	outcome := Survive
 	if coin == 0 { // line 9
-		if existsStrongWithoutLow(p.N(), views) { // line 10
+		if s.scratch.existsStrongWithoutLow(p.N(), views) { // line 10
 			outcome = Die // line 11
 		}
 	}
@@ -67,29 +77,23 @@ func PoisonPillBiased(c rt.Comm, inst string, prob float64, s *State) Outcome {
 // existsStrongWithoutLow evaluates the death condition of Fig 1 line 10:
 // ∃ processor j such that some view shows j in {Commit, High-Pri} and no
 // view shows j with Low-Pri.
-func existsStrongWithoutLow(n int, views []rt.View) bool {
-	strong := make([]bool, n)
-	low := make([]bool, n)
+func (sc *siftScratch) existsStrongWithoutLow(n int, views []rt.View) bool {
+	marks := sc.table(n)
 	for _, v := range views {
 		for _, e := range v.Entries {
 			st, ok := e.Val.(Status)
-			if !ok {
+			if !ok || !known(e.Owner, n) {
 				continue
 			}
 			switch st.Stat {
 			case Commit, HighPri:
-				strong[e.Owner] = true
+				marks[e.Owner].in = true // strong
 			case LowPri:
-				low[e.Owner] = true
+				marks[e.Owner].low = true
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		if strong[j] && !low[j] {
-			return true
-		}
-	}
-	return false
+	return someInWithoutLow(marks)
 }
 
 // HetPoisonPill executes one instance of the Heterogeneous PoisonPill
@@ -157,13 +161,18 @@ func FairBias(int) float64 { return 0.5 }
 // HetPoisonPillWithBias is HetPoisonPill with a caller-supplied bias
 // function; see BiasFunc.
 func HetPoisonPillWithBias(c rt.Comm, inst string, bias BiasFunc, s *State) Outcome {
+	return hetPoisonPill(c, statusReg(inst), bias, s)
+}
+
+// hetPoisonPill is HetPoisonPillWithBias on the status register reg, named
+// by the caller: an election builds each round's name once.
+func hetPoisonPill(c rt.Comm, reg string, bias BiasFunc, s *State) Outcome {
 	p := c.Proc()
-	reg := statusReg(inst)
 
 	s.setStage(StageCommit)
-	c.Propagate(reg, Status{Stat: Commit, List: nil}) // lines 14-15
-	views := c.Collect(reg)                           // line 16
-	ell := participantsSeen(p.N(), views)             // line 17
+	c.Propagate(reg, commitStatus)                  // lines 14-15
+	views := c.Collect(reg)                         // line 16
+	ell := s.scratch.participantsSeen(p.N(), views) // line 17
 	s.Ell = len(ell)
 
 	prob := bias(len(ell)) // lines 18-19
@@ -183,7 +192,7 @@ func HetPoisonPillWithBias(c rt.Comm, inst string, bias BiasFunc, s *State) Outc
 
 	outcome := Survive
 	if coin == 0 { // line 25
-		if someInLWithoutLow(p.N(), views) { // lines 26-28
+		if s.scratch.someInLWithoutLow(p.N(), views) { // lines 26-28
 			outcome = Die // line 29
 		}
 	}
@@ -192,17 +201,25 @@ func HetPoisonPillWithBias(c rt.Comm, inst string, bias BiasFunc, s *State) Outc
 }
 
 // participantsSeen implements Fig 2 line 17: the sorted list of processors
-// with a non-⊥ status in some view.
-func participantsSeen(n int, views []rt.View) []rt.ProcID {
-	seen := make([]bool, n)
+// with a non-⊥ status in some view. The list becomes part of the
+// participant's priority status, which the stores adopt, so it is a fresh
+// allocation — made once, at its final size.
+func (sc *siftScratch) participantsSeen(n int, views []rt.View) []rt.ProcID {
+	marks, count := sc.table(n), 0
 	for _, v := range views {
 		for _, e := range v.Entries {
-			seen[e.Owner] = true
+			if known(e.Owner, n) && !marks[e.Owner].in {
+				marks[e.Owner].in = true // seen
+				count++
+			}
 		}
 	}
-	var out []rt.ProcID
-	for j := 0; j < n; j++ {
-		if seen[j] {
+	if count == 0 {
+		return nil
+	}
+	out := make([]rt.ProcID, 0, count)
+	for j, m := range marks {
+		if m.in {
 			out = append(out, rt.ProcID(j))
 		}
 	}
@@ -213,25 +230,22 @@ func participantsSeen(n int, views []rt.View) []rt.ProcID {
 // build L as the union of all observed ℓ lists (line 26) and all processors
 // with non-⊥ statuses (line 27), and report whether some j ∈ L has no view
 // with a Low-Pri status (line 28).
-func someInLWithoutLow(n int, views []rt.View) bool {
-	inL := make([]bool, n)
-	low := make([]bool, n)
+func (sc *siftScratch) someInLWithoutLow(n int, views []rt.View) bool {
+	marks := sc.table(n)
 	// The same (owner, seq) cell appears in up to a quorum of views with an
 	// identical ℓ list; walk each distinct cell version once. Within one
 	// sift instance an owner writes at most twice (Commit, then priority),
 	// so two slots per owner suffice.
-	type seqPair struct{ a, b uint64 }
-	seen := make([]seqPair, n)
 	for _, v := range views {
 		for _, e := range v.Entries {
 			st, ok := e.Val.(Status)
-			if !ok {
+			if !ok || !known(e.Owner, n) {
 				continue
 			}
 			if st.Stat == LowPri {
-				low[e.Owner] = true
+				marks[e.Owner].low = true
 			}
-			sp := &seen[e.Owner]
+			sp := &marks[e.Owner].seqs
 			switch {
 			case sp.a == e.Seq || sp.b == e.Seq:
 				continue
@@ -240,16 +254,60 @@ func someInLWithoutLow(n int, views []rt.View) bool {
 			case sp.b == 0:
 				sp.b = e.Seq
 			}
-			inL[e.Owner] = true // line 27
+			marks[e.Owner].in = true // in L, line 27
 			for _, q := range st.List {
-				inL[q] = true // line 26
+				if known(q, n) {
+					marks[q].in = true // in L, line 26
+				}
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		if inL[j] && !low[j] {
+	return someInWithoutLow(marks)
+}
+
+// someInWithoutLow reports whether some processor is marked in and not
+// low: strong and never Low-Pri (Fig 1 line 10), or in L and never Low-Pri
+// (Fig 2 line 28).
+func someInWithoutLow(marks []siftMark) bool {
+	for _, m := range marks {
+		if m.in && !m.low {
 			return true
 		}
 	}
 	return false
 }
+
+// siftScratch is the n-sized table the sifting decisions fill, one mark
+// per processor. It lives on the participant's State from one sift to the
+// next, so a warm sift allocates none; each decision takes it cleared.
+type siftScratch []siftMark
+
+// siftMark is what one decision has found out about one processor.
+type siftMark struct {
+	in   bool    // strong (Fig 1 line 10), seen (Fig 2 line 17) or in L (Fig 2 lines 26-27)
+	low  bool    // shown with Low-Pri in some view
+	seqs seqPair // its status cell versions already walked (Fig 2 lines 26-27)
+}
+
+// seqPair holds up to two sequence numbers of one owner's status cell.
+type seqPair struct{ a, b uint64 }
+
+// table returns the scratch resliced to n cleared marks, reallocating only
+// when its capacity is short.
+func (sc *siftScratch) table(n int) []siftMark {
+	if cap(*sc) < n {
+		*sc = make(siftScratch, n)
+	} else {
+		*sc = (*sc)[:n]
+		clear(*sc)
+	}
+	return *sc
+}
+
+// known reports whether id names one of the n processors. On the socket
+// paths views come off the wire, where an owner or listed id outside [0, n)
+// is corrupt or hostile input — an electd server stores any owner below
+// regstore.MaxOwners and the codec accepts ids up to wire.MaxID. Such an id
+// names no processor, so the decisions skip it: the survivor arguments
+// (Claim 3.1, Lemma 3.6) speak only of processors.
+func known(id rt.ProcID, n int) bool { return uint(id) < uint(n) }

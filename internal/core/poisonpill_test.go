@@ -153,11 +153,13 @@ func TestExistsStrongWithoutLowLogic(t *testing.T) {
 		{"commit masked by low", []viewEntry{mk(1, Commit), mk(1, LowPri)}, false},
 		{"high masked by low", []viewEntry{mk(1, HighPri), mk(1, LowPri)}, false},
 		{"mixed: one masked one not", []viewEntry{mk(1, Commit), mk(1, LowPri), mk(2, HighPri)}, true},
+		{"owners outside [0, n) name no processor", []viewEntry{mk(4, Commit), mk(-1, HighPri), mk(1<<20, Commit)}, false},
 	}
+	var sc siftScratch // one scratch for every case: each decision starts cleared
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			views := buildViews(4, tc.entries)
-			if got := existsStrongWithoutLow(4, views); got != tc.want {
+			if got := sc.existsStrongWithoutLow(4, views); got != tc.want {
 				t.Fatalf("got %v, want %v", got, tc.want)
 			}
 		})
@@ -168,8 +170,9 @@ func TestSomeInLWithoutLowUsesLists(t *testing.T) {
 	// A processor that appears only inside another's ℓ list — never with
 	// its own status — must still force death (Fig 2 line 26: L unions the
 	// observed lists).
+	var sc siftScratch
 	views := buildViews(4, []viewEntry{{owner: 1, stat: LowPri, list: []int{1, 2}}})
-	if !someInLWithoutLow(4, views) {
+	if !sc.someInLWithoutLow(4, views) {
 		t.Fatal("processor 2 is in L via a list and has no low priority: must die")
 	}
 	// If 2's low priority is also visible, survival is allowed.
@@ -177,8 +180,17 @@ func TestSomeInLWithoutLowUsesLists(t *testing.T) {
 		{owner: 1, stat: LowPri, list: []int{1, 2}},
 		{owner: 2, stat: LowPri, list: []int{2}},
 	})
-	if someInLWithoutLow(4, views) {
+	if sc.someInLWithoutLow(4, views) {
 		t.Fatal("all of L has visible low priority: must survive")
+	}
+	// Ids outside [0, n), as an owner or in a list, name no processor: they
+	// neither join L nor index past the tables.
+	views = buildViews(4, []viewEntry{
+		{owner: 1, stat: LowPri, list: []int{1, 4, -1, 1 << 20}},
+		{owner: 7, stat: HighPri, list: []int{7}},
+	})
+	if sc.someInLWithoutLow(4, views) {
+		t.Fatal("only out-of-range ids lack low priority: must survive")
 	}
 }
 
@@ -187,8 +199,11 @@ func TestParticipantsSeenSortedUnique(t *testing.T) {
 		{owner: 5, stat: Commit},
 		{owner: 2, stat: Commit},
 		{owner: 5, stat: LowPri},
+		{owner: 8, stat: Commit},
+		{owner: -3, stat: Commit},
 	})
-	got := participantsSeen(8, views)
+	var sc siftScratch
+	got := sc.participantsSeen(8, views)
 	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Fatalf("participantsSeen = %v, want [2 5]", got)
 	}

@@ -25,7 +25,7 @@ const (
 	handlePropagateAllocs = 0
 	// handleCollectAllocs: one collect served from the published snapshot.
 	// Measured 0 — an atomic load and a pooled reply frame.
-	handleCollectAllocs = 1
+	handleCollectAllocs = 0
 	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
 	// the in-process network, servers included. Measured 0: the entry copy
 	// on each of the quorum+slack = 11 servers asked (16 when the call goes

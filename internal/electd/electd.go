@@ -263,9 +263,10 @@ type store struct {
 	last atomic.Int64
 }
 
-// newStore builds an empty instance whose snapshots carry the encoded view
-// tail (wire.AppendEntries) that Handle splices into collect replies.
-func newStore() *store { return &store{regs: regstore.New(wire.AppendEntries)} }
+// newStore builds an empty instance whose snapshots are the encoded view
+// tail (entry by entry, wire.AppendEntry) that Handle splices into collect
+// replies, and nothing else.
+func newStore() *store { return &store{regs: regstore.New(wire.AppendEntry)} }
 
 // emptyTail is the encoded tail of a view over an absent register array, and
 // of one whose entries the codec refuses (none can arrive through it): an

@@ -1,11 +1,14 @@
 package electd_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -73,5 +76,33 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 				seen[v.From] = true
 			}
 		})
+	}
+}
+
+// TestOutOfRangeOwnersNameNoProcessor: a server stores any owner below
+// regstore.MaxOwners, and the codec carries ids up to wire.MaxID, so round
+// 1's status register can hold cells of owners outside [0, n) whose ℓ lists
+// name more of them. Every honest collector reads them; the sifting
+// decisions must skip them — they name no processor — rather than index
+// their n-sized tables with them (an index-out-of-range panic on every
+// participant) or count them into L (which could kill every low-priority
+// participant and leave no winner).
+func TestOutOfRangeOwnersNameNoProcessor(t *testing.T) {
+	const n = 5
+	const reg = "elect/sift/1/status"
+	for seed := int64(1); seed <= 4; seed++ {
+		cl, err := electd.NewCluster(transport.NewLoopback(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted := map[rt.ProcID]core.Status{
+			n:                      {Stat: core.Commit},
+			regstore.MaxOwners - 1: {Stat: core.HighPri, List: []rt.ProcID{n + 1, regstore.MaxOwners - 1, wire.MaxID}},
+		}
+		for owner, st := range planted {
+			cl.NewComm(electd.NewParticipant(owner, n, seed), 1, nil).Propagate(reg, st)
+		}
+		uniqueWinner(t, fmt.Sprintf("seed=%d", seed), electOnce(t, cl, 1, n, seed))
+		cl.Close()
 	}
 }

@@ -19,13 +19,18 @@
 //     at a time beyond it, each published by one CAS from nil. A published
 //     cell never moves, so no merge lands in a discarded copy.
 //   - An array's snapshot is RCU-published: an immutable bundle of the
-//     owner-ordered entries, their summed wire size and (for a store built
-//     with an encoder) their cached encoding, tagged with the array version
-//     it was built at. A collect loads it with one atomic read; a winning
-//     merge bumps the version, which lazily invalidates the published
-//     snapshot — the next collect rebuilds and republishes. A published
-//     snapshot is never mutated: readers holding one keep a consistent view
-//     forever, and collect replies during a quiescent spell share one.
+//     non-⊥ cells in owner order and their summed wire size, tagged with
+//     the array version it was built at. What it carries of the cells
+//     depends on who reads it. A store built with an encoder (electd's)
+//     publishes their encoding only — the register-array tail its collect
+//     replies splice in, written cell by cell with no entry slice between —
+//     and a store without one (live's, the sim's) publishes the entries,
+//     which its in-process readers hand out as views. A collect loads the
+//     snapshot with one atomic read; a winning merge bumps the version,
+//     which lazily invalidates the published snapshot — the next collect
+//     rebuilds and republishes. A published snapshot is never mutated:
+//     readers holding one keep a consistent view forever, and collect
+//     replies during a quiescent spell share one.
 //
 // Memory order (Go atomics are sequentially consistent). A merge bumps the
 // version after its cell CAS succeeds, so a reader that observes the new
@@ -68,6 +73,7 @@
 package regstore
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"strings"
@@ -76,10 +82,12 @@ import (
 	"repro/internal/rt"
 )
 
-// Encoder appends the encoding of one register array's entries — given in
-// owner order, all of register reg — to dst. wire.AppendEntries is the one
-// in use; the package takes it as a value so that it imports no codec.
-type Encoder func(dst []byte, reg string, entries []rt.Entry) ([]byte, error)
+// Encoder appends the encoding of one entry of register reg to dst. A
+// snapshot's encoding is the entry count as a uvarint followed by the
+// Encoder's bytes for each non-⊥ cell in owner order — the register-array
+// tail of the wire codec. wire.AppendEntry is the one in use; the package
+// takes it as a value so that it imports no codec.
+type Encoder func(dst []byte, reg string, e *rt.Entry) ([]byte, error)
 
 // Store is one replica's register state: a directory of named register
 // arrays. All methods except Reset are safe for concurrent use.
@@ -153,24 +161,27 @@ const (
 	MaxOwners = cellBase<<cellBuckets - cellBase
 )
 
-// rebuildSlack is the room a rebuild leaves beyond the old encoding's length
-// for what a merge or two can add: a new entry carrying a status with a few
-// dozen one-byte ids.
-const rebuildSlack = 64
+// countRoom is the room an encoding rebuild reserves ahead of the entries
+// for their count, which is known only once the cells have been encoded: the
+// uvarint of any count up to MaxOwners (< 1<<14) takes at most two bytes.
+const countRoom = 2
 
 // Snapshot is the published view of one register array: its non-⊥ cells in
-// owner order, valid at one array version. Snapshots are immutable and
-// shared by every reader of that version — a winning merge makes one stale,
-// never different.
+// owner order, valid at one array version. A store built with an encoder
+// publishes them encoded (Enc) and a store without one as entries (Entries),
+// never both. Snapshots are immutable and shared by every reader of that
+// version — a winning merge makes one stale, never different.
 type Snapshot struct {
 	ver uint64
-	// Entries are the non-⊥ cells in owner order.
+	// Entries are the non-⊥ cells in owner order; nil in a store built with
+	// an encoder.
 	Entries []rt.Entry
-	// Size is Σ Entry.WireSize over Entries: the encoding minus its count
-	// prefix.
+	// Size is Σ Entry.WireSize over the non-⊥ cells: the encoding minus its
+	// count prefix.
 	Size int
-	// Enc is the store's Encoder applied to Entries; nil in a store built
-	// without one, for an absent array, and for entries the encoder refuses.
+	// Enc is the entry count followed by the store's Encoder applied to each
+	// non-⊥ cell in owner order; nil in a store built without an encoder,
+	// for an absent array, and for entries the encoder refuses.
 	Enc []byte
 }
 
@@ -220,6 +231,19 @@ func (arr *array) bucket(b int) []cell {
 		return *p
 	}
 	return nil
+}
+
+// entries yields arr's non-⊥ cells in owner order — index order, the
+// canonical snapshot order: no sort.
+func (arr *array) entries(yield func(*rt.Entry) bool) {
+	for b := range cellBuckets {
+		bucket := arr.bucket(b)
+		for i := range bucket {
+			if e := bucket[i].Load(); e != nil && !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // cell returns owner's cell, publishing its bucket on first use by a CAS
@@ -351,48 +375,19 @@ func (s *Store) Snapshot(reg string) (snap *Snapshot, cached bool) {
 	return s.rebuild(arr, reg, ver), false
 }
 
-// rebuild assembles and publishes a fresh snapshot of arr at version ver.
-// Both parts are allocated once, at their final size: the entry slice from a
-// count of the non-⊥ cells, the encoding from the length of the one being
-// replaced (cells only fill, and usually a merge or two separates two
-// rebuilds) — not grown from nil by a dozen steps of append, and not sized
-// for the worst case of every cell written. A cell that fills between the
-// count and the gather, or an encoding that outgrows the guess, costs an
-// append regrowth, nothing else.
+// rebuild assembles and publishes a fresh snapshot of arr at version ver:
+// its encoding in a store built with an encoder, its entries otherwise.
+// Either is allocated once, at the size a first walk over the cells finds —
+// not grown from nil by a dozen steps of append, and not sized for the
+// worst case of every cell written; a cell that fills or grows between the
+// two walks costs an append regrowth, nothing else.
 func (s *Store) rebuild(arr *array, reg string, ver uint64) *Snapshot {
 	old := arr.snap.Load()
-	n := 0
-	for b := range cellBuckets {
-		bucket := arr.bucket(b)
-		for i := range bucket {
-			if bucket[i].Load() != nil {
-				n++
-			}
-		}
-	}
-	snap := &Snapshot{ver: ver, Entries: make([]rt.Entry, 0, n)}
-	// Index order is owner order, the canonical snapshot order: no sort.
-	for b := range cellBuckets {
-		bucket := arr.bucket(b)
-		for i := range bucket {
-			if e := bucket[i].Load(); e != nil {
-				snap.Entries = append(snap.Entries, *e)
-			}
-		}
-	}
+	snap := &Snapshot{ver: ver}
 	if s.encode == nil {
-		for i := range snap.Entries {
-			snap.Size += snap.Entries[i].WireSize()
-		}
+		snap.gather(arr)
 	} else {
-		size := rebuildSlack
-		if old != nil {
-			size += len(old.Enc)
-		}
-		if enc, err := s.encode(make([]byte, 0, size), reg, snap.Entries); err == nil {
-			snap.Enc = enc
-			snap.Size = len(enc) - rt.UvarintSize(uint64(len(snap.Entries)))
-		}
+		snap.encode(arr, reg, s.encode)
 	}
 	// Publish unless somebody else already did: CAS from the observed old
 	// snapshot, so a concurrent publication is never overwritten blindly.
@@ -402,6 +397,43 @@ func (s *Store) rebuild(arr *array, reg string, ver uint64) *Snapshot {
 		arr.snap.CompareAndSwap(old, snap)
 	}
 	return snap
+}
+
+// gather fills snap.Entries and snap.Size from arr's cells, the slice
+// sized by a count of them.
+func (snap *Snapshot) gather(arr *array) {
+	n := 0
+	for range arr.entries {
+		n++
+	}
+	snap.Entries = make([]rt.Entry, 0, n)
+	for e := range arr.entries {
+		snap.Entries = append(snap.Entries, *e)
+		snap.Size += e.WireSize()
+	}
+}
+
+// encode fills snap.Enc and snap.Size from arr's cells, each encoded
+// straight from the immutable entry it holds, with no entry slice in
+// between. The encoding is sized by the cells' summed wire size, with
+// countRoom in front for the count the encoding walk arrives at. Entries
+// the encoder refuses leave the snapshot without an encoding.
+func (snap *Snapshot) encode(arr *array, reg string, encode Encoder) {
+	size := countRoom
+	for e := range arr.entries {
+		size += e.WireSize()
+	}
+	enc, n := make([]byte, countRoom, size), 0
+	for e := range arr.entries {
+		var err error
+		if enc, err = encode(enc, reg, e); err != nil {
+			return
+		}
+		n++
+	}
+	start := countRoom - rt.UvarintSize(uint64(n))
+	binary.PutUvarint(enc[start:], uint64(n))
+	snap.Enc, snap.Size = enc[start:], len(enc)-countRoom
 }
 
 // Reset returns the store to empty — every cell ⊥, every version 0, no

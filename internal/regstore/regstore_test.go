@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -88,27 +88,94 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 	}
 }
 
+// cells returns what a snapshot publishes of the non-⊥ cells: the entries of
+// a store without an encoder, and the decoded encoding of one with — whose
+// Entries must be nil, so that no check passes vacuously on them.
+func cells(t *testing.T, s *Store, reg string, snap *Snapshot) []rt.Entry {
+	t.Helper()
+	if s.encode == nil {
+		return snap.Entries
+	}
+	if snap.Entries != nil {
+		t.Fatalf("a store with an encoder published entries: %+v", snap.Entries)
+	}
+	return decodeTail(t, reg, snap.Enc)
+}
+
+// decodeTail decodes an encoded register-array tail of reg, wrapped in a
+// view frame, with the cache-less decoder.
+func decodeTail(t *testing.T, reg string, tail []byte) []rt.Entry {
+	t.Helper()
+	frame, err := wire.AppendReplyFrame(nil, wire.KindView, 1, 1, 0, reg, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := wire.SplitFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.Decode(body)
+	if err != nil {
+		t.Fatalf("snapshot encoding %x does not decode: %v", tail, err)
+	}
+	return m.Entries
+}
+
 // TestSnapshotSizeTracksEntries: the cached size is Σ Entry.WireSize with or
 // without an encoder — with one it is read off the encoding, which is the
 // entry count followed by exactly those bytes — and an absent register reads
 // as empty.
 func TestSnapshotSizeTracksEntries(t *testing.T) {
-	for _, s := range []*Store{New(nil), New(wire.AppendEntries)} {
+	for _, s := range []*Store{New(nil), New(wire.AppendEntry)} {
 		s.Merge(&rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 5})
 		s.Merge(&rt.Entry{Reg: "r", Owner: 200, Seq: 300, Val: "a string"})
 		snap, _ := s.Snapshot("r")
+		got := cells(t, s, "r", snap)
 		want := 0
-		for _, e := range snap.Entries {
+		for _, e := range got {
 			want += e.WireSize()
 		}
-		if len(snap.Entries) != 2 || snap.Size != want {
-			t.Fatalf("Size = %d over %d entries, want %d over 2", snap.Size, len(snap.Entries), want)
+		if len(got) != 2 || snap.Size != want {
+			t.Fatalf("Size = %d over %d entries, want %d over 2", snap.Size, len(got), want)
 		}
 		if s.encode != nil && len(snap.Enc) != 1+want {
 			t.Fatalf("encoding is %d bytes, want the count byte + %d", len(snap.Enc), want)
 		}
 		if snap, cached := s.Snapshot("missing"); !cached || snap.Entries != nil || snap.Size != 0 || snap.Enc != nil {
 			t.Fatalf("absent register reads %+v (cached=%v)", snap, cached)
+		}
+	}
+}
+
+// TestEncodingIsAppendEntries: an encoder store's snapshot is byte for byte
+// wire.AppendEntries of its cells in owner order — across bucket boundaries,
+// with every kind of value, and past 127 cells, where the count takes both
+// bytes of the room a rebuild reserves for it.
+func TestEncodingIsAppendEntries(t *testing.T) {
+	const reg = "elect/sift/1/status"
+	s := New(wire.AppendEntry)
+	vals := []rt.Value{nil, true, -7, "a string", core.Status{Stat: core.HighPri, List: []rt.ProcID{0, 3, 300}}}
+	owners := []rt.ProcID{5000, 0, 31, 32, 95, 96, 1}
+	for o := rt.ProcID(200); o < 330; o++ {
+		owners = append(owners, o)
+	}
+	for i, owner := range owners {
+		s.Merge(&rt.Entry{Reg: reg, Owner: owner, Seq: uint64(i + 1), Val: vals[i%len(vals)]})
+		if i == 5 || i == len(owners)-1 { // one snapshot under 128 cells, one over
+			var inOrder []rt.Entry
+			for o := rt.ProcID(0); o < MaxOwners; o++ {
+				if e := s.Load(reg, o); e != nil {
+					inOrder = append(inOrder, *e)
+				}
+			}
+			want, err := wire.AppendEntries(nil, reg, inOrder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _ := s.Snapshot(reg)
+			if !bytes.Equal(snap.Enc, want) || snap.Size != len(want)-rt.UvarintSize(uint64(len(inOrder))) {
+				t.Fatalf("%d cells: snapshot encodes\n  %x (size %d), AppendEntries of the cells\n  %x", len(inOrder), snap.Enc, snap.Size, want)
+			}
 		}
 	}
 }
@@ -120,13 +187,16 @@ func TestSnapshotSizeTracksEntries(t *testing.T) {
 // reads must observe the new writes.
 func TestSnapshotImmutableUnderWinningMerge(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := New(wire.AppendEntries)
+	s := New(wire.AppendEntry)
 	for owner := rt.ProcID(0); owner < 4; owner++ {
 		s.MergeCopy(&rt.Entry{Reg: "r", Owner: owner, Seq: 1, Val: int(owner)})
 	}
 	retained, _ := s.Snapshot("r")
 	pinnedEnc := bytes.Clone(retained.Enc)
-	pinnedEntries := append([]rt.Entry(nil), retained.Entries...)
+	pinnedEntries := cells(t, s, "r", retained)
+	if len(pinnedEntries) != 4 {
+		t.Fatalf("snapshot of 4 cells decodes to %+v", pinnedEntries)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -146,7 +216,7 @@ func TestSnapshotImmutableUnderWinningMerge(t *testing.T) {
 	if !bytes.Equal(retained.Enc, pinnedEnc) {
 		t.Fatalf("published encoding mutated under racing merges:\n  at read: %x\n  now:     %x", pinnedEnc, retained.Enc)
 	}
-	for i, e := range retained.Entries {
+	for i, e := range cells(t, s, "r", retained) {
 		if e != pinnedEntries[i] {
 			t.Fatalf("published entry %d mutated under racing merges: %+v, was %+v", i, e, pinnedEntries[i])
 		}
@@ -155,7 +225,11 @@ func TestSnapshotImmutableUnderWinningMerge(t *testing.T) {
 	if bytes.Equal(fresh.Enc, pinnedEnc) {
 		t.Fatalf("snapshot after %d winning merges is byte-identical to the pre-merge one", 4*398)
 	}
-	for _, e := range fresh.Entries {
+	freshEntries := cells(t, s, "r", fresh)
+	if len(freshEntries) != 4 {
+		t.Fatalf("snapshot of 4 cells decodes to %+v", freshEntries)
+	}
+	for _, e := range freshEntries {
 		if e.Seq != 399 {
 			t.Fatalf("entry owner=%d seq=%d after merges up to 399", e.Owner, e.Seq)
 		}
@@ -178,12 +252,12 @@ func TestMergeCopySlabRollover(t *testing.T) {
 	const workers, seqs = 8, 2000
 	regs := []string{"a", "b"}
 	val := func(owner rt.ProcID, seq uint64) int { return int(seq)*1000 + int(owner) }
-	s := New(wire.AppendEntries)
+	s := New(wire.AppendEntry)
 
 	type retained struct {
-		snap    *Snapshot
-		entries []rt.Entry
-		enc     []byte
+		reg  string
+		snap *Snapshot
+		enc  []byte
 	}
 	seen := make([]map[*rt.Entry]rt.Entry, workers) // per worker: address → what it held
 	kept := make([][]retained, workers)
@@ -209,7 +283,7 @@ func TestMergeCopySlabRollover(t *testing.T) {
 				}
 				for _, reg := range regs {
 					snap, _ := s.Snapshot(reg)
-					kept[w] = append(kept[w], retained{snap, slices.Clone(snap.Entries), bytes.Clone(snap.Enc)})
+					kept[w] = append(kept[w], retained{reg, snap, bytes.Clone(snap.Enc)})
 					for _, owner := range owners {
 						if p := s.Load(reg, owner); p != nil {
 							if prev, ok := seen[w][p]; ok && prev != *p {
@@ -256,10 +330,14 @@ func TestMergeCopySlabRollover(t *testing.T) {
 	}
 	for _, ks := range kept {
 		for _, k := range ks {
-			if !slices.Equal(k.snap.Entries, k.entries) || !bytes.Equal(k.snap.Enc, k.enc) {
-				t.Fatalf("a retained snapshot changed:\n  taken %+v\n  now   %+v", k.entries, k.snap.Entries)
+			if !bytes.Equal(k.snap.Enc, k.enc) {
+				t.Fatalf("a retained snapshot changed:\n  taken %x\n  now   %x", k.enc, k.snap.Enc)
 			}
-			for _, e := range k.entries {
+			entries := cells(t, s, k.reg, k.snap)
+			if len(entries) < 4 { // the worker's own owner and the three shared ones
+				t.Fatalf("a snapshot taken after 50 merges per owner holds %+v", entries)
+			}
+			for _, e := range entries {
 				if e.Val != val(e.Owner, e.Seq) {
 					t.Fatalf("snapshot holds a torn entry %+v", e)
 				}
@@ -316,11 +394,11 @@ func TestCellBucketsKeepOwnerOrder(t *testing.T) {
 // entry count of zero — and not with no bytes at all, which the client
 // would reject as a truncated frame.
 func TestEmptyArraySnapshotStaysWellFormed(t *testing.T) {
-	s := New(wire.AppendEntries)
+	s := New(wire.AppendEntry)
 	s.array("r")             // created, nothing merged yet
 	for i := 0; i < 2; i++ { // second read is served from the published snapshot
 		snap, cached := s.Snapshot("r")
-		if !bytes.Equal(snap.Enc, []byte{0}) || len(snap.Entries) != 0 || snap.Size != 0 || cached != (i == 1) {
+		if !bytes.Equal(snap.Enc, []byte{0}) || snap.Entries != nil || snap.Size != 0 || cached != (i == 1) {
 			t.Fatalf("read %d of an empty array returned %+v (cached=%v), want the encoding 00", i, snap, cached)
 		}
 	}
@@ -332,7 +410,7 @@ func TestEmptyArraySnapshotStaysWellFormed(t *testing.T) {
 // objects, so the next election of the same algorithm allocates neither; and
 // the store then behaves as a fresh one, sequence numbers included.
 func TestResetKeepsArraysDropsState(t *testing.T) {
-	s := New(wire.AppendEntries)
+	s := New(wire.AppendEntry)
 	for _, reg := range []string{"a", "b"} {
 		for owner := rt.ProcID(0); owner < cellBase+8; owner++ { // two buckets
 			s.Write(&rt.Entry{Reg: reg, Owner: owner, Val: int(owner)})
@@ -377,14 +455,15 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 				}
 			}
 		}
-		if snap, _ := s.Snapshot(d.name); len(snap.Entries) != 0 || !bytes.Equal(snap.Enc, []byte{0}) {
+		if snap, _ := s.Snapshot(d.name); len(cells(t, s, d.name, snap)) != 0 || !bytes.Equal(snap.Enc, []byte{0}) {
 			t.Fatalf("%s after Reset reads %+v", d.name, snap)
 		}
 	}
 	e := &rt.Entry{Reg: "a", Owner: 3, Val: "next election"}
 	s.Write(e)
-	if snap, _ := s.Snapshot("a"); e.Seq != 1 || len(snap.Entries) != 1 || snap.Entries[0] != *e {
-		t.Fatalf("first write after Reset: seq %d, snapshot %+v", e.Seq, snap.Entries)
+	snap, _ := s.Snapshot("a")
+	if got := cells(t, s, "a", snap); e.Seq != 1 || len(got) != 1 || got[0] != *e {
+		t.Fatalf("first write after Reset: seq %d, snapshot %+v", e.Seq, got)
 	}
 }
 
@@ -397,7 +476,7 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 // by comparison.
 func TestAdoptedEntryIsNeverWritten(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	own, peers := New(nil), []*Store{New(nil), New(wire.AppendEntries)}
+	own, peers := New(nil), []*Store{New(nil), New(wire.AppendEntry)}
 	const calls = 300
 	handoff := make(chan []rt.Entry, calls) // every payload, so the writer never waits for the reader
 	var wg sync.WaitGroup

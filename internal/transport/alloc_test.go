@@ -4,6 +4,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -273,5 +274,136 @@ func TestSendQueueCycleAllocs(t *testing.T) {
 	cycle() // both arrays have held a batch now
 	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
 		t.Fatalf("steady-state put/take cycle: %v allocs, want 0", got)
+	}
+}
+
+// TestReplyBatchesFitReadBuffer: a batch of 64 collects answered with
+// 1 KiB views — 66 KiB of replies — comes back from a listener in outer
+// frames that each fit the client's tcpBufSize read buffer, and a client
+// read loop fed those frames takes no fresh buffer for them. One reply batch
+// of all 64 took a 64 KiB and then a 128 KiB buffer per round.
+func TestReplyBatchesFitReadBuffer(t *testing.T) {
+	const reg, calls, rounds = "leaderelect/round", 64, 16
+	view, err := wire.Encode(&wire.Msg{Kind: wire.KindView, Call: 1, From: 2, Reg: reg,
+		Entries: []rt.Entry{{Reg: reg, Owner: 1, Seq: 1, Val: strings.Repeat("v", 1000)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := NewTCP().Listen(func(c Conn, m *wire.Msg) {
+		c.SendEncoded(append(wire.GetBuf(), view...)) //nolint:errcheck // a lost reply fails the read below
+		wire.RecycleMsg(m)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck // teardown
+	msgs := make([]*wire.Msg, calls)
+	for i := range msgs {
+		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(i + 1), From: 3, Reg: reg}
+	}
+	batch, err := wire.EncodeBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The listener's answer, read off a raw socket and split into its outer
+	// frames.
+	raw, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close() //nolint:errcheck // teardown
+	if _, err := raw.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a stall fails the read
+	var answer []byte
+	frames, replies := 0, 0
+	for buf, split := make([]byte, 4096), 0; replies < calls; {
+		n, err := raw.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d of %d replies: %v", replies, calls, err)
+		}
+		answer = append(answer, buf[:n]...)
+		for {
+			body, size, err := wire.SplitFrame(answer[split:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size == 0 {
+				break
+			}
+			if size > tcpBufSize {
+				t.Fatalf("a %d-byte outer frame outgrows the %d-byte read buffer", size, tcpBufSize)
+			}
+			frames++
+			if wire.Kind(body[0]) != wire.KindBatch {
+				replies++
+			} else if err := wire.ForEachFrame(body, func([]byte) error { replies++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			split += size
+		}
+	}
+	t.Logf("%d replies of %d bytes came back in %d outer frames, %d bytes", replies, len(view), frames, len(answer))
+
+	// A client read loop fed that answer, round after round, by a raw
+	// server: the only allocations in the process are the client's.
+	fake, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close() //nolint:errcheck // teardown
+	go func() {
+		c, err := fake.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close() //nolint:errcheck // teardown
+		buf := make([]byte, len(batch))
+		for {
+			if _, err := io.ReadFull(c, buf); err != nil {
+				return
+			}
+			if _, err := c.Write(answer); err != nil {
+				return
+			}
+		}
+	}()
+	got := make(chan struct{}, calls)
+	conn, err := NewTCP().Dial(fake.Addr().String(), func(_ Conn, m *wire.Msg) {
+		wire.PutMsg(m) // a memoized view
+		got <- struct{}{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // teardown
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
+	round := func() {
+		if err := conn.SendEncoded(append(wire.GetBuf(), batch...)); err != nil {
+			t.Fatal(err)
+		}
+		timeout.Reset(10 * time.Second)
+		for i := 0; i < calls; i++ {
+			select {
+			case <-got:
+			case <-timeout.C:
+				t.Fatalf("reply %d of %d never arrived", i, calls)
+			}
+		}
+	}
+	round() // the first round fills the pools and the decode cache
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("the client allocated %d bytes per round of %d collects", perRound, calls)
+	if perRound >= tcpBufSize {
+		t.Fatalf("a round of %d 1 KiB views allocated %d bytes: the read buffer grew", calls, perRound)
 	}
 }

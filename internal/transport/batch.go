@@ -13,14 +13,19 @@ import (
 // accumulate behind its runmates and keeps a drain from starving its write.
 const maxCoalesce = 256
 
-// maxRunBytes bounds the byte size of one coalesced batch, comfortably
-// under wire.MaxFrame: a run that would exceed it is split across batches.
-const maxRunBytes = 1 << 20
-
 // drainOverhead bounds the bytes a drain adds per queued frame: at most
 // one batch header (a ≤ 4-byte prefix, the kind, a ≤ 3-byte count) and
 // one trace stamp.
 const drainOverhead = 8 + wire.StampSize
+
+// maxRunBytes bounds the sub-frame bytes of one batch — a coalesced run of
+// a write loop's drain, or a reply batch (replyCoalescer.flush) — so that
+// the outer frame, header and trace stamp included, fits the peer's
+// tcpBufSize read buffer whole: a larger one would cost the reader a fresh
+// buffer for that frame. A run that would exceed it is split across
+// batches; only a single frame larger than that travels, alone, in a
+// frame that outgrows the buffer.
+const maxRunBytes = tcpBufSize - drainOverhead
 
 // coalesceFrames gathers a drained run of encoded frames onto dst — the
 // bytes of one socket write — wrapping every maximal run of batchable
@@ -180,41 +185,41 @@ func (rc *replyCoalescer) SendEncoded(frame []byte) error {
 // closes on protocol violations; pending replies to the violator can drop).
 func (rc *replyCoalescer) Close() error { return rc.conn.Close() }
 
-// flush forwards the accumulated replies as one frame and switches the
-// coalescer to pass-through.
+// flush forwards the accumulated replies and switches the coalescer to
+// pass-through. The replies leave in order, in runs of up to maxRunBytes,
+// each run as one frame — plain for one reply, batch for several — so that
+// every frame fits the peer's read buffer unless one reply alone does not.
 func (rc *replyCoalescer) flush() {
 	rc.mu.Lock()
 	buf, count := rc.buf, rc.count
 	rc.buf, rc.count, rc.open = nil, 0, false
 	rc.mu.Unlock()
-	switch {
-	case count == 0:
-		if buf != nil {
-			wire.PutBuf(buf)
-		}
-	case count == 1:
+	if count == 1 {
 		// A single length-prefixed frame is already the wire form.
 		rc.conn.SendEncoded(buf) //nolint:errcheck // loss, per the model
-	default:
-		batch := wire.GetBuf()
-		batch, err := wire.AppendBatchFrame(batch, count, buf)
-		if err != nil {
-			// A reply batch too big for one frame (pathological at
-			// MaxFrame scale): fall back to sending the accumulated
-			// frames one by one — dropping them all would turn the
-			// model's transient loss into a deterministic quorum hang.
-			wire.PutBuf(batch)
-			for rest := buf; len(rest) > 0; {
-				size, n := binary.Uvarint(rest)
-				end := n + int(size)
-				one := append(wire.GetBuf(), rest[:end]...)
-				rc.conn.SendEncoded(one) //nolint:errcheck
-				rest = rest[end:]
+		return
+	}
+	for rest := buf; len(rest) > 0; {
+		end, n := 0, 0
+		for end < len(rest) {
+			size, k := binary.Uvarint(rest[end:])
+			next := end + k + int(size)
+			if n > 0 && next > maxRunBytes {
+				break
 			}
-			wire.PutBuf(buf)
-			return
+			end, n = next, n+1
 		}
+		frame := wire.GetBuf()
+		if n == 1 {
+			frame = append(frame, rest[:end]...)
+		} else {
+			// Under maxRunBytes the header cannot fail.
+			frame, _ = wire.AppendBatchFrame(frame, n, rest[:end])
+		}
+		rc.conn.SendEncoded(frame) //nolint:errcheck // loss, per the model
+		rest = rest[end:]
+	}
+	if buf != nil {
 		wire.PutBuf(buf)
-		rc.conn.SendEncoded(batch) //nolint:errcheck
 	}
 }

@@ -693,21 +693,31 @@ func SplitFrame(b []byte) (body []byte, n int, err error) {
 // as Append applies.
 func AppendEntries(dst []byte, reg string, entries []rt.Entry) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		if e.Reg != reg {
-			return dst, fmt.Errorf("wire: entry register %q differs from array register %q", e.Reg, reg)
-		}
-		if e.Owner < 0 {
-			return dst, fmt.Errorf("wire: negative entry owner %d", e.Owner)
-		}
-		dst = binary.AppendUvarint(dst, uint64(e.Owner))
-		dst = binary.AppendUvarint(dst, e.Seq)
+	for i := range entries {
 		var err error
-		if dst, err = appendValue(dst, e.Val); err != nil {
+		if dst, err = AppendEntry(dst, reg, &entries[i]); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
+}
+
+// AppendEntry encodes one entry of a register-array tail onto dst — its
+// owner, sequence number and value, without the count prefix — holding it
+// to the register reg the tail is for. A tail is its entry count followed by
+// AppendEntry of each entry in owner order: what AppendEntries produces,
+// and what a register store assembles cell by cell without gathering the
+// entries into a slice first.
+func AppendEntry(dst []byte, reg string, e *rt.Entry) ([]byte, error) {
+	if e.Reg != reg {
+		return dst, fmt.Errorf("wire: entry register %q differs from array register %q", e.Reg, reg)
+	}
+	if e.Owner < 0 {
+		return dst, fmt.Errorf("wire: negative entry owner %d", e.Owner)
+	}
+	dst = binary.AppendUvarint(dst, uint64(e.Owner))
+	dst = binary.AppendUvarint(dst, e.Seq)
+	return appendValue(dst, e.Val)
 }
 
 // AppendReplyFrame assembles one reply frame — ack or view — directly from
