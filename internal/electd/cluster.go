@@ -111,14 +111,15 @@ func (cl *Cluster) NewComm(p rt.Procer, election uint64, delay func(server int) 
 }
 
 // RemoveElection evicts one finished election instance's register state
-// from every server, bounding a long-lived shared cluster's memory. Only
-// call it once every participant of the instance has returned. Removal
-// touches only the instance's shard on each server, so teardown churn
-// never blocks unrelated elections.
+// from every server, and the views of it the pool holds, bounding a
+// long-lived shared cluster's memory. Only call it once every participant
+// of the instance has returned. Removal touches only the instance's shard
+// on each server, so teardown churn never blocks unrelated elections.
 func (cl *Cluster) RemoveElection(election uint64) {
 	for _, srv := range cl.servers {
 		srv.RemoveElection(election)
 	}
+	cl.pool.forget(election)
 }
 
 // Crash fails server id: its replica drops requests and its listener drops

@@ -153,6 +153,8 @@ type Server struct {
 	shed    atomic.Int64 // propagates refused admission (bound hit, or draining)
 	late    atomic.Int64 // propagates refused because their election was already removed
 
+	same atomic.Int64 // collects answered with a same reply instead of the array
+
 	// lockedOps counts request-path shard-mutex acquisitions. With the
 	// lock-free hot path the only request that may lock is a propagate
 	// whose election instance does not exist yet (admission control needs
@@ -278,7 +280,23 @@ var emptyTail = []byte{0}
 // connection — which coalesces them into one batch frame when the requests
 // arrived as one (see transport.Handler) — and are assembled directly from
 // header fields plus the cached encoded snapshot, so the server never
-// builds or walks a reply message. Handle takes ownership of m and of its
+// builds or walks a reply message.
+//
+// A collect is conditional. A view carries its snapshot's tag, and a
+// collect whose snapshot — taken at the same point as any other — the
+// collector already holds is answered with a same reply, the header and
+// the tag without the array (see wire.KindSame). The collector holds it if
+// the tag it advertised names it, or if the server sent it in full earlier
+// on the same stream (transport.StreamID): a stream delivers in order, so
+// the collector received that view before it receives this reply. Handle
+// records every snapshot it sends in full on a stream (Snapshot.Hold); the
+// pool learns every view it receives, and re-asks with wire.TagFull for a
+// same reply it cannot resolve (see Pool.handle). A snapshot is the current
+// one until a winning merge, and a stream's collects are handled one at a
+// time, so a snapshot sent earlier on the stream and current now was the
+// last view of its register the stream carried.
+//
+// Handle takes ownership of m and of its
 // entry storage: the server is a request's terminal consumer (a winning
 // merge copies the entry into the instance's slab, never keeps the slice),
 // so a request recycles whole on the way out and the next decode on it
@@ -330,7 +348,7 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			st = s.admit(sh, m.Election)
 			if st == nil {
 				sh.served.Add(1)
-				s.reply(c, wire.KindBusy, m, nil)
+				s.reply(c, wire.KindBusy, m, 0, nil)
 				return
 			}
 		}
@@ -346,7 +364,7 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			rec.Record(m.Election, 0, trace.PMerge, mergeT0, trace.Now()-mergeT0, int64(len(m.Entries)))
 		}
 		sh.served.Add(1)
-		s.reply(c, wire.KindAck, m, nil)
+		s.reply(c, wire.KindAck, m, 0, nil)
 	case wire.KindCollect:
 		rec := s.opts.Trace
 		now := time.Now().UnixNano()
@@ -360,15 +378,12 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			snapT0 = trace.Now()
 			rec.Record(m.Election, 0, trace.PShardWait, lookT0, snapT0-lookT0, 0)
 		}
-		tail := emptyTail
+		var snap *regstore.Snapshot
 		hit := int64(1) // an absent instance or array rebuilds nothing
 		if st != nil {
 			st.last.Store(now) // reads keep an instance live, like writes
-			snap, cached := st.regs.Snapshot(m.Reg)
-			if snap.Enc != nil {
-				tail = snap.Enc
-			}
-			if !cached {
+			var cached bool
+			if snap, cached = st.regs.Snapshot(m.Reg); !cached {
 				hit = 0
 			}
 		}
@@ -376,7 +391,23 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			rec.Record(m.Election, 0, trace.PSnapshot, snapT0, trace.Now()-snapT0, hit)
 		}
 		sh.served.Add(1)
-		s.reply(c, wire.KindView, m, tail)
+		if snap == nil || snap.Enc == nil {
+			s.reply(c, wire.KindView, m, 0, emptyTail) // untagged: nothing to hold
+			return
+		}
+		stream := transport.StreamID(c)
+		if m.Tag != wire.TagFull && (m.Tag == snap.Tag || (stream != 0 && snap.Held(stream))) {
+			// The collector holds this very snapshot — it said so, or it was
+			// sent it earlier on this stream — so the view it would get is
+			// the one it was sent under this tag, byte for byte.
+			s.same.Add(1)
+			s.reply(c, wire.KindSame, m, snap.Tag, nil)
+			return
+		}
+		s.reply(c, wire.KindView, m, snap.Tag, snap.Enc)
+		if stream != 0 {
+			snap.Hold(stream)
+		}
 	}
 }
 
@@ -415,9 +446,14 @@ func (s *Server) admit(sh *shard, election uint64) *store {
 	return st
 }
 
+// SameCollects reports how many collects the server answered with a same
+// reply — the collector held the current snapshot — instead of the
+// register array.
+func (s *Server) SameCollects() int64 { return s.same.Load() }
+
 // reply sends one assembled reply frame for request m. Send errors are
 // message loss, as on any dead link.
-func (s *Server) reply(c transport.Conn, kind wire.Kind, m *wire.Msg, tail []byte) {
+func (s *Server) reply(c transport.Conn, kind wire.Kind, m *wire.Msg, tag uint64, tail []byte) {
 	rec := s.opts.Trace
 	var t0 int64
 	if rec != nil {
@@ -427,7 +463,7 @@ func (s *Server) reply(c transport.Conn, kind wire.Kind, m *wire.Msg, tail []byt
 	if kind == wire.KindView {
 		reg = m.Reg
 	}
-	frame, err := wire.AppendReplyFrame(wire.GetBuf(), kind, m.Election, m.Call, s.id, reg, tail)
+	frame, err := wire.AppendReplyFrame(wire.GetBuf(), kind, m.Election, m.Call, s.id, tag, reg, tail)
 	if err != nil {
 		wire.PutBuf(frame)
 		return // oversized reply: loss

@@ -2,12 +2,14 @@ package electd_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/transport"
@@ -74,6 +76,87 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 					t.Fatalf("quorum contains a forged or repeated sender: %+v", views)
 				}
 				seen[v.From] = true
+			}
+		})
+	}
+}
+
+// TestForgedSameRepliesNeverBecomeViews: a same reply stands for a view
+// only when it echoes the tag the call advertised to its sender. Every
+// server here answers each request with forged same replies first — to a
+// collect, one with a tag the call did not advertise and one claiming to
+// come from server n−1, which never answers anything (the pool cannot
+// dial it on the in-process network; on UDP its socket is gone); to a
+// propagate, sames with tags 0 and 1 — and then honestly, always with the
+// full view (the advertised tag is stripped before the real replica sees
+// it, and the replica is not told it is on a stream). So every same the
+// pool takes is a forgery: it must take none, and every collect must
+// return a quorum of distinct live servers' full views.
+func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
+	const n = 5
+	networks := map[string]transport.Network{
+		"loopback": transport.NewLoopback(),
+		"udp":      transport.NewUDP(),
+	}
+	for name, nw := range networks {
+		t.Run(name, func(t *testing.T) {
+			addrs := make([]string, n)
+			for j := range addrs {
+				srv := electd.NewServer(rt.ProcID(j))
+				ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
+					forged := []*wire.Msg{
+						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID(), Tag: m.Tag + 1<<40},
+						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: n - 1, Tag: m.Tag},
+					}
+					if m.Kind == wire.KindPropagate {
+						forged = []*wire.Msg{
+							{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID()},
+							{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID(), Tag: 1},
+						}
+					}
+					for _, f := range forged {
+						c.Send(f) //nolint:errcheck // loss; the client retransmits
+					}
+					m.Tag = 0
+					srv.Handle(struct{ transport.Conn }{c}, m)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs[j] = ln.Addr()
+				if j == n-1 {
+					ln.Close()
+				} else {
+					defer ln.Close()
+				}
+			}
+			reg := obs.NewRegistry()
+			pool, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+
+			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, nil)
+			client.SetFaults(electd.FaultProfile{Retransmit: 20 * time.Millisecond})
+			want := []rt.Entry{{Reg: "r", Owner: 0, Seq: 1, Val: 1}}
+			client.Propagate("r", 1)
+			for range 3 { // the second and third advertise the tags the first learned
+				views := client.Collect("r")
+				if len(views) != client.QuorumSize() {
+					t.Fatalf("collect returned %d views, want a quorum of %d", len(views), client.QuorumSize())
+				}
+				seen := map[rt.ProcID]bool{}
+				for _, v := range views {
+					if v.From < 0 || v.From >= n-1 || seen[v.From] || !reflect.DeepEqual(v.Entries, want) {
+						t.Fatalf("quorum holds a forged, repeated or wrong view: %+v", views)
+					}
+					seen[v.From] = true
+				}
+			}
+			snap := reg.Snapshot()
+			if got := snap.Total("electd_pool_views_same_total"); got != 0 {
+				t.Fatalf("the pool took %d forged same replies as views", got)
 			}
 		})
 	}

@@ -23,6 +23,7 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.NewCounterFunc("electd_elections_removed_total", "instances evicted by explicit RemoveElection", s.removed.Load, l)
 	r.NewCounterFunc("electd_admission_shed_total", "propagates refused by admission control (bound hit, or draining)", s.shed.Load, l)
 	r.NewCounterFunc("electd_late_propagates_total", "propagates refused because their election was already removed", s.late.Load, l)
+	r.NewCounterFunc("electd_collect_same_total", "collects answered with a same reply (the advertised tag named the current snapshot) instead of the register array", s.same.Load, l)
 	r.NewGaugeFunc("electd_elections_live", "election instances currently holding state", func() int64 {
 		return int64(s.Elections())
 	}, l)
@@ -47,6 +48,7 @@ var quorumLatencyBounds = obs.ExpBuckets(25, 2, 16)
 func (pl *Pool) registerMetrics(r *obs.Registry) {
 	r.NewGaugeFunc("electd_pending_calls", "communicate calls awaiting quorum replies", pl.pendingCalls)
 	r.NewCounterFunc("electd_pool_requests_total", "requests the pool handed to its server connections, one frame each", pl.requests.Load)
+	r.NewCounterFunc("electd_pool_views_same_total", "collect replies that arrived as a same reply and became the view the pool already held", pl.sames.Load)
 	r.NewCounterFunc("electd_busy_shed_total", "quorum calls aborted by a server's busy reply", pl.busy.Load)
 	r.NewCounterFunc("electd_pool_widened_calls_total", "quorum calls whose quorum+slack first wave fell short within a tick and went to all n servers", pl.widened.Load)
 	r.NewCounterFunc("electd_pool_retransmits_total", "retransmit ticks of quorum calls already sent to all n servers (lossy transports, fault plans)", pl.resent.Load)

@@ -54,9 +54,11 @@ type callShard struct {
 // striped by call ID so concurrent elections scale with cores instead of
 // convoying on one mutex. Each request frame is encoded once, not once per
 // server, and handed to each asked connection's send queue as a pooled
-// copy; batching is the transport write loops' job, the one batching layer.
-// Pending-call slots are recycled, so a steady-state election allocates
-// only its payload entries.
+// copy — except a collect over datagrams, a header encoded per server
+// because it carries the tag of the view the pool holds from that server
+// (a conditional collect: see knownViews). Batching is the transport write
+// loops' job, the one batching layer. Pending-call slots are recycled, so a
+// steady-state election allocates only its payload entries.
 type Pool struct {
 	n int
 	// links holds one slot per server, each an atomically swappable
@@ -78,6 +80,12 @@ type Pool struct {
 	next   atomic.Uint64
 	pend   sync.Pool // recycled pending slots
 
+	// gone remembers, 1 + ID, the last goneRing elections forget cleared,
+	// so that the views their stragglers deliver afterwards are neither
+	// learned nor decoded: the links' tables would pin them until evicted.
+	gone  [goneRing]atomic.Uint64
+	nGone atomic.Uint64
+
 	// inflight tracks delayed (fault-injected) sends still riding timers,
 	// so Close can wait for stragglers instead of racing them.
 	inflight sync.WaitGroup
@@ -89,6 +97,8 @@ type Pool struct {
 	// but rpc still checks before observing to keep the bare hot path free
 	// of even the no-op call.
 	requests atomic.Int64 // requests handed to connections
+	sames    atomic.Int64 // collect replies that came as a same and became the held view
+	reasked  atomic.Int64 // re-asks for full views after a same the pool could not resolve
 	busy     atomic.Int64 // quorum calls aborted by a busy reply
 	widened  atomic.Int64 // calls whose first wave fell short and went to all n
 	resent   atomic.Int64 // retransmit ticks of calls already sent to all n
@@ -126,10 +136,16 @@ type PoolOptions struct {
 }
 
 // serverLink boxes one server's transport connection, because the atomic
-// slot needs a pointer. Immutable once published in a Pool slot; Redial
-// replaces the box.
+// slot needs a pointer, with the views the pool holds from that server.
+// The connection is immutable once published in a Pool slot; Redial
+// replaces the box, table and all.
 type serverLink struct {
-	conn transport.Conn
+	conn  transport.Conn
+	known knownViews
+	// stream: the connection delivers in order and without loss, so the
+	// server knows which views it sent the pool, and a collect needs
+	// advertise none (see Server.Handle).
+	stream bool
 }
 
 // pending is one outstanding communicate call awaiting quorum replies. The
@@ -144,6 +160,11 @@ type pending struct {
 	replies []*wire.Msg // distinct senders' answers, at most a quorum
 	busy    bool        // a busy reply arrived before the quorum
 	seen    []bool      // [server]; dedups retransmission-induced duplicate replies
+
+	// A collect's conditional half (see Pool.handle).
+	collect bool     // the call is a collect (of reg)
+	reg     string   // the register collected
+	adv     []advert // [server]; what the collect last advertised to it
 }
 
 // complete reports whether the router has signalled (or is about to).
@@ -216,7 +237,10 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		pl.shards[i].calls = make(map[uint64]*pending)
 	}
 	pl.pend.New = func() any {
-		return &pending{sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n)}
+		return &pending{
+			sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n),
+			adv: make([]advert, pl.n),
+		}
 	}
 	var down []string
 	for i, addr := range addrs {
@@ -258,7 +282,7 @@ func (pl *Pool) newLink(conn transport.Conn) *serverLink {
 		// reply-direction link loss (see keepReply).
 		fc.SetFilter(pl.keepReply)
 	}
-	return &serverLink{conn: conn}
+	return &serverLink{conn: conn, stream: transport.StreamID(conn) != 0}
 }
 
 // Redial reconnects the pool to server j — the client half of
@@ -291,10 +315,45 @@ func (pl *Pool) CoalesceStats() (msgs, frames int64) {
 	return n, n
 }
 
+// forget clears election's rows from every link's known-view table: the
+// election is over, and nothing will collect its registers again.
+func (pl *Pool) forget(election uint64) {
+	pl.gone[(pl.nGone.Add(1)-1)%goneRing].Store(election + 1)
+	for j := range pl.links {
+		if link := pl.links[j].Load(); link != nil {
+			link.known.forget(election)
+		}
+	}
+}
+
+// goneRing is how many forgotten elections a pool remembers: stragglers
+// arrive within milliseconds of their election's end, and a pool removes a
+// few hundred elections a second at most.
+const goneRing = 16
+
+// forgotten reports whether election is among the last goneRing that
+// forget cleared.
+func (pl *Pool) forgotten(election uint64) bool {
+	for i := range pl.gone {
+		if pl.gone[i].Load() == election+1 {
+			return true
+		}
+	}
+	return false
+}
+
+// isReply reports whether k is a reply kind the router assembles quorums
+// from.
+func isReply(k wire.Kind) bool {
+	return k == wire.KindAck || k == wire.KindView || k == wire.KindSame || k == wire.KindBusy
+}
+
 // keepReply is the pool's pre-decode filter (transport.FrameFilter): a
 // reply is a straggler — nobody will ever read it — once its call is no
 // longer pending or is already complete, and stragglers are dropped before
-// their decode. With streaming dispatch the routed
+// their decode; so is a duplicate, a reply from a server that already
+// answered the call (a retransmitting client draws one per resend the
+// server answers twice). With streaming dispatch the routed
 // count is current up to the previous reply of the same inbound batch, so
 // the decodes past the quorum (entries, statuses, their allocations) simply
 // never happen: the two spares of a thrifty wave, and almost half of all
@@ -313,15 +372,22 @@ func (pl *Pool) CoalesceStats() (msgs, frames int64) {
 // a server id in [0, n): it indexes per-server fault tables with it, and
 // the peeked id is unvalidated wire input — a reply claiming any other
 // sender passes through to the router, which drops it.
+//
+// A view the router would drop is still decoded when it is new to its
+// server's link — the router learns every view a server sends, because on
+// a stream the server takes it that the pool holds it from then on (see
+// handle) — and dropped undecoded when the link already holds it, as a
+// retransmission's duplicates and a thrifty wave's spares mostly are.
 func (pl *Pool) keepReply(body []byte) bool {
 	k, call, from, ok := wire.PeekReplyFrom(body)
-	if !ok || (k != wire.KindAck && k != wire.KindView && k != wire.KindBusy) {
+	if !ok || !isReply(k) {
 		return true
 	}
+	inRange := from >= 0 && int(from) < pl.n
 	sh := pl.callShardOf(call)
 	sh.mu.Lock()
 	p := sh.calls[call]
-	keep := p != nil && !p.complete(pl.n/2+1)
+	keep := p != nil && !p.complete(pl.n/2+1) && !(inRange && p.seen[from])
 	var drop func(int) bool
 	if keep {
 		drop = p.cli.replyDrop
@@ -331,13 +397,28 @@ func (pl *Pool) keepReply(body []byte) bool {
 		el = p.cli.election // read under the shard lock; gone calls trace as election 0
 	}
 	sh.mu.Unlock()
-	if keep && drop != nil && from >= 0 && int(from) < pl.n && drop(int(from)) {
+	if keep && drop != nil && inRange && drop(int(from)) {
 		return false
+	}
+	if !keep && k == wire.KindView && inRange && !pl.holds(from, body) {
+		return true // decoded to be learned, then dropped by the router
 	}
 	if !keep && pl.trace != nil {
 		pl.trace.Event(el, 0, trace.PStraggler, int64(from))
 	}
 	return keep
+}
+
+// holds reports whether server j's link already holds the view body
+// carries, or the view carries no tag to hold it by, or its election is
+// over.
+func (pl *Pool) holds(j rt.ProcID, body []byte) bool {
+	election, tag, reg, ok := wire.PeekView(body)
+	if !ok || tag == 0 || pl.forgotten(election) {
+		return true
+	}
+	link := pl.links[j].Load()
+	return link == nil || link.known.has(election, reg, tag)
 }
 
 // handle is the pool's reply router and the place a quorum is assembled:
@@ -356,22 +437,63 @@ func (pl *Pool) keepReply(body []byte) bool {
 // whose sender id is not one of the n servers: a quorum counts distinct
 // servers, and an id outside [0, n) names none. A dropped reply dies here,
 // entries unseen, so the arena keeps them.
+//
+// The router is also where a conditional collect resolves. Every full view
+// with a tag is remembered in its server's link table (knownViews) — before
+// anything else, whether or not its call still wants it — for same replies
+// to name and datagram collects to advertise. A same reply to a collect
+// becomes a view when its tag is one the pool holds entries for: the one
+// the call advertised to that server (pending.adv), or the one the link
+// holds as a view of the call's register. A tag names one snapshot
+// encoding of one server process, so those entries are that server's
+// current snapshot, byte for byte; the view keeps the size the same was
+// decoded with, so the byte accounting reports what crossed the wire. A
+// same to a collect the pool cannot resolve — the link has since dropped
+// the view, or never got it (a fault plan's loss) — is noise, and the
+// router re-asks that server with wire.TagFull (Pool.reask). Any other same
+// reply — tag 0, or answering a propagate — is noise. Noise never counts as
+// the server's answer.
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
-	if (m.Kind != wire.KindAck && m.Kind != wire.KindView && m.Kind != wire.KindBusy) ||
-		m.From < 0 || int(m.From) >= pl.n {
+	if !isReply(m.Kind) || m.From < 0 || int(m.From) >= pl.n {
 		discard(m) // protocol noise; nobody saw its entries
 		return
+	}
+	from := m.From
+	link := pl.links[from].Load()
+	var named knownView // what the link holds under a same reply's tag
+	if link != nil && m.Tag != 0 {
+		switch {
+		case m.Kind == wire.KindView && !pl.forgotten(m.Election):
+			// Before the wake-up, so the caller's next collect finds it.
+			link.known.put(m.Election, m.Reg, advert{m.Tag, m.Entries})
+		case m.Kind == wire.KindSame:
+			named, _ = link.known.named(m.Tag) // outside the stripe lock
+		}
 	}
 	need := pl.n/2 + 1
 	sh := pl.callShardOf(m.Call)
 	sh.mu.Lock()
 	p := sh.calls[m.Call]
-	if p == nil || p.complete(need) || p.seen[m.From] {
+	if p == nil || p.complete(need) || p.seen[from] {
 		sh.mu.Unlock()
 		discard(m)
 		return
 	}
-	p.seen[m.From] = true
+	if m.Kind == wire.KindSame {
+		entries, ok := p.resolve(m, named)
+		if !ok {
+			c, reg, reask := p.cli, p.reg, p.collect && m.Tag != 0 && link != nil
+			sh.mu.Unlock()
+			if reask {
+				pl.reask(link, c, m.Call, reg)
+			}
+			discard(m)
+			return
+		}
+		m.Kind, m.Entries = wire.KindView, entries
+		pl.sames.Add(1)
+	}
+	p.seen[from] = true
 	busy := m.Kind == wire.KindBusy
 	if busy {
 		p.busy = true
@@ -389,6 +511,40 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 		// recycles it only after receiving the token.
 		p.sig <- struct{}{}
 	}
+}
+
+// reask asks server link a collect's question again — call, participant
+// and register as before — with wire.TagFull, so that it answers with the
+// full view: the router could not resolve the same reply it sent. It runs
+// on the read loop, like a server's replies, and books the request to the
+// participant the way rpc does.
+func (pl *Pool) reask(link *serverLink, c *Client, call uint64, reg string) {
+	req := wire.Msg{Kind: wire.KindCollect, Election: c.election, Call: call, From: c.p.ID(), Tag: wire.TagFull, Reg: reg}
+	frame, err := wire.Append(wire.GetBuf(), &req)
+	if err != nil || link.conn.SendEncoded(frame) != nil {
+		return // loss, like any request on a dead link
+	}
+	c.msgs.Add(1)
+	c.bytes.Add(int64(req.WireSize()))
+	pl.requests.Add(1)
+	pl.reasked.Add(1)
+}
+
+// resolve finds the entries a same reply m to this call stands for: those
+// the call advertised to its sender, or those its sender's link holds under
+// m's tag (named) as a view of the call's register. The caller holds the
+// call's shard lock.
+func (p *pending) resolve(m *wire.Msg, named knownView) ([]rt.Entry, bool) {
+	if !p.collect || m.Tag == 0 {
+		return nil, false
+	}
+	if a := p.adv[m.From]; a.tag == m.Tag {
+		return a.entries, true
+	}
+	if named.tag == m.Tag && named.election == p.cli.election && named.reg == p.reg {
+		return named.entries, true
+	}
+	return nil, false
 }
 
 // discard recycles a reply nobody reads. A view's entry array may be the
@@ -472,11 +628,13 @@ type Client struct {
 	// before rpc returns — except delayed sends, which get fresh messages),
 	// its one-entry payload, the harvested quorum replies, and the views
 	// Collect hands back (valid until the participant's next communicate
-	// call, per the rt.Comm contract).
+	// call, per the rt.Comm contract), and a collect's per-server request
+	// copy.
 	req     wire.Msg
 	entry   [1]rt.Entry
 	replies []*wire.Msg
 	views   []rt.View
+	tagged  wire.Msg // a collect as sent over datagrams to one server, with that server's tag
 
 	// Fault-plan hooks, installed by SetFaults before the participant
 	// starts; all nil/zero on a bare client, leaving the hot path alone.
@@ -624,7 +782,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	call := pl.next.Add(1)
 	m.Call = call
 	p := pl.pend.Get().(*pending)
-	p.cli = c
+	p.cli, p.collect, p.reg = c, keep, m.Reg
 	sh := pl.callShardOf(call)
 	sh.mu.Lock()
 	sh.calls[call] = p
@@ -632,9 +790,12 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 
 	// Bit-complexity accounting counts frame bodies, like the sim kernel's
 	// PayloadBytes; the length prefix — and a batch frame's header — is
-	// transport framing, not payload.
+	// transport framing, not payload. A collect's size depends on the tag
+	// it advertises, so send adds up what each request costs.
 	size := int64(m.WireSize())
-	var frame []byte // encoded once, lazily; every send reuses the bytes
+	var out int64    // bytes of the requests put on the wire since the last book
+	var frame []byte // the encoded request, lazily; every send copies the bytes
+	plain := false   // frame holds m itself, not a per-server copy
 	// send puts the request on server j's link and reports whether it went
 	// onto the wire — a request the fault plan then drops did, and died
 	// there; one to an undialed or severed link did not.
@@ -644,25 +805,47 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 			return false // server was unreachable at dial time: nothing to send
 		}
 		if c.drop != nil && c.drop(j) {
+			out += size
 			return true
 		}
 		if c.delay != nil {
 			if d := c.delay(j); d > 0 {
+				// m rides a timer and is encoded when it fires, so it
+				// advertises no tag.
 				transport.SendDelayed(link.conn, m, d, &pl.inflight)
+				out += size
 				return true
 			}
 		}
-		if frame == nil {
+		req, n := m, size
+		if keep && !link.stream {
+			// A collect over datagrams advertises the tag of the view the
+			// pool holds from server j, recorded in the call's slot before
+			// the request can draw its answer, and so is encoded afresh per
+			// server. Over a stream the server knows what it sent the pool,
+			// and the request is encoded once, like a propagate.
+			a := link.known.lookup(c.election, m.Reg)
+			sh.mu.Lock()
+			p.adv[j] = a
+			sh.mu.Unlock()
+			c.tagged = *m
+			c.tagged.Tag = a.tag
+			req, n = &c.tagged, int64(c.tagged.WireSize())
+		}
+		if req != m || !plain {
+			plain = req == m
 			var encT0 int64
 			if rec != nil {
 				encT0 = trace.Now()
 			}
 			var err error
-			if frame, err = wire.Append(wire.GetBuf(), m); err != nil {
+			if frame == nil {
+				frame = wire.GetBuf()
+			}
+			if frame, err = wire.Append(frame[:0], req); err != nil {
 				// Unencodable payloads cannot reach any server: loss on
 				// every link.
-				wire.PutBuf(frame)
-				frame = nil
+				frame, plain = frame[:0], false
 				return false
 			}
 			if rec != nil {
@@ -672,12 +855,17 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		// The connection takes ownership of what it is sent, so each gets
 		// its own pooled copy. A refusal is the connection's ErrClosed: the
 		// link is severed, and the wave passes over it.
-		return link.conn.SendEncoded(append(wire.GetBuf(), frame...)) == nil
+		if link.conn.SendEncoded(append(wire.GetBuf(), frame...)) != nil {
+			return false
+		}
+		out += n
+		return true
 	}
 	// book accounts one wave's requests.
 	book := func(sent int) {
 		c.msgs.Add(int64(sent))
-		c.bytes.Add(int64(sent) * size)
+		c.bytes.Add(out)
+		out = 0
 		pl.requests.Add(int64(sent))
 	}
 
@@ -743,6 +931,8 @@ wait:
 	clear(p.replies)
 	p.replies, p.busy, p.cli = p.replies[:0], false, nil
 	clear(p.seen)
+	clear(p.adv)
+	p.collect, p.reg = false, ""
 	sh.mu.Unlock()
 	if starved && (shed || len(c.replies) >= need) {
 		<-p.sig // the call completed as the abort fired: its signal is in flight

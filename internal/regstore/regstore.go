@@ -25,12 +25,15 @@
 //     publishes their encoding only — the register-array tail its collect
 //     replies splice in, written cell by cell with no entry slice between —
 //     and a store without one (live's, the sim's) publishes the entries,
-//     which its in-process readers hand out as views. A collect loads the
+//     which its in-process readers hand out as views. An encoding also gets
+//     a tag, drawn from a process-wide counter, that names it for the life
+//     of the process (see Snapshot.Tag). A collect loads the
 //     snapshot with one atomic read; a winning merge bumps the version,
 //     which lazily invalidates the published snapshot — the next collect
-//     rebuilds and republishes. A published snapshot is never mutated:
-//     readers holding one keep a consistent view forever, and collect
-//     replies during a quiescent spell share one.
+//     rebuilds and republishes. A published snapshot is never mutated —
+//     but for the record of who holds its encoding (Snapshot.Hold), which
+//     is only ever filled in: readers holding one keep a consistent view
+//     forever, and collect replies during a quiescent spell share one.
 //
 // Memory order (Go atomics are sequentially consistent). A merge bumps the
 // version after its cell CAS succeeds, so a reader that observes the new
@@ -183,7 +186,58 @@ type Snapshot struct {
 	// non-⊥ cell in owner order; nil in a store built without an encoder,
 	// for an absent array, and for entries the encoder refuses.
 	Enc []byte
+	// Tag names Enc for the life of the process: every encoding a rebuild
+	// produces draws a fresh one from a process-wide counter, so two
+	// snapshots with one tag are one snapshot, and equal tags mean
+	// byte-identical encodings — across arrays, stores and the instances an
+	// eviction replaces, whose array versions restart where tags never do.
+	// 0, no name, wherever Enc is nil.
+	Tag uint64
+
+	// holders records who has been sent Enc (see Hold): the one part of a
+	// snapshot written after it is published, and only ever filled in.
+	holders [snapHolders]atomic.Uint64
 }
+
+// snapHolders bounds the holders a snapshot records: one per client
+// connection reading the array — a client process pools one per server —
+// with room for a few.
+const snapHolders = 4
+
+// Hold records that the reader named id — nonzero, chosen by the caller —
+// holds this snapshot's encoding. A snapshot records up to snapHolders
+// names; past that, Hold forgets, which Held reports as not holding. Safe
+// for concurrent use; a snapshot without a tag records nothing.
+func (s *Snapshot) Hold(id uint64) {
+	if s.Tag == 0 {
+		return
+	}
+	for i := range s.holders {
+		h := &s.holders[i]
+		if h.Load() == 0 {
+			h.CompareAndSwap(0, id) // lost to a racing Hold: check what it took
+		}
+		if h.Load() == id {
+			return
+		}
+	}
+}
+
+// Held reports whether Hold recorded id.
+func (s *Snapshot) Held(id uint64) bool {
+	for i := range s.holders {
+		switch s.holders[i].Load() {
+		case id:
+			return true
+		case 0:
+			return false
+		}
+	}
+	return false
+}
+
+// tags is the process-wide counter Snapshot.Tag draws from.
+var tags atomic.Uint64
 
 // absent is the snapshot of a register array the store does not hold.
 var absent Snapshot
@@ -413,11 +467,11 @@ func (snap *Snapshot) gather(arr *array) {
 	}
 }
 
-// encode fills snap.Enc and snap.Size from arr's cells, each encoded
-// straight from the immutable entry it holds, with no entry slice in
+// encode fills snap.Enc, snap.Size and snap.Tag from arr's cells, each
+// encoded straight from the immutable entry it holds, with no entry slice in
 // between. The encoding is sized by the cells' summed wire size, with
 // countRoom in front for the count the encoding walk arrives at. Entries
-// the encoder refuses leave the snapshot without an encoding.
+// the encoder refuses leave the snapshot without an encoding or a tag.
 func (snap *Snapshot) encode(arr *array, reg string, encode Encoder) {
 	size := countRoom
 	for e := range arr.entries {
@@ -433,7 +487,7 @@ func (snap *Snapshot) encode(arr *array, reg string, encode Encoder) {
 	}
 	start := countRoom - rt.UvarintSize(uint64(n))
 	binary.PutUvarint(enc[start:], uint64(n))
-	snap.Enc, snap.Size = enc[start:], len(enc)-countRoom
+	snap.Enc, snap.Size, snap.Tag = enc[start:], len(enc)-countRoom, tags.Add(1)
 }
 
 // Reset returns the store to empty — every cell ⊥, every version 0, no

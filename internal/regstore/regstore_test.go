@@ -106,7 +106,7 @@ func cells(t *testing.T, s *Store, reg string, snap *Snapshot) []rt.Entry {
 // view frame, with the cache-less decoder.
 func decodeTail(t *testing.T, reg string, tail []byte) []rt.Entry {
 	t.Helper()
-	frame, err := wire.AppendReplyFrame(nil, wire.KindView, 1, 1, 0, reg, tail)
+	frame, err := wire.AppendReplyFrame(nil, wire.KindView, 1, 1, 0, 0, reg, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,5 +520,61 @@ func TestAdoptedEntryIsNeverWritten(t *testing.T) {
 		if e := s.Load("r", 7); e == nil || e.Seq != calls || e.Val != calls {
 			t.Fatalf("final cell %+v, want seq and value %d", e, calls)
 		}
+	}
+}
+
+// TestSnapshotTagsAndHolders: an encoder store tags every encoding it
+// builds with a name no other encoding carries — a rebuild after a winning
+// merge draws a new one, a store without an encoder draws none — and a
+// snapshot records each reader Hold names once, up to snapHolders of them,
+// under concurrent Holds.
+func TestSnapshotTagsAndHolders(t *testing.T) {
+	plain := New(nil)
+	plain.Merge(&rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 1})
+	if snap, _ := plain.Snapshot("r"); snap.Tag != 0 {
+		t.Fatalf("a store without an encoder tagged its snapshot %d", snap.Tag)
+	}
+	s := New(wire.AppendEntry)
+	s.Merge(&rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 1})
+	first, _ := s.Snapshot("r")
+	if again, _ := s.Snapshot("r"); first.Tag == 0 || again.Tag != first.Tag {
+		t.Fatalf("tags %d then %d for one published snapshot", first.Tag, again.Tag)
+	}
+	s.Merge(&rt.Entry{Reg: "r", Owner: 1, Seq: 2, Val: 1})
+	second, _ := s.Snapshot("r")
+	other := New(wire.AppendEntry)
+	other.Merge(&rt.Entry{Reg: "r", Owner: 1, Seq: 1, Val: 1})
+	twin, _ := other.Snapshot("r") // first's bytes, at first's version
+	if second.Tag == first.Tag || twin.Tag == first.Tag || !bytes.Equal(twin.Enc, first.Enc) {
+		t.Fatalf("tags %d, %d, %d: a new encoding reused a tag", first.Tag, second.Tag, twin.Tag)
+	}
+
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 100 {
+				second.Hold(uint64((g+i)%(snapHolders+1) + 1))
+			}
+		}()
+	}
+	wg.Wait()
+	held := 0
+	for id := uint64(1); id <= snapHolders+1; id++ {
+		if second.Held(id) {
+			held++
+		}
+	}
+	seen := map[uint64]bool{}
+	for i := range second.holders {
+		id := second.holders[i].Load()
+		if id == 0 || seen[id] {
+			t.Fatalf("holders %v: a slot empty or a name twice", &second.holders)
+		}
+		seen[id] = true
+	}
+	if held != snapHolders || second.Held(snapHolders+2) || first.Held(1) {
+		t.Fatalf("%d of %d names held; an unrecorded name reads held", held, snapHolders+1)
 	}
 }

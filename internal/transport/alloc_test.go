@@ -69,7 +69,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 	handled := 0
 	h := func(c Conn, m *wire.Msg) {
 		handled++
-		ack, err := wire.AppendReplyFrame(wire.GetBuf(), wire.KindAck, m.Election, m.Call, 0, "", nil)
+		ack, err := wire.AppendReplyFrame(wire.GetBuf(), wire.KindAck, m.Election, m.Call, 0, 0, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

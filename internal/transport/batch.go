@@ -185,6 +185,10 @@ func (rc *replyCoalescer) SendEncoded(frame []byte) error {
 // closes on protocol violations; pending replies to the violator can drop).
 func (rc *replyCoalescer) Close() error { return rc.conn.Close() }
 
+// StreamID is the connection's: the coalescer is the connection as a
+// handler sees it during a group.
+func (rc *replyCoalescer) StreamID() uint64 { return StreamID(rc.conn) }
+
 // flush forwards the accumulated replies and switches the coalescer to
 // pass-through. The replies leave in order, in runs of up to maxRunBytes,
 // each run as one frame — plain for one reply, batch for several — so that

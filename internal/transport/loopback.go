@@ -145,11 +145,15 @@ type loopConn struct {
 	rec     *trace.Recorder // set at accept; nil = untraced, no stamps
 	peer    *loopConn
 	q       *sendQueue[[]byte] // inbound: the peer's sends, drained by pump
+	id      uint64             // StreamID
 }
 
 func newLoopConn(h Handler) *loopConn {
-	return &loopConn{handler: h, q: newSendQueue(wire.PutBuf)}
+	return &loopConn{handler: h, q: newSendQueue(wire.PutBuf), id: streams.Add(1)}
 }
+
+// StreamID names the connection; see transport.StreamID.
+func (c *loopConn) StreamID() uint64 { return c.id }
 
 // SetFilter implements FilteredConn.
 func (c *loopConn) SetFilter(f FrameFilter) { c.filter.Store(f) }

@@ -66,7 +66,7 @@ type TCPListener struct {
 }
 
 // ListenTCP binds addr (host:port; port 0 for ephemeral) and serves inbound
-// frames to h, with write-side frame coalescing on.
+// frames to h.
 func ListenTCP(addr string, h Handler) (*TCPListener, error) {
 	return listenTCP(addr, h, nil)
 }
@@ -221,9 +221,9 @@ func (l *TCPListener) Close() error {
 	return err
 }
 
-// dialTCP connects to a TCP listener, with write-side frame coalescing
-// on; h receives the frames the server sends back on this connection, and
-// rec, when non-nil, records the connection's spans.
+// dialTCP connects to a TCP listener; h receives the frames the server
+// sends back on this connection, and rec, when non-nil, records the
+// connection's spans.
 func dialTCP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -267,13 +267,17 @@ type tcpConn struct {
 	out       *sendQueue[[]byte]
 	closeOnce sync.Once
 	onClose   func() // set before start; read-only afterwards
+	id        uint64 // StreamID
 }
 
 // newTCPConn wraps an established socket; the read/write loops launch on
 // start, after the owner has finished wiring onClose.
 func newTCPConn(c net.Conn, h Handler) *tcpConn {
-	return &tcpConn{c: c, handler: h, out: newSendQueue(wire.PutBuf)}
+	return &tcpConn{c: c, handler: h, out: newSendQueue(wire.PutBuf), id: streams.Add(1)}
 }
+
+// StreamID names the connection; see transport.StreamID.
+func (t *tcpConn) StreamID() uint64 { return t.id }
 
 func (t *tcpConn) start() {
 	go t.writeLoop()

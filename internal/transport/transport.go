@@ -23,6 +23,7 @@ package transport
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -69,6 +70,27 @@ type Handler func(c Conn, m *wire.Msg)
 // beyond a quorum. It runs on the connection's read loop; the body aliases
 // the read buffer and must not be retained.
 type FrameFilter func(body []byte) bool
+
+// StreamID names the connection a handler was given c for, when that
+// connection is a stream: it delivers its frames whole, in order and
+// without loss for as long as it lives (TCP and the in-process loopback
+// do; UDP does not). The name is nonzero, unique within the process and the
+// same for every message the connection delivers, whether the handler sees
+// the connection itself or its reply coalescer — so a handler may take it
+// that the peer has received every earlier reply it sent through any c of
+// that name before it receives the next. It is 0 for any other Conn.
+//
+// A wrapper that forwards a stream's frames faithfully may forward the
+// name too, by implementing the same StreamID method.
+func StreamID(c Conn) uint64 {
+	if s, ok := c.(interface{ StreamID() uint64 }); ok {
+		return s.StreamID()
+	}
+	return 0
+}
+
+// streams numbers stream connections, from 1.
+var streams atomic.Uint64
 
 // FilteredConn is implemented by connections that accept a pre-decode
 // FrameFilter after dialing. Both built-in networks' connections do;

@@ -925,3 +925,70 @@ func TestCrashSeversConnectionsAcceptedDuringIt(t *testing.T) {
 		t.Fatal("no dial ever succeeded: the race was never run")
 	}
 }
+
+// TestStreamIDNamesOneConnection: on a stream network, the Conn a handler
+// is given carries one nonzero name per connection — for plain frames,
+// handed the connection itself, and for batches, handed its reply
+// coalescer alike — and two connections carry two names. A datagram
+// network names nothing.
+func TestStreamIDNamesOneConnection(t *testing.T) {
+	nets := networks()
+	nets["udp"] = func() Network { return NewUDP() }
+	for name, mk := range nets {
+		t.Run(name, func(t *testing.T) {
+			nw := mk()
+			type seen struct {
+				call uint64
+				id   uint64
+			}
+			got := make(chan seen, 64)
+			ln, err := nw.Listen(func(c Conn, m *wire.Msg) { got <- seen{m.Call, StreamID(c)} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			ids := map[uint64]uint64{} // first call of a connection → its name
+			for first := uint64(100); first <= 200; first += 100 {
+				conn, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				msg := func(call uint64) *wire.Msg { return &wire.Msg{Kind: wire.KindCollect, Call: call, Reg: "r"} }
+				batch, err := wire.EncodeBatch([]*wire.Msg{msg(first + 1), msg(first + 2)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := conn.Send(msg(first)); err != nil {
+					t.Fatal(err)
+				}
+				if err := conn.SendEncoded(batch); err != nil {
+					t.Fatal(err)
+				}
+				for range 3 {
+					select {
+					case s := <-got:
+						if s.call < first || s.call > first+2 {
+							t.Fatalf("call %d arrived on the connection of call %d", s.call, first)
+						}
+						if prev, ok := ids[first]; ok && prev != s.id {
+							t.Fatalf("one connection named %d and %d", prev, s.id)
+						}
+						ids[first] = s.id
+					case <-time.After(5 * time.Second):
+						t.Fatal("a message never arrived")
+					}
+				}
+			}
+			if name == "udp" {
+				if ids[100] != 0 || ids[200] != 0 {
+					t.Fatalf("datagram connections named %v", ids)
+				}
+				return
+			}
+			if ids[100] == 0 || ids[200] == 0 || ids[100] == ids[200] {
+				t.Fatalf("stream connections named %v", ids)
+			}
+		})
+	}
+}

@@ -21,19 +21,20 @@ import (
 func seedCorpus() [][]byte {
 	msgs := []*Msg{
 		{Kind: KindAck, Election: 1, Call: 2, From: 3},
-		{Kind: KindCollect, Election: 1, Call: 7, From: 0, Reg: "elect/door"},
+		{Kind: KindCollect, Election: 1, Call: 7, From: 0, Tag: 300, Reg: "elect/door"},
 		{Kind: KindPropagate, Election: 4, Call: 1, From: 2, Reg: "elect/round",
 			Entries: []rt.Entry{{Reg: "elect/round", Owner: 2, Seq: 5, Val: 3}}},
 		{Kind: KindPropagate, Election: 1, Call: 1, From: 1, Reg: "pp",
 			Entries: []rt.Entry{{Reg: "pp", Owner: 1, Seq: 1,
 				Val: core.Status{Stat: core.HighPri, List: []rt.ProcID{0, 1, 129}}}}},
-		{Kind: KindView, Election: 2, Call: 9, From: 6, Reg: "rename/contended",
+		{Kind: KindView, Election: 2, Call: 9, From: 6, Tag: 1 << 20, Reg: "rename/contended",
 			Entries: []rt.Entry{
 				{Reg: "rename/contended", Owner: 0, Seq: 3, Val: renaming.NewNameSet(70).With(65)},
 				{Reg: "rename/contended", Owner: 1, Seq: 1, Val: nil},
 				{Reg: "rename/contended", Owner: 2, Seq: 2, Val: "str"},
 				{Reg: "rename/contended", Owner: 3, Seq: 4, Val: true},
 			}},
+		{Kind: KindSame, Election: 2, Call: 10, From: 6, Tag: 1 << 20},
 	}
 	var out [][]byte
 	for _, m := range msgs {

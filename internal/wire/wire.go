@@ -1,7 +1,7 @@
 // Package wire is the binary codec of the network subsystem: a compact,
-// length-prefixed frame format for the quorum protocol's four message kinds
-// (propagate, collect, ack, view) and the register values the paper's
-// algorithms propagate.
+// length-prefixed frame format for the quorum protocol's five message forms
+// (propagate, collect, ack, view, and same — a view the collector already
+// holds) and the register values the paper's algorithms propagate.
 //
 // The format is deliberately minimal — encoding/binary uvarints everywhere,
 // one tag byte per value — because the paper's message complexity bound
@@ -34,11 +34,15 @@ const (
 	// and answers with KindAck (the paper's "propagate, v").
 	KindPropagate Kind = iota + 1
 	// KindCollect requests a server's view of one register array; the
-	// server answers with KindView (the paper's "collect, v").
+	// server answers with KindView (the paper's "collect, v"), or with
+	// KindSame when the collector already holds the view the server would
+	// send: the request's tag names it, or the server sent it in full
+	// earlier on the same stream connection.
 	KindCollect
 	// KindAck acknowledges a KindPropagate.
 	KindAck
-	// KindView carries a register-array snapshot back to a collector.
+	// KindView carries a register-array snapshot back to a collector,
+	// tagged with the name the server gave that snapshot's encoding.
 	KindView
 	// KindBatch coalesces two or more messages into one frame: the hot
 	// path's multi-op form. The body is a count followed by the standard
@@ -55,6 +59,13 @@ const (
 	// client that receives one inside its quorum sheds the election and
 	// retries later (electd.BusyError).
 	KindBusy
+	// KindSame answers a KindCollect whose collector already holds the
+	// server's current snapshot of the register array: the view is byte for
+	// byte the one the server sent under the reply's tag before, so the
+	// reply carries the tag and no entries (a conditional collect). Only a
+	// collector that holds the entries sent under that tag can turn it back
+	// into a view.
+	KindSame
 )
 
 func (k Kind) String() string {
@@ -71,6 +82,8 @@ func (k Kind) String() string {
 		return "batch"
 	case KindBusy:
 		return "busy"
+	case KindSame:
+		return "same"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -103,14 +116,20 @@ const MaxID = 1<<31 - 1
 // server set — servers keep disjoint register state per election ID. Call
 // correlates a reply with the request it answers; the requester chooses it
 // and the server echoes it. From identifies the sender (the participant on
-// requests, the answering server on replies). Reg names the register array
-// and is carried once per message: the entries of a propagate or view all
-// belong to it, and Entry.Reg is restored from it on decode.
+// requests, the answering server on replies). Tag is carried by collects,
+// views and sames only (hasTag): on a view it names the snapshot encoding
+// the entries were decoded from, on a collect it is the tag of the view the
+// collector already holds (0: none; TagFull: send the view regardless), and
+// on a same it names the view the collector holds. Reg names the
+// register array and is carried once per message: the entries of a
+// propagate or view all belong to it, and Entry.Reg is restored from it on
+// decode.
 type Msg struct {
 	Kind     Kind
 	Election uint64
 	Call     uint64
 	From     rt.ProcID
+	Tag      uint64
 	Reg      string
 	Entries  []rt.Entry // KindPropagate payload / KindView snapshot
 
@@ -119,9 +138,22 @@ type Msg struct {
 	// length IS the wire size (an invariant the fuzzers pin), and the
 	// reply routers' byte accounting needn't re-walk the entries. Zero
 	// means "not decoded": WireSize computes. Mutating a decoded message
-	// invalidates it; no path in the repository does.
+	// invalidates it. The one path that does so on purpose is electd's
+	// router turning a same into the view it stands for: the memo then
+	// keeps the size of what crossed the wire, which is what the byte
+	// accounting wants.
 	size int
 }
+
+// TagFull is the collect tag that asks for the full view unconditionally:
+// a server answers it with the register array even when it believes the
+// collector holds the current snapshot. A collector re-asks with it when a
+// same reply names a view it no longer holds. No snapshot is ever tagged
+// with it.
+const TagFull = 1<<64 - 1
+
+// hasTag reports whether messages of kind k carry a Tag on the wire.
+func hasTag(k Kind) bool { return k == KindCollect || k == KindView || k == KindSame }
 
 // WireSize returns the exact encoded size of the frame body (the length
 // prefix adds PrefixSize of it on the wire). For messages produced by the
@@ -136,6 +168,9 @@ func (m *Msg) WireSize() int {
 		rt.UvarintSize(m.Call) +
 		rt.UvarintSize(uint64(m.From)) +
 		rt.UvarintSize(uint64(len(m.Reg))) + len(m.Reg)
+	if hasTag(m.Kind) {
+		n += rt.UvarintSize(m.Tag)
+	}
 	if m.Kind == KindPropagate || m.Kind == KindView {
 		n += rt.UvarintSize(uint64(len(m.Entries)))
 		for _, e := range m.Entries {
@@ -151,10 +186,11 @@ func PrefixSize(body int) int { return rt.UvarintSize(uint64(body)) }
 
 // Append encodes m as one frame (uvarint body length + body) onto dst and
 // returns the extended slice. It fails on negative identifiers, on entries
-// whose Reg differs from m.Reg, and on values outside the codec's domain.
+// whose Reg differs from m.Reg, and on values outside the codec's domain. A
+// Tag on a kind that carries none is not encoded.
 func Append(dst []byte, m *Msg) ([]byte, error) {
 	switch m.Kind {
-	case KindPropagate, KindCollect, KindAck, KindView, KindBusy:
+	case KindPropagate, KindCollect, KindAck, KindView, KindBusy, KindSame:
 	default:
 		return dst, fmt.Errorf("wire: cannot encode unknown kind %d", m.Kind)
 	}
@@ -171,6 +207,9 @@ func Append(dst []byte, m *Msg) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, m.Election)
 	dst = binary.AppendUvarint(dst, m.Call)
 	dst = binary.AppendUvarint(dst, uint64(m.From))
+	if hasTag(m.Kind) {
+		dst = binary.AppendUvarint(dst, m.Tag)
+	}
 	dst = appendString(dst, m.Reg)
 	if m.Kind == KindPropagate || m.Kind == KindView {
 		dst = binary.AppendUvarint(dst, uint64(len(m.Entries)))
@@ -561,7 +600,7 @@ func (m *Msg) decode(body []byte, shared bool) error {
 	}
 	m.Kind = Kind(kind)
 	switch m.Kind {
-	case KindPropagate, KindCollect, KindAck, KindView, KindBusy:
+	case KindPropagate, KindCollect, KindAck, KindView, KindBusy, KindSame:
 	case KindBatch:
 		// Batches are containers, not messages: they never nest, and
 		// DecodeFrames is the entry point that understands them.
@@ -580,7 +619,14 @@ func (m *Msg) decode(body []byte, shared bool) error {
 		return err
 	}
 	m.From = from
-	key := d.b // a view's memo key: the register name and everything after it
+	if hasTag(m.Kind) {
+		if m.Tag, err = d.uvarint(); err != nil {
+			return err
+		}
+	}
+	// A view's memo key is the register name and everything after it — not
+	// the tag, which differs per server for byte-identical arrays.
+	key := d.b
 	reg, err := d.bytes()
 	if err != nil {
 		return err
@@ -720,12 +766,13 @@ func AppendEntry(dst []byte, reg string, e *rt.Entry) ([]byte, error) {
 	return appendValue(dst, e.Val)
 }
 
-// AppendReplyFrame assembles one reply frame — ack or view — directly from
-// header fields and a pre-encoded tail (AppendEntries output for a view,
-// nil for an ack), bypassing Msg construction and entry re-encoding: the
-// server hot path. The result is byte-identical to Append of the
-// equivalent message.
-func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.ProcID, reg string, tail []byte) ([]byte, error) {
+// AppendReplyFrame assembles one reply frame — ack, busy, view or same —
+// directly from header fields and a pre-encoded tail (AppendEntries output
+// for a view, nil otherwise), bypassing Msg construction and entry
+// re-encoding: the server hot path. tag is encoded for the kinds that carry
+// one (hasTag). The result is byte-identical to Append of the equivalent
+// message.
+func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.ProcID, tag uint64, reg string, tail []byte) ([]byte, error) {
 	if from < 0 {
 		return dst, fmt.Errorf("wire: negative sender id %d", from)
 	}
@@ -735,6 +782,9 @@ func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.Proc
 		rt.UvarintSize(uint64(from)) +
 		rt.UvarintSize(uint64(len(reg))) + len(reg) +
 		len(tail)
+	if hasTag(kind) {
+		body += rt.UvarintSize(tag)
+	}
 	if body > MaxFrame {
 		return dst, fmt.Errorf("wire: frame body %d exceeds MaxFrame", body)
 	}
@@ -743,6 +793,9 @@ func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.Proc
 	dst = binary.AppendUvarint(dst, election)
 	dst = binary.AppendUvarint(dst, call)
 	dst = binary.AppendUvarint(dst, uint64(from))
+	if hasTag(kind) {
+		dst = binary.AppendUvarint(dst, tag)
+	}
 	dst = appendString(dst, reg)
 	return append(dst, tail...), nil
 }
@@ -775,4 +828,29 @@ func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 		return k, call, 0, false
 	}
 	return k, call, rt.ProcID(f), true
+}
+
+// PeekView extracts the election, tag and register name of an encoded view
+// body without decoding it — what a reply filter needs to tell whether the
+// view is one its client already holds. reg aliases body. ok is false when
+// body is not a view or its header does not parse; like PeekReplyFrom it
+// checks no canonicality, the full decoder being the arbiter of validity.
+func PeekView(body []byte) (election, tag uint64, reg []byte, ok bool) {
+	if len(body) == 0 || Kind(body[0]) != KindView {
+		return 0, 0, nil, false
+	}
+	rest := body[1:]
+	var v [4]uint64 // election, call, from, tag
+	for i := range v {
+		x, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, 0, nil, false
+		}
+		v[i], rest = x, rest[n:]
+	}
+	size, n := binary.Uvarint(rest)
+	if n <= 0 || size > uint64(len(rest)-n) {
+		return 0, 0, nil, false
+	}
+	return v[0], v[3], rest[n : n+int(size)], true
 }

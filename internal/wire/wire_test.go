@@ -55,10 +55,15 @@ func sampleMsgs(t *testing.T) []*Msg {
 		{Kind: KindCollect, Election: 7, Call: 128, From: 127, Reg: ""},
 		{Kind: KindPropagate, Reg: "r", Entries: entries[:1]},
 		{Kind: KindPropagate, Election: 9, Call: 3, From: 2, Reg: "r", Entries: entries},
+		{Kind: KindCollect, Election: 7, Call: 129, From: 3, Tag: 1, Reg: "elect/sift/3/pp"},
+		{Kind: KindCollect, Election: 7, Call: 130, From: 3, Tag: 1<<64 - 1, Reg: "r"},
 		{Kind: KindView, Reg: "r"},
 		{Kind: KindView, Election: 2, Call: 99, From: 64, Reg: "r", Entries: entries},
+		{Kind: KindView, Election: 2, Call: 100, From: 64, Tag: 128, Reg: "r", Entries: entries},
 		{Kind: KindBusy},
 		{Kind: KindBusy, Election: 33, Call: 1 << 18, From: 4},
+		{Kind: KindSame},
+		{Kind: KindSame, Election: 2, Call: 101, From: 64, Tag: 128},
 	}
 }
 
@@ -394,6 +399,72 @@ func ExampleMsg_WireSize() {
 	// Output: 5 6
 }
 
+// TestTagCanonicalForm: collects, views and sames carry a tag between the
+// sender and the register name, in its minimal uvarint; the other kinds
+// carry none — a Tag set on them is not encoded, so it cannot make two
+// encodings of one message. A same is a header: bytes after its register
+// name are trailing garbage. And the tag is not part of a view's memo key:
+// byte-identical arrays from servers with different tags decode to one
+// shared entry array, each message keeping its own tag.
+func TestTagCanonicalForm(t *testing.T) {
+	same := &Msg{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 5}
+	frame, err := Encode(same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[1:]
+	if want := []byte{byte(KindSame), 1, 2, 3, 5, 0}; !bytes.Equal(body, want) {
+		t.Fatalf("same body %x, want %x", body, want)
+	}
+	overlong := []byte{byte(KindSame), 1, 2, 3, 0x85, 0x00, 0}
+	if _, err := Decode(overlong); err == nil {
+		t.Fatal("accepted a same with a non-minimal tag")
+	}
+	if _, err := Decode(append(append([]byte{}, body...), 0)); err == nil {
+		t.Fatal("accepted a same with a trailing byte")
+	}
+	if _, err := Decode(body[:4]); err == nil {
+		t.Fatal("accepted a same without its tag")
+	}
+	for _, k := range []Kind{KindPropagate, KindAck, KindBusy} {
+		m := &Msg{Kind: k, Election: 1, Call: 2, From: 3, Reg: "r"}
+		plain, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Tag = 9
+		withTag, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, withTag) || m.WireSize() != len(plain)-1 {
+			t.Fatalf("%v: a tag changed the encoding (%x vs %x)", k, plain, withTag)
+		}
+	}
+
+	seq := freshSeq()
+	entries := []rt.Entry{{Reg: "tagged", Owner: 1, Seq: seq, Val: core.Status{Stat: core.LowPri, List: []rt.ProcID{1, 2}}}}
+	var first []rt.Entry
+	for i, tag := range []uint64{7, 1 << 40} {
+		frame, err := Encode(&Msg{Kind: KindView, Election: 1, Call: uint64(i), From: rt.ProcID(i), Tag: tag, Reg: "tagged", Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeShared(frame[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tag != tag || !reflect.DeepEqual(m.Entries, entries) {
+			t.Fatalf("view %d decoded as tag %d, entries %+v", i, m.Tag, m.Entries)
+		}
+		if i == 0 {
+			first = m.Entries
+		} else if &m.Entries[0] != &first[0] {
+			t.Fatal("the tag split the view memo: identical arrays decoded twice")
+		}
+	}
+}
+
 // TestPeekReplyFromBoundsSender: the peeked sender id obeys the MaxID bound
 // the full decoder enforces — reply filters hand it to code that indexes
 // per-server tables, and an unbounded uvarint would wrap negative in the
@@ -410,5 +481,39 @@ func TestPeekReplyFromBoundsSender(t *testing.T) {
 		if _, _, from, ok := PeekReplyFrom(header(hostile)); ok {
 			t.Fatalf("PeekReplyFrom accepted sender id %d as %d", hostile, from)
 		}
+	}
+}
+
+// TestPeekView: a reply filter reads a view's election, tag and register
+// name off its header without decoding it, and PeekReplyFrom reads a same
+// reply's header like any other reply's. Bodies that are not views, or
+// whose header is cut short, peek as not ok.
+func TestPeekView(t *testing.T) {
+	view := &Msg{Kind: KindView, Election: 1 << 33, Call: 9, From: 4, Tag: 1 << 50, Reg: "elect/sift/2/status",
+		Entries: []rt.Entry{{Reg: "elect/sift/2/status", Owner: 4, Seq: 1, Val: 1}}}
+	frame, err := Encode(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[PrefixSize(view.WireSize()):]
+	election, tag, reg, ok := PeekView(body)
+	if !ok || election != view.Election || tag != view.Tag || string(reg) != view.Reg {
+		t.Fatalf("PeekView = %d, %d, %q, %v", election, tag, reg, ok)
+	}
+	header := 1 + 5 + 1 + 1 + 8 + 1 // kind, election, call, from, tag, name length
+	for cut := 0; cut < header+len(view.Reg); cut++ {
+		if _, _, _, ok := PeekView(body[:cut]); ok {
+			t.Fatalf("PeekView accepted a header cut to %d bytes", cut)
+		}
+	}
+	same, err := Encode(&Msg{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := PeekView(same[1:]); ok {
+		t.Fatal("PeekView accepted a same reply")
+	}
+	if k, call, from, ok := PeekReplyFrom(same[1:]); !ok || k != KindSame || call != 2 || from != 3 {
+		t.Fatalf("PeekReplyFrom(same) = %v, %d, %d, %v", k, call, from, ok)
 	}
 }
