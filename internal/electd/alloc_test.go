@@ -26,8 +26,9 @@ const (
 	// handleCollectAllocs: one collect served from the published snapshot.
 	// Measured 0 — an atomic load and a pooled reply frame.
 	handleCollectAllocs = 0
-	// handleSameAllocs: one collect advertising the current snapshot's tag,
-	// answered same. Measured 0 — the same load, a header-only pooled frame.
+	// handleSameAllocs: one collect on a stream the current snapshot was
+	// already sent on in full, answered same. Measured 0 — the same load, a
+	// lock-free check of the snapshot's holders, a header-only pooled frame.
 	handleSameAllocs = 0
 	// thriftyPropagateAllocs: one client propagate to quorum at n=16 over
 	// the in-process network, servers included. Measured 0: the entry copy
@@ -83,20 +84,21 @@ func TestHandleAllocBudget(t *testing.T) {
 	}
 }
 
-// TestHandleSameAllocBudget: a collect whose advertised tag names the
-// current snapshot is answered same, and costs the server nothing.
+// TestHandleSameAllocBudget: once a stream was sent the current snapshot
+// in full, a collect on it is answered same, and costs the server nothing.
 func TestHandleSameAllocBudget(t *testing.T) {
 	const reg, election = "leaderelect/sift/3/status", 1
 	srv := NewServer(0)
 	defer srv.Close() //nolint:errcheck // always nil
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
-	srv.Handle(discardConn{}, propagateFrame(election, reg, 1, 1, val))
-	snap, _ := srv.shards[electionShard(election)].instances()[election].regs.Snapshot(reg)
+	var stream transport.Conn = onStream{discardConn{}}
+	srv.Handle(stream, propagateFrame(election, reg, 1, 1, val))
 	collect := func() {
 		m := wire.GetMsg()
-		m.Kind, m.Election, m.Call, m.From, m.Tag, m.Reg = wire.KindCollect, election, 1, 1, snap.Tag, reg
-		srv.Handle(discardConn{}, m)
+		m.Kind, m.Election, m.Call, m.From, m.Reg = wire.KindCollect, election, 1, 1, reg
+		srv.Handle(stream, m)
 	}
+	collect() // the full view, which the stream now holds
 	before := srv.SameCollects()
 	if got := testing.AllocsPerRun(1000, collect); got > handleSameAllocs {
 		t.Fatalf("same collect: %v allocs, budget %d", got, handleSameAllocs)

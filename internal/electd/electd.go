@@ -282,19 +282,21 @@ var emptyTail = []byte{0}
 // header fields plus the cached encoded snapshot, so the server never
 // builds or walks a reply message.
 //
-// A collect is conditional. A view carries its snapshot's tag, and a
-// collect whose snapshot — taken at the same point as any other — the
-// collector already holds is answered with a same reply, the header and
-// the tag without the array (see wire.KindSame). The collector holds it if
-// the tag it advertised names it, or if the server sent it in full earlier
-// on the same stream (transport.StreamID): a stream delivers in order, so
-// the collector received that view before it receives this reply. Handle
-// records every snapshot it sends in full on a stream (Snapshot.Hold); the
-// pool learns every view it receives, and re-asks with wire.TagFull for a
-// same reply it cannot resolve (see Pool.handle). A snapshot is the current
-// one until a winning merge, and a stream's collects are handled one at a
-// time, so a snapshot sent earlier on the stream and current now was the
-// last view of its register the stream carried.
+// A collect on a stream is conditional. A view sent on a stream
+// (transport.StreamID) carries its snapshot's tag, and a collect whose
+// snapshot — taken at the same point as any other — the server sent in full
+// earlier on the same stream is answered with a same reply, the header and
+// the tag without the array (see wire.KindSame): a stream delivers in
+// order, so the collector received that view before it receives this
+// reply. Handle records every snapshot it sends in full on a stream
+// (Snapshot.Hold); the pool learns every tagged view it receives, and
+// re-asks with wire.TagFull for a same reply it cannot resolve (see
+// Pool.handle). A snapshot is the current one until a winning merge, and a
+// stream's collects are handled one at a time, so a snapshot sent earlier
+// on the stream and current now was the last view of its register the
+// stream carried. A collect's tag means something only when it is
+// wire.TagFull; a datagram view goes out untagged, and a datagram collect
+// is never answered same.
 //
 // Handle takes ownership of m and of its
 // entry storage: the server is a request's terminal consumer (a winning
@@ -391,21 +393,22 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			rec.Record(m.Election, 0, trace.PSnapshot, snapT0, trace.Now()-snapT0, hit)
 		}
 		sh.served.Add(1)
-		if snap == nil || snap.Enc == nil {
-			s.reply(c, wire.KindView, m, 0, emptyTail) // untagged: nothing to hold
-			return
-		}
 		stream := transport.StreamID(c)
-		if m.Tag != wire.TagFull && (m.Tag == snap.Tag || (stream != 0 && snap.Held(stream))) {
-			// The collector holds this very snapshot — it said so, or it was
-			// sent it earlier on this stream — so the view it would get is
-			// the one it was sent under this tag, byte for byte.
+		switch {
+		case snap == nil || snap.Enc == nil:
+			s.reply(c, wire.KindView, m, 0, emptyTail) // untagged: nothing to hold
+		case stream == 0:
+			// A datagram may be lost: nothing says the collector will hold
+			// this view, so it goes untagged.
+			s.reply(c, wire.KindView, m, 0, snap.Enc)
+		case m.Tag != wire.TagFull && snap.Held(stream):
+			// The collector was sent this very snapshot earlier on this
+			// stream, so the view it would get is the one it holds under
+			// this tag, byte for byte.
 			s.same.Add(1)
 			s.reply(c, wire.KindSame, m, snap.Tag, nil)
-			return
-		}
-		s.reply(c, wire.KindView, m, snap.Tag, snap.Enc)
-		if stream != 0 {
+		default:
+			s.reply(c, wire.KindView, m, snap.Tag, snap.Enc)
 			snap.Hold(stream)
 		}
 	}

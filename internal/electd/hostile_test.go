@@ -3,6 +3,7 @@ package electd_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,16 +83,17 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 }
 
 // TestForgedSameRepliesNeverBecomeViews: a same reply stands for a view
-// only when it echoes the tag the call advertised to its sender. Every
-// server here answers each request with forged same replies first — to a
-// collect, one with a tag the call did not advertise and one claiming to
-// come from server n−1, which never answers anything (the pool cannot
-// dial it on the in-process network; on UDP its socket is gone); to a
-// propagate, sames with tags 0 and 1 — and then honestly, always with the
-// full view (the advertised tag is stripped before the real replica sees
-// it, and the replica is not told it is on a stream). So every same the
-// pool takes is a forgery: it must take none, and every collect must
-// return a quorum of distinct live servers' full views.
+// only when it names a view its sender sent tagged, which only a stream's
+// views are. Every server here answers each request with forged same
+// replies first — to a collect, one naming the tag of the last view the
+// real replica sent, one with another tag and one claiming to come from
+// server n−1, which never answers anything (the pool cannot dial it on the
+// in-process network; on UDP its socket is gone); to a propagate, sames
+// with tags 0 and 1 — and then honestly, always with the full view (the
+// replica is not told it is on a stream, so its views go untagged, as
+// every view over UDP does). So every same the pool takes is a forgery: it
+// must take none, and every collect must return a quorum of distinct live
+// servers' full views.
 func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 	const n = 5
 	networks := map[string]transport.Network{
@@ -103,10 +105,13 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 			addrs := make([]string, n)
 			for j := range addrs {
 				srv := electd.NewServer(rt.ProcID(j))
+				var sent atomic.Uint64 // the tag of the last view srv sent
 				ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
+					tag := sent.Load()
 					forged := []*wire.Msg{
-						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID(), Tag: m.Tag + 1<<40},
-						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: n - 1, Tag: m.Tag},
+						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID(), Tag: tag},
+						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: srv.ID(), Tag: tag + 1<<40},
+						{Kind: wire.KindSame, Election: m.Election, Call: m.Call, From: n - 1, Tag: tag},
 					}
 					if m.Kind == wire.KindPropagate {
 						forged = []*wire.Msg{
@@ -117,8 +122,7 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 					for _, f := range forged {
 						c.Send(f) //nolint:errcheck // loss; the client retransmits
 					}
-					m.Tag = 0
-					srv.Handle(struct{ transport.Conn }{c}, m)
+					srv.Handle(tagSpy{c, &sent}, m)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -141,7 +145,7 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 			client.SetFaults(electd.FaultProfile{Retransmit: 20 * time.Millisecond})
 			want := []rt.Entry{{Reg: "r", Owner: 0, Seq: 1, Val: 1}}
 			client.Propagate("r", 1)
-			for range 3 { // the second and third advertise the tags the first learned
+			for range 3 { // the second and third draw sames naming the views the first got
 				views := client.Collect("r")
 				if len(views) != client.QuorumSize() {
 					t.Fatalf("collect returned %d views, want a quorum of %d", len(views), client.QuorumSize())
@@ -160,6 +164,22 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tagSpy is a replica's side of one connection, hiding whether it is a
+// stream, that records the tag of every view the replica sends on it.
+type tagSpy struct {
+	transport.Conn
+	tag *atomic.Uint64
+}
+
+func (c tagSpy) SendEncoded(frame []byte) error {
+	if body, _, err := wire.SplitFrame(frame); err == nil {
+		if _, tag, _, ok := wire.PeekView(body); ok {
+			c.tag.Store(tag)
+		}
+	}
+	return c.Conn.SendEncoded(frame)
 }
 
 // TestOutOfRangeOwnersNameNoProcessor: a server stores any owner below

@@ -10,15 +10,16 @@ import (
 // knownViews is one server link's memory of the views the pool holds from
 // that server: for each (election, register), the tag and entries of the
 // last full view of it the link received. A same reply naming the tag
-// stands for exactly those entries, and over datagrams a collect advertises
-// the tag to that server (see Pool.handle). The router fills it from every
-// tagged view the link delivers, Cluster.RemoveElection clears a finished
-// election's rows, and a Redial starts the link with an empty one.
+// stands for exactly those entries (see Pool.handle). The router fills it
+// from every tagged view the link delivers — only a stream's views are
+// tagged, so a datagram link's table stays empty — Cluster.RemoveElection
+// clears a finished election's rows, and a Redial starts the link with an
+// empty one.
 //
 // It is a fixed table of knownSlots views in knownSets sets, a key living
 // in the set its hash picks and a new key taking that set's least recently
-// used slot, so it never allocates and a lookup compares knownWays keys. On
-// a stream only the link's read loop uses it, so one mutex guards it. A
+// used slot, so it never allocates and a lookup compares knownWays keys. Only
+// the link's read loop and RemoveElection use it, so one mutex guards it. A
 // view the table lets go costs at most a full view, or a re-ask when a
 // same reply names it (Pool.reask); least-recently-used keeps the
 // registers a running election still reads. The entries it holds are
@@ -53,19 +54,14 @@ func (k *knownViews) set(election, h uint64) []knownView {
 	return k.slot[i : i+knownWays]
 }
 
-// knownView is one remembered view; a zero tag marks an empty slot.
+// knownView is one remembered view: the tag it arrived under — 0 marks an
+// empty slot — and the entries that tag stands for.
 type knownView struct {
 	election uint64
 	reg      string
 	used     uint64
-	advert
-}
-
-// advert is what a collect advertises to one server — the tag of the view
-// the pool holds, 0 for none — and the entries that tag stands for.
-type advert struct {
-	tag     uint64
-	entries []rt.Entry
+	tag      uint64
+	entries  []rt.Entry
 }
 
 // find returns the slot of set holding (election, reg), or nil, marking
@@ -84,16 +80,6 @@ func (k *knownViews) find(set []knownView, election uint64, reg string) *knownVi
 func (k *knownViews) touch(v *knownView) {
 	k.clock++
 	v.used = k.clock
-}
-
-// lookup returns the view held for (election, reg): a zero advert if none.
-func (k *knownViews) lookup(election uint64, reg string) advert {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if v := k.find(k.set(election, maphash.String(knownSeed, reg)), election, reg); v != nil {
-		return v.advert
-	}
-	return advert{}
 }
 
 // named returns the view held under tag — a tag names one encoding of the
@@ -124,9 +110,9 @@ func (k *knownViews) has(election uint64, reg []byte, tag uint64) bool {
 	return false
 }
 
-// put remembers a full view of (election, reg) that arrived under a.tag,
+// put remembers a full view of (election, reg) that arrived under tag,
 // replacing whatever view of it the table held.
-func (k *knownViews) put(election uint64, reg string, a advert) {
+func (k *knownViews) put(election uint64, reg string, tag uint64, entries []rt.Entry) {
 	set := k.set(election, maphash.String(knownSeed, reg))
 	k.mu.Lock()
 	v := k.find(set, election, reg)
@@ -138,7 +124,7 @@ func (k *knownViews) put(election uint64, reg string, a advert) {
 			}
 		}
 	}
-	*v = knownView{election: election, reg: reg, advert: a}
+	*v = knownView{election: election, reg: reg, tag: tag, entries: entries}
 	k.touch(v)
 	k.mu.Unlock()
 }

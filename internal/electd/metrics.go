@@ -23,7 +23,7 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.NewCounterFunc("electd_elections_removed_total", "instances evicted by explicit RemoveElection", s.removed.Load, l)
 	r.NewCounterFunc("electd_admission_shed_total", "propagates refused by admission control (bound hit, or draining)", s.shed.Load, l)
 	r.NewCounterFunc("electd_late_propagates_total", "propagates refused because their election was already removed", s.late.Load, l)
-	r.NewCounterFunc("electd_collect_same_total", "collects answered with a same reply (the advertised tag named the current snapshot) instead of the register array", s.same.Load, l)
+	r.NewCounterFunc("electd_collect_same_total", "collects answered with a same reply (the current snapshot was sent earlier on the collect's stream) instead of the register array", s.same.Load, l)
 	r.NewGaugeFunc("electd_elections_live", "election instances currently holding state", func() int64 {
 		return int64(s.Elections())
 	}, l)

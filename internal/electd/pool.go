@@ -54,11 +54,9 @@ type callShard struct {
 // striped by call ID so concurrent elections scale with cores instead of
 // convoying on one mutex. Each request frame is encoded once, not once per
 // server, and handed to each asked connection's send queue as a pooled
-// copy — except a collect over datagrams, a header encoded per server
-// because it carries the tag of the view the pool holds from that server
-// (a conditional collect: see knownViews). Batching is the transport write
-// loops' job, the one batching layer. Pending-call slots are recycled, so a
-// steady-state election allocates only its payload entries.
+// copy; batching is the transport write loops' job, the one batching layer.
+// Pending-call slots are recycled, so a steady-state election allocates
+// only its payload entries.
 type Pool struct {
 	n int
 	// links holds one slot per server, each an atomically swappable
@@ -142,10 +140,6 @@ type PoolOptions struct {
 type serverLink struct {
 	conn  transport.Conn
 	known knownViews
-	// stream: the connection delivers in order and without loss, so the
-	// server knows which views it sent the pool, and a collect needs
-	// advertise none (see Server.Handle).
-	stream bool
 }
 
 // pending is one outstanding communicate call awaiting quorum replies. The
@@ -162,9 +156,8 @@ type pending struct {
 	seen    []bool      // [server]; dedups retransmission-induced duplicate replies
 
 	// A collect's conditional half (see Pool.handle).
-	collect bool     // the call is a collect (of reg)
-	reg     string   // the register collected
-	adv     []advert // [server]; what the collect last advertised to it
+	collect bool   // the call is a collect (of reg)
+	reg     string // the register collected
 }
 
 // complete reports whether the router has signalled (or is about to).
@@ -237,10 +230,7 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		pl.shards[i].calls = make(map[uint64]*pending)
 	}
 	pl.pend.New = func() any {
-		return &pending{
-			sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n),
-			adv: make([]advert, pl.n),
-		}
+		return &pending{sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n)}
 	}
 	var down []string
 	for i, addr := range addrs {
@@ -282,7 +272,7 @@ func (pl *Pool) newLink(conn transport.Conn) *serverLink {
 		// reply-direction link loss (see keepReply).
 		fc.SetFilter(pl.keepReply)
 	}
-	return &serverLink{conn: conn, stream: transport.StreamID(conn) != 0}
+	return &serverLink{conn: conn}
 }
 
 // Redial reconnects the pool to server j — the client half of
@@ -373,11 +363,12 @@ func isReply(k wire.Kind) bool {
 // the peeked id is unvalidated wire input — a reply claiming any other
 // sender passes through to the router, which drops it.
 //
-// A view the router would drop is still decoded when it is new to its
-// server's link — the router learns every view a server sends, because on
-// a stream the server takes it that the pool holds it from then on (see
-// handle) — and dropped undecoded when the link already holds it, as a
-// retransmission's duplicates and a thrifty wave's spares mostly are.
+// A tagged view the router would drop is still decoded when it is new to
+// its server's link — the router learns every tagged view, because the
+// server takes it that the pool holds it from then on (see handle) — and
+// dropped undecoded when the link already holds it, as a retransmission's
+// duplicates and a thrifty wave's spares mostly are. A datagram view is
+// untagged, so there is nothing to learn from it: it is dropped undecoded.
 func (pl *Pool) keepReply(body []byte) bool {
 	k, call, from, ok := wire.PeekReplyFrom(body)
 	if !ok || !isReply(k) {
@@ -439,20 +430,18 @@ func (pl *Pool) holds(j rt.ProcID, body []byte) bool {
 // entries unseen, so the arena keeps them.
 //
 // The router is also where a conditional collect resolves. Every full view
-// with a tag is remembered in its server's link table (knownViews) — before
-// anything else, whether or not its call still wants it — for same replies
-// to name and datagram collects to advertise. A same reply to a collect
-// becomes a view when its tag is one the pool holds entries for: the one
-// the call advertised to that server (pending.adv), or the one the link
-// holds as a view of the call's register. A tag names one snapshot
-// encoding of one server process, so those entries are that server's
-// current snapshot, byte for byte; the view keeps the size the same was
-// decoded with, so the byte accounting reports what crossed the wire. A
-// same to a collect the pool cannot resolve — the link has since dropped
-// the view, or never got it (a fault plan's loss) — is noise, and the
-// router re-asks that server with wire.TagFull (Pool.reask). Any other same
-// reply — tag 0, or answering a propagate — is noise. Noise never counts as
-// the server's answer.
+// with a tag — a stream's — is remembered in its server's link table
+// (knownViews), before anything else, whether or not its call still wants
+// it, for same replies to name. A same reply to a collect becomes a view
+// when its sender's link holds a view of the call's register under its
+// tag. A tag names one snapshot encoding of one server process, so those
+// entries are that server's current snapshot, byte for byte; the view keeps
+// the size the same was decoded with, so the byte accounting reports what
+// crossed the wire. A same to a collect the pool cannot resolve — the link
+// has since dropped the view, or never got it (a fault plan's loss) — is
+// noise, and the router re-asks that server with wire.TagFull (Pool.reask).
+// Any other same reply — tag 0, or answering a propagate — is noise. Noise
+// never counts as the server's answer.
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	if !isReply(m.Kind) || m.From < 0 || int(m.From) >= pl.n {
 		discard(m) // protocol noise; nobody saw its entries
@@ -465,7 +454,7 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 		switch {
 		case m.Kind == wire.KindView && !pl.forgotten(m.Election):
 			// Before the wake-up, so the caller's next collect finds it.
-			link.known.put(m.Election, m.Reg, advert{m.Tag, m.Entries})
+			link.known.put(m.Election, m.Reg, m.Tag, m.Entries)
 		case m.Kind == wire.KindSame:
 			named, _ = link.known.named(m.Tag) // outside the stripe lock
 		}
@@ -531,20 +520,11 @@ func (pl *Pool) reask(link *serverLink, c *Client, call uint64, reg string) {
 }
 
 // resolve finds the entries a same reply m to this call stands for: those
-// the call advertised to its sender, or those its sender's link holds under
-// m's tag (named) as a view of the call's register. The caller holds the
-// call's shard lock.
+// its sender's link holds under m's tag (named), when they are a view of
+// the call's register. The caller holds the call's shard lock.
 func (p *pending) resolve(m *wire.Msg, named knownView) ([]rt.Entry, bool) {
-	if !p.collect || m.Tag == 0 {
-		return nil, false
-	}
-	if a := p.adv[m.From]; a.tag == m.Tag {
-		return a.entries, true
-	}
-	if named.tag == m.Tag && named.election == p.cli.election && named.reg == p.reg {
-		return named.entries, true
-	}
-	return nil, false
+	ok := p.collect && m.Tag != 0 && named.tag == m.Tag && named.election == p.cli.election && named.reg == p.reg
+	return named.entries, ok
 }
 
 // discard recycles a reply nobody reads. A view's entry array may be the
@@ -628,13 +608,11 @@ type Client struct {
 	// before rpc returns — except delayed sends, which get fresh messages),
 	// its one-entry payload, the harvested quorum replies, and the views
 	// Collect hands back (valid until the participant's next communicate
-	// call, per the rt.Comm contract), and a collect's per-server request
-	// copy.
+	// call, per the rt.Comm contract).
 	req     wire.Msg
 	entry   [1]rt.Entry
 	replies []*wire.Msg
 	views   []rt.View
-	tagged  wire.Msg // a collect as sent over datagrams to one server, with that server's tag
 
 	// Fault-plan hooks, installed by SetFaults before the participant
 	// starts; all nil/zero on a bare client, leaving the hot path alone.
@@ -790,12 +768,9 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 
 	// Bit-complexity accounting counts frame bodies, like the sim kernel's
 	// PayloadBytes; the length prefix — and a batch frame's header — is
-	// transport framing, not payload. A collect's size depends on the tag
-	// it advertises, so send adds up what each request costs.
+	// transport framing, not payload.
 	size := int64(m.WireSize())
-	var out int64    // bytes of the requests put on the wire since the last book
-	var frame []byte // the encoded request, lazily; every send copies the bytes
-	plain := false   // frame holds m itself, not a per-server copy
+	var frame []byte // encoded once, lazily; every send reuses the bytes
 	// send puts the request on server j's link and reports whether it went
 	// onto the wire — a request the fault plan then drops did, and died
 	// there; one to an undialed or severed link did not.
@@ -805,47 +780,25 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 			return false // server was unreachable at dial time: nothing to send
 		}
 		if c.drop != nil && c.drop(j) {
-			out += size
 			return true
 		}
 		if c.delay != nil {
 			if d := c.delay(j); d > 0 {
-				// m rides a timer and is encoded when it fires, so it
-				// advertises no tag.
 				transport.SendDelayed(link.conn, m, d, &pl.inflight)
-				out += size
 				return true
 			}
 		}
-		req, n := m, size
-		if keep && !link.stream {
-			// A collect over datagrams advertises the tag of the view the
-			// pool holds from server j, recorded in the call's slot before
-			// the request can draw its answer, and so is encoded afresh per
-			// server. Over a stream the server knows what it sent the pool,
-			// and the request is encoded once, like a propagate.
-			a := link.known.lookup(c.election, m.Reg)
-			sh.mu.Lock()
-			p.adv[j] = a
-			sh.mu.Unlock()
-			c.tagged = *m
-			c.tagged.Tag = a.tag
-			req, n = &c.tagged, int64(c.tagged.WireSize())
-		}
-		if req != m || !plain {
-			plain = req == m
+		if frame == nil {
 			var encT0 int64
 			if rec != nil {
 				encT0 = trace.Now()
 			}
 			var err error
-			if frame == nil {
-				frame = wire.GetBuf()
-			}
-			if frame, err = wire.Append(frame[:0], req); err != nil {
+			if frame, err = wire.Append(wire.GetBuf(), m); err != nil {
 				// Unencodable payloads cannot reach any server: loss on
 				// every link.
-				frame, plain = frame[:0], false
+				wire.PutBuf(frame)
+				frame = nil
 				return false
 			}
 			if rec != nil {
@@ -855,17 +808,12 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		// The connection takes ownership of what it is sent, so each gets
 		// its own pooled copy. A refusal is the connection's ErrClosed: the
 		// link is severed, and the wave passes over it.
-		if link.conn.SendEncoded(append(wire.GetBuf(), frame...)) != nil {
-			return false
-		}
-		out += n
-		return true
+		return link.conn.SendEncoded(append(wire.GetBuf(), frame...)) == nil
 	}
 	// book accounts one wave's requests.
 	book := func(sent int) {
 		c.msgs.Add(int64(sent))
-		c.bytes.Add(out)
-		out = 0
+		c.bytes.Add(int64(sent) * size)
 		pl.requests.Add(int64(sent))
 	}
 
@@ -931,7 +879,6 @@ wait:
 	clear(p.replies)
 	p.replies, p.busy, p.cli = p.replies[:0], false, nil
 	clear(p.seen)
-	clear(p.adv)
 	p.collect, p.reg = false, ""
 	sh.mu.Unlock()
 	if starved && (shed || len(c.replies) >= need) {

@@ -11,15 +11,17 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Conditional collects: a collect advertises the tag of the view the pool
-// holds from each server, and a server whose current snapshot has that tag
-// answers with a same reply, which the router turns back into the held
-// view. The tests below hold that to being the same view, end to end.
+// Conditional collects: a server whose current snapshot it already sent in
+// full on the collect's stream answers with a same reply naming its tag,
+// which the router turns back into the view held under that tag. The tests
+// below hold that to being the same view, end to end, and hold datagrams
+// to carrying no conditional collect at all.
 
 // replyKey names one reply: the call it answers and the server that sent it.
 type replyKey struct {
@@ -134,8 +136,8 @@ func (c auditedComm) Collect(reg string) []rt.View {
 // materializes from every collect reply — a full view or a same reply —
 // equals, entry for entry, the full view behind that reply at the server
 // that sent it: on the in-process stream, where the servers answer same
-// for what they sent earlier on the connection, and over UDP, where only
-// the tag a collect advertises can draw one.
+// for what they sent earlier on the connection, and over UDP, where no
+// server answers same and no same ever becomes a view.
 func TestSameViewIsTheHeldView(t *testing.T) {
 	for name, nw := range map[string]transport.Network{"loopback": transport.NewLoopback(), "udp": transport.NewUDP()} {
 		t.Run(name, func(t *testing.T) { sameViewIsTheHeldView(t, nw) })
@@ -164,13 +166,7 @@ func sameViewIsTheHeldView(t *testing.T, nw transport.Network) {
 			}()
 		}
 		wg.Wait()
-		winners := 0
-		for _, d := range decisions {
-			if d == core.Win {
-				winners++
-			}
-		}
-		if winners != 1 {
+		if winners := countWins(decisions); winners != 1 {
 			t.Fatalf("seed %d: %d winners", seed, winners)
 		}
 		cl.RemoveElection(election)
@@ -180,10 +176,29 @@ func sameViewIsTheHeldView(t *testing.T, nw transport.Network) {
 	for _, e := range audit.errs {
 		t.Error(e)
 	}
-	if audit.sames == 0 || cl.Pool().sames.Load() == 0 {
-		t.Fatalf("servers sent %d same replies and the pool took %d: the audit saw no conditional collect", audit.sames, cl.Pool().sames.Load())
+	sames := cl.Pool().sames.Load()
+	if transport.StreamID(cl.pool.links[0].Load().conn) == 0 {
+		if audit.sames != 0 || sames != 0 || len(audit.byTag) != 0 {
+			t.Fatalf("over datagrams servers sent %d same replies and %d tagged views, and the pool took %d sames",
+				audit.sames, len(audit.byTag), sames)
+		}
+		return
 	}
-	t.Logf("%d same replies sent, %d materialized", audit.sames, cl.Pool().sames.Load())
+	if audit.sames == 0 || sames == 0 {
+		t.Fatalf("servers sent %d same replies and the pool took %d: the audit saw no conditional collect", audit.sames, sames)
+	}
+	t.Logf("%d same replies sent, %d materialized", audit.sames, sames)
+}
+
+// countWins counts the winners among an election's decisions.
+func countWins(decisions []core.Decision) int {
+	winners := 0
+	for _, d := range decisions {
+		if d == core.Win {
+			winners++
+		}
+	}
+	return winners
 }
 
 // replyConn captures the reply frames Server.Handle sends.
@@ -212,30 +227,37 @@ func (c *replyConn) last(t *testing.T) *wire.Msg {
 	return m
 }
 
+// onStream makes a server take a test connection for a stream.
+type onStream struct{ transport.Conn }
+
+func (onStream) StreamID() uint64 { return 1 << 62 }
+
 // TestEvictedInstanceNeverAnswersOldTag: an instance the TTL sweep evicts
 // and a late propagate re-creates starts its array versions over — the
 // same single write lands it at the same version, with byte-identical
-// contents — but never its tags, so a collect advertising a tag of the
-// earlier incarnation gets the full view.
+// contents — but never its tags, so the view the re-created instance sends
+// on the stream is never one the pool could take for a view of the earlier
+// incarnation.
 func TestEvictedInstanceNeverAnswersOldTag(t *testing.T) {
 	const election, reg = 1, "elect/sift/1/status"
 	srv := NewServer(0)
 	defer srv.Close() //nolint:errcheck // always nil
 	var conn replyConn
-	val := core.Status{Stat: core.LowPri, List: []rt.ProcID{3}}
-	collect := func(tag uint64) *wire.Msg {
+	stream := onStream{&conn}
+	collect := func() *wire.Msg {
 		m := wire.GetMsg()
-		m.Kind, m.Election, m.Call, m.From, m.Tag, m.Reg = wire.KindCollect, election, 9, 3, tag, reg
-		srv.Handle(&conn, m)
+		m.Kind, m.Election, m.Call, m.From, m.Reg = wire.KindCollect, election, 9, 3, reg
+		srv.Handle(stream, m)
 		return conn.last(t)
 	}
-	srv.Handle(&conn, propagateFrame(election, reg, 3, 1, val))
-	first := collect(0)
+	val := core.Status{Stat: core.LowPri, List: []rt.ProcID{3}}
+	srv.Handle(stream, propagateFrame(election, reg, 3, 1, val))
+	first := collect()
 	if first.Kind != wire.KindView || first.Tag == 0 || len(first.Entries) != 1 {
 		t.Fatalf("first collect answered %v, tag %d, %d entries", first.Kind, first.Tag, len(first.Entries))
 	}
-	if again := collect(first.Tag); again.Kind != wire.KindSame || again.Tag != first.Tag {
-		t.Fatalf("collect advertising the current tag answered %v, tag %d", again.Kind, again.Tag)
+	if again := collect(); again.Kind != wire.KindSame || again.Tag != first.Tag {
+		t.Fatalf("collect of the snapshot sent on the stream answered %v, tag %d", again.Kind, again.Tag)
 	}
 	time.Sleep(time.Millisecond)
 	if evicted := srv.sweepOnce(time.Nanosecond); evicted != 1 || srv.Elections() != 0 {
@@ -246,15 +268,15 @@ func TestEvictedInstanceNeverAnswersOldTag(t *testing.T) {
 		t.Fatal("the late propagate did not re-create the instance")
 	}
 	sames := srv.SameCollects()
-	reborn := collect(first.Tag)
+	reborn := collect()
 	if reborn.Kind != wire.KindView || reborn.Tag == first.Tag || srv.SameCollects() != sames {
 		t.Fatalf("re-created instance answered the earlier incarnation's tag %d with %v, tag %d", first.Tag, reborn.Kind, reborn.Tag)
 	}
 	if !reflect.DeepEqual(reborn.Entries, first.Entries) {
 		t.Fatalf("re-created instance holds %+v, want %+v", reborn.Entries, first.Entries)
 	}
-	if again := collect(reborn.Tag); again.Kind != wire.KindSame {
-		t.Fatalf("collect advertising the re-created instance's tag answered %v", again.Kind)
+	if again := collect(); again.Kind != wire.KindSame || again.Tag != reborn.Tag {
+		t.Fatalf("collect of the re-created instance's snapshot answered %v, tag %d", again.Kind, again.Tag)
 	}
 }
 
@@ -267,27 +289,26 @@ func routeSame(pl *Pool, call uint64, from rt.ProcID, tag uint64) *wire.Msg {
 }
 
 // TestSameMustMatchTheAdvert: the router turns a same reply to a collect
-// into a view only when its tag is one the pool holds entries for — the
-// one the call advertised to its sender, or the one its sender's link holds
-// for the register. A same with any other tag, or from a server the pool
-// holds nothing of, is noise: dropped, not counted as the server's answer,
-// never a view — and the router re-asks that server for the full view. A
-// same answering a propagate is noise too, and asks for nothing.
+// into a view only when its sender's link holds a view of the call's
+// register under its tag. A same with any other tag, from a server whose
+// link holds nothing under it, or naming a view of another register, is
+// noise: dropped, not counted as the server's answer, never a view — and
+// the router re-asks that server for the full view. A same with tag 0 is
+// noise and asks for nothing; so is a same answering a propagate.
 func TestSameMustMatchTheAdvert(t *testing.T) {
 	pl := silentPool(t, harvestN)
 	c := pl.NewComm(NewParticipant(0, harvestN, 1), 1, nil)
-	held := []rt.Entry{{Reg: "r", Owner: 2, Seq: 1, Val: 7}}
 	linked := []rt.Entry{{Reg: "r", Owner: 3, Seq: 2, Val: 8}}
-	pl.links[3].Load().known.put(1, "r", advert{tag: 9, entries: linked})
+	pl.links[3].Load().known.put(1, "r", 9, linked)
+	pl.links[2].Load().known.put(1, "other", 7, linked)
 
-	p, call := park(pl, c) // a collect of r that advertised tag 7 to server 1
+	p, call := park(pl, c) // a collect of r
 	p.collect, p.reg = true, "r"
-	p.adv[1] = advert{tag: 7, entries: held}
 	for _, forged := range []struct {
 		from  rt.ProcID
 		tag   uint64
 		reask bool
-	}{{1, 8, true}, {1, 9, true}, {1, 0, false}, {2, 7, true}, {2, 0, false}, {3, 7, true}} {
+	}{{1, 9, true}, {1, 0, false}, {2, 7, true}, {2, 9, true}, {2, 0, false}, {3, 7, true}, {3, 0, false}} {
 		reasked := pl.reasked.Load()
 		m := routeSame(pl, call, forged.from, forged.tag)
 		if !recycled(m) || p.seen[forged.from] || len(p.replies) != 0 {
@@ -297,22 +318,18 @@ func TestSameMustMatchTheAdvert(t *testing.T) {
 			t.Fatalf("same from %d with tag %d: %d re-asks", forged.from, forged.tag, got)
 		}
 	}
-	m := routeSame(pl, call, 1, 7)
-	if len(p.replies) != 1 || p.replies[0] != m || m.Kind != wire.KindView || &m.Entries[0] != &held[0] || !p.seen[1] {
-		t.Fatalf("the advertised same did not become the held view: %+v", p.replies)
-	}
-	m = routeSame(pl, call, 3, 9)
-	if len(p.replies) != 2 || p.replies[1] != m || &m.Entries[0] != &linked[0] || !p.seen[3] {
+	m := routeSame(pl, call, 3, 9)
+	if len(p.replies) != 1 || p.replies[0] != m || m.Kind != wire.KindView || &m.Entries[0] != &linked[0] || !p.seen[3] {
 		t.Fatalf("the same naming the link's view did not become it: %+v", p.replies)
 	}
-	if pl.sames.Load() != 2 {
-		t.Fatalf("pool counted %d same views, want 2", pl.sames.Load())
+	if pl.sames.Load() != 1 {
+		t.Fatalf("pool counted %d same views, want 1", pl.sames.Load())
 	}
 
-	prop, call2 := park(pl, c) // a propagate: nothing advertised
+	prop, call2 := park(pl, c) // a propagate
 	reasked := pl.reasked.Load()
 	for _, tag := range []uint64{0, 7, 9} {
-		for _, from := range []rt.ProcID{1, 3} {
+		for _, from := range []rt.ProcID{2, 3} {
 			if m := routeSame(pl, call2, from, tag); !recycled(m) || prop.seen[from] || len(prop.replies) != 0 || pl.reasked.Load() != reasked {
 				t.Fatalf("same from %d with tag %d answering a propagate was taken or re-asked", from, tag)
 			}
@@ -386,22 +403,19 @@ func TestDuplicateRepliesAreNeverDecoded(t *testing.T) {
 }
 
 // TestKnownViewTablesUnderRace: the links' known-view tables under
-// concurrent elections — read loops filling them and resolving same
-// replies from them, participants reading them for the tags they advertise
-// (over UDP; a stream advertises none), RemoveElection clearing them and a
+// concurrent elections on the in-process stream — read loops filling them
+// and resolving same replies from them, RemoveElection clearing them and a
 // forget of elections still running, which only costs those full views.
 // Run under -race; every election must still elect one winner, and some
 // collects must have been answered same.
 func TestKnownViewTablesUnderRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for name, nw := range map[string]transport.Network{"loopback": transport.NewLoopback(), "udp": transport.NewUDP()} {
-		t.Run(name, func(t *testing.T) { knownViewTablesUnderRace(t, nw) })
-	}
+	t.Run("loopback", knownViewTablesUnderRace)
 }
 
-func knownViewTablesUnderRace(t *testing.T, nw transport.Network) {
+func knownViewTablesUnderRace(t *testing.T) {
 	const n, workers, perWorker = 8, 4, 6
-	cl, err := NewClusterWith(nw, n, ClusterOptions{Pool: PoolOptions{Retransmit: DefaultDatagramRetransmit}})
+	cl, err := NewClusterWith(transport.NewLoopback(), n, ClusterOptions{Pool: PoolOptions{Retransmit: DefaultDatagramRetransmit}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,13 +456,7 @@ func knownViewTablesUnderRace(t *testing.T, nw transport.Network) {
 					}()
 				}
 				inner.Wait()
-				winners := 0
-				for _, d := range decisions {
-					if d == core.Win {
-						winners++
-					}
-				}
-				if winners != 1 {
+				if countWins(decisions) != 1 {
 					invalid.Add(1)
 				}
 				cl.RemoveElection(election)
@@ -532,22 +540,144 @@ func TestKnownViewsKeepTheHotRegister(t *testing.T) {
 	var k knownViews
 	const election = 7
 	hot := "elect/sift/1/status"
-	k.put(election, hot, advert{tag: 1})
+	k.put(election, hot, 1, nil)
 	for i := range 10 * knownSlots {
-		k.put(election, fmt.Sprintf("one-off/%d", i), advert{tag: uint64(i + 2)})
+		k.put(election, fmt.Sprintf("one-off/%d", i), uint64(i+2), nil)
 		if i%2 == 0 {
-			if got := k.lookup(election, hot); got.tag != 1 {
-				t.Fatalf("after %d one-off registers the hot one reads tag %d", i+1, got.tag)
+			if !k.has(election, []byte(hot), 1) {
+				t.Fatalf("after %d one-off registers the hot one is gone", i+1)
 			}
 		} else if v, ok := k.named(1); !ok || v.reg != hot {
 			t.Fatalf("after %d one-off registers tag 1 names %+v", i+1, v)
 		}
 	}
-	if got := k.lookup(election, "one-off/0"); got.tag != 0 {
+	if k.has(election, []byte("one-off/0"), 2) {
 		t.Fatal("the first one-off register outlived 10 tables' worth of newer ones")
 	}
 	k.forget(election)
-	if got := k.lookup(election, hot); got.tag != 0 {
-		t.Fatalf("forget left tag %d", got.tag)
+	if k.has(election, []byte(hot), 1) {
+		t.Fatal("forget left the hot register")
 	}
+}
+
+// strayNetwork counts, on the pool's side of a network, the views the
+// pre-decode filter passed although the router was already done with
+// them — their call retired or complete, or their sender already answered
+// it — and so were decoded for nothing. It checks the call before the
+// filter does: a call only ever moves from pending to done, so a view it
+// counts was done for the filter too.
+type strayNetwork struct {
+	transport.Network
+	pool            atomic.Pointer[Pool]
+	offered, strays atomic.Int64
+}
+
+func (s *strayNetwork) Dial(addr string, h transport.Handler) (transport.Conn, error) {
+	conn, err := s.Network.Dial(addr, h)
+	if err != nil {
+		return nil, err
+	}
+	return strayConn{conn, s}, nil
+}
+
+type strayConn struct {
+	transport.Conn
+	s *strayNetwork
+}
+
+func (c strayConn) SetFilter(f transport.FrameFilter) {
+	c.Conn.(transport.FilteredConn).SetFilter(func(body []byte) bool {
+		done := c.s.done(body)
+		keep := f(body)
+		if done {
+			c.s.offered.Add(1)
+			if keep {
+				c.s.strays.Add(1)
+			}
+		}
+		return keep
+	})
+}
+
+// done reports whether body is a view the router is already done with.
+func (s *strayNetwork) done(body []byte) bool {
+	k, call, from, ok := wire.PeekReplyFrom(body)
+	pl := s.pool.Load()
+	if !ok || k != wire.KindView || pl == nil || from < 0 || int(from) >= pl.n {
+		return false
+	}
+	sh := pl.callShardOf(call)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p := sh.calls[call]
+	return p == nil || p.complete(pl.n/2+1) || p.seen[from]
+}
+
+// TestDatagramViewsAreNeverHeld: over UDP no collect is conditional. In
+// seeded n=16 elections with retransmission armed and every server
+// answering every request twice, each view a server sends is untagged, so
+// no link learns one, no server answers same and the pool takes none; and
+// a view the router will drop — a straggler past the quorum, or a repeat
+// from a server that already answered — is never decoded, there being
+// nothing to learn from it.
+func TestDatagramViewsAreNeverHeld(t *testing.T) {
+	const n = 16
+	audit := newSameAudit(transport.NewUDP())
+	dup := &dupNetwork{Network: audit, decoded: map[replyKey]int{}}
+	nw := &strayNetwork{Network: dup}
+	reg := obs.NewRegistry()
+	cl, err := NewClusterWith(nw, n, ClusterOptions{Pool: PoolOptions{Retransmit: DefaultDatagramRetransmit, Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck // teardown
+	nw.pool.Store(cl.pool)
+	for seed := int64(1); seed <= 4; seed++ {
+		election := cl.NextElectionID()
+		decisions := make([]core.Decision, n)
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := NewParticipant(rt.ProcID(i), n, seed*1000+int64(i))
+				decisions[i] = core.LeaderElectWithState(cl.NewComm(p, election, nil), "elect", core.NewState(p, "leaderelect"))
+			}()
+		}
+		wg.Wait()
+		if winners := countWins(decisions); winners != 1 {
+			t.Fatalf("seed %d: %d winners", seed, winners)
+		}
+		for j := range n {
+			k := &cl.pool.links[j].Load().known
+			k.mu.Lock()
+			learned := slices.ContainsFunc(k.slot[:], func(v knownView) bool { return v.tag != 0 })
+			k.mu.Unlock()
+			if learned {
+				t.Fatalf("seed %d: link %d learned a view", seed, j)
+			}
+		}
+		cl.RemoveElection(election)
+	}
+	audit.mu.Lock()
+	defer audit.mu.Unlock()
+	if len(audit.behind) == 0 || len(audit.byTag) != 0 || audit.sames != 0 {
+		t.Fatalf("servers sent %d collect replies: %d tagged views and %d same replies", len(audit.behind), len(audit.byTag), audit.sames)
+	}
+	for j := range n {
+		if got := cl.Server(rt.ProcID(j)).SameCollects(); got != 0 {
+			t.Fatalf("server %d answered %d collects same", j, got)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Total("electd_pool_views_same_total"); got != 0 {
+		t.Fatalf("the pool took %d same replies as views", got)
+	}
+	dup.mu.Lock()
+	defer dup.mu.Unlock()
+	if nw.offered.Load() == 0 || nw.strays.Load() != 0 || dup.dups != 0 {
+		t.Fatalf("of %d views the router was done with, %d were decoded; %d duplicate replies were decoded",
+			nw.offered.Load(), nw.strays.Load(), dup.dups)
+	}
+	t.Logf("%d views dropped undecoded, %d distinct replies decoded", nw.offered.Load(), len(dup.decoded))
 }

@@ -41,14 +41,21 @@ type SoakConfig struct {
 
 // The soak's fixed shape: soakWorkers concurrent elections per wave over
 // in-process loopback, and a server lifecycle whose TTL and sweep are
-// short enough that eviction happens constantly during the run.
+// short enough that eviction happens after every wave. soakTTL must stay
+// above the longest an election of the soak runs, or the sweeper evicts a
+// running election's registers on a majority of servers — a majority of
+// crashed registers, outside the model, under which elections ended with
+// two winners. Measured under -race on a 2-core host with another
+// package's race tests beside it, the soak's p99 election took 112–129 ms
+// (max 222 ms); with a second soak beside it as well, 198–212 ms (max
+// 354 ms). 500 ms clears both.
 // soakMaxLivePerShard is a backstop the soak must never reach: an
 // election shed by a busy replica counts as invalid. soakHeapSamples
 // post-GC heap samples are taken, after one extra warmup wave that brings
 // pools and caches to steady state off the record.
 const (
 	soakWorkers         = 8
-	soakTTL             = 100 * time.Millisecond
+	soakTTL             = 500 * time.Millisecond
 	soakSweepInterval   = 20 * time.Millisecond
 	soakMaxLivePerShard = 512
 	soakHeapSamples     = 16

@@ -118,9 +118,10 @@ const MaxID = 1<<31 - 1
 // and the server echoes it. From identifies the sender (the participant on
 // requests, the answering server on replies). Tag is carried by collects,
 // views and sames only (hasTag): on a view it names the snapshot encoding
-// the entries were decoded from, on a collect it is the tag of the view the
-// collector already holds (0: none; TagFull: send the view regardless), and
-// on a same it names the view the collector holds. Reg names the
+// the entries were decoded from (0: untagged, as every datagram view is),
+// on a collect only TagFull means something — send the view regardless —
+// and a server treats any other value as 0, and on a same it names the
+// view the collector holds. Reg names the
 // register array and is carried once per message: the entries of a
 // propagate or view all belong to it, and Entry.Reg is restored from it on
 // decode.
