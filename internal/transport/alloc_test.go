@@ -16,17 +16,18 @@ import (
 )
 
 // echoAllocs is the transport's share of the socket path's per-message
-// allocation budget, the same on both socket networks: one collect-shaped
+// allocation budget, the same on every network: one collect-shaped
 // request to a listener and its ack back — two messages through Send, both
 // write loops, both read loops and both handlers — counted across all
-// goroutines in steady state. Measured 2 per round trip on TCP and on UDP:
-// the request and reply messages the two senders build (Send takes a
-// pointer through an interface, so each escapes). Frame buffers, decoded
-// messages and the register name are pooled or interned. The budget sits
-// below 5, what the TCP loop made while PutBuf boxed a slice header per
-// frame and every decode copied the register name, and far below 16, what
-// the UDP loop made while each datagram syscall went through RawConn
-// closures. Run without the race detector, which makes sync.Pool lossy.
+// goroutines in steady state. Measured 2 per round trip on TCP, on UDP and
+// on Loopback (TCP's connection code over net.Pipe): the request and reply
+// messages the two senders build (Send takes a pointer through an
+// interface, so each escapes). Frame buffers, decoded messages and the
+// register name are pooled or interned. The budget sits below 5, what the
+// TCP loop made while PutBuf boxed a slice header per frame and every
+// decode copied the register name, and far below 16, what the UDP loop
+// made while each datagram syscall went through RawConn closures. Run
+// without the race detector, which makes sync.Pool lossy.
 const echoAllocs = 4
 
 // batchDispatchAllocs: one read loop dispatching an inbound batch frame of
@@ -91,7 +92,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 }
 
 func TestEchoAllocBudget(t *testing.T) {
-	for name, nw := range map[string]Network{"tcp": NewTCP(), "udp": NewUDP()} {
+	for name, nw := range map[string]Network{"loopback": NewLoopback(), "tcp": NewTCP(), "udp": NewUDP()} {
 		t.Run(name, func(t *testing.T) {
 			ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
 				c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call}) //nolint:errcheck // a lost ack fails the round trip below

@@ -11,11 +11,11 @@ import (
 const sendQueueDepth = maxCoalesce
 
 // sendQueue is the one hand-off between the goroutines that send on a
-// connection and the loop that drains it (a TCP or UDP write loop, a
-// loopback pump): many producers, one consumer, per-producer FIFO. A put is
-// one mutex-guarded append and wakes the consumer only if it is parked; a
-// take swaps the whole slice out, so however many frames queued while the
-// last write was in flight cost the consumer one lock and no wake-up.
+// connection and the loop that drains it (a stream or UDP write loop): many
+// producers, one consumer, per-producer FIFO. A put is one mutex-guarded
+// append and wakes the consumer only if it is parked; a take swaps the
+// whole slice out, so however many frames queued while the last write was
+// in flight cost the consumer one lock and no wake-up.
 //
 // No wake-up is lost, and none is spare. The consumer sets idle only under
 // mu, after finding the queue empty and open, and only then parks on wake.

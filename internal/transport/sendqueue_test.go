@@ -248,8 +248,8 @@ func TestSendQueueWakeups(t *testing.T) {
 
 // TestSendQueueTakeDropsStaleReferences: once the consumer hands a batch
 // back, neither of the queue's two backing arrays refers to its items —
-// the loopConn.pump pinning bug class, where a drained frame's buffer had
-// gone back to the pool but stayed reachable from the drain slice.
+// a drained frame's buffer has gone back to the pool and must not stay
+// reachable from the drain slice, or it is pinned past every GC.
 func TestSendQueueTakeDropsStaleReferences(t *testing.T) {
 	q := newItemQueue(nil)
 	var batch []*item

@@ -39,10 +39,11 @@ type Stats struct {
 	// BatchesOut counts the write-loop batch frames assembled and
 	// MsgsCoalesced the plain frames wrapped inside them.
 	BatchesOut, MsgsCoalesced int64
-	// WriteCalls counts socket write calls (one per TCP drain, one per
-	// UDP datagram) and ReadCalls the socket reads that returned data;
-	// reads the runtime retried after the socket had nothing are not
-	// counted.
+	// WriteCalls counts write calls (one per stream write-loop drain, on
+	// a TCP socket or a Loopback pipe alike, and one per UDP datagram) and
+	// ReadCalls the reads that returned data, on the same three; reads the
+	// runtime retried after a socket had nothing are not counted. Only the
+	// TCP and UDP counts are system calls.
 	WriteCalls, ReadCalls int64
 }
 
@@ -71,8 +72,8 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_bytes_in_total", "frame-body bytes read", stats.bytesIn.Load)
 	r.NewCounterFunc("transport_batches_out_total", "write-loop batch frames assembled", stats.batchesOut.Load)
 	r.NewCounterFunc("transport_msgs_coalesced_total", "plain frames wrapped into outbound batches", stats.coalesced.Load)
-	r.NewCounterFunc("transport_write_calls_total", "socket write calls (one per TCP drain, one per UDP datagram)", stats.writeCalls.Load)
-	r.NewCounterFunc("transport_read_calls_total", "socket reads that returned data", stats.readCalls.Load)
+	r.NewCounterFunc("transport_write_calls_total", "write calls: one per stream drain (TCP socket or loopback pipe), one per UDP datagram", stats.writeCalls.Load)
+	r.NewCounterFunc("transport_read_calls_total", "reads that returned data (TCP and UDP sockets, loopback pipes)", stats.readCalls.Load)
 	for i := range wire.ViewMemoShards {
 		shard := obs.L("shard", strconv.Itoa(i))
 		r.NewCounterFunc("wire_view_memo_hits_total", "views served whole from the process-wide view memo",
@@ -82,10 +83,10 @@ func RegisterMetrics(r *obs.Registry) {
 	}
 }
 
-// countWrite records one socket write call.
+// countWrite records one write call.
 func countWrite() { stats.writeCalls.Add(1) }
 
-// countRead records one socket read that returned data.
+// countRead records one read that returned data.
 func countRead() { stats.readCalls.Add(1) }
 
 // countOut records one outbound wire frame of the given size.

@@ -39,7 +39,7 @@ func (t *TCP) Listen(h Handler) (Listener, error) {
 	if host == "" {
 		host = "127.0.0.1"
 	}
-	return listenTCP(net.JoinHostPort(host, "0"), h, t.Trace)
+	return listenTCP(bindTCP, net.JoinHostPort(host, "0"), h, t.Trace)
 }
 
 // Dial implements Network.
@@ -47,12 +47,14 @@ func (t *TCP) Dial(addr string, h Handler) (Conn, error) {
 	return dialTCP(addr, h, t.Trace)
 }
 
-// TCPListener is a server-side TCP endpoint: an accept loop spawning one
-// read loop per inbound connection.
+// TCPListener is a server-side stream endpoint: an accept loop spawning
+// one connection per inbound stream. Loopback uses it too, over in-memory
+// pipes: only the bind function tells the two networks apart.
 type TCPListener struct {
 	handler Handler
-	rec     *trace.Recorder // fixed at listen time; nil = untraced
-	addr    string          // resolved listen address, fixed at listen time; Recover rebinds it
+	rec     *trace.Recorder                         // fixed at listen time; nil = untraced
+	addr    string                                  // resolved listen address, fixed at listen time; Recover rebinds it
+	bind    func(addr string) (net.Listener, error) // fixed at listen time
 	crashed atomic.Bool
 
 	mu        sync.Mutex
@@ -68,15 +70,20 @@ type TCPListener struct {
 // ListenTCP binds addr (host:port; port 0 for ephemeral) and serves inbound
 // frames to h.
 func ListenTCP(addr string, h Handler) (*TCPListener, error) {
-	return listenTCP(addr, h, nil)
+	return listenTCP(bindTCP, addr, h, nil)
 }
 
-func listenTCP(addr string, h Handler, rec *trace.Recorder) (*TCPListener, error) {
-	ln, err := net.Listen("tcp", addr)
+// bindTCP listens on a TCP socket.
+func bindTCP(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+
+// listenTCP binds addr through bind — at listen time and again at every
+// Recover — and serves the streams it accepts.
+func listenTCP(bind func(string) (net.Listener, error), addr string, h Handler, rec *trace.Recorder) (*TCPListener, error) {
+	ln, err := bind(addr)
 	if err != nil {
 		return nil, err
 	}
-	l := &TCPListener{ln: ln, handler: h, rec: rec, addr: ln.Addr().String(), conns: make(map[*tcpConn]struct{}), done: make(chan struct{})}
+	l := &TCPListener{ln: ln, handler: h, rec: rec, addr: ln.Addr().String(), bind: bind, conns: make(map[*tcpConn]struct{}), done: make(chan struct{})}
 	l.wg.Add(1)
 	go l.accept(ln, l.done)
 	return l, nil
@@ -126,8 +133,7 @@ func (l *TCPListener) accept(ln net.Listener, done chan struct{}) {
 			if !l.crashed.Load() {
 				l.handler(tc, m)
 			}
-		})
-		conn.rec = l.rec
+		}, l.rec)
 		l.mu.Lock()
 		// Crash and Close set their flag and then snapshot conns under mu,
 		// so a connection registered here is either in that snapshot or
@@ -167,10 +173,11 @@ func (l *TCPListener) Crash() {
 	}
 }
 
-// Recover implements Recoverer: rebind the original address and start a
-// fresh accept loop. Connections severed by the Crash stay severed —
-// clients redial (see electd's Pool.Redial). Fails if the port was taken
-// meanwhile or the listener was Closed rather than Crashed.
+// Recover implements Recoverer: rebind the original address through the
+// listener's bind function and start a fresh accept loop. Connections
+// severed by the Crash stay severed — clients redial (see electd's
+// Pool.Redial). Fails if the address was taken meanwhile or the listener
+// was Closed rather than Crashed.
 func (l *TCPListener) Recover() error {
 	l.mu.Lock()
 	if l.closed {
@@ -181,7 +188,7 @@ func (l *TCPListener) Recover() error {
 	// The old accept loop is on its way out (Crash closed its listener);
 	// join it so two loops never run at once.
 	l.wg.Wait()
-	ln, err := net.Listen("tcp", l.addr)
+	ln, err := l.bind(l.addr)
 	if err != nil {
 		return err
 	}
@@ -229,10 +236,15 @@ func dialTCP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn := newTCPConn(c, h)
-	conn.rec = rec
+	return startConn(c, h, rec), nil
+}
+
+// startConn runs the dialing end of an established stream: h receives the
+// frames the server sends back on it.
+func startConn(c net.Conn, h Handler, rec *trace.Recorder) Conn {
+	conn := newTCPConn(c, h, rec)
 	conn.start()
-	return conn, nil
+	return conn
 }
 
 // tcpBufSize sizes each connection's read buffer, and so its largest read:
@@ -250,12 +262,13 @@ var tcpReadBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// tcpConn frames wire messages onto one TCP stream: Send enqueues encoded
-// frames to a dedicated write loop (so one slow peer never stalls a
-// broadcast mid-loop), and a read loop decodes inbound frames into the
-// handler. The one stream buffer a connection keeps is its pooled read
-// buffer: the write loop gathers each drain into a frame buffer from the
-// wire package's pool and returns it after the one socket write, and the
+// tcpConn frames wire messages onto one stream — a TCP socket, or one end
+// of a Loopback pipe: Send enqueues encoded frames to a dedicated write
+// loop (so one slow peer never stalls a broadcast mid-loop), and a read
+// loop decodes inbound frames into the handler. The one stream buffer a
+// connection keeps is its pooled read buffer: the write loop gathers each
+// drain into a frame buffer from the wire package's pool and returns it
+// after the one stream write, and the
 // read loop decodes frames in place, so the steady-state stream allocates
 // what the decoded messages themselves need and a buffer for each frame
 // larger than tcpBufSize.
@@ -263,17 +276,17 @@ type tcpConn struct {
 	c         net.Conn
 	handler   Handler
 	filter    atomic.Value    // FrameFilter, installed via SetFilter
-	rec       *trace.Recorder // set before start; nil = untraced, no stamps
+	rec       *trace.Recorder // fixed at construction; nil = untraced, no stamps
 	out       *sendQueue[[]byte]
 	closeOnce sync.Once
 	onClose   func() // set before start; read-only afterwards
 	id        uint64 // StreamID
 }
 
-// newTCPConn wraps an established socket; the read/write loops launch on
+// newTCPConn wraps an established stream; the read/write loops launch on
 // start, after the owner has finished wiring onClose.
-func newTCPConn(c net.Conn, h Handler) *tcpConn {
-	return &tcpConn{c: c, handler: h, out: newSendQueue(wire.PutBuf), id: streams.Add(1)}
+func newTCPConn(c net.Conn, h Handler, rec *trace.Recorder) *tcpConn {
+	return &tcpConn{c: c, handler: h, rec: rec, out: newSendQueue(wire.PutBuf), id: streams.Add(1)}
 }
 
 // StreamID names the connection; see transport.StreamID.

@@ -9,15 +9,15 @@
 // the connection for the life of the run — the connection pool is the set
 // of Conns, each with its own write loop.
 //
-// Three Networks implement the interface: Loopback (in-process queues that
-// still round-trip every message through the internal/wire codec — the
-// reference implementation and test double), TCP (real sockets on the
-// host, one listener per server, length-prefixed frames) and UDP (one
-// datagram socket per endpoint, one frame per datagram, lossy by design:
-// its "connection" is a socket plus a peer address — see udp.go). The fault
-// engine plugs in here: a crashed node's Listener drops its connections and
-// stops answering (transport.Listener.Crash), and injected link latency
-// rides delayed writes (transport.SendDelayed).
+// Three Networks implement the interface: TCP (real sockets on the host,
+// one listener per server, length-prefixed frames on the stream), Loopback
+// (the same listener and connection code over in-process net.Pipe streams:
+// every byte TCP would write, minus the kernel — the test double) and UDP
+// (one datagram socket per endpoint, one frame per datagram, lossy by
+// design: its "connection" is a socket plus a peer address — see udp.go).
+// The fault engine plugs in here: a crashed node's Listener drops its
+// connections and stops answering (transport.Listener.Crash), and injected
+// link latency rides delayed writes (transport.SendDelayed).
 package transport
 
 import (

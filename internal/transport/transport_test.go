@@ -17,10 +17,11 @@ import (
 	"repro/internal/wire"
 )
 
-// networks under test: every stream-semantics Network implementation must
-// pass the same conformance suite. UDP is excluded on purpose — it cannot
-// promise that corrupt frames sever or that crashed listeners refuse dials
-// — and gets its own datagram conformance suite in udp_test.go.
+// networks under test: the stream Networks — TCP over kernel sockets and
+// Loopback, the same connection code over in-memory pipes — must pass the
+// same conformance suite. UDP is excluded on purpose — it cannot promise
+// that corrupt frames sever or that crashed listeners refuse dials — and
+// gets its own datagram conformance suite in udp_test.go.
 func networks() map[string]func() Network {
 	return map[string]func() Network{
 		"loopback": func() Network { return NewLoopback() },
@@ -153,8 +154,8 @@ func TestCrashDropsEverything(t *testing.T) {
 			if _, err := nw.Dial(ln.Addr(), nil); err == nil {
 				// TCP may accept briefly in the kernel backlog; but a
 				// crashed listener must not complete new connections at the
-				// transport level. Loopback rejects outright; for TCP the
-				// listener socket is closed, so Dial errors.
+				// transport level: its listener is closed (a socket, or
+				// Loopback's unregistered address), so Dial errors.
 				t.Fatal("dial to a crashed listener succeeded")
 			}
 		})
@@ -722,6 +723,57 @@ func TestSendDelayed(t *testing.T) {
 	}
 }
 
+// TestTracedStreamsRecordTheSamePhases: a traced echo records the same
+// transport phases on Loopback as on TCP — enqueue, write-loop drain, wire
+// transit from the send stamp, read-loop decode — because the two run one
+// connection code and differ only in what carries the bytes.
+func TestTracedStreamsRecordTheSamePhases(t *testing.T) {
+	want := map[trace.Phase]bool{trace.PEnqueue: true, trace.PWriteDrain: true, trace.PWire: true, trace.PReadDecode: true}
+	traced := map[string]func(*trace.Recorder) Network{
+		"loopback": func(rec *trace.Recorder) Network { lo := NewLoopback(); lo.Trace = rec; return lo },
+		"tcp":      func(rec *trace.Recorder) Network { return &TCP{Host: "127.0.0.1", Trace: rec} },
+	}
+	for name, mk := range traced {
+		t.Run(name, func(t *testing.T) {
+			rec := trace.NewRecorder(1 << 10)
+			nw := mk(rec)
+			ln, err := nw.Listen(echoHandler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			got := make(chan *wire.Msg, 1)
+			conn, err := nw.Dial(ln.Addr(), func(_ Conn, m *wire.Msg) { got <- m })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for call := uint64(1); call <= 8; call++ {
+				if err := conn.Send(&wire.Msg{Kind: wire.KindCollect, Call: call, Reg: "r"}); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-got:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("echo %d: no reply", call)
+				}
+			}
+			// The last spans land just after the reply is handled.
+			seen := map[trace.Phase]bool{}
+			for deadline := time.Now().Add(5 * time.Second); !reflect.DeepEqual(seen, want) && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				for _, sp := range rec.Spans() {
+					if sp.Phase.Layer() == "transport" {
+						seen[sp.Phase] = true
+					}
+				}
+			}
+			if !reflect.DeepEqual(seen, want) {
+				t.Fatalf("traced echo recorded transport phases %v, want %v", seen, want)
+			}
+		})
+	}
+}
+
 // TestCrashRecoverRestoresListener: every network's Listener implements
 // Recoverer; after Crash → Recover the same address accepts dials and
 // answers again, and Recover after Close is an error — closed is final.
@@ -869,7 +921,12 @@ func TestClosedConnRefusesEveryFrame(t *testing.T) {
 // it is a live link to a server that drops every request, and a client that
 // routes by link state (electd's first wave) waits out a tick on it.
 func TestCrashSeversConnectionsAcceptedDuringIt(t *testing.T) {
-	nw := NewTCP()
+	for name, mk := range networks() {
+		t.Run(name, func(t *testing.T) { crashDuringDials(t, mk()) })
+	}
+}
+
+func crashDuringDials(t *testing.T, nw Network) {
 	ln, err := nw.Listen(echoHandler)
 	if err != nil {
 		t.Fatal(err)

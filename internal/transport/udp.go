@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -314,6 +315,17 @@ func (e *udpEndpoint) readLoop() {
 			e.rec.Record(0, 0, trace.PReadDecode, decT0, trace.Now()-decT0, int64(len(body)))
 		}
 	}
+}
+
+// frameBody strips the length prefix of a buffer that must hold exactly one
+// frame — a UDP datagram — so a mismatch is a framing bug or a truncation,
+// never a short read.
+func frameBody(frame []byte) ([]byte, error) {
+	body, n, err := wire.SplitFrame(frame)
+	if err == nil && (n == 0 || n != len(frame)) {
+		err = fmt.Errorf("transport: malformed frame (%d of %d bytes framed)", n, len(frame))
+	}
+	return body, err
 }
 
 // sendPackets writes the datagrams out: one WriteTo (or Write, on a
