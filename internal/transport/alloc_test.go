@@ -135,13 +135,16 @@ func TestEchoAllocBudget(t *testing.T) {
 	}
 }
 
-// retainedPerPair bounds the heap one idle dialed TCP connection pair
-// keeps: its two pooled tcpBufSize read buffers and small change. Measured
-// 68 KiB, after a small frame and after a 256 KiB one alike. With a
-// bufio reader and writer per end and a read-side body buffer that kept
-// its high-water mark it was 134 KiB, and 667 KiB once a 256 KiB frame had
-// crossed.
-const retainedPerPair = 80 << 10
+// retainedPerPair bounds the heap one idle dialed stream connection pair
+// keeps, on TCP and on Loopback alike: its two tcpIdleBufSize read buffers
+// and small change. Measured 9.5–12 KiB on both networks, after a small
+// frame and after a 256 KiB one alike: the burst buffers a read loop
+// borrows go back to tcpReadBufs when the burst ends. While every
+// connection kept its pooled 32 KiB read buffer for life it was 68 KiB;
+// with a bufio reader and writer per end and a read-side body buffer that
+// kept its high-water mark it was 134 KiB, and 667 KiB once a 256 KiB
+// frame had crossed.
+const retainedPerPair = 16 << 10
 
 // heapAfterGC is the live heap once garbage and the sync.Pools' contents
 // (which survive one collection) are gone.
@@ -154,51 +157,63 @@ func heapAfterGC() int64 {
 }
 
 func TestIdleTCPConnRetainsOneReadBuffer(t *testing.T) {
-	nw := NewTCP()
-	ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
-		c.Send(m) //nolint:errcheck // a lost echo fails the wait below
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close() //nolint:errcheck // teardown
-	const pairs = 32
-	got := make(chan struct{}, pairs)
-	base := heapAfterGC()
-	conns := make([]Conn, pairs)
-	for i := range conns {
-		if conns[i], err = nw.Dial(ln.Addr(), func(Conn, *wire.Msg) { got <- struct{}{} }); err != nil {
-			t.Fatal(err)
-		}
-		defer conns[i].Close() //nolint:errcheck // teardown
-	}
-	for _, payload := range []int{8, 256 << 10} {
-		for i, c := range conns {
-			if err := c.Send(&wire.Msg{Kind: wire.KindPropagate, Call: uint64(i), Reg: "r",
-				Entries: []rt.Entry{{Reg: "r", Owner: 1, Seq: 1, Val: strings.Repeat("x", payload)}}}); err != nil {
+	for name, nw := range map[string]Network{"tcp": NewTCP(), "loopback": NewLoopback()} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
+				c.Send(m) //nolint:errcheck // a lost echo fails the wait below
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := range conns {
-			select {
-			case <-got:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%d-byte payload: echo %d of %d never arrived", payload, i, pairs)
+			defer ln.Close() //nolint:errcheck // teardown
+			const pairs = 32
+			got := make(chan struct{}, pairs)
+			base := heapAfterGC()
+			conns := make([]Conn, pairs)
+			for i := range conns {
+				if conns[i], err = nw.Dial(ln.Addr(), func(Conn, *wire.Msg) { got <- struct{}{} }); err != nil {
+					t.Fatal(err)
+				}
+				defer conns[i].Close() //nolint:errcheck // teardown
 			}
-		}
-		perPair := (heapAfterGC() - base) / pairs
-		t.Logf("after a %d-byte payload each way: %.1f KiB retained per idle pair", payload, float64(perPair)/1024)
-		if perPair > retainedPerPair {
-			t.Fatalf("after a %d-byte payload each way: %d bytes retained per idle pair, budget %d", payload, perPair, retainedPerPair)
-		}
+			for _, payload := range []int{8, 256 << 10} {
+				for i, c := range conns {
+					if err := c.Send(&wire.Msg{Kind: wire.KindPropagate, Call: uint64(i), Reg: "r",
+						Entries: []rt.Entry{{Reg: "r", Owner: 1, Seq: 1, Val: strings.Repeat("x", payload)}}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range conns {
+					select {
+					case <-got:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%d-byte payload: echo %d of %d never arrived", payload, i, pairs)
+					}
+				}
+				// An echo arrives before its sender's write loop has let go of
+				// the drain it wrote (a pipe write returns once the peer has
+				// read it), so the pairs are idle only once those loops park;
+				// a buffer an idle pair keeps never drops out.
+				perPair := (heapAfterGC() - base) / pairs
+				for deadline := time.Now().Add(time.Second); perPair > retainedPerPair && time.Now().Before(deadline); {
+					time.Sleep(10 * time.Millisecond)
+					perPair = (heapAfterGC() - base) / pairs
+				}
+				t.Logf("after a %d-byte payload each way: %.1f KiB retained per idle pair", payload, float64(perPair)/1024)
+				if perPair > retainedPerPair {
+					t.Fatalf("after a %d-byte payload each way: %d bytes retained per idle pair, budget %d", payload, perPair, retainedPerPair)
+				}
+			}
+		})
 	}
 }
 
 // hostileHeapGrowth bounds the heap a listener may take for eight
 // connections that each sent only a length prefix claiming MaxFrame. Read
-// buffers grow with the bytes received, so the eight cost their pooled
-// read buffers (256 KiB together); sizing a buffer from the prefix cost
-// 128 MiB.
+// buffers grow with the bytes received, and a few prefix bytes sit in the
+// idle buffer, so the eight cost their eight tcpIdleBufSize read buffers
+// (32 KiB together; 256 KiB while each connection kept a pooled 32 KiB
+// buffer for life); sizing a buffer from the prefix cost 128 MiB.
 const hostileHeapGrowth = 8 << 20
 
 func TestTCPLengthPrefixSizesNoBuffer(t *testing.T) {

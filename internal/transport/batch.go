@@ -21,7 +21,7 @@ const drainOverhead = 8 + wire.StampSize
 // maxRunBytes bounds the sub-frame bytes of one batch — a coalesced run of
 // a write loop's drain, or a reply batch (replyCoalescer.flush) — so that
 // the outer frame, header and trace stamp included, fits the peer's
-// tcpBufSize read buffer whole: a larger one would cost the reader a fresh
+// tcpBufSize burst buffer whole: a larger one would cost the reader a fresh
 // buffer for that frame. A run that would exceed it is split across
 // batches; only a single frame larger than that travels, alone, in a
 // frame that outgrows the buffer.
@@ -192,7 +192,7 @@ func (rc *replyCoalescer) StreamID() uint64 { return StreamID(rc.conn) }
 // flush forwards the accumulated replies and switches the coalescer to
 // pass-through. The replies leave in order, in runs of up to maxRunBytes,
 // each run as one frame — plain for one reply, batch for several — so that
-// every frame fits the peer's read buffer unless one reply alone does not.
+// every frame fits the peer's burst buffer unless one reply alone does not.
 func (rc *replyCoalescer) flush() {
 	rc.mu.Lock()
 	buf, count := rc.buf, rc.count

@@ -45,6 +45,16 @@ func (lo *Loopback) Listen(h Handler) (Listener, error) {
 // Dial implements Network: the server end of a fresh pipe goes to the
 // listener's accept loop, the client end becomes the returned Conn.
 func (lo *Loopback) Dial(addr string, h Handler) (Conn, error) {
+	c, err := lo.dialPipe(addr)
+	if err != nil {
+		return nil, err
+	}
+	return startConn(c, h, lo.Trace), nil
+}
+
+// dialPipe hands the server end of a fresh pipe to the accept loop of the
+// listener at addr and returns the client end, the raw stream.
+func (lo *Loopback) dialPipe(addr string) (net.Conn, error) {
 	lo.mu.Lock()
 	l := lo.listeners[addr]
 	lo.mu.Unlock()
@@ -52,7 +62,7 @@ func (lo *Loopback) Dial(addr string, h Handler) (Conn, error) {
 		client, server := net.Pipe()
 		select {
 		case l.accepts <- server:
-			return startConn(client, h, lo.Trace), nil
+			return client, nil
 		case <-l.done:
 			client.Close()
 			server.Close()

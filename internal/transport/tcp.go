@@ -247,16 +247,24 @@ func startConn(c net.Conn, h Handler, rec *trace.Recorder) Conn {
 	return conn
 }
 
-// tcpBufSize sizes each connection's read buffer, and so its largest read:
-// large enough that a burst — a full quorum broadcast's worth of coalesced
-// frames, or a register-array snapshot at benchmark sizes — crosses the
-// socket in one read call.
+// tcpIdleBufSize sizes the read buffer a stream connection owns for its
+// whole life and reads into between bursts. Almost every read fits it.
+// Counting every Read return on loopback TCP, with 32 KiB to read into, a
+// solo-tcp-n32 election made ≈1 100–1 150 reads (median 64–127 bytes), ≈11
+// of 2–4 KiB, ≈0.9 of 4–8 KiB and ≈0.03 larger; a load-tcp-n16-c4 one
+// ≈300–316 reads, 0.1–0.4 of 2–4 KiB and at most 0.12 larger. So 4 KiB
+// costs about one extra read per 1 200, and only while a burst lasts.
+const tcpIdleBufSize = 4 << 10
+
+// tcpBufSize sizes the burst buffer, and so a burst's largest read: large
+// enough that a full quorum broadcast's worth of coalesced frames, or a
+// register-array snapshot at benchmark sizes, crosses the socket in one
+// read call.
 const tcpBufSize = 32 << 10
 
-// tcpReadBufs recycles the read loops' buffers across connections: a
-// cluster of n nodes opens O(n) connections per side, and a fresh
-// tcpBufSize buffer each would dominate a short-lived cluster's
-// allocations (and their zeroing its CPU).
+// tcpReadBufs lends the read loops their tcpBufSize burst buffers: a
+// connection holds one only while a burst overflows its idle buffer, so an
+// n-node cluster's O(n²) mostly idle stream ends share a few.
 var tcpReadBufs = sync.Pool{New: func() any {
 	b := make([]byte, tcpBufSize)
 	return &b
@@ -266,12 +274,12 @@ var tcpReadBufs = sync.Pool{New: func() any {
 // of a Loopback pipe: Send enqueues encoded frames to a dedicated write
 // loop (so one slow peer never stalls a broadcast mid-loop), and a read
 // loop decodes inbound frames into the handler. The one stream buffer a
-// connection keeps is its pooled read buffer: the write loop gathers each
-// drain into a frame buffer from the wire package's pool and returns it
-// after the one stream write, and the
-// read loop decodes frames in place, so the steady-state stream allocates
-// what the decoded messages themselves need and a buffer for each frame
-// larger than tcpBufSize.
+// connection keeps between bursts is its tcpIdleBufSize read buffer: the
+// write loop gathers each drain into a frame buffer from the wire package's
+// pool and returns it after the one stream write, and the read loop decodes
+// frames in place, borrowing a pooled burst buffer only while a burst
+// lasts, so the steady-state stream allocates what the decoded messages
+// themselves need and a buffer for each frame larger than tcpBufSize.
 type tcpConn struct {
 	c         net.Conn
 	handler   Handler
@@ -360,19 +368,30 @@ func (t *tcpConn) writeLoop() {
 	}
 }
 
-// readLoop reads the stream into one pooled tcpBufSize buffer and
-// dispatches every complete frame straight from it — a batch frame's
-// messages back to back with their replies coalesced — through one
-// replyCoalescer for the life of the stream. A frame that outgrows the
-// buffer gets a larger one, grown with the bytes actually received (never
-// to the size its prefix claims) and dropped once that frame is
-// dispatched. Any stream error — peer close, crash,
-// corruption — severs the connection: message loss, the model's one
-// failure mode for links.
+// readLoop reads the stream and dispatches every complete frame straight
+// from the buffer it was read into — a batch frame's messages back to back
+// with their replies coalesced — through one replyCoalescer for the life of
+// the stream. Between bursts it reads into the connection's idle buffer. A
+// read that fills all the space it was given (the socket may hold more), or
+// a pending frame start that the idle buffer cannot hold, moves the loop to
+// a pooled tcpBufSize buffer, and a short read whose pending bytes fit the
+// idle buffer moves it back and returns the pooled one; either way the
+// pending bytes go along. A frame that outgrows the pooled buffer gets a
+// larger one, grown with the bytes actually received (never to the size
+// its prefix claims) and dropped once that frame is dispatched. No frame
+// body outlives its dispatch (FrameFilter, dispatchGroup), so no switch
+// gives up a buffer a body still points into. Any stream error — peer
+// close, crash, corruption — severs the connection: message loss, the
+// model's one failure mode for links.
 func (t *tcpConn) readLoop() {
-	bp := tcpReadBufs.Get().(*[]byte)
-	defer tcpReadBufs.Put(bp)
-	b, r, w := *bp, 0, 0 // b[r:w] is read and not yet dispatched
+	idle := make([]byte, tcpIdleBufSize)
+	var burst *[]byte // from tcpReadBufs while the loop holds one
+	defer func() {
+		if burst != nil {
+			tcpReadBufs.Put(burst)
+		}
+	}()
+	b, r, w := idle, 0, 0 // b[r:w] is read and not yet dispatched
 	stamp := 0
 	if t.rec != nil {
 		stamp = wire.StampSize // a traced peer follows every outer frame with its send stamp
@@ -380,6 +399,7 @@ func (t *tcpConn) readLoop() {
 	rc := replyCoalescer{conn: t}
 	for {
 		n, rerr := t.c.Read(b[w:])
+		filled := n == len(b)-w
 		if n > 0 {
 			countRead()
 			w += n
@@ -420,10 +440,22 @@ func (t *tcpConn) readLoop() {
 			return
 		}
 		switch pending := w - r; {
-		case pending < len(*bp) && (r > 0 || len(b) > len(*bp)):
-			// The start of the next frame moves to the front of the pooled
-			// buffer, which drops a grown one.
-			b, r, w = *bp, 0, copy(*bp, b[r:w])
+		case pending < len(idle) && !filled:
+			// The burst is over: the start of the next frame moves to the
+			// front of the idle buffer, and the burst buffer goes back.
+			b, r, w = idle, 0, copy(idle, b[r:w])
+			if burst != nil {
+				tcpReadBufs.Put(burst)
+				burst = nil
+			}
+		case pending < tcpBufSize && (r > 0 || len(b) != tcpBufSize):
+			// A burst, or a frame start the idle buffer cannot hold: it moves
+			// to the front of the burst buffer (the one buffer tcpBufSize
+			// long), which drops a grown one.
+			if burst == nil {
+				burst = tcpReadBufs.Get().(*[]byte)
+			}
+			b, r, w = *burst, 0, copy(*burst, b[r:w])
 		case w == len(b):
 			// One frame fills the buffer: twice the bytes it has so far.
 			grown := make([]byte, 2*pending)

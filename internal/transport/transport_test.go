@@ -419,58 +419,108 @@ func TestCoalesceFrames(t *testing.T) {
 	}
 }
 
-// TestTCPReadLoopSplitsAnyChunking: a TCP read loop takes frames off the
-// stream however its bytes arrive. A raw socket writes plain frames, batch
-// frames and frames larger than the read buffer — on a traced network each
-// outer frame followed by its send stamp — in random chunks from one byte
-// up, and every message must reach the handler exactly once, in order.
+// TestTCPReadLoopSplitsAnyChunking: a stream read loop takes frames off the
+// stream however its bytes arrive. A raw TCP socket, or the raw client end
+// of a Loopback pipe, writes plain frames, batch frames, frames one byte
+// either side of the idle and burst buffer sizes, runs of small frames that
+// together overflow the idle buffer and frames larger than the burst
+// buffer — on a traced network each outer frame followed by its send stamp
+// — in random chunks from one byte up, and every message must reach the
+// handler exactly once, in order.
 func TestTCPReadLoopSplitsAnyChunking(t *testing.T) {
-	for name, nw := range map[string]*TCP{
-		"plain":   NewTCP(),
-		"stamped": {Host: "127.0.0.1", Trace: trace.NewRecorder(1 << 12)},
+	tcpDial := func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	lo, stampedLo := NewLoopback(), NewLoopback()
+	stampedLo.Trace = trace.NewRecorder(1 << 12)
+	for _, arm := range []struct {
+		name    string
+		nw      Network
+		stamped bool
+		dial    func(addr string) (net.Conn, error)
+	}{
+		{"plain", NewTCP(), false, tcpDial},
+		{"stamped", &TCP{Host: "127.0.0.1", Trace: trace.NewRecorder(1 << 12)}, true, tcpDial},
+		{"loopback", lo, false, lo.dialPipe},
+		{"loopback-stamped", stampedLo, true, stampedLo.dialPipe},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(arm.name, func(t *testing.T) {
 			seed := uint64(time.Now().UnixNano())
 			t.Logf("seed %d", seed)
 			rng := rand.New(rand.NewPCG(seed, 0))
 
+			stamp := 0
+			if arm.stamped {
+				stamp = wire.StampSize
+			}
 			var stream []byte
 			var want []uint64
-			msg := func(payload int) *wire.Msg {
-				call := uint64(len(want) + 1)
-				want = append(want, call)
+			msg := func(i, payload int) *wire.Msg {
+				call := uint64(len(want) + 1 + i)
 				return &wire.Msg{Kind: wire.KindPropagate, Call: call, Reg: "r",
 					Entries: []rt.Entry{{Reg: "r", Owner: 1, Seq: call, Val: strings.Repeat("x", payload)}}}
 			}
-			for len(want) < 400 {
-				var msgs []*wire.Msg
-				switch rng.IntN(8) {
-				case 0: // larger than the read buffer
-					msgs = append(msgs, msg(tcpBufSize+rng.IntN(3*tcpBufSize)))
-				case 1, 2:
-					for range 2 + rng.IntN(7) {
-						msgs = append(msgs, msg(rng.IntN(64)))
-					}
-				default:
-					msgs = append(msgs, msg(rng.IntN(64)))
+			// send appends one outer frame carrying a message per payload
+			// and returns the bytes it appended.
+			send := func(payloads ...int) int {
+				msgs := make([]*wire.Msg, len(payloads))
+				for i, p := range payloads {
+					msgs[i] = msg(i, p)
 				}
 				frame, err := wire.EncodeBatch(msgs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				for _, m := range msgs {
+					want = append(want, m.Call)
+				}
 				stream = append(stream, frame...)
-				if nw.Trace != nil {
+				if arm.stamped {
 					stream = appendStamp(stream, true)
+				}
+				return len(frame) + stamp
+			}
+			// sendSized sends one message whose frame, stamp included, is
+			// exactly size bytes.
+			sendSized := func(size int) {
+				for p := size; p > 0; p-- {
+					frame, err := wire.Encode(msg(0, p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(frame)+stamp == size {
+						send(p)
+						return
+					}
+				}
+				t.Fatalf("no payload makes a %d-byte frame", size)
+			}
+			for len(want) < 400 {
+				switch rng.IntN(10) {
+				case 0: // larger than the burst buffer
+					send(tcpBufSize + rng.IntN(3*tcpBufSize))
+				case 1, 2:
+					var payloads []int
+					for range 2 + rng.IntN(7) {
+						payloads = append(payloads, rng.IntN(64))
+					}
+					send(payloads...)
+				case 3: // one byte short of a buffer, its size, one byte over
+					sendSized([]int{tcpIdleBufSize, tcpBufSize}[rng.IntN(2)] + rng.IntN(3) - 1)
+				case 4: // a run of small frames that overflows the idle buffer
+					for sum := 0; sum <= tcpIdleBufSize; {
+						sum += send(64 + rng.IntN(256))
+					}
+				default:
+					send(rng.IntN(64))
 				}
 			}
 
 			got := make(chan uint64, len(want))
-			ln, err := nw.Listen(func(_ Conn, m *wire.Msg) { got <- m.Call })
+			ln, err := arm.nw.Listen(func(_ Conn, m *wire.Msg) { got <- m.Call })
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ln.Close() //nolint:errcheck // teardown
-			raw, err := net.Dial("tcp", ln.Addr())
+			raw, err := arm.dial(ln.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
