@@ -56,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/obs"
 	"repro/internal/rt"
@@ -84,7 +83,6 @@ func main() {
 		k         = flag.Int("k", 4, "elect/demo/soak: participants per election")
 		elections = flag.Int("elections", 1, "elect/demo/soak: number of election instances (soak default: 100000)")
 		seed      = flag.Int64("seed", 1, "elect/demo: base PRNG seed")
-		algo      = flag.String("algorithm", "poisonpill", "poisonpill | tournament")
 		tspt      = flag.String("transport", "tcp", "serve/elect/demo: tcp | udp socket substrate (servers and clients must agree)")
 		metricsOu = flag.String("metrics-out", "", "soak: write the final metrics snapshot JSON here")
 	)
@@ -96,9 +94,9 @@ func main() {
 	case *serve:
 		err = runServe(spec, *id, *listen, *admin, *ttl, *maxLive, *drainWait, *pprofOn, *traceOn, *mutexFrac)
 	case *elect:
-		err = runElect(spec, strings.Split(*servers, ","), *k, *elections, *seed, *algo)
+		err = runElect(spec, strings.Split(*servers, ","), *k, *elections, *seed)
 	case *demo:
-		err = runDemo(spec, *n, *k, *elections, *seed, *algo)
+		err = runDemo(spec, *n, *k, *elections, *seed)
 	case *soak:
 		err = runSoak(*n, *k, *elections, *metricsOu)
 	default:
@@ -343,7 +341,7 @@ func runSoak(n, k, elections int, metricsOut string) error {
 
 // runElect dials the servers and runs the requested elections concurrently,
 // multiplexed by election ID over one connection pool.
-func runElect(spec transport.Spec, addrs []string, k, elections int, seed int64, algo string) error {
+func runElect(spec transport.Spec, addrs []string, k, elections int, seed int64) error {
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
@@ -357,39 +355,30 @@ func runElect(spec transport.Spec, addrs []string, k, elections int, seed int64,
 		return err
 	}
 	defer pool.Close()
-	return runElections(pool.NewComm, len(addrs), k, elections, seed, algo)
+	return runElections(pool, len(addrs), k, elections, seed)
 }
 
 // runDemo starts an in-process cluster over loopback sockets and elects on
 // it.
-func runDemo(spec transport.Spec, n, k, elections int, seed int64, algo string) error {
+func runDemo(spec transport.Spec, n, k, elections int, seed int64) error {
 	cluster, err := electd.NewClusterSpec(spec, n, electd.ClusterOptions{})
 	if err != nil {
 		return err
 	}
 	defer cluster.Close()
 	fmt.Printf("electd: %d servers (%s) on %s\n", n, spec.Name, strings.Join(cluster.Addrs(), " "))
-	return runElections(cluster.NewComm, n, k, elections, seed, algo)
+	return runElections(cluster.Pool(), n, k, elections, seed)
 }
 
-// runElections fans the requested election instances out concurrently —
-// each with k participant goroutines — and verifies a unique winner per
-// instance.
-func runElections(newComm func(p rt.Procer, election uint64, delay func(int) time.Duration) *electd.Client,
-	n, k, elections int, seed int64, algo string) error {
+// runElections fans the requested election instances out concurrently,
+// each one Pool.Elect with k participants, and fails if any election had
+// no unique winner or was shed by a busy replica.
+func runElections(pool *electd.Pool, n, k, elections int, seed int64) error {
 	if k < 1 {
 		return fmt.Errorf("participants %d must be positive", k)
 	}
 	if elections < 1 {
 		return fmt.Errorf("election count %d must be positive", elections)
-	}
-	body := core.LeaderElectWithState
-	switch algo {
-	case "poisonpill", "":
-	case "tournament":
-		return fmt.Errorf("tournament over electd needs the livesim harness (livesim -transport tcp -algorithm tournament)")
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
 	}
 
 	// Election IDs must be unique across invocations, not just within one:
@@ -401,39 +390,17 @@ func runElections(newComm func(p rt.Procer, election uint64, delay func(int) tim
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, elections)
-	for e := 0; e < elections; e++ {
+	for e := range elections {
 		wg.Add(1)
-		go func(e int) {
+		go func() {
 			defer wg.Done()
-			decisions := make([]core.Decision, k)
-			var pwg sync.WaitGroup
-			for i := 0; i < k; i++ {
-				pwg.Add(1)
-				go func(i int) {
-					defer pwg.Done()
-					p := electd.NewParticipant(rt.ProcID(i), k, seed+int64(e*k+i))
-					c := newComm(p, base+uint64(e), nil)
-					s := core.NewState(p, "leaderelect")
-					decisions[i] = body(c, "elect", s)
-				}(i)
-			}
-			pwg.Wait()
-			winner := rt.ProcID(-1)
-			for i, d := range decisions {
-				if d == core.Win {
-					if winner >= 0 {
-						errs[e] = fmt.Errorf("election %d: processors %d and %d both won", e, winner, i)
-						return
-					}
-					winner = rt.ProcID(i)
-				}
-			}
-			if winner < 0 {
-				errs[e] = fmt.Errorf("election %d: no winner", e)
+			res, err := pool.Elect(base+uint64(e), k, seed+int64(e*k))
+			if err != nil {
+				errs[e] = fmt.Errorf("election %d: %w", e, err)
 				return
 			}
-			fmt.Printf("election=%-4d winner=%d\n", e, winner)
-		}(e)
+			fmt.Printf("election=%-4d winner=%d\n", e, res.Winner)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

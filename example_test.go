@@ -94,3 +94,52 @@ func ExampleCampaign() {
 	// all elected: true
 	// percentiles ordered: true
 }
+
+// ExampleElect_rejected shows a configuration Elect refuses with an error
+// rather than running: an unknown algorithm or schedule, more participants
+// than processors, or more processors than the register store has owners.
+func ExampleElect_rejected() {
+	for _, opts := range [][]repro.Option{
+		{repro.WithAlgorithm("nope")},
+		{repro.WithSchedule("nope")},
+		{repro.WithN(4), repro.WithParticipants(9)},
+		{repro.WithN(1 << 13)},
+	} {
+		_, err := repro.Elect(opts...)
+		fmt.Println(err)
+	}
+	// Output:
+	// repro: election run: expt: unknown algorithm "nope"
+	// repro: election run: expt: unknown schedule "nope"
+	// repro: participants 9 must be in [1, 4]
+	// repro: system size 8192 exceeds the register store's 8160 owners
+}
+
+// ExampleSift runs one standalone round of the basic sifter (Figure 1)
+// under the default fair schedule: at least one participant survives, and
+// O(√n) do in expectation.
+func ExampleSift() {
+	res, err := repro.Sift(repro.WithN(16), repro.WithAlgorithm(repro.BasicSift), repro.WithSeed(1))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("survivors:", res.Survivors, "of", len(res.Outcomes))
+	// Output:
+	// survivors: 3 of 16
+}
+
+// ExampleRename runs the random-scan renaming baseline: every participant
+// ends with a distinct name in [1, n].
+func ExampleRename() {
+	res, err := repro.Rename(repro.WithN(8), repro.WithAlgorithm(repro.RandomScan), repro.WithSeed(1))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("names:", res.Names)
+	fmt.Println("communicate calls:", res.Time)
+	// Output:
+	// names: map[0:6 1:1 2:8 3:4 4:7 5:2 6:3 7:5]
+	// communicate calls: 40
+}

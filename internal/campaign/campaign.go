@@ -568,8 +568,7 @@ func summarize(lats []time.Duration) Latency {
 }
 
 // ScanWorkers runs the same campaign at each worker count and reports one
-// Report per count, in order — the scaling curve cmd/livesim prints and
-// BenchmarkLiveCampaignThroughput summarises.
+// Report per count, in order — the scaling curve cmd/livesim prints.
 func ScanWorkers(cfg Config, workers []int) ([]Report, error) {
 	out := make([]Report, 0, len(workers))
 	for _, w := range workers {

@@ -1,16 +1,20 @@
 package electd
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/rt"
 )
 
 // Participant is a minimal rt.Procer for running the election algorithms
 // as a pure network client — one goroutine, a private PRNG, no backend
-// kernel. It is what cmd/electd and client-only processes hand to
+// kernel. It is what Pool.Elect and client-only processes hand to
 // core.LeaderElect next to a Pool client; live-backend runs use the richer
 // live.Proc (crash unwinding, scenario throttling) instead.
 //
@@ -85,4 +89,59 @@ func (p *Participant) Published() any {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.published
+}
+
+// Election is one Pool.Elect run: its winner and the requests its
+// participants sent.
+type Election struct {
+	Winner      rt.ProcID // -1 unless exactly one participant won
+	Msgs, Bytes int64     // requests and their bytes, summed over participants
+}
+
+// Elect runs one PoisonPill election on instance id with k participants,
+// participant i on its own goroutine with a Participant seeded seed+i, and
+// waits for all of them. The run is valid when no replica shed it and
+// exactly one participant won; otherwise the error says which, and for a
+// shed election it wraps the *BusyError. It is the one election driver of
+// `electd -elect`, `-demo` and Soak.
+func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
+	decisions := make([]core.Decision, k)
+	shed := make([]error, k)
+	var msgs, bytes atomic.Int64
+	var wg sync.WaitGroup
+	for i := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := NewParticipant(rt.ProcID(i), k, seed+int64(i))
+			c := pl.NewComm(p, id, nil)
+			shed[i] = CatchBusy(func() {
+				decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
+			})
+			msgs.Add(c.Messages())
+			bytes.Add(c.Bytes())
+		}()
+	}
+	wg.Wait()
+	e := Election{Winner: -1, Msgs: msgs.Load(), Bytes: bytes.Load()}
+	for _, err := range shed {
+		if err != nil {
+			return e, fmt.Errorf("shed by a busy replica: %w", err)
+		}
+	}
+	winner := rt.ProcID(-1)
+	for i, d := range decisions {
+		if d != core.Win {
+			continue
+		}
+		if winner >= 0 {
+			return e, fmt.Errorf("processors %d and %d both won", winner, i)
+		}
+		winner = rt.ProcID(i)
+	}
+	if winner < 0 {
+		return e, errors.New("no winner")
+	}
+	e.Winner = winner
+	return e, nil
 }

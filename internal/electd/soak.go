@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/transport"
@@ -170,36 +169,12 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	// participant wins and no replica shed it. Seeds derive from the run
 	// index so reruns are reproducible.
 	runOne := func(run int) {
-		id := cl.NextElectionID()
-		decisions := make([]core.Decision, cfg.K)
-		var shed atomic.Bool
-		var wg sync.WaitGroup
-		for i := 0; i < cfg.K; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				p := NewParticipant(rt.ProcID(i), cfg.K, int64(run)*1_000_003+int64(i)+1)
-				c := cl.NewComm(p, id, nil)
-				if err := CatchBusy(func() {
-					s := core.NewState(p, "leaderelect")
-					decisions[i] = core.LeaderElectWithState(c, "elect", s)
-				}); err != nil {
-					shed.Store(true)
-				}
-				clientMsgs.Add(c.Messages())
-				clientBytes.Add(c.Bytes())
-			}(i)
-		}
-		wg.Wait()
-		winners := 0
-		for _, d := range decisions {
-			if d == core.Win {
-				winners++
-			}
-		}
-		if shed.Load() || winners != 1 {
+		e, err := cl.Pool().Elect(cl.NextElectionID(), cfg.K, int64(run)*1_000_003+1)
+		if err != nil {
 			invalid.Add(1)
 		}
+		clientMsgs.Add(e.Msgs)
+		clientBytes.Add(e.Bytes)
 		elections.Add(1)
 	}
 

@@ -144,8 +144,8 @@ func buildAdversary(cfg Config) sim.Adversary {
 }
 
 // Validate reports a configuration Run cannot execute: a size out of range
-// or a name that is no algorithm or schedule. Run panics on one; a command
-// line checks its flags here first.
+// or a name that is no algorithm or schedule. Run returns it as the
+// result's Err.
 func (cfg Config) Validate() error {
 	if cfg.N < 1 || cfg.K < 0 || cfg.K > cfg.N {
 		return fmt.Errorf("expt: n=%d k=%d, want n ≥ 1 and 0 ≤ k ≤ n", cfg.N, cfg.K)
@@ -171,7 +171,7 @@ func (cfg Config) Validate() error {
 // Run executes one configured run and returns its result.
 func Run(cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
+		return Result{Config: cfg, Err: err}
 	}
 	if cfg.K == 0 {
 		cfg.K = cfg.N

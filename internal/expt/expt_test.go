@@ -65,6 +65,23 @@ func TestRunCrashSchedule(t *testing.T) {
 	if len(r.Decisions)+r.Stats.Crashes < 16 {
 		t.Fatalf("decided %d + crashed %d < 16", len(r.Decisions), r.Stats.Crashes)
 	}
+
+	// Renaming under the same adversary: every survivor still gets a
+	// distinct name.
+	r = Run(Config{N: 16, Algorithm: AlgoRenaming, Schedule: SchedCrash, Faults: 3, Seed: 3})
+	if r.Err != nil {
+		t.Fatalf("crash renaming run: %v", r.Err)
+	}
+	taken := map[int]bool{}
+	for id, name := range r.Names {
+		if taken[name] {
+			t.Fatalf("processor %d got taken name %d", id, name)
+		}
+		taken[name] = true
+	}
+	if len(r.Names)+r.Stats.Crashes < 16 {
+		t.Fatalf("named %d + crashed %d < 16", len(r.Names), r.Stats.Crashes)
+	}
 }
 
 func TestRunDefaultsKToN(t *testing.T) {

@@ -23,10 +23,6 @@ func (k *Kernel) Done(id ProcID) bool { return k.procs[id].state == stateDone }
 // Crashed reports whether processor id has failed.
 func (k *Kernel) Crashed(id ProcID) bool { return k.procs[id].state == stateCrashed }
 
-// Blocked reports whether processor id's algorithm is parked at a yield
-// point.
-func (k *Kernel) Blocked(id ProcID) bool { return k.procs[id].state == stateBlocked }
-
 // Resumable reports whether a Step of processor id would resume its
 // algorithm right now (parked with a satisfied — or absent — wait
 // condition).
@@ -94,12 +90,6 @@ func (k *Kernel) OldestInflight() (MsgID, bool) { return k.global.front(k.alive)
 // processor id.
 func (k *Kernel) OldestInflightTo(id ProcID) (MsgID, bool) {
 	return k.toProc[id].front(k.alive)
-}
-
-// OldestInflightFrom returns the oldest in-flight message sent by processor
-// id.
-func (k *Kernel) OldestInflightFrom(id ProcID) (MsgID, bool) {
-	return k.fromProc[id].front(k.alive)
 }
 
 // RandomInflight returns a uniformly random in-flight message ID, using the
