@@ -374,9 +374,6 @@ func runDemo(spec transport.Spec, n, k, elections int, seed int64) error {
 // each one Pool.Elect with k participants, and fails if any election had
 // no unique winner or was shed by a busy replica.
 func runElections(pool *electd.Pool, n, k, elections int, seed int64) error {
-	if k < 1 {
-		return fmt.Errorf("participants %d must be positive", k)
-	}
 	if elections < 1 {
 		return fmt.Errorf("election count %d must be positive", elections)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/electd"
+	"repro/internal/regstore"
 	"repro/internal/transport"
 )
 
@@ -26,6 +27,16 @@ func TestDemoUnknownTransport(t *testing.T) {
 	err := runDemo(transport.Spec{Name: "bogus"}, 3, 4, 1, 1)
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("err = %v, want one naming the transport", err)
+	}
+}
+
+// TestDemoRejectsParticipantsBeyondOwners: -demo -k 8161 asks for
+// participant ids past regstore.MaxOwners, whose cells every replica would
+// drop; it is an error (main exits non-zero), not an election outside the
+// model.
+func TestDemoRejectsParticipantsBeyondOwners(t *testing.T) {
+	if err := runDemo(transport.Spec{Name: transport.SpecTCP}, 3, regstore.MaxOwners+1, 1, 1); err == nil {
+		t.Fatalf("k=%d accepted", regstore.MaxOwners+1)
 	}
 }
 

@@ -96,9 +96,6 @@ func chaosColumns() []chaosColumn {
 // runChaos executes the chaos grid and writes the report artifact. It
 // returns an error (after writing the report) when any run was invalid.
 func runChaos(cfg config, seeds int, out string) error {
-	if campaign.BackendLive != campaign.Backend(cfg.backend) {
-		return fmt.Errorf("-chaos requires the live backend")
-	}
 	k := cfg.k
 	if k == 0 {
 		k = cfg.n

@@ -1,20 +1,17 @@
-// Command livesim runs leader elections on the real-concurrency goroutine
-// backend and drives the parallel campaign engine: many independent
-// elections fanned across a worker pool, with wall-clock latency percentiles
-// and throughput — optionally under fault/latency injection scenarios
-// (crash schedules, link-delay distributions, slow processors, reordering).
+// Command livesim drives the parallel campaign engine: many independent
+// live elections (real goroutines, wall-clock time) fanned across a worker
+// pool, with latency percentiles and throughput — optionally under the
+// fault/latency scenarios of internal/fault (crash schedules, link-delay
+// distributions, slow processors, reordering, partitions).
 //
 // Usage:
 //
 //	livesim -n 64 -runs 256                      # campaign at GOMAXPROCS workers
 //	livesim -n 256 -runs 64 -algorithm tournament
-//	livesim -n 64 -runs 256 -scan                # worker-scaling curve 1..GOMAXPROCS
-//	livesim -n 32 -runs 128 -backend sim         # same campaign on the sim kernel
 //	livesim -n 32 -runs 128 -transport tcp       # quorums over loopback TCP (electd)
 //	livesim -n 32 -runs 128 -transport udp       # quorums over UDP datagrams (electd)
-//	livesim -n 64 -runs 1 -v                     # one election, per-run detail
 //
-// Flight recorder (live backend only):
+// Flight recorder:
 //
 //	livesim -n 32 -runs 64 -transport tcp -trace-out trace.json
 //	livesim -n 32 -runs 64 -trace-out t.json -trace-chrome t.chrome.json
@@ -25,14 +22,13 @@
 // exports Chrome trace_event JSON for about://tracing. Tracing off (the
 // default) leaves every hot path byte-identical to an untraced build.
 //
-// Scenario matrices (live backend only):
+// Scenario matrices:
 //
 //	livesim -n 64 -runs 128 -scenarios all       # every preset scenario
 //	livesim -n 64 -runs 128 -scenarios baseline,crash-minority,heavy-tail
-//	livesim -n 64 -runs 128 -crashes 31 -crash-window 2ms   # custom crash campaign
-//	livesim -n 64 -runs 128 -delay 100us -jitter 400us -tail 1.2
+//	livesim -n 64 -runs 128 -scenarios slow-third,reorder
 //
-// Chaos verification grid (live backend only):
+// Chaos verification grid:
 //
 //	livesim -n 8 -chaos                          # fault.ChaosGrid × 6 seeds × backends
 //	livesim -n 8 -chaos -chaos-seeds 12 -chaos-out chaos.json
@@ -48,20 +44,20 @@
 // A campaign runs all of its elections under the same verdict; if any is
 // invalid, livesim exits nonzero naming the first violation.
 //
-// Algorithms: poisonpill (default), tournament. Backends: live (default),
-// sim. Transports (live backend): chan (default, in-process mailboxes), tcp
-// (electd quorum servers over loopback TCP sockets; the campaign shares one
-// multiplexed server set), udp (the same servers over loopback datagrams
-// with client-side retransmit-and-dedup). Preset scenarios: baseline,
-// crash-1, crash-minority, lan, wan, heavy-tail, slow-third, reorder,
-// chaos.
+// Algorithms: poisonpill (default), tournament. Transports: chan (default,
+// in-process mailboxes), tcp (electd quorum servers over loopback TCP
+// sockets; the campaign shares one multiplexed server set), udp (the same
+// servers over loopback datagrams with client-side retransmit-and-dedup).
+// Preset scenarios: baseline, crash-1, crash-minority, lan, wan,
+// heavy-tail, slow-third, reorder, chaos, partition-heal,
+// partition-minority, partition-majority, crash-recovery, flaky,
+// flaky-asym, chaos-recovery.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -79,41 +75,23 @@ func main() {
 		workers = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 		seed    = flag.Int64("seed", 1, "base seed (per-run seeds are sharded from it)")
 		algo    = flag.String("algorithm", "poisonpill", "poisonpill | tournament")
-		backend = flag.String("backend", "live", "live | sim")
-		trans   = flag.String("transport", "chan", "chan | tcp | udp (live backend comm substrate)")
-		scan    = flag.Bool("scan", false, "sweep worker counts 1,2,4,...,GOMAXPROCS and print the scaling curve")
-		verbose = flag.Bool("v", false, "run additional individual live elections first and print their per-run details")
+		trans   = flag.String("transport", "chan", "chan | tcp | udp (comm substrate)")
 
-		scenarios = flag.String("scenarios", "", "comma-separated preset scenarios, or \"all\" (live backend)")
+		scenarios = flag.String("scenarios", "", "comma-separated preset scenarios, or \"all\"")
 
-		traceOut    = flag.String("trace-out", "", "record phase-level spans and write the trace file (breakdown + raw spans) to this path (live backend)")
+		traceOut    = flag.String("trace-out", "", "record phase-level spans and write the trace file (breakdown + raw spans) to this path")
 		traceChrome = flag.String("trace-chrome", "", "also export the recorded spans in Chrome trace_event format to this path")
 		traceCap    = flag.Int("trace-cap", 1<<20, "flight-recorder ring capacity in spans (rounded up to a power of two)")
 
 		chaos      = flag.Bool("chaos", false, "run the chaos verification grid (fault.ChaosGrid × seeds × backends) and validate every election")
 		chaosSeeds = flag.Int("chaos-seeds", 6, "seeds per chaos grid cell")
 		chaosOut   = flag.String("chaos-out", "", "write the chaos grid's machine-readable JSON report to this path")
-
-		crashes     = flag.Int("crashes", 0, "custom scenario: processors to crash (≤ ⌈n/2⌉−1, -1 = max)")
-		crashWindow = flag.Duration("crash-window", 0, "custom scenario: crash times are uniform in [0, window)")
-		delay       = flag.Duration("delay", 0, "custom scenario: fixed link-delay floor per message")
-		jitter      = flag.Duration("jitter", 0, "custom scenario: uniform link-delay jitter width")
-		tail        = flag.Float64("tail", 0, "custom scenario: Pareto tail index α (>1) — makes the link delay heavy-tailed")
-		slow        = flag.Int("slow", 0, "custom scenario: processors to throttle (-1 = ⌈n/3⌉)")
-		slowDelay   = flag.Duration("slow-delay", 0, "custom scenario: extra delay per op on throttled processors")
-		reorder     = flag.Float64("reorder", 0, "custom scenario: probability a message takes an extra reorder delay")
 	)
 	flag.Parse()
 
-	custom, err := buildCustomScenario(*crashes, *crashWindow, *delay, *jitter, *tail, *slow, *slowDelay, *reorder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "livesim:", err)
-		os.Exit(1)
-	}
 	cfg := config{
 		n: *n, k: *k, runs: *runs, workers: *workers, seed: *seed,
-		algo: *algo, backend: *backend, transport: *trans, scan: *scan, verbose: *verbose,
-		scenarios: *scenarios, custom: custom,
+		algo: *algo, transport: *trans, scenarios: *scenarios,
 		traceOut: *traceOut, traceChrome: *traceChrome, traceCap: *traceCap,
 	}
 	if *chaos {
@@ -132,56 +110,15 @@ func main() {
 type config struct {
 	n, k, runs, workers int
 	seed                int64
-	algo, backend       string
-	transport           string
-	scan, verbose       bool
+	algo, transport     string
 	scenarios           string
-	custom              *fault.Scenario
 
 	traceOut, traceChrome string
 	traceCap              int
 }
 
-// buildCustomScenario assembles a Scenario from the individual injection
-// flags; nil when none is set. Companion flags that would otherwise be
-// silently dropped (-tail without a delay, -crash-window without -crashes,
-// -slow-delay without -slow) are errors: a campaign must never run a
-// narrower scenario than the command line asked for.
-func buildCustomScenario(crashes int, window, delay, jitter time.Duration, tail float64, slow int, slowDelay time.Duration, reorder float64) (*fault.Scenario, error) {
-	sc := fault.Scenario{Name: "custom", Crashes: crashes, CrashWindow: window}
-	if window > 0 && crashes == 0 {
-		return nil, fmt.Errorf("-crash-window has no effect without -crashes")
-	}
-	if delay > 0 || jitter > 0 {
-		sc.Link = fault.Dist{Kind: fault.Uniform, Base: delay, Jitter: jitter}
-		if tail > 0 {
-			sc.Link = fault.Dist{Kind: fault.Pareto, Base: delay, Jitter: jitter, Alpha: tail}
-		}
-	} else if tail > 0 {
-		return nil, fmt.Errorf("-tail needs a link delay to shape: set -delay and/or -jitter")
-	}
-	if slow != 0 {
-		sc.SlowProcs = slow
-		d := slowDelay
-		if d == 0 {
-			d = 500 * time.Microsecond
-		}
-		sc.Slow = fault.Dist{Kind: fault.Uniform, Base: d / 2, Jitter: d}
-	} else if slowDelay > 0 {
-		return nil, fmt.Errorf("-slow-delay has no effect without -slow")
-	}
-	if reorder > 0 {
-		sc.ReorderProb = reorder
-		sc.Reorder = fault.Dist{Kind: fault.Uniform, Jitter: 500 * time.Microsecond}
-	}
-	if !sc.Active() {
-		return nil, nil
-	}
-	return &sc, nil
-}
-
-// resolveScenarios expands the -scenarios flag (and the custom flags) into
-// the matrix to run; nil means no matrix — plain campaign mode.
+// resolveScenarios expands the -scenarios flag into the matrix to run; nil
+// means no matrix — plain campaign mode.
 func resolveScenarios(cfg config) ([]fault.Scenario, error) {
 	var out []fault.Scenario
 	switch cfg.scenarios {
@@ -199,23 +136,16 @@ func resolveScenarios(cfg config) ([]fault.Scenario, error) {
 			out = append(out, sc)
 		}
 	}
-	if cfg.custom != nil {
-		out = append(out, *cfg.custom)
-	}
 	return out, nil
 }
 
 func run(cfg config) error {
 	ccfg := campaign.Config{
 		Runs: cfg.runs, Workers: cfg.workers, N: cfg.n, K: cfg.k, BaseSeed: cfg.seed,
-		Algorithm: live.Algorithm(cfg.algo), Backend: campaign.Backend(cfg.backend),
-		Transport: live.Transport(cfg.transport),
+		Algorithm: live.Algorithm(cfg.algo), Transport: live.Transport(cfg.transport),
 	}
 	var rec *trace.Recorder
 	if cfg.traceOut != "" || cfg.traceChrome != "" {
-		if campaign.Backend(cfg.backend) != campaign.BackendLive {
-			return fmt.Errorf("-trace-out records the live backend's flight recorder; backend %q has no live spans", cfg.backend)
-		}
 		rec = trace.NewRecorder(cfg.traceCap)
 		ccfg.Trace = rec
 	}
@@ -224,22 +154,7 @@ func run(cfg config) error {
 		return err
 	}
 
-	if cfg.verbose && campaign.Backend(cfg.backend) == campaign.BackendLive {
-		detail := scenarios
-		if len(detail) == 0 {
-			detail = []fault.Scenario{{}} // fault-free
-		}
-		for _, sc := range detail {
-			if err := printRuns(cfg, sc); err != nil {
-				return err
-			}
-		}
-	}
-
 	if len(scenarios) > 0 {
-		if cfg.scan {
-			return fmt.Errorf("-scan and -scenarios are mutually exclusive (the matrix shares one pool)")
-		}
 		m, err := campaign.RunMatrix(ccfg, scenarios)
 		if err != nil {
 			return err
@@ -255,9 +170,6 @@ func run(cfg config) error {
 		return nil
 	}
 
-	if cfg.scan {
-		return printScan(ccfg)
-	}
 	rep, err := campaign.Run(ccfg)
 	if err != nil {
 		return err
@@ -319,54 +231,6 @@ func writeTrace(cfg config, rec *trace.Recorder, runs int, meanLat time.Duration
 			return fmt.Errorf("write chrome trace: %w", err)
 		}
 		fmt.Printf("chrome trace written to %s (load in about://tracing)\n", cfg.traceChrome)
-	}
-	return nil
-}
-
-// printRuns executes each election individually under one scenario and
-// prints its detail line, labelled with the scenario's name.
-func printRuns(cfg config, sc fault.Scenario) error {
-	name := sc.Name
-	if name == "" {
-		name = "fault-free"
-	}
-	for i := 0; i < cfg.runs; i++ {
-		res, err := live.Elect(live.Config{
-			N: cfg.n, K: cfg.k, Seed: cfg.seed + int64(i),
-			Algorithm: live.Algorithm(cfg.algo), Scenario: sc,
-			Transport: live.Transport(cfg.transport),
-		})
-		if err != nil {
-			return fmt.Errorf("%s run %d: %w", name, i, err)
-		}
-		fmt.Printf("scenario=%-16s run=%-4d winner=%-4d rounds=%-3d time=%-4d messages=%-8d bytes=%-8d crashed=%-3d wall=%v\n",
-			name, i, res.Winner, res.Rounds, res.Time, res.Messages, res.Bytes, len(res.Crashed),
-			res.Elapsed.Round(time.Microsecond))
-	}
-	return nil
-}
-
-// printScan sweeps power-of-two worker counts up to GOMAXPROCS.
-func printScan(cfg campaign.Config) error {
-	max := runtime.GOMAXPROCS(0)
-	var counts []int
-	for w := 1; w < max; w *= 2 {
-		counts = append(counts, w)
-	}
-	counts = append(counts, max)
-	reps, err := campaign.ScanWorkers(cfg, counts)
-	if err != nil {
-		return err
-	}
-	printHeader()
-	for _, rep := range reps {
-		printReport(rep)
-	}
-	if len(reps) > 1 {
-		base := reps[0].Throughput
-		last := reps[len(reps)-1]
-		fmt.Printf("\nscaling: %.2fx throughput at %d workers over 1 worker\n",
-			last.Throughput/base, last.Workers)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/trace"
 )
 
 // Smoke tests: the binary's two entry points run end to end at n=8 and
@@ -15,7 +16,7 @@ import (
 // line.
 
 func smokeConfig(transport string) config {
-	return config{n: 8, runs: 4, seed: 1, algo: "poisonpill", backend: "live", transport: transport, traceCap: 1 << 12}
+	return config{n: 8, runs: 4, seed: 1, algo: "poisonpill", transport: transport, traceCap: 1 << 12}
 }
 
 func TestRunCampaign(t *testing.T) {
@@ -23,6 +24,40 @@ func TestRunCampaign(t *testing.T) {
 		if err := run(smokeConfig(transport)); err != nil {
 			t.Errorf("-transport %s: %v", transport, err)
 		}
+	}
+}
+
+// TestRunMatrixWritesTraces: a two-scenario matrix with the flight
+// recorder on writes a trace file that traceview can read — one recorder
+// across the matrix, so its elections count every scenario's runs — and a
+// non-empty Chrome export; an unknown scenario name is an error.
+func TestRunMatrixWritesTraces(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smokeConfig("chan")
+	cfg.runs = 2
+	cfg.scenarios = "crash-1,reorder"
+	cfg.traceOut = filepath.Join(dir, "trace.json")
+	cfg.traceChrome = filepath.Join(dir, "trace.chrome.json")
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.ReadFile(cfg.traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Meta.Elections != 4 || len(f.Spans) == 0 {
+		t.Errorf("trace file covers %d elections with %d spans, want 4 elections and some spans",
+			f.Meta.Elections, len(f.Spans))
+	}
+	if fi, err := os.Stat(cfg.traceChrome); err != nil {
+		t.Error(err)
+	} else if fi.Size() == 0 {
+		t.Error("empty chrome export")
+	}
+
+	cfg.scenarios = "crash-1,no-such-scenario"
+	if err := run(cfg); err == nil {
+		t.Error("unknown scenario accepted")
 	}
 }
 

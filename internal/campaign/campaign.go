@@ -8,26 +8,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/trace"
 	"repro/internal/transport"
-)
-
-// Backend selects the execution backend elections run on.
-type Backend string
-
-// Backends understood by the engine.
-const (
-	// BackendSim is the deterministic discrete-event kernel (virtual time,
-	// adversary schedules available).
-	BackendSim Backend = "sim"
-	// BackendLive is the real-concurrency goroutine runtime (wall-clock
-	// time, OS scheduling).
-	BackendLive Backend = "live"
 )
 
 // ErrInvalidRuns is wrapped by the error Run and RunMatrix return, beside
@@ -62,19 +48,12 @@ type Config struct {
 	BaseSeed int64
 	// Algorithm picks the protocol (default live.AlgoPoisonPill).
 	Algorithm live.Algorithm
-	// Backend picks the runtime (default BackendLive).
-	Backend Backend
-	// Schedule picks the adversary for BackendSim runs (default fair).
-	// BackendLive has no adversary; setting this errors there.
-	Schedule expt.Schedule
-	// Scenario injects faults and latency into BackendLive runs (crash
+	// Scenario injects faults and latency into every run (crash
 	// schedules, link-delay distributions, slow processors, reordering;
-	// see internal/fault). The zero value is fault-free. Active scenarios
-	// require BackendLive: the sim backend's adversary schedules already
-	// control delay and crashes. For a cross product of scenarios, use
-	// RunMatrix.
+	// see internal/fault). The zero value is fault-free. For a cross
+	// product of scenarios, use RunMatrix.
 	Scenario fault.Scenario
-	// Transport picks the BackendLive comm substrate: live.TransportChan
+	// Transport picks the comm substrate: live.TransportChan
 	// (default), live.TransportTCP or live.TransportUDP. Over a networked
 	// transport a fault-free campaign shares one electd cluster — n
 	// loopback servers — and multiplexes its elections onto it by election
@@ -159,7 +138,7 @@ type ScenarioReport struct {
 	// Latency summarises per-election wall-clock latencies.
 	Latency Latency
 	// MeanTime is the mean of the paper's time metric (max communicate
-	// calls per processor) across runs — comparable across backends.
+	// calls per processor) across runs — the count the sim kernel reports.
 	MeanTime float64
 	// MaxRounds is the highest election round reached in any run.
 	MaxRounds int
@@ -229,27 +208,10 @@ func (cfg *Config) normalize() error {
 	default:
 		return fmt.Errorf("campaign: %q is not an election algorithm", cfg.Algorithm)
 	}
-	switch cfg.Backend {
-	case "":
-		cfg.Backend = BackendLive
-	case BackendSim, BackendLive:
-	default:
-		return fmt.Errorf("campaign: unknown backend %q", cfg.Backend)
-	}
-	if cfg.Backend == BackendLive && cfg.Schedule != "" && cfg.Schedule != expt.SchedFair {
-		return fmt.Errorf("campaign: adversary schedule %q requires the sim backend", cfg.Schedule)
-	}
-	if cfg.Backend == BackendSim && cfg.Schedule == "" {
-		cfg.Schedule = expt.SchedFair
-	}
 	switch cfg.Transport {
 	case "":
 		cfg.Transport = live.TransportChan
-	case live.TransportChan:
-	case live.TransportTCP, live.TransportUDP:
-		if cfg.Backend != BackendLive {
-			return fmt.Errorf("campaign: the %s transport requires the live backend", cfg.Transport)
-		}
+	case live.TransportChan, live.TransportTCP, live.TransportUDP:
 	default:
 		return fmt.Errorf("campaign: unknown transport %q", cfg.Transport)
 	}
@@ -260,9 +222,6 @@ func (cfg *Config) normalize() error {
 func (cfg *Config) checkScenario(sc fault.Scenario) error {
 	if !sc.Active() {
 		return nil
-	}
-	if cfg.Backend != BackendLive {
-		return fmt.Errorf("campaign: scenario %q requires the live backend (sim runs are controlled by adversary schedules)", sc.Name)
 	}
 	if err := sc.Validate(cfg.N); err != nil {
 		return fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
@@ -286,47 +245,22 @@ func (cfg *Config) runOne(sc fault.Scenario, idx int) judgedRun {
 	return judgedRun{res: res, failed: err != nil, bad: bad}
 }
 
-// elect runs one election on the configured backend. A sim run reports in
-// the live backend's Result, with its kernel error or a winner count other
-// than one as the error.
+// elect runs one election with live.Elect, on the campaign's shared
+// cluster when it has one.
 func (cfg *Config) elect(sc fault.Scenario, seed int64) (live.Result, error) {
-	if cfg.Backend == BackendLive {
-		lcfg := live.Config{
-			N: cfg.N, K: cfg.K, Seed: seed, Algorithm: cfg.Algorithm, Scenario: sc,
-			Transport: cfg.Transport, Pool: cfg.spool, Trace: cfg.Trace,
-		}
-		if cfg.cluster != nil {
-			lcfg.Cluster = cfg.cluster
-			lcfg.ElectionID = cfg.cluster.NextElectionID()
-			// The instance is over once Elect returns (every participant
-			// joined); evict its register state so a long campaign doesn't
-			// accumulate one store per election on the shared servers.
-			defer cfg.cluster.RemoveElection(lcfg.ElectionID)
-		}
-		return live.Elect(lcfg)
+	lcfg := live.Config{
+		N: cfg.N, K: cfg.K, Seed: seed, Algorithm: cfg.Algorithm, Scenario: sc,
+		Transport: cfg.Transport, Pool: cfg.spool, Trace: cfg.Trace,
 	}
-	start := time.Now()
-	r := expt.Run(expt.Config{
-		N: cfg.N, K: cfg.K, Seed: seed,
-		Algorithm: expt.Algorithm(cfg.Algorithm), Schedule: cfg.Schedule,
-	})
-	res := live.Result{
-		Winner: -1, Decisions: r.Decisions, Rounds: r.MaxRound,
-		Time: r.Stats.MaxCommunicateCalls(), Messages: int64(r.Stats.MessagesSent),
-		Elapsed: time.Since(start),
+	if cfg.cluster != nil {
+		lcfg.Cluster = cfg.cluster
+		lcfg.ElectionID = cfg.cluster.NextElectionID()
+		// The instance is over once Elect returns (every participant
+		// joined); evict its register state so a long campaign doesn't
+		// accumulate one store per election on the shared servers.
+		defer cfg.cluster.RemoveElection(lcfg.ElectionID)
 	}
-	if r.Err != nil {
-		return res, r.Err
-	}
-	if w := r.Winners(); w != 1 {
-		return res, fmt.Errorf("%d winners", w)
-	}
-	for id, d := range r.Decisions {
-		if d == core.Win {
-			res.Winner = id
-		}
-	}
-	return res, nil
+	return live.Elect(lcfg)
 }
 
 // verdict judges one election run against the paper's test-and-set
@@ -335,9 +269,8 @@ func (cfg *Config) elect(sc fault.Scenario, seed int64) (live.Result, error) {
 // starved — and returns one line per broken clause; none means valid.
 // err is the run's own error: live.Elect reports two winners, an undecided
 // return, a winnerless run with nobody crashed or starved (ErrNoWinner)
-// and a timeout that way, and elect a sim run's kernel error or winner
-// count. The fault plan is re-derived from (sc, n, seed): Plan is
-// deterministic, so it is exactly the plan the run executed under.
+// and a timeout that way. The fault plan is re-derived from (sc, n, seed):
+// Plan is deterministic, so it is exactly the plan the run executed under.
 func verdict(sc fault.Scenario, n, k int, seed int64, res live.Result, err error) []string {
 	if err != nil {
 		return []string{fmt.Sprintf("seed %d: %v", seed, err)}
@@ -409,17 +342,15 @@ func RunMatrix(cfg Config, scenarios []fault.Scenario) (MatrixReport, error) {
 			return MatrixReport{}, err
 		}
 	}
-	if cfg.Backend == BackendLive {
-		// One system pool for the whole matrix: workers check processor
-		// sets (goroutine mailboxes, PRNGs, register maps) out per run and
-		// park them again instead of building and tearing down a System per
-		// election. Crash-scenario runs ride the same pool — checkout fully
-		// resets a recycled system, and crashed slots are only dropped
-		// flags, their serve goroutines never exit.
-		cfg.spool = live.NewSystemPool(cfg.N, !cfg.Transport.Networked())
-		defer cfg.spool.Close()
-	}
-	if cfg.Backend == BackendLive && cfg.Transport.Networked() {
+	// One system pool for the whole matrix: workers check processor sets
+	// (goroutine mailboxes, PRNGs, register maps) out per run and park them
+	// again instead of building and tearing down a System per election.
+	// Crash-scenario runs ride the same pool — checkout fully resets a
+	// recycled system, and crashed slots are only dropped flags, their
+	// serve goroutines never exit.
+	cfg.spool = live.NewSystemPool(cfg.N, !cfg.Transport.Networked())
+	defer cfg.spool.Close()
+	if cfg.Transport.Networked() {
 		// One shared server set for the whole matrix: every run multiplexes
 		// onto it under a fresh election ID. Crash scenarios preclude the
 		// sharing — crashing a shared server would leak faults across
@@ -565,20 +496,4 @@ func summarize(lats []time.Duration) Latency {
 		P99:  rank(0.99),
 		Max:  lats[len(lats)-1],
 	}
-}
-
-// ScanWorkers runs the same campaign at each worker count and reports one
-// Report per count, in order — the scaling curve cmd/livesim prints.
-func ScanWorkers(cfg Config, workers []int) ([]Report, error) {
-	out := make([]Report, 0, len(workers))
-	for _, w := range workers {
-		c := cfg
-		c.Workers = w
-		rep, err := Run(c)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

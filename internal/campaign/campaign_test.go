@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/rt"
@@ -39,21 +38,6 @@ func TestCampaignLive(t *testing.T) {
 	}
 }
 
-// TestCampaignSim: the same engine fans sim-kernel elections across
-// workers, optionally under an adversary schedule.
-func TestCampaignSim(t *testing.T) {
-	rep, err := Run(Config{
-		Runs: 8, Workers: 2, N: 8, BaseSeed: 5,
-		Backend: BackendSim, Schedule: expt.SchedLockStep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Throughput <= 0 || rep.MeanTime <= 0 {
-		t.Errorf("degenerate sim campaign report: %+v", rep)
-	}
-}
-
 // TestCampaignTournament: the baseline algorithm runs through the engine.
 func TestCampaignTournament(t *testing.T) {
 	rep, err := Run(Config{Runs: 6, Workers: 3, N: 4, BaseSeed: 2, Algorithm: live.AlgoTournament})
@@ -73,11 +57,8 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := Run(Config{Runs: 1, N: 4, K: 9}); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := Run(Config{Runs: 1, N: 4, Backend: "quantum"}); err == nil {
-		t.Error("unknown backend accepted")
-	}
-	if _, err := Run(Config{Runs: 1, N: 4, Schedule: expt.SchedFlipAware}); err == nil {
-		t.Error("adversary schedule accepted on the live backend")
+	if _, err := Run(Config{Runs: 1, N: 4, Transport: "carrier-pigeon"}); err == nil {
+		t.Error("unknown transport accepted")
 	}
 	if _, err := Run(Config{Runs: 1, N: 4, Algorithm: "nonsense"}); err == nil {
 		t.Error("unknown algorithm accepted")
@@ -88,22 +69,14 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := Run(Config{Runs: 64, Workers: 2, N: 4, Algorithm: live.AlgoHetSift}); err == nil {
 		t.Error("sift algorithm accepted by the election campaign")
 	}
-}
-
-// TestScanWorkers: the scaling sweep returns one report per worker count.
-func TestScanWorkers(t *testing.T) {
-	counts := []int{1, 2}
-	reps, err := ScanWorkers(Config{Runs: 8, N: 4, BaseSeed: 3}, counts)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(Config{
+		Runs: 2, N: 4,
+		Scenario: fault.Scenario{Name: "too-many", Crashes: 2},
+	}); err == nil {
+		t.Error("crash count above ⌈n/2⌉−1 accepted")
 	}
-	if len(reps) != len(counts) {
-		t.Fatalf("%d reports for %d worker counts", len(reps), len(counts))
-	}
-	for i, rep := range reps {
-		if rep.Workers != counts[i] {
-			t.Errorf("report %d has workers=%d, want %d", i, rep.Workers, counts[i])
-		}
+	if _, err := RunMatrix(Config{Runs: 2, N: 4}, nil); err == nil {
+		t.Error("empty scenario matrix accepted")
 	}
 }
 
@@ -322,26 +295,6 @@ func TestRunWithScenario(t *testing.T) {
 	}
 	if plain.Elected != 6 || plain.WinnerCrashed != 0 || plain.Crashed != 0 {
 		t.Errorf("fault-free campaign reports faults: %+v", plain)
-	}
-}
-
-// TestScenarioRequiresLiveBackend: active scenarios are rejected on the sim
-// backend, as are scenarios exceeding the crash cap.
-func TestScenarioRequiresLiveBackend(t *testing.T) {
-	if _, err := Run(Config{
-		Runs: 2, N: 4, Backend: BackendSim,
-		Scenario: fault.HeavyTail(),
-	}); err == nil {
-		t.Error("sim backend accepted a latency scenario")
-	}
-	if _, err := Run(Config{
-		Runs: 2, N: 4,
-		Scenario: fault.Scenario{Name: "too-many", Crashes: 2},
-	}); err == nil {
-		t.Error("crash count above ⌈n/2⌉−1 accepted")
-	}
-	if _, err := RunMatrix(Config{Runs: 2, N: 4}, nil); err == nil {
-		t.Error("empty scenario matrix accepted")
 	}
 }
 

@@ -1,16 +1,16 @@
 // Package campaign is the parallel campaign engine: it fans thousands of
-// independent election runs across a pool of workers and aggregates
-// wall-clock latency percentiles and throughput. A campaign answers the
-// production question the single-run harnesses cannot: how many elections
-// per second does the machine sustain, and what does the latency tail look
-// like, for a given algorithm, system size and backend?
+// independent live elections (live.Elect) across a pool of workers and
+// aggregates wall-clock latency percentiles and throughput. A campaign
+// answers the production question the single-run harnesses cannot: how
+// many elections per second does the machine sustain, and what does the
+// latency tail look like, for a given algorithm, system size and
+// transport? The paper's model itself — the sim kernel under adversary
+// schedules — is cmd/reproduce's and repro.Elect's business, not a
+// campaign's.
 //
-// Runs are independent by construction — each gets its own system (a sim
-// kernel or a live goroutine set) and a sharded PRNG seed — so the engine
-// scales with GOMAXPROCS until the hardware saturates. Both backends fan
-// out: the sim backend runs many single-threaded kernels in parallel; the
-// live backend's elections are internally concurrent as well, so its
-// sweet spot is fewer workers at larger n. Live campaigns do not build a
+// Runs are independent by construction — each gets its own goroutine set
+// and a sharded PRNG seed — but a live election is internally concurrent,
+// so the sweet spot is fewer workers at larger n. Campaigns do not build a
 // goroutine system per run: workers check processor sets out of a shared
 // live.SystemPool (reset in place, mailbox goroutines parked between
 // runs), and TCP campaigns multiplex every election onto one shared,

@@ -41,14 +41,12 @@ const budgetN = 32
 // sift runs its decision over the views.
 type stubProc struct{ rng *rand.Rand }
 
-func (p stubProc) ID() rt.ProcID       { return 0 }
-func (p stubProc) N() int              { return budgetN }
-func (p stubProc) Rand() *rand.Rand    { return p.rng }
-func (p stubProc) Send(rt.ProcID, any) {}
-func (p stubProc) Await(func() bool)   {}
-func (p stubProc) Pause()              {}
-func (p stubProc) Flip(float64) int    { return 0 }
-func (p stubProc) Publish(any)         {}
+func (p stubProc) ID() rt.ProcID    { return 0 }
+func (p stubProc) N() int           { return budgetN }
+func (p stubProc) Rand() *rand.Rand { return p.rng }
+func (p stubProc) Pause()           {}
+func (p stubProc) Flip(float64) int { return 0 }
+func (p stubProc) Publish(any)      {}
 
 // stubComm answers every call from canned quorum views: the door register
 // reads open, the round register shows every other processor in the round

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/electd"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -68,6 +69,29 @@ func TestElectionOverLoopback(t *testing.T) {
 			label := fmt.Sprintf("n=%d seed=%d", n, seed)
 			uniqueWinner(t, label, electOnce(t, cl, 1, n, seed))
 			cl.Close()
+		}
+	}
+}
+
+// TestPoolElectRejectsParticipantCount: k outside [1, regstore.MaxOwners]
+// is an error before any participant starts — a participant id beyond the
+// register store's owners would have its cells dropped by every replica —
+// so no server sees a request.
+func TestPoolElectRejectsParticipantCount(t *testing.T) {
+	const n = 3
+	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, k := range []int{0, regstore.MaxOwners + 1} {
+		if _, err := cl.Pool().Elect(cl.NextElectionID(), k, 1); err == nil {
+			t.Errorf("k=%d accepted", k)
+		}
+	}
+	for i := range n {
+		if got := cl.Server(rt.ProcID(i)).Served(); got != 0 {
+			t.Errorf("server %d served %d requests of rejected elections", i, got)
 		}
 	}
 }

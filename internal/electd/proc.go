@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 )
 
@@ -17,11 +18,6 @@ import (
 // kernel. It is what Pool.Elect and client-only processes hand to
 // core.LeaderElect next to a Pool client; live-backend runs use the richer
 // live.Proc (crash unwinding, scenario throttling) instead.
-//
-// The algorithms built on rt.Comm communicate exclusively through the
-// quorum layer, so Send and Await exist only to complete the interface:
-// Send drops (there are no peer mailboxes in a client process) and Await
-// spin-yields on its condition.
 type Participant struct {
 	id  rt.ProcID
 	n   int
@@ -50,18 +46,6 @@ func (p *Participant) N() int { return p.n }
 // Rand implements rt.Procer: the participant's private PRNG, owned by its
 // algorithm goroutine.
 func (p *Participant) Rand() *rand.Rand { return p.rng }
-
-// Send implements rt.Procer by dropping the message: a client-only process
-// has no peer mailboxes, and the rt.Comm algorithms never use Send.
-func (p *Participant) Send(to rt.ProcID, payload any) {}
-
-// Await implements rt.Procer by yielding until cond holds. Conditions in a
-// client process can only be flipped by other local goroutines.
-func (p *Participant) Await(cond func() bool) {
-	for !cond() {
-		runtime.Gosched()
-	}
-}
 
 // Pause implements rt.Procer.
 func (p *Participant) Pause() { runtime.Gosched() }
@@ -103,8 +87,13 @@ type Election struct {
 // waits for all of them. The run is valid when no replica shed it and
 // exactly one participant won; otherwise the error says which, and for a
 // shed election it wraps the *BusyError. It is the one election driver of
-// `electd -elect`, `-demo` and Soak.
+// `electd -elect`, `-demo` and Soak. k must lie in [1, regstore.MaxOwners]:
+// every replica drops the cells of a participant id beyond the register
+// store's owners, so a larger k is an error before any participant starts.
 func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
+	if k < 1 || k > regstore.MaxOwners {
+		return Election{Winner: -1}, fmt.Errorf("participants %d must be in [1, %d]", k, regstore.MaxOwners)
+	}
 	decisions := make([]core.Decision, k)
 	shed := make([]error, k)
 	var msgs, bytes atomic.Int64

@@ -127,7 +127,6 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			// stream, so equal seeds keep equal flips across scenarios.
 			p.frng = rand.New(rand.NewSource(int64(uint64(seed)+uint64(i)*SeedStride) ^ faultStreamSalt))
 		}
-		p.cond = sync.NewCond(&p.mu)
 		sys.procs[i] = p
 	}
 	// A default fault-clock anchor; runners re-stamp it as the algorithms
@@ -176,11 +175,6 @@ func (sys *System) Crash(id rt.ProcID) {
 	p := sys.procs[id]
 	p.crashed.Store(true)
 	p.down.Store(true)
-	// Broadcast under the mutex so an algorithm goroutine between its
-	// Await check and its cond.Wait cannot miss the wakeup.
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
 
 // Recover revives processor id's replica half: its server goroutine
@@ -236,7 +230,7 @@ func (sys *System) Shutdown() {
 // Proc is a processor handle of the live backend; it implements rt.Procer.
 // Algorithm-facing methods must be called from the processor's single
 // algorithm goroutine; the server goroutine touches only the lock-free
-// register store and the mutex-guarded raw mailbox.
+// register store.
 type Proc struct {
 	id  rt.ProcID
 	sys *System
@@ -259,13 +253,10 @@ type Proc struct {
 
 	// regs is the processor's register state: lock-free for every reader
 	// and writer (see internal/regstore), so neither the server goroutine nor
-	// the algorithm goroutine ever takes a lock for it. It lives outside the
-	// mutex — register state is not Await-visible; see Await.
+	// the algorithm goroutine ever takes a lock for it.
 	regs *regstore.Store
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast whenever guarded state changes
-	raw       []any      // generic Send mailbox, consumed via Await conditions
+	mu        sync.Mutex // guards published
 	published any
 
 	commCalls int // algorithm-goroutine-local; read after the run joins
@@ -280,63 +271,6 @@ func (p *Proc) N() int { return p.sys.n }
 // Rand implements rt.Procer: the processor's private PRNG, owned by the
 // algorithm goroutine.
 func (p *Proc) Rand() *rand.Rand { return p.rng }
-
-// Send implements rt.Procer: it delivers payload into the recipient's raw
-// mailbox and wakes any Await blocked there. Quorum traffic does not pass
-// through here — Comm uses the request mailboxes and its call slot — but the
-// primitive keeps the seam complete for algorithms written directly against
-// Send/Await.
-func (p *Proc) Send(to rt.ProcID, payload any) {
-	t := p.sys.procs[to]
-	t.mu.Lock()
-	t.raw = append(t.raw, payload)
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	p.sys.messages.Add(1)
-}
-
-// Raw drains and returns the processor's raw mailbox. Call from the
-// algorithm goroutine, typically after an Await on RawLen.
-func (p *Proc) Raw() []any {
-	p.mu.Lock()
-	out := p.raw
-	p.raw = nil
-	p.mu.Unlock()
-	return out
-}
-
-// rawLen returns the number of pending raw messages. It does not lock, so
-// it is usable inside Await conditions (which run under the mutex).
-func (p *Proc) rawLen() int { return len(p.raw) }
-
-// AwaitRaw parks until at least want raw messages are pending.
-func (p *Proc) AwaitRaw(want int) {
-	p.Await(func() bool { return p.rawLen() >= want })
-}
-
-// Await implements rt.Procer: it parks the algorithm goroutine until cond()
-// holds. The condition is evaluated under the processor's mutex and
-// re-checked whenever guarded state changes (raw-message arrival, crash),
-// so it must be a pure function of mutex-guarded processor-local state and
-// must not itself take the mutex. Register state is NOT guarded state:
-// merges are lock-free and wake nobody, so a condition must never read the
-// register store — none of the paper's algorithms do (their only waiting
-// primitive is the quorum wait inside communicate, which has its own
-// signalling).
-func (p *Proc) Await(cond func() bool) {
-	if cond == nil {
-		panic("live: Await requires a non-nil condition; use Pause")
-	}
-	p.mu.Lock()
-	for !cond() {
-		if p.crashed.Load() {
-			p.mu.Unlock()
-			panic(crashSignal{p.id})
-		}
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
 
 // maybeCrash unwinds the algorithm goroutine if the processor has crashed.
 // Every algorithm-facing primitive calls it, so a crash becomes effective

@@ -70,32 +70,6 @@ func TestWriterVersioning(t *testing.T) {
 	}
 }
 
-// TestSendAwait: the generic Send/Await primitives of the seam work across
-// goroutines.
-func TestSendAwait(t *testing.T) {
-	sys := NewSystem(2, 1)
-	var wg sync.WaitGroup
-	var got []any
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
-			sys.Proc(0).Send(1, i)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		p := sys.Proc(1)
-		p.AwaitRaw(3)
-		got = p.Raw()
-	}()
-	wg.Wait()
-	sys.Shutdown()
-	if len(got) != 3 {
-		t.Fatalf("received %d raw messages, want 3", len(got))
-	}
-}
-
 // TestConcurrentPropagateCollect hammers one register array from every
 // processor at once; under -race this doubles as the memory-safety check
 // for the store and snapshot paths.

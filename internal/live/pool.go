@@ -19,8 +19,8 @@ func (sys *System) quiesce() {
 }
 
 // release drops everything the last run left in the processors' stores —
-// register cells (with the payloads they adopted), snapshot caches, raw
-// mailboxes and published state — keeping the arrays themselves: register
+// register cells (with the payloads they adopted), snapshot caches and
+// published state — keeping the arrays themselves: register
 // names repeat across runs of the same algorithm. Put calls it so a parked
 // system does not hold its last election's state until the next checkout;
 // Reset calls it again (idempotent and then cheap — Reset is also public on
@@ -29,7 +29,6 @@ func (sys *System) release() {
 	for _, p := range sys.procs {
 		p.regs.Reset()
 		p.mu.Lock()
-		p.raw = nil
 		p.published = nil
 		p.mu.Unlock()
 	}

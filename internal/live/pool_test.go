@@ -55,7 +55,7 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 
 // TestParkedSystemHoldsNoElectionState: Put releases what the run left in
 // the stores, so a system waiting in the pool pins no cell, no adopted
-// payload, no snapshot, no raw message and no published state. (That the
+// payload, no snapshot and no published state. (That the
 // stores keep their empty arrays for the next run of the same algorithm is
 // regstore's TestResetKeepsArraysDropsState.)
 func TestParkedSystemHoldsNoElectionState(t *testing.T) {
@@ -66,7 +66,6 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := pool.Get(2, nil)
-	sys.Proc(0).Send(1, "raw")
 	sys.Proc(1).Publish("state")
 	c := NewComm(sys.Proc(0))
 	c.Propagate("r", "dirty")
@@ -95,8 +94,8 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 				t.Fatalf("parked processor %d still serves a snapshot of %s: %+v", p.id, reg, snap.Entries)
 			}
 		}
-		if p.rawLen() != 0 || p.Published() != nil {
-			t.Fatalf("parked processor %d still holds %d raw messages and published state %v", p.id, p.rawLen(), p.Published())
+		if p.Published() != nil {
+			t.Fatalf("parked processor %d still holds published state %v", p.id, p.Published())
 		}
 	}
 }

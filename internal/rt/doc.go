@@ -4,8 +4,9 @@
 // two small interfaces:
 //
 //   - Procer: a processor handle — identity, system size, private
-//     randomness, message primitives and adversary-visible publication
-//     (the Send/Await/Flip/Publish/Rand surface of sim.Proc);
+//     randomness, coin flips and adversary-visible publication (the
+//     Rand/Pause/Flip/Publish surface of sim.Proc; its Send and Await stay
+//     concrete, for the sim quorum layer alone);
 //   - Comm: the communicate primitive of Attiya, Bar-Noy and Dolev as the
 //     paper uses it — Propagate and Collect against named register arrays,
 //     each waiting for a majority quorum (the surface of quorum.Comm).

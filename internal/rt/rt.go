@@ -108,14 +108,6 @@ type Procer interface {
 	// Rand returns the processor's private PRNG. The PRNG is owned by the
 	// algorithm goroutine and must not be shared.
 	Rand() *rand.Rand
-	// Send transmits a message to processor "to". Delivery order and timing
-	// are backend-specific: the sim backend hands them to the adversary, the
-	// live backend to the OS scheduler.
-	Send(to ProcID, payload any)
-	// Await parks the algorithm until cond() holds. The condition must be a
-	// pure function of processor-local state; the backend re-evaluates it at
-	// its own scheduling points.
-	Await(cond func() bool)
 	// Pause yields to the backend's scheduler without a condition.
 	Pause()
 	// Flip performs a biased local coin flip: 1 with probability prob, else

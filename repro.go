@@ -374,10 +374,11 @@ type CampaignReport struct {
 // Campaign fans WithRuns independent elections across a WithWorkers-sized
 // pool and aggregates throughput, latency percentiles and election-validity
 // counts. It accepts the options of Elect plus WithRuns/WithWorkers, with
-// two exceptions: WithFaults and WithBudget are single-run Sim knobs the
-// campaign engine does not carry and are rejected rather than ignored. The
-// default backend is Live (wall-clock latency is the campaign question),
-// and WithScenario injects a fault/latency scenario into every run.
+// three exceptions the campaign engine does not carry, rejected rather than
+// ignored: WithBackend(Sim) (a campaign runs Live elections only:
+// wall-clock latency is the campaign question), and WithFaults and
+// WithBudget, the single-run Sim knobs. WithScenario injects a
+// fault/latency scenario into every run.
 func Campaign(opts ...Option) (CampaignReport, error) {
 	c := config{n: 16, schedule: Fair, algorithm: PoisonPill, backend: Live}
 	for _, o := range opts {
@@ -388,6 +389,9 @@ func Campaign(opts ...Option) (CampaignReport, error) {
 	}
 	if err := c.validate(); err != nil {
 		return CampaignReport{}, err
+	}
+	if c.backend != Live {
+		return CampaignReport{}, fmt.Errorf("repro: campaigns run the Live backend only (for Sim runs use Elect)")
 	}
 	if c.faults > 0 {
 		return CampaignReport{}, fmt.Errorf("repro: WithFaults is not supported in campaigns (use WithScenario crash scenarios on the Live backend)")
@@ -401,8 +405,7 @@ func Campaign(opts ...Option) (CampaignReport, error) {
 	}
 	rep, err := campaign.Run(campaign.Config{
 		Runs: c.runs, Workers: c.workers, N: c.n, K: c.k, BaseSeed: c.seed,
-		Algorithm: live.Algorithm(c.algorithm), Backend: campaign.Backend(c.backend),
-		Schedule: c.schedule, Scenario: sc, Transport: c.transport,
+		Algorithm: live.Algorithm(c.algorithm), Scenario: sc, Transport: c.transport,
 	})
 	if err != nil {
 		return CampaignReport{}, fmt.Errorf("repro: %w", err)

@@ -87,6 +87,20 @@ func TestElectValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsSimOnlyOptions: a campaign runs Live elections only,
+// so the Sim backend and the single-run Sim knobs are errors, not ignored.
+func TestCampaignRejectsSimOnlyOptions(t *testing.T) {
+	for name, opt := range map[string]repro.Option{
+		"WithBackend(Sim)": repro.WithBackend(repro.Sim),
+		"WithFaults":       repro.WithFaults(1),
+		"WithBudget":       repro.WithBudget(1000),
+	} {
+		if _, err := repro.Campaign(repro.WithN(4), repro.WithRuns(1), opt); err == nil {
+			t.Errorf("%s accepted by Campaign", name)
+		}
+	}
+}
+
 func TestRename(t *testing.T) {
 	res, err := repro.Rename(repro.WithN(16), repro.WithSeed(4))
 	if err != nil {
