@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/rt"
 	"repro/internal/transport"
 )
@@ -106,8 +107,8 @@ func (cl *Cluster) NextElectionID() uint64 { return cl.elections.Add(1) }
 
 // NewComm returns participant p's communicate handle for one election on
 // this cluster. See Pool.NewComm.
-func (cl *Cluster) NewComm(p rt.Procer, election uint64, delay func(server int) time.Duration) *Client {
-	return cl.pool.NewComm(p, election, delay)
+func (cl *Cluster) NewComm(p rt.Procer, election uint64, fp *fault.Profile) *Client {
+	return cl.pool.NewComm(p, election, fp)
 }
 
 // RemoveElection evicts one finished election instance's register state

@@ -2,6 +2,7 @@ package electd_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/electd"
+	"repro/internal/fault"
 	"repro/internal/regstore"
 	"repro/internal/rt"
 	"repro/internal/transport"
@@ -153,12 +155,12 @@ func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 	}
 	defer cl.Close()
 	slow := cl.Server(n - 1)
-	delay := func(server int) time.Duration {
+	slowLast := &fault.Profile{Delay: func(server int) time.Duration {
 		if server == n-1 {
 			return 2 * time.Millisecond
 		}
 		return 0
-	}
+	}}
 	sent := int64(0) // requests addressed to each server: one per communicate call
 	for e := 0; e < elections; e++ {
 		id := cl.NextElectionID()
@@ -167,7 +169,7 @@ func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := range clients {
 			p := electd.NewParticipant(rt.ProcID(i), n, int64(e*k+i+1))
-			clients[i] = cl.NewComm(p, id, delay)
+			clients[i] = cl.NewComm(p, id, slowLast)
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -541,13 +543,13 @@ func TestInjectedDelayStillElects(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			p := electd.NewParticipant(rt.ProcID(i), n, int64(i+1))
-			delay := func(to int) time.Duration {
+			evensSlow := &fault.Profile{Delay: func(to int) time.Duration {
 				if to%2 == 0 {
 					return 200 * time.Microsecond
 				}
 				return 0
-			}
-			c := cl.NewComm(p, 1, delay)
+			}}
+			c := cl.NewComm(p, 1, evensSlow)
 			s := core.NewState(p, "leaderelect")
 			decisions[i] = core.LeaderElectWithState(c, "elect", s)
 		}(i)
@@ -597,5 +599,92 @@ func TestServerIgnoresNoise(t *testing.T) {
 	srv.Handle(nil, m)
 	if held[0] != want {
 		t.Fatalf("a view handled by the server had its entries cleared: %+v", held[0])
+	}
+}
+
+// tapNetwork decodes every frame the first connection dialed on it — a
+// cluster pool's link to server 0 — is handed, and passes it to tap.
+type tapNetwork struct {
+	transport.Network
+	tap    func(m *wire.Msg)
+	tapped bool
+}
+
+func (nw *tapNetwork) Dial(addr string, h transport.Handler) (transport.Conn, error) {
+	c, err := nw.Network.Dial(addr, h)
+	if err != nil || nw.tapped {
+		return c, err
+	}
+	nw.tapped = true
+	return &tapConn{Conn: c, tap: nw.tap}, nil
+}
+
+// tapConn is a tapped connection. It forwards the pre-decode filter and
+// the stream name, so the pool sees the connection it wraps.
+type tapConn struct {
+	transport.Conn
+	tap func(m *wire.Msg)
+}
+
+func (c *tapConn) SendEncoded(frame []byte) error {
+	if body, _, err := wire.SplitFrame(frame); err == nil {
+		if m, err := wire.Decode(body); err == nil {
+			c.tap(m)
+		}
+	}
+	return c.Conn.SendEncoded(frame)
+}
+
+func (c *tapConn) SetFilter(f transport.FrameFilter) { c.Conn.(transport.FilteredConn).SetFilter(f) }
+func (c *tapConn) StreamID() uint64                  { return transport.StreamID(c.Conn) }
+
+// TestDelayedFramesLandBeforeClose: a profile that delays every request to
+// server 0 hands that connection its own copy of the frame the call
+// encoded, once the delay is over — so two back-to-back propagates (the
+// client reuses its request message, payload and frame buffer between
+// them) reach server 0's connection as two frames, each carrying its own
+// (seq, value), and Cluster.Close returns only after both have been handed
+// over. (Close then severs the connection abruptly, as it severs any other:
+// delivery past that point is the transport's, not the pool's.)
+func TestDelayedFramesLandBeforeClose(t *testing.T) {
+	const n, delay = 3, 5 * time.Millisecond
+	var mu sync.Mutex
+	var landed []string
+	nw := &tapNetwork{Network: transport.NewLoopback(), tap: func(m *wire.Msg) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range m.Entries {
+			landed = append(landed, fmt.Sprintf("seq %d = %v", e.Seq, e.Val))
+		}
+	}}
+	cl, err := electd.NewCluster(nw, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cl.NewComm(electd.NewParticipant(0, n, 1), cl.NextElectionID(), &fault.Profile{
+		Delay: func(server int) time.Duration {
+			if server == 0 {
+				return delay
+			}
+			return 0
+		},
+	})
+	start := time.Now()
+	c.Propagate("r", 11) // a quorum of 2 without server 0
+	c.Propagate("r", 22)
+	mu.Lock()
+	early := len(landed)
+	mu.Unlock()
+	if early != 0 && time.Since(start) < delay {
+		t.Fatalf("%d frames reached server 0 before their delay was over", early)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	slices.Sort(landed) // two timers of one delay may fire in either order
+	if want := []string{"seq 1 = 11", "seq 2 = 22"}; !slices.Equal(landed, want) {
+		t.Fatalf("server 0's connection had been handed %q when Close returned, want %q", landed, want)
 	}
 }

@@ -61,8 +61,7 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 			// A partition that is open from the start but has nobody on its
 			// small side: nothing is cut, and every reply consults the plan.
 			plan := &fault.Plan{N: n, Partition: &fault.PartitionPlan{Minority: make([]bool, n)}}
-			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, nil)
-			client.SetFaults(electd.FaultProfile{
+			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, &fault.Profile{
 				ReplyDrop:  func(from int) bool { return plan.CutAt(from, 0, 0) },
 				Retransmit: 20 * time.Millisecond,
 			})
@@ -141,8 +140,7 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 			}
 			defer pool.Close()
 
-			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, nil)
-			client.SetFaults(electd.FaultProfile{Retransmit: 20 * time.Millisecond})
+			client := pool.NewComm(electd.NewParticipant(0, n, 1), 1, &fault.Profile{Retransmit: 20 * time.Millisecond})
 			want := []rt.Entry{{Reg: "r", Owner: 0, Seq: 1, Val: 1}}
 			client.Propagate("r", 1)
 			for range 3 { // the second and third draw sames naming the views the first got

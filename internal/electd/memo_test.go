@@ -183,8 +183,7 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	lonely := func(j rt.ProcID) (wire.Kind, bool) { return wire.KindView, j == 0 }
 	collectReply.Store(&lonely)
 	verdict := make(chan struct{})
-	starving := pool.NewComm(electd.NewParticipant(1, n, 2), election, nil)
-	starving.SetFaults(electd.FaultProfile{NoQuorum: verdict, Proc: 1})
+	starving := pool.NewComm(electd.NewParticipant(1, n, 2), election, &fault.Profile{NoQuorum: verdict})
 	go func() {
 		select {
 		case <-nw.routed:

@@ -117,8 +117,8 @@ type PoolOptions struct {
 	// resend period, as if a fault plan demanded it: rpc rebroadcasts on
 	// that tick and the router dedups the duplicate replies by sender.
 	// This is the reliability layer of lossy transports — NewPool defaults
-	// it to fault.DefaultRetransmitTick on UDP — kept strictly below the
-	// quorum semantics. 0 means no default; a fault plan's SetFaults can
+	// it to DefaultDatagramRetransmit on UDP — kept strictly below the
+	// quorum semantics. 0 means no default; a client's fault.Profile can
 	// still arm its own period (it never disarms this one).
 	Retransmit time.Duration
 
@@ -353,9 +353,9 @@ func isReply(k wire.Kind) bool {
 // call completing between this check and the router's is dropped there
 // instead, and the reverse race cannot happen (calls are registered before
 // any request is sent).
-// When the waiting client carries a fault plan, the filter is also the
+// When the waiting client carries a fault profile, the filter is also the
 // reply-direction loss seam: the reply's sender id is peeked from the
-// header and the client's replyDrop hook — concurrency-safe, it runs on
+// header and the profile's ReplyDrop hook — concurrency-safe, it runs on
 // every connection's read loop — decides whether this reply died on the
 // (server → client) link. Dropping here, before decode, is exactly where
 // a lost reply would have vanished on a real wire. The hook only ever sees
@@ -380,8 +380,8 @@ func (pl *Pool) keepReply(body []byte) bool {
 	p := sh.calls[call]
 	keep := p != nil && !p.complete(pl.n/2+1) && !(inRange && p.seen[from])
 	var drop func(int) bool
-	if keep {
-		drop = p.cli.replyDrop
+	if keep && p.cli.fp != nil {
+		drop = p.cli.fp.ReplyDrop
 	}
 	var el uint64
 	if pl.trace != nil && p != nil {
@@ -559,26 +559,29 @@ func (pl *Pool) Close() error {
 }
 
 // NewComm returns participant p's communicate handle for one election
-// instance. delay (optional) injects per-server send latency — it is
-// sampled on the participant's algorithm goroutine, so a plan-driven
-// sampler may use a goroutine-owned PRNG. The handle must only be used
-// from p's algorithm goroutine.
-func (pl *Pool) NewComm(p rt.Procer, election uint64, delay func(server int) time.Duration) *Client {
+// instance, with the participant's fault hooks fp (nil = fault-free; see
+// fault.Profile for which goroutine calls which hook). The handle must only
+// be used from p's algorithm goroutine.
+func (pl *Pool) NewComm(p rt.Procer, election uint64, fp *fault.Profile) *Client {
 	q := pl.n/2 + 1
-	return &Client{
-		pool: pl, p: p, election: election, delay: delay,
+	c := &Client{
+		pool: pl, p: p, election: election, fp: fp,
 		seqs: make(map[string]uint64),
 		// A call harvests exactly a quorum, so the scratch never grows.
 		replies: make([]*wire.Msg, 0, q),
 		views:   make([]rt.View, 0, q),
 		// No caller is a server here (self −1). The pool's baseline resend
-		// period (set on lossy transports) rides along; SetFaults may arm a
-		// plan's on top, never disarm this. The jitter seed mixes both IDs
+		// period (set on lossy transports) rides along; a profile may arm
+		// its own on top, never disarm this. The jitter seed mixes both IDs
 		// so equal configurations tick at different phases; the ^1 guards
 		// the all-zero state xorshift cannot leave.
 		sched: rt.NewSchedule(pl.n, firstWaveStart(election, pl.n), -1, pl.defaultRetransmit,
 			(uint64(p.ID())+1)*0x9E3779B97F4A7C15^election^1),
 	}
+	if fp != nil && fp.Retransmit > 0 {
+		c.sched.SetRetransmit(fp.Retransmit)
+	}
+	return c
 }
 
 // Client is one participant's rt.Comm in one election instance: every
@@ -592,7 +595,7 @@ type Client struct {
 	pool     *Pool
 	p        rt.Procer
 	election uint64
-	delay    func(int) time.Duration
+	fp       *fault.Profile    // the participant's fault hooks; nil = fault-free
 	seqs     map[string]uint64 // per-register write versions of the own cell
 	calls    int
 	round    int32 // current protocol round, for span attribution (SetRound)
@@ -604,58 +607,18 @@ type Client struct {
 	sched rt.Schedule
 
 	// Single-goroutine scratch, reused across communicate calls: the
-	// request message (safe because every send path has finished with it
-	// before rpc returns — except delayed sends, which get fresh messages),
-	// its one-entry payload, the harvested quorum replies, and the views
-	// Collect hands back (valid until the participant's next communicate
-	// call, per the rt.Comm contract).
+	// request message (safe because every send has its own copy of the
+	// encoded frame, delayed ones included), its one-entry payload, the
+	// harvested quorum replies, and the views Collect hands back (valid
+	// until the participant's next communicate call, per the rt.Comm
+	// contract).
 	req     wire.Msg
 	entry   [1]rt.Entry
 	replies []*wire.Msg
 	views   []rt.View
 
-	// Fault-plan hooks, installed by SetFaults before the participant
-	// starts; all nil/zero on a bare client, leaving the hot path alone.
-	drop      func(server int) bool // request-direction loss; algorithm goroutine
-	replyDrop func(server int) bool // reply-direction loss; any read loop (must be concurrency-safe)
-	noq       <-chan struct{}       // closed when this client is provably starved of quorums
-	noqProc   int                   // participant id reported in the NoQuorumError
-
 	msgs  atomic.Int64 // requests sent + replies harvested
 	bytes atomic.Int64
-}
-
-// FaultProfile arms one client with a fault plan's link behavior; every
-// field is optional. Drop decides request-direction loss per server and
-// runs on the participant's algorithm goroutine (a goroutine-owned PRNG is
-// fine); ReplyDrop decides reply-direction loss and runs concurrently on
-// the connections' read loops, so it must be safe for concurrent calls.
-// Retransmit > 0 makes quorum waits rebroadcast on that period — required
-// for liveness under partitions, flaky links, and crash-recovery, since
-// the algorithms themselves never resend — and makes the first of those
-// ticks the one that widens a thrifty first wave. NoQuorum, when it fires,
-// aborts the client's current and future quorum waits by unwinding the
-// participant's goroutine with a *fault.NoQuorumError panic — the typed
-// no-quorum outcome for clients the plan has provably cut off; recover it
-// like a crash at the election runner.
-type FaultProfile struct {
-	Drop       func(server int) bool
-	ReplyDrop  func(server int) bool
-	Retransmit time.Duration
-	NoQuorum   <-chan struct{}
-	Proc       int
-}
-
-// SetFaults installs the profile. Call before the participant's goroutine
-// starts; the hooks are read without synchronization afterwards. A zero
-// Retransmit leaves the pool's default period armed (the lossy-transport
-// reliability layer) rather than disarming resends.
-func (c *Client) SetFaults(fp FaultProfile) {
-	c.drop, c.replyDrop = fp.Drop, fp.ReplyDrop
-	if fp.Retransmit > 0 {
-		c.sched.SetRetransmit(fp.Retransmit)
-	}
-	c.noq, c.noqProc = fp.NoQuorum, fp.Proc
 }
 
 // SetRound records the protocol round in progress, so subsequent spans
@@ -683,30 +646,13 @@ func (c *Client) Messages() int64 { return c.msgs.Load() }
 // Bytes reports the participant's total wire traffic in bytes.
 func (c *Client) Bytes() int64 { return c.bytes.Load() }
 
-// msg returns the request message for one communicate call: the client's
-// reusable scratch normally, a fresh message when delayed sends may retain
-// it beyond this call.
-func (c *Client) msg() *wire.Msg {
-	if c.delay != nil {
-		return &wire.Msg{}
-	}
-	c.req = wire.Msg{}
-	return &c.req
-}
-
 // Propagate implements rt.Comm: bump the own cell of reg and push it to a
 // quorum of servers. One communicate call.
 func (c *Client) Propagate(reg string, val rt.Value) {
 	c.seqs[reg]++
-	m := c.msg()
-	m.Kind, m.Election, m.From, m.Reg = wire.KindPropagate, c.election, c.p.ID(), reg
-	if c.delay != nil {
-		m.Entries = []rt.Entry{{Reg: reg, Owner: c.p.ID(), Seq: c.seqs[reg], Val: val}}
-	} else {
-		c.entry[0] = rt.Entry{Reg: reg, Owner: c.p.ID(), Seq: c.seqs[reg], Val: val}
-		m.Entries = c.entry[:]
-	}
-	c.rpc(m, false)
+	c.entry[0] = rt.Entry{Reg: reg, Owner: c.p.ID(), Seq: c.seqs[reg], Val: val}
+	c.req = wire.Msg{Kind: wire.KindPropagate, Election: c.election, From: c.p.ID(), Reg: reg, Entries: c.entry[:]}
+	c.rpc(&c.req, false)
 }
 
 // Collect implements rt.Comm: gather the register-array views of a quorum
@@ -714,9 +660,8 @@ func (c *Client) Propagate(reg string, val rt.Value) {
 // by the client: it is valid until this participant's next communicate
 // call (its entries are shared immutables and stay valid).
 func (c *Client) Collect(reg string) []rt.View {
-	m := c.msg()
-	m.Kind, m.Election, m.From, m.Reg = wire.KindCollect, c.election, c.p.ID(), reg
-	replies := c.rpc(m, true)
+	c.req = wire.Msg{Kind: wire.KindCollect, Election: c.election, From: c.p.ID(), Reg: reg}
+	replies := c.rpc(&c.req, true)
 	c.views = c.views[:0]
 	for _, r := range replies {
 		c.views = append(c.views, rt.View{From: r.From, Entries: r.Entries})
@@ -734,10 +679,11 @@ func (c *Client) Collect(reg string) []rt.View {
 // then on). electd's part is send: the ring starts at the election's offset,
 // and a wave passes over links that are undialed or known dead — so a crashed
 // server costs nothing once its connection has closed. On lossy transports
-// and under fault plans the tick is the retransmit tick, which keeps firing;
-// on a reliable transport it is rt.WidenAfter, once. Sends to crashed or
-// unreachable servers are message loss; the quorum wait rides on the ⌊n/2⌋+1
-// live majority the model guarantees, all of which a widened call has asked.
+// and under a retransmitting fault profile the tick is the retransmit tick,
+// which keeps firing; on a reliable transport it is rt.WidenAfter, once.
+// Sends to crashed or unreachable servers are message loss; the quorum wait
+// rides on the ⌊n/2⌋+1 live majority the model guarantees, all of which a
+// widened call has asked.
 //
 // The wait is for one signal: the router assembles the quorum on the call's
 // pending slot and wakes this goroutine once, when it is complete (see
@@ -750,7 +696,22 @@ func (c *Client) Collect(reg string) []rt.View {
 // a *BusyError panic — recover it with CatchBusy around the election run.
 // A busy reply arriving after a genuine quorum is a straggler: the quorum
 // property already holds, and the filter or router drops it like any other.
+//
+// The participant's fault profile acts on the call here and in the filter
+// (ReplyDrop) only: its crash check runs before and after the call, a
+// request may be lost as it is sent or ride a timer for its injected delay,
+// and the wait aborts with a *fault.NoQuorumError once its no-quorum signal
+// fires.
 func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
+	var drop func(int) bool
+	var delay func(int) time.Duration
+	var noq <-chan struct{}
+	if fp := c.fp; fp != nil {
+		if fp.Crash != nil {
+			fp.Crash()
+		}
+		drop, delay, noq = fp.Drop, fp.Delay, fp.NoQuorum
+	}
 	pl := c.pool
 	rec := pl.trace
 	var t0 time.Time
@@ -772,21 +733,15 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	size := int64(m.WireSize())
 	var frame []byte // encoded once, lazily; every send reuses the bytes
 	// send puts the request on server j's link and reports whether it went
-	// onto the wire — a request the fault plan then drops did, and died
+	// onto the wire — a request the fault profile then drops did, and died
 	// there; one to an undialed or severed link did not.
 	send := func(j int) bool {
 		link := pl.links[j].Load()
 		if link == nil {
 			return false // server was unreachable at dial time: nothing to send
 		}
-		if c.drop != nil && c.drop(j) {
+		if drop != nil && drop(j) {
 			return true
-		}
-		if c.delay != nil {
-			if d := c.delay(j); d > 0 {
-				transport.SendDelayed(link.conn, m, d, &pl.inflight)
-				return true
-			}
 		}
 		if frame == nil {
 			var encT0 int64
@@ -808,7 +763,20 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		// The connection takes ownership of what it is sent, so each gets
 		// its own pooled copy. A refusal is the connection's ErrClosed: the
 		// link is severed, and the wave passes over it.
-		return link.conn.SendEncoded(append(wire.GetBuf(), frame...)) == nil
+		out := append(wire.GetBuf(), frame...)
+		if delay != nil {
+			if d := delay(j); d > 0 {
+				// Delayed: the copy rides a timer, which Close waits out. A
+				// refusal then is loss, like any send on a dead link.
+				pl.inflight.Add(1)
+				time.AfterFunc(d, func() {
+					defer pl.inflight.Done()
+					link.conn.SendEncoded(out) //nolint:errcheck
+				})
+				return true
+			}
+		}
+		return link.conn.SendEncoded(out) == nil
 	}
 	// book accounts one wave's requests.
 	book := func(sent int) {
@@ -858,7 +826,7 @@ wait:
 			if rec != nil {
 				rec.Event(c.election, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 			}
-		case <-c.noq:
+		case <-noq:
 			// The plan proved this client can never reach a quorum
 			// again, and the grace period is over: abort with the typed
 			// no-quorum outcome instead of waiting forever.
@@ -900,13 +868,16 @@ wait:
 			discard(r)
 		}
 		if starved {
-			panic(&fault.NoQuorumError{Proc: c.noqProc})
+			panic(&fault.NoQuorumError{Proc: int(c.p.ID())})
 		}
 		pl.busy.Add(1)
 		panic(&BusyError{Election: c.election})
 	}
 	if pl.rpcHist != nil {
 		pl.rpcHist.Observe(time.Since(t0).Microseconds())
+	}
+	if c.fp != nil && c.fp.Crash != nil {
+		c.fp.Crash() // the participant crashed during the wait: it unwinds here
 	}
 	if !keep {
 		// Propagate acks carry no entries the caller ever sees; discard

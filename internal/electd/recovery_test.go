@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/electd"
+	"repro/internal/fault"
 	"repro/internal/rt"
 	"repro/internal/transport"
 )
@@ -45,8 +46,7 @@ func TestRestartRestoresQuorumMidElection(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					p := electd.NewParticipant(rt.ProcID(i), n, int64(i)*1e6+1)
-					c := cl.NewComm(p, 7, nil)
-					c.SetFaults(electd.FaultProfile{Proc: i, Retransmit: time.Millisecond})
+					c := cl.NewComm(p, 7, &fault.Profile{Retransmit: time.Millisecond})
 					s := core.NewState(p, "leaderelect")
 					decisions[i] = core.LeaderElectWithState(c, "elect", s)
 				}(i)

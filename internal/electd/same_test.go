@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/transport"
@@ -389,8 +390,7 @@ func TestDuplicateRepliesAreNeverDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close() //nolint:errcheck // teardown
-	c := cl.NewComm(NewParticipant(0, n, 1), 1, nil)
-	c.SetFaults(FaultProfile{Retransmit: 5 * time.Millisecond})
+	c := cl.NewComm(NewParticipant(0, n, 1), 1, &fault.Profile{Retransmit: 5 * time.Millisecond})
 	for i := range 50 {
 		c.Propagate("r", i)
 		c.Collect("r")

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/trace"
@@ -156,8 +157,9 @@ func TestThriftyWidensOnceThenStaysWide(t *testing.T) {
 	silenced := in[:thriftySlack+1]
 	answering := in[thriftySlack+1:] // 8 = quorum − 1
 
-	c := cl.NewComm(NewParticipant(0, thriftyN, 1), election, nil)
-	c.SetFaults(FaultProfile{ReplyDrop: func(server int) bool { return slices.Contains(silenced, server) }})
+	c := cl.NewComm(NewParticipant(0, thriftyN, 1), election, &fault.Profile{
+		ReplyDrop: func(server int) bool { return slices.Contains(silenced, server) },
+	})
 	start := time.Now()
 	views := c.Collect("r")
 	if took := time.Since(start); took < widenAfter {
@@ -305,8 +307,7 @@ func TestWideningIsVisible(t *testing.T) {
 	defer cl.Close() //nolint:errcheck // teardown
 	in, _ := firstWave(election, thriftyN)
 	var replies [thriftyN]atomic.Int64
-	c := cl.NewComm(NewParticipant(0, thriftyN, 1), election, nil)
-	c.SetFaults(FaultProfile{
+	c := cl.NewComm(NewParticipant(0, thriftyN, 1), election, &fault.Profile{
 		Retransmit: 20 * time.Millisecond,
 		ReplyDrop: func(server int) bool {
 			if i := slices.Index(in, server); i >= 0 {

@@ -25,8 +25,8 @@
 //     partition ends at a planned time, a non-healing one starves the
 //     minority side's clients of a quorum forever;
 //   - per-link flaky loss: an asymmetric drop probability per directed
-//     (src, dst) link, applied to requests at the send seam and to replies
-//     at the transport's pre-decode FrameFilter seam;
+//     (src, dst) link, applied to requests as they are sent and to replies
+//     as they are delivered;
 //   - per-link delay distributions: fixed, uniform, or heavy-tailed
 //     (Pareto) latency added to every quorum message on send;
 //   - slow processors: designated processors pay an extra delay on every
@@ -37,7 +37,10 @@
 // Scenario.Plan materializes a Scenario for one (n, seed) run: victims,
 // crash and rejoin times, partition sides, drop matrices and slow sets are
 // drawn deterministically from the seed, so a campaign over sharded seeds
-// explores the scenario's space reproducibly.
+// explores the scenario's space reproducibly. Plan.Profile turns a plan
+// into one participant's hooks (loss, delay, resend period, no-quorum
+// abort, crash check): the one seam through which a plan reaches either
+// live substrate's quorum traffic.
 //
 // The electability contract: a scenario that does not set NoQuorumOK claims
 // every client can always (eventually) assemble a majority quorum — Validate
@@ -277,8 +280,8 @@ type Scenario struct {
 	Partition *PartitionSpec
 
 	// LossProb is the per-message drop probability of each flaky directed
-	// link, in [0, 1]. Requests are dropped at the send seam, replies at
-	// the transport's pre-decode FrameFilter seam, so the loss is
+	// link, in [0, 1]. Requests are dropped as they are sent, replies as
+	// they are delivered (Profile.Drop, Profile.ReplyDrop), so the loss is
 	// asymmetric per (src, dst) direction.
 	LossProb float64
 	// LossLinks is the number of directed (src, dst) links afflicted,
@@ -598,14 +601,11 @@ func (pl *Plan) IsSlow(i int) bool {
 	return pl != nil && pl.Slow != nil && pl.Slow[i]
 }
 
-// SendDelay samples the injected delay for one message from processor
+// sendDelay samples the injected delay for one message from processor
 // "from" to processor "to": link latency, plus the slow-processor tax when
 // either endpoint is throttled, plus the occasional reorder delay. rng must
 // be owned by the sending goroutine.
-func (pl *Plan) SendDelay(rng *rand.Rand, from, to int) time.Duration {
-	if pl == nil {
-		return 0
-	}
+func (pl *Plan) sendDelay(rng *rand.Rand, from, to int) time.Duration {
 	d := pl.Scenario.Link.Sample(rng)
 	if pl.IsSlow(from) || pl.IsSlow(to) {
 		d += pl.Scenario.Slow.Sample(rng)
@@ -614,6 +614,12 @@ func (pl *Plan) SendDelay(rng *rand.Rand, from, to int) time.Duration {
 		d += pl.Scenario.Reorder.Sample(rng)
 	}
 	return d
+}
+
+// delays reports whether sendDelay can return anything but zero.
+func (pl *Plan) delays() bool {
+	s := pl.Scenario
+	return s.Link.Active() || pl.Slow != nil || (s.ReorderProb > 0 && s.Reorder.Active())
 }
 
 // StepDelay samples the local-step throttle of processor proc (nonzero only
@@ -648,46 +654,40 @@ func (pl *Plan) DropProb(from, to int) float64 {
 	return pl.Drop[from*pl.N+to]
 }
 
-// DropMsg decides the fate of one message on the directed (from, to) link
+// dropMsg decides the fate of one message on the directed (from, to) link
 // at the given elapsed run time: true means the message is lost — severed
-// by the partition window or eaten by the link's flaky loss. Both backends
-// sample it per message, on requests at the send seam and on replies at
-// the receive/filter seam (with from = the replying server), which is what
-// makes the loss direction-asymmetric. rng must be owned or locked by the
-// calling goroutine.
-func (pl *Plan) DropMsg(rng *rand.Rand, from, to int, elapsed time.Duration) bool {
-	if pl == nil {
-		return false
-	}
+// by the partition window or eaten by the link's flaky loss. A Profile
+// samples it per message, on requests as they are sent and on replies as
+// they are delivered (with from = the replying server), which is what makes
+// the loss direction-asymmetric. rng must be owned or locked by the calling
+// goroutine.
+func (pl *Plan) dropMsg(rng *rand.Rand, from, to int, elapsed time.Duration) bool {
 	if pl.CutAt(from, to, elapsed) {
 		return true
 	}
-	if p := pl.DropProb(from, to); p > 0 && rng.Float64() < p {
-		return true
-	}
-	return false
+	p := pl.DropProb(from, to)
+	return p > 0 && rng.Float64() < p
 }
 
-// HasLinkFaults reports whether the plan can drop messages at all
-// (partition or flaky links) — the backends install their reply-direction
-// filters only when it does.
-func (pl *Plan) HasLinkFaults() bool {
-	return pl != nil && (pl.Partition != nil || len(pl.Drop) > 0)
+// hasLinkFaults reports whether the plan can drop messages at all
+// (partition or flaky links): profiles carry loss hooks only when it does.
+func (pl *Plan) hasLinkFaults() bool {
+	return pl.Partition != nil || len(pl.Drop) > 0
 }
 
-// NeedsRetransmit reports whether quorum waits must retransmit to stay
+// needsRetransmit reports whether quorum waits must retransmit to stay
 // live under this plan: with partitions, flaky links or crash-recovery, a
 // request (or its reply) can be lost while its server is — or becomes —
 // perfectly able to answer, and the algorithms themselves never resend.
 // Pure crash/delay plans keep the retransmission machinery off: quorums
 // route around permanently dead servers without it.
-func (pl *Plan) NeedsRetransmit() bool {
-	return pl != nil && (pl.Partition != nil || len(pl.Drop) > 0 || len(pl.Recoveries) > 0)
+func (pl *Plan) needsRetransmit() bool {
+	return pl.hasLinkFaults() || len(pl.Recoveries) > 0
 }
 
-// RetransmitTick is the quorum waits' resend period under this plan.
-func (pl *Plan) RetransmitTick() time.Duration {
-	if pl != nil && pl.Scenario.Retransmit > 0 {
+// retransmitTick is the quorum waits' resend period under this plan.
+func (pl *Plan) retransmitTick() time.Duration {
+	if pl.Scenario.Retransmit > 0 {
 		return pl.Scenario.Retransmit
 	}
 	return DefaultRetransmitTick

@@ -152,8 +152,8 @@ func TestInactivePlanIsNil(t *testing.T) {
 		t.Fatalf("baseline plan = %+v, want nil", pl)
 	}
 	rng := rand.New(rand.NewSource(1))
-	if d := pl.SendDelay(rng, 0, 1); d != 0 {
-		t.Errorf("nil plan send delay %v", d)
+	if fp := pl.Profile(0, rng, nil, nil, nil); fp != nil {
+		t.Errorf("nil plan built the fault profile %+v", fp)
 	}
 	if d := pl.StepDelay(rng, 0); d != 0 {
 		t.Errorf("nil plan step delay %v", d)
@@ -187,13 +187,13 @@ func TestSendDelayComposition(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	fast := (slow + 1) % 4
-	if d := pl.SendDelay(rng, fast, (slow+2)%4); d != 100*time.Microsecond {
+	if d := pl.sendDelay(rng, fast, (slow+2)%4); d != 100*time.Microsecond {
 		t.Errorf("fast→fast delay %v, want pure link latency", d)
 	}
-	if d := pl.SendDelay(rng, slow, fast); d != 1100*time.Microsecond {
+	if d := pl.sendDelay(rng, slow, fast); d != 1100*time.Microsecond {
 		t.Errorf("slow→fast delay %v, want link+slow", d)
 	}
-	if d := pl.SendDelay(rng, fast, slow); d != 1100*time.Microsecond {
+	if d := pl.sendDelay(rng, fast, slow); d != 1100*time.Microsecond {
 		t.Errorf("fast→slow delay %v, want link+slow", d)
 	}
 	if d := pl.StepDelay(rng, slow); d != time.Millisecond {
@@ -317,7 +317,7 @@ func TestChaosGridPlanBounds(t *testing.T) {
 					t.Errorf("%s seed %d: drop probability %v outside (0, 1]", sc.Name, seed, p)
 				}
 			}
-			if (pl.Partition != nil || len(pl.Drop) > 0 || len(pl.Recoveries) > 0) && !pl.NeedsRetransmit() {
+			if (pl.Partition != nil || len(pl.Drop) > 0 || len(pl.Recoveries) > 0) && !pl.needsRetransmit() {
 				t.Errorf("%s seed %d: lossy plan does not ask for retransmission", sc.Name, seed)
 			}
 			// Electable and StarveAt must agree, for every client.

@@ -40,7 +40,7 @@ func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	defer sys.Shutdown()
 	sys.rec, sys.traceID = rec, 1
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
-	c := NewComm(sys.Proc(0))
+	c := NewComm(sys.Proc(0), nil)
 	if c.sched.Wide() {
 		t.Fatalf("n=%d handle starts wide; the test needs a thrifty first wave", n)
 	}

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -20,8 +19,9 @@ import (
 // algorithm goroutine.
 type Comm struct {
 	p     *Proc
-	round int32       // current protocol round, for span attribution (SetRound)
-	sched rt.Schedule // whom each call asks, and when it asks again
+	fp    *fault.Profile // the participant's fault hooks; nil = fault-free
+	round int32          // current protocol round, for span attribution (SetRound)
+	sched rt.Schedule    // whom each call asks, and when it asks again
 
 	// slot is where the servers assemble each call's quorum; requests carry
 	// its address.
@@ -67,22 +67,20 @@ type callSlot struct {
 	seen    []bool        // [peer]; dedups the repeat answers a widen or resend draws
 	sig     chan struct{} // one slot: the completing delivery's single wake-up
 
-	// Reply-direction loss under a plan with link faults (nil without): a
-	// stream of the caller's own, sampled by whichever server delivers, so
-	// guarded by mu. to is the caller, the link's receiving end.
-	loss *rand.Rand
-	to   *Proc
+	// lose is the caller's reply-direction loss (fault.Profile.ReplyDrop;
+	// nil without), sampled by whichever server delivers.
+	lose func(from int) bool
 }
 
-// deliver is a server handing the slot its reply to call. Under a plan that
-// loses messages, loss is sampled here, once per reply that would otherwise
-// count — where the reply would have died on a real wire, and where electd
-// samples it (FaultProfile.ReplyDrop) — so a complete slot is complete on
-// every plan, and a dropped sender's retransmitted reply can still count.
+// deliver is a server handing the slot its reply to call. Reply loss is
+// sampled here, once per reply that would otherwise count — where the reply
+// would have died on a real wire, and where electd's filter samples the same
+// hook — so a complete slot is complete on every plan, and a dropped
+// sender's retransmitted reply can still count.
 func (s *callSlot) deliver(call uint64, r reply) {
 	s.mu.Lock()
 	if s.call != call || s.seen[r.from] || len(s.replies) >= s.need ||
-		(s.loss != nil && s.to.sys.plan.DropMsg(s.loss, int(r.from), int(s.to.id), s.to.sys.elapsed())) {
+		(s.lose != nil && s.lose(int(r.from))) {
 		s.mu.Unlock()
 		return
 	}
@@ -113,19 +111,19 @@ func (s *callSlot) close() {
 	s.mu.Unlock()
 }
 
-// NewComm builds the communicate handle for an algorithm running on p. Its
-// ring walks start at p's right-hand neighbour and never ask p itself; under
-// a plan that loses messages its calls tick on the plan's period.
-func NewComm(p *Proc) *Comm {
+// NewComm builds the communicate handle for an algorithm running on p, with
+// the participant's fault hooks fp (nil = fault-free). Its ring walks start
+// at p's right-hand neighbour and never ask p itself; under a profile that
+// retransmits its calls tick on the profile's period.
+func NewComm(p *Proc, fp *fault.Profile) *Comm {
 	n := p.sys.n
-	c := &Comm{p: p, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
+	c := &Comm{p: p, fp: fp, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
 	c.slot = callSlot{need: n / 2, replies: make([]reply, 0, n/2), seen: make([]bool, n), sig: make(chan struct{}, 1)}
-	pl := p.sys.plan
-	if pl.NeedsRetransmit() {
-		c.sched.SetRetransmit(pl.RetransmitTick())
-	}
-	if pl.HasLinkFaults() {
-		c.slot.loss, c.slot.to = replyLossStream(p.sys.seed, int(p.id)), p
+	if fp != nil {
+		if fp.Retransmit > 0 {
+			c.sched.SetRetransmit(fp.Retransmit)
+		}
+		c.slot.lose = fp.ReplyDrop
 	}
 	return c
 }
@@ -187,16 +185,13 @@ func (c *Comm) Collect(reg string) []rt.View {
 // stale-view, adversary-like interleavings. The returned reply slice is the
 // slot's, valid until the next communicate call.
 //
-// Under a scenario plan each outgoing message may carry an injected delay
-// (link latency, slow-processor tax, reordering); the delivery then rides a
-// helper goroutine so one slow link never stalls the rest of the wave.
-// Partitions, flaky links and crash-recovery can lose a message (or its
-// reply) while its server is, or becomes, able to answer — so under those
-// plans the schedule keeps ticking on the plan's period (selective, backed
-// off, jittered), reply-direction loss is sampled as the reply is delivered
-// (callSlot.deliver), and the wait aborts with a typed fault.NoQuorumError
-// once the plan has provably starved this processor of majority quorums and
-// the grace period has passed.
+// The fault profile, when there is one, acts on the call here and nowhere
+// else: a request may be lost as it is sent, or carry an injected delay
+// (the delivery then rides a helper goroutine, so one slow link never stalls
+// the rest of the wave); a reply may be lost as it is delivered
+// (callSlot.deliver); the schedule keeps ticking on the profile's resend
+// period (selective, backed off, jittered); and the wait aborts with a typed
+// fault.NoQuorumError once the profile's no-quorum signal fires.
 func (c *Comm) communicate(req request) []reply {
 	p := c.p
 	p.maybeCrash()
@@ -220,30 +215,36 @@ func (c *Comm) communicate(req request) []reply {
 		wk = wire.KindPropagate
 	}
 	reqSize := int64((&wire.Msg{Kind: wk, Call: req.call, From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
-	pl := p.sys.plan
-	lossy := pl.HasLinkFaults()
+	var drop func(int) bool
+	var delay func(int) time.Duration
+	var noq <-chan struct{}
+	if fp := c.fp; fp != nil {
+		drop, delay, noq = fp.Drop, fp.Delay, fp.NoQuorum
+	}
 	rec := p.sys.rec
 	// send hands the request to peer j's mailbox. It never refuses: a
-	// message the plan drops was sent, and died on the wire.
+	// message the profile drops was sent, and died on the wire.
 	send := func(j int) bool {
-		if lossy && pl.DropMsg(p.frng, int(p.id), j, p.sys.elapsed()) {
+		if drop != nil && drop(j) {
 			return true
 		}
 		inbox := p.sys.procs[j].inbox
 		// Booked as outstanding before the hand-off (delayed or not), so
 		// quiescence waits never miss a request that is still in flight.
 		p.sys.reqs.Add(1)
-		if d := pl.SendDelay(p.frng, int(p.id), j); d > 0 {
-			// Delayed delivery. The inflight group lets Shutdown wait for
-			// stragglers before closing the mailboxes.
-			p.sys.inflight.Add(1)
-			late := req // only a delayed request outlives the call on the heap
-			go func() {
-				defer p.sys.inflight.Done()
-				time.Sleep(d)
-				inbox <- late
-			}()
-			return true
+		if delay != nil {
+			if d := delay(j); d > 0 {
+				// Delayed delivery. The inflight group lets Shutdown wait
+				// for stragglers before closing the mailboxes.
+				p.sys.inflight.Add(1)
+				late := req // only a delayed request outlives the call on the heap
+				go func() {
+					defer p.sys.inflight.Done()
+					time.Sleep(d)
+					inbox <- late
+				}()
+				return true
+			}
 		}
 		inbox <- req
 		return true
@@ -284,7 +285,7 @@ wait:
 			if rec != nil {
 				rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 			}
-		case <-p.noq:
+		case <-noq:
 			c.sched.End()
 			panic(&fault.NoQuorumError{Proc: int(p.id)})
 		}

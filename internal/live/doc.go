@@ -41,7 +41,10 @@
 // The model's remaining adversarial powers — delaying messages arbitrarily
 // and crashing up to ⌈n/2⌉−1 processors — are recovered through the
 // scenario engine (internal/fault). Config.Scenario materializes into a
-// per-run plan; the backend injects it without touching algorithm code:
+// per-run plan, and the plan into one fault.Profile per participant, which
+// the run hands to whichever client it builds — NewComm on chan,
+// electd's Cluster.NewComm on tcp/udp — so both substrates inject it
+// through the same hooks, without touching algorithm code:
 //
 //   - message delays (link distributions, slow-processor taxes, reorder
 //     jitter) are sampled on the sending side and ride helper goroutines,

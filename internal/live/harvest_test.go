@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -43,7 +44,7 @@ type stage struct {
 func newStage(t *testing.T, seed int64, plan *fault.Plan) *stage {
 	t.Helper()
 	sys := newSystem(harvestN, seed, plan, false)
-	st := &stage{t: t, sys: sys, c: NewComm(sys.Proc(0)), in: make(chan arrival)}
+	st := &stage{t: t, sys: sys, c: NewComm(sys.Proc(0), sys.profile(0, nil)), in: make(chan arrival)}
 	stop := make(chan struct{})
 	for _, p := range sys.procs {
 		go func() { // ends at the cleanup below
@@ -288,7 +289,7 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 	const n, calls = 32, 2400
 	sys := NewSystem(n, 1)
 	defer sys.Shutdown()
-	c := NewComm(sys.Proc(3))
+	c := NewComm(sys.Proc(3), nil)
 	s := &c.slot
 	for i := 1; i <= calls; i++ {
 		if i%3 == 0 {
@@ -321,8 +322,9 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 
 // TestReplyLossSampledAtDelivery: under the flaky and flaky-asym plans each
 // reply that would otherwise count draws once from the caller's reply-loss
-// stream and nothing else does — a twin stream predicts every delivery's
-// fate and stays in step to the end. Exactly need peers ever answer, one of
+// stream and nothing else does — a twin profile, built from a twin of the
+// caller's fault stream, predicts every delivery's fate and stays in step to
+// the end. Exactly need peers ever answer, one of
 // them over a lossy link, so a call whose reply the plan eats can complete
 // only by asking that sender again on the tick and counting its second
 // answer.
@@ -347,7 +349,7 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 			}
 			st := newStage(t, seed, plan)
 			s := &st.c.slot
-			twin := replyLossStream(seed, 0)
+			twin := plan.Profile(0, rand.New(rand.NewSource(seed^faultStreamSalt)), func() time.Duration { return 0 }, nil, nil)
 			answering := []rt.ProcID{lossy}
 			for j := rt.ProcID(1); len(answering) < harvestNeed; j++ {
 				if j != lossy {
@@ -374,7 +376,7 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 						answer(a.j, a.req)
 						continue
 					}
-					drop := plan.DropMsg(twin, int(a.j), 0, 0)
+					drop := twin.ReplyDrop(int(a.j))
 					answer(a.j, a.req)
 					s.mu.Lock()
 					kept := s.seen[a.j]
@@ -399,10 +401,12 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				t.Fatalf("20 calls lost %d replies and recounted %d senders; the plan was to lose some", lost, recounted)
 			}
 			// Stragglers draw nothing: a late answer to the last call finds the
-			// slot closed.
+			// slot closed, and the two streams go on drawing alike.
 			s.deliver(20, reply{from: lossy})
-			if got, want := s.loss.Int63(), twin.Int63(); got != want {
-				t.Fatalf("after %d lost replies the slot's loss stream is out of step with its twin", lost)
+			for range 64 {
+				if s.lose(int(lossy)) != twin.ReplyDrop(int(lossy)) {
+					t.Fatalf("after %d lost replies the slot's loss stream is out of step with its twin", lost)
+				}
 			}
 			t.Logf("seed %d, lossy link %d→0: %d replies lost, %d senders counted on a later answer", seed, lossy, lost, recounted)
 		})
@@ -415,7 +419,7 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 func TestNoQuorumAbortBlocksNobody(t *testing.T) {
 	st := newStage(t, 1, nil)
 	noq := make(chan struct{})
-	st.sys.Proc(0).noq = noq
+	st.c = NewComm(st.sys.Proc(0), &fault.Profile{NoQuorum: noq})
 	done := st.collect()
 	first := st.wave(1, 2, 3, 4, 5, 6)
 	for j := rt.ProcID(1); j < harvestNeed; j++ {

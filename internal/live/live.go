@@ -61,7 +61,6 @@ type crashSignal struct{ id rt.ProcID }
 // Comm handles, then Shutdown.
 type System struct {
 	n        int
-	seed     int64 // of the current run; the per-processor streams derive from it
 	plan     *fault.Plan
 	procs    []*Proc
 	serving  bool
@@ -104,7 +103,7 @@ func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
 // replaces the channel-backed quorum with electd servers, leaving the
 // in-process mailboxes unused.
 func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
-	sys := &System{n: n, seed: seed, plan: plan, serving: serve, procs: make([]*Proc, n)}
+	sys := &System{n: n, plan: plan, serving: serve, procs: make([]*Proc, n)}
 	for i := 0; i < n; i++ {
 		p := &Proc{
 			id:  rt.ProcID(i),
@@ -145,18 +144,16 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 // from its coin-flip stream (both are derived from the same sharded seed).
 const faultStreamSalt = 0x3C6EF372FE94F82A
 
-// replyStreamSalt seeds a participant's reply-direction loss-sampling
-// stream: it is drawn wherever its replies are delivered — the chan servers'
-// goroutines, behind the call slot's mutex; the TCP pool's connection read
-// loops, behind a per-client one — so it cannot share the goroutine-owned
-// frng, and the salt keeps it decorrelated from both the coin-flip and the
-// send-side fault streams.
-const replyStreamSalt uint64 = 0x94D049BB133111EB
-
-// replyLossStream is participant i's reply-direction loss stream in a run
-// seeded seed. Not safe for concurrent use: its owner supplies the lock.
-func replyLossStream(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64((uint64(seed) + uint64(i)*SeedStride) ^ replyStreamSalt)))
+// profile builds participant i's fault hooks for the current run — nil on a
+// fault-free one: its delays and request loss draw from i's fault stream,
+// partition windows read the run's fault clock, noq is its no-quorum abort
+// and a crash unwinds it as on every other backend interaction.
+func (sys *System) profile(i int, noq <-chan struct{}) *fault.Profile {
+	if sys.plan == nil {
+		return nil // before the method values below, which allocate
+	}
+	p := sys.procs[i]
+	return sys.plan.Profile(i, p.frng, sys.elapsed, noq, p.maybeCrash)
 }
 
 // N returns the system size.
@@ -235,7 +232,8 @@ type Proc struct {
 	id  rt.ProcID
 	sys *System
 	rng *rand.Rand
-	// frng samples fault decisions (delays, request-direction loss) on the
+	// frng samples fault decisions (step delays here, and through the
+	// participant's fault.Profile its send delays and request loss) on the
 	// algorithm goroutine; non-nil iff sys.plan is.
 	frng *rand.Rand
 	// crashed is the participant half of a crash: the algorithm goroutine
@@ -244,12 +242,7 @@ type Proc struct {
 	// a recovered replica answers again, a crashed participant stays gone.
 	crashed atomic.Bool
 	down    atomic.Bool
-	// noq, when non-nil, is closed once this processor is provably starved
-	// of majority quorums and its grace period has run out; communicate
-	// aborts with a fault.NoQuorumError. Installed by the runner before the
-	// algorithm goroutine starts.
-	noq   <-chan struct{}
-	inbox chan request
+	inbox   chan request
 
 	// regs is the processor's register state: lock-free for every reader
 	// and writer (see internal/regstore), so neither the server goroutine nor
@@ -366,25 +359,11 @@ func (p *Proc) serve() {
 		case collectReq:
 			snap, _ := p.regs.Snapshot(req.reg)
 			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: snap.Entries}})
-			// The reply's wire size from cached parts: the header of its
-			// internal/wire equivalent plus the snapshot's cached entry
-			// bytes — identical arithmetic to wire.Msg.WireSize without
-			// re-walking the entries.
-			p.sys.bytes.Add(int64(viewReplySize(req.call, p.id, req.reg, len(snap.Entries), snap.Size)))
+			// The reply's wire size from cached parts: the snapshot's
+			// entry count and cached entry bytes.
+			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindView, Call: req.call, From: p.id, Reg: req.reg}).BodySize(len(snap.Entries), snap.Size)))
 		}
 		p.sys.messages.Add(1) // the reply
 		p.sys.reqs.Done()
 	}
-}
-
-// viewReplySize is the exact internal/wire frame-body size of a KindView
-// reply whose entries total entrySize bytes — wire.Msg.WireSize's formula
-// with the entry walk replaced by the snapshot cache's precomputed sum.
-func viewReplySize(call uint64, from rt.ProcID, reg string, entryCount, entrySize int) int {
-	return 1 + // kind
-		rt.UvarintSize(0) + // election (single-instance backend)
-		rt.UvarintSize(call) +
-		rt.UvarintSize(uint64(from)) +
-		rt.UvarintSize(uint64(len(reg))) + len(reg) +
-		rt.UvarintSize(uint64(entryCount)) + entrySize
 }

@@ -1,10 +1,12 @@
 package live
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 // TestQuorumIntersection: Propagate followed by a Collect on another
@@ -16,7 +18,7 @@ func TestQuorumIntersection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			NewComm(sys.Proc(0)).Propagate("reg", "hello")
+			NewComm(sys.Proc(0), nil).Propagate("reg", "hello")
 		}()
 		wg.Wait()
 
@@ -26,7 +28,7 @@ func TestQuorumIntersection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			views = NewComm(sys.Proc(rt.ProcID(n - 1))).Collect("reg")
+			views = NewComm(sys.Proc(rt.ProcID(n-1)), nil).Collect("reg")
 		}()
 		wg.Wait()
 		sys.Shutdown()
@@ -56,10 +58,10 @@ func TestWriterVersioning(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c := NewComm(sys.Proc(0))
+		c := NewComm(sys.Proc(0), nil)
 		c.Propagate("reg", 1)
 		c.Propagate("reg", 2)
-		views = NewComm(sys.Proc(0)).Collect("reg")
+		views = NewComm(sys.Proc(0), nil).Collect("reg")
 	}()
 	wg.Wait()
 	sys.Shutdown()
@@ -81,7 +83,7 @@ func TestConcurrentPropagateCollect(t *testing.T) {
 		wg.Add(1)
 		go func(id rt.ProcID) {
 			defer wg.Done()
-			c := NewComm(sys.Proc(id))
+			c := NewComm(sys.Proc(id), nil)
 			for round := 0; round < 20; round++ {
 				c.Propagate("shared", round)
 				views := c.Collect("shared")
@@ -152,5 +154,40 @@ func TestMessagesAccounted(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Error("zero elapsed wall-clock time")
+	}
+}
+
+// TestChanBytesMatchWireFrames: the chan substrate books the frame bodies
+// wire.Append would write — for one Collect, its request to each peer and
+// every view a server sent back, the tag uvarint of each included.
+func TestChanBytesMatchWireFrames(t *testing.T) {
+	const n = 5 // below the thrifty threshold: a call asks all n−1 peers
+	sys := NewSystem(n, 1)
+	defer sys.Shutdown()
+	NewComm(sys.Proc(1), nil).Propagate("r", "payload") // so the views carry an entry
+	sys.quiesce()
+	bytes0, msgs0 := sys.Bytes(), sys.Messages()
+
+	NewComm(sys.Proc(0), nil).Collect("r")
+	sys.quiesce() // the stragglers' replies are booked too
+	body := func(m *wire.Msg) int64 {
+		frame, err := wire.Append(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, prefix := binary.Uvarint(frame)
+		return int64(len(frame) - prefix)
+	}
+	var want int64
+	for j := rt.ProcID(1); j < n; j++ {
+		want += body(&wire.Msg{Kind: wire.KindCollect, Call: 1, From: 0, Reg: "r"})
+		snap, _ := sys.Proc(j).regs.Snapshot("r")
+		want += body(&wire.Msg{Kind: wire.KindView, Call: 1, From: j, Reg: "r", Entries: snap.Entries})
+	}
+	if got := sys.Messages() - msgs0; got != 2*(n-1) {
+		t.Fatalf("the collect sent %d messages, want a request and a view per peer (%d)", got, 2*(n-1))
+	}
+	if got := sys.Bytes() - bytes0; got != want {
+		t.Fatalf("the collect booked %d bytes, wire frames %d", got, want)
 	}
 }

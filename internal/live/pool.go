@@ -48,7 +48,7 @@ func (sys *System) release() {
 func (sys *System) Reset(seed int64, plan *fault.Plan) {
 	sys.quiesce()
 	sys.release()
-	sys.seed, sys.plan = seed, plan
+	sys.plan = plan
 	sys.messages.Store(0)
 	sys.bytes.Store(0)
 	for i, p := range sys.procs {
@@ -65,7 +65,6 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 		}
 		p.crashed.Store(false)
 		p.down.Store(false)
-		p.noq = nil
 		p.commCalls = 0
 	}
 }

@@ -17,7 +17,7 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	defer pool.Close()
 
 	sys := pool.Get(1, nil)
-	c := NewComm(sys.Proc(0))
+	c := NewComm(sys.Proc(0), nil)
 	c.Propagate("r", "dirty")
 	views := c.Collect("r")
 	if len(views) != n/2+1 {
@@ -44,7 +44,7 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	}
 	// The recycled system's registers must be construction-fresh: a collect
 	// on the previously dirtied register sees only empty views.
-	c2 := NewComm(got.Proc(2))
+	c2 := NewComm(got.Proc(2), nil)
 	for _, v := range c2.Collect("r") {
 		if len(v.Entries) != 0 {
 			t.Fatalf("recycled system leaked register state: %+v", v.Entries)
@@ -67,7 +67,7 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 	}
 	sys := pool.Get(2, nil)
 	sys.Proc(1).Publish("state")
-	c := NewComm(sys.Proc(0))
+	c := NewComm(sys.Proc(0), nil)
 	c.Propagate("r", "dirty")
 	c.Collect("r")
 	sys.quiesce() // the first wave's stragglers have merged too

@@ -70,10 +70,6 @@ type Config struct {
 	// per-link delay distributions, slow processors, reordering. The zero
 	// value is fault-free. See internal/fault.
 	Scenario fault.Scenario
-	// Timeout aborts a run that has not completed in time (0 = a generous
-	// default). A fired timeout reports an error and leaks the run's
-	// goroutines: it is a diagnostic for liveness bugs, not a control path.
-	Timeout time.Duration
 	// Transport picks the comm substrate: TransportChan (default),
 	// TransportTCP or TransportUDP.
 	Transport Transport
@@ -104,9 +100,10 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// DefaultTimeout bounds a live run when Config.Timeout is zero. The
-// algorithms terminate with probability 1 in milliseconds at benchmark
-// sizes; a run hitting this bound indicates a liveness bug.
+// DefaultTimeout bounds every live run. The algorithms terminate with
+// probability 1 in milliseconds at benchmark sizes; a run hitting this bound
+// indicates a liveness bug. A fired timeout reports an error and leaks the
+// run's goroutines: it is a diagnostic, not a control path.
 const DefaultTimeout = 2 * time.Minute
 
 // ErrTimeout is returned when a live run exceeds its timeout.
@@ -180,9 +177,6 @@ func (cfg *Config) normalize() error {
 	}
 	if err := cfg.Scenario.Validate(cfg.N); err != nil {
 		return err
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
 	}
 	switch cfg.Transport {
 	case "":
@@ -358,39 +352,6 @@ func Sift(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// countedComm books a participant's communicate calls into its Proc (for
-// the paper's time metric) and gives crashes their unwind points, wrapping
-// comm substrates — the electd TCP client — that do not have access to the
-// Proc's internals. The chan substrate's own Comm does both natively.
-type countedComm struct {
-	p     *Proc
-	inner rt.Comm
-}
-
-func (c *countedComm) Proc() rt.Procer { return c.p }
-func (c *countedComm) QuorumSize() int { return c.inner.QuorumSize() }
-
-// SetRound forwards round-transition stamps to comm substrates that trace
-// (the electd client); a no-op wrapper target otherwise.
-func (c *countedComm) SetRound(r int) {
-	if rs, ok := c.inner.(interface{ SetRound(int) }); ok {
-		rs.SetRound(r)
-	}
-}
-func (c *countedComm) Propagate(reg string, val rt.Value) {
-	c.p.maybeCrash()
-	c.p.commCalls++
-	c.inner.Propagate(reg, val)
-	c.p.maybeCrash()
-}
-func (c *countedComm) Collect(reg string) []rt.View {
-	c.p.maybeCrash()
-	c.p.commCalls++
-	views := c.inner.Collect(reg)
-	c.p.maybeCrash()
-	return views
-}
-
 // run builds a system (materializing the scenario's fault plan, if any),
 // executes algo on the first K processors concurrently, joins them, shuts
 // the substrate down and reports the shared measures.
@@ -398,8 +359,9 @@ func (c *countedComm) Collect(reg string) []rt.View {
 // On TransportChan the quorum runs over the in-process server goroutines;
 // on TransportTCP it runs over an electd cluster — cfg.Cluster when shared,
 // otherwise a cluster of n loopback-TCP servers owned by this run — with
-// scenario link delays injected as delayed writes at the transport and
-// crashes dropping the victim's server connections. Scenario crashes are
+// crashes dropping the victim's server connections. Either client takes the
+// participant's fault.Profile at construction, and the plan reaches the
+// quorum traffic through that alone. Scenario crashes are
 // armed as wall-clock timers when the algorithms start; a crashed
 // participant's goroutine unwinds via crashSignal and is recorded in
 // Result.Crashed. The timeout path leaves the run's goroutines behind by
@@ -428,28 +390,12 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 		sys.traceID = cfg.ElectionID
 	}
 
-	// Participants the plan provably starves of quorums get an abort
-	// channel, installed before their goroutines start; its close timer is
-	// armed with the crash timers below, once the fault clock is stamped.
-	var noq []chan struct{}
-	if plan != nil {
-		for i := 0; i < cfg.K; i++ {
-			if _, isStarved := plan.StarveAt(i); isStarved {
-				if noq == nil {
-					noq = make([]chan struct{}, cfg.K)
-				}
-				noq[i] = make(chan struct{})
-				sys.procs[i].noq = noq[i]
-			}
-		}
-	}
-
 	var cluster *electd.Cluster
 	var clients []*electd.Client
-	comms := make([]rt.Comm, cfg.K)
+	var election uint64
 	if cfg.Transport.Networked() {
 		cluster = cfg.Cluster
-		election := cfg.ElectionID
+		election = cfg.ElectionID
 		if cluster == nil && cfg.Trace != nil && election == 0 {
 			// An owned cluster hosts exactly one election, so ID 0 works on
 			// the wire — but spans keyed by election 0 cannot be grouped per
@@ -473,52 +419,29 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			defer cluster.Close()
 		}
 		clients = make([]*electd.Client, cfg.K)
-		for i := 0; i < cfg.K; i++ {
-			p := sys.procs[i]
-			var delay func(int) time.Duration
-			if plan != nil {
-				// Sampled on the algorithm goroutine, which owns p.frng.
-				delay = func(to int) time.Duration {
-					return plan.SendDelay(p.frng, int(p.id), to)
-				}
+	}
+
+	// Each participant's fault hooks reach its client through one profile
+	// (nil on a fault-free run). Participants the plan provably starves of
+	// quorums get an abort channel in theirs; its close timer is armed with
+	// the crash timers below, once the fault clock is stamped.
+	var noq []chan struct{}
+	comms := make([]rt.Comm, cfg.K)
+	for i := 0; i < cfg.K; i++ {
+		var abort chan struct{}
+		if _, starves := plan.StarveAt(i); starves {
+			if noq == nil {
+				noq = make([]chan struct{}, cfg.K)
 			}
-			clients[i] = cluster.NewComm(p, election, delay)
-			if plan != nil && (plan.HasLinkFaults() || plan.NeedsRetransmit() || (noq != nil && noq[i] != nil)) {
-				fp := electd.FaultProfile{Proc: i}
-				if plan.HasLinkFaults() {
-					// Request-direction loss samples on the algorithm
-					// goroutine (rpc broadcasts and retransmits there), so
-					// the goroutine-owned frng is safe. Reply-direction loss
-					// samples on the pool's connection read loops, which run
-					// concurrently — it gets its own salted, mutex-guarded
-					// stream so concurrent sampling stays deterministic-ish
-					// per client without perturbing the coin-flip streams.
-					fp.Drop = func(to int) bool {
-						return plan.DropMsg(p.frng, int(p.id), to, sys.elapsed())
-					}
-					rrng := replyLossStream(cfg.Seed, i)
-					var rmu sync.Mutex
-					pid := int(p.id)
-					fp.ReplyDrop = func(from int) bool {
-						rmu.Lock()
-						d := plan.DropMsg(rrng, from, pid, sys.elapsed())
-						rmu.Unlock()
-						return d
-					}
-				}
-				if plan.NeedsRetransmit() {
-					fp.Retransmit = plan.RetransmitTick()
-				}
-				if noq != nil && noq[i] != nil {
-					fp.NoQuorum = noq[i]
-				}
-				clients[i].SetFaults(fp)
-			}
-			comms[i] = &countedComm{p: p, inner: clients[i]}
+			abort = make(chan struct{})
+			noq[i] = abort
 		}
-	} else {
-		for i := 0; i < cfg.K; i++ {
-			comms[i] = NewComm(sys.procs[i])
+		fp := sys.profile(i, abort)
+		if clients != nil {
+			clients[i] = cluster.NewComm(sys.procs[i], election, fp)
+			comms[i] = clients[i]
+		} else {
+			comms[i] = NewComm(sys.procs[i], fp)
 		}
 	}
 
@@ -535,16 +458,26 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 	var crashMu sync.Mutex
 	finished := false
 	if plan != nil {
-		// A recovery always follows its paired crash in *timer* order
-		// (RecoverAfter > 0), but AfterFunc callbacks run on independent
-		// goroutines: on an oversubscribed host both timers can expire
-		// before either callback is scheduled, and the recovery can then
-		// run first — Restart would wait for a listener whose crash is
-		// blocked behind crashMu, a deadlock. landed records which crashes
-		// have actually executed (guarded by crashMu) so a too-early
-		// recovery can step aside and retry instead.
-		landed := make([]bool, cfg.N)
-		timers := make([]*time.Timer, 0, len(plan.Crashes)+len(plan.Recoveries)+len(noq))
+		timers := make([]*time.Timer, 0, len(plan.Crashes)+len(noq))
+		var rejoins []*time.Timer // armed by the crash callbacks, under crashMu
+		rejoin := func(id rt.ProcID) {
+			crashMu.Lock()
+			defer crashMu.Unlock()
+			if finished {
+				return
+			}
+			// Only the replica half rejoins: the crashed participant's
+			// goroutine has unwound and stays gone; what recovers is the
+			// quorum member. On TCP that is the full Restart sequence —
+			// replica, listener, pool redial; a failed rebind is the
+			// recovery itself failing, which the model treats as the
+			// replica staying down.
+			if cluster != nil {
+				cluster.Restart(id) //nolint:errcheck // best-effort rejoin
+			} else {
+				sys.Recover(id)
+			}
+		}
 		for _, cr := range plan.Crashes {
 			id := rt.ProcID(cr.Proc)
 			timers = append(timers, time.AfterFunc(cr.At, func() {
@@ -560,39 +493,12 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 					// (Shared clusters admit only link faults at normalize.)
 					cluster.Crash(id)
 				}
-				landed[int(id)] = true
+				// The rejoin is armed behind its crash, at the planned time
+				// on the fault clock, so it can never run first.
+				if at, ok := plan.RecoveryOf(int(id)); ok {
+					rejoins = append(rejoins, time.AfterFunc(at-sys.elapsed(), func() { rejoin(id) }))
+				}
 			}))
-		}
-		for _, rc := range plan.Recoveries {
-			id := rt.ProcID(rc.Proc)
-			var rejoin func()
-			rejoin = func() {
-				crashMu.Lock()
-				defer crashMu.Unlock()
-				if finished {
-					return
-				}
-				if !landed[int(id)] {
-					// Fired before the paired crash landed (see above) —
-					// let the crash through and come back. The retry timer
-					// escapes the Stop sweep below on purpose: once the
-					// run finishes, the finished guard makes it a no-op.
-					time.AfterFunc(time.Millisecond, rejoin)
-					return
-				}
-				// Only the replica half rejoins: the crashed participant's
-				// goroutine has unwound and stays gone; what recovers is the
-				// quorum member. On TCP that is the full Restart sequence —
-				// replica, listener, pool redial; a failed rebind is the
-				// recovery itself failing, which the model treats as the
-				// replica staying down.
-				if cluster != nil {
-					cluster.Restart(id) //nolint:errcheck // best-effort rejoin
-				} else {
-					sys.Recover(id)
-				}
-			}
-			timers = append(timers, time.AfterFunc(rc.At, rejoin))
 		}
 		for i, ch := range noq {
 			if ch == nil {
@@ -601,9 +507,8 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			at, _ := plan.StarveAt(i)
 			chn := ch
 			timers = append(timers, time.AfterFunc(at+fault.NoQuorumGrace, func() {
-				// No finished-guard: closing after the run completed (or
-				// after the pool re-issued the system — Reset clears p.noq
-				// first) wakes nobody.
+				// No finished-guard: closing after the run completed wakes
+				// nobody — the channel belongs to this run's profile alone.
 				close(chn)
 			}))
 		}
@@ -612,6 +517,10 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 		// run's results are concerned. Same for recoveries and starvation
 		// deadlines.
 		defer func() {
+			crashMu.Lock()
+			finished = true
+			timers = append(timers, rejoins...)
+			crashMu.Unlock()
 			for _, t := range timers {
 				t.Stop()
 			}
@@ -644,9 +553,9 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(cfg.Timeout):
+	case <-time.After(DefaultTimeout):
 		return Result{}, fmt.Errorf("%w after %v (n=%d k=%d algorithm=%s transport=%s scenario=%q)",
-			ErrTimeout, cfg.Timeout, cfg.N, cfg.K, cfg.Algorithm, cfg.Transport, cfg.Scenario.Name)
+			ErrTimeout, DefaultTimeout, cfg.N, cfg.K, cfg.Algorithm, cfg.Transport, cfg.Scenario.Name)
 	}
 	elapsed := time.Since(start)
 	crashMu.Lock()
@@ -669,6 +578,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 		for _, cl := range clients {
 			res.Messages += cl.Messages()
 			res.Bytes += cl.Bytes()
+			res.Time = max(res.Time, cl.Calls())
 		}
 	}
 	for i := 0; i < cfg.K; i++ {
@@ -678,9 +588,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 		if starved[i] {
 			res.NoQuorum = append(res.NoQuorum, rt.ProcID(i))
 		}
-		if c := sys.procs[i].CommCalls(); c > res.Time {
-			res.Time = c
-		}
+		res.Time = max(res.Time, sys.procs[i].CommCalls()) // the chan Comm's count; 0 on tcp/udp
 	}
 	if cfg.Pool != nil {
 		cfg.Pool.Put(sys)

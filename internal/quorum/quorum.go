@@ -78,13 +78,15 @@ type (
 	}
 )
 
-// The WireSize methods report the exact frame-body sizes of each payload's
+// The WireSize methods report the frame-body sizes of each payload's
 // internal/wire equivalent, so the sim kernel's PayloadBytes statistic and
-// the live backend's byte counters account the identical wire format. The
-// arithmetic mirrors wire.Msg.WireSize: kind byte, election/call/from
+// the live backend's byte counters account nearly the same wire format. The
+// arithmetic follows wire.Msg.WireSize — kind byte, election/call/from
 // uvarints (election is 0 on this backend — a run is one instance), the
-// register name once per message, then the entries. entriesReg returns
-// that per-message register name.
+// register name once per message, then the entries — except that it omits
+// the tag uvarint wire puts on collects and views: a sim collect or view is
+// one byte short of its wire frame. entriesReg returns the per-message
+// register name.
 func entriesReg(entries []Entry) string {
 	if len(entries) == 0 {
 		return ""
@@ -93,7 +95,8 @@ func entriesReg(entries []Entry) string {
 }
 
 // msgOverhead is the shared frame-body header: kind byte + election uvarint
-// + call uvarint + from uvarint + register-name length and bytes.
+// + call uvarint + from uvarint + register-name length and bytes — without
+// the tag uvarint wire adds to collects and views.
 func msgOverhead(call int64, from sim.ProcID, reg string) int {
 	return 1 + rt.UvarintSize(0) + rt.UvarintSize(uint64(call)) +
 		rt.UvarintSize(uint64(from)) + rt.UvarintSize(uint64(len(reg))) + len(reg)
@@ -245,9 +248,6 @@ func NewComm(p *sim.Proc, st *Store) *Comm {
 // to NewComm.
 func (c *Comm) Proc() rt.Procer { return c.p }
 
-// Store returns the processor's local store.
-func (c *Comm) Store() *Store { return c.st }
-
 // QuorumSize returns ⌊n/2⌋+1, the number of acknowledgments every
 // communicate call waits for.
 func (c *Comm) QuorumSize() int { return c.st.n/2 + 1 }
@@ -258,20 +258,7 @@ func (c *Comm) QuorumSize() int { return c.st.n/2 + 1 }
 func (c *Comm) Propagate(reg string, val Value) {
 	payload := []Entry{{Reg: reg, Owner: c.p.ID(), Val: val}}
 	c.st.regs.Write(&payload[0])
-	c.broadcast(propagateEntriesCall{entries: payload})
-}
-
-// PropagateEntries pushes an arbitrary set of already-versioned entries
-// (typically a snapshot of cells learned from others) to a quorum. It is
-// used by the renaming algorithm's line 37, which relays contention
-// information originating at other processors. One communicate call.
-func (c *Comm) PropagateEntries(entries []Entry) {
-	// Relayed entries are merged locally first so the self-ack is honest:
-	// the caller's store reflects everything the call pushes.
-	for i := range entries {
-		c.st.regs.Merge(&entries[i])
-	}
-	c.broadcast(propagateEntriesCall{entries: entries})
+	c.broadcast(payload)
 }
 
 // Collect performs communicate(collect, reg): it gathers the views of at
@@ -297,17 +284,13 @@ func (c *Comm) Collect(reg string) []View {
 	return views
 }
 
-type propagateEntriesCall struct {
-	entries []Entry
-}
-
-// broadcast implements the shared send-and-await-quorum path for propagate
-// calls.
-func (c *Comm) broadcast(pcall propagateEntriesCall) {
+// broadcast is Propagate's send-and-await-quorum half: it pushes entries,
+// already in the caller's store, to every peer.
+func (c *Comm) broadcast(entries []Entry) {
 	call := c.newCall()
 	pc := c.st.pending[call]
 	pc.acks++ // self-ack: the local store is updated synchronously
-	msg := propagateMsg{Call: call, From: c.p.ID(), Entries: pcall.entries}
+	msg := propagateMsg{Call: call, From: c.p.ID(), Entries: entries}
 	for i := 0; i < c.st.n; i++ {
 		if sim.ProcID(i) == c.p.ID() {
 			continue

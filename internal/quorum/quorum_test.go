@@ -150,9 +150,9 @@ func TestPropagateOverwritesOwnCell(t *testing.T) {
 func TestCommunicateCallCounting(t *testing.T) {
 	stats := runOn(t, 5, 3, map[sim.ProcID]func(*Comm){
 		0: func(c *Comm) {
-			c.Propagate("r", 1)                         // 1
-			c.Collect("r")                              // 2
-			c.PropagateEntries(c.Store().Snapshot("r")) // 3
+			c.Propagate("r", 1) // 1
+			c.Collect("r")      // 2
+			c.Collect("r")      // 3
 		},
 	})
 	if stats.CommCalls[0] != 3 {
@@ -263,45 +263,6 @@ func TestNEqualsOne(t *testing.T) {
 	}
 	if v, ok := views[0].Get(0); !ok || v != "solo" {
 		t.Fatalf("solo view = %v,%v", v, ok)
-	}
-}
-
-func TestPropagateEntriesRelaysOtherOwners(t *testing.T) {
-	// Processor 1 relays what it learned about processor 0's cell; a later
-	// collect by processor 2 must be able to see it even if processor 0
-	// never speaks again.
-	const n = 5
-	k := sim.NewKernel(sim.Config{N: n, Seed: 9})
-	stores := InstallStores(k)
-	stage := 0
-	var seen Value
-	k.Spawn(0, func(p *sim.Proc) {
-		c := NewComm(p, stores[0])
-		c.Propagate("r", "origin")
-		stage = 1
-	})
-	k.Spawn(1, func(p *sim.Proc) {
-		c := NewComm(p, stores[1])
-		p.Await(func() bool { return stage == 1 })
-		c.Collect("r")
-		c.PropagateEntries(c.Store().Snapshot("r"))
-		stage = 2
-	})
-	k.Spawn(2, func(p *sim.Proc) {
-		c := NewComm(p, stores[2])
-		p.Await(func() bool { return stage == 2 })
-		views := c.Collect("r")
-		for _, v := range views {
-			if val, ok := v.Get(0); ok {
-				seen = val
-			}
-		}
-	})
-	if _, err := k.Run(nil); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if seen != "origin" {
-		t.Fatalf("relayed value not visible: %v", seen)
 	}
 }
 

@@ -15,16 +15,15 @@
 // every byte TCP would write, minus the kernel — the test double) and UDP
 // (one datagram socket per endpoint, one frame per datagram, lossy by
 // design: its "connection" is a socket plus a peer address — see udp.go).
-// The fault engine plugs in here: a crashed node's Listener drops its
-// connections and stops answering (transport.Listener.Crash), and injected
-// link latency rides delayed writes (transport.SendDelayed).
+// The fault engine's crashes plug in here: a crashed node's Listener drops
+// its connections and stops answering (transport.Listener.Crash). Its link
+// faults — loss and injected latency — act above, in the electd client,
+// through the participant's fault.Profile.
 package transport
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -127,26 +126,4 @@ type Network interface {
 	// Dial connects to a listener. h receives the messages the server sends
 	// back over this connection; it runs on the connection's read loop.
 	Dial(addr string, h Handler) (Conn, error)
-}
-
-// SendDelayed delivers m over c after an injected latency d, without
-// blocking the caller: the write rides a timer, modelling an adversarially
-// delayed link. inflight (optional) is incremented until the delayed write
-// has been handed to the connection, so shutdown can wait for stragglers
-// instead of racing them. Send errors after the delay are message loss, as
-// for every closed connection.
-func SendDelayed(c Conn, m *wire.Msg, d time.Duration, inflight *sync.WaitGroup) {
-	if d <= 0 {
-		c.Send(m) //nolint:errcheck // loss is the model's prerogative
-		return
-	}
-	if inflight != nil {
-		inflight.Add(1)
-	}
-	time.AfterFunc(d, func() {
-		if inflight != nil {
-			defer inflight.Done()
-		}
-		c.Send(m) //nolint:errcheck
-	})
 }

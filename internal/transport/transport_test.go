@@ -568,8 +568,6 @@ func waitConns(t *testing.T, l *TCPListener, want int) {
 	}
 }
 
-// TestSendDelayed: the fault hook delivers late but does deliver, and the
-// inflight group lets shutdown wait for stragglers.
 // captureConn records the frames a read loop's handler replies with.
 type captureConn struct{ frames [][]byte }
 
@@ -731,46 +729,6 @@ func ackCalls(t *testing.T, frame []byte) []uint64 {
 		calls[i] = a.Call
 	}
 	return calls
-}
-
-func TestSendDelayed(t *testing.T) {
-	nw := NewLoopback()
-	got := make(chan *wire.Msg, 2)
-	ln, err := nw.Listen(func(_ Conn, m *wire.Msg) { got <- m })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	conn, err := nw.Dial(ln.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	var inflight sync.WaitGroup
-	start := time.Now()
-	SendDelayed(conn, &wire.Msg{Kind: wire.KindAck, Call: 1}, 30*time.Millisecond, &inflight)
-	SendDelayed(conn, &wire.Msg{Kind: wire.KindAck, Call: 2}, 0, &inflight) // immediate path
-	select {
-	case m := <-got:
-		if m.Call != 2 {
-			t.Fatalf("undelayed message lost the race it should win (got call %d)", m.Call)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("immediate send never arrived")
-	}
-	inflight.Wait() // must return only after the delayed send is handed off
-	select {
-	case m := <-got:
-		if m.Call != 1 {
-			t.Fatalf("unexpected message %+v", m)
-		}
-		if since := time.Since(start); since < 25*time.Millisecond {
-			t.Fatalf("delayed send arrived after %v, wanted ≥ 25ms", since)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("delayed send never arrived")
-	}
 }
 
 // TestTracedStreamsRecordTheSamePhases: a traced echo records the same

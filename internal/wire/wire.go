@@ -164,6 +164,19 @@ func (m *Msg) WireSize() int {
 	if m.size != 0 {
 		return m.size
 	}
+	entryBytes := 0
+	for _, e := range m.Entries {
+		entryBytes += e.WireSize()
+	}
+	return m.BodySize(len(m.Entries), entryBytes)
+}
+
+// BodySize is the frame-body size of m's header fields with count entries
+// of entryBytes encoded bytes in all, on the kinds that carry entries — the
+// arithmetic of WireSize, for a sender that holds a view's entry count and
+// byte sum without the message (a cached snapshot). m's own Entries are not
+// read.
+func (m *Msg) BodySize(count, entryBytes int) int {
 	n := 1 + // kind
 		rt.UvarintSize(m.Election) +
 		rt.UvarintSize(m.Call) +
@@ -173,10 +186,7 @@ func (m *Msg) WireSize() int {
 		n += rt.UvarintSize(m.Tag)
 	}
 	if m.Kind == KindPropagate || m.Kind == KindView {
-		n += rt.UvarintSize(uint64(len(m.Entries)))
-		for _, e := range m.Entries {
-			n += e.WireSize()
-		}
+		n += rt.UvarintSize(uint64(count)) + entryBytes
 	}
 	return n
 }
