@@ -29,6 +29,7 @@ func electOnce(t *testing.T, cl *electd.Cluster, election uint64, k int, seed in
 			defer wg.Done()
 			p := electd.NewParticipant(rt.ProcID(i), cl.N(), seed+int64(i)*1e6)
 			c := cl.NewComm(p, election, nil)
+			defer c.Leave()
 			s := core.NewState(p, "leaderelect")
 			decisions[i] = core.LeaderElectWithState(c, "elect", s)
 		}(i)
@@ -173,6 +174,7 @@ func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
+				defer clients[i].Leave()
 				decisions[i] = core.LeaderElectWithState(clients[i], "elect", core.NewState(p, "leaderelect"))
 			}(i)
 		}
@@ -229,6 +231,7 @@ func TestClientServerSplitOverTCP(t *testing.T) {
 			defer wg.Done()
 			p := electd.NewParticipant(rt.ProcID(i), k, int64(i+1))
 			c := pool.NewComm(p, 42, nil)
+			defer c.Leave()
 			s := core.NewState(p, "leaderelect")
 			decisions[i] = core.LeaderElectWithState(c, "elect", s)
 		}(i)
@@ -282,8 +285,9 @@ func TestDialToleratesDeadMinority(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			p := electd.NewParticipant(rt.ProcID(i), 3, int64(i+1))
-			s := core.NewState(p, "leaderelect")
-			decisions[i] = core.LeaderElectWithState(pool.NewComm(p, 8, nil), "elect", s)
+			c := pool.NewComm(p, 8, nil)
+			defer c.Leave()
+			decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 		}(i)
 	}
 	wg.Wait()
@@ -454,6 +458,7 @@ func TestCoalescedElectionsBatchFrames(t *testing.T) {
 					defer inner.Done()
 					p := electd.NewParticipant(rt.ProcID(i), k, int64(e*100+i+1))
 					c := cl.NewComm(p, uint64(e+1), nil)
+					defer c.Leave()
 					cls[i] = c
 					s := core.NewState(p, "leaderelect")
 					decisions[i] = core.LeaderElectWithState(c, "elect", s)
@@ -550,6 +555,7 @@ func TestInjectedDelayStillElects(t *testing.T) {
 				return 0
 			}}
 			c := cl.NewComm(p, 1, evensSlow)
+			defer c.Leave()
 			s := core.NewState(p, "leaderelect")
 			decisions[i] = core.LeaderElectWithState(c, "elect", s)
 		}(i)

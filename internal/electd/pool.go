@@ -88,6 +88,11 @@ type Pool struct {
 	// so Close can wait for stragglers instead of racing them.
 	inflight sync.WaitGroup
 
+	// cohorts holds each election's cohort (see cohort), from its first
+	// client's NewComm to its last one's Leave.
+	cohortMu sync.Mutex
+	cohorts  map[uint64]*cohort
+
 	// Observability. The counters are bumped where the event happens (once
 	// per wave for requests, the other three off the steady-state path) and
 	// read at scrape time; the histogram is installed by registerMetrics
@@ -139,6 +144,7 @@ type PoolOptions struct {
 // replaces the box, table and all.
 type serverLink struct {
 	conn  transport.Conn
+	held  transport.HeldConn // conn, when it can hold a cohort's requests; nil otherwise
 	known knownViews
 }
 
@@ -154,6 +160,7 @@ type pending struct {
 	replies []*wire.Msg // distinct senders' answers, at most a quorum
 	busy    bool        // a busy reply arrived before the quorum
 	seen    []bool      // [server]; dedups retransmission-induced duplicate replies
+	ticket  bool        // the router granted the caller a cohort ticket on completing the call
 
 	// A collect's conditional half (see Pool.handle).
 	collect bool   // the call is a collect (of reg)
@@ -225,6 +232,7 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		addrs:             append([]string(nil), addrs...),
 		defaultRetransmit: opts.Retransmit,
 		trace:             opts.Trace,
+		cohorts:           make(map[uint64]*cohort),
 	}
 	for i := range pl.shards {
 		pl.shards[i].calls = make(map[uint64]*pending)
@@ -272,7 +280,8 @@ func (pl *Pool) newLink(conn transport.Conn) *serverLink {
 		// reply-direction link loss (see keepReply).
 		fc.SetFilter(pl.keepReply)
 	}
-	return &serverLink{conn: conn}
+	held, _ := conn.(transport.HeldConn)
+	return &serverLink{conn: conn, held: held}
 }
 
 // Redial reconnects the pool to server j — the client half of
@@ -490,6 +499,9 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 		p.replies = append(p.replies, m) // m is the slot's now: hands off after the unlock
 	}
 	done := p.complete(need)
+	if done && !busy {
+		p.cli.co.grant(p)
+	}
 	sh.mu.Unlock()
 	if busy {
 		discard(m)
@@ -561,11 +573,13 @@ func (pl *Pool) Close() error {
 // NewComm returns participant p's communicate handle for one election
 // instance, with the participant's fault hooks fp (nil = fault-free; see
 // fault.Profile for which goroutine calls which hook). The handle must only
-// be used from p's algorithm goroutine.
+// be used from p's algorithm goroutine. Participants of one election that
+// run concurrently on a pool must each Leave once they make no further
+// call: their requests wait for each other (see cohort).
 func (pl *Pool) NewComm(p rt.Procer, election uint64, fp *fault.Profile) *Client {
 	q := pl.n/2 + 1
 	c := &Client{
-		pool: pl, p: p, election: election, fp: fp,
+		pool: pl, p: p, election: election, fp: fp, co: pl.join(election),
 		seqs: make(map[string]uint64),
 		// A call harvests exactly a quorum, so the scratch never grows.
 		replies: make([]*wire.Msg, 0, q),
@@ -599,6 +613,10 @@ type Client struct {
 	seqs     map[string]uint64 // per-register write versions of the own cell
 	calls    int
 	round    int32 // current protocol round, for span attribution (SetRound)
+
+	co     *cohort // the election's cohort in this pool
+	ticket bool    // the last call left the participant a cohort ticket
+	left   bool    // Leave has run
 
 	// sched picks the servers each call asks and times its ticks — the
 	// schedule the in-process substrate runs too; what is electd's own is
@@ -688,7 +706,11 @@ func (c *Client) Collect(reg string) []rt.View {
 // The wait is for one signal: the router assembles the quorum on the call's
 // pending slot and wakes this goroutine once, when it is complete (see
 // Pool.handle); rpc then retires the call and takes the replies under the
-// same stripe lock.
+// same stripe lock, with the cohort ticket the router may have granted the
+// participant on completing it. A ticket holder's next thrifty first wave
+// is held on stream links for its cohort, and the ticket goes back as soon
+// as that wave is queued (see cohort); the tick's sends, re-asks and
+// delayed sends wake their links as every other send does.
 //
 // A busy reply arriving within the quorum wait aborts the call: the write
 // is not known to be on a quorum, and rt.Comm has no error path, so after
@@ -723,6 +745,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	p := pl.pend.Get().(*pending)
 	p.cli, p.collect, p.reg = c, keep, m.Reg
 	sh := pl.callShardOf(call)
+	c.co.open.Add(1)
 	sh.mu.Lock()
 	sh.calls[call] = p
 	sh.mu.Unlock()
@@ -732,6 +755,9 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	// transport framing, not payload.
 	size := int64(m.WireSize())
 	var frame []byte // encoded once, lazily; every send reuses the bytes
+	// A ticket holder's thrifty first wave is held for its cohort; a wide
+	// one has no tick to fall back on, and goes out as it is sent.
+	hold := c.ticket && !c.sched.Wide()
 	// send puts the request on server j's link and reports whether it went
 	// onto the wire — a request the fault profile then drops did, and died
 	// there; one to an undialed or severed link did not.
@@ -776,6 +802,13 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 				return true
 			}
 		}
+		if hold && link.held != nil {
+			if link.held.SendHeld(out) != nil {
+				return false
+			}
+			c.co.hold(j)
+			return true
+		}
 		return link.conn.SendEncoded(out) == nil
 	}
 	// book accounts one wave's requests.
@@ -791,6 +824,8 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		sendT0 = trace.Now()
 	}
 	sent := c.sched.Begin(send)
+	hold = false // only the first wave: a tick's sends wake their links
+	c.release()
 	book(sent)
 	if rec != nil {
 		waitT0 = trace.Now()
@@ -844,11 +879,13 @@ wait:
 	delete(sh.calls, call)
 	c.replies = append(c.replies[:0], p.replies...)
 	shed := p.busy
+	c.ticket = p.ticket
 	clear(p.replies)
-	p.replies, p.busy, p.cli = p.replies[:0], false, nil
+	p.replies, p.busy, p.cli, p.ticket = p.replies[:0], false, nil, false
 	clear(p.seen)
 	p.collect, p.reg = false, ""
 	sh.mu.Unlock()
+	c.co.open.Add(-1)
 	if starved && (shed || len(c.replies) >= need) {
 		<-p.sig // the call completed as the abort fired: its signal is in flight
 	}

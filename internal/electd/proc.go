@@ -104,6 +104,7 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 			defer wg.Done()
 			p := NewParticipant(rt.ProcID(i), k, seed+int64(i))
 			c := pl.NewComm(p, id, nil)
+			defer c.Leave()
 			shed[i] = CatchBusy(func() {
 				decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 			})

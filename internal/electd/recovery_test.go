@@ -47,6 +47,7 @@ func TestRestartRestoresQuorumMidElection(t *testing.T) {
 					defer wg.Done()
 					p := electd.NewParticipant(rt.ProcID(i), n, int64(i)*1e6+1)
 					c := cl.NewComm(p, 7, &fault.Profile{Retransmit: time.Millisecond})
+					defer c.Leave()
 					s := core.NewState(p, "leaderelect")
 					decisions[i] = core.LeaderElectWithState(c, "elect", s)
 				}(i)

@@ -162,7 +162,9 @@ func sameViewIsTheHeldView(t *testing.T, nw transport.Network) {
 			go func() {
 				defer wg.Done()
 				p := NewParticipant(rt.ProcID(i), n, seed*1000+int64(i))
-				c := auditedComm{cl.NewComm(p, election, nil), audit}
+				cc := cl.NewComm(p, election, nil)
+				defer cc.Leave()
+				c := auditedComm{cc, audit}
 				decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 			}()
 		}
@@ -452,7 +454,9 @@ func knownViewTablesUnderRace(t *testing.T) {
 					go func() {
 						defer inner.Done()
 						p := NewParticipant(rt.ProcID(i), n, int64(w*1000+e*100+i))
-						decisions[i] = core.LeaderElectWithState(cl.NewComm(p, election, nil), "elect", core.NewState(p, "leaderelect"))
+						c := cl.NewComm(p, election, nil)
+						defer c.Leave()
+						decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 					}()
 				}
 				inner.Wait()
@@ -641,7 +645,9 @@ func TestDatagramViewsAreNeverHeld(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				p := NewParticipant(rt.ProcID(i), n, seed*1000+int64(i))
-				decisions[i] = core.LeaderElectWithState(cl.NewComm(p, election, nil), "elect", core.NewState(p, "leaderelect"))
+				c := cl.NewComm(p, election, nil)
+				defer c.Leave()
+				decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 			}()
 		}
 		wg.Wait()

@@ -134,7 +134,9 @@ func runAll(cl *electd.Cluster, election uint64, k int, seed int64, run func(c r
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			run(cl.NewComm(electd.NewParticipant(rt.ProcID(i), cl.N(), seed+int64(i)*1e6), election, nil))
+			c := cl.NewComm(electd.NewParticipant(rt.ProcID(i), cl.N(), seed+int64(i)*1e6), election, nil)
+			defer c.Leave()
+			run(c)
 		}(i)
 	}
 	wg.Wait()

@@ -542,6 +542,11 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 					}
 				}
 			}()
+			if clients != nil {
+				// Its cohort's held requests must not wait for a participant
+				// that makes no further call, whatever way it ends.
+				defer clients[i].Leave()
+			}
 			algo(sys.procs[i], comms[i], i)
 		}(i)
 	}

@@ -15,7 +15,9 @@ const sendQueueDepth = maxCoalesce
 // producers, one consumer, per-producer FIFO. A put is one mutex-guarded
 // append and wakes the consumer only if it is parked; a take swaps the
 // whole slice out, so however many frames queued while the last write was
-// in flight cost the consumer one lock and no wake-up.
+// in flight cost the consumer one lock and no wake-up. A held put (hold)
+// appends without the wake-up, so the producers of one burst can fill the
+// queue before its one drain; a kick wakes the consumer for what they held.
 //
 // No wake-up is lost, and none is spare. The consumer sets idle only under
 // mu, after finding the queue empty and open, and only then parks on wake.
@@ -25,7 +27,13 @@ const sendQueueDepth = maxCoalesce
 // token, and the consumer cannot set idle again before it has received
 // that token, so at most one is ever outstanding: the one-slot channel
 // never blocks its sender, whether or not the consumer has reached its
-// receive yet. close follows the same protocol as a put.
+// receive yet. close follows the same protocol as a put, and so does kick,
+// which clears idle only when items are queued. A held put leaves idle as
+// it found it, so the consumer may stay parked with items queued: those
+// wait for the next put, kick or close, which finds idle set and sends the
+// token. A held put that fills the queue, or had to wait for room, wakes
+// the consumer like a put: producers block only on a full queue, and only a
+// running consumer makes room.
 type sendQueue[T any] struct {
 	// drop disposes of an item the queue will never deliver: one refused by
 	// a closed queue, or still queued when it closes. Set before first use.
@@ -45,12 +53,22 @@ func newSendQueue[T any](drop func(T)) *sendQueue[T] {
 	return q
 }
 
-// put enqueues v, blocking while the queue is full, and reports the depth
-// it found. A closed queue refuses every item — checked under the lock, so
-// never at random — and disposes of it.
-func (q *sendQueue[T]) put(v T) (depth int, err error) {
+// put enqueues v, blocking while the queue is full, wakes the consumer if
+// it is parked, and reports the depth it found. A closed queue refuses
+// every item — checked under the lock, so never at random — and disposes
+// of it.
+func (q *sendQueue[T]) put(v T) (depth int, err error) { return q.enqueue(v, true) }
+
+// hold is put without the wake-up: a parked consumer stays parked, and v
+// waits for the next put, kick or close — unless v fills the queue, or the
+// queue was full when hold came, and then it wakes the consumer as put
+// does.
+func (q *sendQueue[T]) hold(v T) (depth int, err error) { return q.enqueue(v, false) }
+
+func (q *sendQueue[T]) enqueue(v T, wake bool) (depth int, err error) {
 	q.mu.Lock()
 	for len(q.items) >= sendQueueDepth && !q.closed.Load() {
+		wake = true
 		q.space.Wait()
 	}
 	if q.closed.Load() {
@@ -60,13 +78,29 @@ func (q *sendQueue[T]) put(v T) (depth int, err error) {
 	}
 	depth = len(q.items)
 	q.items = append(q.items, v)
-	wake := q.idle
-	q.idle = false
+	wake = (wake || len(q.items) == sendQueueDepth) && q.idle
+	if wake {
+		q.idle = false
+	}
 	q.mu.Unlock()
 	if wake {
 		q.wake <- struct{}{}
 	}
 	return depth, nil
+}
+
+// kick wakes the consumer if it is parked with items queued: those a hold
+// left behind.
+func (q *sendQueue[T]) kick() {
+	q.mu.Lock()
+	wake := q.idle && len(q.items) > 0
+	if wake {
+		q.idle = false
+	}
+	q.mu.Unlock()
+	if wake {
+		q.wake <- struct{}{}
+	}
 }
 
 // take blocks until items are queued and returns all of them, in order, or

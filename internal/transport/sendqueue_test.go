@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -272,5 +273,182 @@ func TestSendQueueTakeDropsStaleReferences(t *testing.T) {
 		if it != nil {
 			t.Fatalf("slot %d of the queue's other array still refers to an earlier item", i+1)
 		}
+	}
+}
+
+// TestSendQueueHeldTorture mixes waking puts, held puts and kicks from
+// producers on four Ps with a close that the consumer issues at a random
+// point of the run, or after the last item. Every item comes out exactly
+// once — taken by the consumer or disposed of by the queue, never both,
+// never twice — each producer's taken items are a prefix of what it put, in
+// order, and the run finishing is the check that no producer stays blocked
+// when held items fill the queue (a hold that filled it and left the
+// consumer parked would block the next put forever) and that a kick
+// delivers what was held before it.
+func TestSendQueueHeldTorture(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const producers, each, rounds = 4, 3000, 24
+	for round := 0; round < rounds; round++ {
+		rng := rand.New(rand.NewSource(int64(round)))
+		var taken, dropped [producers][each]atomic.Int32
+		q := newSendQueue(func(it *item) { dropped[it.producer][it.seq].Add(1) })
+		// Even rounds close once the consumer has taken a random share of
+		// the items, odd rounds only after it has taken them all. Every
+		// third round holds every item, so only the holds that fill the
+		// queue wake the consumer before the producers' last kicks.
+		closeAt := producers * each
+		if round%2 == 0 {
+			closeAt = rng.Intn(producers * each)
+		}
+		holdOnly := round%3 == 1
+
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			seed := rng.Int63()
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for s := 0; s < each; s++ {
+					it := &item{producer: p, seq: s}
+					switch op := r.Intn(8); {
+					case holdOnly:
+						q.hold(it) //nolint:errcheck // a closed queue disposes of it
+					case op < 2:
+						q.put(it) //nolint:errcheck // a closed queue disposes of it
+					case op < 7:
+						q.hold(it) //nolint:errcheck // a closed queue disposes of it
+					default:
+						q.hold(it) //nolint:errcheck // a closed queue disposes of it
+						q.kick()
+					}
+					if s%128 == 0 {
+						runtime.Gosched() // let the consumer run dry and park
+					}
+				}
+				q.kick() // what this producer held goes out
+			}(p)
+		}
+
+		consumed := make(chan struct{})
+		go func() {
+			defer close(consumed)
+			next := make([]int, producers)
+			var batch []*item
+			got := 0
+			for {
+				var ok bool
+				if batch, ok = q.take(batch); !ok {
+					return
+				}
+				for _, it := range batch {
+					taken[it.producer][it.seq].Add(1)
+					if it.seq != next[it.producer] {
+						t.Errorf("round %d: producer %d: item %d taken where %d was due", round, it.producer, it.seq, next[it.producer])
+					}
+					next[it.producer] = it.seq + 1
+				}
+				if got += len(batch); got >= closeAt {
+					q.close() // disposes of what is queued before it returns
+				}
+			}
+		}()
+
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(60 * time.Second):
+			q.mu.Lock()
+			queued, idle := len(q.items), q.idle
+			q.mu.Unlock()
+			t.Fatalf("round %d: producers stuck with %d items queued (idle=%v, blocked in put=%d)", round, queued, idle, waiting())
+		}
+		// Every item is queued and kicked now, so the consumer takes on
+		// until it closes the queue itself.
+		select {
+		case <-consumed:
+		case <-time.After(60 * time.Second):
+			q.mu.Lock()
+			queued, idle := len(q.items), q.idle
+			q.mu.Unlock()
+			t.Fatalf("round %d: consumer parked with %d items queued (idle=%v): a held item was stranded", round, queued, idle)
+		}
+		for p := range taken {
+			for s := range taken[p] {
+				if tk, dr := taken[p][s].Load(), dropped[p][s].Load(); tk+dr != 1 {
+					t.Fatalf("round %d: producer %d item %d taken %d times and dropped %d times, want once in all", round, p, s, tk, dr)
+				}
+			}
+		}
+		if len(q.wake) != 0 {
+			t.Fatalf("round %d: a spare wake-up token was left behind", round)
+		}
+	}
+}
+
+// TestSendQueueHoldFillsAndWakes: holds into a queue whose consumer is
+// parked leave it parked until a kick, except the hold that fills the
+// queue, which wakes it — so sendQueueDepth+1 holds never block.
+func TestSendQueueHoldFillsAndWakes(t *testing.T) {
+	q := newItemQueue(nil)
+	batches := make(chan int, 4)
+	go func() {
+		var batch []*item
+		for {
+			var ok bool
+			if batch, ok = q.take(batch); !ok {
+				close(batches)
+				return
+			}
+			batches <- len(batch)
+		}
+	}()
+	parked := func() {
+		for idle := false; !idle; runtime.Gosched() {
+			q.mu.Lock()
+			idle = q.idle
+			q.mu.Unlock()
+		}
+	}
+	parked()
+	for i := 0; i < 3; i++ {
+		q.hold(&item{seq: i}) //nolint:errcheck // open queue with room
+	}
+	select {
+	case n := <-batches:
+		t.Fatalf("three holds woke the consumer (it took %d)", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	q.kick()
+	if n := <-batches; n != 3 {
+		t.Fatalf("the kick delivered %d items, want the 3 held", n)
+	}
+	parked()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i <= sendQueueDepth; i++ {
+			q.hold(&item{seq: i}) //nolint:errcheck // open queue
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("holds into a full queue blocked: the hold that filled it did not wake the consumer")
+	}
+	if n := <-batches; n != sendQueueDepth {
+		t.Fatalf("the filling hold delivered %d items, want the full queue of %d", n, sendQueueDepth)
+	}
+	q.kick()
+	if n := <-batches; n != 1 {
+		t.Fatalf("the kick delivered %d items, want the 1 held after the full queue", n)
+	}
+	q.close()
+	if _, open := <-batches; open {
+		t.Fatal("the consumer took a batch after close")
 	}
 }

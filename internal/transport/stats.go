@@ -21,14 +21,15 @@ import (
 // numbers use (Client.Bytes, Result.Bytes), which this package never
 // touches.
 var stats struct {
-	framesOut  atomic.Int64
-	bytesOut   atomic.Int64
-	framesIn   atomic.Int64
-	bytesIn    atomic.Int64
-	batchesOut atomic.Int64
-	coalesced  atomic.Int64
-	writeCalls atomic.Int64
-	readCalls  atomic.Int64
+	framesOut    atomic.Int64
+	bytesOut     atomic.Int64
+	framesIn     atomic.Int64
+	bytesIn      atomic.Int64
+	batchesOut   atomic.Int64
+	coalesced    atomic.Int64
+	writeCalls   atomic.Int64
+	singleWrites atomic.Int64
+	readCalls    atomic.Int64
 }
 
 // Stats is one read of the process's transport counters.
@@ -45,19 +46,24 @@ type Stats struct {
 	// runtime retried after a socket had nothing are not counted. Only the
 	// TCP and UDP counts are system calls.
 	WriteCalls, ReadCalls int64
+	// SingleFrameWrites counts the stream drains among WriteCalls that
+	// carried exactly one frame: a write loop woken for a lone request or
+	// reply, where a batch would have shared the call.
+	SingleFrameWrites int64
 }
 
 // ReadStats returns the current counter values.
 func ReadStats() Stats {
 	return Stats{
-		FramesOut:     stats.framesOut.Load(),
-		BytesOut:      stats.bytesOut.Load(),
-		FramesIn:      stats.framesIn.Load(),
-		BytesIn:       stats.bytesIn.Load(),
-		BatchesOut:    stats.batchesOut.Load(),
-		MsgsCoalesced: stats.coalesced.Load(),
-		WriteCalls:    stats.writeCalls.Load(),
-		ReadCalls:     stats.readCalls.Load(),
+		FramesOut:         stats.framesOut.Load(),
+		BytesOut:          stats.bytesOut.Load(),
+		FramesIn:          stats.framesIn.Load(),
+		BytesIn:           stats.bytesIn.Load(),
+		BatchesOut:        stats.batchesOut.Load(),
+		MsgsCoalesced:     stats.coalesced.Load(),
+		WriteCalls:        stats.writeCalls.Load(),
+		ReadCalls:         stats.readCalls.Load(),
+		SingleFrameWrites: stats.singleWrites.Load(),
 	}
 }
 
@@ -73,6 +79,7 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_batches_out_total", "write-loop batch frames assembled", stats.batchesOut.Load)
 	r.NewCounterFunc("transport_msgs_coalesced_total", "plain frames wrapped into outbound batches", stats.coalesced.Load)
 	r.NewCounterFunc("transport_write_calls_total", "write calls: one per stream drain (TCP socket or loopback pipe), one per UDP datagram", stats.writeCalls.Load)
+	r.NewCounterFunc("transport_single_frame_writes_total", "stream drains (TCP socket or loopback pipe) that carried exactly one frame", stats.singleWrites.Load)
 	r.NewCounterFunc("transport_read_calls_total", "reads that returned data (TCP and UDP sockets, loopback pipes)", stats.readCalls.Load)
 	for i := range wire.ViewMemoShards {
 		shard := obs.L("shard", strconv.Itoa(i))
@@ -85,6 +92,14 @@ func RegisterMetrics(r *obs.Registry) {
 
 // countWrite records one write call.
 func countWrite() { stats.writeCalls.Add(1) }
+
+// countStreamWrite records one stream write-loop drain of n frames.
+func countStreamWrite(n int) {
+	countWrite()
+	if n == 1 {
+		stats.singleWrites.Add(1)
+	}
+}
 
 // countRead records one read that returned data.
 func countRead() { stats.readCalls.Add(1) }

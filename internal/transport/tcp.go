@@ -330,7 +330,20 @@ func (t *tcpConn) Send(m *wire.Msg) error {
 // connection refuses every frame: senders that route around dead links
 // (electd's quorum calls) go by this error.
 func (t *tcpConn) SendEncoded(frame []byte) error {
-	depth, err := t.out.put(frame)
+	return t.enqueued(t.out.put(frame))
+}
+
+// SendHeld implements HeldConn: SendEncoded, leaving a parked write loop
+// parked.
+func (t *tcpConn) SendHeld(frame []byte) error {
+	return t.enqueued(t.out.hold(frame))
+}
+
+// Kick implements HeldConn.
+func (t *tcpConn) Kick() { t.out.kick() }
+
+// enqueued traces a send's queue depth and passes its error on.
+func (t *tcpConn) enqueued(depth int, err error) error {
 	if err == nil && t.rec != nil {
 		t.rec.Event(0, 0, trace.PEnqueue, int64(depth))
 	}
@@ -356,7 +369,7 @@ func (t *tcpConn) writeLoop() {
 		}
 		buf := coalesceFrames(wire.GetBuf(), frames, t.rec != nil)
 		_, err := t.c.Write(buf)
-		countWrite()
+		countStreamWrite(len(frames))
 		wire.PutBuf(buf)
 		if err != nil {
 			t.Close()

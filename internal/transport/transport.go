@@ -51,6 +51,22 @@ type Conn interface {
 	Close() error
 }
 
+// HeldConn is a Conn whose sends can wait for each other: SendHeld is
+// SendEncoded except that a write loop parked on an empty queue stays
+// parked, and Kick wakes it for the frames SendHeld left queued. So the
+// requests of several senders woken together leave in one drain, one
+// write, instead of the first one alone. A held frame that fills the
+// connection's send queue, or finds it full, wakes the loop anyway, so a
+// burst larger than the queue never blocks on itself. Whoever holds a frame
+// owes the connection a Kick; until one comes, or a SendEncoded, the frame
+// waits. The stream connections of TCP and Loopback implement it; UDP's
+// datagram connections do not.
+type HeldConn interface {
+	Conn
+	SendHeld(frame []byte) error
+	Kick()
+}
+
 // Handler consumes inbound messages. On the listen side it runs on the
 // connection's read loop — replies are sent via c; a handler that blocks
 // forever stalls only its own connection. The messages of one inbound

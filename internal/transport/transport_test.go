@@ -1057,3 +1057,86 @@ func TestStreamIDNamesOneConnection(t *testing.T) {
 		})
 	}
 }
+
+// TestHeldSendsLeaveInOneDrain: frames a stream connection holds stay
+// queued, unwritten, while its write loop is parked; a Kick sends them all
+// in one write, and a plain send after them is one write of one frame —
+// the one transport_single_frame_writes_total counts.
+func TestHeldSendsLeaveInOneDrain(t *testing.T) {
+	for name, mk := range networks() {
+		t.Run(name, func(t *testing.T) {
+			nw := mk()
+			got := make(chan *wire.Msg, 16)
+			ln, err := nw.Listen(func(_ Conn, m *wire.Msg) { got <- m })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			conn, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			held, ok := conn.(HeldConn)
+			if !ok {
+				t.Fatalf("%T does not hold frames", conn)
+			}
+			q := conn.(*tcpConn).out
+			for parked := false; !parked; time.Sleep(time.Millisecond) {
+				q.mu.Lock()
+				parked = q.idle
+				q.mu.Unlock()
+			}
+			frame := func(call uint64) []byte {
+				b, err := wire.Append(wire.GetBuf(), &wire.Msg{Kind: wire.KindCollect, Election: 1, Call: call, Reg: "r"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			// receive waits for want frames and then for the write that
+			// carried the last of them to be counted: a pipe's reader can
+			// have it before the writer's Write returns.
+			receive := func(want int, since Stats) Stats {
+				t.Helper()
+				for i := 0; i < want; i++ {
+					select {
+					case <-got:
+					case <-time.After(5 * time.Second):
+						t.Fatalf("%d of %d frames arrived", i, want)
+					}
+				}
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					if s := ReadStats(); s.WriteCalls > since.WriteCalls || time.Now().After(deadline) {
+						return s
+					}
+				}
+			}
+
+			before := ReadStats()
+			const burst = 5
+			for call := uint64(1); call <= burst; call++ {
+				if err := held.SendHeld(frame(call)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case m := <-got:
+				t.Fatalf("held call %d arrived before the kick", m.Call)
+			case <-time.After(20 * time.Millisecond):
+			}
+			held.Kick()
+			mid := receive(burst, before)
+			if w, s := mid.WriteCalls-before.WriteCalls, mid.SingleFrameWrites-before.SingleFrameWrites; w != 1 || s != 0 {
+				t.Fatalf("%d held frames went out in %d writes, %d of one frame; want one write", burst, w, s)
+			}
+			if err := conn.SendEncoded(frame(burst + 1)); err != nil {
+				t.Fatal(err)
+			}
+			after := receive(1, mid)
+			if w, s := after.WriteCalls-mid.WriteCalls, after.SingleFrameWrites-mid.SingleFrameWrites; w != 1 || s != 1 {
+				t.Fatalf("a lone frame went out in %d writes, %d counted as single-frame; want 1 and 1", w, s)
+			}
+		})
+	}
+}
