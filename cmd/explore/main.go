@@ -10,16 +10,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/quorum"
-	"repro/internal/sim"
+	"repro/internal/expt"
 )
 
 func main() {
@@ -62,68 +59,29 @@ func main() {
 	os.Exit(exit)
 }
 
-// buildFactory wires the chosen protocol with its safety invariant.
+// protocols names the algorithm each -protocol explores.
+var protocols = map[string]expt.Algorithm{
+	"sift":     expt.AlgoBasicSift,
+	"hetsift":  expt.AlgoHetSift,
+	"election": expt.AlgoPoisonPill,
+}
+
+// buildFactory builds the chosen protocol's run exactly as the sim runs it
+// (expt.Build), judged by its algorithm's contract (expt.Instance.Judge).
 func buildFactory(protocol string, n int, seed int64) (explore.Factory, error) {
-	switch protocol {
-	case "sift", "hetsift":
-		het := protocol == "hetsift"
-		return func() *explore.Instance {
-			k := sim.NewKernel(sim.Config{N: n, Seed: seed})
-			stores := quorum.InstallStores(k)
-			outcomes := make(map[sim.ProcID]core.Outcome, n)
-			for i := 0; i < n; i++ {
-				id := sim.ProcID(i)
-				k.Spawn(id, func(p *sim.Proc) {
-					c := quorum.NewComm(p, stores[id])
-					s := core.NewState(p, "sift")
-					if het {
-						outcomes[id] = core.HetPoisonPill(c, "pp", s)
-					} else {
-						outcomes[id] = core.PoisonPill(c, "pp", s)
-					}
-				})
-			}
-			return &explore.Instance{
-				Kernel: k,
-				Check: func() error {
-					for _, o := range outcomes {
-						if o == core.Survive {
-							return nil
-						}
-					}
-					return errors.New("all participants died (Claim 3.1)")
-				},
-			}
-		}, nil
-	case "election":
-		return func() *explore.Instance {
-			k := sim.NewKernel(sim.Config{N: n, Seed: seed})
-			stores := quorum.InstallStores(k)
-			decisions := make(map[sim.ProcID]core.Decision, n)
-			for i := 0; i < n; i++ {
-				id := sim.ProcID(i)
-				k.Spawn(id, func(p *sim.Proc) {
-					c := quorum.NewComm(p, stores[id])
-					decisions[id] = core.LeaderElect(c, "e")
-				})
-			}
-			return &explore.Instance{
-				Kernel: k,
-				Check: func() error {
-					winners := 0
-					for _, d := range decisions {
-						if d == core.Win {
-							winners++
-						}
-					}
-					if winners != 1 {
-						return fmt.Errorf("%d winners (Lemma A.2)", winners)
-					}
-					return nil
-				},
-			}
-		}, nil
-	default:
+	algo, ok := protocols[protocol]
+	if !ok {
 		return nil, fmt.Errorf("unknown protocol %q", protocol)
 	}
+	cfg := expt.Config{N: n, Seed: seed, Algorithm: algo}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return func() *explore.Instance {
+		in, err := expt.Build(cfg)
+		if err != nil {
+			panic(err) // cfg is valid
+		}
+		return &explore.Instance{Kernel: in.Kernel, Check: in.Judge}
+	}, nil
 }

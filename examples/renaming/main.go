@@ -53,13 +53,11 @@ func main() {
 		}
 		fmt.Println(" …")
 
-		// Strong renaming: the names are a permutation of 1..n.
-		used := map[int]bool{}
-		for _, u := range res.Names {
-			if u < 1 || u > n || used[u] {
-				log.Fatalf("name space violated: %v", res.Names)
-			}
-			used[u] = true
+		// Strong renaming: Rename has judged the names distinct and in
+		// [1, n] (a violation is its error), so n of them are a
+		// permutation of 1..n.
+		if len(res.Names) != n {
+			log.Fatalf("%d of %d participants named", len(res.Names), n)
 		}
 	}
 	fmt.Println("\nboth runs produced a perfect permutation of 1..n (Lemma A.6)")

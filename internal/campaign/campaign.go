@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/expt"
 	"repro/internal/fault"
@@ -74,7 +75,8 @@ type Config struct {
 	// cluster is the campaign-owned shared server set of a TCP campaign.
 	cluster *electd.Cluster
 	// spool recycles whole live Systems across the campaign's runs: workers
-	// check systems out instead of paying NewSystem/Shutdown per election.
+	// check systems out instead of paying NewScenarioSystem/Shutdown per
+	// election.
 	spool *live.SystemPool
 }
 
@@ -267,9 +269,9 @@ func (cfg *Config) elect(sc fault.Scenario, seed int64) (live.Result, error) {
 // contract (Theorem A.5, Lemma A.3) — at most one winner among the
 // survivors, and no winner only when the linearized winner crashed or
 // starved — and returns one line per broken clause; none means valid.
-// err is the run's own error: live.Elect reports two winners, an undecided
-// return, a winnerless run with nobody crashed or starved (ErrNoWinner)
-// and a timeout that way. The fault plan is re-derived from (sc, n, seed):
+// err is the run's own error: live.Elect reports what core.JudgeElection
+// rejects and a timeout that way; the verdict judges the decisions it books
+// itself too. The fault plan is re-derived from (sc, n, seed):
 // Plan is deterministic, so it is exactly the plan the run executed under.
 func verdict(sc fault.Scenario, n, k int, seed int64, res live.Result, err error) []string {
 	if err != nil {
@@ -280,8 +282,12 @@ func verdict(sc fault.Scenario, n, k int, seed int64, res live.Result, err error
 		return []string{fmt.Sprintf("seed %d: plan(%d): %v", seed, n, err)}
 	}
 	var bad []string
-	// Every participant is accounted for exactly once: a decision, a
-	// scenario crash, or a typed fault.NoQuorumError.
+	// Every participant is accounted for exactly once: a decision the
+	// election judge accepts, a scenario crash, or a typed
+	// fault.NoQuorumError.
+	if _, err := core.JudgeElection(k, res.Decisions); err != nil {
+		bad = append(bad, fmt.Sprintf("seed %d: %v", seed, err))
+	}
 	if got := len(res.Decisions) + len(res.Crashed) + len(res.NoQuorum); got != k {
 		bad = append(bad, fmt.Sprintf("seed %d: %d of %d participants accounted for", seed, got, k))
 	}

@@ -179,6 +179,9 @@ func TestVerdict(t *testing.T) {
 		return m
 	}
 	win := live.Result{Winner: 2, Decisions: decided(0, 2)}
+	_, noWinner := core.JudgeElection(n, decided(0, -1))
+	twoWins := decided(0, 1)
+	twoWins[3] = core.Win
 	starved0 := live.Result{Winner: 2, Decisions: decided(1, 2), NoQuorum: []rt.ProcID{0}}
 	blackout := fault.Scenario{Name: "blackout", LossProb: 1, LossLinks: fault.AllLinks, NoQuorumOK: true}
 	cases := []struct {
@@ -192,7 +195,7 @@ func TestVerdict(t *testing.T) {
 		{"elect error: two winners", fault.Baseline(), live.Result{Winner: 1},
 			errors.New("live: safety violation: processors 1 and 3 both won"), []string{"both won"}},
 		{"elect error: no winner, nobody crashed or starved", fault.Baseline(),
-			live.Result{Winner: -1, Decisions: decided(0, -1)}, live.ErrNoWinner, []string{"without a winner"}},
+			live.Result{Winner: -1, Decisions: decided(0, -1)}, noWinner, []string{"none won"}},
 		{"elect error: timeout", fault.Baseline(), live.Result{Winner: -1}, live.ErrTimeout, []string{"timed out"}},
 		{"unplannable scenario", fault.Scenario{Name: "over-budget", Crashes: 3}, win, nil, []string{"plan(5)"}},
 		{"participant not accounted for", fault.Baseline(),

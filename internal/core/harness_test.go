@@ -32,9 +32,9 @@ func runElection(n, k int, seed int64, adv sim.Adversary) electionRun {
 }
 
 // runSift simulates one standalone sift instance (basic or heterogeneous)
-// with participants on the first k of n processors; it returns the outcome
-// per participant.
-func runSift(n, k int, seed int64, adv sim.Adversary, het bool) (map[sim.ProcID]Outcome, sim.Stats, error) {
+// with participants on the first k of n processors under the built-in fair
+// scheduler, judges it and returns its survivor count.
+func runSift(n, k int, seed int64, het bool) (int, error) {
 	k2 := sim.NewKernel(sim.Config{N: n, Seed: seed, MaxFaults: -1})
 	stores := quorum.InstallStores(k2)
 	outcomes := make(map[sim.ProcID]Outcome, k)
@@ -50,19 +50,10 @@ func runSift(n, k int, seed int64, adv sim.Adversary, het bool) (map[sim.ProcID]
 			}
 		})
 	}
-	stats, err := k2.Run(adv)
-	return outcomes, stats, err
-}
-
-// survivors counts Survive outcomes.
-func survivors(outcomes map[sim.ProcID]Outcome) int {
-	n := 0
-	for _, o := range outcomes {
-		if o == Survive {
-			n++
-		}
+	if _, err := k2.Run(nil); err != nil {
+		return 0, err
 	}
-	return n
+	return JudgeSift(k, outcomes)
 }
 
 // instrumentedSift runs one full-participation sift and returns the kernel,
@@ -123,7 +114,7 @@ func buildViews(n int, entries []viewEntry) []quorum.View {
 }
 
 // checkElection asserts the fundamental safety properties: every participant
-// decided, and exactly one won.
+// decided, and the election judge accepts the decisions.
 func checkElection(t *testing.T, r electionRun, k int) {
 	t.Helper()
 	if r.err != nil {
@@ -132,17 +123,7 @@ func checkElection(t *testing.T, r electionRun, k int) {
 	if len(r.decisions) != k {
 		t.Fatalf("%d of %d participants decided", len(r.decisions), k)
 	}
-	winners := 0
-	for id, d := range r.decisions {
-		switch d {
-		case Win:
-			winners++
-		case Lose:
-		default:
-			t.Fatalf("processor %d returned %v", id, d)
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("winners = %d, want exactly 1", winners)
+	if _, err := JudgeElection(k, r.decisions); err != nil {
+		t.Fatal(err)
 	}
 }

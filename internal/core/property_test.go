@@ -89,16 +89,8 @@ func TestElectionPropertyRandomConfigs(t *testing.T) {
 		n := int(nRaw)%24 + 1
 		k := int(kRaw)%n + 1
 		r := runElection(n, k, seed, nil)
-		if r.err != nil {
-			return false
-		}
-		winners := 0
-		for _, d := range r.decisions {
-			if d == Win {
-				winners++
-			}
-		}
-		return winners == 1 && len(r.decisions) == k
+		_, err := JudgeElection(k, r.decisions)
+		return r.err == nil && len(r.decisions) == k && err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -109,11 +101,8 @@ func TestSiftPropertyAlwaysOneSurvivor(t *testing.T) {
 	// Property-based Claim 3.1 over both sift variants and random sizes.
 	f := func(nRaw uint8, seed int64, het bool) bool {
 		n := int(nRaw)%20 + 1
-		outcomes, _, err := runSift(n, n, seed, nil, het)
-		if err != nil {
-			return false
-		}
-		return survivors(outcomes) >= 1
+		_, err := runSift(n, n, seed, het)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // behind its own transport listener, plus a connection pool dialled to all
 // of them. It is the harness the live backend's TCP mode, the campaign
 // engine and the tests build on; a production deployment instead runs one
-// `electd` process per server and DialPool from each client process.
+// `electd` process per server and NewPool from each client process.
 type Cluster struct {
 	n         int
 	servers   []*Server
@@ -30,12 +30,6 @@ type Cluster struct {
 type ClusterOptions struct {
 	Pool   PoolOptions
 	Server ServerOptions
-}
-
-// NewCluster starts n servers on the network and dials the shared pool,
-// all options at their defaults.
-func NewCluster(nw transport.Network, n int) (*Cluster, error) {
-	return NewClusterWith(nw, n, ClusterOptions{})
 }
 
 // NewClusterSpec starts an in-process cluster under a transport spec: the
@@ -55,8 +49,8 @@ func NewClusterSpec(spec transport.Spec, n int, opts ClusterOptions) (*Cluster, 
 	return NewClusterWith(nw, n, opts)
 }
 
-// NewClusterWith is NewCluster with the full option set, server lifecycle
-// included.
+// NewClusterWith starts n servers on the network and dials the shared
+// pool, under the full option set, server lifecycle included.
 func NewClusterWith(nw transport.Network, n int, opts ClusterOptions) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("electd: cluster size %d must be at least 1", n)

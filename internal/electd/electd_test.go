@@ -38,24 +38,17 @@ func electOnce(t *testing.T, cl *electd.Cluster, election uint64, k int, seed in
 	return decisions
 }
 
-// uniqueWinner asserts the safety contract on one election's decisions.
+// uniqueWinner asserts that the election judge accepts one election's
+// decisions, every participant's returned, and returns the winner.
 func uniqueWinner(t *testing.T, label string, decisions []core.Decision) rt.ProcID {
 	t.Helper()
-	winner := rt.ProcID(-1)
+	returned := make(map[rt.ProcID]core.Decision, len(decisions))
 	for i, d := range decisions {
-		switch d {
-		case core.Win:
-			if winner >= 0 {
-				t.Fatalf("%s: processors %d and %d both won", label, winner, i)
-			}
-			winner = rt.ProcID(i)
-		case core.Lose:
-		default:
-			t.Fatalf("%s: participant %d undecided (%v)", label, i, d)
-		}
+		returned[rt.ProcID(i)] = d
 	}
-	if winner < 0 {
-		t.Fatalf("%s: no winner", label)
+	winner, err := core.JudgeElection(len(decisions), returned)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	return winner
 }
@@ -65,7 +58,7 @@ func uniqueWinner(t *testing.T, label string, decisions []core.Decision) rt.Proc
 func TestElectionOverLoopback(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 16} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cl, err := electd.NewCluster(transport.NewLoopback(), n)
+			cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +75,7 @@ func TestElectionOverLoopback(t *testing.T) {
 // so no server sees a request.
 func TestPoolElectRejectsParticipantCount(t *testing.T) {
 	const n = 3
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +97,7 @@ func TestPoolElectRejectsParticipantCount(t *testing.T) {
 // winner and the servers host disjoint per-instance state.
 func TestMultiplexedElections(t *testing.T) {
 	const n, k, elections = 5, 4, 24
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +143,7 @@ func TestMultiplexedElections(t *testing.T) {
 // be counted as late, not as admission sheds.
 func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 	const n, k, elections = 3, 3, 20
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +197,12 @@ func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 }
 
 // TestClientServerSplitOverTCP: participants in a "separate process" shape —
-// their own DialPool over real TCP sockets, servers behind listeners — with
+// their own DialPoolOpts over real TCP sockets, servers behind listeners — with
 // more participants than servers (clients are not replicas).
 func TestClientServerSplitOverTCP(t *testing.T) {
 	const n, k = 3, 7
 	nw := transport.NewTCP()
-	cl, err := electd.NewCluster(nw, n)
+	cl, err := electd.NewClusterWith(nw, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +210,7 @@ func TestClientServerSplitOverTCP(t *testing.T) {
 
 	// A second, independent client pool, as a separate participant process
 	// would build — the cluster's own pool is not used.
-	pool, err := electd.DialPool(nw, cl.Addrs())
+	pool, err := electd.DialPoolOpts(nw, cl.Addrs(), electd.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +238,7 @@ func TestClientServerSplitOverTCP(t *testing.T) {
 // majority that stays up.
 func TestQuorumSurvivesServerCrashes(t *testing.T) {
 	for _, n := range []int{3, 5, 9} {
-		cl, err := electd.NewCluster(transport.NewLoopback(), n)
+		cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +258,7 @@ func TestQuorumSurvivesServerCrashes(t *testing.T) {
 func TestDialToleratesDeadMinority(t *testing.T) {
 	const n = 5
 	nw := transport.NewLoopback()
-	cl, err := electd.NewCluster(nw, n)
+	cl, err := electd.NewClusterWith(nw, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +266,7 @@ func TestDialToleratesDeadMinority(t *testing.T) {
 	addrs := cl.Addrs()
 	addrs[1] = "loop:9991" // never listened
 	addrs[3] = "loop:9993"
-	pool, err := electd.DialPool(nw, addrs)
+	pool, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{})
 	if err != nil {
 		t.Fatalf("dial with a dead minority: %v", err)
 	}
@@ -294,7 +287,7 @@ func TestDialToleratesDeadMinority(t *testing.T) {
 	uniqueWinner(t, "dead minority", decisions)
 
 	addrs[0] = "loop:9990" // three dead: majority impossible
-	if _, err := electd.DialPool(nw, addrs); err == nil {
+	if _, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{}); err == nil {
 		t.Fatal("pool came up without a reachable majority")
 	}
 }
@@ -328,14 +321,14 @@ func (c *countingConn) Close() error {
 	return c.Conn.Close()
 }
 
-// TestDialFailureClosesDialedConns: when DialPool gives up because a
+// TestDialFailureClosesDialedConns: when DialPoolOpts gives up because a
 // majority is unreachable, the minority of connections it did establish
 // must be closed, not leaked — a client retrying startup in a loop would
 // otherwise accumulate sockets.
 func TestDialFailureClosesDialedConns(t *testing.T) {
 	const n = 5
 	lo := transport.NewLoopback()
-	cl, err := electd.NewCluster(lo, n)
+	cl, err := electd.NewClusterWith(lo, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +338,7 @@ func TestDialFailureClosesDialedConns(t *testing.T) {
 	addrs[2] = "loop:9992"
 	addrs[3] = "loop:9993"
 	nw := &countingNetwork{Network: lo}
-	if _, err := electd.DialPool(nw, addrs); err == nil {
+	if _, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{}); err == nil {
 		t.Fatal("pool came up without a reachable majority")
 	}
 	if d := nw.dialed.Load(); d != 2 {
@@ -373,13 +366,13 @@ func (n *failAfterNetwork) Dial(addr string, h transport.Handler) (transport.Con
 }
 
 // TestDialFailureClosesConns: the startup-failure contract through
-// DialPool. The connection of every server that did answer must be closed
+// DialPoolOpts. The connection of every server that did answer must be closed
 // before the no-majority error is reported, so a retry loop never
 // accumulates sockets.
 func TestDialFailureClosesConns(t *testing.T) {
 	const n = 5
 	lo := transport.NewLoopback()
-	cl, err := electd.NewCluster(lo, n)
+	cl, err := electd.NewClusterWith(lo, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +381,7 @@ func TestDialFailureClosesConns(t *testing.T) {
 	// Servers 0–1 connect, servers 2–4 never do: majority impossible, and
 	// both established connections must come back closed.
 	nw := &failAfterNetwork{countingNetwork: countingNetwork{Network: lo}, ok: 2}
-	if _, err := electd.DialPool(nw, cl.Addrs()); err == nil {
+	if _, err := electd.DialPoolOpts(nw, cl.Addrs(), electd.PoolOptions{}); err == nil {
 		t.Fatal("pool came up with three of five servers undialable")
 	}
 	if d := nw.dialed.Load(); d != 2 {
@@ -407,7 +400,7 @@ func TestDialFailureClosesConns(t *testing.T) {
 func TestDialFailureClosesUDPSockets(t *testing.T) {
 	const n = 5
 	udp := transport.NewUDP()
-	cl, err := electd.NewCluster(udp, n)
+	cl, err := electd.NewClusterWith(udp, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +410,7 @@ func TestDialFailureClosesUDPSockets(t *testing.T) {
 	addrs[2] = "%%%unresolvable"
 	addrs[3] = "%%%unresolvable"
 	nw := &countingNetwork{Network: udp}
-	if _, err := electd.DialPool(nw, addrs); err == nil {
+	if _, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{}); err == nil {
 		t.Fatal("pool came up without a resolvable majority")
 	}
 	if d := nw.dialed.Load(); d != 2 {
@@ -502,7 +495,7 @@ func TestCoalescedElectionsBatchFrames(t *testing.T) {
 // client/server split (quorum intersection).
 func TestReadYourWrites(t *testing.T) {
 	const n = 5
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +529,7 @@ func TestReadYourWrites(t *testing.T) {
 // engine's hook) slow elections down without breaking them.
 func TestInjectedDelayStillElects(t *testing.T) {
 	const n = 4
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +656,7 @@ func TestDelayedFramesLandBeforeClose(t *testing.T) {
 			landed = append(landed, fmt.Sprintf("seq %d = %v", e.Seq, e.Val))
 		}
 	}}
-	cl, err := electd.NewCluster(nw, n)
+	cl, err := electd.NewClusterWith(nw, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

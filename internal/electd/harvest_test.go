@@ -32,7 +32,7 @@ func silentPool(t *testing.T, n int) *Pool {
 		t.Cleanup(func() { ln.Close() }) //nolint:errcheck // teardown
 		addrs[j] = ln.Addr()
 	}
-	pl, err := DialPool(nw, addrs)
+	pl, err := DialPoolOpts(nw, addrs, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

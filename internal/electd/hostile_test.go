@@ -52,7 +52,7 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 				defer ln.Close()
 				addrs[j] = ln.Addr()
 			}
-			pool, err := electd.DialPool(nw, addrs)
+			pool, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestOutOfRangeOwnersNameNoProcessor(t *testing.T) {
 	const n = 5
 	const reg = "elect/sift/1/status"
 	for seed := int64(1); seed <= 4; seed++ {
-		cl, err := electd.NewCluster(transport.NewLoopback(), n)
+		cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,7 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 		defer ln.Close()
 		addrs[j] = ln.Addr()
 	}
-	pool, err := electd.DialPool(nw, addrs)
+	pool, err := electd.DialPoolOpts(nw, addrs, electd.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,17 +177,6 @@ func (pl *Pool) callShardOf(call uint64) *callShard {
 	return &pl.shards[call&(callShards-1)]
 }
 
-// DialPool connects to every server address over the given network. The
-// address slice is indexed by server id; its
-// length is the quorum system size n. Unreachable servers are tolerated up
-// to the model's fault budget ⌈n/2⌉−1 — a dead replica at dial time is the
-// same fault as one that crashes later, and quorum calls route around it;
-// only when a majority cannot be reached does DialPool fail, closing every
-// connection it had already established.
-func DialPool(nw transport.Network, addrs []string) (*Pool, error) {
-	return DialPoolOpts(nw, addrs, PoolOptions{})
-}
-
 // mergeSpec fills options whose fields are still zero from a transport
 // spec: the flight recorder threads through, and an unreliable substrate
 // arms the default retransmit period — the client-side reliability layer
@@ -214,7 +203,7 @@ const DefaultDatagramRetransmit = 5 * time.Millisecond
 // NewPool dials a client pool under the given transport spec — the one
 // entry point that keeps tracing and reliability consistent between the
 // transport and the pool on top of it.
-// DialPool/DialPoolOpts remain for callers that build a Network themselves.
+// DialPoolOpts remains for callers that build a Network themselves.
 func NewPool(spec transport.Spec, addrs []string, opts PoolOptions) (*Pool, error) {
 	nw, err := spec.Network()
 	if err != nil {
@@ -223,7 +212,13 @@ func NewPool(spec transport.Spec, addrs []string, opts PoolOptions) (*Pool, erro
 	return DialPoolOpts(nw, addrs, mergeSpec(spec, opts))
 }
 
-// DialPoolOpts is DialPool with explicit options.
+// DialPoolOpts connects to every server address over the given network. The
+// address slice is indexed by server id; its length is the quorum system
+// size n. Unreachable servers are tolerated up to the model's fault budget
+// ⌈n/2⌉−1 — a dead replica at dial time is the same fault as one that
+// crashes later, and quorum calls route around it; only when a majority
+// cannot be reached does DialPoolOpts fail, closing every connection it had
+// already established.
 func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool, error) {
 	pl := &Pool{
 		n:                 len(addrs),

@@ -1,7 +1,6 @@
 package electd
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -94,7 +93,8 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 	if k < 1 || k > regstore.MaxOwners {
 		return Election{Winner: -1}, fmt.Errorf("participants %d must be in [1, %d]", k, regstore.MaxOwners)
 	}
-	decisions := make([]core.Decision, k)
+	decisions := make(map[rt.ProcID]core.Decision, k)
+	var mu sync.Mutex
 	shed := make([]error, k)
 	var msgs, bytes atomic.Int64
 	var wg sync.WaitGroup
@@ -106,7 +106,10 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 			c := pl.NewComm(p, id, nil)
 			defer c.Leave()
 			shed[i] = CatchBusy(func() {
-				decisions[i] = core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
+				d := core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
+				mu.Lock()
+				decisions[p.ID()] = d
+				mu.Unlock()
 			})
 			msgs.Add(c.Messages())
 			bytes.Add(c.Bytes())
@@ -119,18 +122,9 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 			return e, fmt.Errorf("shed by a busy replica: %w", err)
 		}
 	}
-	winner := rt.ProcID(-1)
-	for i, d := range decisions {
-		if d != core.Win {
-			continue
-		}
-		if winner >= 0 {
-			return e, fmt.Errorf("processors %d and %d both won", winner, i)
-		}
-		winner = rt.ProcID(i)
-	}
-	if winner < 0 {
-		return e, errors.New("no winner")
+	winner, err := core.JudgeElection(k, decisions)
+	if err != nil {
+		return e, err
 	}
 	e.Winner = winner
 	return e, nil

@@ -27,7 +27,7 @@ func TestRestartRestoresQuorumMidElection(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			const n, k = 5, 3
-			cl, err := electd.NewCluster(mk(), n)
+			cl, err := electd.NewClusterWith(mk(), n, electd.ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

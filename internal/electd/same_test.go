@@ -169,8 +169,8 @@ func sameViewIsTheHeldView(t *testing.T, nw transport.Network) {
 			}()
 		}
 		wg.Wait()
-		if winners := countWins(decisions); winners != 1 {
-			t.Fatalf("seed %d: %d winners", seed, winners)
+		if err := judge(decisions); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cl.RemoveElection(election)
 	}
@@ -193,15 +193,15 @@ func sameViewIsTheHeldView(t *testing.T, nw transport.Network) {
 	t.Logf("%d same replies sent, %d materialized", audit.sames, sames)
 }
 
-// countWins counts the winners among an election's decisions.
-func countWins(decisions []core.Decision) int {
-	winners := 0
-	for _, d := range decisions {
-		if d == core.Win {
-			winners++
-		}
+// judge is the election judge's verdict on one election's decisions,
+// every participant's returned.
+func judge(decisions []core.Decision) error {
+	returned := make(map[rt.ProcID]core.Decision, len(decisions))
+	for i, d := range decisions {
+		returned[rt.ProcID(i)] = d
 	}
-	return winners
+	_, err := core.JudgeElection(len(decisions), returned)
+	return err
 }
 
 // replyConn captures the reply frames Server.Handle sends.
@@ -460,7 +460,7 @@ func knownViewTablesUnderRace(t *testing.T) {
 					}()
 				}
 				inner.Wait()
-				if countWins(decisions) != 1 {
+				if judge(decisions) != nil {
 					invalid.Add(1)
 				}
 				cl.RemoveElection(election)
@@ -502,7 +502,7 @@ func knownViewTablesUnderRace(t *testing.T) {
 // ever re-ask them.
 func TestUnresolvedSameIsReasked(t *testing.T) {
 	const n, reg = 5, "r"
-	cl, err := NewCluster(transport.NewLoopback(), n)
+	cl, err := NewClusterWith(transport.NewLoopback(), n, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,8 +651,8 @@ func TestDatagramViewsAreNeverHeld(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if winners := countWins(decisions); winners != 1 {
-			t.Fatalf("seed %d: %d winners", seed, winners)
+		if err := judge(decisions); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for j := range n {
 			k := &cl.pool.links[j].Load().known

@@ -116,7 +116,7 @@ func TestTeardownChurnUnderConcurrency(t *testing.T) {
 		k         = 3
 		elections = 32
 	)
-	cl, err := electd.NewCluster(transport.NewLoopback(), n)
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

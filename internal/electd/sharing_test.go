@@ -156,7 +156,7 @@ func TestSharedStatusListsAreNeverWritten(t *testing.T) {
 	for name, mk := range networks {
 		for _, n := range []int{4, 8} {
 			audit := newListAudit(mk())
-			cl, err := electd.NewCluster(audit, n)
+			cl, err := electd.NewClusterWith(audit, n, electd.ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func served(t *testing.T, cl *Cluster, total int64) []int64 {
 
 func newThriftyCluster(t *testing.T, nw transport.Network, n int) *Cluster {
 	t.Helper()
-	cl, err := NewCluster(nw, n)
+	cl, err := NewClusterWith(nw, n, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,82 +2,22 @@ package explore
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/quorum"
+	"repro/internal/expt"
 	"repro/internal/sim"
 )
 
-// siftFactory builds an n-participant basic or heterogeneous PoisonPill
-// round with the Claim 3.1 invariant (≥1 survivor).
-func siftFactory(n int, seed int64, het bool) Factory {
+// simFactory builds algo's n-participant run exactly as the sim runs it,
+// judged by the algorithm's contract: Claim 3.1 for the sifts, the unique
+// winner for the election.
+func simFactory(algo expt.Algorithm, n int, seed int64) Factory {
 	return func() *Instance {
-		k := sim.NewKernel(sim.Config{N: n, Seed: seed})
-		stores := quorum.InstallStores(k)
-		outcomes := make(map[sim.ProcID]core.Outcome, n)
-		for i := 0; i < n; i++ {
-			id := sim.ProcID(i)
-			k.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "sift")
-				if het {
-					outcomes[id] = core.HetPoisonPill(c, "pp", s)
-				} else {
-					outcomes[id] = core.PoisonPill(c, "pp", s)
-				}
-			})
+		in, err := expt.Build(expt.Config{N: n, Seed: seed, Algorithm: algo})
+		if err != nil {
+			panic(err)
 		}
-		return &Instance{
-			Kernel: k,
-			Check: func() error {
-				if len(outcomes) != n {
-					return fmt.Errorf("only %d of %d participants returned", len(outcomes), n)
-				}
-				for _, o := range outcomes {
-					if o == core.Survive {
-						return nil
-					}
-				}
-				return errors.New("all participants died (Claim 3.1 violated)")
-			},
-		}
-	}
-}
-
-// electionFactory builds an n-participant leader election with the
-// unique-winner invariant.
-func electionFactory(n int, seed int64) Factory {
-	return func() *Instance {
-		k := sim.NewKernel(sim.Config{N: n, Seed: seed})
-		stores := quorum.InstallStores(k)
-		decisions := make(map[sim.ProcID]core.Decision, n)
-		for i := 0; i < n; i++ {
-			id := sim.ProcID(i)
-			k.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				decisions[id] = core.LeaderElect(c, "e")
-			})
-		}
-		return &Instance{
-			Kernel: k,
-			Check: func() error {
-				winners := 0
-				for _, d := range decisions {
-					if d == core.Win {
-						winners++
-					}
-				}
-				if winners != 1 {
-					return fmt.Errorf("%d winners", winners)
-				}
-				if len(decisions) != n {
-					return fmt.Errorf("only %d of %d decided", len(decisions), n)
-				}
-				return nil
-			},
-		}
+		return &Instance{Kernel: in.Kernel, Check: in.Judge}
 	}
 }
 
@@ -86,7 +26,7 @@ func TestExhaustiveTwoProcessorBasicSift(t *testing.T) {
 	// of a 2-participant basic PoisonPill round, across several coin seeds:
 	// Claim 3.1 must hold on every schedule.
 	for seed := int64(0); seed < 4; seed++ {
-		rep, err := Run(siftFactory(2, seed, false), Config{})
+		rep, err := Run(simFactory(expt.AlgoBasicSift, 2, seed), Config{})
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -105,7 +45,7 @@ func TestExhaustiveTwoProcessorBasicSift(t *testing.T) {
 
 func TestExhaustiveTwoProcessorHetSift(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		rep, err := Run(siftFactory(2, seed, true), Config{})
+		rep, err := Run(simFactory(expt.AlgoHetSift, 2, seed), Config{})
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -119,7 +59,7 @@ func TestExhaustiveTwoProcessorHetSift(t *testing.T) {
 func TestBoundedThreeProcessorSift(t *testing.T) {
 	// Depth-bounded exploration of the 3-participant round: every prefix of
 	// 7 choices, each completed fairly.
-	rep, err := Run(siftFactory(3, 1, false), Config{MaxDepth: 7})
+	rep, err := Run(simFactory(expt.AlgoBasicSift, 3, 1), Config{MaxDepth: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +76,7 @@ func TestBoundedTwoProcessorElection(t *testing.T) {
 	// exhaustive over the first 8 choices: exactly one winner on every
 	// explored schedule.
 	for seed := int64(0); seed < 2; seed++ {
-		rep, err := Run(electionFactory(2, seed), Config{MaxDepth: 8})
+		rep, err := Run(simFactory(expt.AlgoPoisonPill, 2, seed), Config{MaxDepth: 8})
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -151,7 +91,7 @@ func TestBoundedTwoProcessorElection(t *testing.T) {
 }
 
 func TestMaxNodesTruncates(t *testing.T) {
-	rep, err := Run(siftFactory(3, 2, false), Config{MaxNodes: 10})
+	rep, err := Run(simFactory(expt.AlgoBasicSift, 3, 2), Config{MaxNodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +130,7 @@ func TestViolationDetection(t *testing.T) {
 func TestDeterministicReplayOfPrefix(t *testing.T) {
 	// Running the same prefix twice yields identical frontier options: the
 	// foundation of the exploration's soundness.
-	f := siftFactory(2, 3, false)
+	f := simFactory(expt.AlgoBasicSift, 2, 3)
 	rep := &Report{}
 	opts1, err := runOne(f, []int{0, 0, 1}, rep)
 	if err != nil {

@@ -93,11 +93,12 @@ type Result struct {
 	// Picks per participant: the names each one competed for, in order
 	// (renaming algorithms).
 	Picks map[sim.ProcID][]int
-	// Err is the run error, if any (callers decide whether it is fatal).
+	// Err is the run error or the contract violation Instance.Judge found,
+	// if any (callers decide whether it is fatal).
 	Err error
 }
 
-// Winners counts Win decisions.
+// Winners counts Win decisions, which Run has already judged.
 func (r *Result) Winners() int {
 	w := 0
 	for _, d := range r.Decisions {
@@ -108,7 +109,7 @@ func (r *Result) Winners() int {
 	return w
 }
 
-// Survivors counts Survive outcomes.
+// Survivors counts Survive outcomes: the sift tables' measurement.
 func (r *Result) Survivors() int {
 	s := 0
 	for _, o := range r.Outcomes {
@@ -168,104 +169,136 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Run executes one configured run and returns its result.
-func Run(cfg Config) Result {
+// Instance is one configured run built and not yet run: a fresh kernel with
+// every participant spawned. Run drives its kernel under the configured
+// schedule; the schedule explorer drives it under each schedule it visits.
+// Either way Judge checks what the participants returned.
+type Instance struct {
+	// Kernel is ready to run (participants spawned, stores installed).
+	Kernel *sim.Kernel
+	res    Result
+	states map[sim.ProcID]*core.State
+}
+
+// hetBiases is the coin bias of each heterogeneous-round algorithm.
+var hetBiases = map[Algorithm]core.BiasFunc{
+	AlgoHetSift:        core.PaperBias,
+	AlgoHetSqrtBias:    core.SqrtBias,
+	AlgoHetInverseBias: core.InverseBias,
+	AlgoHetFairBias:    core.FairBias,
+}
+
+// Build validates cfg and builds its run.
+func Build(cfg Config) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{Config: cfg, Err: err}
+		return nil, err
 	}
 	if cfg.K == 0 {
 		cfg.K = cfg.N
 	}
-	res := Result{
-		Config:     cfg,
-		Decisions:  make(map[sim.ProcID]core.Decision),
-		Outcomes:   make(map[sim.ProcID]core.Outcome),
-		Names:      make(map[sim.ProcID]int),
-		Flips:      make(map[sim.ProcID]int),
-		Iterations: make(map[sim.ProcID]int),
-		Picks:      make(map[sim.ProcID][]int),
-	}
+	return newInstance(cfg, func(in *Instance, p *sim.Proc, c *quorum.Comm) {
+		res, id := &in.res, p.ID()
+		switch cfg.Algorithm {
+		case AlgoPoisonPill:
+			res.Decisions[id] = core.LeaderElectWithState(c, "elect", in.state(p, "leaderelect"))
+		case AlgoTournament:
+			res.Decisions[id] = baseline.TournamentWithState(c, "tourn", in.state(p, "tournament"))
+		case AlgoBasicSift:
+			res.Outcomes[id] = core.PoisonPill(c, "pp", in.state(p, "basic-sift"))
+		case AlgoHetSift, AlgoHetSqrtBias, AlgoHetInverseBias, AlgoHetFairBias:
+			res.Outcomes[id] = core.HetPoisonPillWithBias(c, "pp", hetBiases[cfg.Algorithm], in.state(p, "het-sift"))
+		case AlgoNaiveSift:
+			prob := 1 / math.Sqrt(float64(p.N()))
+			res.Outcomes[id] = baseline.NaiveSift(c, "nv", prob, in.state(p, "naive-sift"))
+		case AlgoRenaming:
+			s := &renaming.State{}
+			res.Names[id] = renaming.GetName(c, s)
+			res.Iterations[id] = s.Iterations
+			res.Picks[id] = s.Picks
+		case AlgoRandomScan:
+			s := &baseline.RandomScanState{}
+			res.Names[id] = baseline.RandomScanRename(c, s)
+			res.Iterations[id] = s.Trials
+			res.Picks[id] = s.Picks
+		}
+	}), nil
+}
+
+// newInstance builds cfg's kernel and spawns body as each of its first
+// cfg.K processors, over its quorum Comm.
+func newInstance(cfg Config, body func(in *Instance, p *sim.Proc, c *quorum.Comm)) *Instance {
 	maxFaults := 0
 	if cfg.Schedule == SchedCrash {
 		maxFaults = -1
 	}
-	k2 := sim.NewKernel(sim.Config{N: cfg.N, Seed: cfg.Seed, Budget: cfg.Budget, MaxFaults: maxFaults})
-	stores := quorum.InstallStores(k2)
-	states := make(map[sim.ProcID]*core.State, cfg.K)
-
+	in := &Instance{
+		Kernel: sim.NewKernel(sim.Config{N: cfg.N, Seed: cfg.Seed, Budget: cfg.Budget, MaxFaults: maxFaults}),
+		res: Result{
+			Config:     cfg,
+			Decisions:  make(map[sim.ProcID]core.Decision),
+			Outcomes:   make(map[sim.ProcID]core.Outcome),
+			Names:      make(map[sim.ProcID]int),
+			Flips:      make(map[sim.ProcID]int),
+			Iterations: make(map[sim.ProcID]int),
+			Picks:      make(map[sim.ProcID][]int),
+		},
+		states: make(map[sim.ProcID]*core.State, cfg.K),
+	}
+	stores := quorum.InstallStores(in.Kernel)
 	for i := 0; i < cfg.K; i++ {
 		id := sim.ProcID(i)
-		switch cfg.Algorithm {
-		case AlgoPoisonPill:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "leaderelect")
-				states[id] = s
-				res.Decisions[id] = core.LeaderElectWithState(c, "elect", s)
-			})
-		case AlgoTournament:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "tournament")
-				states[id] = s
-				res.Decisions[id] = baseline.TournamentWithState(c, "tourn", s)
-			})
-		case AlgoBasicSift:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "basic-sift")
-				states[id] = s
-				res.Outcomes[id] = core.PoisonPill(c, "pp", s)
-			})
-		case AlgoHetSift, AlgoHetSqrtBias, AlgoHetInverseBias, AlgoHetFairBias:
-			bias := core.PaperBias
-			switch cfg.Algorithm {
-			case AlgoHetSqrtBias:
-				bias = core.SqrtBias
-			case AlgoHetInverseBias:
-				bias = core.InverseBias
-			case AlgoHetFairBias:
-				bias = core.FairBias
-			}
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "het-sift")
-				states[id] = s
-				res.Outcomes[id] = core.HetPoisonPillWithBias(c, "pp", bias, s)
-			})
-		case AlgoNaiveSift:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := core.NewState(p, "naive-sift")
-				states[id] = s
-				prob := 1 / math.Sqrt(float64(p.N()))
-				res.Outcomes[id] = baseline.NaiveSift(c, "nv", prob, s)
-			})
-		case AlgoRenaming:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := &renaming.State{}
-				res.Names[id] = renaming.GetName(c, s)
-				res.Iterations[id] = s.Iterations
-				res.Picks[id] = s.Picks
-			})
-		case AlgoRandomScan:
-			k2.Spawn(id, func(p *sim.Proc) {
-				c := quorum.NewComm(p, stores[id])
-				s := &baseline.RandomScanState{}
-				res.Names[id] = baseline.RandomScanRename(c, s)
-				res.Iterations[id] = s.Trials
-				res.Picks[id] = s.Picks
-			})
-		default:
-			panic(fmt.Sprintf("expt: unknown algorithm %q", cfg.Algorithm))
-		}
+		in.Kernel.Spawn(id, func(p *sim.Proc) { body(in, p, quorum.NewComm(p, stores[id])) })
 	}
+	return in
+}
 
-	stats, err := k2.Run(buildAdversary(cfg))
-	res.Stats = stats
-	res.Err = err
-	for id, s := range states {
+// state publishes p's core.State for the named algorithm and keeps it for
+// the result's flips and rounds.
+func (in *Instance) state(p *sim.Proc, algorithm string) *core.State {
+	s := core.NewState(p, algorithm)
+	in.states[p.ID()] = s
+	return s
+}
+
+// Judge checks what the participants returned against the algorithm's
+// contract: core.JudgeElection for the elections, core.JudgeSift for the
+// PoisonPill rounds and renaming.JudgeNames for the renamings. The naive
+// sifting strawman has no contract: T10 shows it dying out.
+func (in *Instance) Judge() error {
+	r := &in.res
+	switch r.Config.Algorithm {
+	case AlgoPoisonPill, AlgoTournament:
+		_, err := core.JudgeElection(r.Config.K, r.Decisions)
+		return err
+	case AlgoNaiveSift:
+		return nil
+	case AlgoRenaming, AlgoRandomScan:
+		return renaming.JudgeNames(r.Config.N, r.Names)
+	default:
+		_, err := core.JudgeSift(r.Config.K, r.Outcomes)
+		return err
+	}
+}
+
+// Run executes one configured run and returns its result. A run that
+// broke its algorithm's contract (see Instance.Judge) has the violation as
+// its Err.
+func Run(cfg Config) Result {
+	in, err := Build(cfg)
+	if err != nil {
+		return Result{Config: cfg, Err: err}
+	}
+	return in.run(buildAdversary(in.res.Config))
+}
+
+// run drives the kernel under adv, judges the run and collects its result.
+func (in *Instance) run(adv sim.Adversary) Result {
+	res := &in.res
+	res.Stats, res.Err = in.Kernel.Run(adv)
+	if res.Err == nil {
+		res.Err = in.Judge()
+	}
+	for id, s := range in.states {
 		res.Flips[id] = s.Flip
 		if s.Round > res.MaxRound {
 			res.MaxRound = s.Round
@@ -273,41 +306,22 @@ func Run(cfg Config) Result {
 	}
 	if res.MaxRound > 0 {
 		res.RoundCounts = make([]int, res.MaxRound)
-		for _, s := range states {
+		for _, s := range in.states {
 			for r := 1; r <= s.Round; r++ {
 				res.RoundCounts[r-1]++
 			}
 		}
 	}
-	return res
+	return *res
 }
 
 // runCustomSift runs one basic PoisonPill round with an explicit coin bias
 // under the Section 3.2 sequential schedule (the bias-ablation fixture).
 func runCustomSift(n int, seed int64, prob float64) Result {
-	res := Result{
-		Outcomes: make(map[sim.ProcID]core.Outcome, n),
-		Flips:    make(map[sim.ProcID]int, n),
-	}
-	k2 := sim.NewKernel(sim.Config{N: n, Seed: seed})
-	stores := quorum.InstallStores(k2)
-	states := make(map[sim.ProcID]*core.State, n)
-	for i := 0; i < n; i++ {
-		id := sim.ProcID(i)
-		k2.Spawn(id, func(p *sim.Proc) {
-			c := quorum.NewComm(p, stores[id])
-			s := core.NewState(p, "basic-sift")
-			states[id] = s
-			res.Outcomes[id] = core.PoisonPillBiased(c, "pp", prob, s)
-		})
-	}
-	stats, err := k2.Run(adversary.NewSequential(nil))
-	res.Stats = stats
-	res.Err = err
-	for id, s := range states {
-		res.Flips[id] = s.Flip
-	}
-	return res
+	cfg := Config{N: n, K: n, Seed: seed, Algorithm: AlgoBasicSift}
+	return newInstance(cfg, func(in *Instance, p *sim.Proc, c *quorum.Comm) {
+		in.res.Outcomes[p.ID()] = core.PoisonPillBiased(c, "pp", prob, in.state(p, "basic-sift"))
+	}).run(adversary.NewSequential(nil))
 }
 
 // Summary aggregates a sample of measurements.

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // tiny keeps generator tests fast.
@@ -16,22 +18,11 @@ func TestRunAllAlgorithmsUnderLockStep(t *testing.T) {
 		AlgoNaiveSift, AlgoRenaming, AlgoRandomScan,
 	} {
 		r := Run(Config{N: 16, Algorithm: algo, Schedule: SchedLockStep, Seed: 1})
-		if r.Err != nil {
+		if r.Err != nil { // the kernel's, or the algorithm's judge's
 			t.Fatalf("%s: %v", algo, r.Err)
 		}
-		switch algo {
-		case AlgoPoisonPill, AlgoTournament:
-			if r.Winners() != 1 {
-				t.Fatalf("%s: winners = %d", algo, r.Winners())
-			}
-		case AlgoBasicSift, AlgoHetSift, AlgoNaiveSift:
-			if r.Survivors() < 1 {
-				t.Fatalf("%s: no survivors", algo)
-			}
-		case AlgoRenaming, AlgoRandomScan:
-			if len(r.Names) != 16 {
-				t.Fatalf("%s: %d names", algo, len(r.Names))
-			}
+		if got := len(r.Decisions) + len(r.Outcomes) + len(r.Names); got != 16 {
+			t.Fatalf("%s: %d of 16 participants returned", algo, got)
 		}
 		if r.Stats.MessagesSent == 0 {
 			t.Fatalf("%s: no messages recorded", algo)
@@ -48,9 +39,6 @@ func TestRunAllSchedulesElectLeader(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", sched, r.Err)
 		}
-		if r.Winners() != 1 {
-			t.Fatalf("%s: winners = %d", sched, r.Winners())
-		}
 	}
 }
 
@@ -59,28 +47,62 @@ func TestRunCrashSchedule(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("crash run: %v", r.Err)
 	}
-	if r.Winners() > 1 {
-		t.Fatalf("winners = %d", r.Winners())
-	}
 	if len(r.Decisions)+r.Stats.Crashes < 16 {
 		t.Fatalf("decided %d + crashed %d < 16", len(r.Decisions), r.Stats.Crashes)
 	}
 
 	// Renaming under the same adversary: every survivor still gets a
-	// distinct name.
+	// distinct name (Run's judge).
 	r = Run(Config{N: 16, Algorithm: AlgoRenaming, Schedule: SchedCrash, Faults: 3, Seed: 3})
 	if r.Err != nil {
 		t.Fatalf("crash renaming run: %v", r.Err)
 	}
-	taken := map[int]bool{}
-	for id, name := range r.Names {
-		if taken[name] {
-			t.Fatalf("processor %d got taken name %d", id, name)
-		}
-		taken[name] = true
-	}
 	if len(r.Names)+r.Stats.Crashes < 16 {
 		t.Fatalf("named %d + crashed %d < 16", len(r.Names), r.Stats.Crashes)
+	}
+}
+
+// TestRunJudgesEveryAlgorithm: a run whose participants break their
+// contract fails with the judge's error, and NaiveSift has none to break.
+func TestRunJudgesEveryAlgorithm(t *testing.T) {
+	cases := []struct {
+		algo   Algorithm
+		mutate func(*Result)
+		want   string
+	}{
+		{AlgoPoisonPill, func(r *Result) { r.Decisions[0], r.Decisions[1] = core.Win, core.Win }, "both won"},
+		{AlgoTournament, func(r *Result) { r.Decisions[2] = core.Proceed }, "returned PROCEED"},
+		// With participants missing, a round in which all died is valid.
+		{AlgoHetSift, func(r *Result) { clear(r.Outcomes); r.Outcomes[0] = core.Die }, ""},
+		{AlgoBasicSift, func(r *Result) {
+			for id := range r.Outcomes {
+				r.Outcomes[id] = core.Die
+			}
+		}, "Claim 3.1"},
+		{AlgoNaiveSift, func(r *Result) {
+			for id := range r.Outcomes {
+				r.Outcomes[id] = core.Die
+			}
+		}, ""},
+		{AlgoRenaming, func(r *Result) { r.Names[0], r.Names[1] = 1, 1 }, "both returned name 1"},
+		{AlgoRandomScan, func(r *Result) { r.Names[3] = 9 }, "outside [1, 8]"},
+	}
+	for _, c := range cases {
+		in, err := Build(Config{N: 8, Algorithm: c.algo, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Kernel.Run(nil); err != nil {
+			t.Fatalf("%s: %v", c.algo, err)
+		}
+		if err := in.Judge(); err != nil {
+			t.Fatalf("%s: a fault-free run judged %v", c.algo, err)
+		}
+		c.mutate(&in.res)
+		err = in.Judge()
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: broken run judged %v, want %q", c.algo, err, c.want)
+		}
 	}
 }
 

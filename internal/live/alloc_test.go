@@ -36,7 +36,7 @@ func TestChanCallAllocBudget(t *testing.T) {
 
 func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	const n, reg = 32, "leaderelect/sift/3/status"
-	sys := NewSystem(n, 1)
+	sys := NewScenarioSystem(n, 1, nil)
 	defer sys.Shutdown()
 	sys.rec, sys.traceID = rec, 1
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}

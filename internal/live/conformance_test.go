@@ -20,7 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/sim"
+	"repro/internal/rt"
 )
 
 // grid is the conformance configuration set. k == 0 means k = n.
@@ -33,6 +33,15 @@ var grid = []struct {
 
 var seeds = []int64{1, 2, 3}
 
+// checkJudged asserts that the election judge accepts the decisions of an
+// election of k participants and names the winner the run reported.
+func checkJudged(t *testing.T, label string, k int, decisions map[rt.ProcID]core.Decision, winner rt.ProcID) {
+	t.Helper()
+	if w, err := core.JudgeElection(k, decisions); err != nil || w != winner {
+		t.Fatalf("%s: judged winner %d (%v), reported %d", label, w, err, winner)
+	}
+}
+
 // checkElection asserts the safety contract shared by both backends.
 func checkElection(t *testing.T, label string, k int, res repro.ElectionResult, err error) {
 	t.Helper()
@@ -42,22 +51,7 @@ func checkElection(t *testing.T, label string, k int, res repro.ElectionResult, 
 	if len(res.Decisions) != k {
 		t.Fatalf("%s: %d decisions, want %d", label, len(res.Decisions), k)
 	}
-	winners := 0
-	for id, d := range res.Decisions {
-		switch d {
-		case core.Win:
-			winners++
-			if id != res.Winner {
-				t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-			}
-		case core.Lose:
-		default:
-			t.Fatalf("%s: processor %d has undecided outcome %v", label, id, d)
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("%s: %d winners, want exactly 1", label, winners)
-	}
+	checkJudged(t, label, k, res.Decisions, res.Winner)
 	if res.Time <= 0 {
 		t.Fatalf("%s: non-positive time metric %d", label, res.Time)
 	}
@@ -184,28 +178,7 @@ func TestConformanceCrashScenarios(t *testing.T) {
 					t.Fatalf("%s: %d decisions + %d crashed != %d participants",
 						label, len(res.Decisions), len(res.Crashed), k)
 				}
-				winners := 0
-				for id, d := range res.Decisions {
-					switch d {
-					case core.Win:
-						winners++
-						if id != res.Winner {
-							t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-						}
-					case core.Lose:
-					default:
-						t.Fatalf("%s: surviving processor %d has undecided outcome %v", label, id, d)
-					}
-				}
-				if winners > 1 {
-					t.Fatalf("%s: %d winners among survivors, want at most 1", label, winners)
-				}
-				if winners == 0 && len(res.Crashed) == 0 {
-					t.Fatalf("%s: no winner yet nobody crashed", label)
-				}
-				if winners == 0 && res.Winner >= 0 {
-					t.Fatalf("%s: Winner=%d reported without a WIN decision", label, res.Winner)
-				}
+				checkJudged(t, label, k, res.Decisions, res.Winner)
 			}
 		}
 	}
@@ -224,14 +197,11 @@ func TestConformanceSiftUnderCrashes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				survivors := 0
-				for _, o := range res.Outcomes {
-					if o == core.Survive {
-						survivors++
-					}
+				if got := len(res.Outcomes) + len(res.Crashed); got != n {
+					t.Fatalf("%s: %d outcomes + %d crashed != %d participants", label, len(res.Outcomes), len(res.Crashed), n)
 				}
-				if survivors == 0 && len(res.Crashed) == 0 {
-					t.Fatalf("%s: no survivor and no crash (Claim 3.1 violated)", label)
+				if _, err := core.JudgeSift(n, res.Outcomes); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}
@@ -307,17 +277,9 @@ func TestLiveDirectAPI(t *testing.T) {
 		if k == 0 {
 			k = g.n
 		}
-		winners := 0
-		for _, d := range res.Decisions {
-			if d == core.Win {
-				winners++
-			}
+		if len(res.Decisions) != k {
+			t.Fatalf("n=%d k=%d: %d decisions", g.n, g.k, len(res.Decisions))
 		}
-		if winners != 1 || len(res.Decisions) != k {
-			t.Fatalf("n=%d k=%d: winners=%d decisions=%d", g.n, g.k, winners, len(res.Decisions))
-		}
-		if res.Winner < 0 || res.Winner >= sim.ProcID(k) {
-			t.Fatalf("n=%d k=%d: winner %d outside participant range", g.n, g.k, res.Winner)
-		}
+		checkJudged(t, fmt.Sprintf("n=%d k=%d", g.n, g.k), k, res.Decisions, res.Winner)
 	}
 }

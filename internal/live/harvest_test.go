@@ -287,7 +287,7 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	const n, calls = 32, 2400
-	sys := NewSystem(n, 1)
+	sys := NewScenarioSystem(n, 1, nil)
 	defer sys.Shutdown()
 	c := NewComm(sys.Proc(3), nil)
 	s := &c.slot

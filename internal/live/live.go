@@ -56,8 +56,8 @@ type reply struct {
 // algorithm code itself never observes the crash, exactly as in the model.
 type crashSignal struct{ id rt.ProcID }
 
-// System is one live run's processor set. Construct with NewSystem (or
-// NewScenarioSystem to inject faults), run algorithm goroutines against
+// System is one live run's processor set. Construct with NewScenarioSystem
+// (a nil plan for a fault-free system), run algorithm goroutines against
 // Comm handles, then Shutdown.
 type System struct {
 	n        int
@@ -85,15 +85,10 @@ type System struct {
 	start atomic.Int64
 }
 
-// NewSystem creates n processors, each with a running server goroutine, and
-// deterministic per-processor PRNG streams derived from seed.
-func NewSystem(n int, seed int64) *System {
-	return NewScenarioSystem(n, seed, nil)
-}
-
-// NewScenarioSystem is NewSystem with a fault-injection plan (nil = none):
-// the materialized crash schedule, link-delay distributions and slow sets
-// of a fault.Scenario. Crash times are armed by the runner, not here — the
+// NewScenarioSystem creates n processors, each with a running server
+// goroutine, and deterministic per-processor PRNG streams derived from
+// seed, under a fault-injection plan (nil = none): the materialized crash
+// schedule, link-delay distributions and slow sets of a fault.Scenario. Crash times are armed by the runner, not here — the
 // clock starts when the algorithms do.
 func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
 	return newSystem(n, seed, plan, true)

@@ -72,9 +72,9 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 // SystemPool recycles whole Systems across runs: the n server goroutines
 // and their mailboxes, the processor handles, their PRNGs and register
 // maps are built once and then parked between runs instead of torn down —
-// under many concurrent elections the per-run NewSystem/Shutdown cycle
-// (n goroutine spawns, n PRNG states, every register map) is setup cost
-// that dominates the actual O(log* k) protocol work. Get checks a system
+// under many concurrent elections the per-run NewScenarioSystem/Shutdown
+// cycle (n goroutine spawns, n PRNG states, every register map) is setup
+// cost that dominates the actual O(log* k) protocol work. Get checks a system
 // out, Reset-ing a recycled one in place; Put returns it after the run has
 // joined. The pool is safe for concurrent use by many campaign workers.
 type SystemPool struct {

@@ -102,11 +102,11 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 
 // TestResetMatchesFreshSeeding: a recycled system's PRNG streams are
 // indistinguishable from a freshly constructed system's — equal seeds give
-// equal coin flips whether the System came from NewSystem or the pool, so
+// equal coin flips whether the System came from NewScenarioSystem or the pool, so
 // pooling never perturbs campaign statistics.
 func TestResetMatchesFreshSeeding(t *testing.T) {
 	const n, seed = 3, 42
-	fresh := NewSystem(n, seed)
+	fresh := NewScenarioSystem(n, seed, nil)
 	defer fresh.Shutdown()
 
 	pool := NewSystemPool(n, true)

@@ -109,14 +109,6 @@ const DefaultTimeout = 2 * time.Minute
 // ErrTimeout is returned when a live run exceeds its timeout.
 var ErrTimeout = errors.New("live: run timed out (liveness bug?)")
 
-// ErrNoWinner is returned when a fault-free election run completes with no
-// Win decision. It cannot happen without crashes unless the algorithm or
-// the backend is broken. Under a crash scenario a winnerless outcome is
-// legitimate — the linearized winner may have crashed after taking the
-// election but before returning — and is reported as Winner == -1 with a
-// nil error and a non-empty Crashed list.
-var ErrNoWinner = errors.New("live: election completed without a winner")
-
 // Result reports one live run.
 type Result struct {
 	// Winner is the elected processor; -1 for sift algorithms, and for
@@ -213,7 +205,8 @@ func (cfg *Config) normalize() error {
 
 // Elect runs one leader election on real goroutines and returns the winner
 // and complexity measures. Exactly one participant wins; every other
-// returns LOSE — under any interleaving the Go scheduler produces.
+// returns LOSE — under any interleaving the Go scheduler produces. A run
+// that core.JudgeElection rejects is an error.
 func Elect(cfg Config) (Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return Result{}, err
@@ -250,50 +243,26 @@ func Elect(cfg Config) (Result, error) {
 		return res, err
 	}
 
-	crashed := make(map[rt.ProcID]bool, len(res.Crashed))
-	for _, id := range res.Crashed {
-		crashed[id] = true
-	}
-	starved := make(map[rt.ProcID]bool, len(res.NoQuorum))
-	for _, id := range res.NoQuorum {
-		starved[id] = true
-	}
-	res.Winner = -1
 	res.Decisions = make(map[rt.ProcID]core.Decision, cfg.K)
 	for i, d := range decisions {
-		id := rt.ProcID(i)
-		if s := states[i]; s.Round > res.Rounds {
-			res.Rounds = s.Round
-		}
-		if crashed[id] || starved[id] {
-			continue // killed or starved mid-protocol; no decision to report
-		}
-		switch d {
-		case core.Win:
-			if res.Winner >= 0 {
-				return res, fmt.Errorf("live: safety violation: processors %d and %d both won", res.Winner, id)
-			}
-			res.Winner = id
-		case core.Lose:
-		default:
-			return res, fmt.Errorf("live: participant %d returned undecided without crashing", id)
-		}
-		res.Decisions[id] = d
+		res.Rounds = max(res.Rounds, states[i].Round)
+		res.Decisions[rt.ProcID(i)] = d
 	}
-	if res.Winner < 0 {
-		if len(res.Crashed) == 0 && len(res.NoQuorum) == 0 {
-			return res, ErrNoWinner
-		}
-		// Every survivor lost: the linearized winner is among the crashed
-		// or starved (Theorem A.5 allows this — the election is a
-		// test-and-set, and the processor that "took" it vanished before
-		// returning; an abort is a crash from the protocol's perspective).
+	dropGone(res.Decisions, &res)
+	// With a participant gone, the election may have no winner: the
+	// linearized winner may be the one that vanished before returning
+	// (Theorem A.5 — the election is a test-and-set, and an abort is a
+	// crash from the protocol's perspective).
+	res.Winner, err = core.JudgeElection(cfg.K, res.Decisions)
+	if err != nil {
+		return res, fmt.Errorf("live: %w", err)
 	}
 	return res, nil
 }
 
 // Sift runs one standalone sifting round (AlgoBasicSift or AlgoHetSift) on
-// real goroutines. At least one participant always survives.
+// real goroutines. At least one participant always survives; a run that
+// core.JudgeSift rejects is an error.
 func Sift(cfg Config) (Result, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = AlgoBasicSift
@@ -324,32 +293,28 @@ func Sift(cfg Config) (Result, error) {
 		return res, err
 	}
 
-	gone := make(map[rt.ProcID]bool, len(res.Crashed)+len(res.NoQuorum))
-	for _, id := range res.Crashed {
-		gone[id] = true
-	}
-	for _, id := range res.NoQuorum {
-		gone[id] = true
-	}
 	res.Winner = -1
 	res.Outcomes = make(map[rt.ProcID]core.Outcome, cfg.K)
-	survivors := 0
 	for i, o := range outcomes {
-		if gone[rt.ProcID(i)] {
-			continue
-		}
 		res.Outcomes[rt.ProcID(i)] = o
-		if o == core.Survive {
-			survivors++
-		}
 	}
-	// Claim 3.1 guarantees a survivor only when every participant returns;
-	// with crashed or starved participants an empty survivor set is
-	// legitimate.
-	if survivors == 0 && len(res.Crashed) == 0 && len(res.NoQuorum) == 0 {
-		return res, fmt.Errorf("live: safety violation: no sift survivor (Claim 3.1)")
+	dropGone(res.Outcomes, &res)
+	// Claim 3.1 guarantees a survivor only when every participant returns.
+	if _, err := core.JudgeSift(cfg.K, res.Outcomes); err != nil {
+		return res, fmt.Errorf("live: %w", err)
 	}
 	return res, nil
+}
+
+// dropGone deletes from m the participants the run crashed or starved:
+// they returned nothing.
+func dropGone[V any](m map[rt.ProcID]V, res *Result) {
+	for _, id := range res.Crashed {
+		delete(m, id)
+	}
+	for _, id := range res.NoQuorum {
+		delete(m, id)
+	}
 }
 
 // run builds a system (materializing the scenario's fault plan, if any),

@@ -15,7 +15,6 @@ import (
 
 	"repro"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
 	"repro/internal/live"
@@ -45,18 +44,10 @@ func TestTCPConformanceElection(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				winners := 0
-				for id, d := range res.Decisions {
-					if d == core.Win {
-						winners++
-						if id != res.Winner {
-							t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-						}
-					}
+				if len(res.Decisions) != k {
+					t.Fatalf("%s: %d decisions", label, len(res.Decisions))
 				}
-				if winners != 1 || len(res.Decisions) != k {
-					t.Fatalf("%s: winners=%d decisions=%d", label, winners, len(res.Decisions))
-				}
+				checkJudged(t, label, k, res.Decisions, res.Winner)
 				if res.Time <= 0 || res.Messages <= 0 || res.Bytes <= 0 {
 					t.Fatalf("%s: degenerate metrics time=%d messages=%d bytes=%d",
 						label, res.Time, res.Messages, res.Bytes)
@@ -93,25 +84,7 @@ func TestTCPCrashMinorityPreset(t *testing.T) {
 				t.Fatalf("%s: %d decisions + %d crashed != %d participants",
 					label, len(res.Decisions), len(res.Crashed), n)
 			}
-			winners := 0
-			for id, d := range res.Decisions {
-				switch d {
-				case core.Win:
-					winners++
-					if id != res.Winner {
-						t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-					}
-				case core.Lose:
-				default:
-					t.Fatalf("%s: survivor %d undecided (%v)", label, id, d)
-				}
-			}
-			if winners > 1 {
-				t.Fatalf("%s: %d winners among survivors", label, winners)
-			}
-			if winners == 0 && len(res.Crashed) == 0 {
-				t.Fatalf("%s: no winner yet nobody crashed", label)
-			}
+			checkJudged(t, label, n, res.Decisions, res.Winner)
 		}
 	}
 }
@@ -154,7 +127,7 @@ func TestTCPSharedClusterCampaign(t *testing.T) {
 // TestTCPSharedClusterDirect: live.Elect onto a caller-owned shared
 // cluster, with distinct election IDs isolating the instances.
 func TestTCPSharedClusterDirect(t *testing.T) {
-	cluster, err := electd.NewCluster(transport.NewTCP(), 5)
+	cluster, err := electd.NewClusterWith(transport.NewTCP(), 5, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,22 +154,16 @@ func TestTCPSharedClusterDirect(t *testing.T) {
 	}
 }
 
-// TestTCPSift: the standalone sifting rounds hold their survivor guarantee
-// over the network boundary too.
+// TestTCPSift: the standalone sifting rounds hold their survivor guarantee,
+// judged by live.Sift, over the network boundary too.
 func TestTCPSift(t *testing.T) {
 	for _, algo := range []live.Algorithm{live.AlgoBasicSift, live.AlgoHetSift} {
 		res, err := live.Sift(live.Config{N: 8, Seed: 3, Algorithm: algo, Transport: live.TransportTCP})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		survivors := 0
-		for _, o := range res.Outcomes {
-			if o == core.Survive {
-				survivors++
-			}
-		}
-		if survivors < 1 {
-			t.Fatalf("%s: no survivor over TCP", algo)
+		if len(res.Outcomes) != 8 {
+			t.Fatalf("%s: %d outcomes", algo, len(res.Outcomes))
 		}
 	}
 }

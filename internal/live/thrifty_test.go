@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
 	"repro/internal/live"
@@ -115,22 +114,6 @@ func thriftyChaos(t *testing.T, cfg live.Config, inside func(plan *fault.Plan, w
 		res := electValid(t, cfg)
 		if len(res.NoQuorum) > 0 {
 			t.Fatalf("%s: participants %v starved", label, res.NoQuorum)
-		}
-		winners := 0
-		for id, d := range res.Decisions {
-			switch d {
-			case core.Win:
-				winners++
-				if id != res.Winner {
-					t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-				}
-			case core.Lose:
-			default:
-				t.Fatalf("%s: survivor %d undecided (%v)", label, id, d)
-			}
-		}
-		if winners > 1 || (winners == 0 && len(res.Crashed) == 0) {
-			t.Fatalf("%s: %d winners, %d crashed", label, winners, len(res.Crashed))
 		}
 		t.Logf("%s: %v (bound %v), %d crashed, %d messages", label, res.Elapsed, bound, len(res.Crashed), res.Messages)
 		if res.Elapsed > bound {

@@ -17,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/electd"
 	"repro/internal/fault"
 	"repro/internal/live"
@@ -47,18 +46,10 @@ func TestUDPConformanceElection(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				winners := 0
-				for id, d := range res.Decisions {
-					if d == core.Win {
-						winners++
-						if id != res.Winner {
-							t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-						}
-					}
+				if len(res.Decisions) != k {
+					t.Fatalf("%s: %d decisions", label, len(res.Decisions))
 				}
-				if winners != 1 || len(res.Decisions) != k {
-					t.Fatalf("%s: winners=%d decisions=%d", label, winners, len(res.Decisions))
-				}
+				checkJudged(t, label, k, res.Decisions, res.Winner)
 				if res.Time <= 0 || res.Messages <= 0 || res.Bytes <= 0 {
 					t.Fatalf("%s: degenerate metrics time=%d messages=%d bytes=%d",
 						label, res.Time, res.Messages, res.Bytes)
@@ -92,25 +83,7 @@ func TestUDPCrashMinorityPreset(t *testing.T) {
 				t.Fatalf("%s: %d decisions + %d crashed != %d participants",
 					label, len(res.Decisions), len(res.Crashed), n)
 			}
-			winners := 0
-			for id, d := range res.Decisions {
-				switch d {
-				case core.Win:
-					winners++
-					if id != res.Winner {
-						t.Fatalf("%s: winner %d but %d decided WIN", label, res.Winner, id)
-					}
-				case core.Lose:
-				default:
-					t.Fatalf("%s: survivor %d undecided (%v)", label, id, d)
-				}
-			}
-			if winners > 1 {
-				t.Fatalf("%s: %d winners among survivors", label, winners)
-			}
-			if winners == 0 && len(res.Crashed) == 0 {
-				t.Fatalf("%s: no winner yet nobody crashed", label)
-			}
+			checkJudged(t, label, n, res.Decisions, res.Winner)
 		}
 	}
 }
@@ -178,22 +151,16 @@ func TestUDPSharedClusterDirect(t *testing.T) {
 	}
 }
 
-// TestUDPSift: the standalone sifting rounds hold their survivor guarantee
-// over datagrams too.
+// TestUDPSift: the standalone sifting rounds hold their survivor guarantee,
+// judged by live.Sift, over datagrams too.
 func TestUDPSift(t *testing.T) {
 	for _, algo := range []live.Algorithm{live.AlgoBasicSift, live.AlgoHetSift} {
 		res, err := live.Sift(live.Config{N: 8, Seed: 3, Algorithm: algo, Transport: live.TransportUDP})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		survivors := 0
-		for _, o := range res.Outcomes {
-			if o == core.Survive {
-				survivors++
-			}
-		}
-		if survivors < 1 {
-			t.Fatalf("%s: no survivor over UDP", algo)
+		if len(res.Outcomes) != 8 {
+			t.Fatalf("%s: %d outcomes", algo, len(res.Outcomes))
 		}
 	}
 }

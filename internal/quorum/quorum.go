@@ -94,13 +94,19 @@ func entriesReg(entries []Entry) string {
 	return entries[0].Reg
 }
 
-// msgOverhead is the shared frame-body header: kind byte + election uvarint
-// + call uvarint + from uvarint + register-name length and bytes — without
-// the tag uvarint wire adds to collects and views.
+// msgOverhead is the shared frame-body header, as wire.Msg.BodySize counts
+// it: kind byte + election uvarint + call uvarint + from uvarint +
+// register-name length and bytes; collects and views add tagSize. This
+// package cannot call BodySize itself — wire imports core and renaming,
+// whose own tests import this package — so TestWireSizes pins every
+// message's size to the wire encoding instead.
 func msgOverhead(call int64, from sim.ProcID, reg string) int {
 	return 1 + rt.UvarintSize(0) + rt.UvarintSize(uint64(call)) +
 		rt.UvarintSize(uint64(from)) + rt.UvarintSize(uint64(len(reg))) + len(reg)
 }
+
+// tagSize is the tag uvarint wire puts on collects and views, always 0 here.
+const tagSize = 1
 
 // WireSize implements sim.WireSizer.
 func (m propagateMsg) WireSize() int {
@@ -116,12 +122,12 @@ func (m propagateMsg) WireSize() int {
 func (m ackMsg) WireSize() int { return msgOverhead(m.Call, m.From, "") }
 
 // WireSize implements sim.WireSizer.
-func (m collectMsg) WireSize() int { return msgOverhead(m.Call, m.From, m.Reg) }
+func (m collectMsg) WireSize() int { return msgOverhead(m.Call, m.From, m.Reg) + tagSize }
 
 // WireSize implements sim.WireSizer.
 func (m collectAck) WireSize() int {
 	reg := entriesReg(m.Entries)
-	n := msgOverhead(m.Call, m.From, reg) + rt.UvarintSize(uint64(len(m.Entries)))
+	n := msgOverhead(m.Call, m.From, reg) + tagSize + rt.UvarintSize(uint64(len(m.Entries)))
 	if m.entriesSize > 0 || len(m.Entries) == 0 {
 		return n + m.entriesSize
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // runOn builds an n-processor kernel with stores installed, spawns the given
@@ -266,19 +267,32 @@ func TestNEqualsOne(t *testing.T) {
 	}
 }
 
+// TestWireSizes pins every message's sim size to its internal/wire
+// encoding: the frame body wire.Append writes for the same message, which
+// is wire.Msg.BodySize, the size the chan substrate books.
 func TestWireSizes(t *testing.T) {
 	e := Entry{Reg: "r", Owner: 1, Seq: 1, Val: 5}
-	if e.WireSize() <= 0 {
-		t.Fatal("entry wire size must be positive")
-	}
-	if (propagateMsg{Entries: []Entry{e}}).WireSize() <= e.WireSize() {
-		t.Fatal("propagate must cost more than its entries")
-	}
-	if (ackMsg{}).WireSize() <= 0 || (collectMsg{Reg: "r"}).WireSize() <= 0 {
-		t.Fatal("control messages must have positive size")
-	}
-	if (collectAck{Entries: []Entry{e}}).WireSize() <= 0 {
-		t.Fatal("collect ack must have positive size")
+	entries := []Entry{e, {Reg: "r", Owner: 300, Seq: 1 << 20, Val: true}}
+	for _, c := range []struct {
+		sim  interface{ WireSize() int }
+		wire wire.Msg
+	}{
+		{propagateMsg{Call: 7, From: 3, Entries: entries}, wire.Msg{Kind: wire.KindPropagate, Call: 7, From: 3, Reg: "r", Entries: entries}},
+		{ackMsg{Call: 200, From: 130}, wire.Msg{Kind: wire.KindAck, Call: 200, From: 130}},
+		{collectMsg{Call: 7, From: 3, Reg: "r"}, wire.Msg{Kind: wire.KindCollect, Call: 7, From: 3, Reg: "r"}},
+		{collectAck{Call: 7, From: 3, Entries: entries}, wire.Msg{Kind: wire.KindView, Call: 7, From: 3, Reg: "r", Entries: entries}},
+	} {
+		frame, err := wire.Append(nil, &c.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := wire.SplitFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.sim.WireSize(); got != len(body) {
+			t.Errorf("%T: sim size %d, wire body %d", c.sim, got, len(body))
+		}
 	}
 }
 

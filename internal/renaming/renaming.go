@@ -12,6 +12,9 @@
 package renaming
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -186,4 +189,23 @@ func pickUncontended(p rt.Procer, n int, contended NameSet) int {
 		idx--
 	}
 	return 0
+}
+
+// JudgeNames checks one renaming in a system of n processors against tight
+// renaming's contract (Section 4): every participant that returned holds a
+// name in [1, n] that no other holds. names holds the participants that
+// returned.
+func JudgeNames(n int, names map[rt.ProcID]int) error {
+	holder := make(map[int]rt.ProcID, len(names))
+	for _, id := range slices.Sorted(maps.Keys(names)) {
+		u := names[id]
+		if u < 1 || u > n {
+			return fmt.Errorf("participant %d returned name %d outside [1, %d]", id, u, n)
+		}
+		if prev, dup := holder[u]; dup {
+			return fmt.Errorf("safety violation: participants %d and %d both returned name %d", prev, id, u)
+		}
+		holder[u] = id
+	}
+	return nil
 }

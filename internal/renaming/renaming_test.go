@@ -2,6 +2,7 @@ package renaming
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,22 +34,34 @@ func runRenaming(t *testing.T, n, k int, seed int64, adv sim.Adversary) (map[sim
 	return names, states, stats
 }
 
-// checkNames asserts strong renaming: every participant got a distinct name
-// in [1, n].
+// checkNames asserts strong renaming: every participant returned, and the
+// names judge accepts their names.
 func checkNames(t *testing.T, names map[sim.ProcID]int, n, k int) {
 	t.Helper()
 	if len(names) != k {
 		t.Fatalf("%d of %d participants returned", len(names), k)
 	}
-	seen := make(map[int]sim.ProcID, k)
-	for id, u := range names {
-		if u < 1 || u > n {
-			t.Fatalf("processor %d returned name %d outside [1,%d]", id, u, n)
+	if err := JudgeNames(n, names); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJudgeNames: one case per clause the names judge checks.
+func TestJudgeNames(t *testing.T) {
+	cases := []struct {
+		names map[sim.ProcID]int
+		want  string // substring of the error; "" means valid
+	}{
+		{map[sim.ProcID]int{0: 2, 1: 1, 3: 4}, ""},
+		{map[sim.ProcID]int{0: 2, 1: 0}, "participant 1 returned name 0 outside [1, 4]"},
+		{map[sim.ProcID]int{0: 5}, "outside [1, 4]"},
+		{map[sim.ProcID]int{2: 3, 0: 1, 1: 3}, "participants 1 and 2 both returned name 3"},
+	}
+	for _, c := range cases {
+		err := JudgeNames(4, c.names)
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want %q", c.names, err, c.want)
 		}
-		if prev, dup := seen[u]; dup {
-			t.Fatalf("processors %d and %d both returned name %d", prev, id, u)
-		}
-		seen[u] = id
 	}
 }
 

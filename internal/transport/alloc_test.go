@@ -66,7 +66,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink sinkConn
-	rc := replyCoalescer{conn: &sink}
+	rc := replyCoalescer{conn: &sink, run: maxRunBytes}
 	handled := 0
 	h := func(c Conn, m *wire.Msg) {
 		handled++

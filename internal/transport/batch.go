@@ -18,9 +18,9 @@ const maxCoalesce = 256
 // one trace stamp.
 const drainOverhead = 8 + wire.StampSize
 
-// maxRunBytes bounds the sub-frame bytes of one batch — a coalesced run of
-// a write loop's drain, or a reply batch (replyCoalescer.flush) — so that
-// the outer frame, header and trace stamp included, fits the peer's
+// maxRunBytes bounds the sub-frame bytes of one stream batch — a coalesced
+// run of a write loop's drain, or a reply batch (replyCoalescer.flush) — so
+// that the outer frame, header and trace stamp included, fits the peer's
 // tcpBufSize burst buffer whole: a larger one would cost the reader a fresh
 // buffer for that frame. A run that would exceed it is split across
 // batches; only a single frame larger than that travels, alone, in a
@@ -131,6 +131,7 @@ func dispatchGroup(rc *replyCoalescer, h Handler, keep FrameFilter, bodies ...[]
 type replyCoalescer struct {
 	mu    sync.Mutex
 	conn  Conn   // the connection replied on; immutable
+	run   int    // the connection's run bound: maxRunBytes, udpPackRun; immutable
 	buf   []byte // concatenated length-prefixed frames, from wire.GetBuf
 	count int
 	open  bool // a group is being dispatched: buffer, don't pass through
@@ -190,9 +191,10 @@ func (rc *replyCoalescer) Close() error { return rc.conn.Close() }
 func (rc *replyCoalescer) StreamID() uint64 { return StreamID(rc.conn) }
 
 // flush forwards the accumulated replies and switches the coalescer to
-// pass-through. The replies leave in order, in runs of up to maxRunBytes,
-// each run as one frame — plain for one reply, batch for several — so that
-// every frame fits the peer's burst buffer unless one reply alone does not.
+// pass-through. The replies leave in order, in runs of up to the
+// connection's run bound, each run as one frame — plain for one reply,
+// batch for several — so that every frame fits the peer's burst buffer, or
+// a datagram the MTU budget, unless one reply alone does not.
 func (rc *replyCoalescer) flush() {
 	rc.mu.Lock()
 	buf, count := rc.buf, rc.count
@@ -208,7 +210,7 @@ func (rc *replyCoalescer) flush() {
 		for end < len(rest) {
 			size, k := binary.Uvarint(rest[end:])
 			next := end + k + int(size)
-			if n > 0 && next > maxRunBytes {
+			if n > 0 && next > rc.run {
 				break
 			}
 			end, n = next, n+1
@@ -217,7 +219,7 @@ func (rc *replyCoalescer) flush() {
 		if n == 1 {
 			frame = append(frame, rest[:end]...)
 		} else {
-			// Under maxRunBytes the header cannot fail.
+			// Under the run bound the header cannot fail.
 			frame, _ = wire.AppendBatchFrame(frame, n, rest[:end])
 		}
 		rc.conn.SendEncoded(frame) //nolint:errcheck // loss, per the model

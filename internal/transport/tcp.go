@@ -409,7 +409,7 @@ func (t *tcpConn) readLoop() {
 	if t.rec != nil {
 		stamp = wire.StampSize // a traced peer follows every outer frame with its send stamp
 	}
-	rc := replyCoalescer{conn: t}
+	rc := replyCoalescer{conn: t, run: maxRunBytes}
 	for {
 		n, rerr := t.c.Read(b[w:])
 		filled := n == len(b)-w

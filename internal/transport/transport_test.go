@@ -597,7 +597,7 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 		}
 	}
 	conn := &captureConn{}
-	rc := replyCoalescer{conn: conn}
+	rc := replyCoalescer{conn: conn, run: maxRunBytes}
 	for g, size := range []int{3, 16, 2} {
 		first := 100 * (g + 1)
 		if err := dispatchGroup(&rc, h, nil, collectBatch(t, first, size)); err != nil {
@@ -637,7 +637,8 @@ func TestViewMemoMetrics(t *testing.T) {
 	}
 	before := reg.Snapshot()
 	h := func(_ Conn, m *wire.Msg) { wire.PutMsg(m) }
-	for _, rc := range []*replyCoalescer{{conn: &captureConn{}}, {conn: &captureConn{}}} {
+	for range 2 {
+		rc := &replyCoalescer{conn: &captureConn{}, run: maxRunBytes}
 		if err := dispatchGroup(rc, h, nil, body); err != nil {
 			t.Fatal(err)
 		}
@@ -666,7 +667,7 @@ func TestViewMemoMetrics(t *testing.T) {
 // that Conn stood for, never the one being served.
 func TestLateReplyReachesItsOwnPeer(t *testing.T) {
 	a, b := &captureConn{}, &captureConn{}
-	rcA, rcB := replyCoalescer{conn: a}, replyCoalescer{conn: b}
+	rcA, rcB := replyCoalescer{conn: a, run: udpPackRun}, replyCoalescer{conn: b, run: udpPackRun}
 	var kept Conn
 	h := func(c Conn, m *wire.Msg) {
 		if kept == nil {

@@ -75,6 +75,10 @@ const (
 	// still travels as its own datagram (loopback and jumbo paths carry
 	// it); only the merging is bounded.
 	udpDefaultPack = 1400
+	// udpPackRun bounds the sub-frame bytes of one merged datagram — a
+	// packed drain run or a reply batch — so that the datagram, batch
+	// header and trace stamp included, stays within udpDefaultPack.
+	udpPackRun = udpDefaultPack - drainOverhead
 	// udpSockBuf is the socket buffer depth requested per endpoint. Quorum
 	// bursts are n small datagrams wide per participant, all arriving at
 	// once; the kernel grants min(this, rmem_max).
@@ -213,7 +217,7 @@ func (e *udpEndpoint) writeLoop() {
 
 // packDatagrams turns a drained run of encoded frames into the datagrams to
 // send: every maximal run of batchable frames headed for the same peer (two
-// or more, fitting udpDefaultPack together) merges into one batch-frame
+// or more, fitting udpPackRun together) merges into one batch-frame
 // datagram — the datagram analogue of coalesceFrames — and everything else
 // passes through as its own datagram. Merged sources are recycled
 // immediately; every returned packet buffer is owned by the caller. With
@@ -222,14 +226,14 @@ func packDatagrams(dst []pkt, frames []pkt, stamp bool) []pkt {
 	for i := 0; i < len(frames); {
 		j, size := i, 0
 		for j < len(frames) && frames[j].to == frames[i].to &&
-			size+len(frames[j].buf) <= udpDefaultPack && wire.BatchableFrame(frames[j].buf) {
+			size+len(frames[j].buf) <= udpPackRun && wire.BatchableFrame(frames[j].buf) {
 			size += len(frames[j].buf)
 			j++
 		}
 		if j-i >= 2 {
 			merged, err := wire.AppendBatchHeader(wire.GetBuf(), j-i, size)
 			if err != nil {
-				// Unreachable under the pack bound; fall through frame by
+				// Unreachable under the run bound; fall through frame by
 				// frame rather than dropping the run.
 				wire.PutBuf(merged)
 				j = i
@@ -366,7 +370,7 @@ func dialUDP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	}
 	ep := newUDPEndpoint(pc, rec)
 	c := &udpConn{ep: ep, handler: h}
-	c.rc.conn = c
+	c.rc.conn, c.rc.run = c, udpPackRun
 	ep.dispatch = c.dispatchBody
 	ep.start()
 	return c, nil
@@ -504,7 +508,7 @@ func (l *UDPListener) peer(src netip.AddrPort) *udpPeerConn {
 			clear(l.peers)
 		}
 		p = &udpPeerConn{l: l, to: src}
-		p.rc.conn = p
+		p.rc.conn, p.rc.run = p, udpPackRun
 		l.peers[src] = p
 	}
 	l.mu.Unlock()

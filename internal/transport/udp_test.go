@@ -352,3 +352,78 @@ func TestUDPPeerCacheBounded(t *testing.T) {
 	}
 	roundTrip(first)
 }
+
+// TestUDPReplyDatagramsFitPack: a server's replies to one request datagram
+// leave in datagrams of at most udpDefaultPack bytes — the MTU budget every
+// merged datagram keeps — however many replies the request drew; only a
+// reply larger than the budget on its own may exceed it. A raw client socket
+// sends 30 requests in one datagram and measures every reply datagram.
+func TestUDPReplyDatagramsFitPack(t *testing.T) {
+	const calls = 30
+	entries := make([]rt.Entry, 32)
+	for i := range entries {
+		entries[i] = rt.Entry{Reg: "r", Owner: rt.ProcID(i), Seq: 1, Val: 1 << 20}
+	}
+	ln, err := ListenUDP("127.0.0.1:0", func(c Conn, m *wire.Msg) {
+		c.Send(&wire.Msg{Kind: wire.KindView, Call: m.Call, From: 7, Reg: "r", Entries: entries}) //nolint:errcheck
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	raddr, err := net.ResolveUDPAddr("udp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var frames []byte
+	for call := uint64(1); call <= calls; call++ {
+		if frames, err = wire.Append(frames, &wire.Msg{Kind: wire.KindCollect, Call: call, From: 1, Reg: "r"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := wire.AppendBatchFrame(nil, calls, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req) > udpDefaultPack {
+		t.Fatalf("request datagram of %d bytes", len(req))
+	}
+
+	seen := map[uint64]bool{}
+	buf := make([]byte, udpMaxDatagram)
+	for try := 0; len(seen) < calls; try++ {
+		if try == 50 {
+			t.Fatalf("%d of %d replies after 50 sends", len(seen), calls)
+		}
+		if _, err := c.Write(req); err != nil { // loopback datagrams may drop: resend
+			t.Fatal(err)
+		}
+		for {
+			c.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
+			n, err := c.Read(buf)
+			if err != nil {
+				break
+			}
+			body, _, err := wire.SplitFrame(buf[:n])
+			if err != nil || body == nil {
+				t.Fatalf("reply datagram of %d bytes is no frame: %v", n, err)
+			}
+			msgs, err := wire.DecodeFrames(nil, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > udpDefaultPack && len(msgs) > 1 {
+				t.Fatalf("a reply datagram of %d bytes merges %d replies, over the %d-byte pack bound",
+					n, len(msgs), udpDefaultPack)
+			}
+			for _, m := range msgs {
+				seen[m.Call] = true
+			}
+		}
+	}
+}

@@ -270,7 +270,10 @@ type ElectionResult struct {
 }
 
 // Elect runs one leader election and returns the winner and complexity
-// measures. Exactly one participant wins; every other returns LOSE.
+// measures. Exactly one participant wins; every other returns LOSE. A run
+// that breaks this contract (core.JudgeElection: a second winner, an
+// undecided return, or no winner although every participant returned) is
+// an error, on either backend.
 //
 // On the Live backend (WithBackend(Live)) the election runs on real
 // goroutines: Time and Messages keep their meanings, Stats stays zero
@@ -292,19 +295,16 @@ func Elect(opts ...Option) (ElectionResult, error) {
 	if r.Err != nil {
 		return ElectionResult{}, fmt.Errorf("repro: election run: %w", r.Err)
 	}
+	// Run has judged the decisions; the judge also names the winner.
+	winner, _ := core.JudgeElection(r.Config.K, r.Decisions)
 	res := ElectionResult{
-		Winner:       -1,
+		Winner:       winner,
 		Decisions:    r.Decisions,
 		Time:         r.Stats.MaxCommunicateCalls(),
 		Messages:     r.Stats.MessagesSent,
 		PayloadBytes: r.Stats.PayloadBytes,
 		Rounds:       r.MaxRound,
 		Stats:        r.Stats,
-	}
-	for id, d := range r.Decisions {
-		if d == core.Win {
-			res.Winner = id
-		}
 	}
 	if res.Winner < 0 {
 		return res, ErrNoWinner
@@ -434,7 +434,8 @@ type RenameResult struct {
 }
 
 // Rename runs the strong renaming algorithm: every participant receives a
-// distinct name in [1, n].
+// distinct name in [1, n]. A run that breaks this contract
+// (renaming.JudgeNames) is an error.
 func Rename(opts ...Option) (RenameResult, error) {
 	c := buildConfig(opts)
 	if err := c.validate(); err != nil {
@@ -490,7 +491,10 @@ const (
 )
 
 // Sift runs one standalone sifting round (use WithAlgorithm with BasicSift,
-// HetSift or NaiveSift). At least one participant always survives.
+// HetSift or NaiveSift). With BasicSift and HetSift at least one participant
+// always survives (Claim 3.1), and a run in which none does, or one returns
+// undecided, is an error (core.JudgeSift). NaiveSift, the strawman, has no
+// such contract: every participant may die.
 func Sift(opts ...Option) (SiftResult, error) {
 	c := buildConfig(opts)
 	if err := c.validate(); err != nil {
@@ -516,12 +520,7 @@ func Sift(opts ...Option) (SiftResult, error) {
 		if err != nil {
 			return SiftResult{}, fmt.Errorf("repro: live sift run: %w", err)
 		}
-		survivors := 0
-		for _, o := range r.Outcomes {
-			if o == core.Survive {
-				survivors++
-			}
-		}
+		survivors, _ := core.JudgeSift(c.k, r.Outcomes) // live.Sift has judged them
 		return SiftResult{Survivors: survivors, Outcomes: r.Outcomes}, nil
 	}
 	r := expt.Run(expt.Config{
