@@ -180,8 +180,6 @@ func TestVerdict(t *testing.T) {
 	}
 	win := live.Result{Winner: 2, Decisions: decided(0, 2)}
 	_, noWinner := core.JudgeElection(n, decided(0, -1))
-	twoWins := decided(0, 1)
-	twoWins[3] = core.Win
 	starved0 := live.Result{Winner: 2, Decisions: decided(1, 2), NoQuorum: []rt.ProcID{0}}
 	blackout := fault.Scenario{Name: "blackout", LossProb: 1, LossLinks: fault.AllLinks, NoQuorumOK: true}
 	cases := []struct {

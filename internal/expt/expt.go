@@ -76,6 +76,9 @@ type Result struct {
 	Stats  sim.Stats
 	// Decisions per participant (leader election algorithms).
 	Decisions map[sim.ProcID]core.Decision
+	// Winner is the participant the election judge found winning; -1 when
+	// none won, the run failed, or the algorithm is not an election.
+	Winner sim.ProcID
 	// Outcomes per participant (single-sift algorithms).
 	Outcomes map[sim.ProcID]core.Outcome
 	// Names per participant (renaming algorithms).
@@ -236,6 +239,7 @@ func newInstance(cfg Config, body func(in *Instance, p *sim.Proc, c *quorum.Comm
 		res: Result{
 			Config:     cfg,
 			Decisions:  make(map[sim.ProcID]core.Decision),
+			Winner:     -1,
 			Outcomes:   make(map[sim.ProcID]core.Outcome),
 			Names:      make(map[sim.ProcID]int),
 			Flips:      make(map[sim.ProcID]int),
@@ -262,13 +266,15 @@ func (in *Instance) state(p *sim.Proc, algorithm string) *core.State {
 
 // Judge checks what the participants returned against the algorithm's
 // contract: core.JudgeElection for the elections, core.JudgeSift for the
-// PoisonPill rounds and renaming.JudgeNames for the renamings. The naive
-// sifting strawman has no contract: T10 shows it dying out.
+// PoisonPill rounds and renaming.JudgeNames for the renamings, and records
+// an election's winner in the result. The naive sifting strawman has no
+// contract: T10 shows it dying out.
 func (in *Instance) Judge() error {
 	r := &in.res
 	switch r.Config.Algorithm {
 	case AlgoPoisonPill, AlgoTournament:
-		_, err := core.JudgeElection(r.Config.K, r.Decisions)
+		var err error
+		r.Winner, err = core.JudgeElection(r.Config.K, r.Decisions)
 		return err
 	case AlgoNaiveSift:
 		return nil
@@ -286,7 +292,7 @@ func (in *Instance) Judge() error {
 func Run(cfg Config) Result {
 	in, err := Build(cfg)
 	if err != nil {
-		return Result{Config: cfg, Err: err}
+		return Result{Config: cfg, Winner: -1, Err: err}
 	}
 	return in.run(buildAdversary(in.res.Config))
 }

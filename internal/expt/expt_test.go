@@ -24,6 +24,11 @@ func TestRunAllAlgorithmsUnderLockStep(t *testing.T) {
 		if got := len(r.Decisions) + len(r.Outcomes) + len(r.Names); got != 16 {
 			t.Fatalf("%s: %d of 16 participants returned", algo, got)
 		}
+		// NaiveSift has no contract for the judge to check, but this
+		// schedule leaves it a survivor.
+		if algo == AlgoNaiveSift && r.Survivors() < 1 {
+			t.Fatalf("%s: no survivors", algo)
+		}
 		if r.Stats.MessagesSent == 0 {
 			t.Fatalf("%s: no messages recorded", algo)
 		}
@@ -38,6 +43,9 @@ func TestRunAllSchedulesElectLeader(t *testing.T) {
 		r := Run(Config{N: 16, Algorithm: AlgoPoisonPill, Schedule: sched, Seed: 2})
 		if r.Err != nil {
 			t.Fatalf("%s: %v", sched, r.Err)
+		}
+		if r.Winner < 0 {
+			t.Fatalf("%s: no winner", sched)
 		}
 	}
 }
@@ -98,10 +106,16 @@ func TestRunJudgesEveryAlgorithm(t *testing.T) {
 		if err := in.Judge(); err != nil {
 			t.Fatalf("%s: a fault-free run judged %v", c.algo, err)
 		}
+		if election := len(in.res.Decisions) > 0; election != (in.res.Winner >= 0) {
+			t.Fatalf("%s: judged winner %d", c.algo, in.res.Winner)
+		}
 		c.mutate(&in.res)
 		err = in.Judge()
 		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: broken run judged %v, want %q", c.algo, err, c.want)
+		}
+		if err != nil && in.res.Winner != -1 {
+			t.Errorf("%s: rejected run keeps winner %d", c.algo, in.res.Winner)
 		}
 	}
 }

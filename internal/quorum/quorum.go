@@ -68,10 +68,12 @@ type (
 		From sim.ProcID
 		Reg  string
 	}
-	// collectAck carries the recipient's view back to the caller.
+	// collectAck carries the recipient's view of register array Reg back
+	// to the caller.
 	collectAck struct {
 		Call    int64
 		From    sim.ProcID
+		Reg     string
 		Entries []Entry
 
 		entriesSize int // precomputed WireSize of Entries (0 = unknown)
@@ -80,13 +82,12 @@ type (
 
 // The WireSize methods report the frame-body sizes of each payload's
 // internal/wire equivalent, so the sim kernel's PayloadBytes statistic and
-// the live backend's byte counters account nearly the same wire format. The
-// arithmetic follows wire.Msg.WireSize — kind byte, election/call/from
+// the live backend's byte counters account the same wire format. The
+// arithmetic follows wire.Msg.BodySize — kind byte, election/call/from
 // uvarints (election is 0 on this backend — a run is one instance), the
-// register name once per message, then the entries — except that it omits
-// the tag uvarint wire puts on collects and views: a sim collect or view is
-// one byte short of its wire frame. entriesReg returns the per-message
-// register name.
+// register name once per message, the tag uvarint on collects and views,
+// then the entries. entriesReg returns a propagate's register name, which
+// its entries carry.
 func entriesReg(entries []Entry) string {
 	if len(entries) == 0 {
 		return ""
@@ -126,8 +127,7 @@ func (m collectMsg) WireSize() int { return msgOverhead(m.Call, m.From, m.Reg) +
 
 // WireSize implements sim.WireSizer.
 func (m collectAck) WireSize() int {
-	reg := entriesReg(m.Entries)
-	n := msgOverhead(m.Call, m.From, reg) + tagSize + rt.UvarintSize(uint64(len(m.Entries)))
+	n := msgOverhead(m.Call, m.From, m.Reg) + tagSize + rt.UvarintSize(uint64(len(m.Entries)))
 	if m.entriesSize > 0 || len(m.Entries) == 0 {
 		return n + m.entriesSize
 	}
@@ -195,7 +195,7 @@ func (s *Store) HandleMessage(from sim.ProcID, payload any) (any, bool) {
 		return ackMsg{Call: m.Call, From: s.id}, true
 	case collectMsg:
 		snap, _ := s.regs.Snapshot(m.Reg)
-		return collectAck{Call: m.Call, From: s.id, Entries: snap.Entries, entriesSize: snap.Size}, true
+		return collectAck{Call: m.Call, From: s.id, Reg: m.Reg, Entries: snap.Entries, entriesSize: snap.Size}, true
 	case ackMsg:
 		if c, ok := s.pending[m.Call]; ok {
 			c.acks++

@@ -280,7 +280,9 @@ func TestWireSizes(t *testing.T) {
 		{propagateMsg{Call: 7, From: 3, Entries: entries}, wire.Msg{Kind: wire.KindPropagate, Call: 7, From: 3, Reg: "r", Entries: entries}},
 		{ackMsg{Call: 200, From: 130}, wire.Msg{Kind: wire.KindAck, Call: 200, From: 130}},
 		{collectMsg{Call: 7, From: 3, Reg: "r"}, wire.Msg{Kind: wire.KindCollect, Call: 7, From: 3, Reg: "r"}},
-		{collectAck{Call: 7, From: 3, Entries: entries}, wire.Msg{Kind: wire.KindView, Call: 7, From: 3, Reg: "r", Entries: entries}},
+		{collectAck{Call: 7, From: 3, Reg: "r", Entries: entries}, wire.Msg{Kind: wire.KindView, Call: 7, From: 3, Reg: "r", Entries: entries}},
+		// An empty view still names its register array.
+		{collectAck{Call: 7, From: 3, Reg: "elect/door"}, wire.Msg{Kind: wire.KindView, Call: 7, From: 3, Reg: "elect/door"}},
 	} {
 		frame, err := wire.Append(nil, &c.wire)
 		if err != nil {

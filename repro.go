@@ -246,7 +246,8 @@ var ErrNoWinner = errors.New("repro: all potential winners crashed before decidi
 
 // ElectionResult reports one leader-election run.
 type ElectionResult struct {
-	// Winner is the elected processor.
+	// Winner is the elected processor; -1 when none was (ErrNoWinner) or
+	// the run failed.
 	Winner sim.ProcID
 	// Decisions maps every returning participant to WIN/LOSE.
 	Decisions map[sim.ProcID]core.Decision
@@ -273,7 +274,8 @@ type ElectionResult struct {
 // measures. Exactly one participant wins; every other returns LOSE. A run
 // that breaks this contract (core.JudgeElection: a second winner, an
 // undecided return, or no winner although every participant returned) is
-// an error, on either backend.
+// an error, on either backend; the result beside it holds what the run
+// produced, with Winner −1.
 //
 // On the Live backend (WithBackend(Live)) the election runs on real
 // goroutines: Time and Messages keep their meanings, Stats stays zero
@@ -292,19 +294,17 @@ func Elect(opts ...Option) (ElectionResult, error) {
 		Algorithm: c.algorithm, Schedule: c.schedule,
 		Faults: c.faults, Budget: c.budget,
 	})
-	if r.Err != nil {
-		return ElectionResult{}, fmt.Errorf("repro: election run: %w", r.Err)
-	}
-	// Run has judged the decisions; the judge also names the winner.
-	winner, _ := core.JudgeElection(r.Config.K, r.Decisions)
 	res := ElectionResult{
-		Winner:       winner,
+		Winner:       r.Winner,
 		Decisions:    r.Decisions,
 		Time:         r.Stats.MaxCommunicateCalls(),
 		Messages:     r.Stats.MessagesSent,
 		PayloadBytes: r.Stats.PayloadBytes,
 		Rounds:       r.MaxRound,
 		Stats:        r.Stats,
+	}
+	if r.Err != nil {
+		return res, fmt.Errorf("repro: election run: %w", r.Err)
 	}
 	if res.Winner < 0 {
 		return res, ErrNoWinner
@@ -327,9 +327,6 @@ func electLive(c config) (ElectionResult, error) {
 		N: c.n, K: c.k, Seed: c.seed, Algorithm: live.Algorithm(c.algorithm), Scenario: sc,
 		Transport: c.transport,
 	})
-	if err != nil {
-		return ElectionResult{}, fmt.Errorf("repro: live election run: %w", err)
-	}
 	res := ElectionResult{
 		Winner:       r.Winner,
 		Decisions:    r.Decisions,
@@ -338,6 +335,10 @@ func electLive(c config) (ElectionResult, error) {
 		Messages:     r.Messages,
 		PayloadBytes: r.Bytes,
 		Rounds:       r.Rounds,
+	}
+	if err != nil {
+		res.Winner = -1
+		return res, fmt.Errorf("repro: live election run: %w", err)
 	}
 	if res.Winner < 0 {
 		// Every survivor lost: the linearized winner is among the crashed,
@@ -435,7 +436,8 @@ type RenameResult struct {
 
 // Rename runs the strong renaming algorithm: every participant receives a
 // distinct name in [1, n]. A run that breaks this contract
-// (renaming.JudgeNames) is an error.
+// (renaming.JudgeNames) is an error, returned beside the names it handed
+// out.
 func Rename(opts ...Option) (RenameResult, error) {
 	c := buildConfig(opts)
 	if err := c.validate(); err != nil {
@@ -456,15 +458,16 @@ func Rename(opts ...Option) (RenameResult, error) {
 		Algorithm: algo, Schedule: c.schedule,
 		Faults: c.faults, Budget: c.budget,
 	})
-	if r.Err != nil {
-		return RenameResult{}, fmt.Errorf("repro: renaming run: %w", r.Err)
-	}
-	return RenameResult{
+	res := RenameResult{
 		Names:    r.Names,
 		Time:     r.Stats.MaxCommunicateCalls(),
 		Messages: r.Stats.MessagesSent,
 		Stats:    r.Stats,
-	}, nil
+	}
+	if r.Err != nil {
+		return res, fmt.Errorf("repro: renaming run: %w", r.Err)
+	}
+	return res, nil
 }
 
 // RandomScan selects the [AAG+10] random-scan baseline for Rename.
@@ -493,8 +496,9 @@ const (
 // Sift runs one standalone sifting round (use WithAlgorithm with BasicSift,
 // HetSift or NaiveSift). With BasicSift and HetSift at least one participant
 // always survives (Claim 3.1), and a run in which none does, or one returns
-// undecided, is an error (core.JudgeSift). NaiveSift, the strawman, has no
-// such contract: every participant may die.
+// undecided, is an error (core.JudgeSift), returned beside the outcomes it
+// produced. NaiveSift, the strawman, has no such contract: every
+// participant may die.
 func Sift(opts ...Option) (SiftResult, error) {
 	c := buildConfig(opts)
 	if err := c.validate(); err != nil {
@@ -517,23 +521,29 @@ func Sift(opts ...Option) (SiftResult, error) {
 			N: c.n, K: c.k, Seed: c.seed, Algorithm: live.Algorithm(algo),
 			Transport: c.transport,
 		})
-		if err != nil {
-			return SiftResult{}, fmt.Errorf("repro: live sift run: %w", err)
+		res := SiftResult{Outcomes: r.Outcomes}
+		for _, o := range r.Outcomes {
+			if o == core.Survive {
+				res.Survivors++
+			}
 		}
-		survivors, _ := core.JudgeSift(c.k, r.Outcomes) // live.Sift has judged them
-		return SiftResult{Survivors: survivors, Outcomes: r.Outcomes}, nil
+		if err != nil {
+			return res, fmt.Errorf("repro: live sift run: %w", err)
+		}
+		return res, nil
 	}
 	r := expt.Run(expt.Config{
 		N: c.n, K: c.k, Seed: c.seed,
 		Algorithm: algo, Schedule: c.schedule,
 		Faults: c.faults, Budget: c.budget,
 	})
-	if r.Err != nil {
-		return SiftResult{}, fmt.Errorf("repro: sift run: %w", r.Err)
-	}
-	return SiftResult{
+	res := SiftResult{
 		Survivors: r.Survivors(),
 		Outcomes:  r.Outcomes,
 		Stats:     r.Stats,
-	}, nil
+	}
+	if r.Err != nil {
+		return res, fmt.Errorf("repro: sift run: %w", r.Err)
+	}
+	return res, nil
 }
