@@ -579,12 +579,15 @@ func (pl *Pool) NewComm(p rt.Procer, election uint64, fp *fault.Profile) *Client
 		// A call harvests exactly a quorum, so the scratch never grows.
 		replies: make([]*wire.Msg, 0, q),
 		views:   make([]rt.View, 0, q),
-		// No caller is a server here (self −1). The pool's baseline resend
+		// No caller is a server here (self −1). Two spares and the fixed
+		// widen rule: on a loaded host the exact quorum and an observed
+		// tick each cost p95, and on an idle one neither gained
+		// (docs/ELECTD.md, "The quorum call"). The pool's baseline resend
 		// period (set on lossy transports) rides along; a profile may arm
-		// its own on top, never disarm this. The jitter seed mixes both IDs
-		// so equal configurations tick at different phases; the ^1 guards
-		// the all-zero state xorshift cannot leave.
-		sched: rt.NewSchedule(pl.n, firstWaveStart(election, pl.n), -1, pl.defaultRetransmit,
+		// its own on top, never disarm this. The jitter seed mixes both
+		// IDs so equal configurations tick at different phases; the ^1
+		// guards the all-zero state xorshift cannot leave.
+		sched: rt.NewSchedule(pl.n, firstWaveStart(election, pl.n), -1, rt.ThriftySlack, nil, pl.defaultRetransmit,
 			(uint64(p.ID())+1)*0x9E3779B97F4A7C15^election^1),
 	}
 	if fp != nil && fp.Retransmit > 0 {

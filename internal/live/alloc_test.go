@@ -55,7 +55,7 @@ func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 		t.Fatalf("steady-state collect: %v allocs, budget %d", got, chanCollectAllocs)
 	}
 	if c.sched.Wide() {
-		t.Fatal("a call widened on an idle system")
+		t.Fatal("the handle went wide: chan calls widen on an estimate and stay the size of the quorum")
 	}
 	if rec != nil && rec.Recorded() == 0 {
 		t.Fatal("traced run recorded no span")

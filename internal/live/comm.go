@@ -117,7 +117,7 @@ func (s *callSlot) close() {
 // retransmits its calls tick on the profile's period.
 func NewComm(p *Proc, fp *fault.Profile) *Comm {
 	n := p.sys.n
-	c := &Comm{p: p, fp: fp, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, (uint64(p.id)+1)*SeedStride)}
+	c := &Comm{p: p, fp: fp, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, &p.sys.rtt, 0, (uint64(p.id)+1)*SeedStride)}
 	c.slot = callSlot{need: n / 2, replies: make([]reply, 0, n/2), seen: make([]bool, n), sig: make(chan struct{}, 1)}
 	if fp != nil {
 		if fp.Retransmit > 0 {
@@ -169,13 +169,15 @@ func (c *Comm) Collect(reg string) []rt.View {
 
 // communicate sends req to peers' server mailboxes and waits for quorum−1
 // distinct replies (the caller's local effect is the quorum's first member).
-// Whom it asks is the shared call schedule's (rt.Schedule): the quorum−1 it
-// needs plus two spares first, walking the ring from its right-hand
-// neighbour so the callers of one election spread their waves over all n
-// mailboxes, and every peer that has not answered once a tick passes
-// without a quorum — after which this processor's calls stay wide. Nothing
-// here consults a peer's crash flag: like a datagram sender, a chan caller
-// is never told a peer is dead, it pays one tick finding out.
+// Whom it asks is the shared call schedule's (rt.Schedule): exactly the
+// quorum−1 it needs first, walking the ring from its right-hand neighbour
+// so the callers of one election spread their waves over all n mailboxes,
+// and every peer that has not answered once a tick passes without a quorum.
+// The tick is the system's RTT estimate (rt.RTT, fed by every call that
+// completed without widening), and a widen costs one call to everyone after
+// it, the probe, whose quorum later waves keep to. Nothing here consults a
+// peer's crash flag: like a datagram sender, a chan caller is never told a
+// peer is dead, it pays one tick and a probe finding out.
 //
 // The wait is for one signal: the servers assemble the quorum on the
 // handle's call slot and the delivery that completes it wakes this goroutine
@@ -273,6 +275,14 @@ wait:
 		case <-s.sig:
 			break wait
 		case <-c.sched.C():
+			// A tick and the quorum both ready — the goroutine ran late, as
+			// after a host stall — is a complete call: select would pick
+			// either, and a widen there is pure waste.
+			select {
+			case <-s.sig:
+				break wait
+			default:
+			}
 			// The servers own the answered set; the tick gets a copy.
 			if c.answered == nil {
 				c.answered = make([]bool, len(s.seen))
@@ -290,8 +300,8 @@ wait:
 			panic(&fault.NoQuorumError{Proc: int(p.id)})
 		}
 	}
-	c.sched.End()
-	s.close() // from here no server touches the replies
+	s.close() // from here no server touches the replies or the answered set
+	c.sched.Done(s.seen)
 	if rec != nil {
 		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(s.need))
 	}

@@ -22,9 +22,11 @@
 // included) have answered, so any two communicate calls intersect — the
 // quorum property every proof in the paper relies on. Which peers are asked
 // sits below that and follows the call schedule shared with electd
-// (rt.Schedule): the quorum it needs plus two spares among its right-hand
+// (rt.Schedule): exactly the quorum it needs among its right-hand
 // neighbours first, everyone who has not answered after a tick without a
-// quorum, and everyone at once from then on. The servers assemble the
+// quorum — the system's RTT estimate, not a fixed constant — and everyone
+// at once on the next call, whose quorum the waves after it keep to. The
+// servers assemble the
 // quorum on the caller's call slot and wake it once, when it is complete;
 // replies beyond the quorum find the slot complete or closed and are
 // refused unread, naturally reproducing the stale-view behaviour the
@@ -56,9 +58,11 @@
 //     panic at its next backend interaction;
 //   - quorum liveness is preserved by construction: with at most ⌈n/2⌉−1
 //     crashes, every communicate call still assembles its ⌊n/2⌋+1
-//     acknowledgments from the survivors — after one tick (rt.WidenAfter)
-//     for a processor whose first wave the crashes left short: nothing
-//     tells it a peer is dead, so it finds out once, then asks everyone.
+//     acknowledgments from the survivors — after one tick (the system's
+//     RTT estimate, rt.WidenAfter while it is cold) for a processor whose
+//     exact first wave the crashes left short: nothing tells it a peer is
+//     dead, so it finds out once, asks everyone on its next call, and
+//     passes the silent peers over from then on.
 //
 // Crashed participants appear in Result.Crashed rather than Decisions; an
 // election whose every survivor lost is reported with Winner == -1 — the

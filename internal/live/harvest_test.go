@@ -20,7 +20,7 @@ import (
 // reply a call sees is one the test delivered, in the order it chose.
 
 const (
-	harvestN    = 9            // quorum 5, need 4; a first wave asks peers 1…6 of caller 0
+	harvestN    = 9            // quorum 5, need 4; a first wave asks peers 1…4 of caller 0
 	harvestNeed = harvestN / 2 // replies a call of the stage's caller waits for
 	harvestWait = 10 * time.Second
 )
@@ -213,43 +213,50 @@ func TestSlotSignalsOnce(t *testing.T) {
 }
 
 // TestStragglerCannotFillTheNextCall: the same, through communicate, with
-// one server held back. Peer 6's reply to call 1 arrives while call 2 is
-// collecting; call 2 must still wait for need replies of its own.
+// one server held back. A first wave is exactly the quorum, so stragglers
+// come from a widen: call 1's peer 4 is silent, the tick asks peers 4…8 and
+// peer 5 completes the quorum. Peer 4's and peer 6's replies to call 1 then
+// arrive while call 2 — the probe after the widen, to every peer — is
+// collecting, and call 2 must still wait for need replies of its own.
 func TestStragglerCannotFillTheNextCall(t *testing.T) {
 	st := newStage(t, 1, nil)
 	s := &st.c.slot
 
 	done := st.collect()
-	first := st.wave(1, 2, 3, 4, 5, 6) // quorum−1 plus two spares, to the right
-	for j := rt.ProcID(1); j <= harvestNeed; j++ {
+	first := st.wave(1, 2, 3, 4) // quorum−1, to the right
+	for j := rt.ProcID(1); j < harvestNeed; j++ {
 		answer(j, first[j])
 	}
+	again := st.wave(4, 5, 6, 7, 8) // the widen: everyone who has not answered
+	answer(5, again[5])
 	distinctQuorum(t, st.result(done).views, harvestN, 0)
 	wantSlot(t, s, "after the first call", 0, harvestNeed, 0)
 
 	done = st.collect()
-	second := st.wave(1, 2, 3, 4, 5, 6)
-	if first[6].call == second[6].call {
-		t.Fatalf("two calls share ordinal %d", first[6].call)
+	second := st.wave(1, 2, 3, 4, 5, 6, 7, 8)
+	if first[4].call == second[5].call {
+		t.Fatalf("two calls share ordinal %d", first[4].call)
 	}
-	answer(5, first[5])
-	answer(6, first[6])
+	answer(4, first[4])
+	answer(4, again[4])
+	answer(6, again[6])
 	for j := rt.ProcID(1); j < harvestNeed; j++ {
 		answer(j, second[j])
 	}
-	wantSlot(t, s, "call 2 with need−1 replies and two stragglers of call 1", second[1].call, harvestNeed-1, 0)
+	wantSlot(t, s, "call 2 with need−1 replies and three stragglers of call 1", second[1].call, harvestNeed-1, 0)
 	select {
 	case r := <-done:
 		t.Fatalf("call 2 returned %d views on %d replies of its own", len(r.views), harvestNeed-1)
 	case <-time.After(20 * time.Millisecond):
 	}
-	answer(6, second[6])
+	answer(5, second[5])
 	views := st.result(done).views
 	distinctQuorum(t, views, harvestN, 0)
-	if last := views[len(views)-1].From; last != 6 {
-		t.Fatalf("call 2's last view is from %d, want 6 — answering call 2", last)
+	if last := views[len(views)-1].From; last != 5 {
+		t.Fatalf("call 2's last view is from %d, want 5 — answering call 2", last)
 	}
-	answer(5, second[5]) // past the quorum, after the harvest
+	answer(7, again[7])  // a straggler of call 1, after call 2's harvest
+	answer(6, second[6]) // and one of call 2, past its quorum
 	wantSlot(t, s, "after the second call", 0, harvestNeed, 0)
 }
 
@@ -260,11 +267,11 @@ func TestRepeatAnswerAfterWidenCountsOnce(t *testing.T) {
 	st := newStage(t, 1, nil)
 	s := &st.c.slot
 	done := st.collect()
-	first := st.wave(1, 2, 3, 4, 5, 6)
+	first := st.wave(1, 2, 3, 4)
 	answer(1, first[1])
 	answer(2, first[2])
-	again := st.wave(3, 4, 5, 6, 7, 8) // rt.WidenAfter later: everyone who has not answered
-	if !st.c.sched.Wide() {
+	again := st.wave(3, 4, 5, 6, 7, 8) // rt.WidenAfter later (a cold estimate): everyone who has not answered
+	if st.c.sched.Widens() != 1 {
 		t.Fatal("the second wave was not the widen")
 	}
 	answer(4, first[4])
@@ -316,8 +323,9 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 	}
 	wantSlot(t, s, "once the stragglers have all been refused", 0, s.need, 0)
 	if c.sched.Wide() {
-		t.Fatal("a call widened on a fault-free system")
+		t.Fatal("the handle went wide: chan calls widen on an estimate and stay the size of the quorum")
 	}
+	t.Logf("%d of %d calls widened on the estimate's tick", c.sched.Widens(), calls)
 }
 
 // TestReplyLossSampledAtDelivery: under the flaky and flaky-asym plans each
@@ -421,7 +429,7 @@ func TestNoQuorumAbortBlocksNobody(t *testing.T) {
 	noq := make(chan struct{})
 	st.c = NewComm(st.sys.Proc(0), &fault.Profile{NoQuorum: noq})
 	done := st.collect()
-	first := st.wave(1, 2, 3, 4, 5, 6)
+	first := st.wave(1, 2, 3, 4)
 	for j := rt.ProcID(1); j < harvestNeed; j++ {
 		answer(j, first[j])
 	}
@@ -432,10 +440,8 @@ func TestNoQuorumAbortBlocksNobody(t *testing.T) {
 	}
 	late := make(chan struct{})
 	go func() {
-		for j := rt.ProcID(harvestNeed); j <= 6; j++ {
-			answer(j, first[j])
-			answer(j, first[j])
-		}
+		answer(harvestNeed, first[harvestNeed])
+		answer(harvestNeed, first[harvestNeed])
 		close(late)
 	}()
 	select {

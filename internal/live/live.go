@@ -70,6 +70,11 @@ type System struct {
 	messages atomic.Int64
 	bytes    atomic.Int64 // wire-codec bytes of all quorum traffic
 
+	// rtt is how long the processors' thrifty calls take to reach their
+	// quorum, shared by every Comm on the system: it sets their widen tick
+	// (rt.RTT). It outlives Reset, so a pooled system's next run starts warm.
+	rtt rt.RTT
+
 	// rec is the election flight recorder of the current run (nil =
 	// untraced) and traceID the election ID its spans carry; both are
 	// installed by the runner before the algorithm goroutines start and

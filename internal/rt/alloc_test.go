@@ -7,22 +7,38 @@ import "testing"
 // TestScheduleArmsOneTimer: the tick timer is made by the first call that
 // arms it and re-armed by every later one, so a steady-state call — first
 // wave, tick, widen or resend, stop — costs the schedule no allocation.
+// Under the observed rule the suspect marks are made by the first widened
+// call too, and every later one rewrites them in place.
 func TestScheduleArmsOneTimer(t *testing.T) {
-	s := NewSchedule(16, 0, -1, 0, 1)
-	s.SetRetransmit(WidenAfter)
-	send := func(int) bool { return true }
-	answered := make([]bool, 16)
-	call := func() {
-		s.Begin(send)
-		s.Tick(answered, send)
-		s.End()
-	}
-	if s.tmr != nil {
-		t.Fatal("a schedule that never armed a tick holds a timer")
-	}
-	call()
-	tmr := s.tmr
-	if got := testing.AllocsPerRun(500, call); got != 0 || s.tmr != tmr {
-		t.Fatalf("a call after the first: %v allocs, timer replaced=%v; want 0 and the same timer", got, s.tmr != tmr)
+	var est RTT
+	for _, tc := range []struct {
+		name string
+		s    Schedule
+	}{
+		{"fixed rule, retransmitting", NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 1)},
+		{"observed rule", NewSchedule(16, 1, 0, 0, &est, 0, 1)},
+	} {
+		s := &tc.s
+		if s.rtt == nil {
+			s.SetRetransmit(WidenAfter)
+		}
+		send := func(int) bool { return true }
+		answered := make([]bool, 16)
+		for j := range 9 {
+			answered[j] = true
+		}
+		call := func() {
+			s.Begin(send)
+			s.Tick(answered, send)
+			s.Done(answered)
+		}
+		if s.tmr != nil {
+			t.Fatalf("%s: a schedule that never armed a tick holds a timer", tc.name)
+		}
+		call()
+		tmr := s.tmr
+		if got := testing.AllocsPerRun(500, call); got != 0 || s.tmr != tmr {
+			t.Fatalf("%s: a call after the first: %v allocs, timer replaced=%v; want 0 and the same timer", tc.name, got, s.tmr != tmr)
+		}
 	}
 }

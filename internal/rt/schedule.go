@@ -2,21 +2,24 @@ package rt
 
 import "time"
 
-// ThriftySlack is how many servers beyond the quorum a communicate call's
-// first wave asks. The call needs ⌊n/2⌋+1 answers, so asking all n buys
-// nothing but the ⌈n/2⌉−1 replies it then throws away; asking exactly a
-// quorum would make every call wait for its slowest member. Two spares
-// absorb a slow or lossy server or two without a tick. Measured at n=32 on
-// 2 cores: over loopback TCP 19 requests per call against 32, −26 %
-// messages and −32…−40 % CPU per election; in process 18 against 31, −33 %
-// messages and −25 % CPU; no call widening on either. The price is the
-// order statistic: a third slow server inside the set is waited for, where
-// asking everyone would have routed around it (docs/ELECTD.md has the
-// slow-third and WAN numbers).
+// ThriftySlack is how many servers beyond the quorum electd's first wave
+// asks. A call needs ⌊n/2⌋+1 answers, so asking all n buys nothing but the
+// ⌈n/2⌉−1 replies it then throws away; asking exactly a quorum makes every
+// call wait for its slowest member. At n=32 on 2 cores, 19 requests per
+// call against 32 cost −26 % messages and −32…−40 % CPU per election over
+// loopback TCP, with no call widening. Over sockets the exact quorum
+// (slack 0) put `solo-tcp-n32` p95 31.1 → 38.1 ms on a loaded host, and
+// read level on an idle one (docs/ELECTD.md has the sweep). The price of
+// any slack is the order statistic: a slow server inside the set is waited
+// for, where asking everyone would have routed around it. The chan
+// substrate passes slack 0: its widen tick follows an RTT estimate, so a
+// silent peer costs it a few milliseconds, not WidenAfter, and a call two
+// fewer mailbox hand-offs and replies.
 const ThriftySlack = 2
 
 // WidenAfter is how long a call whose first wave went to a subset waits for
-// its quorum before it asks every server that has not answered. It must sit
+// its quorum before it asks every server that has not answered, under
+// electd's fixed rule, and the cap of an observed tick (RTT). It must sit
 // past the tail of a loaded quorum round-trip, not inside it: at 5 ms,
 // 2.4–4 % of the calls of a saturated 2-core host widened while merely slow
 // and election p95 got worse (48.8 → 54.9…83.6 ms); at 20 ms and at 50 ms,
@@ -25,47 +28,67 @@ const ThriftySlack = 2
 const WidenAfter = 50 * time.Millisecond
 
 // Schedule decides whom one caller's communicate calls ask, and when they
-// ask again: first a quorum plus ThriftySlack servers on a ring walk, every
-// unanswered server once a tick passes without a quorum, everyone at once
-// on every later call, and — where messages can be lost — further ticks,
-// selective, backed off and jittered. Delivery and replies are the
-// substrate's: it hands each wave a send function, tells a tick who has
-// answered, and counts the quorum itself. Safety rests on that line — a
-// call returns on ⌊n/2⌋+1 distinct stores whoever was asked, and a server
-// never asked is one whose message the model delays forever; the schedule
-// owes only liveness, by getting a widened call to everyone.
+// ask again: first a quorum plus a substrate's slack on a ring walk, every
+// unanswered server once a tick passes without a quorum, and — where
+// messages can be lost — further ticks, selective, backed off and jittered.
+// Delivery and replies are the substrate's: it hands each wave a send
+// function, tells a tick who has answered, and counts the quorum itself.
+// Safety rests on that line — a call returns on ⌊n/2⌋+1 distinct stores
+// whoever was asked, and a server never asked is one whose message the
+// model delays forever; the schedule owes only liveness, by getting a
+// widened call to everyone.
+//
+// Two widen rules, one per substrate. Without an estimate (electd) the tick
+// is WidenAfter and a widen is sticky: every later call of the caller asks
+// everyone at once. With one (chan, an RTT shared by the system's callers)
+// the tick is the estimate's, and a widen costs one more call to everyone,
+// the probe: the servers outside the probe's quorum become suspects, which
+// later first waves pass over, and those waves stay the size of the
+// quorum.
 //
 // A Schedule belongs to the caller's goroutine. One call is Begin, a wait
-// that selects on C and answers it with Tick, then End.
+// that selects on C and answers it with Tick, then Done once the quorum is
+// in (End on a call abandoned without one).
 type Schedule struct {
 	n     int
 	first int  // where every ring walk starts
 	self  int  // never asked: the caller is its own first quorum member; −1 = none
 	want  int  // size of a thrifty first wave
-	wide  bool // first waves go to everyone: small n, or a call has widened
+	wide  bool // first waves go to everyone: small n, or a call has widened under the fixed rule
+	probe bool // the next call, or the one in progress, is the probe: one widened under the observed rule
 
+	rtt        *RTT          // the observed widen rule's estimate; nil = the fixed rule
 	retransmit time.Duration // resend period of a call already sent to everyone; 0 = no such tick
-	widenTick  time.Duration // how long a thrifty first wave waits before widening
+	widenTick  time.Duration // the fixed rule's widen tick, or a plan's period
 	tmr        *time.Timer   // the tick, reused across calls; nil until one arms it
 	jit        uint64        // xorshift64 jitter state
+	widens     int           // calls that widened, over the schedule's life
+
+	// suspect marks the servers outside the last probe's quorum, which first
+	// waves pass over while enough others remain (observed rule only; nil
+	// until a probe ends).
+	suspect []bool
 
 	// The call in progress.
 	thrifty bool             // its first wave went to a subset and it has not widened
+	t0      time.Time        // when its first wave went out (observed rule only)
 	tick    <-chan time.Time // tmr.C while tmr runs for it, else nil
 	period  time.Duration    // its current resend period
 	resends int              // its ticks since it was sent to everyone
 }
 
 // NewSchedule returns the schedule of one caller among n servers, its ring
-// walks starting at first. self is the caller's index when it is one of the
-// n — never asked, and the quorum's first member unasked — or −1 when
-// callers and servers are different parties. retransmit > 0 keeps every
-// call ticking at that period (a lossy substrate's reliability layer)
-// without widening sooner than WidenAfter: the spares already cover a lost
-// message or two. seed starts the jitter stream; callers that could tick in
-// phase pass different seeds.
-func NewSchedule(n, first, self int, retransmit time.Duration, seed uint64) Schedule {
-	others, want := n, n/2+1+ThriftySlack
+// walks starting at first and its first waves asking slack servers beyond
+// the quorum. self is the caller's index when it is one of the n — never
+// asked, and the quorum's first member unasked — or −1 when callers and
+// servers are different parties. rtt selects the widen rule: nil for the
+// fixed one, else the estimate the observed one ticks on and feeds.
+// retransmit > 0 keeps every call ticking at that period (a lossy
+// substrate's reliability layer) without widening sooner than WidenAfter:
+// the spares already cover a lost message or two. seed starts the jitter
+// stream; callers that could tick in phase pass different seeds.
+func NewSchedule(n, first, self, slack int, rtt *RTT, retransmit time.Duration, seed uint64) Schedule {
+	others, want := n, n/2+1+slack
 	if self >= 0 {
 		others, want = others-1, want-1
 	}
@@ -73,6 +96,7 @@ func NewSchedule(n, first, self int, retransmit time.Duration, seed uint64) Sche
 		n: n, first: first % n, self: self, want: want,
 		// Up to quorum+slack servers the first wave is all of them.
 		wide:       others <= want,
+		rtt:        rtt,
 		retransmit: retransmit,
 		widenTick:  max(retransmit, WidenAfter),
 		jit:        seed,
@@ -84,16 +108,21 @@ func NewSchedule(n, first, self int, retransmit time.Duration, seed uint64) Sche
 // links and crash-recovery, since the algorithms themselves never resend.
 func (s *Schedule) SetRetransmit(d time.Duration) { s.retransmit, s.widenTick = d, d }
 
-// Wide reports whether first waves go to everyone.
+// Wide reports whether every first wave goes to everyone: n is within
+// quorum+slack, or a call has widened under the fixed rule. The observed
+// rule's probe is one call, and does not count.
 func (s *Schedule) Wide() bool { return s.wide }
 
+// Widens reports how many of the schedule's calls have widened.
+func (s *Schedule) Widens() int { return s.widens }
+
 // wave asks up to want servers, walking the ring from first and passing
-// over the caller itself, servers marked in skip (nil marks none) and
-// servers send refuses, and returns how many it asked.
-func (s *Schedule) wave(want int, skip []bool, send func(j int) bool) int {
+// over the caller itself, servers send refuses and — when marks is not nil —
+// servers whose mark is not ask, and returns how many it asked.
+func (s *Schedule) wave(want int, marks []bool, ask bool, send func(j int) bool) int {
 	sent := 0
 	for i, j := 0, s.first; i < s.n && sent < want; i++ {
-		if j != s.self && (skip == nil || !skip[j]) && send(j) {
+		if j != s.self && (marks == nil || marks[j] == ask) && send(j) {
 			sent++
 		}
 		if j++; j == s.n {
@@ -105,15 +134,25 @@ func (s *Schedule) wave(want int, skip []bool, send func(j int) bool) int {
 
 // Begin sends a call's first wave and arms its tick. send(j) puts the
 // request on its way to server j and reports whether it went out; a refusal
-// (a link known dead) extends the walk along the ring. Begin returns the
-// number of requests sent.
+// (a link known dead) extends the walk along the ring, and so does a
+// suspect, which is asked only when too few others remain. Begin returns
+// the number of requests sent.
 func (s *Schedule) Begin(send func(j int) bool) int {
-	s.thrifty, s.period, s.resends = !s.wide, s.retransmit, 0
+	s.thrifty, s.period, s.resends = !s.wide && !s.probe, s.retransmit, 0
 	want, tick := s.n, s.retransmit
 	if s.thrifty {
 		want, tick = s.want, s.widenTick
+		if s.rtt != nil {
+			if s.retransmit == 0 {
+				tick = s.rtt.Tick()
+			}
+			s.t0 = time.Now()
+		}
 	}
-	sent := s.wave(want, nil, send)
+	sent := s.wave(want, s.suspect, false, send)
+	if sent < want && s.suspect != nil {
+		sent += s.wave(want-sent, s.suspect, true, send)
+	}
 	if tick > 0 {
 		// Made once, re-armed per call: go 1.23+ Reset and Stop leave no
 		// stale tick behind.
@@ -132,11 +171,13 @@ func (s *Schedule) Begin(send func(j int) bool) int {
 func (s *Schedule) C() <-chan time.Time { return s.tick }
 
 // Tick answers a fired C: it sends again, to every server not marked in
-// answered, asked before or not. For a thrifty call that is the widen, and
-// the schedule stays wide — whatever silenced the set is likely still
-// there, so a failure costs the caller one tick, not one per call. It
-// returns the requests sent and the tick's ordinal: 0 for the widen, k for
-// the k-th resend of a call already sent to everyone.
+// answered, asked before or not. For a thrifty call that is the widen.
+// Under the fixed rule the schedule then stays wide — whatever silenced the
+// set is likely still there, so a failure costs the caller one tick, not
+// one per call; under the observed rule the next call is the probe, which
+// finds out whom to pass over (Done). It returns the requests sent and the
+// tick's ordinal: 0 for the widen, k for the k-th resend of a call already
+// sent to everyone.
 //
 // With a retransmit period the tick is re-armed, doubling up to ×64, plus
 // jitter. A blanket fixed-period rebroadcast amplifies itself on a
@@ -148,11 +189,15 @@ func (s *Schedule) C() <-chan time.Time { return s.tick }
 // dedups the duplicate replies by sender.
 func (s *Schedule) Tick(answered []bool, send func(j int) bool) (sent, resend int) {
 	if s.thrifty {
-		s.thrifty, s.wide = false, true
+		s.thrifty = false
+		s.widens++
+		if s.rtt == nil {
+			s.wide = true
+		}
 	} else {
 		s.resends++
 	}
-	sent = s.wave(s.n, answered, send)
+	sent = s.wave(s.n, answered, false, send)
 	if s.retransmit == 0 {
 		s.tick = nil // everyone has now been asked, and nothing is lost
 	} else {
@@ -169,6 +214,34 @@ func (s *Schedule) End() {
 	if s.tick != nil {
 		s.tmr.Stop()
 		s.tick = nil
+	}
+}
+
+// Done ends a call that reached its quorum; answered marks the servers
+// whose answers made it up. Under the observed rule a call that never
+// widened feeds its time to the estimate — a widened one does not (Karn's
+// rule) — and the probe's quorum becomes the set later first waves keep to:
+// every server outside it is a suspect until the next probe. The probe asks
+// everyone at once, so it needs no tick to find them: dead or cut-off
+// servers stay outside its quorum, and so does one that went dark after
+// answering the widened call's first wave. A server that was merely late
+// is passed over while enough others remain.
+func (s *Schedule) Done(answered []bool) {
+	s.End()
+	switch {
+	case s.rtt == nil:
+	case s.probe: // this call was the probe
+		if s.suspect == nil {
+			s.suspect = make([]bool, s.n)
+		}
+		for j, a := range answered {
+			s.suspect[j] = !a && j != s.self
+		}
+		s.probe = false
+	case s.thrifty:
+		s.rtt.Observe(time.Since(s.t0))
+	case !s.wide: // it widened: the next call is the probe
+		s.probe = true
 	}
 }
 

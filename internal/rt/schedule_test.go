@@ -7,9 +7,11 @@ import (
 )
 
 // The schedule alone, against a recording send: who is asked, in what
-// order, and when the tick comes back. n=16 throughout: quorum 9, a first
-// wave of 11 for a caller outside the servers and of 10 peers for one that
-// is its own first quorum member.
+// order, and when the tick comes back. n=16 throughout: quorum 9. Under the
+// fixed rule (electd's: slack 2, no estimate) a first wave is 11 for a
+// caller outside the servers and 10 peers for one that is its own first
+// quorum member; under the observed rule (chan's: slack 0, an RTT) it is
+// the 8 peers such a caller needs.
 
 // recorder is a send that logs whom it was asked to reach and refuses the
 // servers marked dead.
@@ -50,7 +52,7 @@ func TestFirstWaveWalksTheRing(t *testing.T) {
 		{"self inside the segment", 14, 3, ring(n, 14, n/2+ThriftySlack, 3)},
 		{"first wraps", n + 2, 1, ring(n, 2, n/2+ThriftySlack)},
 	} {
-		s := NewSchedule(n, tc.first, tc.self, 0, 1)
+		s := NewSchedule(n, tc.first, tc.self, ThriftySlack, nil, 0, 1)
 		var r recorder
 		if sent := s.Begin(r.send); sent != len(tc.want) || !slices.Equal(r.asked, tc.want) {
 			t.Errorf("%s: first wave asked %v (sent %d), want %v", tc.name, r.asked, sent, tc.want)
@@ -70,7 +72,7 @@ func TestFirstWaveWalksTheRing(t *testing.T) {
 // the wave is everyone who does.
 func TestWaveExtendsPastRefusals(t *testing.T) {
 	const n = 16
-	s := NewSchedule(n, 4, -1, 0, 1)
+	s := NewSchedule(n, 4, -1, ThriftySlack, nil, 0, 1)
 	r := recorder{dead: map[int]bool{4: true, 6: true, 7: true}}
 	s.Begin(r.send)
 	s.End()
@@ -94,7 +96,7 @@ func TestWaveExtendsPastRefusals(t *testing.T) {
 // with nothing armed; every later call goes to everyone at once.
 func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 	const n, self = 16, 5
-	s := NewSchedule(n, self+1, self, 0, 1)
+	s := NewSchedule(n, self+1, self, ThriftySlack, nil, 0, 1)
 	var r recorder
 	s.Begin(r.send)
 	answered := make([]bool, n)
@@ -138,23 +140,25 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 // TestWideFromStart: while n is within quorum+slack the first wave is
 // everyone and no tick is armed; one server more and it is a strict subset.
 // A caller that is one of the n changes nothing: it has one peer fewer to
-// ask and needs one answer fewer.
+// ask and needs one answer fewer. With slack 0 (chan) that is n ≤ 2.
 func TestWideFromStart(t *testing.T) {
-	for n := 1; n <= 9; n++ {
-		for _, self := range []int{-1, 0} {
-			s := NewSchedule(n, 0, self, 0, 1)
-			others := n
-			if self >= 0 {
-				others--
+	for _, slack := range []int{0, ThriftySlack} {
+		for n := 1; n <= 9; n++ {
+			for _, self := range []int{-1, 0} {
+				s := NewSchedule(n, 0, self, slack, nil, 0, 1)
+				others := n
+				if self >= 0 {
+					others--
+				}
+				wide := n <= n/2+1+slack
+				var r recorder
+				sent := s.Begin(r.send)
+				if s.Wide() != wide || (wide && (sent != others || s.C() != nil)) || (!wide && (sent >= others || s.C() == nil)) {
+					t.Errorf("slack %d n=%d self=%d: wide=%v, first wave %d of %d, tick armed=%v; want wide=%v",
+						slack, n, self, s.Wide(), sent, others, s.C() != nil, wide)
+				}
+				s.End()
 			}
-			wide := n <= n/2+1+ThriftySlack
-			var r recorder
-			sent := s.Begin(r.send)
-			if s.Wide() != wide || (wide && (sent != others || s.C() != nil)) || (!wide && (sent >= others || s.C() == nil)) {
-				t.Errorf("n=%d self=%d: wide=%v, first wave %d of %d, tick armed=%v; want wide=%v",
-					n, self, s.Wide(), sent, others, s.C() != nil, wide)
-			}
-			s.End()
 		}
 	}
 }
@@ -164,7 +168,7 @@ func TestWideFromStart(t *testing.T) {
 // quarter. The ordinals count the resends after the widen.
 func TestTickSequence(t *testing.T) {
 	const r = 3 * time.Millisecond
-	s := NewSchedule(16, 0, -1, 0, 7)
+	s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 7)
 	s.SetRetransmit(r)
 	if s.widenTick != r {
 		t.Fatalf("a plan's retransmit period %v left the widen tick at %v", r, s.widenTick)
@@ -192,7 +196,7 @@ func TestTickSequence(t *testing.T) {
 
 	// A base period shorter than WidenAfter resends at that period but may
 	// not widen sooner than WidenAfter.
-	s = NewSchedule(16, 0, -1, r, 7)
+	s = NewSchedule(16, 0, -1, ThriftySlack, nil, r, 7)
 	if s.widenTick != WidenAfter || s.retransmit != r {
 		t.Errorf("base period %v: widen tick %v, resend period %v; want %v and %v", r, s.widenTick, s.retransmit, WidenAfter, r)
 	}
@@ -202,7 +206,7 @@ func TestTickSequence(t *testing.T) {
 // differ — equal timers must not fire in phase.
 func TestJitter(t *testing.T) {
 	const d = 8 * time.Millisecond
-	a, b := NewSchedule(16, 0, -1, 0, 1), NewSchedule(16, 0, -1, 0, 2)
+	a, b := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 1), NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 2)
 	same, spread := 0, map[time.Duration]bool{}
 	for range 1000 {
 		x, y := a.jitter(d), b.jitter(d)

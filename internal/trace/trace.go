@@ -49,7 +49,8 @@ const (
 	PEncode
 	// PSend is the first wave: handing one encoded frame to each server
 	// link it goes to (a pooled copy onto the connection's send queue; Detail =
-	// requests sent — all n on the chan substrate, quorum+slack on electd).
+	// requests sent — quorum+slack, or everyone on a wide call: slack 2 on
+	// electd, 0 on the chan substrate).
 	PSend
 	// PQuorumWait is the wait from broadcast until a majority of
 	// replies has arrived.
