@@ -287,8 +287,9 @@ func verdict(sc fault.Scenario, n, k int, seed int64, res live.Result, err error
 		bad = append(bad, fmt.Sprintf("seed %d: %d of %d participants accounted for", seed, got, k))
 	}
 	// A fault.NoQuorumError is only valid for a participant the plan
-	// provably starves; an electable participant giving up quorumless means
-	// the injection layer lost a quorum it should have been able to form.
+	// provably starves. The client gave up on what it observed, so an
+	// electable participant here means the injection layer lost a quorum it
+	// owed, or a call gave up that would still have completed.
 	for _, id := range res.NoQuorum {
 		if plan == nil || plan.Electable(int(id)) {
 			bad = append(bad, fmt.Sprintf("seed %d: electable participant %d gave up with NoQuorumError", seed, id))

@@ -26,15 +26,21 @@ func cohortNetworks() map[string]func() transport.Network {
 // requests stay queued, unwritten, until the last one leaves. Then every
 // collect completes, and none has widened: without the Leave each would
 // wait out its widen tick.
+//
+// A hold holds only on a parked write loop (a running one takes the held
+// frame with its next drain) and only until the widen tick. A round in
+// which a held request found its loop still writing earlier frames, or a
+// call widened before the check, misses the premise and is retried, like
+// one that left fewer than two holders.
 func TestCohortLeaveReleasesHeldWaves(t *testing.T) {
 	for name, nw := range cohortNetworks() {
 		t.Run(name, func(t *testing.T) {
 			cl := newThriftyCluster(t, nw(), thriftyN)
-			widened := cl.pool.widened.Load()
 			for attempt := 0; ; attempt++ {
 				if attempt == 50 {
-					t.Fatal("no round of concurrent calls left two participants holding tickets")
+					t.Fatal("no round of concurrent calls left two participants holding tickets on parked write loops")
 				}
+				widened := cl.pool.widened.Load()
 				election := cl.NextElectionID()
 				const k = 8
 				clients := make([]*Client, k)
@@ -71,6 +77,7 @@ func TestCohortLeaveReleasesHeldWaves(t *testing.T) {
 
 				leaver, callers := holders[0], holders[1:]
 				co := leaver.co
+				running := transport.ReadStats().HeldOnRunning
 				done := make(chan struct{}, len(callers))
 				for _, c := range callers {
 					go func() {
@@ -86,13 +93,21 @@ func TestCohortLeaveReleasesHeldWaves(t *testing.T) {
 						t.Fatalf("%d tickets out, want the leaver's alone", co.tickets.Load())
 					}
 				}
+				early := 0
 				select {
 				case <-done:
-					t.Fatal("a held collect completed while its cohort still held a ticket")
+					early = 1
 				default:
 				}
+				// Read after the check: a widen is counted before its call can
+				// complete, a running loop when the request is queued.
+				unheld := transport.ReadStats().HeldOnRunning - running
+				widens := cl.pool.widened.Load() - widened
+				if early > 0 && unheld == 0 && widens == 0 {
+					t.Fatal("a held collect completed while its cohort still held a ticket, every request held on a parked write loop and no call widened")
+				}
 				leaver.Leave()
-				for range callers {
+				for range len(callers) - early {
 					select {
 					case <-done:
 					case <-time.After(10 * time.Second):
@@ -100,10 +115,15 @@ func TestCohortLeaveReleasesHeldWaves(t *testing.T) {
 					}
 				}
 				cl.RemoveElection(election)
+				if unheld > 0 || widens > 0 {
+					t.Logf("round %d: %d held requests found their write loop running and %d calls widened before the check (a collect completed early: %v); retrying",
+						attempt, unheld, widens, early > 0)
+					continue
+				}
+				if got := cl.pool.widened.Load() - widened; got != 0 {
+					t.Fatalf("%d calls widened: the leave did not release the cohort's held waves", got)
+				}
 				break
-			}
-			if got := cl.pool.widened.Load() - widened; got != 0 {
-				t.Fatalf("%d calls widened: the leave did not release the cohort's held waves", got)
 			}
 		})
 	}

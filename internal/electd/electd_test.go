@@ -1,6 +1,7 @@
 package electd_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -89,6 +90,37 @@ func TestPoolElectRejectsParticipantCount(t *testing.T) {
 		if got := cl.Server(rt.ProcID(i)).Served(); got != 0 {
 			t.Errorf("server %d served %d requests of rejected elections", i, got)
 		}
+	}
+}
+
+// TestPoolElectReportsStarvation: on a retransmitting pool (UDP's default
+// period) with a majority of its servers crashed, every participant's calls
+// give up, and Elect returns an error wrapping the *fault.NoQuorumError —
+// not a hang, and not a panic.
+func TestPoolElectReportsStarvation(t *testing.T) {
+	const n, k = 5, 3
+	cl, err := electd.NewClusterWith(transport.NewLoopback(), n, electd.ClusterOptions{
+		Pool: electd.PoolOptions{Retransmit: electd.DefaultDatagramRetransmit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for j := range n/2 + 1 {
+		cl.Crash(rt.ProcID(j))
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Pool().Elect(cl.NextElectionID(), k, 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var starved *fault.NoQuorumError
+		if !errors.As(err, &starved) {
+			t.Fatalf("an election against a crashed majority returned %v, want a NoQuorumError", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("an election against a crashed majority never returned")
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // pool's pre-decode straggler filter is never installed and every reply —
 // the ones beyond the quorum too — is decoded and reaches Pool.handle. It
 // also reports each view's sender once the pool's handler has returned,
-// which is how the test orders a busy reply or a starvation verdict after
-// a view already sits on the call's pending slot.
+// which is how the test orders a busy reply after a view already sits on
+// the call's pending slot.
 type unfiltered struct {
 	transport.Network
 	routed chan rt.ProcID
@@ -40,8 +40,8 @@ func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, err
 // TestRecycleNeverClearsSharedEntries drives a view-memo hit down every
 // client path that discards a reply — stragglers past the quorum (dropped
 // by the router, whether the call is complete or gone), the harvested views
-// when a busy reply sheds the call, and when a fault plan declares the
-// client starved — while the test holds the memo's array through an
+// when a busy reply sheds the call, and when a call gives up on its silent
+// servers — while the test holds the memo's array through an
 // earlier Collect, as a participant would. None of those paths may clear a
 // memoized array or keep it as a decode arena (a view is discarded with
 // PutMsg, never RecycleMsg): the held view must read the same afterwards,
@@ -176,21 +176,15 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	collect("after shed")
 	collects = n
 
-	// Starved: only server 0 answers, and once its view is on the pending
-	// slot the plan's verdict fires; rpc harvests the view, recycles it and
+	// Starved: only server 0 answers, its view reaches the pending slot at
+	// once, and the call retransmits to the silent two until it gives up,
+	// 127 resend periods later; rpc harvests the view, recycles it and
 	// unwinds.
 	drain()
 	lonely := func(j rt.ProcID) (wire.Kind, bool) { return wire.KindView, j == 0 }
 	collectReply.Store(&lonely)
-	verdict := make(chan struct{})
-	starving := pool.NewComm(electd.NewParticipant(1, n, 2), election, &fault.Profile{NoQuorum: verdict})
-	go func() {
-		select {
-		case <-nw.routed:
-		case <-time.After(10 * time.Second): // the collect below then fails on its own
-		}
-		close(verdict)
-	}()
+	starving := pool.NewComm(electd.NewParticipant(1, n, 2), election, &fault.Profile{Retransmit: 500 * time.Microsecond})
+	collects = 1
 	func() {
 		defer func() {
 			if _, ok := recover().(*fault.NoQuorumError); !ok {
@@ -199,6 +193,7 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 		}()
 		starving.Collect(reg)
 	}()
+	drain()
 	check("starved")
 	collectReply.Store(nil)
 	collect("after starved")

@@ -717,20 +717,22 @@ func (c *Client) Collect(reg string) []rt.View {
 // A busy reply arriving after a genuine quorum is a straggler: the quorum
 // property already holds, and the filter or router drops it like any other.
 //
+// A retransmitting call the schedule gives up on (rt.Schedule.Wait) unwinds
+// the same way, with a *fault.NoQuorumError, unless its quorum or a busy
+// reply landed as it gave up.
+//
 // The participant's fault profile acts on the call here and in the filter
 // (ReplyDrop) only: its crash check runs before and after the call, a
 // request may be lost as it is sent or ride a timer for its injected delay,
-// and the wait aborts with a *fault.NoQuorumError once its no-quorum signal
-// fires.
+// and its resend period keeps the call ticking.
 func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	var drop func(int) bool
 	var delay func(int) time.Duration
-	var noq <-chan struct{}
 	if fp := c.fp; fp != nil {
 		if fp.Crash != nil {
 			fp.Crash()
 		}
-		drop, delay, noq = fp.Drop, fp.Delay, fp.NoQuorum
+		drop, delay = fp.Drop, fp.Delay
 	}
 	pl := c.pool
 	rec := pl.trace
@@ -830,43 +832,24 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// One wait loop for every configuration: the router's signal, the tick (a
-	// nil channel when nothing arms it: a reliable transport's call that
-	// already went to all n) and the no-quorum abort (nil without a fault
-	// plan).
-	starved := false
-	var skip []bool
-wait:
-	for {
-		select {
-		case <-p.sig:
-			break wait
-		case <-c.sched.C():
-			// The router owns the answered set; the tick gets a copy.
-			if skip == nil {
-				skip = make([]bool, len(p.seen))
-			}
-			sh.mu.Lock()
-			copy(skip, p.seen)
-			sh.mu.Unlock()
-			sent, resend := c.sched.Tick(skip, send)
-			book(sent)
-			if resend == 0 {
-				pl.widened.Add(1)
-			} else {
-				pl.resent.Add(1)
-			}
-			if rec != nil {
-				rec.Event(c.election, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
-			}
-		case <-noq:
-			// The plan proved this client can never reach a quorum
-			// again, and the grace period is over: abort with the typed
-			// no-quorum outcome instead of waiting forever.
-			starved = true
-			break wait
+	// The router owns the answered set; a tick gets a copy.
+	answered := func(into []bool) {
+		sh.mu.Lock()
+		copy(into, p.seen)
+		sh.mu.Unlock()
+	}
+	ticked := func(sent, resend int) {
+		book(sent)
+		if resend == 0 {
+			pl.widened.Add(1)
+		} else {
+			pl.resent.Add(1)
+		}
+		if rec != nil {
+			rec.Event(c.election, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 		}
 	}
+	starved := !c.sched.Wait(p.sig, answered, send, ticked)
 	c.sched.End()
 	if frame != nil {
 		wire.PutBuf(frame)
@@ -885,7 +868,8 @@ wait:
 	sh.mu.Unlock()
 	c.co.open.Add(-1)
 	if starved && (shed || len(c.replies) >= need) {
-		<-p.sig // the call completed as the abort fired: its signal is in flight
+		<-p.sig // the call completed as it gave up: its signal is on the way
+		starved = false
 	}
 	pl.pend.Put(p)
 	if rec != nil {

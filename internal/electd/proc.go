@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/regstore"
 	"repro/internal/rt"
 )
@@ -83,9 +84,11 @@ type Election struct {
 
 // Elect runs one PoisonPill election on instance id with k participants,
 // participant i on its own goroutine with a Participant seeded seed+i, and
-// waits for all of them. The run is valid when no replica shed it and
-// exactly one participant won; otherwise the error says which, and for a
-// shed election it wraps the *BusyError. It is the one election driver of
+// waits for all of them. The run is valid when no replica shed it, no
+// participant's call gave up on its quorum and exactly one participant won;
+// otherwise the error says which, wrapping the *BusyError of a shed election
+// and the *fault.NoQuorumError of a starved one (a call gives up only on a
+// retransmitting pool, such as one on UDP). It is the one election driver of
 // `electd -elect`, `-demo` and Soak. k must lie in [1, regstore.MaxOwners]:
 // every replica drops the cells of a participant id beyond the register
 // store's owners, so a larger k is an error before any participant starts.
@@ -95,7 +98,7 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 	}
 	decisions := make(map[rt.ProcID]core.Decision, k)
 	var mu sync.Mutex
-	shed := make([]error, k)
+	failed := make([]error, k)
 	var msgs, bytes atomic.Int64
 	var wg sync.WaitGroup
 	for i := range k {
@@ -105,7 +108,7 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 			p := NewParticipant(rt.ProcID(i), k, seed+int64(i))
 			c := pl.NewComm(p, id, nil)
 			defer c.Leave()
-			shed[i] = CatchBusy(func() {
+			failed[i] = unwound(func() {
 				d := core.LeaderElectWithState(c, "elect", core.NewState(p, "leaderelect"))
 				mu.Lock()
 				decisions[p.ID()] = d
@@ -117,9 +120,9 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 	}
 	wg.Wait()
 	e := Election{Winner: -1, Msgs: msgs.Load(), Bytes: bytes.Load()}
-	for _, err := range shed {
+	for _, err := range failed {
 		if err != nil {
-			return e, fmt.Errorf("shed by a busy replica: %w", err)
+			return e, err
 		}
 	}
 	winner, err := core.JudgeElection(k, decisions)
@@ -128,4 +131,21 @@ func (pl *Pool) Elect(id uint64, k int, seed int64) (Election, error) {
 	}
 	e.Winner = winner
 	return e, nil
+}
+
+// unwound runs a participant and reports a shed or a quorum give-up.
+func unwound(participant func()) (err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *fault.NoQuorumError:
+			err = fmt.Errorf("starved of a quorum: %w", r)
+		default:
+			panic(r)
+		}
+	}()
+	if err := CatchBusy(participant); err != nil {
+		return fmt.Errorf("shed by a busy replica: %w", err)
+	}
+	return nil
 }

@@ -36,7 +36,7 @@ func A1BiasAblation(sc Scale) *Table {
 	} {
 		vals := make([]float64, 0, sc.Seeds)
 		for s := 0; s < sc.Seeds; s++ {
-			r := runBiasedBasicSift(n, int64(s)*6151+11, exp.prob)
+			r := runCustomSift(n, int64(s)*6151+11, exp.prob)
 			if r.Err != nil {
 				panic(fmt.Sprintf("expt: A1 run failed: %v", r.Err))
 			}
@@ -142,10 +142,4 @@ func T13RoundDecaySeries(sc Scale) *Table {
 		t.AddRow(d(k), string(sched), strings.Join(cells, " → "))
 	}
 	return t
-}
-
-// runBiasedBasicSift runs one basic PoisonPill round with an explicit bias
-// under the sequential schedule (the A1 ablation's fixture).
-func runBiasedBasicSift(n int, seed int64, prob float64) Result {
-	return runCustomSift(n, seed, prob)
 }

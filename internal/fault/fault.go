@@ -38,17 +38,22 @@
 // crash and rejoin times, partition sides, drop matrices and slow sets are
 // drawn deterministically from the seed, so a campaign over sharded seeds
 // explores the scenario's space reproducibly. Plan.Profile turns a plan
-// into one participant's hooks (loss, delay, resend period, no-quorum
-// abort, crash check): the one seam through which a plan reaches either
-// live substrate's quorum traffic.
+// into one participant's hooks (loss, delay, resend period, crash check):
+// the one seam through which a plan reaches either live substrate's quorum
+// traffic.
 //
 // The electability contract: a scenario that does not set NoQuorumOK claims
 // every client can always (eventually) assemble a majority quorum — Validate
 // enforces that its permanent faults stay under ⌈n/2⌉−1, and a run ending
 // without a decision is invalid. A NoQuorumOK scenario may starve clients
-// (a non-healing partition's minority side, permanent loss); the backends
-// then unwind exactly the starved participants with a typed NoQuorumError —
-// Plan.Electable decides, per client, which outcome is the valid one. The
+// (a non-healing partition's minority side, permanent loss). No plan tells
+// a client it is starved: a quorum call gives up on what it observes — its
+// resends backed off to the cap and a cap-long wait brought no new answer
+// (rt.Schedule.Wait), about 254 ms at DefaultRetransmitTick — and the
+// backends unwind it with a typed NoQuorumError. Every plan that can starve
+// a client has link faults, so its calls retransmit and can give up. The
+// run's verdict then judges each abort against the plan: Plan.Electable
+// decides, per client, which outcome is the valid one. The
 // paper's safety guarantees (unique winner among survivors, at least one
 // sift survivor) must hold under every scenario this package can express;
 // the conformance suite in internal/live checks that under the race
@@ -59,7 +64,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -190,12 +194,6 @@ const DefaultCrashWindow = 2 * time.Millisecond
 // the fault windows it rides out.
 const DefaultRetransmitTick = 2 * time.Millisecond
 
-// NoQuorumGrace is how long after a client provably loses its last path to
-// a majority (Plan.StarveAt) the backends wait before unwinding it with a
-// NoQuorumError. The grace absorbs replies already in flight at the starve
-// instant; it only delays runs that genuinely end in a no-quorum outcome.
-const NoQuorumGrace = 60 * time.Millisecond
-
 // ClientSide controls which side of a partition the participants land on.
 // Participants are, by the backends' convention, the K lowest processor
 // ids; the drawing policies below use that to force clients onto a side
@@ -234,19 +232,21 @@ type PartitionSpec struct {
 	Clients ClientSide
 }
 
-// NoQuorumError unwinds a participant whose quorum waits can never again
-// complete — a client on the wrong side of a non-healing partition, or one
-// whose live links fell below a majority for good. The backends recover it
-// around the participant's goroutine and report the processor in
-// Result.NoQuorum; it is the typed "explicit no-quorum outcome" of the
-// electability contract, never a silent hang and never a second winner.
+// NoQuorumError unwinds a participant whose quorum call gave up: it
+// retransmitted until its resend period reached the cap and then heard no
+// new answer for a whole cap-long wait (rt.Schedule.Wait) — what a client
+// on the wrong side of a non-healing partition, or one whose live links
+// fell below a majority for good, observes. The backends recover it around
+// the participant's goroutine and report the processor in Result.NoQuorum;
+// it is the typed "explicit no-quorum outcome" of the electability
+// contract, never a silent hang and never a second winner.
 type NoQuorumError struct {
 	// Proc is the starved participant.
 	Proc int
 }
 
 func (e *NoQuorumError) Error() string {
-	return fmt.Sprintf("fault: processor %d starved of a majority quorum (partitioned or disconnected for good)", e.Proc)
+	return fmt.Sprintf("fault: processor %d starved of a majority quorum (a call heard nothing new through its whole resend backoff)", e.Proc)
 }
 
 // Scenario declaratively describes one adversarial environment for a live
@@ -707,70 +707,44 @@ func (pl *Plan) RecoveryOf(proc int) (time.Duration, bool) {
 	return 0, false
 }
 
-// lostForever reports whether the directed path client → server can ever
-// carry a quorum exchange again, and if not, from which elapsed time on it
-// is gone: a permanently crashed server (no recovery planned), a
-// cross-side link of a non-healing partition, or total loss in either
-// direction. Temporary faults — healing partitions, recovering crashes,
-// sub-1 loss — are survivable by retransmission and never count.
-func (pl *Plan) lostForever(client, server int) (time.Duration, bool) {
+// lostForever reports whether the directed path client → server can never
+// carry a quorum exchange again: a permanently crashed server (no recovery
+// planned), a cross-side link of a non-healing partition, or total loss in
+// either direction. Temporary faults — healing partitions, recovering
+// crashes, sub-1 loss — are survivable by retransmission and never count.
+func (pl *Plan) lostForever(client, server int) bool {
 	if client == server {
 		// A processor always reaches its own replica (the chan backend's
 		// local quorum member, the owned cluster's paired server); if that
 		// replica crashed, so did the client, and starvation is moot.
-		return 0, false
+		return false
 	}
-	at := time.Duration(math.MaxInt64)
-	lost := false
 	if p := pl.Partition; p != nil && p.End == 0 && p.Minority[client] != p.Minority[server] {
-		at, lost = p.Start, true
+		return true
 	}
 	if pl.DropProb(client, server) >= 1 || pl.DropProb(server, client) >= 1 {
-		at, lost = 0, true
+		return true
 	}
 	if _, recovers := pl.RecoveryOf(server); !recovers {
 		for _, cr := range pl.Crashes {
 			if cr.Proc == server {
-				if cr.At < at {
-					at = cr.At
-				}
-				lost = true
+				return true
 			}
 		}
 	}
-	return at, lost
-}
-
-// StarveAt returns the elapsed run time from which client is permanently
-// cut off from every majority quorum — fewer than ⌊n/2⌋+1 servers remain
-// reachable-forever — and whether that ever happens. The runners arm their
-// no-quorum abort timers at StarveAt + NoQuorumGrace; a client with no
-// starve time always (eventually) completes every quorum call.
-func (pl *Plan) StarveAt(client int) (time.Duration, bool) {
-	if pl == nil {
-		return 0, false
-	}
-	quorum := pl.N/2 + 1
-	var losses []time.Duration
-	for j := 0; j < pl.N; j++ {
-		if at, lost := pl.lostForever(client, j); lost {
-			losses = append(losses, at)
-		}
-	}
-	if pl.N-len(losses) >= quorum {
-		return 0, false
-	}
-	sort.Slice(losses, func(i, j int) bool { return losses[i] < losses[j] })
-	// The loss that tips the reachable-forever count below quorum: after
-	// k losses, n−k servers remain, so the (n−quorum+1)-th loss starves.
-	return losses[pl.N-quorum], true
+	return false
 }
 
 // Electable reports whether client can always (eventually) assemble a
-// majority quorum under this plan. A !Electable client is exactly one the
-// runner will abort with a NoQuorumError; a run in which an Electable
-// participant fails to decide is invalid.
+// majority quorum under this plan: at least ⌊n/2⌋+1 servers stay reachable
+// for good. Only a !Electable client may end in a NoQuorumError; a run in
+// which an Electable participant fails to decide is invalid.
 func (pl *Plan) Electable(client int) bool {
-	_, starved := pl.StarveAt(client)
-	return !starved
+	reachable := 0
+	for j := 0; j < pl.N; j++ {
+		if !pl.lostForever(client, j) {
+			reachable++
+		}
+	}
+	return reachable >= pl.N/2+1
 }

@@ -152,7 +152,7 @@ func TestInactivePlanIsNil(t *testing.T) {
 		t.Fatalf("baseline plan = %+v, want nil", pl)
 	}
 	rng := rand.New(rand.NewSource(1))
-	if fp := pl.Profile(0, rng, nil, nil, nil); fp != nil {
+	if fp := pl.Profile(0, rng, nil, nil); fp != nil {
 		t.Errorf("nil plan built the fault profile %+v", fp)
 	}
 	if d := pl.StepDelay(rng, 0); d != 0 {
@@ -243,12 +243,28 @@ func TestChaosGridPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosGridPlanBounds: every materialized plan of the grid respects the
+// cut is a never-healing partition with processor 0 on its minority side,
+// blackout total permanent loss: the two ways a plan starves clients.
+func cut() Scenario {
+	return Scenario{Name: "cut", NoQuorumOK: true,
+		Partition: &PartitionSpec{Start: 200 * time.Microsecond, Minority: MinorityMax, Clients: SideMinority}}
+}
+
+func blackout() Scenario {
+	return Scenario{Name: "blackout", NoQuorumOK: true, LossProb: 1, LossLinks: AllLinks}
+}
+
+// TestChaosGridPlanBounds: every materialized plan of the presets (the
+// chaos grid among them) and of the two starving scenarios respects the
 // declarative scenario's bounds — minority sizes, side constraints, rejoin
-// ordering, drop-probability domain — across seeds.
+// ordering, drop-probability domain — across seeds, and every plan that
+// leaves a client !Electable retransmits on that client's profile: a quorum
+// call gives up only after retransmitting, so without that a starved client
+// would wait forever.
 func TestChaosGridPlanBounds(t *testing.T) {
 	const n = 16
-	for _, sc := range ChaosGrid() {
+	starving := 0
+	for _, sc := range append(Presets(), cut(), blackout()) {
 		for seed := int64(1); seed <= 20; seed++ {
 			pl, err := sc.Plan(n, seed)
 			if err != nil {
@@ -320,17 +336,20 @@ func TestChaosGridPlanBounds(t *testing.T) {
 			if (pl.Partition != nil || len(pl.Drop) > 0 || len(pl.Recoveries) > 0) && !pl.needsRetransmit() {
 				t.Errorf("%s seed %d: lossy plan does not ask for retransmission", sc.Name, seed)
 			}
-			// Electable and StarveAt must agree, for every client.
 			for i := 0; i < n; i++ {
-				at, starved := pl.StarveAt(i)
-				if pl.Electable(i) == starved {
-					t.Errorf("%s seed %d: Electable(%d)=%v but StarveAt starved=%v", sc.Name, seed, i, pl.Electable(i), starved)
+				if pl.Electable(i) {
+					continue
 				}
-				if starved && at < 0 {
-					t.Errorf("%s seed %d: negative starvation time %v", sc.Name, seed, at)
+				starving++
+				fp := pl.Profile(i, rand.New(rand.NewSource(seed)), func() time.Duration { return 0 }, nil)
+				if fp.Retransmit <= 0 {
+					t.Errorf("%s seed %d: client %d is not electable, but its profile does not retransmit", sc.Name, seed, i)
 				}
 			}
 		}
+	}
+	if starving == 0 {
+		t.Error("no plan left a client unelectable: the retransmit premise went unchecked")
 	}
 }
 
@@ -348,15 +367,15 @@ func TestElectabilityContract(t *testing.T) {
 		t.Errorf("NoQuorumOK partition rejected: %v", err)
 	}
 
-	blackout := Scenario{Name: "blackout", LossProb: 1, LossLinks: AllLinks}
-	if err := blackout.Validate(8); err == nil {
+	total := blackout()
+	total.NoQuorumOK = false
+	if err := total.Validate(8); err == nil {
 		t.Error("total loss validated without NoQuorumOK")
 	}
-	blackout.NoQuorumOK = true
-	if err := blackout.Validate(8); err != nil {
+	if err := blackout().Validate(8); err != nil {
 		t.Errorf("NoQuorumOK blackout rejected: %v", err)
 	}
-	pl, err := blackout.Plan(8, 3)
+	pl, err := blackout().Plan(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,24 +383,16 @@ func TestElectabilityContract(t *testing.T) {
 		if pl.Electable(i) {
 			t.Errorf("client %d electable under total permanent loss", i)
 		}
-		if at, starved := pl.StarveAt(i); !starved || at != 0 {
-			t.Errorf("client %d starves at %v (%v), want 0 (true)", i, at, starved)
-		}
 	}
 
-	// A minority-side client of a never-healing partition is starved from
-	// the partition's start; majority-side clients stay electable.
-	cut := Scenario{Name: "cut", NoQuorumOK: true,
-		Partition: &PartitionSpec{Start: 200 * time.Microsecond, Minority: MinorityMax, Clients: SideMinority}}
-	cpl, err := cut.Plan(8, 5)
+	// A minority-side client of a never-healing partition is starved;
+	// majority-side clients stay electable.
+	cpl, err := cut().Plan(8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cpl.Electable(0) {
 		t.Error("processor 0 electable on the minority side of a permanent cut")
-	}
-	if at, starved := cpl.StarveAt(0); !starved || at != cut.Partition.Start {
-		t.Errorf("processor 0 starves at %v (%v), want %v", at, starved, cut.Partition.Start)
 	}
 	for i := 0; i < 8; i++ {
 		if !cpl.Partition.Minority[i] && !cpl.Electable(i) {

@@ -28,12 +28,10 @@ type Profile struct {
 	// Retransmit > 0 makes the quorum waits resend to the servers that have
 	// not answered on that period — required for liveness under partitions,
 	// flaky links and crash-recovery, since the algorithms never resend —
-	// and makes its first tick the one that widens a thrifty first wave.
+	// and makes its first tick the one that widens a thrifty first wave. A
+	// call that resends can give up, once its backoff reaches the cap with
+	// nothing new heard (rt.Schedule.Wait).
 	Retransmit time.Duration
-	// NoQuorum, once closed, unwinds the participant's current and later
-	// quorum waits with a *NoQuorumError: the plan has provably cut it off
-	// from every majority.
-	NoQuorum <-chan struct{}
 	// Crash is called on the participant's goroutine before and after each
 	// communicate call. Once the participant has crashed it does not return:
 	// it unwinds the goroutine with the runner's own panic value.
@@ -45,14 +43,14 @@ type Profile struct {
 // request loss and send delays draw from it, and one draw here seeds the
 // reply-loss stream, which a mutex guards. clock reads the run's elapsed
 // fault clock, which the partition window is checked against, from any
-// goroutine. noq and crash pass through as NoQuorum and Crash. A hook is
+// goroutine. crash passes through as Crash. A hook is
 // set only when the plan can fire it, so a crash-only plan's sends take the
 // fault-free path.
-func (pl *Plan) Profile(proc int, rng *rand.Rand, clock func() time.Duration, noq <-chan struct{}, crash func()) *Profile {
+func (pl *Plan) Profile(proc int, rng *rand.Rand, clock func() time.Duration, crash func()) *Profile {
 	if pl == nil {
 		return nil
 	}
-	fp := &Profile{NoQuorum: noq, Crash: crash}
+	fp := &Profile{Crash: crash}
 	if pl.delays() {
 		fp.Delay = func(to int) time.Duration { return pl.sendDelay(rng, proc, to) }
 	}

@@ -28,12 +28,10 @@ type Comm struct {
 	slot callSlot
 
 	// Single-goroutine arena, reused across communicate calls: the views
-	// Collect hands back and the tick's copy of the answered set. Collect's
-	// return value is valid until the processor's next communicate call, per
-	// the rt.Comm contract — the entries inside stay valid, they are shared
-	// immutable snapshots.
-	views    []rt.View
-	answered []bool
+	// Collect hands back. Collect's return value is valid until the
+	// processor's next communicate call, per the rt.Comm contract — the
+	// entries inside stay valid, they are shared immutable snapshots.
+	views []rt.View
 }
 
 // callSlot is one Comm's call slot, reused for every call of the election:
@@ -57,8 +55,9 @@ type Comm struct {
 // mu and refused once len(replies) == need, so exactly one delivery per
 // ordinal observes the quorum complete and sends exactly one token, into a
 // one-slot channel the caller has emptied before it opens the next ordinal —
-// communicate leaves its wait by that token alone, except through the
-// no-quorum abort, and an aborted handle is never used again.
+// communicate leaves its wait by that token alone, or by giving up; a call
+// that gave up with its quorum in takes the token too, and one that gave up
+// without it aborts the handle, which is never used again.
 type callSlot struct {
 	mu      sync.Mutex
 	call    uint64        // ordinal of the call collecting; 0 = none
@@ -105,10 +104,13 @@ func (s *callSlot) open(call uint64) {
 	s.mu.Unlock()
 }
 
-func (s *callSlot) close() {
+// close reports whether the quorum was in.
+func (s *callSlot) close() bool {
 	s.mu.Lock()
 	s.call = 0
+	full := len(s.replies) == s.need
 	s.mu.Unlock()
+	return full
 }
 
 // NewComm builds the communicate handle for an algorithm running on p, with
@@ -191,9 +193,11 @@ func (c *Comm) Collect(reg string) []rt.View {
 // else: a request may be lost as it is sent, or carry an injected delay
 // (the delivery then rides a helper goroutine, so one slow link never stalls
 // the rest of the wave); a reply may be lost as it is delivered
-// (callSlot.deliver); the schedule keeps ticking on the profile's resend
-// period (selective, backed off, jittered); and the wait aborts with a typed
-// fault.NoQuorumError once the profile's no-quorum signal fires.
+// (callSlot.deliver); and the schedule keeps ticking on the profile's resend
+// period (selective, backed off, jittered). A call that ticks so long
+// without hearing anything new that the schedule gives up on it
+// (rt.Schedule.Wait) unwinds with a typed fault.NoQuorumError; the run's
+// verdict then checks that abort against the plan.
 func (c *Comm) communicate(req request) []reply {
 	p := c.p
 	p.maybeCrash()
@@ -219,9 +223,8 @@ func (c *Comm) communicate(req request) []reply {
 	reqSize := int64((&wire.Msg{Kind: wk, Call: req.call, From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
 	var drop func(int) bool
 	var delay func(int) time.Duration
-	var noq <-chan struct{}
 	if fp := c.fp; fp != nil {
-		drop, delay, noq = fp.Drop, fp.Delay, fp.NoQuorum
+		drop, delay = fp.Drop, fp.Delay
 	}
 	rec := p.sys.rec
 	// send hands the request to peer j's mailbox. It never refuses: a
@@ -266,41 +269,26 @@ func (c *Comm) communicate(req request) []reply {
 		rec.Record(p.sys.traceID, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// One wait for every configuration: the completing delivery's signal,
-	// the tick (nil once a call without a plan has asked everyone) and the
-	// no-quorum abort (nil unless the plan starves this processor).
-wait:
-	for {
-		select {
-		case <-s.sig:
-			break wait
-		case <-c.sched.C():
-			// A tick and the quorum both ready — the goroutine ran late, as
-			// after a host stall — is a complete call: select would pick
-			// either, and a widen there is pure waste.
-			select {
-			case <-s.sig:
-				break wait
-			default:
-			}
-			// The servers own the answered set; the tick gets a copy.
-			if c.answered == nil {
-				c.answered = make([]bool, len(s.seen))
-			}
-			s.mu.Lock()
-			copy(c.answered, s.seen)
-			s.mu.Unlock()
-			sent, resend := c.sched.Tick(c.answered, send)
-			book(sent)
-			if rec != nil {
-				rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
-			}
-		case <-noq:
-			c.sched.End()
-			panic(&fault.NoQuorumError{Proc: int(p.id)})
+	// The servers own the answered set; a tick gets a copy.
+	answered := func(into []bool) {
+		s.mu.Lock()
+		copy(into, s.seen)
+		s.mu.Unlock()
+	}
+	ticked := func(sent, resend int) {
+		book(sent)
+		if rec != nil {
+			rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 		}
 	}
-	s.close() // from here no server touches the replies or the answered set
+	done := c.sched.Wait(s.sig, answered, send, ticked)
+	// From here no server touches the replies or the answered set.
+	if full := s.close(); !done {
+		if !full {
+			panic(&fault.NoQuorumError{Proc: int(p.id)})
+		}
+		<-s.sig // the quorum landed as the call gave up: its signal is on the way
+	}
 	c.sched.Done(s.seen)
 	if rec != nil {
 		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(s.need))

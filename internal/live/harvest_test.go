@@ -44,7 +44,7 @@ type stage struct {
 func newStage(t *testing.T, seed int64, plan *fault.Plan) *stage {
 	t.Helper()
 	sys := newSystem(harvestN, seed, plan, false)
-	st := &stage{t: t, sys: sys, c: NewComm(sys.Proc(0), sys.profile(0, nil)), in: make(chan arrival)}
+	st := &stage{t: t, sys: sys, c: NewComm(sys.Proc(0), sys.profile(0)), in: make(chan arrival)}
 	stop := make(chan struct{})
 	for _, p := range sys.procs {
 		go func() { // ends at the cleanup below
@@ -335,7 +335,10 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 // the end. Exactly need peers ever answer, one of
 // them over a lossy link, so a call whose reply the plan eats can complete
 // only by asking that sender again on the tick and counting its second
-// answer.
+// answer — or gives up, when the plan eats every answer that sender gives
+// it until its ticks reach the cap: to the caller that is a cut link, the
+// other peers being silent. The next call then runs on a fresh handle with
+// the same profile, so the loss stream goes on.
 func TestReplyLossSampledAtDelivery(t *testing.T) {
 	for _, sc := range []fault.Scenario{fault.Flaky(), fault.FlakyAsym()} {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -356,8 +359,7 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				}
 			}
 			st := newStage(t, seed, plan)
-			s := &st.c.slot
-			twin := plan.Profile(0, rand.New(rand.NewSource(seed^faultStreamSalt)), func() time.Duration { return 0 }, nil, nil)
+			twin := plan.Profile(0, rand.New(rand.NewSource(seed^faultStreamSalt)), func() time.Duration { return 0 }, nil)
 			answering := []rt.ProcID{lossy}
 			for j := rt.ProcID(1); len(answering) < harvestNeed; j++ {
 				if j != lossy {
@@ -365,12 +367,31 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				}
 			}
 
-			lost, recounted := 0, 0
+			lost, recounted, gaveUp := 0, 0, 0
+			s := &st.c.slot
+		calls:
 			for call := 1; call <= 20; call++ {
+				s = &st.c.slot
 				done := st.collect()
 				dropped := make(map[rt.ProcID]bool)
 				for counted := 0; counted < harvestNeed; {
-					a := st.next()
+					var a arrival
+					select {
+					case a = <-st.in:
+					case r := <-done:
+						var starved *fault.NoQuorumError
+						s.mu.Lock()
+						eaten := slices.ContainsFunc(answering, func(j rt.ProcID) bool { return dropped[j] && !s.seen[j] })
+						s.mu.Unlock()
+						if !errors.As(r.err, &starved) || !eaten {
+							t.Fatalf("call %d ended with %v on %d of %d replies, none eaten for good by the plan", call, r.err, counted, harvestNeed)
+						}
+						gaveUp++
+						st.c = NewComm(st.sys.Proc(0), st.c.fp)
+						continue calls
+					case <-time.After(harvestWait):
+						t.Fatal("no request reached a mailbox")
+					}
 					if !slices.Contains(answering, a.j) {
 						continue // a silent peer: the request is lost on it
 					}
@@ -416,26 +437,37 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 					t.Fatalf("after %d lost replies the slot's loss stream is out of step with its twin", lost)
 				}
 			}
-			t.Logf("seed %d, lossy link %d→0: %d replies lost, %d senders counted on a later answer", seed, lossy, lost, recounted)
+			t.Logf("seed %d, lossy link %d→0: %d replies lost, %d senders counted on a later answer, %d calls gave up", seed, lossy, lost, recounted, gaveUp)
 		})
 	}
 }
 
-// TestNoQuorumAbortBlocksNobody: a call aborted by the no-quorum signal
-// leaves its slot behind, and the replies that still arrive — the one that
-// completes the quorum among them — are delivered without blocking.
+// TestNoQuorumAbortBlocksNobody: a call that gives up — it retransmits
+// and the peers it still needs stay silent — leaves its slot behind, and
+// the replies that still arrive, the one that would have completed the
+// quorum among them, are delivered without blocking.
 func TestNoQuorumAbortBlocksNobody(t *testing.T) {
 	st := newStage(t, 1, nil)
-	noq := make(chan struct{})
-	st.c = NewComm(st.sys.Proc(0), &fault.Profile{NoQuorum: noq})
+	st.c = NewComm(st.sys.Proc(0), &fault.Profile{Retransmit: 100 * time.Microsecond})
 	done := st.collect()
 	first := st.wave(1, 2, 3, 4)
 	for j := rt.ProcID(1); j < harvestNeed; j++ {
 		answer(j, first[j])
 	}
-	close(noq)
+	// The resends reach the mailboxes and go unanswered.
+	var r collected
+wait:
+	for {
+		select {
+		case r = <-done:
+			break wait
+		case <-st.in:
+		case <-time.After(harvestWait):
+			t.Fatal("a call no quorum answers never gave up")
+		}
+	}
 	var starved *fault.NoQuorumError
-	if r := st.result(done); !errors.As(r.err, &starved) || starved.Proc != 0 {
+	if !errors.As(r.err, &starved) || starved.Proc != 0 {
 		t.Fatalf("the starved call returned %d views and %v, want a NoQuorumError for processor 0", len(r.views), r.err)
 	}
 	late := make(chan struct{})

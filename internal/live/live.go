@@ -146,14 +146,14 @@ const faultStreamSalt = 0x3C6EF372FE94F82A
 
 // profile builds participant i's fault hooks for the current run — nil on a
 // fault-free one: its delays and request loss draw from i's fault stream,
-// partition windows read the run's fault clock, noq is its no-quorum abort
-// and a crash unwinds it as on every other backend interaction.
-func (sys *System) profile(i int, noq <-chan struct{}) *fault.Profile {
+// partition windows read the run's fault clock, and a crash unwinds it as
+// on every other backend interaction.
+func (sys *System) profile(i int) *fault.Profile {
 	if sys.plan == nil {
 		return nil // before the method values below, which allocate
 	}
 	p := sys.procs[i]
-	return sys.plan.Profile(i, p.frng, sys.elapsed, noq, p.maybeCrash)
+	return sys.plan.Profile(i, p.frng, sys.elapsed, p.maybeCrash)
 }
 
 // N returns the system size.

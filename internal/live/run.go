@@ -127,13 +127,13 @@ type Result struct {
 	// they affect only message loss, not decisions.
 	Crashed []rt.ProcID
 	// NoQuorum lists the participants that aborted with a typed
-	// fault.NoQuorumError: the plan provably cut them off from every
-	// majority quorum (a never-healing partition's minority side, total
-	// loss, too many unrecovered crashes) and the grace period ran out.
-	// From the protocol's perspective an aborted participant is a crash —
-	// it vanishes mid-election and the safety argument is unchanged — but
-	// the runner reports the two causes apart, and a run in which an
-	// electable participant lands here is invalid.
+	// fault.NoQuorumError: a quorum call of theirs gave up on what it
+	// observed (rt.Schedule.Wait), not on word from the plan. From the
+	// protocol's perspective an aborted participant is a crash — it
+	// vanishes mid-election and the safety argument is unchanged — but the
+	// runner reports the two causes apart, and the verdict checks every
+	// abort against the plan: an electable participant here
+	// (fault.Plan.Electable) makes the run invalid.
 	NoQuorum []rt.ProcID
 	// Rounds is the highest election round any participant reached.
 	Rounds int
@@ -387,21 +387,10 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 	}
 
 	// Each participant's fault hooks reach its client through one profile
-	// (nil on a fault-free run). Participants the plan provably starves of
-	// quorums get an abort channel in theirs; its close timer is armed with
-	// the crash timers below, once the fault clock is stamped.
-	var noq []chan struct{}
+	// (nil on a fault-free run).
 	comms := make([]rt.Comm, cfg.K)
 	for i := 0; i < cfg.K; i++ {
-		var abort chan struct{}
-		if _, starves := plan.StarveAt(i); starves {
-			if noq == nil {
-				noq = make([]chan struct{}, cfg.K)
-			}
-			abort = make(chan struct{})
-			noq[i] = abort
-		}
-		fp := sys.profile(i, abort)
+		fp := sys.profile(i)
 		if clients != nil {
 			clients[i] = cluster.NewComm(sys.procs[i], election, fp)
 			comms[i] = clients[i]
@@ -423,7 +412,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 	var crashMu sync.Mutex
 	finished := false
 	if plan != nil {
-		timers := make([]*time.Timer, 0, len(plan.Crashes)+len(noq))
+		timers := make([]*time.Timer, 0, len(plan.Crashes))
 		var rejoins []*time.Timer // armed by the crash callbacks, under crashMu
 		rejoin := func(id rt.ProcID) {
 			crashMu.Lock()
@@ -465,22 +454,9 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 				}
 			}))
 		}
-		for i, ch := range noq {
-			if ch == nil {
-				continue
-			}
-			at, _ := plan.StarveAt(i)
-			chn := ch
-			timers = append(timers, time.AfterFunc(at+fault.NoQuorumGrace, func() {
-				// No finished-guard: closing after the run completed wakes
-				// nobody — the channel belongs to this run's profile alone.
-				close(chn)
-			}))
-		}
 		// Pending crashes are cancelled once the run completes: a crash
 		// scheduled after the last decision didn't happen, as far as the
-		// run's results are concerned. Same for recoveries and starvation
-		// deadlines.
+		// run's results are concerned. Same for recoveries.
 		defer func() {
 			crashMu.Lock()
 			finished = true

@@ -29,7 +29,7 @@ func TestScheduleArmsOneTimer(t *testing.T) {
 		}
 		call := func() {
 			s.Begin(send)
-			s.Tick(answered, send)
+			s.tick(answered, send)
 			s.Done(answered)
 		}
 		if s.tmr != nil {

@@ -87,7 +87,7 @@ func TestKarnsRule(t *testing.T) {
 
 	s.Begin(r.send)
 	time.Sleep(2 * WidenFloor)
-	s.Tick(answered, r.send) // the widen
+	s.tick(answered, r.send) // the widen
 	s.Done(answered)
 	s.Begin(r.send) // the probe
 	time.Sleep(2 * WidenFloor)
@@ -113,7 +113,7 @@ func TestObservedWaveIsTheQuorum(t *testing.T) {
 	if sent := s.Begin(r.send); sent != n/2 || !slices.Equal(r.asked, ring(n, self+1, n/2)) {
 		t.Fatalf("first wave asked %v (sent %d), want the %d peers to the right", r.asked, sent, n/2)
 	}
-	if s.C() == nil || s.Wide() {
+	if s.fire == nil || s.Wide() {
 		t.Fatal("an exact first wave armed no tick, or went wide")
 	}
 	s.End()
@@ -139,14 +139,14 @@ func TestWidenProbesThenRemembersTheSilent(t *testing.T) {
 	// quorum, and returns whom the wave after them asks.
 	probe := func(quorum []int, r *recorder) []int {
 		s.Begin(all)
-		s.Tick(nil, all)
+		s.tick(nil, all)
 		s.Done(nil)
 		answered := make([]bool, n)
 		for _, j := range quorum {
 			answered[j] = true
 		}
-		if sent := s.Begin(all); sent != n-1 || s.C() != nil {
-			t.Fatalf("the probe asked %d peers, tick armed=%v; want all %d at once", sent, s.C() != nil, n-1)
+		if sent := s.Begin(all); sent != n-1 || s.fire != nil {
+			t.Fatalf("the probe asked %d peers, tick armed=%v; want all %d at once", sent, s.fire != nil, n-1)
 		}
 		s.Done(answered)
 		r.asked = nil

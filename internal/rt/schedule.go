@@ -46,9 +46,9 @@ const WidenAfter = 50 * time.Millisecond
 // later first waves pass over, and those waves stay the size of the
 // quorum.
 //
-// A Schedule belongs to the caller's goroutine. One call is Begin, a wait
-// that selects on C and answers it with Tick, then Done once the quorum is
-// in (End on a call abandoned without one).
+// A Schedule belongs to the caller's goroutine. One call is Begin, then
+// Wait, then Done once the quorum is in (End on a call abandoned without
+// one).
 type Schedule struct {
 	n     int
 	first int  // where every ring walk starts
@@ -72,9 +72,11 @@ type Schedule struct {
 	// The call in progress.
 	thrifty bool             // its first wave went to a subset and it has not widened
 	t0      time.Time        // when its first wave went out (observed rule only)
-	tick    <-chan time.Time // tmr.C while tmr runs for it, else nil
+	fire    <-chan time.Time // tmr.C while tmr runs for it, else nil
 	period  time.Duration    // its current resend period
 	resends int              // its ticks since it was sent to everyone
+	heard   int              // answers in hand at its last tick
+	ans     []bool           // the tick's copy of the answered set; nil until a tick needs it
 }
 
 // NewSchedule returns the schedule of one caller among n servers, its ring
@@ -138,7 +140,7 @@ func (s *Schedule) wave(want int, marks []bool, ask bool, send func(j int) bool)
 // suspect, which is asked only when too few others remain. Begin returns
 // the number of requests sent.
 func (s *Schedule) Begin(send func(j int) bool) int {
-	s.thrifty, s.period, s.resends = !s.wide && !s.probe, s.retransmit, 0
+	s.thrifty, s.period, s.resends, s.heard = !s.wide && !s.probe, s.retransmit, 0, 0
 	want, tick := s.n, s.retransmit
 	if s.thrifty {
 		want, tick = s.want, s.widenTick
@@ -161,16 +163,56 @@ func (s *Schedule) Begin(send func(j int) bool) int {
 		} else {
 			s.tmr.Reset(d)
 		}
-		s.tick = s.tmr.C
+		s.fire = s.tmr.C
 	}
 	return sent
 }
 
-// C is the call's tick; nil (never ready) when none is armed: the call has
-// asked everyone and the substrate loses nothing.
-func (s *Schedule) C() <-chan time.Time { return s.tick }
+// Wait waits out the call Begin sent: true once done, the substrate's
+// completion signal, is ready; false when the call gives up. Each tick
+// copies the answered set through answered (the substrate owns it and its
+// lock), asks again (tick) and reports the requests sent and the tick's
+// ordinal to ticked. done wins over a tick ready at the same time (the
+// goroutine ran late, as after a host stall): a widen there is waste.
+//
+// A call gives up on what it observes, at a tick: its resend period has
+// reached the cap and the cap-long wait just ended brought no new answer —
+// the seventh tick of a call nobody answers, 126 periods (plus jitter)
+// after its first. In the model the caller is then a crash. A call without
+// a resend period never gives up. One whose quorum lands as it gives up is
+// the substrate's to count as complete: its signal may be on the way.
+func (s *Schedule) Wait(done <-chan struct{}, answered func([]bool), send func(j int) bool, ticked func(sent, resend int)) bool {
+	for {
+		select {
+		case <-done:
+			return true
+		case <-s.fire:
+			select {
+			case <-done:
+				return true
+			default:
+			}
+			if s.ans == nil {
+				s.ans = make([]bool, s.n)
+			}
+			answered(s.ans)
+			heard := 0
+			for _, a := range s.ans {
+				if a {
+					heard++
+				}
+			}
+			if s.retransmit > 0 && s.period == s.retransmit<<6 && heard == s.heard {
+				s.fire = nil // fired and drained: nothing is left to stop
+				return false
+			}
+			s.heard = heard
+			ticked(s.tick(s.ans, send))
+		}
+	}
+}
 
-// Tick answers a fired C: it sends again, to every server not marked in
+// tick answers a fired tick: it sends again, to every server not marked in
 // answered, asked before or not. For a thrifty call that is the widen.
 // Under the fixed rule the schedule then stays wide — whatever silenced the
 // set is likely still there, so a failure costs the caller one tick, not
@@ -187,7 +229,7 @@ func (s *Schedule) C() <-chan time.Time { return s.tick }
 // conc=64). Selective, backed-off, desynchronized resends still carry a call
 // across partitions, flaky links and crash-recovery windows; the substrate
 // dedups the duplicate replies by sender.
-func (s *Schedule) Tick(answered []bool, send func(j int) bool) (sent, resend int) {
+func (s *Schedule) tick(answered []bool, send func(j int) bool) (sent, resend int) {
 	if s.thrifty {
 		s.thrifty = false
 		s.widens++
@@ -199,7 +241,7 @@ func (s *Schedule) Tick(answered []bool, send func(j int) bool) (sent, resend in
 	}
 	sent = s.wave(s.n, answered, false, send)
 	if s.retransmit == 0 {
-		s.tick = nil // everyone has now been asked, and nothing is lost
+		s.fire = nil // everyone has now been asked, and nothing is lost
 	} else {
 		if s.period < s.retransmit<<6 {
 			s.period *= 2
@@ -211,9 +253,9 @@ func (s *Schedule) Tick(answered []bool, send func(j int) bool) (sent, resend in
 
 // End stops the call's tick.
 func (s *Schedule) End() {
-	if s.tick != nil {
+	if s.fire != nil {
 		s.tmr.Stop()
-		s.tick = nil
+		s.fire = nil
 	}
 }
 

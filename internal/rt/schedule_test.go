@@ -57,12 +57,12 @@ func TestFirstWaveWalksTheRing(t *testing.T) {
 		if sent := s.Begin(r.send); sent != len(tc.want) || !slices.Equal(r.asked, tc.want) {
 			t.Errorf("%s: first wave asked %v (sent %d), want %v", tc.name, r.asked, sent, tc.want)
 		}
-		if s.C() == nil {
+		if s.fire == nil {
 			t.Errorf("%s: a thrifty first wave armed no tick", tc.name)
 		}
 		s.End()
-		if s.C() != nil || s.Wide() {
-			t.Errorf("%s: after End the tick is still armed (%v) or the schedule went wide (%v)", tc.name, s.C() != nil, s.Wide())
+		if s.fire != nil || s.Wide() {
+			t.Errorf("%s: after End the tick is still armed (%v) or the schedule went wide (%v)", tc.name, s.fire != nil, s.Wide())
 		}
 	}
 }
@@ -105,7 +105,7 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 	}
 	silent := slices.Clone(r.asked[:ThriftySlack+1])
 	r.asked = nil
-	sent, resend := s.Tick(answered, r.send)
+	sent, resend := s.tick(answered, r.send)
 	var want []int
 	for _, j := range ring(n, self+1, n-1, self) {
 		if !answered[j] {
@@ -120,7 +120,7 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 			t.Errorf("widen skipped server %d, asked in the first wave and silent since", j)
 		}
 	}
-	if s.C() != nil {
+	if s.fire != nil {
 		t.Error("a widened call on a substrate without a retransmit period kept its tick")
 	}
 	s.End()
@@ -131,7 +131,7 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 	if sent := s.Begin(r.send); sent != n-1 || !slices.Equal(r.asked, ring(n, self+1, n-1)) {
 		t.Errorf("the call after a widen asked %v, want all %d peers in ring order", r.asked, n-1)
 	}
-	if s.C() != nil {
+	if s.fire != nil {
 		t.Error("a wide call on a substrate without a retransmit period armed a tick")
 	}
 	s.End()
@@ -153,9 +153,9 @@ func TestWideFromStart(t *testing.T) {
 				wide := n <= n/2+1+slack
 				var r recorder
 				sent := s.Begin(r.send)
-				if s.Wide() != wide || (wide && (sent != others || s.C() != nil)) || (!wide && (sent >= others || s.C() == nil)) {
+				if s.Wide() != wide || (wide && (sent != others || s.fire != nil)) || (!wide && (sent >= others || s.fire == nil)) {
 					t.Errorf("slack %d n=%d self=%d: wide=%v, first wave %d of %d, tick armed=%v; want wide=%v",
-						slack, n, self, s.Wide(), sent, others, s.C() != nil, wide)
+						slack, n, self, s.Wide(), sent, others, s.fire != nil, wide)
 				}
 				s.End()
 			}
@@ -177,13 +177,13 @@ func TestTickSequence(t *testing.T) {
 	s.Begin(nobody)
 	defer s.End()
 	for k, want := 0, 2*r; k < 10; k++ {
-		if _, resend := s.Tick(nil, nobody); resend != k {
+		if _, resend := s.tick(nil, nobody); resend != k {
 			t.Fatalf("tick %d reported ordinal %d", k, resend)
 		}
 		if s.period != want {
 			t.Fatalf("after tick %d the period is %v, want %v", k, s.period, want)
 		}
-		if s.C() == nil {
+		if s.fire == nil {
 			t.Fatalf("tick %d of a retransmitting call left nothing armed", k)
 		}
 		if want < 64*r {
@@ -222,5 +222,98 @@ func TestJitter(t *testing.T) {
 	}
 	if same > 50 || len(spread) < 100 {
 		t.Errorf("two callers drew the same stretch %d times of 1000, one caller %d distinct stretches", same, len(spread))
+	}
+}
+
+// TestWaitGivesUpOnWhatItHears: a retransmitting call gives up at the first
+// tick whose resend period has reached the cap and whose cap-long wait just
+// ended brought no new answer — the seventh tick when answers stopped
+// before the cap, one tick later for each cap-long wait that brought one.
+// The give-up tick resends nothing.
+func TestWaitGivesUpOnWhatItHears(t *testing.T) {
+	const r = 200 * time.Microsecond
+	for _, tc := range []struct {
+		name   string
+		newAt  []int // the ticks (1-based) whose copy of the answered set holds a new answer
+		giveUp int   // the tick that gives up
+	}{
+		{"nobody answers", nil, 7},
+		{"answers stop before the cap", []int{1, 2, 3, 6}, 7},
+		{"one new answer in the first cap-long wait", []int{7}, 8},
+		{"new answers in three cap-long waits", []int{7, 8, 9}, 10},
+	} {
+		s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 3)
+		s.SetRetransmit(r)
+		nobody := func(int) bool { return true }
+		ticks, heard := 0, 0
+		answered := func(into []bool) {
+			ticks++
+			if slices.Contains(tc.newAt, ticks) {
+				heard++
+			}
+			for j := range into {
+				into[j] = j < heard
+			}
+		}
+		var ordinals []int
+		ticked := func(_, resend int) { ordinals = append(ordinals, resend) }
+		t0 := time.Now()
+		s.Begin(nobody)
+		if s.Wait(make(chan struct{}), answered, nobody, ticked) {
+			t.Fatalf("%s: a call no quorum answered reported completion", tc.name)
+		}
+		// The ticks before the give-up wait r, 2r, …, doubling to 64r.
+		floor := r
+		for k, p := 1, r; k < tc.giveUp; k++ {
+			p = min(2*p, 64*r)
+			floor += p
+		}
+		if el := time.Since(t0); ticks != tc.giveUp || len(ordinals) != tc.giveUp-1 || el < floor {
+			t.Errorf("%s: gave up at tick %d after %v, having resent %d times; want tick %d, %d resends, no sooner than %v",
+				tc.name, ticks, el, len(ordinals), tc.giveUp, tc.giveUp-1, floor)
+		}
+		for k, o := range ordinals {
+			if o != k {
+				t.Fatalf("%s: tick %d reported ordinal %d", tc.name, k+1, o)
+			}
+		}
+		if s.fire != nil {
+			t.Errorf("%s: a call that gave up left its tick armed", tc.name)
+		}
+	}
+}
+
+// TestWaitWithoutRetransmitNeverGivesUp: a call without a resend period
+// widens once and then waits for its quorum however long it takes.
+func TestWaitWithoutRetransmitNeverGivesUp(t *testing.T) {
+	s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 1)
+	all := func(int) bool { return true }
+	done := make(chan struct{})
+	time.AfterFunc(3*WidenAfter, func() { close(done) })
+	ticks := 0
+	s.Begin(all)
+	if !s.Wait(done, func([]bool) {}, all, func(int, int) { ticks++ }) || ticks != 1 {
+		t.Errorf("a call without a resend period ticked %d times before its quorum; want one widen, then the quorum", ticks)
+	}
+	s.End()
+}
+
+// TestWaitCompletionBeatsTick: a quorum and a tick both ready when the
+// caller looks is a complete call — no copy of the answered set, no resend.
+func TestWaitCompletionBeatsTick(t *testing.T) {
+	const r = 100 * time.Microsecond
+	s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 5)
+	s.SetRetransmit(r)
+	all := func(int) bool { return true }
+	done := make(chan struct{}, 1)
+	for i := range 50 {
+		s.Begin(all)
+		time.Sleep(2 * r * 5 / 4) // past the first tick and its jitter
+		done <- struct{}{}
+		copied, resent := false, false
+		if !s.Wait(done, func([]bool) { copied = true }, all, func(int, int) { resent = true }) || copied || resent {
+			t.Fatalf("round %d: with the quorum and a tick both ready, the call copied the answered set (%v) or resent (%v)", i, copied, resent)
+		}
+		s.End()
 	}
 }

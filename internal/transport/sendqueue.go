@@ -76,6 +76,9 @@ func (q *sendQueue[T]) enqueue(v T, wake bool) (depth int, err error) {
 		q.drop(v)
 		return 0, ErrClosed
 	}
+	if !wake && !q.idle {
+		stats.heldRunning.Add(1) // the running consumer takes v with its next drain
+	}
 	depth = len(q.items)
 	q.items = append(q.items, v)
 	wake = (wake || len(q.items) == sendQueueDepth) && q.idle

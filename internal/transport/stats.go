@@ -30,6 +30,7 @@ var stats struct {
 	writeCalls   atomic.Int64
 	singleWrites atomic.Int64
 	readCalls    atomic.Int64
+	heldRunning  atomic.Int64
 }
 
 // Stats is one read of the process's transport counters.
@@ -50,6 +51,9 @@ type Stats struct {
 	// carried exactly one frame: a write loop woken for a lone request or
 	// reply, where a batch would have shared the call.
 	SingleFrameWrites int64
+	// HeldOnRunning counts the frames sent held (HeldConn.SendHeld) that
+	// found their write loop running: they leave before the Kick.
+	HeldOnRunning int64
 }
 
 // ReadStats returns the current counter values.
@@ -64,6 +68,7 @@ func ReadStats() Stats {
 		WriteCalls:        stats.writeCalls.Load(),
 		ReadCalls:         stats.readCalls.Load(),
 		SingleFrameWrites: stats.singleWrites.Load(),
+		HeldOnRunning:     stats.heldRunning.Load(),
 	}
 }
 
@@ -80,6 +85,7 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("transport_msgs_coalesced_total", "plain frames wrapped into outbound batches", stats.coalesced.Load)
 	r.NewCounterFunc("transport_write_calls_total", "write calls: one per stream drain (TCP socket or loopback pipe), one per UDP datagram", stats.writeCalls.Load)
 	r.NewCounterFunc("transport_single_frame_writes_total", "stream drains (TCP socket or loopback pipe) that carried exactly one frame", stats.singleWrites.Load)
+	r.NewCounterFunc("transport_held_on_running_total", "frames sent held that found their stream write loop running, so left before the kick they were held for", stats.heldRunning.Load)
 	r.NewCounterFunc("transport_read_calls_total", "reads that returned data (TCP and UDP sockets, loopback pipes)", stats.readCalls.Load)
 	for i := range wire.ViewMemoShards {
 		shard := obs.L("shard", strconv.Itoa(i))
