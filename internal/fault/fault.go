@@ -51,8 +51,9 @@
 // resends backed off to the cap and a cap-long wait brought no new answer
 // (rt.Schedule.Wait), about 254 ms at DefaultRetransmitTick — and the
 // backends unwind it with a typed NoQuorumError. Every plan that can starve
-// a client has link faults, so its calls retransmit and can give up. The
-// run's verdict then judges each abort against the plan: Plan.Electable
+// a client has link faults, so its calls retransmit and can give up; and
+// Validate keeps every temporary fault shorter than such a call rides out.
+// The run's verdict then judges each abort against the plan: Plan.Electable
 // decides, per client, which outcome is the valid one. The
 // paper's safety guarantees (unique winner among survivors, at least one
 // sift survivor) must hold under every scenario this package can express;
@@ -61,10 +62,14 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
+
+	"repro/internal/rt"
 )
 
 // DistKind selects the shape of a delay distribution.
@@ -393,35 +398,21 @@ func (s Scenario) Validate(n int) error {
 	if s.Retransmit < 0 {
 		return fmt.Errorf("fault: negative retransmit period %v", s.Retransmit)
 	}
+	if out, ride := s.outage(), rt.RidesOut(s.retransmitTick()); out >= ride {
+		return fmt.Errorf("fault: temporary faults can cut a client off for %v, and a quorum call resending every %v may give up on a silence of %v; shorten the window or lengthen Retransmit",
+			out, s.retransmitTick(), ride)
+	}
 	if !s.NoQuorumOK {
 		// The electability claim: no client may ever lose its last path to
-		// a majority for good. Temporary faults (healing partitions,
-		// recovering crashes, sub-1 loss ridden out by retransmission) are
-		// fine; permanent ones must stay within the crash bound even when
-		// they all land on one client's side of the split.
+		// a majority for good. Permanent crashes stay within the bound
+		// (above); temporary faults — healing partitions, recovering
+		// crashes, sub-1 loss — are ridden out by retransmission, even when
+		// they cut a client off for a while, as long as they end in time.
 		if s.Partition != nil && s.Partition.Heal == 0 {
 			return fmt.Errorf("fault: a non-healing partition starves its minority side's clients; set NoQuorumOK")
 		}
 		if s.LossProb >= 1 {
 			return fmt.Errorf("fault: total loss (LossProb 1) can sever a client's last quorum path; set NoQuorumOK")
-		}
-		permanent := 0
-		if s.RecoverAfter <= 0 {
-			permanent = s.Crashes
-			if permanent == CrashMax {
-				permanent = MaxCrashes(n)
-			}
-		}
-		minority := 0
-		if s.Partition != nil {
-			minority = s.Partition.Minority
-			if minority == MinorityMax {
-				minority = MaxCrashes(n)
-			}
-		}
-		if max := MaxCrashes(n); permanent+minority > max {
-			return fmt.Errorf("fault: %d permanent crashes plus a partition minority of %d exceed ⌈n/2⌉−1 = %d at n=%d — a client could starve during the window; set NoQuorumOK or make the faults temporary",
-				permanent, minority, max, n)
 		}
 	}
 	if s.SlowProcs != SlowThirdOfN && s.SlowProcs < 0 {
@@ -685,12 +676,29 @@ func (pl *Plan) needsRetransmit() bool {
 	return pl.hasLinkFaults() || len(pl.Recoveries) > 0
 }
 
-// retransmitTick is the quorum waits' resend period under this plan.
-func (pl *Plan) retransmitTick() time.Duration {
-	if pl.Scenario.Retransmit > 0 {
-		return pl.Scenario.Retransmit
+// retransmitTick is the quorum waits' resend period under the scenario.
+func (s Scenario) retransmitTick() time.Duration {
+	if s.Retransmit > 0 {
+		return s.Retransmit
 	}
 	return DefaultRetransmitTick
+}
+
+// outage bounds how long the scenario's temporary faults can cut a client
+// off: a healing partition's window, recovering crashes from the first crash
+// to the last rejoin, and the two as one when they overlap.
+func (s Scenario) outage() time.Duration {
+	var rec, start, heal time.Duration // recovering crashes span [0, rec)
+	if s.RecoverAfter > 0 {
+		rec = cmp.Or(s.CrashWindow, DefaultCrashWindow) + s.RecoverAfter + s.RecoverJitter
+	}
+	if p := s.Partition; p != nil && p.Heal > 0 {
+		start, heal = p.Start, p.Heal
+		if rec > 0 && start <= rec {
+			start = 0
+		}
+	}
+	return max(heal-start, rec)
 }
 
 // RecoveryOf returns processor proc's replica rejoin time, if one is
@@ -725,14 +733,8 @@ func (pl *Plan) lostForever(client, server int) bool {
 	if pl.DropProb(client, server) >= 1 || pl.DropProb(server, client) >= 1 {
 		return true
 	}
-	if _, recovers := pl.RecoveryOf(server); !recovers {
-		for _, cr := range pl.Crashes {
-			if cr.Proc == server {
-				return true
-			}
-		}
-	}
-	return false
+	_, recovers := pl.RecoveryOf(server)
+	return !recovers && slices.ContainsFunc(pl.Crashes, func(cr Crash) bool { return cr.Proc == server })
 }
 
 // Electable reports whether client can always (eventually) assemble a

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/rt"
 )
 
 // TestDistSample: each distribution kind respects its bounds.
@@ -79,6 +81,41 @@ func TestValidate(t *testing.T) {
 	for _, s := range Presets() {
 		if err := s.Validate(8); err != nil {
 			t.Errorf("preset %q invalid at n=8: %v", s.Name, err)
+		}
+	}
+}
+
+// TestValidateOutage: a temporary fault must close before a retransmitting
+// call that heard nothing through it could give up — under
+// rt.RidesOut(DefaultRetransmitTick) = 64 ms — in every scenario; a longer
+// resend period allows a longer window, and overlapping windows add up. A
+// window that short may cut clients off entirely, beside permanent crashes.
+func TestValidateOutage(t *testing.T) {
+	ms := time.Millisecond
+	limit := rt.RidesOut(DefaultRetransmitTick)
+	heal := func(start, heal time.Duration) *PartitionSpec {
+		return &PartitionSpec{Start: start, Heal: heal, Minority: MinorityMax}
+	}
+	recovering := func(after time.Duration) Scenario { // crashes from 0 to DefaultCrashWindow
+		return Scenario{Crashes: CrashMax, RecoverAfter: after - DefaultCrashWindow - ms, RecoverJitter: ms}
+	}
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		ok   bool
+	}{
+		{"partition just under", Scenario{Partition: heal(ms, ms+limit-1)}, true},
+		{"partition beside the full permanent crash budget", Scenario{Crashes: CrashMax, Partition: heal(ms, 6*ms)}, true},
+		{"partition at the limit", Scenario{Partition: heal(ms, ms+limit)}, false},
+		{"partition at the limit, NoQuorumOK", Scenario{Partition: heal(ms, ms+limit), NoQuorumOK: true}, false},
+		{"partition at the limit, slower resends", Scenario{Partition: heal(ms, ms+limit), Retransmit: 2 * DefaultRetransmitTick}, true},
+		{"recovery just under", recovering(limit - 1), true},
+		{"recovery at the limit", recovering(limit), false},
+		{"overlapping windows", func() Scenario { s := recovering(40 * ms); s.Partition = heal(30*ms, limit); return s }(), false},
+		{"disjoint windows", func() Scenario { s := recovering(40 * ms); s.Partition = heal(50*ms, 50*ms+limit-1); return s }(), true},
+	} {
+		if err := tc.s.Validate(8); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (pl *Plan) Profile(proc int, rng *rand.Rand, clock func() time.Duration, cr
 		}
 	}
 	if pl.needsRetransmit() {
-		fp.Retransmit = pl.retransmitTick()
+		fp.Retransmit = pl.Scenario.retransmitTick()
 	}
 	return fp
 }

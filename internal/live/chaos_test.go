@@ -80,6 +80,29 @@ func TestChaosPartitionHeals(t *testing.T) {
 	}
 }
 
+// TestChaosLongestHealingPartition: the longest healing partition Validate
+// accepts — one period under rt.RidesOut of the scenario's resend period —
+// with processor 0 on its minority side and the full permanent crash budget
+// on top, so clients on both sides are cut off from a quorum until it heals.
+// Nothing tells them that it will; their calls must still ride it out, and
+// every surviving participant decide, none giving up.
+func TestChaosLongestHealingPartition(t *testing.T) {
+	const period, start = time.Millisecond, 100 * time.Microsecond
+	sc := fault.Scenario{Name: "longest-heal", Retransmit: period, Crashes: fault.CrashMax,
+		Partition: &fault.PartitionSpec{Start: start, Heal: start + rt.RidesOut(period) - period,
+			Minority: fault.MinorityMax, Clients: fault.SideMinority}}
+	for _, tr := range chaosTransports {
+		t.Run(string(tr), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 2; seed++ {
+				if res := electValid(t, live.Config{N: 8, Seed: seed, Scenario: sc, Transport: tr}); len(res.NoQuorum) > 0 {
+					t.Fatalf("seed %d: participants %v starved under a partition that heals", seed, res.NoQuorum)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosPartitionMinorityTyped: a never-healing partition with the
 // client on the minority side. Processor 0 is pinned there by SideMinority,
 // so it must surface the typed no-quorum outcome — and never a second

@@ -212,6 +212,13 @@ func (s *Schedule) Wait(done <-chan struct{}, answered func([]bool), send func(j
 	}
 }
 
+// RidesOut is how short a silence must be for a call resending every d to
+// outlast it, if the call had waited at most 31 periods when it began: 32
+// periods. Wait can first give up after the call's sixth tick, no sooner
+// than 63 periods in; that resend goes out after such a silence, and its
+// answers have the cap-long wait, 64 periods, to arrive in.
+func RidesOut(d time.Duration) time.Duration { return d << 5 }
+
 // tick answers a fired tick: it sends again, to every server not marked in
 // answered, asked before or not. For a thrifty call that is the widen.
 // Under the fixed rule the schedule then stays wide — whatever silenced the

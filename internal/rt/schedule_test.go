@@ -283,6 +283,33 @@ func TestWaitGivesUpOnWhatItHears(t *testing.T) {
 	}
 }
 
+// TestWaitRidesOutASilence: a silence just under RidesOut(r), beginning
+// when the call has waited 31 periods — every request lost until it ends,
+// no answer heard — is outlasted: the call resends after it, and the answer
+// completes the call before the backoff can give up.
+func TestWaitRidesOutASilence(t *testing.T) {
+	const r = 200 * time.Microsecond
+	quiet := 31*r + RidesOut(r) - time.Microsecond // the call's age when the silence begins, plus the silence
+	s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 3)
+	s.SetRetransmit(r)
+	done := make(chan struct{})
+	t0 := time.Now()
+	send := func(int) bool {
+		select {
+		case <-done:
+		default:
+			if time.Since(t0) >= quiet {
+				close(done) // the first request past the silence is answered
+			}
+		}
+		return true
+	}
+	s.Begin(send)
+	if !s.Wait(done, func([]bool) {}, send, func(int, int) {}) {
+		t.Fatalf("a call gave up on a silence that ended %v after its first wave", quiet)
+	}
+}
+
 // TestWaitWithoutRetransmitNeverGivesUp: a call without a resend period
 // widens once and then waits for its quorum however long it takes.
 func TestWaitWithoutRetransmitNeverGivesUp(t *testing.T) {
