@@ -3,6 +3,7 @@ package electd_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -121,6 +122,44 @@ func TestPoolElectReportsStarvation(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("an election against a crashed majority never returned")
+	}
+}
+
+// TestReliablePoolElectReportsStarvation: the same without a resend period,
+// over both stream networks. A reliable pool's links refuse sends once their
+// servers die, and a call whose answers plus accepting links fall short of
+// a quorum gives up (rt.Schedule.Wait) — whether the links are known dead
+// before its first wave or die under it.
+func TestReliablePoolElectReportsStarvation(t *testing.T) {
+	const n, k = 5, 3
+	for name, nw := range map[string]func() transport.Network{
+		"loopback": func() transport.Network { return transport.NewLoopback() },
+		"tcp":      func() transport.Network { return transport.NewTCP() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cl, err := electd.NewClusterWith(nw(), n, electd.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for j := range n/2 + 1 {
+				cl.Crash(rt.ProcID(j))
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := cl.Pool().Elect(cl.NextElectionID(), k, 1)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var starved *fault.NoQuorumError
+				if !errors.As(err, &starved) {
+					t.Fatalf("an election against a crashed majority returned %v, want a NoQuorumError", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("an election against a crashed majority never returned")
+			}
+		})
 	}
 }
 
@@ -717,5 +756,23 @@ func TestDelayedFramesLandBeforeClose(t *testing.T) {
 	slices.Sort(landed) // two timers of one delay may fire in either order
 	if want := []string{"seq 1 = 11", "seq 2 = 22"}; !slices.Equal(landed, want) {
 		t.Fatalf("server 0's connection had been handed %q when Close returned, want %q", landed, want)
+	}
+}
+
+// TestParticipantStreamMatchesSource: a participant's coins are
+// rand.NewSource(seed)'s stream, draw for draw, though the source is built
+// only at the first draw.
+func TestParticipantStreamMatchesSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, -3, 1e6 + 7} {
+		got, want := electd.NewParticipant(0, 8, seed).Rand(), rand.New(rand.NewSource(seed))
+		for d := 0; d < 32; d++ {
+			if d%2 == 0 {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d draw %d: %d, math/rand %d", seed, d, g, w)
+				}
+			} else if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: %v, math/rand %v", seed, d, g, w)
+			}
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (pl *Pool) registerMetrics(r *obs.Registry) {
 	r.NewCounterFunc("electd_pool_views_same_total", "collect replies that arrived as a same reply and became the view the pool already held", pl.sames.Load)
 	r.NewCounterFunc("electd_busy_shed_total", "quorum calls aborted by a server's busy reply", pl.busy.Load)
 	r.NewCounterFunc("electd_pool_widened_calls_total", "quorum calls whose quorum+slack first wave fell short within a tick and went to all n servers", pl.widened.Load)
-	r.NewCounterFunc("electd_pool_retransmits_total", "retransmit ticks of quorum calls already sent to all n servers (lossy transports, fault plans)", pl.resent.Load)
+	r.NewCounterFunc("electd_pool_retransmits_total", "retransmit ticks of quorum calls already sent to all n servers (lossy transports, fault plans; link checks on reliable ones)", pl.resent.Load)
 	pl.rpcHist = r.NewHistogram("electd_quorum_roundtrip_usec", "quorum round-trip latency, microseconds", quorumLatencyBounds)
 }
 

@@ -104,7 +104,7 @@ type Pool struct {
 	reasked  atomic.Int64 // re-asks for full views after a same the pool could not resolve
 	busy     atomic.Int64 // quorum calls aborted by a busy reply
 	widened  atomic.Int64 // calls whose first wave fell short and went to all n
-	resent   atomic.Int64 // retransmit ticks of calls already sent to all n
+	resent   atomic.Int64 // retransmit ticks (link checks on a reliable transport) of calls already sent to all n
 	rpcHist  *obs.Histogram
 
 	// trace, when non-nil, is the election flight recorder: rpc records
@@ -696,10 +696,11 @@ func (c *Client) Collect(reg string) []rt.View {
 // and a wave passes over links that are undialed or known dead — so a crashed
 // server costs nothing once its connection has closed. On lossy transports
 // and under a retransmitting fault profile the tick is the retransmit tick,
-// which keeps firing; on a reliable transport it is rt.WidenAfter, once.
-// Sends to crashed or unreachable servers are message loss; the quorum wait
-// rides on the ⌊n/2⌋+1 live majority the model guarantees, all of which a
-// widened call has asked.
+// which keeps firing; on a reliable transport it is rt.WidenAfter, and then
+// a backed-off link check that asks again whoever has not answered. Sends to
+// crashed or unreachable servers are message loss; the quorum wait rides on
+// the ⌊n/2⌋+1 live majority the model guarantees, all of which a widened
+// call has asked.
 //
 // The wait is for one signal: the router assembles the quorum on the call's
 // pending slot and wakes this goroutine once, when it is complete (see
@@ -717,9 +718,11 @@ func (c *Client) Collect(reg string) []rt.View {
 // A busy reply arriving after a genuine quorum is a straggler: the quorum
 // property already holds, and the filter or router drops it like any other.
 //
-// A retransmitting call the schedule gives up on (rt.Schedule.Wait) unwinds
-// the same way, with a *fault.NoQuorumError, unless its quorum or a busy
-// reply landed as it gave up.
+// A call the schedule gives up on (rt.Schedule.Wait: a retransmitting one
+// whose backoff heard nothing new, a reliable one whose answers and
+// accepting links fall short of a quorum) unwinds the same way, with a
+// *fault.NoQuorumError, unless its quorum or a busy reply landed as it gave
+// up.
 //
 // The participant's fault profile acts on the call here and in the filter
 // (ReplyDrop) only: its crash check runs before and after the call, a

@@ -27,14 +27,17 @@ type Participant struct {
 	published any
 }
 
-// NewParticipant creates participant id with a deterministic private PRNG.
+// NewParticipant creates participant id with a deterministic private PRNG:
+// the stream of rand.NewSource(seed), seeded at its first draw
+// (rt.LazySource), so a participant that loses at the doorway before any
+// coin flip never builds one.
 // ids is the participant id space — the "n" the algorithms see: every
 // participant id in the election must lie in [0, ids), since the paper's
 // algorithms size their bookkeeping (and the PoisonPill coin bias 1/√n) by
 // it. It is independent of the server count: in the client/server split the
 // quorum size comes from the Pool, not from here.
 func NewParticipant(id rt.ProcID, ids int, seed int64) *Participant {
-	return &Participant{id: id, n: ids, rng: rand.New(rand.NewSource(seed))}
+	return &Participant{id: id, n: ids, rng: rt.NewRand(seed)}
 }
 
 // ID implements rt.Procer.
@@ -87,8 +90,10 @@ type Election struct {
 // waits for all of them. The run is valid when no replica shed it, no
 // participant's call gave up on its quorum and exactly one participant won;
 // otherwise the error says which, wrapping the *BusyError of a shed election
-// and the *fault.NoQuorumError of a starved one (a call gives up only on a
-// retransmitting pool, such as one on UDP). It is the one election driver of
+// and the *fault.NoQuorumError of a starved one (a call gives up on a
+// retransmitting pool, such as one on UDP, when its backoff hears nothing
+// new, and on a reliable one when its live links fall short of a quorum).
+// It is the one election driver of
 // `electd -elect`, `-demo` and Soak. k must lie in [1, regstore.MaxOwners]:
 // every replica drops the cells of a participant id beyond the register
 // store's owners, so a larger k is an error before any participant starts.

@@ -166,6 +166,24 @@ func (d Dist) Sample(rng *rand.Rand) time.Duration {
 // Active reports whether the distribution can produce a nonzero delay.
 func (d Dist) Active() bool { return d.Kind != None && (d.Base > 0 || d.Jitter > 0) }
 
+// longest bounds every sample: Base (plus Jitter for Uniform) under Cap,
+// and Pareto's cap, DefaultCap when none is set.
+func (d Dist) longest() time.Duration {
+	var v time.Duration
+	switch d.Kind {
+	case Fixed:
+		v = d.Base
+	case Uniform:
+		v = d.Base + d.Jitter
+	case Pareto:
+		return cmp.Or(d.Cap, DefaultCap)
+	}
+	if d.Cap > 0 {
+		v = min(v, d.Cap)
+	}
+	return v
+}
+
 // CrashMax is the sentinel Scenario.Crashes value meaning "as many crashes
 // as the model allows": MaxCrashes(n), resolved at Plan time.
 const CrashMax = -1
@@ -237,21 +255,23 @@ type PartitionSpec struct {
 	Clients ClientSide
 }
 
-// NoQuorumError unwinds a participant whose quorum call gave up: it
-// retransmitted until its resend period reached the cap and then heard no
-// new answer for a whole cap-long wait (rt.Schedule.Wait) — what a client
+// NoQuorumError unwinds a participant whose quorum call gave up
+// (rt.Schedule.Wait): it retransmitted until its resend period reached the
+// cap and then heard no new answer for a whole cap-long wait — what a client
 // on the wrong side of a non-healing partition, or one whose live links
-// fell below a majority for good, observes. The backends recover it around
-// the participant's goroutine and report the processor in Result.NoQuorum;
-// it is the typed "explicit no-quorum outcome" of the electability
-// contract, never a silent hang and never a second winner.
+// fell below a majority for good, observes — or, without a resend period,
+// the servers that answered plus the links that took its last wave fell
+// short of a quorum. The backends recover it around the participant's
+// goroutine and report the processor in Result.NoQuorum; it is the typed
+// "explicit no-quorum outcome" of the electability contract, never a silent
+// hang and never a second winner.
 type NoQuorumError struct {
 	// Proc is the starved participant.
 	Proc int
 }
 
 func (e *NoQuorumError) Error() string {
-	return fmt.Sprintf("fault: processor %d starved of a majority quorum (a call heard nothing new through its whole resend backoff)", e.Proc)
+	return fmt.Sprintf("fault: processor %d starved of a majority quorum (a call heard nothing new through its whole resend backoff, or its live links fell short of one)", e.Proc)
 }
 
 // Scenario declaratively describes one adversarial environment for a live
@@ -399,7 +419,7 @@ func (s Scenario) Validate(n int) error {
 		return fmt.Errorf("fault: negative retransmit period %v", s.Retransmit)
 	}
 	if out, ride := s.outage(), rt.RidesOut(s.retransmitTick()); out >= ride {
-		return fmt.Errorf("fault: temporary faults can cut a client off for %v, and a quorum call resending every %v may give up on a silence of %v; shorten the window or lengthen Retransmit",
+		return fmt.Errorf("fault: temporary faults and injected delays can cut a client off for %v, and a quorum call resending every %v may give up on a silence of %v; shorten the window or the delays, or lengthen Retransmit",
 			out, s.retransmitTick(), ride)
 	}
 	if !s.NoQuorumOK {
@@ -686,8 +706,35 @@ func (s Scenario) retransmitTick() time.Duration {
 
 // outage bounds how long the scenario's temporary faults can cut a client
 // off: a healing partition's window, recovering crashes from the first crash
-// to the last rejoin, and the two as one when they overlap.
+// to the last rejoin, and the two as one when they overlap. Where plans
+// resend (partitions, flaky links, recovering crashes), the longest delay a
+// message can carry adds to it: a call hears nothing of a request before it
+// arrives, so a delay as long as RidesOut is a silence the call may give up
+// on, window or none.
 func (s Scenario) outage() time.Duration {
+	out := s.window()
+	if s.Partition != nil || (s.LossProb > 0 && s.LossLinks != 0) || (s.RecoverAfter > 0 && s.Crashes != 0) {
+		out += s.longestDelay()
+	}
+	return out
+}
+
+// longestDelay bounds the injected delay of one message (Plan.sendDelay): a
+// link sample, one Slow sample when either end is slow, and a reorder
+// sample.
+func (s Scenario) longestDelay() time.Duration {
+	d := s.Link.longest()
+	if s.SlowProcs != 0 {
+		d += s.Slow.longest()
+	}
+	if s.ReorderProb > 0 {
+		d += s.Reorder.longest()
+	}
+	return d
+}
+
+// window is the span of the scenario's temporary faults (see outage).
+func (s Scenario) window() time.Duration {
 	var rec, start, heal time.Duration // recovering crashes span [0, rec)
 	if s.RecoverAfter > 0 {
 		rec = cmp.Or(s.CrashWindow, DefaultCrashWindow) + s.RecoverAfter + s.RecoverJitter

@@ -120,6 +120,45 @@ func TestValidateOutage(t *testing.T) {
 	}
 }
 
+// TestValidateDelays: where plans resend, the longest delay one message can
+// carry counts as silence beside the fault windows — Link, a slow end's
+// Slow and Reorder, each at its bound, Pareto at its Cap or DefaultCap.
+// Plans that never resend are not bounded by it.
+func TestValidateDelays(t *testing.T) {
+	ms := time.Millisecond
+	limit := rt.RidesOut(DefaultRetransmitTick)
+	fixed := func(d time.Duration) Dist { return Dist{Kind: Fixed, Base: d} }
+	lossy := func(link Dist) Scenario { return Scenario{LossProb: 0.01, LossLinks: 1, Link: link} }
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		ok   bool
+	}{
+		{"a lossy link delayed 300 ms", lossy(fixed(300 * ms)), false},
+		{"a lossy link delayed just under", lossy(fixed(limit - 1)), true},
+		{"a lossy link delayed to the limit", lossy(fixed(limit)), false},
+		{"uniform up to the limit", lossy(Dist{Kind: Uniform, Base: limit / 2, Jitter: limit / 2}), false},
+		{"a cap under the limit", lossy(Dist{Kind: Uniform, Base: limit / 2, Jitter: limit, Cap: limit - 1}), true},
+		{"a 300 ms delay without resends", Scenario{Crashes: 1, Link: fixed(300 * ms)}, true},
+		{"pareto at DefaultCap beside a partition just under", Scenario{Link: Dist{Kind: Pareto, Jitter: ms, Alpha: 1.5},
+			Partition: &PartitionSpec{Start: ms, Heal: ms + limit - DefaultCap - 1, Minority: 1}}, true},
+		{"pareto at DefaultCap beside a partition at the limit", Scenario{Link: Dist{Kind: Pareto, Jitter: ms, Alpha: 1.5},
+			Partition: &PartitionSpec{Start: ms, Heal: ms + limit - DefaultCap, Minority: 1}}, false},
+		{"link, slow and reorder add up", func() Scenario {
+			s := lossy(fixed(limit / 4))
+			s.SlowProcs, s.Slow = 1, fixed(limit/4)
+			s.ReorderProb, s.Reorder = 0.1, fixed(limit/2)
+			return s
+		}(), false},
+		{"slow without slow processors", func() Scenario { s := lossy(fixed(limit / 2)); s.Slow = fixed(limit); return s }(), true},
+		{"a recovering crash window beside a delay", Scenario{Crashes: 1, RecoverAfter: limit / 2, Link: fixed(limit / 2)}, false},
+	} {
+		if err := tc.s.Validate(8); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestPlanDeterminism: the same (scenario, n, seed) draws the same victims,
 // times and slow sets; a different seed draws a different plan.
 func TestPlanDeterminism(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/rt"
 	"repro/internal/trace"
 )
@@ -59,5 +60,25 @@ func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	}
 	if rec != nil && rec.Recorded() == 0 {
 		t.Fatal("traced run recorded no span")
+	}
+}
+
+// TestSystemPoolCycleAllocs: checking a 32-processor system out of its pool
+// and parking it again — Reset re-keying every coin and fault stream, Put
+// quiescing and releasing the stores — allocates nothing, plan or none.
+func TestSystemPoolCycleAllocs(t *testing.T) {
+	const n = 32
+	plan, err := fault.Chaos().Plan(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	for _, pl := range []*fault.Plan{nil, plan} {
+		pool.Put(pool.Get(1, pl))
+		seed := int64(1)
+		if got := testing.AllocsPerRun(200, func() { seed++; pool.Put(pool.Get(seed, pl)) }); got != 0 {
+			t.Fatalf("pool cycle (plan=%v): %v allocs, budget 0", pl != nil, got)
+		}
 	}
 }

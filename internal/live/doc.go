@@ -74,8 +74,9 @@
 // High-throughput callers (the campaign engine) recycle whole systems
 // through SystemPool instead of paying NewScenarioSystem/Shutdown per run:
 // server goroutines park on their empty mailboxes between runs, and checkout
-// resets PRNG streams, register arrays, counters and crash flags in place
-// — indistinguishable from a fresh construction, including for runs with
+// re-keys PRNG streams (each seeded at its first draw) and resets register
+// arrays, counters and crash flags in place — indistinguishable from a fresh
+// construction, including for runs with
 // crash plans (a crashed slot here is only a dropped flag; its serve loop
 // never exited). Config.Pool opts a run in.
 package live

@@ -92,9 +92,10 @@ type System struct {
 
 // NewScenarioSystem creates n processors, each with a running server
 // goroutine, and deterministic per-processor PRNG streams derived from
-// seed, under a fault-injection plan (nil = none): the materialized crash
-// schedule, link-delay distributions and slow sets of a fault.Scenario. Crash times are armed by the runner, not here — the
-// clock starts when the algorithms do.
+// seed (each seeded at its first draw), under a fault-injection plan
+// (nil = none): the materialized crash schedule, link-delay distributions
+// and slow sets of a fault.Scenario. Crash times are armed by the runner,
+// not here — the clock starts when the algorithms do.
 func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
 	return newSystem(n, seed, plan, true)
 }
@@ -108,7 +109,6 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 		p := &Proc{
 			id:  rt.ProcID(i),
 			sys: sys,
-			rng: rand.New(rand.NewSource(int64(uint64(seed) + uint64(i)*SeedStride))),
 			// Capacity n absorbs the common case (each of ≤n participants
 			// has one outstanding communicate call), but a descheduled
 			// server can accumulate more: requests from calls that already
@@ -120,12 +120,8 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			inbox: make(chan request, n),
 			regs:  regstore.New(nil),
 		}
-		if plan != nil {
-			// A separate delay-sampling PRNG, also algorithm-goroutine
-			// owned: injected latency must not perturb the coin-flip
-			// stream, so equal seeds keep equal flips across scenarios.
-			p.frng = rand.New(rand.NewSource(int64(uint64(seed)+uint64(i)*SeedStride) ^ faultStreamSalt))
-		}
+		p.rng, p.frng = rand.New(&p.coins), rand.New(&p.faults)
+		p.key(seed)
 		sys.procs[i] = p
 	}
 	// A default fault-clock anchor; runners re-stamp it as the algorithms
@@ -143,6 +139,16 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 // faultStreamSalt decorrelates a processor's delay-sampling PRNG stream
 // from its coin-flip stream (both are derived from the same sharded seed).
 const faultStreamSalt = 0x3C6EF372FE94F82A
+
+// key seeds the processor's coin and fault streams for a run under seed,
+// sharded by processor id. Neither stream is built here: each is built at
+// its first draw (rt.LazySource), on the algorithm goroutine, so a processor
+// that never flips — a doorway loser — never pays for one.
+func (p *Proc) key(seed int64) {
+	base := int64(uint64(seed) + uint64(p.id)*SeedStride)
+	p.rng.Seed(base) // through the Rand: it also drops Read's buffered bytes
+	p.frng.Seed(base ^ faultStreamSalt)
+}
 
 // profile builds participant i's fault hooks for the current run — nil on a
 // fault-free one: its delays and request loss draw from i's fault stream,
@@ -231,11 +237,14 @@ func (sys *System) Shutdown() {
 type Proc struct {
 	id  rt.ProcID
 	sys *System
-	rng *rand.Rand
-	// frng samples fault decisions (step delays here, and through the
-	// participant's fault.Profile its send delays and request loss) on the
-	// algorithm goroutine; non-nil iff sys.plan is.
-	frng *rand.Rand
+	// rng draws the processor's coins from coins. frng samples fault
+	// decisions from faults (step delays here, and through the participant's
+	// fault.Profile its send delays and request loss), read only under a
+	// plan: a separate stream, so injected latency never perturbs the coin
+	// flips and equal seeds keep equal flips across scenarios. Both are
+	// owned by the algorithm goroutine.
+	rng, frng     *rand.Rand
+	coins, faults rt.LazySource
 	// crashed is the participant half of a crash: the algorithm goroutine
 	// unwinds at its next step. down is the replica half: the server
 	// goroutine drops requests. Crash sets both; Recover clears only down —

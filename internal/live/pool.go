@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/fault"
@@ -40,10 +39,11 @@ func (sys *System) release() {
 // processor is only a dropped flag here, its serve loop never exited, so
 // reviving it is clearing that flag), while every piece of per-run state is
 // restored to exactly what NewScenarioSystem(n, seed, plan) would build:
-// per-processor PRNG streams reseeded on the same splitmix64 sharding,
-// register arrays zeroed with their snapshot caches dropped, raw mailboxes,
-// published state, call counters and crash flags cleared, and the system's
-// message/byte counters rewound. It must only be called on a quiescent
+// per-processor PRNG streams re-keyed on the same splitmix64 sharding (each
+// built at its first draw, not here — rt.LazySource), register arrays
+// zeroed with their snapshot caches dropped, raw mailboxes, published state,
+// call counters and crash flags cleared, and the system's message/byte
+// counters rewound. It must only be called on a quiescent
 // system whose previous run has fully joined.
 func (sys *System) Reset(seed int64, plan *fault.Plan) {
 	sys.quiesce()
@@ -51,18 +51,8 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 	sys.plan = plan
 	sys.messages.Store(0)
 	sys.bytes.Store(0)
-	for i, p := range sys.procs {
-		base := int64(uint64(seed) + uint64(i)*SeedStride)
-		p.rng.Seed(base)
-		if plan != nil {
-			if p.frng == nil {
-				p.frng = rand.New(rand.NewSource(base ^ faultStreamSalt))
-			} else {
-				p.frng.Seed(base ^ faultStreamSalt)
-			}
-		} else {
-			p.frng = nil
-		}
+	for _, p := range sys.procs {
+		p.key(seed)
 		p.crashed.Store(false)
 		p.down.Store(false)
 		p.commCalls = 0
@@ -74,9 +64,11 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 // maps are built once and then parked between runs instead of torn down —
 // under many concurrent elections the per-run NewScenarioSystem/Shutdown
 // cycle (n goroutine spawns, n PRNG states, every register map) is setup
-// cost that dominates the actual O(log* k) protocol work. Get checks a system
-// out, Reset-ing a recycled one in place; Put returns it after the run has
-// joined. The pool is safe for concurrent use by many campaign workers.
+// cost that dominates the actual O(log* k) protocol work. A checkout only
+// re-keys the PRNGs: a processor's stream is seeded at its first draw, on
+// its own goroutine, so Get's cost does not grow with the streams. Get
+// checks a system out, Reset-ing a recycled one in place; Put returns it
+// after the run has joined. The pool is safe for concurrent use by many campaign workers.
 type SystemPool struct {
 	n     int
 	serve bool

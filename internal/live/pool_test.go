@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -101,13 +103,50 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 }
 
 // TestResetMatchesFreshSeeding: a recycled system's PRNG streams are
-// indistinguishable from a freshly constructed system's — equal seeds give
-// equal coin flips whether the System came from NewScenarioSystem or the pool, so
-// pooling never perturbs campaign statistics.
+// math/rand's own for the sharded seeds — coin stream i is
+// rand.NewSource(seed + i·SeedStride), fault stream i the same seed salted —
+// whether the System came from NewScenarioSystem or the pool, however many
+// checkouts a processor sat out without drawing, so pooling never perturbs
+// campaign statistics.
 func TestResetMatchesFreshSeeding(t *testing.T) {
 	const n, seed = 3, 42
-	fresh := NewScenarioSystem(n, seed, nil)
+	plan, err := fault.Chaos().Plan(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want checks every processor's coin and fault streams against fresh
+	// math/rand sources, reading each through a mix of Rand methods.
+	want := func(label string, sys *System, seed int64) {
+		t.Helper()
+		for i, p := range sys.procs {
+			base := int64(uint64(seed) + uint64(i)*SeedStride)
+			for _, st := range []struct {
+				name      string
+				got, want *rand.Rand
+			}{
+				{"coin", p.rng, rand.New(rand.NewSource(base))},
+				{"fault", p.frng, rand.New(rand.NewSource(base ^ faultStreamSalt))},
+			} {
+				for d := 0; d < 16; d++ {
+					var g, w uint64
+					switch d % 3 {
+					case 0:
+						g, w = uint64(st.got.Int63()), uint64(st.want.Int63())
+					case 1:
+						g, w = st.got.Uint64(), st.want.Uint64()
+					default:
+						g, w = uint64(st.got.Intn(1000)), uint64(st.want.Intn(1000))
+					}
+					if g != w {
+						t.Fatalf("%s: proc %d %s draw %d: %d, math/rand %d", label, i, st.name, d, g, w)
+					}
+				}
+			}
+		}
+	}
+	fresh := NewScenarioSystem(n, seed, plan)
 	defer fresh.Shutdown()
+	want("fresh", fresh, seed)
 
 	pool := NewSystemPool(n, true)
 	defer pool.Close()
@@ -116,17 +155,48 @@ func TestResetMatchesFreshSeeding(t *testing.T) {
 		sys.Proc(rt.ProcID(i)).Rand().Int63()
 	}
 	pool.Put(sys)
-	sys = pool.Get(seed, nil)
+	for _, s := range []int64{8, 9, 10} { // checkouts in which nobody draws
+		pool.Put(pool.Get(s, plan))
+	}
+	sys = pool.Get(seed, plan)
 	defer pool.Put(sys)
+	want("pooled", sys, seed)
+}
 
-	for i := 0; i < n; i++ {
-		want := fresh.Proc(rt.ProcID(i)).Rand()
-		got := sys.Proc(rt.ProcID(i)).Rand()
-		for d := 0; d < 16; d++ {
-			if w, g := want.Int63(), got.Int63(); w != g {
-				t.Fatalf("proc %d draw %d: pooled %d != fresh %d", i, d, g, w)
+// TestResetSeedsNoStream: a checkout only re-keys the streams; each is
+// built at its first draw, so a recycled system hands its processors out
+// with no source seeded, with or without a plan, and a fresh one too.
+func TestResetSeedsNoStream(t *testing.T) {
+	const n = 4
+	plan, err := fault.Chaos().Plan(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unseeded := func(label string, sys *System) {
+		t.Helper()
+		for _, p := range sys.procs {
+			if p.coins.Seeded() || p.faults.Seeded() {
+				t.Fatalf("%s: processor %d's coin stream seeded=%v, fault stream seeded=%v; want neither before a draw",
+					label, p.id, p.coins.Seeded(), p.faults.Seeded())
 			}
 		}
+	}
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	sys := pool.Get(1, plan)
+	unseeded("fresh", sys)
+	for _, p := range sys.procs {
+		p.Flip(0.5)
+		p.frng.Int63()
+		if !p.coins.Seeded() || !p.faults.Seeded() {
+			t.Fatalf("processor %d drew from both streams and left one unseeded", p.id)
+		}
+	}
+	pool.Put(sys)
+	for _, pl := range []*fault.Plan{nil, plan} {
+		sys = pool.Get(2, pl)
+		unseeded(fmt.Sprintf("recycled, plan=%v", pl != nil), sys)
+		pool.Put(sys)
 	}
 }
 

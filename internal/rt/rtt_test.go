@@ -145,8 +145,8 @@ func TestWidenProbesThenRemembersTheSilent(t *testing.T) {
 		for _, j := range quorum {
 			answered[j] = true
 		}
-		if sent := s.Begin(all); sent != n-1 || s.fire != nil {
-			t.Fatalf("the probe asked %d peers, tick armed=%v; want all %d at once", sent, s.fire != nil, n-1)
+		if sent := s.Begin(all); sent != n-1 || s.thrifty {
+			t.Fatalf("the probe asked %d peers, thrifty=%v; want all %d at once", sent, s.thrifty, n-1)
 		}
 		s.Done(answered)
 		r.asked = nil

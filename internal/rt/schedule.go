@@ -1,6 +1,9 @@
 package rt
 
-import "time"
+import (
+	"cmp"
+	"time"
+)
 
 // ThriftySlack is how many servers beyond the quorum electd's first wave
 // asks. A call needs ⌊n/2⌋+1 answers, so asking all n buys nothing but the
@@ -29,8 +32,9 @@ const WidenAfter = 50 * time.Millisecond
 
 // Schedule decides whom one caller's communicate calls ask, and when they
 // ask again: first a quorum plus a substrate's slack on a ring walk, every
-// unanswered server once a tick passes without a quorum, and — where
-// messages can be lost — further ticks, selective, backed off and jittered.
+// unanswered server once a tick passes without a quorum, and further ticks,
+// selective, backed off and jittered — resends where messages can be lost,
+// link checks where they cannot.
 // Delivery and replies are the substrate's: it hands each wave a send
 // function, tells a tick who has answered, and counts the quorum itself.
 // Safety rests on that line — a call returns on ⌊n/2⌋+1 distinct stores
@@ -54,6 +58,7 @@ type Schedule struct {
 	first int  // where every ring walk starts
 	self  int  // never asked: the caller is its own first quorum member; −1 = none
 	want  int  // size of a thrifty first wave
+	need  int  // answers that make a quorum: ⌊n/2⌋+1, less the caller's own
 	wide  bool // first waves go to everyone: small n, or a call has widened under the fixed rule
 	probe bool // the next call, or the one in progress, is the probe: one widened under the observed rule
 
@@ -76,6 +81,7 @@ type Schedule struct {
 	period  time.Duration    // its current resend period
 	resends int              // its ticks since it was sent to everyone
 	heard   int              // answers in hand at its last tick
+	took    int              // requests its last wave put on their way
 	ans     []bool           // the tick's copy of the answered set; nil until a tick needs it
 }
 
@@ -90,12 +96,12 @@ type Schedule struct {
 // the spares already cover a lost message or two. seed starts the jitter
 // stream; callers that could tick in phase pass different seeds.
 func NewSchedule(n, first, self, slack int, rtt *RTT, retransmit time.Duration, seed uint64) Schedule {
-	others, want := n, n/2+1+slack
+	others, want, need := n, n/2+1+slack, n/2+1
 	if self >= 0 {
-		others, want = others-1, want-1
+		others, want, need = others-1, want-1, need-1
 	}
 	return Schedule{
-		n: n, first: first % n, self: self, want: want,
+		n: n, first: first % n, self: self, want: want, need: need,
 		// Up to quorum+slack servers the first wave is all of them.
 		wide:       others <= want,
 		rtt:        rtt,
@@ -140,8 +146,8 @@ func (s *Schedule) wave(want int, marks []bool, ask bool, send func(j int) bool)
 // suspect, which is asked only when too few others remain. Begin returns
 // the number of requests sent.
 func (s *Schedule) Begin(send func(j int) bool) int {
-	s.thrifty, s.period, s.resends, s.heard = !s.wide && !s.probe, s.retransmit, 0, 0
-	want, tick := s.n, s.retransmit
+	s.thrifty, s.period, s.resends, s.heard = !s.wide && !s.probe, s.base(), 0, 0
+	want, tick := s.n, s.period
 	if s.thrifty {
 		want, tick = s.want, s.widenTick
 		if s.rtt != nil {
@@ -155,18 +161,22 @@ func (s *Schedule) Begin(send func(j int) bool) int {
 	if sent < want && s.suspect != nil {
 		sent += s.wave(want-sent, s.suspect, true, send)
 	}
-	if tick > 0 {
-		// Made once, re-armed per call: go 1.23+ Reset and Stop leave no
-		// stale tick behind.
-		if d := s.jitter(tick); s.tmr == nil {
-			s.tmr = time.NewTimer(d)
-		} else {
-			s.tmr.Reset(d)
-		}
-		s.fire = s.tmr.C
+	s.took = sent
+	// Made once, re-armed per call: go 1.23+ Reset and Stop leave no stale
+	// tick behind.
+	if d := s.jitter(tick); s.tmr == nil {
+		s.tmr = time.NewTimer(d)
+	} else {
+		s.tmr.Reset(d)
 	}
+	s.fire = s.tmr.C
 	return sent
 }
+
+// base is a call's first resend period: the retransmit period, or on a
+// substrate without one the widen tick, at which a call already sent to
+// everyone checks its links.
+func (s *Schedule) base() time.Duration { return cmp.Or(s.retransmit, s.widenTick) }
 
 // Wait waits out the call Begin sent: true once done, the substrate's
 // completion signal, is ready; false when the call gives up. Each tick
@@ -175,14 +185,27 @@ func (s *Schedule) Begin(send func(j int) bool) int {
 // ordinal to ticked. done wins over a tick ready at the same time (the
 // goroutine ran late, as after a host stall): a widen there is waste.
 //
-// A call gives up on what it observes, at a tick: its resend period has
-// reached the cap and the cap-long wait just ended brought no new answer —
-// the seventh tick of a call nobody answers, 126 periods (plus jitter)
-// after its first. In the model the caller is then a crash. A call without
-// a resend period never gives up. One whose quorum lands as it gives up is
-// the substrate's to count as complete: its signal may be on the way.
+// A call gives up on what it observes; in the model the caller is then a
+// crash. With a resend period it gives up at a tick: its period has reached
+// the cap and the cap-long wait just ended brought no new answer — the
+// seventh tick of a call nobody answers, 126 periods (plus jitter) after its
+// first. Without one, nothing it sent is lost but to a dead link, and a
+// link that refuses a send is dead: the call gives up once its last wave
+// has walked every server (a first wave the refusals left short, or a tick)
+// and the servers that answered plus those whose link took that wave are
+// fewer than a quorum. One whose quorum lands as it gives up is the
+// substrate's to count as complete: its signal may be on the way.
 func (s *Schedule) Wait(done <-chan struct{}, answered func([]bool), send func(j int) bool, ticked func(sent, resend int)) bool {
 	for {
+		if s.retransmit == 0 && s.heard+s.took < s.need {
+			s.End()
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
+		}
 		select {
 		case <-done:
 			return true
@@ -228,9 +251,12 @@ func RidesOut(d time.Duration) time.Duration { return d << 5 }
 // tick's ordinal: 0 for the widen, k for the k-th resend of a call already
 // sent to everyone.
 //
-// With a retransmit period the tick is re-armed, doubling up to ×64, plus
-// jitter. A blanket fixed-period rebroadcast amplifies itself on a
-// loss-free substrate — a call merely slow under load re-floods all n
+// The tick is re-armed, doubling up to ×64, plus jitter: with a retransmit
+// period from that period, and on a reliable substrate from the widen tick,
+// where each tick checks the links of a call already sent to everyone (a
+// link that died with a request on it refuses the next one) and asks again
+// whoever has been slow. A blanket fixed-period rebroadcast amplifies
+// itself on a loss-free substrate — a call merely slow under load re-floods all n
 // servers every tick and slows the others past theirs — and unjittered
 // timers synchronize into resend bursts (the udp collapse T15 measured at
 // conc=64). Selective, backed-off, desynchronized resends still carry a call
@@ -247,14 +273,11 @@ func (s *Schedule) tick(answered []bool, send func(j int) bool) (sent, resend in
 		s.resends++
 	}
 	sent = s.wave(s.n, answered, false, send)
-	if s.retransmit == 0 {
-		s.fire = nil // everyone has now been asked, and nothing is lost
-	} else {
-		if s.period < s.retransmit<<6 {
-			s.period *= 2
-		}
-		s.tmr.Reset(s.jitter(s.period))
+	s.took = sent
+	if s.period < s.base()<<6 {
+		s.period *= 2
 	}
+	s.tmr.Reset(s.jitter(s.period))
 	return sent, s.resends
 }
 

@@ -92,8 +92,9 @@ func TestWaveExtendsPastRefusals(t *testing.T) {
 
 // TestWidenAsksTheUnansweredThenStaysWide: the tick of a thrifty call asks
 // exactly the servers that have not answered — asked before or not, never
-// the caller — reports itself as the widen, and leaves a reliable substrate
-// with nothing armed; every later call goes to everyone at once.
+// the caller — and reports itself as the widen; on a reliable substrate it
+// re-arms at twice WidenAfter, the call's first link check. Every later call
+// goes to everyone at once, with its link check at WidenAfter.
 func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 	const n, self = 16, 5
 	s := NewSchedule(n, self+1, self, ThriftySlack, nil, 0, 1)
@@ -120,8 +121,9 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 			t.Errorf("widen skipped server %d, asked in the first wave and silent since", j)
 		}
 	}
-	if s.fire != nil {
-		t.Error("a widened call on a substrate without a retransmit period kept its tick")
+	if s.fire == nil || s.period != 2*WidenAfter {
+		t.Errorf("a widened call on a substrate without a retransmit period armed=%v with period %v; want its link check at %v",
+			s.fire != nil, s.period, 2*WidenAfter)
 	}
 	s.End()
 	if !s.Wide() {
@@ -131,14 +133,16 @@ func TestWidenAsksTheUnansweredThenStaysWide(t *testing.T) {
 	if sent := s.Begin(r.send); sent != n-1 || !slices.Equal(r.asked, ring(n, self+1, n-1)) {
 		t.Errorf("the call after a widen asked %v, want all %d peers in ring order", r.asked, n-1)
 	}
-	if s.fire != nil {
-		t.Error("a wide call on a substrate without a retransmit period armed a tick")
+	if s.fire == nil || s.period != WidenAfter || s.thrifty {
+		t.Errorf("a wide call on a substrate without a retransmit period: armed=%v, period %v, thrifty=%v; want its link check at %v",
+			s.fire != nil, s.period, s.thrifty, WidenAfter)
 	}
 	s.End()
 }
 
 // TestWideFromStart: while n is within quorum+slack the first wave is
-// everyone and no tick is armed; one server more and it is a strict subset.
+// everyone and its tick is a link check, not a widen; one server more and it
+// is a strict subset.
 // A caller that is one of the n changes nothing: it has one peer fewer to
 // ask and needs one answer fewer. With slack 0 (chan) that is n ≤ 2.
 func TestWideFromStart(t *testing.T) {
@@ -153,9 +157,9 @@ func TestWideFromStart(t *testing.T) {
 				wide := n <= n/2+1+slack
 				var r recorder
 				sent := s.Begin(r.send)
-				if s.Wide() != wide || (wide && (sent != others || s.fire != nil)) || (!wide && (sent >= others || s.fire == nil)) {
-					t.Errorf("slack %d n=%d self=%d: wide=%v, first wave %d of %d, tick armed=%v; want wide=%v",
-						slack, n, self, s.Wide(), sent, others, s.fire != nil, wide)
+				if s.Wide() != wide || s.thrifty == wide || (wide && sent != others) || (!wide && sent >= others) || s.fire == nil {
+					t.Errorf("slack %d n=%d self=%d: wide=%v, thrifty=%v, first wave %d of %d, tick armed=%v; want wide=%v",
+						slack, n, self, s.Wide(), s.thrifty, sent, others, s.fire != nil, wide)
 				}
 				s.End()
 			}
@@ -311,18 +315,60 @@ func TestWaitRidesOutASilence(t *testing.T) {
 }
 
 // TestWaitWithoutRetransmitNeverGivesUp: a call without a resend period
-// widens once and then waits for its quorum however long it takes.
+// whose links all take its requests widens once, checks its links at twice
+// WidenAfter, and waits for its quorum however long it takes.
 func TestWaitWithoutRetransmitNeverGivesUp(t *testing.T) {
 	s := NewSchedule(16, 0, -1, ThriftySlack, nil, 0, 1)
 	all := func(int) bool { return true }
 	done := make(chan struct{})
-	time.AfterFunc(3*WidenAfter, func() { close(done) })
-	ticks := 0
+	time.AfterFunc(5*WidenAfter, func() { close(done) })
+	var ordinals []int
 	s.Begin(all)
-	if !s.Wait(done, func([]bool) {}, all, func(int, int) { ticks++ }) || ticks != 1 {
-		t.Errorf("a call without a resend period ticked %d times before its quorum; want one widen, then the quorum", ticks)
+	if !s.Wait(done, func([]bool) {}, all, func(_, resend int) { ordinals = append(ordinals, resend) }) || !slices.Equal(ordinals, []int{0, 1}) {
+		t.Errorf("a call without a resend period ticked %v before its quorum; want the widen and one link check, [0 1]", ordinals)
 	}
 	s.End()
+}
+
+// TestWaitGivesUpOnDeadLinks: without a resend period a call gives up once
+// its last wave has walked every server and the answers in hand plus the
+// links that took the wave are short of a quorum — at once when the first
+// wave finds too few links, at the widen when the refusals show there, and
+// at a link check when links died with requests on them. Links that refuse
+// a minority never end a call.
+func TestWaitGivesUpOnDeadLinks(t *testing.T) {
+	const n = 5 // quorum 3; the fixed rule's first wave is everyone below n = 6
+	dead := func(links ...int) func(int) bool {
+		return func(j int) bool { return !slices.Contains(links, j) }
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		begin func(int) bool // the first wave's send
+		later func(int) bool // every tick's
+		ticks int            // ticks before the give-up; −1 = it completes
+	}{
+		{"a majority refuses the first wave", n, dead(0, 1, 2), dead(0, 1, 2), 0},
+		{"a majority dies with requests on it", n, dead(), dead(2, 3, 4), 1},
+		{"a minority dies with requests on it", n, dead(), dead(3, 4), -1},
+		{"the widen finds a majority dead", 16, dead(), dead(0, 1, 2, 3, 4, 5, 6, 7), 1},
+	} {
+		s := NewSchedule(tc.n, 0, -1, ThriftySlack, nil, 0, 1)
+		done := make(chan struct{})
+		if tc.ticks < 0 {
+			time.AfterFunc(WidenAfter*3/2, func() { close(done) })
+		}
+		ticks := 0
+		s.Begin(tc.begin)
+		ok := s.Wait(done, func([]bool) {}, tc.later, func(int, int) { ticks++ })
+		if want := tc.ticks < 0; ok != want || (!ok && ticks != tc.ticks) {
+			t.Errorf("%s: Wait = %v after %d ticks; want %v after %d", tc.name, ok, ticks, want, tc.ticks)
+		}
+		if !ok && s.fire != nil {
+			t.Errorf("%s: a call that gave up left its tick armed", tc.name)
+		}
+		s.End()
+	}
 }
 
 // TestWaitCompletionBeatsTick: a quorum and a tick both ready when the
