@@ -82,3 +82,36 @@ func TestSystemPoolCycleAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledHandleCheckoutAllocs: checking out every processor's
+// communicate handle on a warm pooled system — slot, arena and timer kept,
+// the rest reset to NewComm's — allocates nothing, plan or none (the
+// plan's profiles are built outside the count: they are the plan's).
+func TestPooledHandleCheckoutAllocs(t *testing.T) {
+	const n = 32
+	plan, err := fault.Flaky().Plan(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	if _, err := Elect(Config{N: n, Seed: 1, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []*fault.Plan{nil, plan} {
+		sys := pool.Get(2, pl)
+		fps := make([]*fault.Profile, n)
+		for i := range fps {
+			fps[i] = sys.profile(i)
+		}
+		checkout := func() {
+			for i, p := range sys.procs {
+				p.checkout(fps[i])
+			}
+		}
+		if got := testing.AllocsPerRun(200, checkout); got != 0 {
+			t.Fatalf("checkout of %d handles (plan=%v): %v allocs, budget 0", n, pl != nil, got)
+		}
+		pool.Put(sys)
+	}
+}

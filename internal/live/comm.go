@@ -26,6 +26,10 @@ type Comm struct {
 	// slot is where the servers assemble each call's quorum; requests carry
 	// its address.
 	slot callSlot
+	// ord is the ordinal of the handle's last call. It is never reset: a
+	// processor's handle outlives its runs (Proc.comm), and a slot reopened
+	// for a new run must still refuse the last run's stragglers.
+	ord uint64
 
 	// Single-goroutine arena, reused across communicate calls: the views
 	// Collect hands back. Collect's return value is valid until the
@@ -45,11 +49,10 @@ type Comm struct {
 // A call returns on need distinct peers and nothing else: deliver counts a
 // reply only while the slot is open for the reply's own ordinal, its sender
 // has not been counted and the quorum is short. Ordinals are unique per
-// handle and the slot is opened for one at a time, so a straggler of an
-// earlier ordinal can never match and dies uncounted, entries unseen (one
-// of an earlier election goes to that election's handle, closed for good);
-// so does a peer's second answer after a widen, and everything past the
-// quorum.
+// handle, across its runs too (Comm.ord), and the slot is opened for one at
+// a time, so a straggler of an earlier ordinal can never match and dies
+// uncounted, entries unseen — one of an earlier run included; so does a
+// peer's second answer after a widen, and everything past the quorum.
 //
 // No wake-up is lost and no server ever blocks: replies are appended under
 // mu and refused once len(replies) == need, so exactly one delivery per
@@ -57,7 +60,9 @@ type Comm struct {
 // one-slot channel the caller has emptied before it opens the next ordinal —
 // communicate leaves its wait by that token alone, or by giving up; a call
 // that gave up with its quorum in takes the token too, and one that gave up
-// without it aborts the handle, which is never used again.
+// without it ends its run for the handle. A call its goroutine unwound from
+// (a crash) may leave the slot open and a token behind: the next run's
+// reset closes the slot and drains the token.
 type callSlot struct {
 	mu      sync.Mutex
 	call    uint64        // ordinal of the call collecting; 0 = none
@@ -116,18 +121,57 @@ func (s *callSlot) close() bool {
 // NewComm builds the communicate handle for an algorithm running on p, with
 // the participant's fault hooks fp (nil = fault-free). Its ring walks start
 // at p's right-hand neighbour and never ask p itself; under a profile that
-// retransmits its calls tick on the profile's period.
+// retransmits its calls tick on the profile's period. A run does not build
+// one per participant: it checks out the processor's own handle
+// (Proc.checkout), reset to exactly this.
 func NewComm(p *Proc, fp *fault.Profile) *Comm {
+	c := new(Comm)
+	c.reset(p, fp)
+	return c
+}
+
+// reset makes c what NewComm(p, fp) builds, keeping what a run's calls
+// would otherwise make again: the slot's reply and answered arrays and its
+// signal channel, the views arena and the schedule's tick timer. It also
+// keeps the ordinal counter, which must never go back. The handle must be
+// quiescent: no call in progress and no server still delivering to it.
+func (c *Comm) reset(p *Proc, fp *fault.Profile) {
 	n := p.sys.n
-	c := &Comm{p: p, fp: fp, sched: rt.NewSchedule(n, int(p.id)+1, int(p.id), 0, &p.sys.rtt, 0, (uint64(p.id)+1)*SeedStride)}
-	c.slot = callSlot{need: n / 2, replies: make([]reply, 0, n/2), seen: make([]bool, n), sig: make(chan struct{}, 1)}
+	c.p, c.fp, c.round = p, fp, 0
+	c.sched.Reset(n, int(p.id)+1, int(p.id), 0, &p.sys.rtt, 0, (uint64(p.id)+1)*SeedStride)
+	s := &c.slot
+	s.call, s.need, s.lose = 0, n/2, nil
+	if s.sig == nil {
+		// A collect returns the caller's own view and need replies.
+		c.views = make([]rt.View, 0, n/2+1)
+		s.replies, s.seen, s.sig = make([]reply, 0, n/2), make([]bool, n), make(chan struct{}, 1)
+	} else {
+		c.views = c.views[:0]
+		s.replies = s.replies[:0]
+		clear(s.seen)
+		select {
+		case <-s.sig: // left by a call its goroutine unwound from
+		default:
+		}
+	}
 	if fp != nil {
 		if fp.Retransmit > 0 {
 			c.sched.SetRetransmit(fp.Retransmit)
 		}
-		c.slot.lose = fp.ReplyDrop
+		s.lose = fp.ReplyDrop
 	}
-	return c
+}
+
+// release drops what the handle's last run left in it — the snapshots in
+// its views arena and slot, and its fault hooks — keeping the arrays, so a
+// parked system pins none of it. Quiescent handles only.
+func (c *Comm) release() {
+	clear(c.views[:cap(c.views)])
+	c.views = c.views[:0]
+	s := &c.slot
+	clear(s.replies[:cap(s.replies)])
+	s.replies = s.replies[:0]
+	c.fp, s.lose = nil, nil
 }
 
 // Proc implements rt.Comm.
@@ -158,7 +202,8 @@ func (c *Comm) Propagate(reg string, val rt.Value) {
 // Collect implements rt.Comm: gather the register-array views of a quorum,
 // the caller's own store included, and return them. One communicate call.
 // The returned slice is scratch reused by this handle: it is valid until
-// the processor's next communicate call.
+// the processor's next communicate call or the end of the run, whichever
+// comes first (the handle outlives the run, see Proc.checkout).
 func (c *Comm) Collect(reg string) []rt.View {
 	p := c.p
 	own, _ := p.regs.Snapshot(reg)
@@ -202,7 +247,8 @@ func (c *Comm) communicate(req request) []reply {
 	p := c.p
 	p.maybeCrash()
 	p.commCalls++
-	req.call = uint64(p.commCalls)
+	c.ord++
+	req.call, req.num = c.ord, uint32(p.commCalls)
 	s := &c.slot
 	if s.need == 0 {
 		// Single-processor system: the local effect already is a quorum.
@@ -220,7 +266,7 @@ func (c *Comm) communicate(req request) []reply {
 	if req.kind == propagateReq {
 		wk = wire.KindPropagate
 	}
-	reqSize := int64((&wire.Msg{Kind: wk, Call: req.call, From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
+	reqSize := int64((&wire.Msg{Kind: wk, Call: uint64(req.num), From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
 	var drop func(int) bool
 	var delay func(int) time.Duration
 	if fp := c.fp; fp != nil {

@@ -44,8 +44,8 @@
 // and crashing up to ⌈n/2⌉−1 processors — are recovered through the
 // scenario engine (internal/fault). Config.Scenario materializes into a
 // per-run plan, and the plan into one fault.Profile per participant, which
-// the run hands to whichever client it builds — NewComm on chan,
-// electd's Cluster.NewComm on tcp/udp — so both substrates inject it
+// the run hands to whichever client it takes — the processor's own handle
+// on chan, electd's Cluster.NewComm on tcp/udp — so both substrates inject it
 // through the same hooks, without touching algorithm code:
 //
 //   - message delays (link distributions, slow-processor taxes, reorder
@@ -78,5 +78,10 @@
 // arrays, counters and crash flags in place — indistinguishable from a fresh
 // construction, including for runs with
 // crash plans (a crashed slot here is only a dropped flag; its serve loop
-// never exited). Config.Pool opts a run in.
+// never exited). Config.Pool opts a run in. Every run, pooled or not, hands
+// its chan participants their processors' own communicate handles rather
+// than new ones: a handle is reset to what NewComm builds but keeps its call
+// slot, views arena and tick timer, and its call ordinals run on across
+// runs, so a straggler of an earlier run never counts in a later one. Only
+// the system's RTT estimate carries over on purpose.
 package live

@@ -36,7 +36,8 @@ const (
 // request is one quorum message travelling to a server goroutine.
 type request struct {
 	kind    msgKind
-	call    uint64     // caller's communicate-call ordinal: what its slot is open for
+	num     uint32     // the call's number in its run (Proc.CommCalls): the wire.Msg.Call its size is counted with, as the sim counts it
+	call    uint64     // the caller's handle's ordinal for the call: what its slot is open for
 	entries []rt.Entry // propagateReq payload (treated as immutable)
 	reg     string     // collectReq target register array
 	slot    *callSlot  // the caller's call slot, where the server delivers its reply
@@ -262,6 +263,22 @@ type Proc struct {
 	published any
 
 	commCalls int // algorithm-goroutine-local; read after the run joins
+
+	// comm is the processor's chan communicate handle, built by its first
+	// checkout and kept across runs, like regs and the streams; nil on a
+	// system whose runs go through electd.
+	comm *Comm
+}
+
+// checkout hands out p's communicate handle for a run under the fault hooks
+// fp, reset to what NewComm(p, fp) builds: a run on a recycled system
+// rebuilds no handle, slot, arena or timer. The system must be quiescent.
+func (p *Proc) checkout(fp *fault.Profile) *Comm {
+	if p.comm == nil {
+		p.comm = new(Comm)
+	}
+	p.comm.reset(p, fp)
+	return p.comm
 }
 
 // ID implements rt.Procer.
@@ -364,13 +381,13 @@ func (p *Proc) serve() {
 				p.regs.Merge(&req.entries[i])
 			}
 			req.slot.deliver(req.call, reply{from: p.id})
-			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindAck, Call: req.call, From: p.id}).WireSize()))
+			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindAck, Call: uint64(req.num), From: p.id}).WireSize()))
 		case collectReq:
 			snap, _ := p.regs.Snapshot(req.reg)
 			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: snap.Entries}})
 			// The reply's wire size from cached parts: the snapshot's
 			// entry count and cached entry bytes.
-			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindView, Call: req.call, From: p.id, Reg: req.reg}).BodySize(len(snap.Entries), snap.Size)))
+			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindView, Call: uint64(req.num), From: p.id, Reg: req.reg}).BodySize(len(snap.Entries), snap.Size)))
 		}
 		p.sys.messages.Add(1) // the reply
 		p.sys.reqs.Done()

@@ -17,16 +17,20 @@ func (sys *System) quiesce() {
 	sys.reqs.Wait()
 }
 
-// release drops everything the last run left in the processors' stores —
-// register cells (with the payloads they adopted), snapshot caches and
-// published state — keeping the arrays themselves: register
-// names repeat across runs of the same algorithm. Put calls it so a parked
-// system does not hold its last election's state until the next checkout;
-// Reset calls it again (idempotent and then cheap — Reset is also public on
-// systems that were never pooled). Quiescent systems only.
+// release drops everything the last run left in the processors' stores and
+// handles — register cells (with the payloads they adopted), snapshot
+// caches, published state, and the views and fault hooks a communicate
+// handle held — keeping the arrays themselves: register names repeat across
+// runs of the same algorithm, and a handle's arrays are sized by n. Put
+// calls it so a parked system does not hold its last election's state until
+// the next checkout; Reset calls it again (idempotent and then cheap — Reset
+// is also public on systems that were never pooled). Quiescent systems only.
 func (sys *System) release() {
 	for _, p := range sys.procs {
 		p.regs.Reset()
+		if p.comm != nil {
+			p.comm.release()
+		}
 		p.mu.Lock()
 		p.published = nil
 		p.mu.Unlock()
@@ -43,8 +47,12 @@ func (sys *System) release() {
 // built at its first draw, not here — rt.LazySource), register arrays
 // zeroed with their snapshot caches dropped, raw mailboxes, published state,
 // call counters and crash flags cleared, and the system's message/byte
-// counters rewound. It must only be called on a quiescent
-// system whose previous run has fully joined.
+// counters rewound. Each processor's chan communicate handle is released
+// here and reset to NewComm's state when the next run checks it out
+// (Proc.checkout), keeping its arrays and timer. The one thing a run leaves
+// on purpose is the RTT estimate (System.rtt), so the next run starts warm.
+// It must only be called on a quiescent system whose previous run has fully
+// joined.
 func (sys *System) Reset(seed int64, plan *fault.Plan) {
 	sys.quiesce()
 	sys.release()
@@ -60,15 +68,17 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 }
 
 // SystemPool recycles whole Systems across runs: the n server goroutines
-// and their mailboxes, the processor handles, their PRNGs and register
-// maps are built once and then parked between runs instead of torn down —
-// under many concurrent elections the per-run NewScenarioSystem/Shutdown
-// cycle (n goroutine spawns, n PRNG states, every register map) is setup
-// cost that dominates the actual O(log* k) protocol work. A checkout only
-// re-keys the PRNGs: a processor's stream is seeded at its first draw, on
-// its own goroutine, so Get's cost does not grow with the streams. Get
+// and their mailboxes, the processor handles, their PRNGs, register maps
+// and chan communicate handles (call slot, views arena, tick timer) are
+// built once and then parked between runs instead of torn down — under
+// many concurrent elections the per-run NewScenarioSystem/Shutdown cycle
+// (n goroutine spawns, n PRNG states, every register map, n handles) is
+// setup cost that dominates the actual O(log* k) protocol work. A checkout
+// only re-keys the PRNGs: a processor's stream is seeded at its first draw,
+// on its own goroutine, so Get's cost does not grow with the streams. Get
 // checks a system out, Reset-ing a recycled one in place; Put returns it
-// after the run has joined. The pool is safe for concurrent use by many campaign workers.
+// after the run has joined. The pool is safe for concurrent use by many
+// campaign workers.
 type SystemPool struct {
 	n     int
 	serve bool
@@ -99,8 +109,9 @@ func (sp *SystemPool) Idle() int {
 }
 
 // Get checks a system out of the pool, reset in place for the given seed
-// and plan — indistinguishable from NewScenarioSystem(n, seed, plan) — or
-// builds a fresh one when the pool is empty.
+// and plan — indistinguishable from NewScenarioSystem(n, seed, plan), its
+// processors' communicate handles included, but for the warm RTT estimate —
+// or builds a fresh one when the pool is empty.
 func (sp *SystemPool) Get(seed int64, plan *fault.Plan) *System {
 	sp.mu.Lock()
 	var sys *System
@@ -118,9 +129,9 @@ func (sp *SystemPool) Get(seed int64, plan *fault.Plan) *System {
 // Put parks a system for reuse. The caller must have joined every algorithm
 // goroutine of its run and read what it wants from the processors' stores:
 // Put waits out whatever mailbox traffic is still in flight and releases the
-// run's register state, so the parked system is quiescent and holds nothing
-// of its last election. Systems from timed-out runs must not be returned —
-// their goroutines are still live.
+// run's register state and what its handles held, so the parked system is
+// quiescent and holds nothing of its last election. Systems from timed-out
+// runs must not be returned — their goroutines are still live.
 func (sp *SystemPool) Put(sys *System) {
 	if sys.n != sp.n || sys.serving != sp.serve {
 		panic(fmt.Sprintf("live: pooling a %d-processor system (serving=%v) in a %d-processor pool (serving=%v)",

@@ -3,7 +3,11 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -19,7 +23,7 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	defer pool.Close()
 
 	sys := pool.Get(1, nil)
-	c := NewComm(sys.Proc(0), nil)
+	c := sys.Proc(0).checkout(nil)
 	c.Propagate("r", "dirty")
 	views := c.Collect("r")
 	if len(views) != n/2+1 {
@@ -46,7 +50,7 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	}
 	// The recycled system's registers must be construction-fresh: a collect
 	// on the previously dirtied register sees only empty views.
-	c2 := NewComm(got.Proc(2), nil)
+	c2 := got.Proc(2).checkout(nil)
 	for _, v := range c2.Collect("r") {
 		if len(v.Entries) != 0 {
 			t.Fatalf("recycled system leaked register state: %+v", v.Entries)
@@ -56,10 +60,11 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 }
 
 // TestParkedSystemHoldsNoElectionState: Put releases what the run left in
-// the stores, so a system waiting in the pool pins no cell, no adopted
-// payload, no snapshot and no published state. (That the
-// stores keep their empty arrays for the next run of the same algorithm is
-// regstore's TestResetKeepsArraysDropsState.)
+// the stores and handles, so a system waiting in the pool pins no cell, no
+// adopted payload, no snapshot, no published state, no view a handle's
+// arena or slot handed out and no fault hook. (That the stores keep their
+// empty arrays for the next run of the same algorithm is regstore's
+// TestResetKeepsArraysDropsState.)
 func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 	const n = 8
 	pool := NewSystemPool(n, true)
@@ -69,9 +74,11 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 	}
 	sys := pool.Get(2, nil)
 	sys.Proc(1).Publish("state")
-	c := NewComm(sys.Proc(0), nil)
+	c := sys.Proc(0).checkout(&fault.Profile{ReplyDrop: func(int) bool { return false }})
 	c.Propagate("r", "dirty")
-	c.Collect("r")
+	if views := c.Collect("r"); len(views[1].Entries) == 0 {
+		t.Fatal("the collect's views carry no entry: the test would check nothing")
+	}
 	sys.quiesce() // the first wave's stragglers have merged too
 	holders := 0
 	for _, p := range sys.procs {
@@ -99,7 +106,147 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 		if p.Published() != nil {
 			t.Fatalf("parked processor %d still holds published state %v", p.id, p.Published())
 		}
+		c := p.comm
+		for i, v := range c.views[:cap(c.views)] {
+			if v.Entries != nil {
+				t.Fatalf("parked processor %d's handle still holds view %d of its arena: %+v", p.id, i, v.Entries)
+			}
+		}
+		for i, r := range c.slot.replies[:cap(c.slot.replies)] {
+			if r.view.Entries != nil {
+				t.Fatalf("parked processor %d's call slot still holds reply %d: %+v", p.id, i, r.view.Entries)
+			}
+		}
+		if c.fp != nil || c.slot.lose != nil {
+			t.Fatalf("parked processor %d's handle still holds its fault hooks", p.id)
+		}
 	}
+}
+
+// TestPooledHandleMatchesFresh: a processor's handle, checked out for a
+// fault-free run after an election under a retransmitting, reply-dropping
+// plan in which calls widened, is NewComm(p, nil) in everything but what it
+// keeps — the slot's arrays and signal, the arena, the timer (stopped) and
+// the ordinal counter. A token left in the signal would let a call return
+// short of its quorum: communicate trusts it without counting.
+func TestPooledHandleMatchesFresh(t *testing.T) {
+	const n = 8
+	sc := fault.Flaky()
+	plan, err := sc.Plan(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := plan.Profile(0, rand.New(rand.NewSource(1)), func() time.Duration { return 0 }, func() {}); fp.Retransmit == 0 || fp.ReplyDrop == nil {
+		t.Fatalf("%s does not both retransmit and drop replies: the test would check less", sc.Name)
+	}
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	var sys *System
+	widened := 0
+	for seed := int64(1); widened == 0; seed++ {
+		if seed > 20 {
+			t.Fatalf("no call widened in 20 elections under %s", sc.Name)
+		}
+		if _, err := Elect(Config{N: n, Seed: seed, Scenario: sc, Pool: pool}); err != nil {
+			t.Fatal(err)
+		}
+		sys = pool.Get(100+seed, nil)
+		for _, p := range sys.procs {
+			widened += p.comm.sched.Widens()
+		}
+		if widened == 0 {
+			pool.Put(sys)
+		}
+	}
+	defer pool.Put(sys)
+
+	for _, p := range sys.procs {
+		ord := p.comm.ord
+		c := p.checkout(nil)
+		fresh := NewComm(p, nil)
+		s, f := &c.slot, &fresh.slot
+		switch {
+		case c.p != p || c.fp != nil || c.round != 0 || len(c.views) != 0:
+			t.Fatalf("processor %d: handle kept p=%v fp=%v round=%d views=%d", p.id, c.p != p, c.fp, c.round, len(c.views))
+		case c.ord != ord || ord == 0:
+			t.Fatalf("processor %d: ordinal counter %d before the checkout and %d after; want it kept and past 0", p.id, ord, c.ord)
+		case s.call != 0 || s.need != f.need || len(s.replies) != 0 || slices.Contains(s.seen, true) || len(s.seen) != n:
+			t.Fatalf("processor %d: slot open for %d, need %d (fresh %d), %d replies, seen %v", p.id, s.call, s.need, f.need, len(s.replies), s.seen)
+		case len(s.sig) != 0:
+			t.Fatalf("processor %d: the slot holds a stale completion token", p.id)
+		case s.lose != nil:
+			t.Fatalf("processor %d: the slot still samples the last plan's reply loss", p.id)
+		}
+		if diff := scheduleDiff(&c.sched, &fresh.sched); diff != "" {
+			t.Fatalf("processor %d: checked-out schedule differs from a fresh one:%s", p.id, diff)
+		}
+	}
+}
+
+// scheduleDiff lists the fields in which got differs from want, a fresh
+// schedule, leaving out the three a reset keeps: of those it checks that
+// the suspect marks are clear and that the timer, if any, is stopped.
+func scheduleDiff(got, want *rt.Schedule) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	var diff strings.Builder
+	for i := range g.NumField() {
+		name := g.Type().Field(i).Name
+		gf, wf := g.Field(i), w.Field(i)
+		switch name {
+		case "tmr":
+			if !gf.IsNil() && (*time.Timer)(gf.UnsafePointer()).Stop() {
+				diff.WriteString("\n\ttmr was running")
+			}
+		case "suspect":
+			for j := range gf.Len() {
+				if gf.Index(j).Bool() {
+					fmt.Fprintf(&diff, "\n\tsuspect[%d] is marked", j)
+				}
+			}
+		case "ans":
+		default:
+			if gs, ws := fmt.Sprint(gf), fmt.Sprint(wf); gs != ws {
+				fmt.Fprintf(&diff, "\n\t%s = %s, fresh %s", name, gs, ws)
+			}
+		}
+	}
+	return diff.String()
+}
+
+// TestReopenedSlotRefusesLastRun: a pooled handle's ordinals run on across
+// runs, so a straggler of the last run — here a reply to its first call —
+// finds the next run's first call's slot open for another ordinal and is
+// refused; and a call the last run abandoned with its quorum in (its
+// goroutine unwound) leaves no token for the next run to trust.
+func TestReopenedSlotRefusesLastRun(t *testing.T) {
+	const n = 4 // need 2
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	sys := pool.Get(1, nil)
+	c := sys.Proc(0).checkout(nil)
+	c.Collect("r")
+	first := c.ord
+	c.ord++ // a call that unwound after its quorum came in
+	c.slot.open(c.ord)
+	c.slot.deliver(c.ord, reply{from: 1})
+	c.slot.deliver(c.ord, reply{from: 2})
+	if len(c.slot.sig) != 1 {
+		t.Fatal("setup: the abandoned call's quorum left no token")
+	}
+	pool.Put(sys)
+
+	sys = pool.Get(2, nil)
+	defer pool.Put(sys)
+	c = sys.Proc(0).checkout(nil)
+	if len(c.slot.sig) != 0 || c.slot.call != 0 {
+		t.Fatalf("checkout left %d tokens and the slot open for %d", len(c.slot.sig), c.slot.call)
+	}
+	c.slot.open(c.ord + 1) // the run's first call
+	c.slot.deliver(first, reply{from: 1})
+	if _, replies, _ := slotState(&c.slot); replies != 0 {
+		t.Fatalf("the next run's first call counted a reply to the last run's first call (ordinal %d)", first)
+	}
+	c.slot.close()
 }
 
 // TestResetMatchesFreshSeeding: a recycled system's PRNG streams are

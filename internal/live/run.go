@@ -395,7 +395,7 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			clients[i] = cluster.NewComm(sys.procs[i], election, fp)
 			comms[i] = clients[i]
 		} else {
-			comms[i] = NewComm(sys.procs[i], fp)
+			comms[i] = sys.procs[i].checkout(fp)
 		}
 	}
 

@@ -71,7 +71,7 @@ type Schedule struct {
 
 	// suspect marks the servers outside the last probe's quorum, which first
 	// waves pass over while enough others remain (observed rule only; nil
-	// until a probe ends).
+	// or none marked until a probe ends).
 	suspect []bool
 
 	// The call in progress.
@@ -96,11 +96,35 @@ type Schedule struct {
 // the spares already cover a lost message or two. seed starts the jitter
 // stream; callers that could tick in phase pass different seeds.
 func NewSchedule(n, first, self, slack int, rtt *RTT, retransmit time.Duration, seed uint64) Schedule {
+	var s Schedule
+	s.Reset(n, first, self, slack, rtt, retransmit, seed)
+	return s
+}
+
+// Reset makes s what NewSchedule with the same arguments returns, keeping
+// only what its calls would make again: the tick timer, stopped, and the
+// arrays of the answered copy and the suspect marks (none marked) when they
+// are n long. A caller that outlives its runs resets its schedule instead of
+// building one; a call still in progress, one its caller unwound from, is
+// dropped with its tick.
+func (s *Schedule) Reset(n, first, self, slack int, rtt *RTT, retransmit time.Duration, seed uint64) {
+	if s.tmr != nil {
+		s.tmr.Stop() // go 1.23+: no stale tick survives a Stop
+	}
+	tmr, ans, suspect := s.tmr, s.ans, s.suspect
+	if len(ans) != n {
+		ans = nil
+	}
+	if len(suspect) == n {
+		clear(suspect)
+	} else {
+		suspect = nil
+	}
 	others, want, need := n, n/2+1+slack, n/2+1
 	if self >= 0 {
 		others, want, need = others-1, want-1, need-1
 	}
-	return Schedule{
+	*s = Schedule{
 		n: n, first: first % n, self: self, want: want, need: need,
 		// Up to quorum+slack servers the first wave is all of them.
 		wide:       others <= want,
@@ -108,6 +132,9 @@ func NewSchedule(n, first, self, slack int, rtt *RTT, retransmit time.Duration, 
 		retransmit: retransmit,
 		widenTick:  max(retransmit, WidenAfter),
 		jit:        seed,
+		tmr:        tmr,
+		ans:        ans,
+		suspect:    suspect,
 	}
 }
 

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -388,5 +389,54 @@ func TestWaitCompletionBeatsTick(t *testing.T) {
 			t.Fatalf("round %d: with the quorum and a tick both ready, the call copied the answered set (%v) or resent (%v)", i, copied, resent)
 		}
 		s.End()
+	}
+}
+
+// TestResetMatchesNew: a schedule reset in the middle of a call, after a
+// widen, a probe that marked suspects and a plan's retransmit period, is
+// NewSchedule's in every field but the three it keeps — the timer, stopped,
+// and the arrays of the answered copy and the suspect marks, none marked.
+func TestResetMatchesNew(t *testing.T) {
+	const n, first, self, seed = 16, 1, 0, 7
+	var est RTT
+	s := NewSchedule(n, first, self, 0, &est, 0, seed)
+	s.SetRetransmit(WidenAfter)
+	all := func(int) bool { return true }
+	answered := make([]bool, n)
+	for j := range n / 2 {
+		answered[j+1] = true
+	}
+	s.Begin(all)
+	s.tick(answered, all)   // the widen: the next call is the probe
+	s.ans = make([]bool, n) // as Wait's first tick makes it
+	s.Done(answered)
+	s.Begin(all)
+	s.Done(answered) // the probe: everyone outside answered is a suspect
+	s.Begin(all)     // a call in progress, its tick armed
+	if s.widens != 1 || !slices.Contains(s.suspect, true) || s.fire == nil {
+		t.Fatalf("setup: widens %d, suspects %v, tick armed %v; the reset would check nothing", s.widens, s.suspect, s.fire != nil)
+	}
+	tmr, ans, suspect := s.tmr, s.ans, s.suspect
+
+	s.Reset(n, first, self, 0, &est, 0, seed)
+	if s.tmr != tmr || &s.ans[0] != &ans[0] || &s.suspect[0] != &suspect[0] {
+		t.Fatal("Reset dropped the timer or an array it should keep")
+	}
+	if s.tmr.Stop() {
+		t.Fatal("Reset left the call's tick running")
+	}
+	if slices.Contains(s.suspect, true) {
+		t.Fatalf("Reset kept suspects %v", s.suspect)
+	}
+	got, want := s, NewSchedule(n, first, self, 0, &est, 0, seed)
+	got.tmr, got.ans, got.suspect = nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset schedule\n%+v\nwant NewSchedule's\n%+v", got, want)
+	}
+
+	// An array of another length is not kept: it would be read as n long.
+	s.Reset(n/2, first, self, 0, &est, 0, seed)
+	if s.ans != nil || s.suspect != nil || s.tmr != tmr {
+		t.Fatal("Reset for another n kept an array of the old length, or dropped the timer")
 	}
 }
