@@ -689,8 +689,8 @@ func (nw *tapNetwork) Dial(addr string, h transport.Handler) (transport.Conn, er
 	return &tapConn{Conn: c, tap: nw.tap}, nil
 }
 
-// tapConn is a tapped connection. It forwards the pre-decode filter and
-// the stream name, so the pool sees the connection it wraps.
+// tapConn is a tapped connection. It forwards the stream name, so the pool
+// sees the connection it wraps.
 type tapConn struct {
 	transport.Conn
 	tap func(m *wire.Msg)
@@ -705,8 +705,7 @@ func (c *tapConn) SendEncoded(frame []byte) error {
 	return c.Conn.SendEncoded(frame)
 }
 
-func (c *tapConn) SetFilter(f transport.FrameFilter) { c.Conn.(transport.FilteredConn).SetFilter(f) }
-func (c *tapConn) StreamID() uint64                  { return transport.StreamID(c.Conn) }
+func (c *tapConn) StreamID() uint64 { return transport.StreamID(c.Conn) }
 
 // TestDelayedFramesLandBeforeClose: a profile that delays every request to
 // server 0 hands that connection its own copy of the frame the call

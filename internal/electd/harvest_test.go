@@ -2,10 +2,12 @@ package electd
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -266,5 +268,231 @@ func TestCollectViewsOutliveStragglers(t *testing.T) {
 	}
 	if got, want := c.Messages(), int64(2*(harvestN+c.QuorumSize())); got != want {
 		t.Fatalf("client counted %d messages over two calls, want %d: replies past the quorum are not counted", got, want)
+	}
+}
+
+// replyStage is a pool over harvestN Loopback listeners that the test
+// answers for: each request a server reads waits on its connection's read
+// loop until the test has sent, through it, the replies it chose, and each
+// reply the pool reads is announced on routed once Pool.handle returned.
+type replyStage struct {
+	t      *testing.T
+	pl     *Pool
+	in     chan request
+	routed chan struct{}
+}
+
+// request is one request a server read, held until answer is closed; each
+// sender id sent on answer goes back as that server's reply to it.
+type request struct {
+	j      rt.ProcID
+	m      wire.Msg
+	answer chan rt.ProcID
+}
+
+// replyNetwork announces each reply once the pool's handler is done with it.
+type replyNetwork struct {
+	transport.Network
+	routed chan struct{}
+}
+
+func (r *replyNetwork) Dial(addr string, h transport.Handler) (transport.Conn, error) {
+	return r.Network.Dial(addr, func(c transport.Conn, m *wire.Msg) {
+		h(c, m)
+		r.routed <- struct{}{}
+	})
+}
+
+func newReplyStage(t *testing.T) *replyStage {
+	t.Helper()
+	st := &replyStage{t: t, in: make(chan request), routed: make(chan struct{})}
+	nw := &replyNetwork{Network: transport.NewLoopback(), routed: st.routed}
+	stop := make(chan struct{})
+	addrs := make([]string, harvestN)
+	for j := range addrs {
+		id := rt.ProcID(j)
+		ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
+			r := request{j: id, m: *m, answer: make(chan rt.ProcID)}
+			select {
+			case st.in <- r:
+			case <-stop:
+				return
+			}
+			for from := range r.answer {
+				c.Send(&wire.Msg{Kind: wire.KindView, Election: r.m.Election, Call: r.m.Call, From: from, Reg: r.m.Reg}) //nolint:errcheck // a stream
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[j] = ln.Addr()
+		t.Cleanup(func() { ln.Close() }) //nolint:errcheck // teardown
+	}
+	pl, err := DialPoolOpts(nw, addrs, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.pl = pl
+	t.Cleanup(func() {
+		close(stop)
+		pl.Close() //nolint:errcheck // teardown
+	})
+	return st
+}
+
+// next is the next request any server read.
+func (st *replyStage) next() request {
+	st.t.Helper()
+	select {
+	case r := <-st.in:
+		return r
+	case <-time.After(10 * time.Second):
+		st.t.Fatal("no request reached a server")
+		panic("unreachable")
+	}
+}
+
+// reply sends one reply to r as sender from and waits until the router is
+// done with it.
+func (st *replyStage) reply(r request, from rt.ProcID) {
+	st.t.Helper()
+	r.answer <- from
+	select {
+	case <-st.routed:
+	case <-time.After(10 * time.Second):
+		st.t.Fatal("a reply never reached the router")
+	}
+}
+
+// counts reports whether server j's reply to call would count: the call is
+// pending, incomplete, and has no answer from j yet.
+func (st *replyStage) counts(call uint64, j rt.ProcID) bool {
+	sh := st.pl.callShardOf(call)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p := sh.calls[call]
+	return p != nil && !p.complete(st.pl.n/2+1) && !p.seen[j]
+}
+
+// TestReplyLossSampledAtRouter is the electd twin of the chan substrate's
+// TestReplyLossSampledAtDelivery: under the flaky and flaky-asym plans each
+// reply that would otherwise count draws once from the client's reply-loss
+// stream, and nothing else does — a twin profile, built from a twin of the
+// client's fault stream, predicts every reply's fate and stays in step to
+// the end. Every counting reply is preceded by one from a sender outside
+// [0, n) and, when it counts, followed by a duplicate; stragglers are
+// answered too; none of them draws. Exactly a quorum of servers answer,
+// one of them over a lossy link, so a call whose reply the plan eats
+// completes by asking that server again on the tick and counting its
+// second answer. The others stay silent until a call asks one of them a
+// third time.
+func TestReplyLossSampledAtRouter(t *testing.T) {
+	const need = harvestN/2 + 1
+	for _, sc := range []fault.Scenario{fault.Flaky(), fault.FlakyAsym()} {
+		t.Run(sc.Name, func(t *testing.T) {
+			// A seed whose plan loses replies on some link into client 0.
+			var plan *fault.Plan
+			seed, lossy := int64(0), rt.ProcID(-1)
+			for lossy < 0 {
+				seed++
+				var err error
+				if plan, err = sc.Plan(harvestN, seed); err != nil {
+					t.Fatal(err)
+				}
+				for j := 1; j < harvestN; j++ {
+					if plan.DropProb(j, 0) > 0 {
+						lossy = rt.ProcID(j)
+						break
+					}
+				}
+			}
+			clock := func() time.Duration { return 0 }
+			fp := plan.Profile(0, rand.New(rand.NewSource(seed)), clock, nil)
+			twin := plan.Profile(0, rand.New(rand.NewSource(seed)), clock, nil)
+			st := newReplyStage(t)
+			c := st.pl.NewComm(NewParticipant(0, harvestN, seed), 1, fp)
+			defer c.Leave()
+			answering := []rt.ProcID{lossy}
+			for j := rt.ProcID(0); len(answering) < need; j++ {
+				if j != lossy {
+					answering = append(answering, j)
+				}
+			}
+
+			lost, recounted := 0, 0
+			for call := 1; call <= 20; call++ {
+				done := make(chan []rt.View, 1)
+				go func() { done <- slices.Clone(c.Collect("r")) }()
+				dropped := make(map[rt.ProcID]bool)
+				asked := make(map[rt.ProcID]int) // the call's requests to each silent server
+				for counted := 0; counted < need; {
+					r := st.next()
+					counts := st.counts(r.m.Call, r.j)
+					if !slices.Contains(answering, r.j) {
+						if !counts {
+							close(r.answer)
+							continue
+						}
+						if asked[r.j]++; asked[r.j] < 3 {
+							close(r.answer) // a silent server: the request is lost on it
+							continue
+						}
+					}
+					st.reply(r, harvestN) // no server: draws nothing
+					if !counts {
+						// A resend the tick sent before the first was answered,
+						// or a request of a call since harvested: its reply is
+						// a straggler or a duplicate and must draw nothing.
+						st.reply(r, r.j)
+						close(r.answer)
+						continue
+					}
+					drop := twin.ReplyDrop(int(r.j))
+					st.reply(r, r.j)
+					if kept := !st.counts(r.m.Call, r.j); kept == drop {
+						t.Fatalf("call %d: server %d's reply kept=%v where the client's loss stream says drop=%v", call, r.j, kept, drop)
+					}
+					if !drop {
+						st.reply(r, r.j) // a duplicate, or a straggler: draws nothing
+					}
+					close(r.answer)
+					switch {
+					case drop:
+						lost++
+						dropped[r.j] = true
+					case dropped[r.j]:
+						recounted++
+						fallthrough
+					default:
+						counted++
+					}
+				}
+				var views []rt.View
+				select {
+				case views = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("call %d never returned", call)
+				}
+				seen := make([]bool, harvestN)
+				for _, v := range views {
+					if seen[v.From] {
+						t.Fatalf("call %d counted server %d twice: %+v", call, v.From, views)
+					}
+					seen[v.From] = true
+				}
+				if len(views) != need {
+					t.Fatalf("call %d returned %d views, want %d", call, len(views), need)
+				}
+			}
+			if lost == 0 || recounted == 0 {
+				t.Fatalf("20 calls lost %d replies and recounted %d senders; the plan was to lose some", lost, recounted)
+			}
+			for range 256 {
+				if fp.ReplyDrop(int(lossy)) != twin.ReplyDrop(int(lossy)) {
+					t.Fatalf("after %d lost replies the client's loss stream is out of step with its twin", lost)
+				}
+			}
+			t.Logf("seed %d, lossy link %d→0: %d replies lost, %d senders counted on a later answer", seed, lossy, lost, recounted)
+		})
 	}
 }

@@ -22,8 +22,8 @@ import (
 // forged copy claiming a sender outside [0, n), then honestly — while the
 // client carries a partition plan, whose reply-loss hook indexes a
 // per-server table with the sender it is handed. The forged id must never
-// reach that hook (it used to, straight from the pre-decode peek: an
-// index-out-of-range panic on the connection's read loop), and a forged
+// reach that hook (an index-out-of-range panic on the connection's read
+// loop), and a forged
 // reply must never stand in for a quorum member (it used to be counted,
 // because the dedup guard merely skipped ids it could not index).
 func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
@@ -173,8 +173,8 @@ type tagSpy struct {
 
 func (c tagSpy) SendEncoded(frame []byte) error {
 	if body, _, err := wire.SplitFrame(frame); err == nil {
-		if _, tag, _, ok := wire.PeekView(body); ok {
-			c.tag.Store(tag)
+		if m, err := wire.Decode(body); err == nil && m.Kind == wire.KindView {
+			c.tag.Store(m.Tag)
 		}
 	}
 	return c.Conn.SendEncoded(frame)

@@ -46,10 +46,9 @@ const (
 
 var knownSeed = maphash.MakeSeed()
 
-// set returns the slots a key of election whose register name hashes to h
-// (maphash with knownSeed, of the name as a string or as bytes alike) may
-// live in.
-func (k *knownViews) set(election, h uint64) []knownView {
+// set returns the slots the key (election, reg) may live in.
+func (k *knownViews) set(election uint64, reg string) []knownView {
+	h := maphash.String(knownSeed, reg)
 	i := (h ^ election*0x9E3779B97F4A7C15) % knownSets * knownWays
 	return k.slot[i : i+knownWays]
 }
@@ -96,24 +95,10 @@ func (k *knownViews) named(tag uint64) (v knownView, ok bool) {
 	return knownView{}, false
 }
 
-// has reports whether the table holds tag for (election, reg).
-func (k *knownViews) has(election uint64, reg []byte, tag uint64) bool {
-	set := k.set(election, maphash.Bytes(knownSeed, reg))
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for i := range set {
-		if v := &set[i]; v.tag == tag && v.election == election && v.reg == string(reg) {
-			k.touch(v)
-			return true
-		}
-	}
-	return false
-}
-
 // put remembers a full view of (election, reg) that arrived under tag,
 // replacing whatever view of it the table held.
 func (k *knownViews) put(election uint64, reg string, tag uint64, entries []rt.Entry) {
-	set := k.set(election, maphash.String(knownSeed, reg))
+	set := k.set(election, reg)
 	k.mu.Lock()
 	v := k.find(set, election, reg)
 	if v == nil {

@@ -15,26 +15,23 @@ import (
 	"repro/internal/wire"
 )
 
-// unfiltered is a Network whose dialed connections hide SetFilter, so the
-// pool's pre-decode straggler filter is never installed and every reply —
-// the ones beyond the quorum too — is decoded and reaches Pool.handle. It
-// also reports each view's sender once the pool's handler has returned,
-// which is how the test orders a busy reply after a view already sits on
-// the call's pending slot.
-type unfiltered struct {
+// routedNetwork is a Network that reports each view's sender once the
+// pool's handler has returned — every reply, the ones beyond the quorum
+// too, is decoded and reaches Pool.handle — which is how the test orders a
+// busy reply after a view already sits on the call's pending slot.
+type routedNetwork struct {
 	transport.Network
 	routed chan rt.ProcID
 }
 
-func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, error) {
-	c, err := u.Network.Dial(addr, func(c transport.Conn, m *wire.Msg) {
+func (u *routedNetwork) Dial(addr string, h transport.Handler) (transport.Conn, error) {
+	return u.Network.Dial(addr, func(c transport.Conn, m *wire.Msg) {
 		kind, from := m.Kind, m.From
 		h(c, m)
 		if kind == wire.KindView {
 			u.routed <- from
 		}
 	})
-	return struct{ transport.Conn }{c}, err
 }
 
 // TestRecycleNeverClearsSharedEntries drives a view-memo hit down every
@@ -49,7 +46,7 @@ func (u *unfiltered) Dial(addr string, h transport.Handler) (transport.Conn, err
 // throughout.
 func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	const n, election, reg = 3, 1, "sift/1/status"
-	nw := &unfiltered{Network: transport.NewLoopback(), routed: make(chan rt.ProcID, 1024)}
+	nw := &routedNetwork{Network: transport.NewLoopback(), routed: make(chan rt.ProcID, 1024)}
 	entries := []rt.Entry{
 		{Reg: reg, Owner: 0, Seq: 3, Val: core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}},
 		{Reg: reg, Owner: 1, Seq: 1, Val: core.Status{Stat: core.HighPri, List: []rt.ProcID{1}}},
@@ -142,8 +139,7 @@ func TestRecycleNeverClearsSharedEntries(t *testing.T) {
 	drain()
 
 	// Stragglers: all three servers answer, two make the quorum, the third
-	// view is decoded (no filter), reaches the router late, and is recycled
-	// there.
+	// view reaches the router late and is recycled there.
 	for range 20 {
 		collect("stragglers")
 		collects += n

@@ -79,8 +79,8 @@ type Pool struct {
 	pend   sync.Pool // recycled pending slots
 
 	// gone remembers, 1 + ID, the last goneRing elections forget cleared,
-	// so that the views their stragglers deliver afterwards are neither
-	// learned nor decoded: the links' tables would pin them until evicted.
+	// so that the views their stragglers deliver afterwards are not
+	// learned: the links' tables would pin them until evicted.
 	gone  [goneRing]atomic.Uint64
 	nGone atomic.Uint64
 
@@ -260,21 +260,9 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 // N returns the quorum system size.
 func (pl *Pool) N() int { return pl.n }
 
-// newLink dials nothing: it boxes an established connection with the
-// straggler/fault reply filter armed. Shared by dial time and Redial.
+// newLink dials nothing: it boxes an established connection. Shared by
+// dial time and Redial.
 func (pl *Pool) newLink(conn transport.Conn) *serverLink {
-	if fc, ok := conn.(transport.FilteredConn); ok {
-		// Drop straggler replies — answers to calls that already
-		// reached quorum — before they are decoded. A thrifty first
-		// wave leaves only its two spares' replies to drop (2 of 19 at
-		// n=32); what the filter still buys is the other half of every
-		// reply to a client that has widened, the repeat answers a
-		// retransmitting one draws, and a view's decode (entries,
-		// statuses, allocations) being the dearest thing a read loop
-		// does. Under a fault plan the same filter also samples
-		// reply-direction link loss (see keepReply).
-		fc.SetFilter(pl.keepReply)
-	}
 	held, _ := conn.(transport.HeldConn)
 	return &serverLink{conn: conn, held: held}
 }
@@ -342,80 +330,6 @@ func isReply(k wire.Kind) bool {
 	return k == wire.KindAck || k == wire.KindView || k == wire.KindSame || k == wire.KindBusy
 }
 
-// keepReply is the pool's pre-decode filter (transport.FrameFilter): a
-// reply is a straggler — nobody will ever read it — once its call is no
-// longer pending or is already complete, and stragglers are dropped before
-// their decode; so is a duplicate, a reply from a server that already
-// answered the call (a retransmitting client draws one per resend the
-// server answers twice). With streaming dispatch the routed
-// count is current up to the previous reply of the same inbound batch, so
-// the decodes past the quorum (entries, statuses, their allocations) simply
-// never happen: the two spares of a thrifty wave, and almost half of all
-// replies once a client has widened to all n. Anything that is not a
-// well-formed reply header passes through to the full decoder, which is
-// the arbiter of validity. The filter is advisory and racy by design: a
-// call completing between this check and the router's is dropped there
-// instead, and the reverse race cannot happen (calls are registered before
-// any request is sent).
-// When the waiting client carries a fault profile, the filter is also the
-// reply-direction loss seam: the reply's sender id is peeked from the
-// header and the profile's ReplyDrop hook — concurrency-safe, it runs on
-// every connection's read loop — decides whether this reply died on the
-// (server → client) link. Dropping here, before decode, is exactly where
-// a lost reply would have vanished on a real wire. The hook only ever sees
-// a server id in [0, n): it indexes per-server fault tables with it, and
-// the peeked id is unvalidated wire input — a reply claiming any other
-// sender passes through to the router, which drops it.
-//
-// A tagged view the router would drop is still decoded when it is new to
-// its server's link — the router learns every tagged view, because the
-// server takes it that the pool holds it from then on (see handle) — and
-// dropped undecoded when the link already holds it, as a retransmission's
-// duplicates and a thrifty wave's spares mostly are. A datagram view is
-// untagged, so there is nothing to learn from it: it is dropped undecoded.
-func (pl *Pool) keepReply(body []byte) bool {
-	k, call, from, ok := wire.PeekReplyFrom(body)
-	if !ok || !isReply(k) {
-		return true
-	}
-	inRange := from >= 0 && int(from) < pl.n
-	sh := pl.callShardOf(call)
-	sh.mu.Lock()
-	p := sh.calls[call]
-	keep := p != nil && !p.complete(pl.n/2+1) && !(inRange && p.seen[from])
-	var drop func(int) bool
-	if keep && p.cli.fp != nil {
-		drop = p.cli.fp.ReplyDrop
-	}
-	var el uint64
-	if pl.trace != nil && p != nil {
-		el = p.cli.election // read under the shard lock; gone calls trace as election 0
-	}
-	sh.mu.Unlock()
-	if keep && drop != nil && inRange && drop(int(from)) {
-		return false
-	}
-	if !keep && k == wire.KindView && inRange && !pl.holds(from, body) {
-		return true // decoded to be learned, then dropped by the router
-	}
-	if !keep && pl.trace != nil {
-		pl.trace.Event(el, 0, trace.PStraggler, int64(from))
-	}
-	return keep
-}
-
-// holds reports whether server j's link already holds the view body
-// carries, or the view carries no tag to hold it by, or its election is
-// over.
-func (pl *Pool) holds(j rt.ProcID, body []byte) bool {
-	election, tag, reg, ok := wire.PeekView(body)
-	if !ok || tag == 0 || pl.forgotten(election) {
-		return true
-	}
-	link := pl.links[j].Load()
-	return link == nil || link.known.has(election, reg, tag)
-}
-
 // handle is the pool's reply router and the place a quorum is assembled:
 // it runs on each connection's read loop, appends the reply to its call's
 // pending slot under the call's shard lock, and wakes the waiting rpc at
@@ -431,7 +345,16 @@ func (pl *Pool) holds(j rt.ProcID, body []byte) bool {
 // so a repeat can never stand in for a distinct quorum member) and replies
 // whose sender id is not one of the n servers: a quorum counts distinct
 // servers, and an id outside [0, n) names none. A dropped reply dies here,
-// entries unseen, so the arena keeps them.
+// entries unseen, so the arena keeps them. The router is the one place a
+// reply is judged: every read loop decodes what it reads and hands it here.
+//
+// When the waiting client carries a fault profile, the router is also the
+// reply-direction loss seam: a reply that would count — its call pending
+// and incomplete, its sender new to it — is first offered to the profile's
+// ReplyDrop hook, which decides whether it died on the (server → client)
+// link. The hook runs under the call's stripe lock, once per such reply,
+// as the in-process substrate's call slot runs it; stragglers, duplicates
+// and replies from outside [0, n) never reach it.
 //
 // The router is also where a conditional collect resolves. Every full view
 // with a tag — a stream's — is remembered in its server's link table
@@ -442,8 +365,10 @@ func (pl *Pool) holds(j rt.ProcID, body []byte) bool {
 // entries are that server's current snapshot, byte for byte; the view keeps
 // the size the same was decoded with, so the byte accounting reports what
 // crossed the wire. A same to a collect the pool cannot resolve — the link
-// has since dropped the view, or never got it (a fault plan's loss) — is
-// noise, and the router re-asks that server with wire.TagFull (Pool.reask).
+// has since let the view go, or never learned it (its election forgotten)
+// — is noise, and the router re-asks that server with wire.TagFull
+// (Pool.reask). A view a fault plan drops on its link is learned all the
+// same: the stream delivered it, and the server holds it as delivered.
 // Any other same reply — tag 0, or answering a propagate — is noise. Noise
 // never counts as the server's answer.
 func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
@@ -468,6 +393,18 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	sh.mu.Lock()
 	p := sh.calls[m.Call]
 	if p == nil || p.complete(need) || p.seen[from] {
+		var el uint64 // a departed call traces as election 0
+		if p != nil {
+			el = p.cli.election
+		}
+		sh.mu.Unlock()
+		if pl.trace != nil {
+			pl.trace.Event(el, 0, trace.PStraggler, int64(from))
+		}
+		discard(m)
+		return
+	}
+	if fp := p.cli.fp; fp != nil && fp.ReplyDrop != nil && fp.ReplyDrop(int(from)) {
 		sh.mu.Unlock()
 		discard(m)
 		return
@@ -655,8 +592,7 @@ func (c *Client) Calls() int { return c.calls }
 
 // Messages reports the requests this participant sent plus the replies its
 // calls harvested — up to a quorum each; the stragglers past it die in the
-// router uncounted, like the ones the pre-decode filter drops. Bytes is the
-// same in encoded bytes.
+// router uncounted. Bytes is the same in encoded bytes.
 func (c *Client) Messages() int64 { return c.msgs.Load() }
 
 // Bytes reports the participant's total wire traffic in bytes.
@@ -716,7 +652,7 @@ func (c *Client) Collect(reg string) []rt.View {
 // restoring the pool's state rpc unwinds the participant's goroutine with
 // a *BusyError panic — recover it with CatchBusy around the election run.
 // A busy reply arriving after a genuine quorum is a straggler: the quorum
-// property already holds, and the filter or router drops it like any other.
+// property already holds, and the router drops it like any other.
 //
 // A call the schedule gives up on (rt.Schedule.Wait: a retransmitting one
 // whose backoff heard nothing new, a reliable one whose answers and
@@ -724,7 +660,7 @@ func (c *Client) Collect(reg string) []rt.View {
 // *fault.NoQuorumError, unless its quorum or a busy reply landed as it gave
 // up.
 //
-// The participant's fault profile acts on the call here and in the filter
+// The participant's fault profile acts on the call here and in the router
 // (ReplyDrop) only: its crash check runs before and after the call, a
 // request may be lost as it is sent or ride a timer for its injected delay,
 // and its resend period keeps the call ticking.

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/regstore"
 	"repro/internal/rt"
 )
 
@@ -35,15 +37,19 @@ type arrival struct {
 // processor 0's handle on it: the test reads the mailboxes and answers, or
 // does not.
 type stage struct {
-	t   *testing.T
-	sys *System
-	c   *Comm
-	in  chan arrival
+	t     *testing.T
+	sys   *System
+	c     *Comm
+	in    chan arrival
+	calls sync.WaitGroup // collects still running
 }
 
 func newStage(t *testing.T, seed int64, plan *fault.Plan) *stage {
 	t.Helper()
 	sys := newSystem(harvestN, seed, plan, false)
+	for _, p := range sys.procs { // the chan substrate a networked system goes without
+		p.inbox, p.regs = make(chan request, harvestN), regstore.New(nil)
+	}
 	st := &stage{t: t, sys: sys, c: NewComm(sys.Proc(0), sys.profile(0)), in: make(chan arrival)}
 	stop := make(chan struct{})
 	for _, p := range sys.procs {
@@ -59,7 +65,18 @@ func newStage(t *testing.T, seed int64, plan *fault.Plan) *stage {
 	}
 	t.Cleanup(func() {
 		close(stop)
-		sys.Shutdown()
+		// A test that failed may leave a call running, and closing the
+		// mailboxes under its sends would panic: leave them open then.
+		returned := make(chan struct{})
+		go func() {
+			st.calls.Wait()
+			close(returned)
+		}()
+		select {
+		case <-returned:
+			sys.Shutdown()
+		case <-time.After(harvestWait):
+		}
 	})
 	return st
 }
@@ -105,7 +122,9 @@ type collected struct {
 
 func (st *stage) collect() <-chan collected {
 	done := make(chan collected, 1)
+	st.calls.Add(1)
 	go func() {
+		defer st.calls.Done()
 		var r collected
 		defer func() {
 			if x := recover(); x != nil {
@@ -432,23 +451,43 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 // TestNoQuorumAbortBlocksNobody: a call that gives up — it retransmits
 // and the peers it still needs stay silent — leaves its slot behind, and
 // the replies that still arrive, the one that would have completed the
-// quorum among them, are delivered without blocking.
+// quorum among them, are delivered without blocking. The first wave is
+// read off the handle's own sends (the profile's loss hook logs them, in
+// order, on the caller's goroutine and drops none), since the 100 µs
+// resends can reach any mailbox before the test has taken the wave.
 func TestNoQuorumAbortBlocksNobody(t *testing.T) {
 	st := newStage(t, 1, nil)
-	st.c = NewComm(st.sys.Proc(0), &fault.Profile{Retransmit: 100 * time.Microsecond})
+	var sends []rt.ProcID // the caller's; read once the call has returned
+	st.c = NewComm(st.sys.Proc(0), &fault.Profile{
+		Retransmit: 100 * time.Microsecond,
+		Drop: func(to int) bool {
+			sends = append(sends, rt.ProcID(to))
+			return false
+		},
+	})
 	done := st.collect()
-	first := st.wave(1, 2, 3, 4)
-	for j := rt.ProcID(1); j < harvestNeed; j++ {
-		answer(j, first[j])
+	// Peers 1…need−1 answer the first of the call's requests to reach them;
+	// peer need's first is kept for the late answers below, and the resends
+	// to everyone else go unanswered.
+	answered := make(map[rt.ProcID]bool)
+	var last *request
+	take := func(a arrival) {
+		switch {
+		case a.j < harvestNeed && !answered[a.j]:
+			answer(a.j, a.req)
+			answered[a.j] = true
+		case a.j == harvestNeed && last == nil:
+			last = &a.req
+		}
 	}
-	// The resends reach the mailboxes and go unanswered.
 	var r collected
 wait:
 	for {
 		select {
 		case r = <-done:
 			break wait
-		case <-st.in:
+		case a := <-st.in:
+			take(a)
 		case <-time.After(harvestWait):
 			t.Fatal("a call no quorum answers never gave up")
 		}
@@ -457,10 +496,16 @@ wait:
 	if !errors.As(r.err, &starved) || starved.Proc != 0 {
 		t.Fatalf("the starved call returned %d views and %v, want a NoQuorumError for processor 0", len(r.views), r.err)
 	}
+	if first := slices.Sorted(slices.Values(sends[:harvestNeed])); !slices.Equal(first, []rt.ProcID{1, 2, 3, 4}) {
+		t.Fatalf("the first wave asked %v, want one each for [1 2 3 4]", sends[:harvestNeed])
+	}
+	for last == nil {
+		take(st.next())
+	}
 	late := make(chan struct{})
 	go func() {
-		answer(harvestNeed, first[harvestNeed])
-		answer(harvestNeed, first[harvestNeed])
+		answer(harvestNeed, *last)
+		answer(harvestNeed, *last)
 		close(late)
 	}()
 	select {

@@ -101,15 +101,14 @@ func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
 	return newSystem(n, seed, plan, true)
 }
 
-// newSystem optionally skips the server goroutines: a TCP-transport run
-// replaces the channel-backed quorum with electd servers, leaving the
-// in-process mailboxes unused.
+// newSystem optionally skips the chan substrate: a networked run replaces
+// the channel-backed quorum with electd servers, so its processors get no
+// mailbox, no register store and no server goroutine.
 func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 	sys := &System{n: n, plan: plan, serving: serve, procs: make([]*Proc, n)}
 	for i := 0; i < n; i++ {
-		p := &Proc{
-			id:  rt.ProcID(i),
-			sys: sys,
+		p := &Proc{id: rt.ProcID(i), sys: sys}
+		if serve {
 			// Capacity n absorbs the common case (each of ≤n participants
 			// has one outstanding communicate call), but a descheduled
 			// server can accumulate more: requests from calls that already
@@ -118,8 +117,7 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			// deadlock risk — servers drain unconditionally and delivering
 			// a reply never blocks them (see callSlot), so every send
 			// eventually completes.
-			inbox: make(chan request, n),
-			regs:  regstore.New(nil),
+			p.inbox, p.regs = make(chan request, n), regstore.New(nil)
 		}
 		p.rng, p.frng = rand.New(&p.coins), rand.New(&p.faults)
 		p.key(seed)
@@ -224,7 +222,9 @@ func (sys *System) Bytes() int64 { return sys.bytes.Load() }
 func (sys *System) Shutdown() {
 	sys.inflight.Wait()
 	for _, p := range sys.procs {
-		close(p.inbox)
+		if p.inbox != nil {
+			close(p.inbox)
+		}
 	}
 	if sys.serving {
 		sys.servers.Wait()
@@ -252,11 +252,12 @@ type Proc struct {
 	// a recovered replica answers again, a crashed participant stays gone.
 	crashed atomic.Bool
 	down    atomic.Bool
-	inbox   chan request
+	inbox   chan request // the server's mailbox; nil on a networked system
 
 	// regs is the processor's register state: lock-free for every reader
 	// and writer (see internal/regstore), so neither the server goroutine nor
-	// the algorithm goroutine ever takes a lock for it.
+	// the algorithm goroutine ever takes a lock for it. Nil on a networked
+	// system, whose registers live in its electd servers.
 	regs *regstore.Store
 
 	mu        sync.Mutex // guards published

@@ -27,7 +27,9 @@ func (sys *System) quiesce() {
 // is also public on systems that were never pooled). Quiescent systems only.
 func (sys *System) release() {
 	for _, p := range sys.procs {
-		p.regs.Reset()
+		if p.regs != nil {
+			p.regs.Reset()
+		}
 		if p.comm != nil {
 			p.comm.release()
 		}

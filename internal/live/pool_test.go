@@ -59,6 +59,35 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	pool.Put(got)
 }
 
+// TestNetworkedSystemBuildsNoChanSubstrate: a networked run's quorum
+// traffic goes through electd servers, so a pooled system built for one
+// holds no mailbox and no register store — before its first run, after it,
+// and through Put and a recycling Get.
+func TestNetworkedSystemBuildsNoChanSubstrate(t *testing.T) {
+	const n = 8
+	pool := NewSystemPool(n, false)
+	defer pool.Close()
+	bare := func(when string, sys *System) {
+		t.Helper()
+		for _, p := range sys.procs {
+			if p.inbox != nil || p.regs != nil {
+				t.Fatalf("%s: processor %d holds a mailbox (%v) or a register store (%v)", when, p.id, p.inbox != nil, p.regs != nil)
+			}
+		}
+	}
+	sys := pool.Get(1, nil)
+	bare("fresh", sys)
+	pool.Put(sys)
+	if _, err := Elect(Config{N: n, Seed: 2, Transport: TransportTCP, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Get(3, nil) != sys {
+		t.Fatal("pool built a fresh system instead of recycling")
+	}
+	bare("after a TCP election", sys)
+	pool.Put(sys)
+}
+
 // TestParkedSystemHoldsNoElectionState: Put releases what the run left in
 // the stores and handles, so a system waiting in the pool pins no cell, no
 // adopted payload, no snapshot, no published state, no view a handle's

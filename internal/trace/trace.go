@@ -55,8 +55,9 @@ const (
 	// PQuorumWait is the wait from broadcast until a majority of
 	// replies has arrived.
 	PQuorumWait
-	// PStraggler counts replies dropped pre-decode because their call
-	// already completed (Detail = sender ID). Duration is zero.
+	// PStraggler counts replies the reply router dropped because their
+	// call already completed or their sender already answered it (Detail =
+	// sender ID). Duration is zero.
 	PStraggler
 	// PRetransmit counts ticks fired while waiting for a quorum, on either
 	// substrate: the widen of a quorum+slack first wave to everyone

@@ -78,7 +78,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 		wire.RecycleMsg(m)
 	}
 	dispatch := func() {
-		if err := dispatchGroup(&rc, h, nil, body); err != nil {
+		if err := dispatchGroup(&rc, h, body); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,23 +72,18 @@ func coalesceFrames(dst []byte, frames [][]byte, stamp bool) []byte {
 }
 
 // dispatchGroup streams the messages of a group of frame bodies to h in
-// order: each message is filtered (keep may veto its decode — stragglers
-// beyond a quorum die here, and because dispatch is streaming, the filter
-// sees routing state current up to the previous message), decoded through
-// the process-wide decode cache (wire.DecodeShared), and handed to h before
-// the next one is touched. For anything beyond a single plain frame, the
-// Conn the handler sees is rc, the connection's replyCoalescer: every reply
-// h sends while the group is dispatched accumulates into one outbound batch
-// frame, flushed when the last message returns. That keeps the request/reply symmetry of the
+// order: each message is decoded through the process-wide decode cache
+// (wire.DecodeShared) and handed to h before the next one is touched. For
+// anything beyond a single plain frame, the Conn the handler sees is rc,
+// the connection's replyCoalescer: every reply h sends while the group is
+// dispatched accumulates into one outbound batch frame, flushed when the
+// last message returns. That keeps the request/reply symmetry of the
 // coalesced hot path — a batched quorum broadcast comes back as a batched
 // quorum of replies — without the server layer knowing batches exist. The
 // first corrupt body aborts the dispatch (already-dispatched messages
 // stand, as on any mid-stream severance).
-func dispatchGroup(rc *replyCoalescer, h Handler, keep FrameFilter, bodies ...[]byte) error {
+func dispatchGroup(rc *replyCoalescer, h Handler, bodies ...[]byte) error {
 	if len(bodies) == 1 && len(bodies[0]) > 0 && wire.Kind(bodies[0][0]) != wire.KindBatch {
-		if keep != nil && !keep(bodies[0]) {
-			return nil
-		}
 		m, err := wire.DecodeShared(bodies[0])
 		if err != nil {
 			return err
@@ -100,9 +95,6 @@ func dispatchGroup(rc *replyCoalescer, h Handler, keep FrameFilter, bodies ...[]
 	var err error
 	for _, body := range bodies {
 		if err = wire.ForEachFrame(body, func(sub []byte) error {
-			if keep != nil && !keep(sub) {
-				return nil
-			}
 			m, err := wire.DecodeShared(sub)
 			if err != nil {
 				return err

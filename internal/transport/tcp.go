@@ -283,7 +283,6 @@ var tcpReadBufs = sync.Pool{New: func() any {
 type tcpConn struct {
 	c         net.Conn
 	handler   Handler
-	filter    atomic.Value    // FrameFilter, installed via SetFilter
 	rec       *trace.Recorder // fixed at construction; nil = untraced, no stamps
 	out       *sendQueue[[]byte]
 	closeOnce sync.Once
@@ -303,17 +302,6 @@ func (t *tcpConn) StreamID() uint64 { return t.id }
 func (t *tcpConn) start() {
 	go t.writeLoop()
 	go t.readLoop()
-}
-
-// SetFilter implements FilteredConn.
-func (t *tcpConn) SetFilter(f FrameFilter) { t.filter.Store(f) }
-
-// loadFilter returns the installed FrameFilter, nil when none.
-func (t *tcpConn) loadFilter() FrameFilter {
-	if f, ok := t.filter.Load().(FrameFilter); ok {
-		return f
-	}
-	return nil
 }
 
 // Send implements Conn.
@@ -392,7 +380,7 @@ func (t *tcpConn) writeLoop() {
 // pending bytes go along. A frame that outgrows the pooled buffer gets a
 // larger one, grown with the bytes actually received (never to the size
 // its prefix claims) and dropped once that frame is dispatched. No frame
-// body outlives its dispatch (FrameFilter, dispatchGroup), so no switch
+// body outlives its dispatch (dispatchGroup), so no switch
 // gives up a buffer a body still points into. Any stream error — peer
 // close, crash, corruption — severs the connection: message loss, the
 // model's one failure mode for links.
@@ -440,7 +428,7 @@ func (t *tcpConn) readLoop() {
 			if t.rec != nil {
 				decT0 = trace.Now()
 			}
-			if err = dispatchGroup(&rc, t.handler, t.loadFilter(), body); err != nil {
+			if err = dispatchGroup(&rc, t.handler, body); err != nil {
 				t.Close()
 				return
 			}

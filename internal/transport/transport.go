@@ -18,7 +18,10 @@
 // The fault engine's crashes plug in here: a crashed node's Listener drops
 // its connections and stops answering (transport.Listener.Crash). Its link
 // faults — loss and injected latency — act above, in the electd client,
-// through the participant's fault.Profile.
+// through the participant's fault.Profile. A read loop decodes every
+// message it reads and hands it to its handler: whether a reply counts,
+// and whether it died on its link, is the electd reply router's decision
+// alone.
 package transport
 
 import (
@@ -78,14 +81,6 @@ type HeldConn interface {
 // lives, but on its own or in some later batch).
 type Handler func(c Conn, m *wire.Msg)
 
-// FrameFilter vetoes the decoding of one inbound message body (the read
-// loops consult it per message, inside wire.ForEachFrame's walk, before
-// wire.DecodeShared): return false to drop it before it is decoded
-// — the reply router's escape from paying full decode for the stragglers
-// beyond a quorum. It runs on the connection's read loop; the body aliases
-// the read buffer and must not be retained.
-type FrameFilter func(body []byte) bool
-
 // StreamID names the connection a handler was given c for, when that
 // connection is a stream: it delivers its frames whole, in order and
 // without loss for as long as it lives (TCP and the in-process loopback
@@ -106,13 +101,6 @@ func StreamID(c Conn) uint64 {
 
 // streams numbers stream connections, from 1.
 var streams atomic.Uint64
-
-// FilteredConn is implemented by connections that accept a pre-decode
-// FrameFilter after dialing. Both built-in networks' connections do;
-// wrappers and test doubles need not.
-type FilteredConn interface {
-	SetFilter(f FrameFilter)
-}
 
 // Listener is a server-side endpoint accepting connections.
 type Listener interface {

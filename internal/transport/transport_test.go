@@ -600,7 +600,7 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 	rc := replyCoalescer{conn: conn, run: maxRunBytes}
 	for g, size := range []int{3, 16, 2} {
 		first := 100 * (g + 1)
-		if err := dispatchGroup(&rc, h, nil, collectBatch(t, first, size)); err != nil {
+		if err := dispatchGroup(&rc, h, collectBatch(t, first, size)); err != nil {
 			t.Fatal(err)
 		}
 		if len(conn.frames) != g+1 {
@@ -611,7 +611,7 @@ func TestReplyCoalescerServesEveryGroup(t *testing.T) {
 		}
 	}
 	reply = false
-	if err := dispatchGroup(&rc, h, nil, collectBatch(t, 900, 4)); err != nil {
+	if err := dispatchGroup(&rc, h, collectBatch(t, 900, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if len(conn.frames) != 3 {
@@ -639,7 +639,7 @@ func TestViewMemoMetrics(t *testing.T) {
 	h := func(_ Conn, m *wire.Msg) { wire.PutMsg(m) }
 	for range 2 {
 		rc := &replyCoalescer{conn: &captureConn{}, run: maxRunBytes}
-		if err := dispatchGroup(rc, h, nil, body); err != nil {
+		if err := dispatchGroup(rc, h, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -678,10 +678,10 @@ func TestLateReplyReachesItsOwnPeer(t *testing.T) {
 			kept.Send(&wire.Msg{Kind: wire.KindAck, Call: 999}) //nolint:errcheck
 		}
 	}
-	if err := dispatchGroup(&rcA, h, nil, collectBatch(t, 100, 2)); err != nil {
+	if err := dispatchGroup(&rcA, h, collectBatch(t, 100, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dispatchGroup(&rcB, h, nil, collectBatch(t, 200, 3)); err != nil {
+	if err := dispatchGroup(&rcB, h, collectBatch(t, 200, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.frames) != 2 || len(b.frames) != 1 {

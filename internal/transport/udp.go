@@ -355,7 +355,6 @@ func (e *udpEndpoint) sendPackets(pkts []pkt) error {
 type udpConn struct {
 	ep      *udpEndpoint
 	handler Handler
-	filter  atomic.Value // FrameFilter, installed via SetFilter
 	rc      replyCoalescer
 }
 
@@ -376,19 +375,9 @@ func dialUDP(addr string, h Handler, rec *trace.Recorder) (Conn, error) {
 	return c, nil
 }
 
-// SetFilter implements FilteredConn.
-func (c *udpConn) SetFilter(f FrameFilter) { c.filter.Store(f) }
-
-func (c *udpConn) loadFilter() FrameFilter {
-	if f, ok := c.filter.Load().(FrameFilter); ok {
-		return f
-	}
-	return nil
-}
-
 func (c *udpConn) dispatchBody(_ netip.AddrPort, body []byte) {
 	// A decode error is one bad datagram, not a broken stream: drop it.
-	dispatchGroup(&c.rc, c.handler, c.loadFilter(), body) //nolint:errcheck
+	dispatchGroup(&c.rc, c.handler, body) //nolint:errcheck
 }
 
 // Send implements Conn.
@@ -493,7 +482,7 @@ func (l *UDPListener) dispatchBody(src netip.AddrPort, body []byte) {
 		return // a crashed node loses inbound messages silently
 	}
 	p := l.peer(src)
-	dispatchGroup(&p.rc, l.handler, nil, body) //nolint:errcheck // one bad datagram is loss, not severance
+	dispatchGroup(&p.rc, l.handler, body) //nolint:errcheck // one bad datagram is loss, not severance
 }
 
 // peer returns the reply conn for one source address, creating it on first

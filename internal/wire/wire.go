@@ -342,9 +342,9 @@ func DecodeFrames(dst []*Msg, body []byte) ([]*Msg, error) {
 // ForEachFrame walks one frame body's message bodies in order — the body
 // itself for a plain frame, each sub-frame's body for a batch — calling fn
 // on each and stopping at its first error. It is the streaming form of
-// DecodeFrames: read loops decode-and-dispatch one message at a time, so a
-// pre-decode filter consulted inside fn sees routing state that is current
-// up to the previous message of the same batch. Frame boundaries are
+// DecodeFrames: read loops decode-and-dispatch one message at a time, so
+// the handler of each message sees routing state that is current up to the
+// previous message of the same batch. Frame boundaries are
 // validated here (count bounds, sub-frame prefixes, trailing bytes); the
 // message bodies only by whatever decoding fn chooses to do. The bodies
 // passed to fn alias the input.
@@ -809,59 +809,4 @@ func AppendReplyFrame(dst []byte, kind Kind, election, call uint64, from rt.Proc
 	}
 	dst = appendString(dst, reg)
 	return append(dst, tail...), nil
-}
-
-// PeekReplyFrom extracts the kind, call id and replying server's id from
-// an encoded message body without decoding it — what a fault-injecting
-// reply filter needs to sample per-link loss on the reply direction, and
-// what reply dedup under retransmission keys on. ok is false when the
-// header does not parse. Only the header is parsed and canonicality is not
-// checked (the full decoder validates whatever the filter keeps) — except
-// that the id is held to the MaxID bound the full decoder enforces, so the
-// conversion to rt.ProcID cannot wrap (ok is false past it).
-func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
-	if len(body) == 0 {
-		return 0, 0, 0, false
-	}
-	k = Kind(body[0])
-	rest := body[1:]
-	_, n := binary.Uvarint(rest) // election
-	if n <= 0 {
-		return k, 0, 0, false
-	}
-	rest = rest[n:]
-	call, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return k, call, 0, false
-	}
-	f, n := binary.Uvarint(rest[n:])
-	if n <= 0 || f > MaxID {
-		return k, call, 0, false
-	}
-	return k, call, rt.ProcID(f), true
-}
-
-// PeekView extracts the election, tag and register name of an encoded view
-// body without decoding it — what a reply filter needs to tell whether the
-// view is one its client already holds. reg aliases body. ok is false when
-// body is not a view or its header does not parse; like PeekReplyFrom it
-// checks no canonicality, the full decoder being the arbiter of validity.
-func PeekView(body []byte) (election, tag uint64, reg []byte, ok bool) {
-	if len(body) == 0 || Kind(body[0]) != KindView {
-		return 0, 0, nil, false
-	}
-	rest := body[1:]
-	var v [4]uint64 // election, call, from, tag
-	for i := range v {
-		x, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, 0, nil, false
-		}
-		v[i], rest = x, rest[n:]
-	}
-	size, n := binary.Uvarint(rest)
-	if n <= 0 || size > uint64(len(rest)-n) {
-		return 0, 0, nil, false
-	}
-	return v[0], v[3], rest[n : n+int(size)], true
 }

@@ -172,21 +172,27 @@ func TestEncodeRejects(t *testing.T) {
 // TestDecodeRejectsCorrupt: truncations and tag corruption of valid frames
 // error rather than panic or mis-decode silently.
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	m := &Msg{Kind: KindPropagate, Election: 5, Call: 9, From: 3, Reg: "reg", Entries: []rt.Entry{
-		{Reg: "reg", Owner: 1, Seq: 2, Val: core.Status{Stat: core.HighPri, List: []rt.ProcID{1, 2}}},
-	}}
-	frame, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := frame[PrefixSize(m.WireSize()):]
-	for cut := 0; cut < len(body); cut++ {
-		if _, err := Decode(body[:cut]); err == nil {
-			t.Fatalf("decode accepted a frame truncated to %d of %d bytes", cut, len(body))
+	for _, m := range []*Msg{
+		{Kind: KindPropagate, Election: 5, Call: 9, From: 3, Reg: "reg", Entries: []rt.Entry{
+			{Reg: "reg", Owner: 1, Seq: 2, Val: core.Status{Stat: core.HighPri, List: []rt.ProcID{1, 2}}},
+		}},
+		{Kind: KindView, Election: 1 << 33, Call: 9, From: 4, Tag: 1 << 50, Reg: "elect/sift/2/status",
+			Entries: []rt.Entry{{Reg: "elect/sift/2/status", Owner: 4, Seq: 1, Val: 1}}},
+		{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 4},
+	} {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := Decode(append(append([]byte{}, body...), 0)); err == nil {
-		t.Fatal("decode accepted a frame with a trailing byte")
+		body := frame[PrefixSize(m.WireSize()):]
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := Decode(body[:cut]); err == nil {
+				t.Fatalf("decode accepted a %v truncated to %d of %d bytes", m.Kind, cut, len(body))
+			}
+		}
+		if _, err := Decode(append(append([]byte{}, body...), 0)); err == nil {
+			t.Fatalf("decode accepted a %v with a trailing byte", m.Kind)
+		}
 	}
 }
 
@@ -465,55 +471,24 @@ func TestTagCanonicalForm(t *testing.T) {
 	}
 }
 
-// TestPeekReplyFromBoundsSender: the peeked sender id obeys the MaxID bound
-// the full decoder enforces — reply filters hand it to code that indexes
-// per-server tables, and an unbounded uvarint would wrap negative in the
-// conversion to rt.ProcID.
-func TestPeekReplyFromBoundsSender(t *testing.T) {
+// TestDecodeBoundsSender: a decoded sender id obeys the MaxID bound — the
+// reply router indexes per-server tables with it, and an unbounded uvarint
+// would wrap negative in the conversion to rt.ProcID — on the cache-less
+// and the shared decoder alike.
+func TestDecodeBoundsSender(t *testing.T) {
 	header := func(from uint64) []byte {
 		b := []byte{byte(KindAck), 1, 2} // kind, election, call
-		return binary.AppendUvarint(b, from)
+		b = binary.AppendUvarint(b, from)
+		return append(b, 0) // empty register name
 	}
-	if _, call, from, ok := PeekReplyFrom(header(MaxID)); !ok || call != 2 || from != MaxID {
-		t.Fatalf("PeekReplyFrom at MaxID = call %d from %d ok %v", call, from, ok)
-	}
-	for _, hostile := range []uint64{MaxID + 1, 1 << 63, 1<<64 - 1} {
-		if _, _, from, ok := PeekReplyFrom(header(hostile)); ok {
-			t.Fatalf("PeekReplyFrom accepted sender id %d as %d", hostile, from)
+	for _, decode := range []func([]byte) (*Msg, error){Decode, DecodeShared} {
+		if m, err := decode(header(MaxID)); err != nil || m.Call != 2 || m.From != MaxID {
+			t.Fatalf("decode at MaxID = %+v, %v", m, err)
 		}
-	}
-}
-
-// TestPeekView: a reply filter reads a view's election, tag and register
-// name off its header without decoding it, and PeekReplyFrom reads a same
-// reply's header like any other reply's. Bodies that are not views, or
-// whose header is cut short, peek as not ok.
-func TestPeekView(t *testing.T) {
-	view := &Msg{Kind: KindView, Election: 1 << 33, Call: 9, From: 4, Tag: 1 << 50, Reg: "elect/sift/2/status",
-		Entries: []rt.Entry{{Reg: "elect/sift/2/status", Owner: 4, Seq: 1, Val: 1}}}
-	frame, err := Encode(view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := frame[PrefixSize(view.WireSize()):]
-	election, tag, reg, ok := PeekView(body)
-	if !ok || election != view.Election || tag != view.Tag || string(reg) != view.Reg {
-		t.Fatalf("PeekView = %d, %d, %q, %v", election, tag, reg, ok)
-	}
-	header := 1 + 5 + 1 + 1 + 8 + 1 // kind, election, call, from, tag, name length
-	for cut := 0; cut < header+len(view.Reg); cut++ {
-		if _, _, _, ok := PeekView(body[:cut]); ok {
-			t.Fatalf("PeekView accepted a header cut to %d bytes", cut)
+		for _, hostile := range []uint64{MaxID + 1, 1 << 63, 1<<64 - 1} {
+			if m, err := decode(header(hostile)); err == nil {
+				t.Fatalf("decode accepted sender id %d as %d", hostile, m.From)
+			}
 		}
-	}
-	same, err := Encode(&Msg{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := PeekView(same[1:]); ok {
-		t.Fatal("PeekView accepted a same reply")
-	}
-	if k, call, from, ok := PeekReplyFrom(same[1:]); !ok || k != KindSame || call != 2 || from != 3 {
-		t.Fatalf("PeekReplyFrom(same) = %v, %d, %d, %v", k, call, from, ok)
 	}
 }
