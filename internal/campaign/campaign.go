@@ -74,7 +74,7 @@ type Config struct {
 	// cluster is the campaign-owned shared server set of a TCP campaign.
 	cluster *electd.Cluster
 	// spool recycles whole live Systems across the campaign's runs: workers
-	// check systems out instead of paying NewScenarioSystem/Shutdown per
+	// check systems out instead of building and shutting one down per
 	// election.
 	spool *live.SystemPool
 }

@@ -218,7 +218,7 @@ func (s *Server) LockedOps() int64 { return s.lockedOps.Load() }
 // Removal retires the ID: propagates for it that arrive afterwards — the
 // stragglers of the election's last broadcasts, typically — are refused
 // with a busy reply instead of re-creating the instance (see shard.retired;
-// counted in LatePropagates). The ID is recorded even when this replica
+// counted in electd_late_propagates_total). The ID is recorded even when this replica
 // holds no instance yet, since a slow replica can receive an election's
 // first propagate after its removal. Election IDs are therefore single-use
 // across RemoveElection.

@@ -3,6 +3,7 @@ package electd
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -13,8 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-// The one-wake-up harvest: Pool.handle assembles a call's quorum on its
-// pending slot and signals the waiting rpc exactly once. The tests below
+// The one-wake-up harvest: Pool.handle counts a call's replies on its
+// pending slot's tally and wakes the waiting rpc exactly once (rt.Tally,
+// whose own table test holds the counting rules). The tests below
 // are the only router — the pool's servers never answer — so every reply a
 // call sees is one the test handed to Pool.handle, in the order it chose.
 
@@ -49,10 +51,23 @@ func park(pl *Pool, c *Client) (*pending, uint64) {
 	p.cli = c
 	sh := pl.callShardOf(call)
 	sh.mu.Lock()
+	p.tally.Open(&sh.mu, call, nil)
 	sh.calls[call] = p
 	sh.mu.Unlock()
 	return p, call
 }
+
+// tally reads p's tally by reflection, rt.Tally keeping its fields to
+// itself: tokens is the number of wake-ups waiting on it, answered whether
+// it has counted server j, open the call it is open for. The caller holds
+// p's shard lock, or is the only router.
+func tally(p *pending) reflect.Value { return reflect.ValueOf(&p.tally).Elem() }
+
+func tokens(p *pending) int { return tally(p).FieldByName("sig").Len() }
+
+func answered(p *pending, j rt.ProcID) bool { return tally(p).FieldByName("seen").Index(int(j)).Bool() }
+
+func open(p *pending) uint64 { return tally(p).FieldByName("call").Uint() }
 
 // parked polls until a call is registered on the pool and returns its ID —
 // the call a goroutine the test started is now waiting in.
@@ -99,8 +114,8 @@ func TestHarvestSignalsOnce(t *testing.T) {
 
 	state := func(when string, replies, signals int) {
 		t.Helper()
-		if len(p.replies) != replies || len(p.sig) != signals {
-			t.Fatalf("%s: slot holds %d replies and %d signals, want %d and %d", when, len(p.replies), len(p.sig), replies, signals)
+		if got := len(p.tally.Replies()); got != replies || tokens(p) != signals {
+			t.Fatalf("%s: slot holds %d replies and %d signals, want %d and %d", when, got, tokens(p), replies, signals)
 		}
 	}
 	kept := []*wire.Msg{route(pl, wire.KindView, call, 0), route(pl, wire.KindView, call, 1)}
@@ -126,11 +141,11 @@ func TestHarvestSignalsOnce(t *testing.T) {
 		}
 	}
 	state("after two replies past the quorum", need, 1)
-	if p.busy {
+	if p.tally.Aborted() {
 		t.Fatal("a busy reply after the quorum marked the call shed")
 	}
-	if !slices.Equal(p.replies, kept) {
-		t.Fatalf("slot holds %v, want the first %d distinct replies in arrival order", p.replies, need)
+	if !slices.Equal(p.tally.Replies(), kept) {
+		t.Fatalf("slot holds %v, want the first %d distinct replies in arrival order", p.tally.Replies(), need)
 	}
 	if got := c.Messages(); got != 0 {
 		t.Fatalf("the router counted %d messages; rpc counts what it harvests", got)
@@ -145,16 +160,16 @@ func TestHarvestBusyBeforeQuorum(t *testing.T) {
 	c := pl.NewComm(NewParticipant(0, harvestN, 1), 1, nil)
 	p, call := park(pl, c)
 	route(pl, wire.KindView, call, 0)
-	if m := route(pl, wire.KindBusy, call, 1); !recycled(m) || !p.busy || len(p.sig) != 1 {
-		t.Fatalf("busy reply: recycled=%v, slot busy=%v with %d signals, want true, true and 1", recycled(m), p.busy, len(p.sig))
+	if m := route(pl, wire.KindBusy, call, 1); !recycled(m) || !p.tally.Aborted() || tokens(p) != 1 {
+		t.Fatalf("busy reply: recycled=%v, slot busy=%v with %d signals, want true, true and 1", recycled(m), p.tally.Aborted(), tokens(p))
 	}
 	for from := rt.ProcID(2); from < harvestN; from++ {
 		if m := route(pl, wire.KindView, call, from); !recycled(m) {
 			t.Fatalf("server %d's reply to a shed call was kept", from)
 		}
 	}
-	if len(p.replies) != 1 || len(p.sig) != 1 {
-		t.Fatalf("after the stragglers the slot holds %d replies and %d signals, want 1 and 1", len(p.replies), len(p.sig))
+	if len(p.tally.Replies()) != 1 || tokens(p) != 1 {
+		t.Fatalf("after the stragglers the slot holds %d replies and %d signals, want 1 and 1", len(p.tally.Replies()), tokens(p))
 	}
 }
 
@@ -187,8 +202,13 @@ func TestHarvestThroughRPC(t *testing.T) {
 		}
 		p := pl.pend.Get().(*pending)
 		defer pl.pend.Put(p)
-		if len(p.sig) != 0 || len(p.replies) != 0 || p.busy || p.cli != nil || slices.Contains(p.seen, true) {
-			t.Fatalf("%s: a recycled slot carries state over: %d signals, %d replies, busy=%v, seen=%v", when, len(p.sig), len(p.replies), p.busy, p.seen)
+		seen := false
+		for j := range rt.ProcID(harvestN) {
+			seen = seen || answered(p, j)
+		}
+		if tokens(p) != 0 || len(p.tally.Replies()) != 0 || p.tally.Aborted() || p.cli != nil || seen || open(p) != 0 {
+			t.Fatalf("%s: a recycled slot carries state over: %d signals, %d replies, busy=%v, seen=%v, open for %d",
+				when, tokens(p), len(p.tally.Replies()), p.tally.Aborted(), seen, open(p))
 		}
 	}
 
@@ -272,9 +292,17 @@ func TestCollectViewsOutliveStragglers(t *testing.T) {
 }
 
 // replyStage is a pool over harvestN Loopback listeners that the test
-// answers for: each request a server reads waits on its connection's read
-// loop until the test has sent, through it, the replies it chose, and each
-// reply the pool reads is announced on routed once Pool.handle returned.
+// answers for: each request a server reads is queued for the test and the
+// server's read loop goes on; the test replies later, when it chooses,
+// through the connection the request came on, and each reply the pool reads
+// is announced on routed once Pool.handle returned. A handler that waited
+// for the test instead would deadlock it whenever two requests to one
+// server travel as one batch frame: the replies a handler sends while its
+// connection dispatches an inbound batch are held until the whole batch is
+// dispatched (transport's reply coalescer), so the test would wait for ever
+// for the one it sent to be routed. Replying after the handler returned,
+// which a server must not do, costs a stage at worst a reply that rides the
+// connection's next batch — which comes at once, since no handler blocks.
 type replyStage struct {
 	t      *testing.T
 	pl     *Pool
@@ -282,12 +310,12 @@ type replyStage struct {
 	routed chan struct{}
 }
 
-// request is one request a server read, held until answer is closed; each
-// sender id sent on answer goes back as that server's reply to it.
+// request is one request a server read, and the connection it came on,
+// which carries the replies to it.
 type request struct {
-	j      rt.ProcID
-	m      wire.Msg
-	answer chan rt.ProcID
+	j rt.ProcID
+	m wire.Msg
+	c transport.Conn
 }
 
 // replyNetwork announces each reply once the pool's handler is done with it.
@@ -305,22 +333,15 @@ func (r *replyNetwork) Dial(addr string, h transport.Handler) (transport.Conn, e
 
 func newReplyStage(t *testing.T) *replyStage {
 	t.Helper()
-	st := &replyStage{t: t, in: make(chan request), routed: make(chan struct{})}
+	// A test's 20 calls put well under 1 024 requests on their way — a few
+	// waves of harvestN each — so a handler never waits for room.
+	st := &replyStage{t: t, in: make(chan request, 1024), routed: make(chan struct{})}
 	nw := &replyNetwork{Network: transport.NewLoopback(), routed: st.routed}
-	stop := make(chan struct{})
 	addrs := make([]string, harvestN)
 	for j := range addrs {
 		id := rt.ProcID(j)
 		ln, err := nw.Listen(func(c transport.Conn, m *wire.Msg) {
-			r := request{j: id, m: *m, answer: make(chan rt.ProcID)}
-			select {
-			case st.in <- r:
-			case <-stop:
-				return
-			}
-			for from := range r.answer {
-				c.Send(&wire.Msg{Kind: wire.KindView, Election: r.m.Election, Call: r.m.Call, From: from, Reg: r.m.Reg}) //nolint:errcheck // a stream
-			}
+			st.in <- request{j: id, m: *m, c: c}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -333,10 +354,7 @@ func newReplyStage(t *testing.T) *replyStage {
 		t.Fatal(err)
 	}
 	st.pl = pl
-	t.Cleanup(func() {
-		close(stop)
-		pl.Close() //nolint:errcheck // teardown
-	})
+	t.Cleanup(func() { pl.Close() }) //nolint:errcheck // teardown
 	return st
 }
 
@@ -356,7 +374,7 @@ func (st *replyStage) next() request {
 // done with it.
 func (st *replyStage) reply(r request, from rt.ProcID) {
 	st.t.Helper()
-	r.answer <- from
+	r.c.Send(&wire.Msg{Kind: wire.KindView, Election: r.m.Election, Call: r.m.Call, From: from, Reg: r.m.Reg}) //nolint:errcheck // a stream
 	select {
 	case <-st.routed:
 	case <-time.After(10 * time.Second):
@@ -371,7 +389,7 @@ func (st *replyStage) counts(call uint64, j rt.ProcID) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	p := sh.calls[call]
-	return p != nil && !p.complete(st.pl.n/2+1) && !p.seen[j]
+	return p != nil && !p.tally.Aborted() && len(p.tally.Replies()) < st.pl.n/2+1 && !answered(p, j)
 }
 
 // TestReplyLossSampledAtRouter is the electd twin of the chan substrate's
@@ -430,12 +448,10 @@ func TestReplyLossSampledAtRouter(t *testing.T) {
 					counts := st.counts(r.m.Call, r.j)
 					if !slices.Contains(answering, r.j) {
 						if !counts {
-							close(r.answer)
 							continue
 						}
 						if asked[r.j]++; asked[r.j] < 3 {
-							close(r.answer) // a silent server: the request is lost on it
-							continue
+							continue // a silent server: the request is lost on it
 						}
 					}
 					st.reply(r, harvestN) // no server: draws nothing
@@ -444,7 +460,6 @@ func TestReplyLossSampledAtRouter(t *testing.T) {
 						// or a request of a call since harvested: its reply is
 						// a straggler or a duplicate and must draw nothing.
 						st.reply(r, r.j)
-						close(r.answer)
 						continue
 					}
 					drop := twin.ReplyDrop(int(r.j))
@@ -455,7 +470,6 @@ func TestReplyLossSampledAtRouter(t *testing.T) {
 					if !drop {
 						st.reply(r, r.j) // a duplicate, or a straggler: draws nothing
 					}
-					close(r.answer)
 					switch {
 					case drop:
 						lost++

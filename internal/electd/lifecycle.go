@@ -244,11 +244,6 @@ func (s *Server) Evicted() int64 { return s.evicted.Load() }
 // reply: the shard was at its bound, or the server draining.
 func (s *Server) Shed() int64 { return s.shed.Load() }
 
-// LatePropagates reports how many propagates were refused because their
-// election had already been removed (see RemoveElection) — stragglers of a
-// finished election's last broadcasts, not load the server turned away.
-func (s *Server) LatePropagates() int64 { return s.late.Load() }
-
 // Started reports how many election instances the server has created.
 func (s *Server) Started() int64 { return s.started.Load() }
 

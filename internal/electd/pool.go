@@ -47,16 +47,16 @@ type callShard struct {
 // and election instance in the process, with a call table routing replies
 // back to the communicate call that is waiting for them.
 //
-// The pool is the routing point of the quorum hot path, and the router is
-// where a call's quorum is assembled: the connections' read loops append
-// each reply to the call's pending slot and wake the waiting participant
-// once, when the quorum is complete (see handle). The pending-call table is
-// striped by call ID so concurrent elections scale with cores instead of
-// convoying on one mutex. Each request frame is encoded once, not once per
-// server, and handed to each asked connection's send queue as a pooled
-// copy; batching is the transport write loops' job, the one batching layer.
-// Pending-call slots are recycled, so a steady-state election allocates
-// only its payload entries.
+// The pool is the routing point of the quorum hot path: the connections'
+// read loops hand each reply to its call's tally (rt.Tally), which counts
+// the quorum and wakes the waiting participant once, when it is complete
+// (see handle). The pending-call table is striped by call ID so concurrent
+// elections scale with cores instead of convoying on one mutex. Each
+// request frame is encoded once, not once per server, and handed to each
+// asked connection's send queue as a pooled copy; batching is the
+// transport write loops' job, the one batching layer. Pending-call slots
+// are recycled, so a steady-state election allocates only its payload
+// entries.
 type Pool struct {
 	n int
 	// links holds one slot per server, each an atomically swappable
@@ -148,27 +148,18 @@ type serverLink struct {
 	known knownViews
 }
 
-// pending is one outstanding communicate call awaiting quorum replies. The
-// router fills it and the waiting rpc harvests it, both under the call's
-// shard mutex; sig is the one wake-up between them. A call is complete once
-// its quorum is in or a busy reply beat it: the router signals exactly
-// then, exactly once, and from then on every reply to the call is a
-// straggler.
+// pending is one outstanding communicate call: the router counts its
+// replies on its tally and the waiting rpc harvests them, both under the
+// call's shard mutex, the tally's lock.
 type pending struct {
-	sig     chan struct{} // one slot: the router's single wake-up of the waiting rpc
-	cli     *Client
-	replies []*wire.Msg // distinct senders' answers, at most a quorum
-	busy    bool        // a busy reply arrived before the quorum
-	seen    []bool      // [server]; dedups retransmission-induced duplicate replies
-	ticket  bool        // the router granted the caller a cohort ticket on completing the call
+	tally  rt.Tally[*wire.Msg]
+	cli    *Client
+	ticket bool // the router granted the caller a cohort ticket on completing the call
 
 	// A collect's conditional half (see Pool.handle).
 	collect bool   // the call is a collect (of reg)
 	reg     string // the register collected
 }
-
-// complete reports whether the router has signalled (or is about to).
-func (p *pending) complete(need int) bool { return p.busy || len(p.replies) >= need }
 
 // callShardOf routes a call ID to its stripe. Plain masking is the right
 // hash here: IDs are consecutive, so concurrent calls occupy distinct
@@ -181,7 +172,7 @@ func (pl *Pool) callShardOf(call uint64) *callShard {
 // spec: the flight recorder threads through, and an unreliable substrate
 // arms the default retransmit period — the client-side reliability layer
 // that sits strictly below the quorum semantics (dedup lives in the reply
-// router; see pending.seen).
+// router's tally; see rt.Tally).
 func mergeSpec(spec transport.Spec, opts PoolOptions) PoolOptions {
 	if opts.Trace == nil {
 		opts.Trace = spec.Trace
@@ -233,7 +224,9 @@ func DialPoolOpts(nw transport.Network, addrs []string, opts PoolOptions) (*Pool
 		pl.shards[i].calls = make(map[uint64]*pending)
 	}
 	pl.pend.New = func() any {
-		return &pending{sig: make(chan struct{}, 1), replies: make([]*wire.Msg, 0, pl.n/2+1), seen: make([]bool, pl.n)}
+		p := new(pending)
+		p.tally.Reset(pl.n, pl.n/2+1)
+		return p
 	}
 	var down []string
 	for i, addr := range addrs {
@@ -330,31 +323,14 @@ func isReply(k wire.Kind) bool {
 	return k == wire.KindAck || k == wire.KindView || k == wire.KindSame || k == wire.KindBusy
 }
 
-// handle is the pool's reply router and the place a quorum is assembled:
-// it runs on each connection's read loop, appends the reply to its call's
-// pending slot under the call's shard lock, and wakes the waiting rpc at
-// most once per call — when the reply that completes the quorum lands, or a
-// busy reply before it. One mutex-guarded append per reply, one wake-up per
-// call, and it never blocks: exactly one signal is sent per use of a slot,
-// into a one-slot channel the rpc empties before the slot is recycled.
-// Replies to complete or departed calls are dropped — those are the
-// stragglers beyond the quorum, the same abandoned-buffer asymmetry the
-// in-process backend has — and so is a busy reply after the quorum: the
-// quorum property already holds. So are duplicates (retransmitted requests
-// draw repeat answers from servers that already answered; dedup by sender
-// so a repeat can never stand in for a distinct quorum member) and replies
-// whose sender id is not one of the n servers: a quorum counts distinct
-// servers, and an id outside [0, n) names none. A dropped reply dies here,
-// entries unseen, so the arena keeps them. The router is the one place a
-// reply is judged: every read loop decodes what it reads and hands it here.
-//
-// When the waiting client carries a fault profile, the router is also the
-// reply-direction loss seam: a reply that would count — its call pending
-// and incomplete, its sender new to it — is first offered to the profile's
-// ReplyDrop hook, which decides whether it died on the (server → client)
-// link. The hook runs under the call's stripe lock, once per such reply,
-// as the in-process substrate's call slot runs it; stragglers, duplicates
-// and replies from outside [0, n) never reach it.
+// handle is the pool's reply router: it runs on each connection's read
+// loop, finds the reply's call under the call's shard lock and hands the
+// reply to the call's tally, which says whether it counts — the rules, the
+// client's reply-loss draw and the one wake-up per call are rt.Tally's, as
+// on the in-process substrate — and a busy reply that counts sheds the
+// call. It never blocks. A reply that does not count dies here, entries
+// unseen, so the arena keeps them. The router is the one place a reply is
+// judged: every read loop decodes what it reads and hands it here.
 //
 // The router is also where a conditional collect resolves. Every full view
 // with a tag — a stream's — is remembered in its server's link table
@@ -388,24 +364,22 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 			named, _ = link.known.named(m.Tag) // outside the stripe lock
 		}
 	}
-	need := pl.n/2 + 1
 	sh := pl.callShardOf(m.Call)
 	sh.mu.Lock()
 	p := sh.calls[m.Call]
-	if p == nil || p.complete(need) || p.seen[from] {
+	v := rt.Stray
+	if p != nil {
+		v = p.tally.Judge(m.Call, int(from))
+	}
+	if v != rt.Counts {
 		var el uint64 // a departed call traces as election 0
 		if p != nil {
 			el = p.cli.election
 		}
 		sh.mu.Unlock()
-		if pl.trace != nil {
+		if v == rt.Stray && pl.trace != nil {
 			pl.trace.Event(el, 0, trace.PStraggler, int64(from))
 		}
-		discard(m)
-		return
-	}
-	if fp := p.cli.fp; fp != nil && fp.ReplyDrop != nil && fp.ReplyDrop(int(from)) {
-		sh.mu.Unlock()
 		discard(m)
 		return
 	}
@@ -423,15 +397,10 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 		m.Kind, m.Entries = wire.KindView, entries
 		pl.sames.Add(1)
 	}
-	p.seen[from] = true
-	busy := m.Kind == wire.KindBusy
+	busy, done := m.Kind == wire.KindBusy, true
 	if busy {
-		p.busy = true
-	} else {
-		p.replies = append(p.replies, m) // m is the slot's now: hands off after the unlock
-	}
-	done := p.complete(need)
-	if done && !busy {
+		p.tally.Abort(int(from))
+	} else if done = p.tally.Add(int(from), m); done { // m is the call's now: hands off after the unlock
 		p.cli.co.grant(p)
 	}
 	sh.mu.Unlock()
@@ -441,8 +410,8 @@ func (pl *Pool) handle(_ transport.Conn, m *wire.Msg) {
 	if done {
 		// After the unlock, so the woken rpc does not run into the lock it
 		// needs next. The slot cannot be recycled under this send: rpc
-		// recycles it only after receiving the token.
-		p.sig <- struct{}{}
+		// recycles it only after taking the token.
+		p.tally.Wake()
 	}
 }
 
@@ -638,8 +607,8 @@ func (c *Client) Collect(reg string) []rt.View {
 // the ⌊n/2⌋+1 live majority the model guarantees, all of which a widened
 // call has asked.
 //
-// The wait is for one signal: the router assembles the quorum on the call's
-// pending slot and wakes this goroutine once, when it is complete (see
+// The wait is for one token: the router counts the quorum on the call's
+// tally and wakes this goroutine once, when it is complete (see
 // Pool.handle); rpc then retires the call and takes the replies under the
 // same stripe lock, with the cohort ticket the router may have granted the
 // participant on completing it. A ticket holder's next thrifty first wave
@@ -657,21 +626,21 @@ func (c *Client) Collect(reg string) []rt.View {
 // A call the schedule gives up on (rt.Schedule.Wait: a retransmitting one
 // whose backoff heard nothing new, a reliable one whose answers and
 // accepting links fall short of a quorum) unwinds the same way, with a
-// *fault.NoQuorumError, unless its quorum or a busy reply landed as it gave
-// up.
+// *fault.NoQuorumError; one whose quorum or busy reply landed as it gave up
+// is complete (the tally settles which).
 //
-// The participant's fault profile acts on the call here and in the router
-// (ReplyDrop) only: its crash check runs before and after the call, a
+// The participant's fault profile acts on the call here and in the call's
+// tally (ReplyDrop) only: its crash check runs before and after the call, a
 // request may be lost as it is sent or ride a timer for its injected delay,
 // and its resend period keeps the call ticking.
 func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
-	var drop func(int) bool
+	var drop, lose func(int) bool
 	var delay func(int) time.Duration
 	if fp := c.fp; fp != nil {
 		if fp.Crash != nil {
 			fp.Crash()
 		}
-		drop, delay = fp.Drop, fp.Delay
+		drop, delay, lose = fp.Drop, fp.Delay, fp.ReplyDrop
 	}
 	pl := c.pool
 	rec := pl.trace
@@ -686,6 +655,7 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 	sh := pl.callShardOf(call)
 	c.co.open.Add(1)
 	sh.mu.Lock()
+	p.tally.Open(&sh.mu, call, lose)
 	sh.calls[call] = p
 	sh.mu.Unlock()
 
@@ -757,7 +727,6 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		pl.requests.Add(int64(sent))
 	}
 
-	need := c.QuorumSize()
 	var sendT0, waitT0 int64
 	if rec != nil {
 		sendT0 = trace.Now()
@@ -771,12 +740,6 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 		rec.Record(c.election, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// The router owns the answered set; a tick gets a copy.
-	answered := func(into []bool) {
-		sh.mu.Lock()
-		copy(into, p.seen)
-		sh.mu.Unlock()
-	}
 	ticked := func(sent, resend int) {
 		book(sent)
 		if resend == 0 {
@@ -788,28 +751,22 @@ func (c *Client) rpc(m *wire.Msg, keep bool) []*wire.Msg {
 			rec.Event(c.election, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 		}
 	}
-	starved := !c.sched.Wait(p.sig, answered, send, ticked)
+	starved := !c.sched.Wait(&p.tally, send, ticked)
 	c.sched.End()
 	if frame != nil {
 		wire.PutBuf(frame)
 	}
-	// Retire the call and harvest what the router assembled, under the one
+	// Retire the call and harvest what its tally counted, under the one
 	// lock: once the call is deleted no router touches the slot.
 	sh.mu.Lock()
 	delete(sh.calls, call)
-	c.replies = append(c.replies[:0], p.replies...)
-	shed := p.busy
+	c.replies = append(c.replies[:0], p.tally.Replies()...)
+	shed := p.tally.Aborted()
 	c.ticket = p.ticket
-	clear(p.replies)
-	p.replies, p.busy, p.cli, p.ticket = p.replies[:0], false, nil, false
-	clear(p.seen)
-	p.collect, p.reg = false, ""
+	p.tally.Release()
+	p.cli, p.ticket, p.collect, p.reg = nil, false, false, ""
 	sh.mu.Unlock()
 	c.co.open.Add(-1)
-	if starved && (shed || len(c.replies) >= need) {
-		<-p.sig // the call completed as it gave up: its signal is on the way
-		starved = false
-	}
 	pl.pend.Put(p)
 	if rec != nil {
 		rec.Record(c.election, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(len(c.replies)))

@@ -314,16 +314,16 @@ func TestSameMustMatchTheAdvert(t *testing.T) {
 	}{{1, 9, true}, {1, 0, false}, {2, 7, true}, {2, 9, true}, {2, 0, false}, {3, 7, true}, {3, 0, false}} {
 		reasked := pl.reasked.Load()
 		m := routeSame(pl, call, forged.from, forged.tag)
-		if !recycled(m) || p.seen[forged.from] || len(p.replies) != 0 {
-			t.Fatalf("same from %d with tag %d was taken (seen %v, %d replies)", forged.from, forged.tag, p.seen[forged.from], len(p.replies))
+		if !recycled(m) || answered(p, forged.from) || len(p.tally.Replies()) != 0 {
+			t.Fatalf("same from %d with tag %d was taken (seen %v, %d replies)", forged.from, forged.tag, answered(p, forged.from), len(p.tally.Replies()))
 		}
 		if got := pl.reasked.Load() - reasked; got != int64(btoi(forged.reask)) {
 			t.Fatalf("same from %d with tag %d: %d re-asks", forged.from, forged.tag, got)
 		}
 	}
 	m := routeSame(pl, call, 3, 9)
-	if len(p.replies) != 1 || p.replies[0] != m || m.Kind != wire.KindView || &m.Entries[0] != &linked[0] || !p.seen[3] {
-		t.Fatalf("the same naming the link's view did not become it: %+v", p.replies)
+	if got := p.tally.Replies(); len(got) != 1 || got[0] != m || m.Kind != wire.KindView || &m.Entries[0] != &linked[0] || !answered(p, 3) {
+		t.Fatalf("the same naming the link's view did not become it: %+v", got)
 	}
 	if pl.sames.Load() != 1 {
 		t.Fatalf("pool counted %d same views, want 1", pl.sames.Load())
@@ -333,7 +333,7 @@ func TestSameMustMatchTheAdvert(t *testing.T) {
 	reasked := pl.reasked.Load()
 	for _, tag := range []uint64{0, 7, 9} {
 		for _, from := range []rt.ProcID{2, 3} {
-			if m := routeSame(pl, call2, from, tag); !recycled(m) || prop.seen[from] || len(prop.replies) != 0 || pl.reasked.Load() != reasked {
+			if m := routeSame(pl, call2, from, tag); !recycled(m) || answered(prop, from) || len(prop.tally.Replies()) != 0 || pl.reasked.Load() != reasked {
 				t.Fatalf("same from %d with tag %d answering a propagate was taken or re-asked", from, tag)
 			}
 		}

@@ -15,18 +15,18 @@ import (
 // (run without the race detector, as the socket path's budgets are).
 const (
 	// chanPropagateAllocs: the one-entry payload the cells adopt, by design
-	// (see Comm.Propagate). The quorum is assembled on the handle's call
-	// slot, which — like the schedule's tick timer and the answered set — is
-	// the handle's own, reopened per call.
+	// (see Comm.Propagate). The quorum is counted on the handle's tally,
+	// which — like the schedule's tick timer and its copy of the answered
+	// set — is the handle's own, reopened per call.
 	chanPropagateAllocs = 1
 	// chanCollectAllocs: nothing. The snapshots are cached, the views land
-	// in the slot and in the handle's scratch.
+	// in the tally and in the handle's scratch.
 	chanCollectAllocs = 0
 )
 
 // TestChanCallAllocBudget: a thrifty call arms a tick on every call and
-// its quorum is assembled, per-sender answered set and all, on a slot the
-// servers fill; none of it may cost a warm call an allocation. The traced
+// its quorum is counted, per-sender answered set and all, on a tally the
+// servers deliver to; none of it may cost a warm call an allocation. The traced
 // case is the flight recorder's overhead contract: with the send and
 // quorum-wait spans recording into a preallocated ring, a warm call is held
 // to the same constants.
@@ -37,7 +37,7 @@ func TestChanCallAllocBudget(t *testing.T) {
 
 func chanCallAllocBudget(t *testing.T, rec *trace.Recorder) {
 	const n, reg = 32, "leaderelect/sift/3/status"
-	sys := NewScenarioSystem(n, 1, nil)
+	sys := newSystem(n, 1, nil, true)
 	defer sys.Shutdown()
 	sys.rec, sys.traceID = rec, 1
 	var val rt.Value = core.Status{Stat: core.LowPri, List: []rt.ProcID{0, 1, 2}}
@@ -84,7 +84,7 @@ func TestSystemPoolCycleAllocs(t *testing.T) {
 }
 
 // TestPooledHandleCheckoutAllocs: checking out every processor's
-// communicate handle on a warm pooled system — slot, arena and timer kept,
+// communicate handle on a warm pooled system — tally, arena and timer kept,
 // the rest reset to NewComm's — allocates nothing, plan or none (the
 // plan's profiles are built outside the count: they are the plan's).
 func TestPooledHandleCheckoutAllocs(t *testing.T) {

@@ -23,11 +23,12 @@ type Comm struct {
 	round int32          // current protocol round, for span attribution (SetRound)
 	sched rt.Schedule    // whom each call asks, and when it asks again
 
-	// slot is where the servers assemble each call's quorum; requests carry
-	// its address.
-	slot callSlot
+	// mu guards tally, which counts each call's replies: the servers deliver
+	// to it (deliver), requests carrying the handle's address.
+	mu    sync.Mutex
+	tally rt.Tally[reply]
 	// ord is the ordinal of the handle's last call. It is never reset: a
-	// processor's handle outlives its runs (Proc.comm), and a slot reopened
+	// processor's handle outlives its runs (Proc.comm), and a tally reopened
 	// for a new run must still refuse the last run's stragglers.
 	ord uint64
 
@@ -38,84 +39,16 @@ type Comm struct {
 	views []rt.View
 }
 
-// callSlot is one Comm's call slot, reused for every call of the election:
-// the chan substrate's counterpart of electd's pending slot (sig, replies
-// and seen are that slot's fields; electd's lives in a call table under a
-// stripe lock and carries busy, this one carries its own lock and, in place
-// of a table key, the ordinal of the call it is open for). The servers fill
-// it (deliver) and the waiting communicate harvests it, both under mu; sig
-// is the one wake-up between them.
-//
-// A call returns on need distinct peers and nothing else: deliver counts a
-// reply only while the slot is open for the reply's own ordinal, its sender
-// has not been counted and the quorum is short. Ordinals are unique per
-// handle, across its runs too (Comm.ord), and the slot is opened for one at
-// a time, so a straggler of an earlier ordinal can never match and dies
-// uncounted, entries unseen — one of an earlier run included; so does a
-// peer's second answer after a widen, and everything past the quorum.
-//
-// No wake-up is lost and no server ever blocks: replies are appended under
-// mu and refused once len(replies) == need, so exactly one delivery per
-// ordinal observes the quorum complete and sends exactly one token, into a
-// one-slot channel the caller has emptied before it opens the next ordinal —
-// communicate leaves its wait by that token alone, or by giving up; a call
-// that gave up with its quorum in takes the token too, and one that gave up
-// without it ends its run for the handle. A call its goroutine unwound from
-// (a crash) may leave the slot open and a token behind: the next run's
-// reset closes the slot and drains the token.
-type callSlot struct {
-	mu      sync.Mutex
-	call    uint64        // ordinal of the call collecting; 0 = none
-	need    int           // quorum−1: the caller's own store is the first member
-	replies []reply       // distinct peers' answers, at most need
-	seen    []bool        // [peer]; dedups the repeat answers a widen or resend draws
-	sig     chan struct{} // one slot: the completing delivery's single wake-up
-
-	// lose is the caller's reply-direction loss (fault.Profile.ReplyDrop;
-	// nil without), sampled by whichever server delivers.
-	lose func(from int) bool
-}
-
-// deliver is a server handing the slot its reply to call. Reply loss is
-// sampled here, once per reply that would otherwise count — where the reply
-// would have died on a real wire, and where electd's filter samples the same
-// hook — so a complete slot is complete on every plan, and a dropped
-// sender's retransmitted reply can still count.
-func (s *callSlot) deliver(call uint64, r reply) {
-	s.mu.Lock()
-	if s.call != call || s.seen[r.from] || len(s.replies) >= s.need ||
-		(s.lose != nil && s.lose(int(r.from))) {
-		s.mu.Unlock()
-		return
-	}
-	s.seen[r.from] = true
-	s.replies = append(s.replies, r)
-	done := len(s.replies) == s.need
-	s.mu.Unlock()
+// deliver is a server handing the handle its reply to call, which the
+// tally counts or refuses. The delivery that completes the call wakes the
+// caller after the unlock, so that it does not run into the lock.
+func (c *Comm) deliver(call uint64, r reply) {
+	c.mu.Lock()
+	done := c.tally.Judge(call, int(r.from)) == rt.Counts && c.tally.Add(int(r.from), r)
+	c.mu.Unlock()
 	if done {
-		// After the unlock, so the woken caller does not run into the lock it
-		// takes next.
-		s.sig <- struct{}{}
+		c.tally.Wake()
 	}
-}
-
-// open starts collecting for call; close ends it. Between calls the slot is
-// closed and refuses everything.
-func (s *callSlot) open(call uint64) {
-	s.mu.Lock()
-	s.call = call
-	s.replies = s.replies[:0]
-	clear(s.seen)
-	s.mu.Unlock()
-}
-
-// close reports whether the quorum was in.
-func (s *callSlot) close() bool {
-	s.mu.Lock()
-	s.call = 0
-	full := len(s.replies) == s.need
-	s.mu.Unlock()
-	return full
 }
 
 // NewComm builds the communicate handle for an algorithm running on p, with
@@ -131,47 +64,33 @@ func NewComm(p *Proc, fp *fault.Profile) *Comm {
 }
 
 // reset makes c what NewComm(p, fp) builds, keeping what a run's calls
-// would otherwise make again: the slot's reply and answered arrays and its
-// signal channel, the views arena and the schedule's tick timer. It also
-// keeps the ordinal counter, which must never go back. The handle must be
-// quiescent: no call in progress and no server still delivering to it.
+// would otherwise make again: the tally's arrays and token channel, the
+// views arena and the schedule's tick timer. It also keeps the ordinal
+// counter, which must never go back. The handle must be quiescent: no call
+// in progress and no server still delivering to it.
 func (c *Comm) reset(p *Proc, fp *fault.Profile) {
 	n := p.sys.n
 	c.p, c.fp, c.round = p, fp, 0
 	c.sched.Reset(n, int(p.id)+1, int(p.id), 0, &p.sys.rtt, 0, (uint64(p.id)+1)*SeedStride)
-	s := &c.slot
-	s.call, s.need, s.lose = 0, n/2, nil
-	if s.sig == nil {
-		// A collect returns the caller's own view and need replies.
+	c.tally.Reset(n, n/2) // quorum−1: the caller's own store is the first member
+	if c.views == nil {
+		// A collect returns the caller's own view and n/2 replies.
 		c.views = make([]rt.View, 0, n/2+1)
-		s.replies, s.seen, s.sig = make([]reply, 0, n/2), make([]bool, n), make(chan struct{}, 1)
-	} else {
-		c.views = c.views[:0]
-		s.replies = s.replies[:0]
-		clear(s.seen)
-		select {
-		case <-s.sig: // left by a call its goroutine unwound from
-		default:
-		}
 	}
-	if fp != nil {
-		if fp.Retransmit > 0 {
-			c.sched.SetRetransmit(fp.Retransmit)
-		}
-		s.lose = fp.ReplyDrop
+	c.views = c.views[:0]
+	if fp != nil && fp.Retransmit > 0 {
+		c.sched.SetRetransmit(fp.Retransmit)
 	}
 }
 
 // release drops what the handle's last run left in it — the snapshots in
-// its views arena and slot, and its fault hooks — keeping the arrays, so a
+// its views arena and tally, and its fault hooks — keeping the arrays, so a
 // parked system pins none of it. Quiescent handles only.
 func (c *Comm) release() {
 	clear(c.views[:cap(c.views)])
 	c.views = c.views[:0]
-	s := &c.slot
-	clear(s.replies[:cap(s.replies)])
-	s.replies = s.replies[:0]
-	c.fp, s.lose = nil, nil
+	c.tally.Release()
+	c.fp = nil
 }
 
 // Proc implements rt.Comm.
@@ -226,19 +145,17 @@ func (c *Comm) Collect(reg string) []rt.View {
 // peer's crash flag: like a datagram sender, a chan caller is never told a
 // peer is dead, it pays one tick and a probe finding out.
 //
-// The wait is for one signal: the servers assemble the quorum on the
-// handle's call slot and the delivery that completes it wakes this goroutine
-// once (see callSlot); communicate then closes the slot and returns what it
-// holds. Replies past the quorum find the slot complete or closed and die at
-// the server, unread — that asymmetry is what gives live runs their
-// stale-view, adversary-like interleavings. The returned reply slice is the
-// slot's, valid until the next communicate call.
+// The wait is for one token: the servers deliver to the handle's tally
+// (rt.Tally), whose completing delivery wakes this goroutine once. Replies
+// past the quorum die at the server, unread — that asymmetry is what gives
+// live runs their stale-view, adversary-like interleavings. The returned
+// reply slice is the tally's, valid until the next communicate call.
 //
 // The fault profile, when there is one, acts on the call here and nowhere
 // else: a request may be lost as it is sent, or carry an injected delay
 // (the delivery then rides a helper goroutine, so one slow link never stalls
-// the rest of the wave); a reply may be lost as it is delivered
-// (callSlot.deliver); and the schedule keeps ticking on the profile's resend
+// the rest of the wave); a reply may be lost as it is delivered (the tally
+// draws ReplyDrop); and the schedule keeps ticking on the profile's resend
 // period (selective, backed off, jittered). A call that ticks so long
 // without hearing anything new that the schedule gives up on it
 // (rt.Schedule.Wait) unwinds with a typed fault.NoQuorumError; the run's
@@ -249,16 +166,13 @@ func (c *Comm) communicate(req request) []reply {
 	p.commCalls++
 	c.ord++
 	req.call, req.num = c.ord, uint32(p.commCalls)
-	s := &c.slot
-	if s.need == 0 {
+	if c.QuorumSize() == 1 {
 		// Single-processor system: the local effect already is a quorum.
 		// Still yield once so solo runs keep a scheduling point per call,
 		// as the sim backend does.
 		runtime.Gosched()
 		return nil
 	}
-	s.open(req.call) // before any request is out: a reply never finds its call unopened
-	req.slot = s
 	// Byte accounting uses the request's internal/wire equivalent, so the
 	// channel backend reports the same bit complexity the codec would put
 	// on a socket (and the sim kernel's PayloadBytes measures).
@@ -267,11 +181,16 @@ func (c *Comm) communicate(req request) []reply {
 		wk = wire.KindPropagate
 	}
 	reqSize := int64((&wire.Msg{Kind: wk, Call: uint64(req.num), From: p.id, Reg: req.reg, Entries: req.entries}).WireSize())
-	var drop func(int) bool
+	var drop, lose func(int) bool
 	var delay func(int) time.Duration
 	if fp := c.fp; fp != nil {
-		drop, delay = fp.Drop, fp.Delay
+		drop, delay, lose = fp.Drop, fp.Delay, fp.ReplyDrop
 	}
+	// Before any request is out: a reply never finds its call unopened.
+	c.mu.Lock()
+	c.tally.Open(&c.mu, req.call, lose)
+	c.mu.Unlock()
+	req.to = c
 	rec := p.sys.rec
 	// send hands the request to peer j's mailbox. It never refuses: a
 	// message the profile drops was sent, and died on the wire.
@@ -315,30 +234,20 @@ func (c *Comm) communicate(req request) []reply {
 		rec.Record(p.sys.traceID, c.round, trace.PSend, sendT0, waitT0-sendT0, int64(sent))
 	}
 
-	// The servers own the answered set; a tick gets a copy.
-	answered := func(into []bool) {
-		s.mu.Lock()
-		copy(into, s.seen)
-		s.mu.Unlock()
-	}
 	ticked := func(sent, resend int) {
 		book(sent)
 		if rec != nil {
 			rec.Event(p.sys.traceID, c.round, trace.PRetransmit, int64(resend)) // 0 = the widen
 		}
 	}
-	done := c.sched.Wait(s.sig, answered, send, ticked)
-	// From here no server touches the replies or the answered set.
-	if full := s.close(); !done {
-		if !full {
-			panic(&fault.NoQuorumError{Proc: int(p.id)})
-		}
-		<-s.sig // the quorum landed as the call gave up: its signal is on the way
+	if !c.sched.Wait(&c.tally, send, ticked) {
+		panic(&fault.NoQuorumError{Proc: int(p.id)})
 	}
-	c.sched.Done(s.seen)
+	// From here no server touches the replies or the answered set.
+	c.sched.Done(&c.tally)
 	if rec != nil {
-		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(s.need))
+		rec.Record(p.sys.traceID, c.round, trace.PQuorumWait, waitT0, trace.Now()-waitT0, int64(len(c.tally.Replies())))
 	}
 	p.maybeCrash()
-	return s.replies
+	return c.tally.Replies()
 }

@@ -26,11 +26,11 @@
 // neighbours first, everyone who has not answered after a tick without a
 // quorum — the system's RTT estimate, not a fixed constant — and everyone
 // at once on the next call, whose quorum the waves after it keep to. The
-// servers assemble the
-// quorum on the caller's call slot and wake it once, when it is complete;
-// replies beyond the quorum find the slot complete or closed and are
-// refused unread, naturally reproducing the stale-view behaviour the
-// adversary model abstracts.
+// servers deliver their replies to the caller's rt.Tally — the one reply
+// count electd's client uses too — and the reply that completes the quorum
+// wakes the caller once; replies beyond the quorum find the call complete
+// or another call open and are refused unread, naturally reproducing the
+// stale-view behaviour the adversary model abstracts.
 //
 // A processor's register arrays — what a propagate merges into and a collect
 // reads — are one regstore.Store, shared by its server goroutine and its
@@ -72,7 +72,7 @@
 // # System recycling
 //
 // High-throughput callers (the campaign engine) recycle whole systems
-// through SystemPool instead of paying NewScenarioSystem/Shutdown per run:
+// through SystemPool instead of building and shutting down a System per run:
 // server goroutines park on their empty mailboxes between runs, and checkout
 // re-keys PRNG streams (each seeded at its first draw) and resets register
 // arrays, counters and crash flags in place — indistinguishable from a fresh
@@ -80,8 +80,8 @@
 // crash plans (a crashed slot here is only a dropped flag; its serve loop
 // never exited). Config.Pool opts a run in. Every run, pooled or not, hands
 // its chan participants their processors' own communicate handles rather
-// than new ones: a handle is reset to what NewComm builds but keeps its call
-// slot, views arena and tick timer, and its call ordinals run on across
+// than new ones: a handle is reset to what NewComm builds but keeps its
+// tally's arrays, views arena and tick timer, and its call ordinals run on across
 // runs, so a straggler of an earlier run never counts in a later one. Only
 // the system's RTT estimate carries over on purpose.
 package live

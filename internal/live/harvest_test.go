@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,10 +15,11 @@ import (
 	"repro/internal/rt"
 )
 
-// The one-wake-up harvest on the chan substrate: the servers assemble a
-// call's quorum on the caller's call slot and the completing delivery
-// signals the waiting communicate exactly once (see callSlot) — the
-// counterpart of internal/electd/harvest_test.go. Most tests below play the
+// The one-wake-up harvest on the chan substrate: the servers deliver a
+// call's replies to the caller's tally and the completing delivery wakes
+// the waiting communicate exactly once (see Comm.deliver, and rt.Tally,
+// whose own table test holds the counting rules) — the counterpart of
+// internal/electd/harvest_test.go. Most tests below play the
 // servers themselves, on a system built without server goroutines, so every
 // reply a call sees is one the test delivered, in the order it chose.
 
@@ -110,7 +112,7 @@ func (st *stage) wave(peers ...rt.ProcID) map[rt.ProcID]request {
 
 // answer delivers peer j's reply to req, as serve would.
 func answer(j rt.ProcID, req request) {
-	req.slot.deliver(req.call, reply{from: j, view: rt.View{From: j}})
+	req.to.deliver(req.call, reply{from: j, view: rt.View{From: j}})
 }
 
 // collect runs one Collect on the stage's handle in its own goroutine and
@@ -148,18 +150,30 @@ func (st *stage) result(done <-chan collected) collected {
 	}
 }
 
-// slotState reads the slot as a server would find it.
-func slotState(s *callSlot) (call uint64, replies, signals int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.call, len(s.replies), len(s.sig)
+// tallyState reads c's tally as a server would find it, under the handle's
+// lock: the call it is open for, the replies it counted and the tokens
+// waiting. rt.Tally keeps its fields to itself; the test reads them by
+// reflection.
+func tallyState(c *Comm) (call uint64, replies, tokens int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v := reflect.ValueOf(&c.tally).Elem()
+	return v.FieldByName("call").Uint(), len(c.tally.Replies()), v.FieldByName("sig").Len()
 }
 
-func wantSlot(t *testing.T, s *callSlot, when string, call uint64, replies, signals int) {
+func wantTally(t *testing.T, c *Comm, when string, call uint64, replies, tokens int) {
 	t.Helper()
-	if c, r, g := slotState(s); c != call || r != replies || g != signals {
-		t.Fatalf("%s: slot open for %d with %d replies and %d signals, want %d, %d and %d", when, c, r, g, call, replies, signals)
+	if o, r, k := tallyState(c); o != call || r != replies || k != tokens {
+		t.Fatalf("%s: tally open for %d with %d replies and %d tokens, want %d, %d and %d", when, o, r, k, call, replies, tokens)
 	}
+}
+
+// answered reports whether c's tally has counted peer j for the call it is
+// open for, under the handle's lock.
+func answered(c *Comm, j rt.ProcID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return reflect.ValueOf(&c.tally).Elem().FieldByName("seen").Index(int(j)).Bool()
 }
 
 // distinctQuorum checks a Collect's views: the caller's own first, then
@@ -178,59 +192,6 @@ func distinctQuorum(t *testing.T, views []rt.View, n int, self rt.ProcID) {
 	}
 }
 
-// TestSlotSignalsOnce drives deliver directly: the need-th distinct reply to
-// the open ordinal — not an earlier one, not a repeat, not a reply to
-// another ordinal — puts exactly one signal on the slot, and everything
-// after it dies without a second.
-func TestSlotSignalsOnce(t *testing.T) {
-	st := newStage(t, 1, nil)
-	s := &st.c.slot
-	if s.need != harvestNeed {
-		t.Fatalf("slot needs %d replies, want %d", s.need, harvestNeed)
-	}
-	at := func(call uint64, j rt.ProcID) { s.deliver(call, reply{from: j}) }
-
-	at(1, 1)
-	wantSlot(t, s, "a reply to a closed slot", 0, 0, 0)
-	s.open(7)
-	at(7, 1)
-	at(7, 2)
-	at(7, 2) // a repeat answer
-	at(6, 3) // a straggler of the ordinal before
-	at(8, 3) // and one of an ordinal not opened yet
-	wantSlot(t, s, "two distinct replies, a repeat and two strays", 7, 2, 0)
-	at(7, 3)
-	wantSlot(t, s, "one short of the quorum", 7, harvestNeed-1, 0)
-	at(7, 4)
-	wantSlot(t, s, "the quorum's last reply", 7, harvestNeed, 1)
-	at(7, 5)
-	at(7, 1)
-	wantSlot(t, s, "two replies past the quorum", 7, harvestNeed, 1)
-	for i, r := range s.replies {
-		if r.from != rt.ProcID(i+1) {
-			t.Fatalf("slot holds %v, want the first %d distinct senders in arrival order", s.replies, harvestNeed)
-		}
-	}
-
-	// The caller's side of the hand-off: take the token, close, open the
-	// next ordinal. The straggler of 7 that arrives now is refused, and 8
-	// still needs every one of its own replies.
-	<-s.sig
-	s.close()
-	at(7, 6)
-	wantSlot(t, s, "a straggler after the harvest", 0, harvestNeed, 0)
-	s.open(8)
-	at(7, 6)
-	at(7, 7)
-	wantSlot(t, s, "stragglers of 7 after 8 opened", 8, 0, 0)
-	for j := rt.ProcID(1); j < harvestNeed; j++ {
-		at(8, j)
-	}
-	wantSlot(t, s, "ordinal 8, one short", 8, harvestNeed-1, 0)
-	at(8, 6) // peer 6 may still answer 8, its reply to 7 never counted
-	wantSlot(t, s, "ordinal 8 complete", 8, harvestNeed, 1)
-}
-
 // TestStragglerCannotFillTheNextCall: the same, through communicate, with
 // one server held back. A first wave is exactly the quorum, so stragglers
 // come from a widen: call 1's peer 4 is silent, the tick asks peers 4…8 and
@@ -239,7 +200,6 @@ func TestSlotSignalsOnce(t *testing.T) {
 // collecting, and call 2 must still wait for need replies of its own.
 func TestStragglerCannotFillTheNextCall(t *testing.T) {
 	st := newStage(t, 1, nil)
-	s := &st.c.slot
 
 	done := st.collect()
 	first := st.wave(1, 2, 3, 4) // quorum−1, to the right
@@ -249,7 +209,8 @@ func TestStragglerCannotFillTheNextCall(t *testing.T) {
 	again := st.wave(4, 5, 6, 7, 8) // the widen: everyone who has not answered
 	answer(5, again[5])
 	distinctQuorum(t, st.result(done).views, harvestN, 0)
-	wantSlot(t, s, "after the first call", 0, harvestNeed, 0)
+	// Complete, the tally stays open for the call and refuses every reply.
+	wantTally(t, st.c, "after the first call", first[1].call, harvestNeed, 0)
 
 	done = st.collect()
 	second := st.wave(1, 2, 3, 4, 5, 6, 7, 8)
@@ -262,7 +223,7 @@ func TestStragglerCannotFillTheNextCall(t *testing.T) {
 	for j := rt.ProcID(1); j < harvestNeed; j++ {
 		answer(j, second[j])
 	}
-	wantSlot(t, s, "call 2 with need−1 replies and three stragglers of call 1", second[1].call, harvestNeed-1, 0)
+	wantTally(t, st.c, "call 2 with need−1 replies and three stragglers of call 1", second[1].call, harvestNeed-1, 0)
 	select {
 	case r := <-done:
 		t.Fatalf("call 2 returned %d views on %d replies of its own", len(r.views), harvestNeed-1)
@@ -276,7 +237,7 @@ func TestStragglerCannotFillTheNextCall(t *testing.T) {
 	}
 	answer(7, again[7])  // a straggler of call 1, after call 2's harvest
 	answer(6, second[6]) // and one of call 2, past its quorum
-	wantSlot(t, s, "after the second call", 0, harvestNeed, 0)
+	wantTally(t, st.c, "after the second call", second[1].call, harvestNeed, 0)
 }
 
 // TestRepeatAnswerAfterWidenCountsOnce: a first wave that comes up short
@@ -284,7 +245,6 @@ func TestStragglerCannotFillTheNextCall(t *testing.T) {
 // time; a peer that then answers both requests is one quorum member.
 func TestRepeatAnswerAfterWidenCountsOnce(t *testing.T) {
 	st := newStage(t, 1, nil)
-	s := &st.c.slot
 	done := st.collect()
 	first := st.wave(1, 2, 3, 4)
 	answer(1, first[1])
@@ -295,12 +255,12 @@ func TestRepeatAnswerAfterWidenCountsOnce(t *testing.T) {
 	}
 	answer(4, first[4])
 	answer(4, again[4])
-	wantSlot(t, s, "peer 4 answered both its requests", first[4].call, 3, 0)
+	wantTally(t, st.c, "peer 4 answered both its requests", first[4].call, 3, 0)
 	answer(8, again[8])
 	distinctQuorum(t, st.result(done).views, harvestN, 0)
 	answer(3, first[3])
 	answer(3, again[3])
-	wantSlot(t, s, "after the widened call", 0, harvestNeed, 0)
+	wantTally(t, st.c, "after the widened call", first[4].call, harvestNeed, 0)
 }
 
 // TestSlotOneSignalPerCallUnderLoad: ≥ 2 000 back-to-back calls against
@@ -313,21 +273,20 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	const n, calls = 32, 2400
-	sys := NewScenarioSystem(n, 1, nil)
+	sys := newSystem(n, 1, nil, true)
 	defer sys.Shutdown()
 	c := NewComm(sys.Proc(3), nil)
-	s := &c.slot
 	for i := 1; i <= calls; i++ {
 		if i%3 == 0 {
 			c.Propagate("r", i)
-			if len(s.replies) != s.need {
-				t.Fatalf("call %d returned on %d replies, want %d", i, len(s.replies), s.need)
+			if got := len(c.tally.Replies()); got != n/2 {
+				t.Fatalf("call %d returned on %d replies, want %d", i, got, n/2)
 			}
 		} else {
 			distinctQuorum(t, c.Collect("r"), n, 3)
 		}
-		if call, _, signals := slotState(s); call != 0 || signals != 0 {
-			t.Fatalf("after call %d the slot is open for %d with %d signals pending", i, call, signals)
+		if call, _, tokens := tallyState(c); call != c.ord || tokens != 0 {
+			t.Fatalf("after call %d (ordinal %d) the tally is open for %d with %d tokens pending", i, c.ord, call, tokens)
 		}
 	}
 	quiet := make(chan struct{})
@@ -338,9 +297,9 @@ func TestSlotOneSignalPerCallUnderLoad(t *testing.T) {
 	select {
 	case <-quiet:
 	case <-time.After(harvestWait):
-		t.Fatal("a server is still busy after the last call: blocked on the slot?")
+		t.Fatal("a server is still busy after the last call: blocked delivering?")
 	}
-	wantSlot(t, s, "once the stragglers have all been refused", 0, s.need, 0)
+	wantTally(t, c, "once the stragglers have all been refused", c.ord, n/2, 0)
 	if c.sched.Wide() {
 		t.Fatal("the handle went wide: chan calls widen on an estimate and stay the size of the quorum")
 	}
@@ -377,7 +336,6 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				}
 			}
 			st := newStage(t, seed, plan)
-			s := &st.c.slot
 			twin := plan.Profile(0, rand.New(rand.NewSource(seed^faultStreamSalt)), func() time.Duration { return 0 }, nil)
 			answering := []rt.ProcID{lossy}
 			for j := rt.ProcID(1); len(answering) < harvestNeed; j++ {
@@ -393,9 +351,8 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				asked := make(map[rt.ProcID]int) // the call's requests to each silent peer
 				for counted := 0; counted < harvestNeed; {
 					a := st.next()
-					s.mu.Lock()
-					counts := s.call == a.req.call && !s.seen[a.j]
-					s.mu.Unlock()
+					call, replies, _ := tallyState(st.c)
+					counts := call == a.req.call && replies < harvestNeed && !answered(st.c, a.j)
 					if !slices.Contains(answering, a.j) {
 						if !counts {
 							continue
@@ -413,9 +370,7 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 					}
 					drop := twin.ReplyDrop(int(a.j))
 					answer(a.j, a.req)
-					s.mu.Lock()
-					kept := s.seen[a.j]
-					s.mu.Unlock()
+					kept := answered(st.c, a.j)
 					if kept == drop {
 						t.Fatalf("call %d: peer %d's reply kept=%v where the caller's loss stream says drop=%v", call, a.j, kept, drop)
 					}
@@ -436,11 +391,11 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 				t.Fatalf("20 calls lost %d replies and recounted %d senders; the plan was to lose some", lost, recounted)
 			}
 			// Stragglers draw nothing: a late answer to the last call finds the
-			// slot closed, and the two streams go on drawing alike.
-			s.deliver(20, reply{from: lossy})
+			// call complete, and the two streams go on drawing alike.
+			st.c.deliver(st.c.ord, reply{from: lossy})
 			for range 64 {
-				if s.lose(int(lossy)) != twin.ReplyDrop(int(lossy)) {
-					t.Fatalf("after %d lost replies the slot's loss stream is out of step with its twin", lost)
+				if st.c.fp.ReplyDrop(int(lossy)) != twin.ReplyDrop(int(lossy)) {
+					t.Fatalf("after %d lost replies the handle's loss stream is out of step with its twin", lost)
 				}
 			}
 			t.Logf("seed %d, lossy link %d→0: %d replies lost, %d senders counted on a later answer", seed, lossy, lost, recounted)
@@ -449,8 +404,8 @@ func TestReplyLossSampledAtDelivery(t *testing.T) {
 }
 
 // TestNoQuorumAbortBlocksNobody: a call that gives up — it retransmits
-// and the peers it still needs stay silent — leaves its slot behind, and
-// the replies that still arrive, the one that would have completed the
+// and the peers it still needs stay silent — closes its tally, and the
+// replies that still arrive, the one that would have completed the
 // quorum among them, are delivered without blocking. The first wave is
 // read off the handle's own sends (the profile's loss hook logs them, in
 // order, on the caller's goroutine and drops none), since the 100 µs
@@ -511,6 +466,6 @@ wait:
 	select {
 	case <-late:
 	case <-time.After(harvestWait):
-		t.Fatal("a server blocked delivering to an aborted call's slot")
+		t.Fatal("a server blocked delivering to an aborted call's handle")
 	}
 }

@@ -37,14 +37,14 @@ const (
 type request struct {
 	kind    msgKind
 	num     uint32     // the call's number in its run (Proc.CommCalls): the wire.Msg.Call its size is counted with, as the sim counts it
-	call    uint64     // the caller's handle's ordinal for the call: what its slot is open for
+	call    uint64     // the caller's handle's ordinal for the call: what its tally is open for
 	entries []rt.Entry // propagateReq payload (treated as immutable)
 	reg     string     // collectReq target register array
-	slot    *callSlot  // the caller's call slot, where the server delivers its reply
+	to      *Comm      // the caller's handle, where the server delivers its reply
 }
 
 // reply answers a request: an ack for propagateReq, a view for collectReq.
-// from identifies the replying server — what the caller's slot dedups on
+// from identifies the replying server — what the caller's tally dedups on
 // and what reply-direction fault sampling keys on.
 type reply struct {
 	from rt.ProcID
@@ -57,9 +57,9 @@ type reply struct {
 // algorithm code itself never observes the crash, exactly as in the model.
 type crashSignal struct{ id rt.ProcID }
 
-// System is one live run's processor set. Construct with NewScenarioSystem
-// (a nil plan for a fault-free system), run algorithm goroutines against
-// Comm handles, then Shutdown.
+// System is one live run's processor set. A run builds one (newSystem) or
+// checks one out of a SystemPool, runs algorithm goroutines against Comm
+// handles, then shuts it down or parks it again.
 type System struct {
 	n        int
 	plan     *fault.Plan
@@ -91,19 +91,12 @@ type System struct {
 	start atomic.Int64
 }
 
-// NewScenarioSystem creates n processors, each with a running server
-// goroutine, and deterministic per-processor PRNG streams derived from
-// seed (each seeded at its first draw), under a fault-injection plan
-// (nil = none): the materialized crash schedule, link-delay distributions
-// and slow sets of a fault.Scenario. Crash times are armed by the runner,
-// not here — the clock starts when the algorithms do.
-func NewScenarioSystem(n int, seed int64, plan *fault.Plan) *System {
-	return newSystem(n, seed, plan, true)
-}
-
-// newSystem optionally skips the chan substrate: a networked run replaces
-// the channel-backed quorum with electd servers, so its processors get no
-// mailbox, no register store and no server goroutine.
+// newSystem creates n processors with per-processor PRNG streams derived
+// from seed (each seeded at its first draw), under a fault-injection plan
+// (nil = none); the runner arms its crash times when the algorithms start.
+// With serve each processor gets the chan substrate's mailbox, register
+// store and server goroutine; a networked run, whose quorum is electd's,
+// goes without.
 func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 	sys := &System{n: n, plan: plan, serving: serve, procs: make([]*Proc, n)}
 	for i := 0; i < n; i++ {
@@ -115,7 +108,7 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 			// reached quorum elsewhere linger here. A full mailbox then
 			// throttles sending callers. That is backpressure, not a
 			// deadlock risk — servers drain unconditionally and delivering
-			// a reply never blocks them (see callSlot), so every send
+			// a reply never blocks them (see Comm.deliver), so every send
 			// eventually completes.
 			p.inbox, p.regs = make(chan request, n), regstore.New(nil)
 		}
@@ -273,7 +266,7 @@ type Proc struct {
 
 // checkout hands out p's communicate handle for a run under the fault hooks
 // fp, reset to what NewComm(p, fp) builds: a run on a recycled system
-// rebuilds no handle, slot, arena or timer. The system must be quiescent.
+// rebuilds no handle, tally, arena or timer. The system must be quiescent.
 func (p *Proc) checkout(fp *fault.Profile) *Comm {
 	if p.comm == nil {
 		p.comm = new(Comm)
@@ -357,14 +350,13 @@ func (p *Proc) CommCalls() int { return p.commCalls }
 // serve is the server goroutine: the reactive half of the processor. It
 // drains the mailbox until Shutdown closes it, merging propagations and
 // answering collects; between runs of a pooled system it simply parks on
-// the empty mailbox. A reply is delivered onto the caller's call slot —
-// one short critical section and at most one non-blocking wake-up (see
-// callSlot.deliver) — so the server never blocks and the system cannot
-// deadlock; whether the reply still counts (a straggler, a repeat answer
-// to a retransmitted request, one the plan loses) is the slot's business,
-// and it is booked as sent either way. A crashed processor's server keeps
-// draining — senders must never block on a dead peer — but drops every
-// request unanswered. Every drained request is marked served on sys.reqs,
+// the empty mailbox. A reply is delivered to the caller's handle — one
+// short critical section and at most one non-blocking wake-up (see
+// Comm.deliver) — so the server never blocks and the system cannot
+// deadlock; whether the reply still counts is the caller's tally's
+// business, and it is booked as sent either way. A crashed processor's
+// server keeps draining — senders must never block on a dead peer — but
+// drops every request unanswered. Every drained request is marked served on sys.reqs,
 // crashed or not, so quiescence (Reset, pool checkout) can wait for the
 // mailboxes to empty.
 func (p *Proc) serve() {
@@ -381,11 +373,11 @@ func (p *Proc) serve() {
 			for i := range req.entries {
 				p.regs.Merge(&req.entries[i])
 			}
-			req.slot.deliver(req.call, reply{from: p.id})
+			req.to.deliver(req.call, reply{from: p.id})
 			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindAck, Call: uint64(req.num), From: p.id}).WireSize()))
 		case collectReq:
 			snap, _ := p.regs.Snapshot(req.reg)
-			req.slot.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: snap.Entries}})
+			req.to.deliver(req.call, reply{from: p.id, view: rt.View{From: p.id, Entries: snap.Entries}})
 			// The reply's wire size from cached parts: the snapshot's
 			// entry count and cached entry bytes.
 			p.sys.bytes.Add(int64((&wire.Msg{Kind: wire.KindView, Call: uint64(req.num), From: p.id, Reg: req.reg}).BodySize(len(snap.Entries), snap.Size)))

@@ -13,7 +13,7 @@ import (
 // processor must observe the write — the two majorities intersect.
 func TestQuorumIntersection(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
-		sys := NewScenarioSystem(n, 1, nil)
+		sys := newSystem(n, 1, nil, true)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -52,7 +52,7 @@ func TestQuorumIntersection(t *testing.T) {
 // one in every view that carries the cell.
 func TestWriterVersioning(t *testing.T) {
 	const n = 4
-	sys := NewScenarioSystem(n, 1, nil)
+	sys := newSystem(n, 1, nil, true)
 	var wg sync.WaitGroup
 	var views []rt.View
 	wg.Add(1)
@@ -77,7 +77,7 @@ func TestWriterVersioning(t *testing.T) {
 // for the store and snapshot paths.
 func TestConcurrentPropagateCollect(t *testing.T) {
 	const n = 8
-	sys := NewScenarioSystem(n, 7, nil)
+	sys := newSystem(n, 7, nil, true)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -156,7 +156,7 @@ func TestMessagesAccounted(t *testing.T) {
 // asked and every view a server sent back, the tag uvarint of each included.
 func TestChanBytesMatchWireFrames(t *testing.T) {
 	const n, asked = 5, 2 // an exact first wave: the n/2 peers right of caller 0
-	sys := NewScenarioSystem(n, 1, nil)
+	sys := newSystem(n, 1, nil, true)
 	defer sys.Shutdown()
 	NewComm(sys.Proc(1), nil).Propagate("r", "payload") // so the views carry an entry
 	sys.quiesce()

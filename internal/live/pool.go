@@ -44,7 +44,7 @@ func (sys *System) release() {
 // parked on their mailboxes (nothing is torn down or respawned — a crashed
 // processor is only a dropped flag here, its serve loop never exited, so
 // reviving it is clearing that flag), while every piece of per-run state is
-// restored to exactly what NewScenarioSystem(n, seed, plan) would build:
+// restored to exactly what a fresh system of seed and plan would be:
 // per-processor PRNG streams re-keyed on the same splitmix64 sharding (each
 // built at its first draw, not here — rt.LazySource), register arrays
 // zeroed with their snapshot caches dropped, raw mailboxes, published state,
@@ -71,9 +71,9 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 
 // SystemPool recycles whole Systems across runs: the n server goroutines
 // and their mailboxes, the processor handles, their PRNGs, register maps
-// and chan communicate handles (call slot, views arena, tick timer) are
+// and chan communicate handles (tally, views arena, tick timer) are
 // built once and then parked between runs instead of torn down — under
-// many concurrent elections the per-run NewScenarioSystem/Shutdown cycle
+// many concurrent elections the per-run build-and-Shutdown cycle
 // (n goroutine spawns, n PRNG states, every register map, n handles) is
 // setup cost that dominates the actual O(log* k) protocol work. A checkout
 // only re-keys the PRNGs: a processor's stream is seeded at its first draw,
@@ -111,7 +111,7 @@ func (sp *SystemPool) Idle() int {
 }
 
 // Get checks a system out of the pool, reset in place for the given seed
-// and plan — indistinguishable from NewScenarioSystem(n, seed, plan), its
+// and plan — indistinguishable from a fresh system of seed and plan, its
 // processors' communicate handles included, but for the warm RTT estimate —
 // or builds a fresh one when the pool is empty.
 func (sp *SystemPool) Get(seed int64, plan *fault.Plan) *System {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +90,7 @@ func TestNetworkedSystemBuildsNoChanSubstrate(t *testing.T) {
 // TestParkedSystemHoldsNoElectionState: Put releases what the run left in
 // the stores and handles, so a system waiting in the pool pins no cell, no
 // adopted payload, no snapshot, no published state, no view a handle's
-// arena or slot handed out and no fault hook. (That the stores keep their
+// arena or tally handed out and no fault hook. (That the stores keep their
 // empty arrays for the next run of the same algorithm is regstore's
 // TestResetKeepsArraysDropsState.)
 func TestParkedSystemHoldsNoElectionState(t *testing.T) {
@@ -141,12 +140,13 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 				t.Fatalf("parked processor %d's handle still holds view %d of its arena: %+v", p.id, i, v.Entries)
 			}
 		}
-		for i, r := range c.slot.replies[:cap(c.slot.replies)] {
+		got := c.tally.Replies()
+		for i, r := range got[:cap(got)] {
 			if r.view.Entries != nil {
-				t.Fatalf("parked processor %d's call slot still holds reply %d: %+v", p.id, i, r.view.Entries)
+				t.Fatalf("parked processor %d's tally still holds reply %d: %+v", p.id, i, r.view.Entries)
 			}
 		}
-		if c.fp != nil || c.slot.lose != nil {
+		if c.fp != nil || !reflect.ValueOf(&c.tally).Elem().FieldByName("lose").IsNil() {
 			t.Fatalf("parked processor %d's handle still holds its fault hooks", p.id)
 		}
 	}
@@ -155,9 +155,10 @@ func TestParkedSystemHoldsNoElectionState(t *testing.T) {
 // TestPooledHandleMatchesFresh: a processor's handle, checked out for a
 // fault-free run after an election under a retransmitting, reply-dropping
 // plan in which calls widened, is NewComm(p, nil) in everything but what it
-// keeps — the slot's arrays and signal, the arena, the timer (stopped) and
-// the ordinal counter. A token left in the signal would let a call return
-// short of its quorum: communicate trusts it without counting.
+// keeps — the tally's arrays and token channel, the arena, the timer
+// (stopped) and the ordinal counter. A token left in the channel would let
+// a call return short of its quorum: communicate trusts it without
+// counting.
 func TestPooledHandleMatchesFresh(t *testing.T) {
 	const n = 8
 	sc := fault.Flaky()
@@ -193,23 +194,52 @@ func TestPooledHandleMatchesFresh(t *testing.T) {
 		ord := p.comm.ord
 		c := p.checkout(nil)
 		fresh := NewComm(p, nil)
-		s, f := &c.slot, &fresh.slot
 		switch {
 		case c.p != p || c.fp != nil || c.round != 0 || len(c.views) != 0:
 			t.Fatalf("processor %d: handle kept p=%v fp=%v round=%d views=%d", p.id, c.p != p, c.fp, c.round, len(c.views))
 		case c.ord != ord || ord == 0:
 			t.Fatalf("processor %d: ordinal counter %d before the checkout and %d after; want it kept and past 0", p.id, ord, c.ord)
-		case s.call != 0 || s.need != f.need || len(s.replies) != 0 || slices.Contains(s.seen, true) || len(s.seen) != n:
-			t.Fatalf("processor %d: slot open for %d, need %d (fresh %d), %d replies, seen %v", p.id, s.call, s.need, f.need, len(s.replies), s.seen)
-		case len(s.sig) != 0:
-			t.Fatalf("processor %d: the slot holds a stale completion token", p.id)
-		case s.lose != nil:
-			t.Fatalf("processor %d: the slot still samples the last plan's reply loss", p.id)
+		}
+		if diff := tallyDiff(&c.tally, &fresh.tally); diff != "" {
+			t.Fatalf("processor %d: checked-out tally differs from a fresh one:%s", p.id, diff)
 		}
 		if diff := scheduleDiff(&c.sched, &fresh.sched); diff != "" {
 			t.Fatalf("processor %d: checked-out schedule differs from a fresh one:%s", p.id, diff)
 		}
 	}
+}
+
+// tallyDiff lists the fields in which got differs from want, a fresh
+// handle's tally — by reflection, as rt.Tally keeps its fields to itself.
+// Of the arrays and channel a reset keeps it checks that nothing is
+// answered, counted or waiting: a stale token, say, or a stale answer.
+func tallyDiff(got, want *rt.Tally[reply]) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	var diff strings.Builder
+	for i := range g.NumField() {
+		name := g.Type().Field(i).Name
+		gf, wf := g.Field(i), w.Field(i)
+		switch name {
+		case "seen":
+			if gf.Len() != wf.Len() {
+				fmt.Fprintf(&diff, "\n\tseen is %d long, fresh %d", gf.Len(), wf.Len())
+			}
+			for j := range gf.Len() {
+				if gf.Index(j).Bool() {
+					fmt.Fprintf(&diff, "\n\tseen[%d] is marked", j)
+				}
+			}
+		case "got", "sig":
+			if gf.Len() != 0 {
+				fmt.Fprintf(&diff, "\n\t%s holds %d", name, gf.Len())
+			}
+		default:
+			if gs, ws := fmt.Sprint(gf), fmt.Sprint(wf); gs != ws {
+				fmt.Fprintf(&diff, "\n\t%s = %s, fresh %s", name, gs, ws)
+			}
+		}
+	}
+	return diff.String()
 }
 
 // scheduleDiff lists the fields in which got differs from want, a fresh
@@ -244,7 +274,7 @@ func scheduleDiff(got, want *rt.Schedule) string {
 
 // TestReopenedSlotRefusesLastRun: a pooled handle's ordinals run on across
 // runs, so a straggler of the last run — here a reply to its first call —
-// finds the next run's first call's slot open for another ordinal and is
+// finds the next run's first call's tally open for another ordinal and is
 // refused; and a call the last run abandoned with its quorum in (its
 // goroutine unwound) leaves no token for the next run to trust.
 func TestReopenedSlotRefusesLastRun(t *testing.T) {
@@ -256,10 +286,12 @@ func TestReopenedSlotRefusesLastRun(t *testing.T) {
 	c.Collect("r")
 	first := c.ord
 	c.ord++ // a call that unwound after its quorum came in
-	c.slot.open(c.ord)
-	c.slot.deliver(c.ord, reply{from: 1})
-	c.slot.deliver(c.ord, reply{from: 2})
-	if len(c.slot.sig) != 1 {
+	c.mu.Lock()
+	c.tally.Open(&c.mu, c.ord, nil)
+	c.mu.Unlock()
+	c.deliver(c.ord, reply{from: 1})
+	c.deliver(c.ord, reply{from: 2})
+	if _, _, tokens := tallyState(c); tokens != 1 {
 		t.Fatal("setup: the abandoned call's quorum left no token")
 	}
 	pool.Put(sys)
@@ -267,21 +299,22 @@ func TestReopenedSlotRefusesLastRun(t *testing.T) {
 	sys = pool.Get(2, nil)
 	defer pool.Put(sys)
 	c = sys.Proc(0).checkout(nil)
-	if len(c.slot.sig) != 0 || c.slot.call != 0 {
-		t.Fatalf("checkout left %d tokens and the slot open for %d", len(c.slot.sig), c.slot.call)
+	if call, _, tokens := tallyState(c); tokens != 0 || call != 0 {
+		t.Fatalf("checkout left %d tokens and the tally open for %d", tokens, call)
 	}
-	c.slot.open(c.ord + 1) // the run's first call
-	c.slot.deliver(first, reply{from: 1})
-	if _, replies, _ := slotState(&c.slot); replies != 0 {
+	c.mu.Lock()
+	c.tally.Open(&c.mu, c.ord+1, nil) // the run's first call
+	c.mu.Unlock()
+	c.deliver(first, reply{from: 1})
+	if _, replies, _ := tallyState(c); replies != 0 {
 		t.Fatalf("the next run's first call counted a reply to the last run's first call (ordinal %d)", first)
 	}
-	c.slot.close()
 }
 
 // TestResetMatchesFreshSeeding: a recycled system's PRNG streams are
 // math/rand's own for the sharded seeds — coin stream i is
 // rand.NewSource(seed + i·SeedStride), fault stream i the same seed salted —
-// whether the System came from NewScenarioSystem or the pool, however many
+// whether the System came from newSystem or the pool, however many
 // checkouts a processor sat out without drawing, so pooling never perturbs
 // campaign statistics.
 func TestResetMatchesFreshSeeding(t *testing.T) {
@@ -320,7 +353,7 @@ func TestResetMatchesFreshSeeding(t *testing.T) {
 			}
 		}
 	}
-	fresh := NewScenarioSystem(n, seed, plan)
+	fresh := newSystem(n, seed, plan, true)
 	defer fresh.Shutdown()
 	want("fresh", fresh, seed)
 

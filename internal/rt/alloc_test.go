@@ -2,7 +2,10 @@
 
 package rt
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestScheduleArmsOneTimer: the tick timer is made by the first call that
 // arms it and re-armed by every later one, so a steady-state call — first
@@ -27,10 +30,11 @@ func TestScheduleArmsOneTimer(t *testing.T) {
 		for j := range 9 {
 			answered[j] = true
 		}
+		quorum := &stubAnswers{set: answered}
 		call := func() {
 			s.Begin(send)
 			s.tick(answered, send)
-			s.Done(answered)
+			s.Done(quorum)
 		}
 		if s.tmr != nil {
 			t.Fatalf("%s: a schedule that never armed a tick holds a timer", tc.name)
@@ -40,5 +44,40 @@ func TestScheduleArmsOneTimer(t *testing.T) {
 		if got := testing.AllocsPerRun(500, call); got != 0 || s.tmr != tmr {
 			t.Fatalf("%s: a call after the first: %v allocs, timer replaced=%v; want 0 and the same timer", tc.name, got, s.tmr != tmr)
 		}
+	}
+}
+
+// TestTallyCycleAllocs: a warm quorum call on a tally — open, the replies
+// judged and counted, the token, the schedule's wait and its Done read off
+// the tally, release — allocates nothing.
+func TestTallyCycleAllocs(t *testing.T) {
+	const n, need = 16, 9
+	var mu sync.Mutex
+	var tl Tally[*int]
+	tl.Reset(n, need)
+	s := NewSchedule(n, 0, -1, ThriftySlack, nil, 0, 1)
+	send := func(int) bool { return true }
+	ticked := func(int, int) { t.Error("a call whose quorum is in ticked") }
+	lose := func(int) bool { return false }
+	x := new(int)
+	var call uint64
+	cycle := func() {
+		call++
+		mu.Lock()
+		tl.Open(&mu, call, lose)
+		mu.Unlock()
+		s.Begin(send)
+		for j := range need {
+			deliver(&mu, &tl, call, j, x, false)
+		}
+		if !s.Wait(&tl, send, ticked) || len(tl.Replies()) != need {
+			t.Fatal("a call with its quorum in did not complete")
+		}
+		s.Done(&tl)
+		tl.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(500, cycle); got != 0 {
+		t.Fatalf("a warm call on a tally: %v allocs, budget 0", got)
 	}
 }

@@ -20,14 +20,14 @@
 //     with genuine contention), optionally degraded by the fault/latency
 //     scenarios of internal/fault.
 //
-// Beside the seam sits Schedule, the quorum-call schedule the deployed
-// substrates share: whom a communicate call asks first, when it widens, how
-// it resends, and when it gives up — one wait loop (Schedule.Wait), so no
-// substrate times a call itself. internal/live and internal/electd drive it
-// with their own delivery and reply assembly, slack and widen rule (chan:
-// the exact quorum and a tick from RTT, the estimate its calls feed;
-// electd: quorum+2 and the fixed WidenAfter); the sim kernel keeps the
-// paper's send-to-all, whose exact counts are the reference.
+// Beside the seam sit the two halves of a quorum call the deployed
+// substrates share: Schedule, whom a call asks first, when it widens, how
+// it resends and when it gives up — one wait loop, Schedule.Wait — and
+// Tally, which of its replies count and when it is complete. internal/live
+// and internal/electd drive both with their own delivery, slack and widen
+// rule (chan: the exact quorum and a tick from RTT, the estimate its calls
+// feed; electd: quorum+2 and the fixed WidenAfter); the sim kernel keeps
+// the paper's send-to-all, whose exact counts are the reference.
 //
 // The shared data types (ProcID, Entry, View) live here so that views
 // collected on either backend are interchangeable and the algorithm code is

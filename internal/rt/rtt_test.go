@@ -88,16 +88,16 @@ func TestKarnsRule(t *testing.T) {
 	s.Begin(r.send)
 	time.Sleep(2 * WidenFloor)
 	s.tick(answered, r.send) // the widen
-	s.Done(answered)
+	s.Done(&stubAnswers{set: answered})
 	s.Begin(r.send) // the probe
 	time.Sleep(2 * WidenFloor)
-	s.Done(answered)
+	s.Done(&stubAnswers{set: answered})
 	if got := e.Tick(); got != WidenAfter {
 		t.Fatalf("a widened call or its probe was sampled: the estimate ticks at %v, want it cold (%v)", got, WidenAfter)
 	}
 
 	s.Begin(r.send)
-	s.Done(answered)
+	s.Done(&stubAnswers{set: answered})
 	if got := e.Tick(); got != WidenFloor {
 		t.Fatalf("a call that completed unwidened at once left the estimate at %v, want the floor %v", got, WidenFloor)
 	}
@@ -140,7 +140,7 @@ func TestWidenProbesThenRemembersTheSilent(t *testing.T) {
 	probe := func(quorum []int, r *recorder) []int {
 		s.Begin(all)
 		s.tick(nil, all)
-		s.Done(nil)
+		s.Done(&stubAnswers{})
 		answered := make([]bool, n)
 		for _, j := range quorum {
 			answered[j] = true
@@ -148,7 +148,7 @@ func TestWidenProbesThenRemembersTheSilent(t *testing.T) {
 		if sent := s.Begin(all); sent != n-1 || s.thrifty {
 			t.Fatalf("the probe asked %d peers, thrifty=%v; want all %d at once", sent, s.thrifty, n-1)
 		}
-		s.Done(answered)
+		s.Done(&stubAnswers{set: answered})
 		r.asked = nil
 		s.Begin(r.send)
 		s.End()

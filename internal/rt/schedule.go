@@ -35,8 +35,8 @@ const WidenAfter = 50 * time.Millisecond
 // unanswered server once a tick passes without a quorum, and further ticks,
 // selective, backed off and jittered — resends where messages can be lost,
 // link checks where they cannot.
-// Delivery and replies are the substrate's: it hands each wave a send
-// function, tells a tick who has answered, and counts the quorum itself.
+// Delivery is the substrate's: it hands each wave a send function and each
+// reply to the call's Tally, which counts the quorum.
 // Safety rests on that line — a call returns on ⌊n/2⌋+1 distinct stores
 // whoever was asked, and a server never asked is one whose message the
 // model delays forever; the schedule owes only liveness, by getting a
@@ -205,12 +205,12 @@ func (s *Schedule) Begin(send func(j int) bool) int {
 // everyone checks its links.
 func (s *Schedule) base() time.Duration { return cmp.Or(s.retransmit, s.widenTick) }
 
-// Wait waits out the call Begin sent: true once done, the substrate's
-// completion signal, is ready; false when the call gives up. Each tick
-// copies the answered set through answered (the substrate owns it and its
-// lock), asks again (tick) and reports the requests sent and the tick's
-// ordinal to ticked. done wins over a tick ready at the same time (the
-// goroutine ran late, as after a host stall): a widen there is waste.
+// Wait waits out the call Begin sent, whose replies t counts: true once
+// the call is complete, its token taken; false when the call gives up. Each
+// tick copies t's answered set (under t's lock), asks again (tick) and
+// reports the requests sent and the tick's ordinal to ticked. The token
+// wins over a tick ready at the same time (the goroutine ran late, as after
+// a host stall): a widen there is waste.
 //
 // A call gives up on what it observes; in the model the caller is then a
 // crash. With a resend period it gives up at a tick: its period has reached
@@ -220,18 +220,14 @@ func (s *Schedule) base() time.Duration { return cmp.Or(s.retransmit, s.widenTic
 // link that refuses a send is dead: the call gives up once its last wave
 // has walked every server (a first wave the refusals left short, or a tick)
 // and the servers that answered plus those whose link took that wave are
-// fewer than a quorum. One whose quorum lands as it gives up is the
-// substrate's to count as complete: its signal may be on the way.
-func (s *Schedule) Wait(done <-chan struct{}, answered func([]bool), send func(j int) bool, ticked func(sent, resend int)) bool {
+// fewer than a quorum. Giving up closes t's call; one that completed as it
+// gave up is complete, and Wait reports it so.
+func (s *Schedule) Wait(t answers, send func(j int) bool, ticked func(sent, resend int)) bool {
+	done := t.token()
 	for {
 		if s.retransmit == 0 && s.heard+s.took < s.need {
 			s.End()
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
+			return t.giveUp()
 		}
 		select {
 		case <-done:
@@ -245,16 +241,10 @@ func (s *Schedule) Wait(done <-chan struct{}, answered func([]bool), send func(j
 			if s.ans == nil {
 				s.ans = make([]bool, s.n)
 			}
-			answered(s.ans)
-			heard := 0
-			for _, a := range s.ans {
-				if a {
-					heard++
-				}
-			}
+			heard := t.heard(s.ans)
 			if s.retransmit > 0 && s.period == s.retransmit<<6 && heard == s.heard {
 				s.fire = nil // fired and drained: nothing is left to stop
-				return false
+				return t.giveUp()
 			}
 			s.heard = heard
 			ticked(s.tick(s.ans, send))
@@ -316,8 +306,8 @@ func (s *Schedule) End() {
 	}
 }
 
-// Done ends a call that reached its quorum; answered marks the servers
-// whose answers made it up. Under the observed rule a call that never
+// Done ends a call that reached its quorum, read off its tally: the
+// servers whose answers made it up. Under the observed rule a call that never
 // widened feeds its time to the estimate — a widened one does not (Karn's
 // rule) — and the probe's quorum becomes the set later first waves keep to:
 // every server outside it is a suspect until the next probe. The probe asks
@@ -325,7 +315,7 @@ func (s *Schedule) End() {
 // servers stay outside its quorum, and so does one that went dark after
 // answering the widened call's first wave. A server that was merely late
 // is passed over while enough others remain.
-func (s *Schedule) Done(answered []bool) {
+func (s *Schedule) Done(t answers) {
 	s.End()
 	switch {
 	case s.rtt == nil:
@@ -333,7 +323,7 @@ func (s *Schedule) Done(answered []bool) {
 		if s.suspect == nil {
 			s.suspect = make([]bool, s.n)
 		}
-		for j, a := range answered {
+		for j, a := range t.answered() {
 			s.suspect[j] = !a && j != s.self
 		}
 		s.probe = false

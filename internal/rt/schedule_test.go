@@ -230,6 +230,42 @@ func TestJitter(t *testing.T) {
 	}
 }
 
+// stubAnswers stands in for a call's Tally where a test scripts what Wait
+// and Done read: done is the token channel, hear fills a tick's copy of the
+// answered set (nil: nobody), set is what Done reads. A call given up is
+// complete only if done is ready.
+type stubAnswers struct {
+	done chan struct{}
+	hear func(into []bool)
+	set  []bool
+}
+
+func (a *stubAnswers) token() <-chan struct{} { return a.done }
+
+func (a *stubAnswers) heard(into []bool) int {
+	if a.hear != nil {
+		a.hear(into)
+	}
+	heard := 0
+	for _, h := range into {
+		if h {
+			heard++
+		}
+	}
+	return heard
+}
+
+func (a *stubAnswers) giveUp() bool {
+	select {
+	case <-a.done:
+		return true
+	default:
+		return false
+	}
+}
+
+func (a *stubAnswers) answered() []bool { return a.set }
+
 // TestWaitGivesUpOnWhatItHears: a retransmitting call gives up at the first
 // tick whose resend period has reached the cap and whose cap-long wait just
 // ended brought no new answer — the seventh tick when answers stopped
@@ -264,7 +300,7 @@ func TestWaitGivesUpOnWhatItHears(t *testing.T) {
 		ticked := func(_, resend int) { ordinals = append(ordinals, resend) }
 		t0 := time.Now()
 		s.Begin(nobody)
-		if s.Wait(make(chan struct{}), answered, nobody, ticked) {
+		if s.Wait(&stubAnswers{done: make(chan struct{}), hear: answered}, nobody, ticked) {
 			t.Fatalf("%s: a call no quorum answered reported completion", tc.name)
 		}
 		// The ticks before the give-up wait r, 2r, …, doubling to 64r.
@@ -310,7 +346,7 @@ func TestWaitRidesOutASilence(t *testing.T) {
 		return true
 	}
 	s.Begin(send)
-	if !s.Wait(done, func([]bool) {}, send, func(int, int) {}) {
+	if !s.Wait(&stubAnswers{done: done}, send, func(int, int) {}) {
 		t.Fatalf("a call gave up on a silence that ended %v after its first wave", quiet)
 	}
 }
@@ -325,7 +361,7 @@ func TestWaitWithoutRetransmitNeverGivesUp(t *testing.T) {
 	time.AfterFunc(5*WidenAfter, func() { close(done) })
 	var ordinals []int
 	s.Begin(all)
-	if !s.Wait(done, func([]bool) {}, all, func(_, resend int) { ordinals = append(ordinals, resend) }) || !slices.Equal(ordinals, []int{0, 1}) {
+	if !s.Wait(&stubAnswers{done: done}, all, func(_, resend int) { ordinals = append(ordinals, resend) }) || !slices.Equal(ordinals, []int{0, 1}) {
 		t.Errorf("a call without a resend period ticked %v before its quorum; want the widen and one link check, [0 1]", ordinals)
 	}
 	s.End()
@@ -361,7 +397,7 @@ func TestWaitGivesUpOnDeadLinks(t *testing.T) {
 		}
 		ticks := 0
 		s.Begin(tc.begin)
-		ok := s.Wait(done, func([]bool) {}, tc.later, func(int, int) { ticks++ })
+		ok := s.Wait(&stubAnswers{done: done}, tc.later, func(int, int) { ticks++ })
 		if want := tc.ticks < 0; ok != want || (!ok && ticks != tc.ticks) {
 			t.Errorf("%s: Wait = %v after %d ticks; want %v after %d", tc.name, ok, ticks, want, tc.ticks)
 		}
@@ -385,7 +421,7 @@ func TestWaitCompletionBeatsTick(t *testing.T) {
 		time.Sleep(2 * r * 5 / 4) // past the first tick and its jitter
 		done <- struct{}{}
 		copied, resent := false, false
-		if !s.Wait(done, func([]bool) { copied = true }, all, func(int, int) { resent = true }) || copied || resent {
+		if !s.Wait(&stubAnswers{done: done, hear: func([]bool) { copied = true }}, all, func(int, int) { resent = true }) || copied || resent {
 			t.Fatalf("round %d: with the quorum and a tick both ready, the call copied the answered set (%v) or resent (%v)", i, copied, resent)
 		}
 		s.End()
@@ -409,10 +445,10 @@ func TestResetMatchesNew(t *testing.T) {
 	s.Begin(all)
 	s.tick(answered, all)   // the widen: the next call is the probe
 	s.ans = make([]bool, n) // as Wait's first tick makes it
-	s.Done(answered)
+	s.Done(&stubAnswers{set: answered})
 	s.Begin(all)
-	s.Done(answered) // the probe: everyone outside answered is a suspect
-	s.Begin(all)     // a call in progress, its tick armed
+	s.Done(&stubAnswers{set: answered}) // the probe: everyone outside answered is a suspect
+	s.Begin(all)                        // a call in progress, its tick armed
 	if s.widens != 1 || !slices.Contains(s.suspect, true) || s.fire == nil {
 		t.Fatalf("setup: widens %d, suspects %v, tick armed %v; the reset would check nothing", s.widens, s.suspect, s.fire != nil)
 	}

@@ -41,10 +41,6 @@ func (k *Kernel) Steppable(id ProcID) bool {
 	return len(p.mailbox) > 0 || k.Resumable(id)
 }
 
-// MailboxLen returns the number of delivered-but-unconsumed messages at
-// processor id.
-func (k *Kernel) MailboxLen(id ProcID) int { return len(k.procs[id].mailbox) }
-
 // Participants lists the processors that were spawned with algorithms, in ID
 // order.
 func (k *Kernel) Participants() []ProcID {
@@ -85,12 +81,6 @@ func (k *Kernel) InflightCount() int { return len(k.liveIDs) }
 
 // OldestInflight returns the globally oldest in-flight message ID.
 func (k *Kernel) OldestInflight() (MsgID, bool) { return k.global.front(k.alive) }
-
-// OldestInflightTo returns the oldest in-flight message addressed to
-// processor id.
-func (k *Kernel) OldestInflightTo(id ProcID) (MsgID, bool) {
-	return k.toProc[id].front(k.alive)
-}
 
 // RandomInflight returns a uniformly random in-flight message ID, using the
 // supplied PRNG. ok is false when nothing is in flight.

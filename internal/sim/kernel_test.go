@@ -278,7 +278,7 @@ func TestDeliverToCrashedIsNoop(t *testing.T) {
 	if err := k.apply(Deliver{Msg: id}); err != nil {
 		t.Fatalf("Deliver to crashed: %v", err)
 	}
-	if k.MailboxLen(1) != 0 {
+	if len(k.procs[1].mailbox) != 0 {
 		t.Fatal("crashed processor accumulated mailbox")
 	}
 }
@@ -429,9 +429,9 @@ func TestInflightQueries(t *testing.T) {
 	if got := k.InflightCount(); got != 3 {
 		t.Fatalf("InflightCount = %d, want 3", got)
 	}
-	id, ok := k.OldestInflightTo(1)
+	id, ok := k.toProc[1].front(k.alive)
 	if !ok || k.Inflight(id).Payload != "a" {
-		t.Fatalf("OldestInflightTo(1) wrong: ok=%v", ok)
+		t.Fatalf("the oldest message in flight to 1 is wrong: ok=%v", ok)
 	}
 	var seen []any
 	k.EachInflightFrom(0, func(m *Message) bool {
@@ -444,7 +444,7 @@ func TestInflightQueries(t *testing.T) {
 	if err := k.apply(Deliver{Msg: id}); err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
-	id2, ok := k.OldestInflightTo(1)
+	id2, ok := k.toProc[1].front(k.alive)
 	if !ok || k.Inflight(id2).Payload != "c" {
 		t.Fatal("queue did not skip the delivered message")
 	}

@@ -147,9 +147,6 @@ func (p Phase) Layer() string {
 	return phaseLayers[p]
 }
 
-// NumPhases is the number of defined phases (including PNone).
-const NumPhases = int(numPhases)
-
 // Phases lists every recordable phase in declaration order.
 func Phases() []Phase {
 	out := make([]Phase, 0, numPhases-1)
