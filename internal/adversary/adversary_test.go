@@ -117,7 +117,7 @@ func TestFairAndLockStepTerminateElections(t *testing.T) {
 			id := sim.ProcID(i)
 			k2.Spawn(id, func(p *sim.Proc) {
 				c := quorum.NewComm(p, stores[id])
-				decisions[id] = core.LeaderElect(c, "e")
+				decisions[id] = core.LeaderElectWithState(c, "e", core.NewState(p, "leaderelect"))
 			})
 		}
 		if _, err := k2.Run(adv); err != nil {
@@ -140,7 +140,7 @@ func TestSequentialRoundsElectionSafety(t *testing.T) {
 			id := sim.ProcID(i)
 			k2.Spawn(id, func(p *sim.Proc) {
 				c := quorum.NewComm(p, stores[id])
-				decisions[id] = core.LeaderElect(c, "e")
+				decisions[id] = core.LeaderElectWithState(c, "e", core.NewState(p, "leaderelect"))
 			})
 		}
 		if _, err := k2.Run(NewSequentialRounds()); err != nil {
@@ -165,7 +165,7 @@ func TestCrashTargetedElectionSafety(t *testing.T) {
 				id := sim.ProcID(i)
 				k2.Spawn(id, func(p *sim.Proc) {
 					c := quorum.NewComm(p, stores[id])
-					decisions[id] = core.LeaderElect(c, "e")
+					decisions[id] = core.LeaderElectWithState(c, "e", core.NewState(p, "leaderelect"))
 				})
 			}
 			adv := NewCrashTargeted(faults, 200, true, seed)
@@ -218,7 +218,7 @@ func TestBubbleForcesQuadraticMessages(t *testing.T) {
 		id := sim.ProcID(i)
 		k2.Spawn(id, func(p *sim.Proc) {
 			c := quorum.NewComm(p, stores[id])
-			decisions[id] = core.LeaderElect(c, "e")
+			decisions[id] = core.LeaderElectWithState(c, "e", core.NewState(p, "leaderelect"))
 		})
 	}
 	b := NewBubble()
@@ -282,7 +282,7 @@ func TestSequentialElectionLetsFirstWin(t *testing.T) {
 		id := sim.ProcID(i)
 		k2.Spawn(id, func(p *sim.Proc) {
 			c := quorum.NewComm(p, stores[id])
-			decisions[id] = core.LeaderElect(c, "e")
+			decisions[id] = core.LeaderElectWithState(c, "e", core.NewState(p, "leaderelect"))
 		})
 	}
 	if _, err := k2.Run(NewSequential(nil)); err != nil {

@@ -78,9 +78,11 @@ func preRound(c rt.Comm, reg string, r int, s *State) Decision {
 	}
 }
 
-// LeaderElect executes the complete leader-election algorithm (Figure 6) for
-// the participant behind c on election instance inst. It returns Win for
-// exactly one participant and Lose for every other.
+// LeaderElectWithState executes the complete leader-election algorithm
+// (Figure 6) for the participant behind c on election instance inst,
+// publishing its progress in s — one State per processor, which protocols
+// that embed elections (renaming, tournaments) reuse across them. It
+// returns Win for exactly one participant and Lose for every other.
 //
 // The participant passes through the doorway (lines 63-64), then repeats:
 // pre-round (line 66), returning if the round numbers already decide the
@@ -93,14 +95,6 @@ func preRound(c rt.Comm, reg string, r int, s *State) Decision {
 // with k participants the expected maximum number of communicate calls per
 // processor is O(log* k) and the expected total number of messages is
 // O(kn).
-func LeaderElect(c rt.Comm, inst string) Decision {
-	s := NewState(c.Proc(), "leaderelect")
-	return LeaderElectWithState(c, inst, s)
-}
-
-// LeaderElectWithState is LeaderElect with a caller-supplied published
-// state, for protocols (renaming, tournaments) that embed elections and want
-// one State per processor.
 func LeaderElectWithState(c rt.Comm, inst string, s *State) Decision {
 	// Reset per-election fields: embedding protocols (renaming) reuse one
 	// published State across several elections.

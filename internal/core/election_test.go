@@ -130,7 +130,7 @@ func TestLinearizabilityLateComersLose(t *testing.T) {
 		id := sim.ProcID(i)
 		k2.Spawn(id, func(p *sim.Proc) {
 			c := quorum.NewComm(p, stores[id])
-			decisions[id] = LeaderElect(c, "elect")
+			decisions[id] = LeaderElectWithState(c, "elect", NewState(p, "leaderelect"))
 		})
 	}
 	// Adversary: run participant 0 to completion before starting 1.

@@ -24,7 +24,7 @@ func runElection(n, k int, seed int64, adv sim.Adversary) electionRun {
 		id := sim.ProcID(i)
 		k2.Spawn(id, func(p *sim.Proc) {
 			c := quorum.NewComm(p, stores[id])
-			decisions[id] = LeaderElect(c, "elect")
+			decisions[id] = LeaderElectWithState(c, "elect", NewState(p, "leaderelect"))
 		})
 	}
 	stats, err := k2.Run(adv)

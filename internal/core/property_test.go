@@ -58,8 +58,8 @@ func TestClaim33ClosureOfSurvivorLists(t *testing.T) {
 				s := NewState(p, "het")
 				states[id] = s
 				outcomes[id] = HetPoisonPill(c, "pp", s)
-				if v, ok := stores[id].Local("pp/status", id); ok {
-					if st, ok := v.(Status); ok {
+				for _, e := range stores[id].Snapshot("pp/status") {
+					if st, ok := e.Val.(Status); ok && e.Owner == id {
 						lists[id] = st.List
 					}
 				}

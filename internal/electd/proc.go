@@ -16,8 +16,8 @@ import (
 // Participant is a minimal rt.Procer for running the election algorithms
 // as a pure network client — one goroutine, a private PRNG, no backend
 // kernel. It is what Pool.Elect and client-only processes hand to
-// core.LeaderElect next to a Pool client; live-backend runs use the richer
-// live.Proc (crash unwinding, scenario throttling) instead.
+// core.LeaderElectWithState next to a Pool client; live-backend runs use
+// the richer live.Proc (crash unwinding, scenario throttling) instead.
 type Participant struct {
 	id  rt.ProcID
 	n   int

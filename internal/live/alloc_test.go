@@ -115,3 +115,36 @@ func TestPooledHandleCheckoutAllocs(t *testing.T) {
 		pool.Put(sys)
 	}
 }
+
+// pooledElectionAllocs: one warm fault-free n=32 election on a pooled chan
+// system, every participant's and every server goroutine's allocations
+// included. Measured 376–381 over 100-election means (2-core host,
+// GOMAXPROCS 1, 2, 4 and 8 alike). A fifth each are the one-entry
+// propagate payloads (by design, see Comm.Propagate) and the run's set-up of
+// its participants, most of the rest the election code's states, register
+// names, lists and statuses; fresh slabs and box blocks are 7 %. It was
+// ≈1 290 while every snapshot rebuild allocated its box and its entry
+// slice, which are now carved from each store's blocks and rewound by
+// Reset.
+const pooledElectionAllocs = 400
+
+// TestPooledElectionAllocBudget holds a warm pooled chan election, whole, to
+// pooledElectionAllocs.
+func TestPooledElectionAllocBudget(t *testing.T) {
+	const n = 32
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	seed := int64(0)
+	elect := func() {
+		seed++
+		if _, err := Elect(Config{N: n, Seed: seed, Pool: pool}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 50 { // the stores' arrays and blocks, the handles
+		elect()
+	}
+	if got := testing.AllocsPerRun(100, elect); got > pooledElectionAllocs {
+		t.Fatalf("warm pooled election at n=%d: %v allocs, budget %d", n, got, pooledElectionAllocs)
+	}
+}

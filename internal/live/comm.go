@@ -122,7 +122,10 @@ func (c *Comm) Propagate(reg string, val rt.Value) {
 // the caller's own store included, and return them. One communicate call.
 // The returned slice is scratch reused by this handle: it is valid until
 // the processor's next communicate call or the end of the run, whichever
-// comes first (the handle outlives the run, see Proc.checkout).
+// comes first (the handle outlives the run, see Proc.checkout). The views'
+// entries live until the end of the run: each is a snapshot carved from
+// its store's slab, which outlives the run like the handle and is rewound
+// by System.Reset.
 func (c *Comm) Collect(reg string) []rt.View {
 	p := c.p
 	own, _ := p.regs.Snapshot(reg)

@@ -21,7 +21,10 @@ func (sys *System) quiesce() {
 // handles — register cells (with the payloads they adopted), snapshot
 // caches, published state, and the views and fault hooks a communicate
 // handle held — keeping the arrays themselves: register names repeat across
-// runs of the same algorithm, and a handle's arrays are sized by n. Put
+// runs of the same algorithm, and a handle's arrays are sized by n. A
+// store's snapshots are carved from its slab and box block, which it keeps
+// too, cleared and rewound (regstore.Store.Reset): every view the run
+// handed out dies here. Put
 // calls it so a parked system does not hold its last election's state until
 // the next checkout; Reset calls it again (idempotent and then cheap — Reset
 // is also public on systems that were never pooled). Quiescent systems only.
@@ -47,9 +50,10 @@ func (sys *System) release() {
 // restored to exactly what a fresh system of seed and plan would be:
 // per-processor PRNG streams re-keyed on the same splitmix64 sharding (each
 // built at its first draw, not here — rt.LazySource), register arrays
-// zeroed with their snapshot caches dropped, raw mailboxes, published state,
-// call counters and crash flags cleared, and the system's message/byte
-// counters rewound. Each processor's chan communicate handle is released
+// zeroed with their snapshot caches dropped and the blocks their snapshots
+// are carved from rewound (kept, as the handles are), raw mailboxes,
+// published state, call counters and crash flags cleared, and the system's
+// message/byte counters rewound. Each processor's chan communicate handle is released
 // here and reset to NewComm's state when the next run checks it out
 // (Proc.checkout), keeping its arrays and timer. The one thing a run leaves
 // on purpose is the RTT estimate (System.rtt), so the next run starts warm.
@@ -70,9 +74,9 @@ func (sys *System) Reset(seed int64, plan *fault.Plan) {
 }
 
 // SystemPool recycles whole Systems across runs: the n server goroutines
-// and their mailboxes, the processor handles, their PRNGs, register maps
-// and chan communicate handles (tally, views arena, tick timer) are
-// built once and then parked between runs instead of torn down — under
+// and their mailboxes, the processor handles, their PRNGs, register stores
+// (arrays, and the slab and box block snapshots are carved from) and chan
+// communicate handles (tally, views arena, tick timer) are built once and then parked between runs instead of torn down — under
 // many concurrent elections the per-run build-and-Shutdown cycle
 // (n goroutine spawns, n PRNG states, every register map, n handles) is
 // setup cost that dominates the actual O(log* k) protocol work. A checkout

@@ -223,16 +223,6 @@ func (s *Store) Snapshot(reg string) []Entry {
 	return snap.Entries
 }
 
-// Local returns this store's current value for owner j's cell of register
-// reg; ok is false for ⊥.
-func (s *Store) Local(reg string, j sim.ProcID) (Value, bool) {
-	e := s.regs.Load(reg, j)
-	if e == nil {
-		return nil, false
-	}
-	return e.Val, true
-}
-
 // Comm is the algorithm-side handle for issuing communicate calls from one
 // processor. It pairs the processor's kernel handle with its store.
 type Comm struct {

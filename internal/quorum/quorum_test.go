@@ -93,13 +93,12 @@ func TestSeqNewerWinsOlderIgnored(t *testing.T) {
 	s := NewStore(0, 3)
 	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 2, Val: "new"})
 	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 1, Val: "old"})
-	got, ok := s.Local("r", 1)
-	if !ok || got != "new" {
-		t.Fatalf("Local = %v,%v want new,true", got, ok)
+	if got := s.regs.Load("r", 1); got == nil || got.Val != "new" {
+		t.Fatalf("cell = %+v, want new", got)
 	}
 	s.regs.Merge(&Entry{Reg: "r", Owner: 1, Seq: 3, Val: "newest"})
-	if got, _ := s.Local("r", 1); got != "newest" {
-		t.Fatalf("Local after newer merge = %v, want newest", got)
+	if got := s.regs.Load("r", 1); got.Val != "newest" {
+		t.Fatalf("cell after newer merge = %+v, want newest", got)
 	}
 }
 

@@ -15,14 +15,23 @@ import (
 // budgets of the paths built on it are).
 const (
 	// rebuildAllocs: one snapshot rebuild of a 32-cell register array — the
-	// collect after a winning merge. Measured 2 with an encoder (electd's
-	// store): the encoding, allocated once at the cells' summed wire size
-	// and written cell by cell, and the snapshot box. It was 3 while the
-	// cells were gathered into an entry slice first, 6 on a first read
+	// collect after a winning merge — in a store with an encoder (electd's).
+	// Measured 2: the encoding, allocated once at the cells' summed wire
+	// size and written cell by cell, and the snapshot box. It was 3 while
+	// the cells were gathered into an entry slice first, 6 on a first read
 	// while the encoding was sized from the one it replaced, and about 10
-	// appending both from nil. Measured 2 without one (chan's, the sim's):
-	// the entry slice, sized from a count of the cells, and the box.
+	// appending both from nil.
 	rebuildAllocs = 2
+	// rebuildCarvedAllocs: the same rebuild in a store without an encoder
+	// (chan's, the sim's), of a carveEntries-cell array. Measured 0: the box
+	// and the entries are carved from the store's blocks, one box block per
+	// boxSnaps rebuilds and one slab per four (100 rebuilds take 7 and 25,
+	// which AllocsPerRun's whole-number mean reads as 0). It was 2, the
+	// entry slice sized from a count of the cells and the box. A view
+	// longer than carveEntries still takes its entry slice from the heap:
+	// rebuildLongAllocs, measured 1 on the 32-cell array.
+	rebuildCarvedAllocs = 0
+	rebuildLongAllocs   = 1
 	// mergeCopyAllocs: a winning MergeCopy. Measured 0: its copy takes a
 	// slab slot, and one slab serves slabEntries wins (1000 wins take 16
 	// slabs, which AllocsPerRun's whole-number mean reads as 0); it was 1,
@@ -37,16 +46,26 @@ const (
 )
 
 // TestRebuildAllocBudget rebuilds arrays that have never been read — no
-// earlier snapshot to size from — each one's first collect after 32
-// winning merges of statuses carrying lists of up to 32 ids, in a store
-// with an encoder and in one without.
+// earlier snapshot to size from — each one's first collect after winning
+// merges into every cell of statuses carrying lists of up to 32 ids: 32
+// cells in a store with an encoder, and carveEntries and 32 cells in one
+// without.
 func TestRebuildAllocBudget(t *testing.T) {
-	const n, runs = 32, 100
-	list := make([]rt.ProcID, n)
+	const runs = 100
+	list := make([]rt.ProcID, 32)
 	for i := range list {
 		list[i] = rt.ProcID(i)
 	}
-	for _, s := range []*Store{New(wire.AppendEntry), New(nil)} {
+	for _, c := range []struct {
+		s      *Store
+		n      int
+		budget float64
+	}{
+		{New(wire.AppendEntry), 32, rebuildAllocs},
+		{New(nil), carveEntries, rebuildCarvedAllocs},
+		{New(nil), 32, rebuildLongAllocs},
+	} {
+		s, n := c.s, c.n
 		regs := make([]string, runs+1)
 		for r := range regs {
 			regs[r] = fmt.Sprintf("leaderelect/sift/%d/status", r)
@@ -61,8 +80,8 @@ func TestRebuildAllocBudget(t *testing.T) {
 			snap = s.rebuild(arr, regs[r], arr.version.Load())
 			r++
 		})
-		if got > rebuildAllocs {
-			t.Fatalf("rebuild of a %d-cell array (encoder %v): %v allocs, budget %d", n, s.encode != nil, got, rebuildAllocs)
+		if got > c.budget {
+			t.Fatalf("rebuild of a %d-cell array (encoder %v): %v allocs, budget %v", n, s.encode != nil, got, c.budget)
 		}
 		if entries := cells(t, s, regs[r-1], snap); len(entries) != n {
 			t.Fatalf("rebuilt snapshot holds %d entries in %d bytes", len(entries), len(snap.Enc))

@@ -61,11 +61,16 @@
 // its cell CAS publishes it and never after (a slot whose CAS then loses to
 // a newer entry is never published, and never handed out again). The slab
 // is adoption one level up: the store adopts slots it allocated itself. A
-// slab lives while the store's slab pointer or any cell holds one of its
-// entries (snapshots copy entries out and pin none), so what slabs retain is
-// bounded by one store's winning merges: an electd instance keeps at most
-// the slabs of its own election and dies with it — election IDs are
-// single-use — and Reset drops the current slab.
+// store without an encoder carves its snapshots the same way — each
+// rebuild's box from a block of boxes, and its entries, a run of slab slots
+// written before the snapshot is published and never after — so a warm
+// rebuild allocates nothing. A block lives while the store or anything it
+// handed out holds one of its slots: an electd instance keeps at most the
+// slabs of its own election and dies with it — election IDs are single-use
+// — and a reused store (live's, across elections) keeps its current blocks
+// and rewinds them at Reset. The lifetime rule follows: an entry the store
+// copied and a snapshot it handed out live until the store's next Reset,
+// which clears their slots and hands them out again.
 //
 // Progress: every operation is lock-free — a stalled reader or writer
 // cannot block others, and a CAS retries only when somebody else made
@@ -96,24 +101,74 @@ type Encoder func(dst []byte, reg string, e *rt.Entry) ([]byte, error)
 // arrays. All methods except Reset are safe for concurrent use.
 type Store struct {
 	dir    atomic.Pointer[[]dirEntry]
-	slab   atomic.Pointer[slab] // where winning MergeCopies take their copies
+	slab   atomic.Pointer[slab]  // entries: MergeCopy's copies and, without an encoder, snapshot views
+	boxes  atomic.Pointer[boxes] // snapshot boxes, without an encoder
 	encode Encoder
 }
 
-// slab is a block of entry slots for MergeCopy's copies (see Adoption).
-// next counts the slots handed out; it passes slabEntries only while racing
-// takers replace a used-up slab, by one per taker.
+// carver hands out the slots of a fixed block (see Adoption): next counts
+// the slots taken, and passes the block's size only while racing takers
+// replace a used-up block.
+type carver struct{ next atomic.Uint32 }
+
+func (c *carver) counter() *atomic.Uint32 { return &c.next }
+
+// slab is a block of entry slots: single ones for MergeCopy's copies, runs
+// of up to carveEntries for a snapshot's view.
 type slab struct {
-	next    atomic.Uint32
+	carver
 	entries [slabEntries]rt.Entry
 }
 
-// slabEntries sizes a slab: 64 entries, 3 KiB. Measured per electd instance
+// boxes is a block of snapshot boxes for a store without an encoder.
+type boxes struct {
+	carver
+	snaps [boxSnaps]Snapshot
+}
+
+// Block sizes. A slab holds 64 entries, 3 KiB. Measured per electd instance
 // (2-core host, one 12 s run each, 4 000 instances): a median of 147
 // winning merges on solo-tcp-n32 (p99 ≈200) and 80 on load-tcp-n16-c4 (p99
 // ≈115) — three slabs and two, against one allocation per merge before,
-// and at most one slab per instance left partly unused.
-const slabEntries = 64
+// and at most one slab per instance left partly unused. Measured per store
+// without an encoder and election (pooled n=32 chan elections, 2-core host,
+// 3 000 elections, 96 000 stores): a median of 15 rebuilds carving 77
+// entries (p90 28 and 223, p99 40 and 340), no view longer than 17
+// entries. A block of 16 boxes (1.6 KiB) holds a median store's rebuilds,
+// so a warm one takes about one fresh slab and no fresh box block per
+// election beyond what Reset rewinds; 8 boxes read 390 allocations per
+// election against 361, 32 read 347 for 1.6 KiB more kept per store.
+// carveEntries keeps a long view (a large system's) from using up a slab
+// in a few rebuilds: it takes its entries from the heap.
+const (
+	slabEntries  = 64
+	boxSnaps     = 16
+	carveEntries = slabEntries / 4
+)
+
+// carve takes n consecutive slots of the block *p points at: the current
+// block's next ones, or, once it has fewer left, the first of a fresh block
+// that one CAS publishes — a taker that loses that CAS takes from the
+// winner's. It returns the block and the first slot's index; the slots are
+// the caller's alone until it publishes them. n is at most size.
+func carve[B any, P interface {
+	*B
+	counter() *atomic.Uint32
+}](p *atomic.Pointer[B], size, n uint32) (*B, uint32) {
+	for {
+		b := p.Load()
+		if b != nil {
+			if end := P(b).counter().Add(n); end <= size {
+				return b, end - n
+			}
+		}
+		fresh := P(new(B))
+		fresh.counter().Store(n)
+		if p.CompareAndSwap(b, fresh) {
+			return fresh, 0
+		}
+	}
+}
 
 // dirEntry is one row of the immutable published directory, which is sorted
 // by name. A slice because an election has a dozen registers — a binary
@@ -173,11 +228,12 @@ const countRoom = 2
 // owner order, valid at one array version. A store built with an encoder
 // publishes them encoded (Enc) and a store without one as entries (Entries),
 // never both. Snapshots are immutable and shared by every reader of that
-// version — a winning merge makes one stale, never different.
+// version — a winning merge makes one stale, never different — until the
+// store's Reset, where they die (see Adoption).
 type Snapshot struct {
 	ver uint64
 	// Entries are the non-⊥ cells in owner order; nil in a store built with
-	// an encoder.
+	// an encoder, and where there is no cell.
 	Entries []rt.Entry
 	// Size is Σ Entry.WireSize over the non-⊥ cells: the encoding minus its
 	// count prefix.
@@ -315,24 +371,17 @@ func (arr *array) cell(owner rt.ProcID) *cell {
 	return &(*p.Load())[i]
 }
 
-// take returns a slab slot for a winning MergeCopy's copy: the current
-// slab's next one, or, once it is used up, the first of a fresh slab that
-// one CAS publishes — a taker that loses that CAS takes from the winner's.
-// The slot is the caller's alone until its cell CAS publishes it.
-func (s *Store) take() *rt.Entry {
-	for {
-		sl := s.slab.Load()
-		if sl != nil {
-			if i := sl.next.Add(1) - 1; i < slabEntries {
-				return &sl.entries[i]
-			}
-		}
-		fresh := &slab{}
-		fresh.next.Store(1)
-		if s.slab.CompareAndSwap(sl, fresh) {
-			return &fresh.entries[0]
-		}
-	}
+// take returns n entry slots of the store's slab (see carve), capped at n
+// so that an append past them never reaches a neighbour's.
+func (s *Store) take(n int) []rt.Entry {
+	sl, i := carve(&s.slab, slabEntries, uint32(n))
+	return sl.entries[i : i+uint32(n) : i+uint32(n)]
+}
+
+// box returns a zeroed snapshot box of the store's box block (see carve).
+func (s *Store) box() *Snapshot {
+	b, i := carve(&s.boxes, boxSnaps, 1)
+	return &b.snaps[i]
 }
 
 // seq is a cell value's sequence number; ⊥ is 0, below every write.
@@ -368,7 +417,7 @@ func (s *Store) merge(e *rt.Entry, owned bool) {
 			return // a newer (or equal) write already holds the cell
 		}
 		if !owned {
-			cp := s.take()
+			cp := &s.take(1)[0]
 			*cp = *e
 			e, owned = cp, true
 		}
@@ -434,13 +483,19 @@ func (s *Store) Snapshot(reg string) (snap *Snapshot, cached bool) {
 // Either is allocated once, at the size a first walk over the cells finds —
 // not grown from nil by a dozen steps of append, and not sized for the
 // worst case of every cell written; a cell that fills or grows between the
-// two walks costs an append regrowth, nothing else.
+// two walks costs an append regrowth, nothing else. Without an encoder the
+// box and, for a view of up to carveEntries, the entries are carved from
+// the store's blocks, so a rebuild allocates nothing but a block now and
+// then.
 func (s *Store) rebuild(arr *array, reg string, ver uint64) *Snapshot {
 	old := arr.snap.Load()
-	snap := &Snapshot{ver: ver}
+	var snap *Snapshot
 	if s.encode == nil {
-		snap.gather(arr)
+		snap = s.box()
+		snap.ver = ver
+		s.gather(snap, arr)
 	} else {
+		snap = &Snapshot{ver: ver}
 		snap.encode(arr, reg, s.encode)
 	}
 	// Publish unless somebody else already did: CAS from the observed old
@@ -454,13 +509,19 @@ func (s *Store) rebuild(arr *array, reg string, ver uint64) *Snapshot {
 }
 
 // gather fills snap.Entries and snap.Size from arr's cells, the slice
-// sized by a count of them.
-func (snap *Snapshot) gather(arr *array) {
+// sized by a count of them: carved from the slab up to carveEntries, from
+// the heap past that, and nil for no cell.
+func (s *Store) gather(snap *Snapshot, arr *array) {
 	n := 0
 	for range arr.entries {
 		n++
 	}
-	snap.Entries = make([]rt.Entry, 0, n)
+	switch {
+	case n > carveEntries:
+		snap.Entries = make([]rt.Entry, 0, n)
+	case n > 0:
+		snap.Entries = s.take(n)[:0]
+	}
 	for e := range arr.entries {
 		snap.Entries = append(snap.Entries, *e)
 		snap.Size += e.WireSize()
@@ -491,12 +552,16 @@ func (snap *Snapshot) encode(arr *array, reg string, encode Encoder) {
 }
 
 // Reset returns the store to empty — every cell ⊥, every version 0, no
-// snapshot, no slab — keeping the directory and the cell buckets, so a
-// store reused for the next election of the same algorithm allocates none
-// of them again. The caller must have quiesced the store: Reset is not safe
-// against concurrent use. Every write to a cell bumps its array's version,
-// so an array still at version 0 holds no entry and its cells are not
-// walked.
+// snapshot — keeping the directory and the cell buckets, so a store reused
+// for the next election of the same algorithm allocates none of them again,
+// and rewinding its current slab and box block: their used slots are
+// cleared, so nothing of the last election stays pinned, and handed out
+// again from the first. Every snapshot the store handed out dies here — its
+// box and entries may be carved again — as do the entries MergeCopy copied.
+// The caller must have quiesced the store and dropped what it read from it:
+// Reset is not safe against concurrent use. Every write to a cell bumps its
+// array's version, so an array still at version 0 holds no entry and its
+// cells are not walked.
 func (s *Store) Reset() {
 	for _, d := range *s.dir.Load() {
 		arr := d.arr
@@ -511,5 +576,12 @@ func (s *Store) Reset() {
 		}
 		arr.snap.Store(nil)
 	}
-	s.slab.Store(nil)
+	if sl := s.slab.Load(); sl != nil {
+		clear(sl.entries[:min(sl.next.Load(), slabEntries)])
+		sl.next.Store(0)
+	}
+	if b := s.boxes.Load(); b != nil {
+		clear(b.snaps[:min(b.next.Load(), boxSnaps)])
+		b.next.Store(0)
+	}
 }

@@ -2,8 +2,10 @@ package regstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -405,10 +407,11 @@ func TestEmptyArraySnapshotStaysWellFormed(t *testing.T) {
 }
 
 // TestResetKeepsArraysDropsState: after Reset every cell is ⊥, every version
-// 0, no snapshot is published and no slab is kept — nothing of the last
-// election is pinned — while the directory and the cell buckets are the same
-// objects, so the next election of the same algorithm allocates neither; and
-// the store then behaves as a fresh one, sequence numbers included.
+// 0, no snapshot is published and every slab slot MergeCopy used is cleared
+// — nothing of the last election is pinned — while the directory, the cell
+// buckets and the slab are the same objects, so the next election of the
+// same algorithm allocates none of them; and the store then behaves as a
+// fresh one, sequence numbers included.
 func TestResetKeepsArraysDropsState(t *testing.T) {
 	s := New(wire.AppendEntry)
 	for _, reg := range []string{"a", "b"} {
@@ -419,6 +422,7 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 	}
 	s.MergeCopy(&rt.Entry{Reg: "b", Owner: 1, Seq: 9, Val: "copied"})
 	s.array("untouched")
+	sl := s.slab.Load()
 	dir := s.dir.Load()
 	buckets := map[*array][cellBuckets - 1]*[]cell{}
 	for _, d := range *dir {
@@ -435,8 +439,8 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 	if s.dir.Load() != dir || len(*dir) != 3 {
 		t.Fatalf("Reset replaced the directory (%d arrays)", len(*s.dir.Load()))
 	}
-	if s.slab.Load() != nil {
-		t.Fatal("Reset kept the slab of the last election's copies")
+	if s.slab.Load() != sl || sl.next.Load() != 0 || sl.entries[0] != (rt.Entry{}) {
+		t.Fatalf("Reset replaced the slab or left it in use: next %d, first slot %+v", sl.next.Load(), sl.entries[0])
 	}
 	for _, d := range *dir {
 		if v, snap := d.arr.version.Load(), d.arr.snap.Load(); v != 0 || snap != nil {
@@ -464,6 +468,156 @@ func TestResetKeepsArraysDropsState(t *testing.T) {
 	snap, _ := s.Snapshot("a")
 	if got := cells(t, s, "a", snap); e.Seq != 1 || len(got) != 1 || got[0] != *e {
 		t.Fatalf("first write after Reset: seq %d, snapshot %+v", e.Seq, got)
+	}
+}
+
+// TestResetRewindsBlocks: a store without an encoder carves its snapshots'
+// boxes and entries from its blocks. Reset keeps the current slab and box
+// block, with every slot and box it used zero again — nothing of the last
+// election is pinned, its payloads included — and the next election's
+// first rebuild carves from the first slot of each, capped at its length.
+func TestResetRewindsBlocks(t *testing.T) {
+	s := New(nil)
+	for r := range boxSnaps + 3 { // past a box block and a slab
+		reg := fmt.Sprintf("r/%d", r)
+		for owner := rt.ProcID(0); owner < carveEntries; owner++ {
+			s.Write(&rt.Entry{Reg: reg, Owner: owner, Val: []int{r}})
+		}
+		if snap, _ := s.Snapshot(reg); len(snap.Entries) != carveEntries {
+			t.Fatalf("%s: snapshot of %d entries", reg, len(snap.Entries))
+		}
+	}
+	s.MergeCopy(&rt.Entry{Reg: "r/0", Owner: carveEntries, Seq: 1, Val: "copied"})
+	sl, bx := s.slab.Load(), s.boxes.Load()
+	if sl == nil || bx == nil || sl.next.Load() == 0 || bx.next.Load() == 0 {
+		t.Fatal("the rebuilds carved nothing from the store's blocks")
+	}
+
+	s.Reset()
+	s.Reset() // idempotent
+
+	if s.slab.Load() != sl || s.boxes.Load() != bx || sl.next.Load() != 0 || bx.next.Load() != 0 {
+		t.Fatalf("Reset replaced a block or left it in use: slab next %d, box next %d", sl.next.Load(), bx.next.Load())
+	}
+	for i := range sl.entries {
+		if e := sl.entries[i]; e.Reg != "" || e.Val != nil || e.Seq != 0 || e.Owner != 0 {
+			t.Fatalf("slab slot %d after Reset holds %+v", i, e)
+		}
+	}
+	for i := range bx.snaps {
+		b := &bx.snaps[i]
+		if b.ver != 0 || b.Entries != nil || b.Size != 0 || b.Enc != nil || b.Tag != 0 || b.holders[0].Load() != 0 {
+			t.Fatalf("box %d after Reset holds version %d, %d entries", i, b.ver, len(b.Entries))
+		}
+	}
+
+	for owner := rt.ProcID(1); owner <= 2; owner++ {
+		s.Write(&rt.Entry{Reg: "r/1", Owner: owner, Val: int(owner)})
+	}
+	snap, _ := s.Snapshot("r/1")
+	if snap != &bx.snaps[0] || len(snap.Entries) != 2 || cap(snap.Entries) != 2 || &snap.Entries[0] != &sl.entries[0] {
+		t.Fatalf("first rebuild after Reset did not carve from offset 0: box %p (block at %p), entries %+v", snap, &bx.snaps[0], snap.Entries)
+	}
+	if snap.Entries[0].Val != 1 || snap.Entries[1].Val != 2 || snap.Entries[1].Seq != 1 {
+		t.Fatalf("first rebuild after Reset reads %+v", snap.Entries)
+	}
+}
+
+// TestSnapshotCarveTorture races an owner goroutine and a server goroutine
+// over one store without an encoder, as a live processor's algorithm and
+// server goroutines do: the owner writes its own cells, the server merges
+// peers' entries (winning Merges and MergeCopies, the latter taking single
+// slab slots between the views' runs), and both collect — rebuilds whose
+// boxes and entries are carved across hundreds of block rollovers, views
+// within carveEntries and past it alike. Each keeps a window of the
+// snapshots it read with a copy of their entries taken at read time. Two
+// things must hold: a held snapshot's entries never change, and no two
+// snapshots held at once, by either goroutine, share a slot.
+func TestSnapshotCarveTorture(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const rounds, window = 4000, 48
+	regs := []string{"short", "long"}
+	widths := []int{carveEntries / 2, carveEntries + 8} // owners per register
+	s := New(nil)
+
+	var mu sync.Mutex
+	slots := map[*rt.Entry]*Snapshot{} // each slot of a held snapshot → the snapshot
+	refs := map[*Snapshot]int{}        // held snapshots → how many windows hold them
+	hold := func(snap *Snapshot) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if refs[snap]++; refs[snap] > 1 {
+			return nil // the published snapshot, read by both: one set of slots
+		}
+		for i := range snap.Entries {
+			p := &snap.Entries[i]
+			if other, ok := slots[p]; ok {
+				return fmt.Errorf("slot %p held by two snapshots: %+v and %+v", p, other.Entries, snap.Entries)
+			}
+			slots[p] = snap
+		}
+		return nil
+	}
+	drop := func(snap *Snapshot) {
+		mu.Lock()
+		defer mu.Unlock()
+		if refs[snap]--; refs[snap] == 0 {
+			delete(refs, snap)
+			for i := range snap.Entries {
+				delete(slots, &snap.Entries[i])
+			}
+		}
+	}
+
+	type held struct {
+		snap    *Snapshot
+		entries []rt.Entry
+	}
+	var wg sync.WaitGroup
+	slabs := make([]map[*slab]bool, 2)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			owner := g == 0
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			slabs[g] = map[*slab]bool{}
+			var kept []held
+			for i := range rounds {
+				r := rng.Intn(len(regs))
+				switch {
+				case owner:
+					s.Write(&rt.Entry{Reg: regs[r], Owner: 0, Val: i})
+				case i%2 == 0:
+					s.Merge(&rt.Entry{Reg: regs[r], Owner: rt.ProcID(1 + rng.Intn(widths[r]-1)), Seq: uint64(i + 1), Val: i})
+				default:
+					e := rt.Entry{Reg: regs[r], Owner: rt.ProcID(1 + rng.Intn(widths[r]-1)), Seq: uint64(i + 1), Val: i}
+					s.MergeCopy(&e)
+					e = rt.Entry{Reg: "scribbled", Val: -1} // a recycled decode slot
+				}
+				snap, _ := s.Snapshot(regs[rng.Intn(len(regs))])
+				if err := hold(snap); err != nil {
+					t.Error(err)
+					return
+				}
+				kept = append(kept, held{snap, slices.Clone(snap.Entries)})
+				if len(kept) > window {
+					drop(kept[0].snap)
+					kept = kept[1:]
+				}
+				for _, k := range kept {
+					if !slices.Equal(k.snap.Entries, k.entries) {
+						t.Errorf("a held snapshot changed:\n  read %+v\n  now  %+v", k.entries, k.snap.Entries)
+						return
+					}
+				}
+				slabs[g][s.slab.Load()] = true
+			}
+		}()
+	}
+	wg.Wait()
+	if !t.Failed() && len(slabs[0])+len(slabs[1]) < 100 {
+		t.Fatalf("%d and %d slabs seen: too few rollovers to torture", len(slabs[0]), len(slabs[1]))
 	}
 }
 
