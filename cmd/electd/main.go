@@ -43,12 +43,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	rtrace "runtime/trace"
 	"strings"
@@ -247,10 +250,13 @@ func adminMux(reg *obs.Registry, srv *electd.Server, drainReq chan<- struct{}, p
 
 // mountRuntimeTrace wires runtime/trace capture onto the admin mux:
 // POST /debug/rtrace/start begins writing an execution trace to a
-// server-side file (?file= overrides the path), POST /debug/rtrace/stop
-// ends it and reports the file to feed `go tool trace`. Unlike
-// /debug/pprof/trace this survives client disconnects, so it can bracket
-// a whole soak or drain. One capture at a time; a second start is a 409.
+// server-side file in the working directory (?file= names it), POST
+// /debug/rtrace/stop ends it and reports the file to feed `go tool trace`.
+// Unlike /debug/pprof/trace this survives client disconnects, so it can
+// bracket a whole soak or drain. One capture at a time; a second start is
+// a 409. The name comes from an HTTP client, so it must be a bare file
+// name (400 otherwise), and the file is created exclusively: a name that
+// already exists is a 409, its file left as it was.
 func mountRuntimeTrace(mux *http.ServeMux) {
 	var mu sync.Mutex
 	var out *os.File
@@ -263,13 +269,21 @@ func mountRuntimeTrace(mux *http.ServeMux) {
 		if path == "" {
 			path = fmt.Sprintf("electd-rtrace-%d.out", os.Getpid())
 		}
+		if !filepath.IsLocal(path) || path == "." || strings.ContainsAny(path, `/\`) {
+			http.Error(w, "file must be a bare file name", http.StatusBadRequest)
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if out != nil {
 			http.Error(w, "a runtime trace is already being captured; POST /debug/rtrace/stop first", http.StatusConflict)
 			return
 		}
-		f, err := os.Create(path)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

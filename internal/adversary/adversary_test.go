@@ -229,8 +229,8 @@ func TestBubbleForcesQuadraticMessages(t *testing.T) {
 	if _, err := core.JudgeElection(n, decisions); err != nil {
 		t.Fatalf("under bubble: %v", err)
 	}
-	if len(b.Members()) != n/4 {
-		t.Fatalf("bubble held %d members, want %d", len(b.Members()), n/4)
+	if len(b.members) != n/4 {
+		t.Fatalf("bubble held %d members, want %d", len(b.members), n/4)
 	}
 	// Every member must have been freed by the threshold (not the fallback)
 	// in a healthy run, and each carried ≥ n/4 messages.
@@ -238,9 +238,9 @@ func TestBubbleForcesQuadraticMessages(t *testing.T) {
 	for _, cnt := range b.FreedCounts {
 		perMember += int64(cnt)
 	}
-	if perMember < int64(len(b.Members())*b.Threshold()/2) {
+	if perMember < int64(len(b.members)*b.threshold/2) {
 		t.Fatalf("buffered message mass %d too small for %d members at threshold %d",
-			perMember, len(b.Members()), b.Threshold())
+			perMember, len(b.members), b.threshold)
 	}
 	if stats.MessagesSent < int64(n*n/16) {
 		t.Fatalf("total messages %d below the Ω(kn) shape", stats.MessagesSent)

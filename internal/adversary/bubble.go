@@ -115,15 +115,3 @@ func (b *Bubble) Next(k *sim.Kernel) sim.Action {
 	}
 	return sim.Halt{}
 }
-
-// Members returns the bubbled set (available after the first action).
-func (b *Bubble) Members() []sim.ProcID {
-	out := make([]sim.ProcID, 0, len(b.members))
-	for id := range b.members {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Threshold returns the release threshold in messages.
-func (b *Bubble) Threshold() int { return b.threshold }

@@ -143,13 +143,3 @@ func TournamentWithState(c rt.Comm, inst string, s *core.State) core.Decision {
 	s.SetDecided(core.Win)
 	return core.Win
 }
-
-// TournamentLevels returns the number of match levels a full tournament over
-// n processors has: ⌈log₂ n⌉.
-func TournamentLevels(n int) int {
-	levels := 0
-	for 1<<levels < n {
-		levels++
-	}
-	return levels
-}

@@ -1,11 +1,13 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/renaming"
+	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -78,17 +80,53 @@ func TestTournamentTimeGrowsLogarithmically(t *testing.T) {
 	if at64 <= at8 {
 		t.Fatalf("tournament time did not grow: %d calls at n=8, %d at n=64", at8, at64)
 	}
-	if at64 > 60*TournamentLevels(64) {
-		t.Fatalf("tournament cost per level too high: %d calls over %d levels", at64, TournamentLevels(64))
+	const levels64 = 6 // ⌈log₂ 64⌉
+	if at64 > 60*levels64 {
+		t.Fatalf("tournament cost per level too high: %d calls over %d levels", at64, levels64)
 	}
 }
 
+// levelComm records the match levels whose registers its participant
+// propagates to.
+type levelComm struct {
+	rt.Comm
+	levels map[string]bool
+}
+
+func (c *levelComm) Propagate(reg string, val rt.Value) {
+	if rest, ok := strings.CutPrefix(reg, "tourn/m/"); ok {
+		level, _, _ := strings.Cut(rest, "/")
+		c.levels[level] = true
+	}
+	c.Comm.Propagate(reg, val)
+}
+
+// TestTournamentLevels: the winner of a full tournament over n processors
+// plays one match per level, ⌈log₂ n⌉ of them.
 func TestTournamentLevels(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{
-		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {16, 4}, {1024, 10},
+		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {16, 4}, {17, 5},
 	} {
-		if got := TournamentLevels(tc.n); got != tc.want {
-			t.Fatalf("TournamentLevels(%d) = %d, want %d", tc.n, got, tc.want)
+		k := sim.NewKernel(sim.Config{N: tc.n, Seed: 1, MaxFaults: -1})
+		stores := quorum.InstallStores(k)
+		decisions := make(map[sim.ProcID]core.Decision, tc.n)
+		played := make(map[sim.ProcID]map[string]bool, tc.n)
+		for i := 0; i < tc.n; i++ {
+			id := sim.ProcID(i)
+			played[id] = map[string]bool{}
+			k.Spawn(id, func(p *sim.Proc) {
+				decisions[id] = Tournament(&levelComm{quorum.NewComm(p, stores[id]), played[id]}, "tourn")
+			})
+		}
+		if _, err := k.Run(nil); err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		winner, err := core.JudgeElection(tc.n, decisions)
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if got := len(played[sim.ProcID(winner)]); got != tc.want {
+			t.Fatalf("n=%d: the winner played %d levels, want %d", tc.n, got, tc.want)
 		}
 	}
 }

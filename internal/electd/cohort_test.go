@@ -15,7 +15,7 @@ import (
 func cohortNetworks() map[string]func() transport.Network {
 	return map[string]func() transport.Network{
 		"loopback": func() transport.Network { return transport.NewLoopback() },
-		"tcp":      func() transport.Network { return transport.NewTCP() },
+		"tcp":      func() transport.Network { return &transport.TCP{} },
 	}
 }
 

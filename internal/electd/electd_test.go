@@ -134,7 +134,7 @@ func TestReliablePoolElectReportsStarvation(t *testing.T) {
 	const n, k = 5, 3
 	for name, nw := range map[string]func() transport.Network{
 		"loopback": func() transport.Network { return transport.NewLoopback() },
-		"tcp":      func() transport.Network { return transport.NewTCP() },
+		"tcp":      func() transport.Network { return &transport.TCP{} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cl, err := electd.NewClusterWith(nw(), n, electd.ClusterOptions{})
@@ -272,7 +272,7 @@ func TestStragglersDoNotReadmitRemovedElections(t *testing.T) {
 // more participants than servers (clients are not replicas).
 func TestClientServerSplitOverTCP(t *testing.T) {
 	const n, k = 3, 7
-	nw := transport.NewTCP()
+	nw := &transport.TCP{}
 	cl, err := electd.NewClusterWith(nw, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestDialFailureClosesConns(t *testing.T) {
 // minority must be closed, not leaked.
 func TestDialFailureClosesUDPSockets(t *testing.T) {
 	const n = 5
-	udp := transport.NewUDP()
+	udp := &transport.UDP{}
 	cl, err := electd.NewClusterWith(udp, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)

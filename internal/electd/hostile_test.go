@@ -30,7 +30,7 @@ func TestForgedReplySenderNeitherPanicsNorCounts(t *testing.T) {
 	const n = 3
 	networks := map[string]transport.Network{
 		"loopback": transport.NewLoopback(),
-		"udp":      transport.NewUDP(),
+		"udp":      &transport.UDP{},
 	}
 	for name, nw := range networks {
 		t.Run(name, func(t *testing.T) {
@@ -97,7 +97,7 @@ func TestForgedSameRepliesNeverBecomeViews(t *testing.T) {
 	const n = 5
 	networks := map[string]transport.Network{
 		"loopback": transport.NewLoopback(),
-		"udp":      transport.NewUDP(),
+		"udp":      &transport.UDP{},
 	}
 	for name, nw := range networks {
 		t.Run(name, func(t *testing.T) {

@@ -38,11 +38,6 @@ type ServerOptions struct {
 	// their TTL, so a burst that was admitted drains back under the bound.
 	MaxLivePerShard int
 
-	// DrainIdle is the quiescence bar Drain uses: an instance untouched
-	// for this long during a drain is considered finished and evicted. 0
-	// defaults to 250ms (or the TTL, when that is shorter).
-	DrainIdle time.Duration
-
 	// Metrics, when non-nil, registers the server's gauges and counters on
 	// the registry, labeled server="<id>". The instruments are read-side
 	// (func-backed from the atomics the server maintains anyway), so
@@ -182,18 +177,20 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether the server is in drain mode.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// drainIdle is the quiescence bar Drain uses: an instance untouched for
+// this long during a drain — or for the TTL, when that is shorter — is
+// considered finished and evicted.
+const drainIdle = 250 * time.Millisecond
+
 // Drain gracefully quiesces the server: stop admitting new elections, then
-// wait for the live ones to finish — an instance untouched for DrainIdle
+// wait for the live ones to finish — an instance untouched for drainIdle
 // is finished, there being no in-protocol completion signal — evicting
 // them as they go idle. It returns nil once no instances remain, or an
 // error listing the stragglers if the deadline passes first (the server
 // keeps draining; callers typically exit non-zero).
 func (s *Server) Drain(timeout time.Duration) error {
 	s.BeginDrain()
-	bar := s.opts.DrainIdle
-	if bar <= 0 {
-		bar = 250 * time.Millisecond
-	}
+	bar := drainIdle
 	if s.opts.TTL > 0 && s.opts.TTL < bar {
 		bar = s.opts.TTL
 	}
@@ -261,9 +258,6 @@ type BusyError struct {
 func (e *BusyError) Error() string {
 	return fmt.Sprintf("electd: election %d refused admission (server busy or draining)", e.Election)
 }
-
-// Temporary marks the condition retryable, net.Error style.
-func (e *BusyError) Temporary() bool { return true }
 
 // CatchBusy runs f, converting a busy shed inside it into a *BusyError.
 // The rt.Comm interface has no error path — the paper's model has no

@@ -23,7 +23,7 @@ import (
 func TestRestartRestoresQuorumMidElection(t *testing.T) {
 	for name, mk := range map[string]func() transport.Network{
 		"loopback": func() transport.Network { return transport.NewLoopback() },
-		"tcp":      func() transport.Network { return transport.NewTCP() },
+		"tcp":      func() transport.Network { return &transport.TCP{} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			const n, k = 5, 3

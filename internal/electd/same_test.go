@@ -140,7 +140,7 @@ func (c auditedComm) Collect(reg string) []rt.View {
 // for what they sent earlier on the connection, and over UDP, where no
 // server answers same and no same ever becomes a view.
 func TestSameViewIsTheHeldView(t *testing.T) {
-	for name, nw := range map[string]transport.Network{"loopback": transport.NewLoopback(), "udp": transport.NewUDP()} {
+	for name, nw := range map[string]transport.Network{"loopback": transport.NewLoopback(), "udp": &transport.UDP{}} {
 		t.Run(name, func(t *testing.T) { sameViewIsTheHeldView(t, nw) })
 	}
 }
@@ -587,7 +587,7 @@ func TestKnownViewsKeepTheHotRegister(t *testing.T) {
 // no link learns one, no server answers same and the pool takes none.
 func TestDatagramViewsAreNeverHeld(t *testing.T) {
 	const n = 16
-	audit := newSameAudit(transport.NewUDP())
+	audit := newSameAudit(&transport.UDP{})
 	nw := &dupNetwork{Network: audit, decoded: map[replyKey]int{}}
 	reg := obs.NewRegistry()
 	cl, err := NewClusterWith(nw, n, ClusterOptions{Pool: PoolOptions{Retransmit: DefaultDatagramRetransmit, Metrics: reg}})

@@ -64,10 +64,10 @@ func (a *listAudit) Dial(addr string, h transport.Handler) (transport.Conn, erro
 	return a.Network.Dial(addr, func(c transport.Conn, m *wire.Msg) { a.check(m, true); h(c, m) })
 }
 
-// sum encodes an entry array; entries the codec refuses (a foreign
-// register name written into one, say) sum to the error text.
+// sum encodes an entry array as a view of reg; entries the codec refuses
+// (a foreign register name written into one, say) sum to the error text.
 func sum(reg string, entries []rt.Entry) []byte {
-	enc, err := wire.AppendEntries(nil, reg, entries)
+	enc, err := wire.Append(nil, &wire.Msg{Kind: wire.KindView, Reg: reg, Entries: entries})
 	if err != nil {
 		return []byte(err.Error())
 	}
@@ -151,7 +151,7 @@ func runAll(cl *electd.Cluster, election uint64, k int, seed int64, run func(c r
 func TestSharedStatusListsAreNeverWritten(t *testing.T) {
 	networks := map[string]func() transport.Network{
 		"loopback": func() transport.Network { return transport.NewLoopback() },
-		"tcp":      func() transport.Network { return transport.NewTCP() },
+		"tcp":      func() transport.Network { return &transport.TCP{} },
 	}
 	for name, mk := range networks {
 		for _, n := range []int{4, 8} {

@@ -258,7 +258,7 @@ func TestThriftySkipsDeadLinks(t *testing.T) {
 		check(t, cl)
 	})
 	t.Run("severed", func(t *testing.T) {
-		cl := newThriftyCluster(t, transport.NewTCP(), thriftyN)
+		cl := newThriftyCluster(t, &transport.TCP{}, thriftyN)
 		for _, j := range dead {
 			cl.Crash(rt.ProcID(j))
 		}

@@ -211,7 +211,7 @@ func TestChaosFlakyLinks(t *testing.T) {
 // fault-free elections on the same servers all elect cleanly.
 func TestChaosSharedClusterBlastRadius(t *testing.T) {
 	const n, siblings = 8, 3
-	nw := transport.NewTCP()
+	nw := &transport.TCP{}
 	cluster, err := electd.NewClusterWith(nw, n, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)

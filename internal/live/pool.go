@@ -107,13 +107,6 @@ func (sp *SystemPool) N() int { return sp.n }
 // Serving reports whether pooled systems run in-process server goroutines.
 func (sp *SystemPool) Serving() bool { return sp.serve }
 
-// Idle reports how many systems are parked in the pool.
-func (sp *SystemPool) Idle() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.free)
-}
-
 // Get checks a system out of the pool, reset in place for the given seed
 // and plan — indistinguishable from a fresh system of seed and plan, its
 // processors' communicate handles included, but for the warm RTT estimate —

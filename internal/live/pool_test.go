@@ -30,16 +30,16 @@ func TestSystemPoolRecyclesAndResets(t *testing.T) {
 	}
 	sys.Crash(1)
 	pool.Put(sys)
-	if pool.Idle() != 1 {
-		t.Fatalf("Idle() = %d, want 1", pool.Idle())
+	if len(pool.free) != 1 {
+		t.Fatalf("%d systems parked, want 1", len(pool.free))
 	}
 
 	got := pool.Get(2, nil)
 	if got != sys {
 		t.Fatal("pool built a fresh system instead of recycling")
 	}
-	if pool.Idle() != 0 {
-		t.Fatalf("Idle() after checkout = %d, want 0", pool.Idle())
+	if len(pool.free) != 0 {
+		t.Fatalf("%d systems parked after checkout, want 0", len(pool.free))
 	}
 	if got.Crashed(1) {
 		t.Fatal("crash flag survived the reset")
@@ -432,8 +432,8 @@ func TestPooledElectionsWithCrashScenario(t *testing.T) {
 			t.Fatalf("run %d: no winner without crashes", i)
 		}
 	}
-	if pool.Idle() != 1 {
-		t.Fatalf("Idle() = %d, want 1 (every run reused one system)", pool.Idle())
+	if len(pool.free) != 1 {
+		t.Fatalf("%d systems parked, want 1 (every run reused one system)", len(pool.free))
 	}
 	_ = sawCrash // crash timing is scheduling-dependent; liveness is the assertion
 }

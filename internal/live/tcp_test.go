@@ -127,7 +127,7 @@ func TestTCPSharedClusterCampaign(t *testing.T) {
 // TestTCPSharedClusterDirect: live.Elect onto a caller-owned shared
 // cluster, with distinct election IDs isolating the instances.
 func TestTCPSharedClusterDirect(t *testing.T) {
-	cluster, err := electd.NewClusterWith(transport.NewTCP(), 5, electd.ClusterOptions{})
+	cluster, err := electd.NewClusterWith(&transport.TCP{}, 5, electd.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,24 @@
 // Package obs is the observability subsystem: dependency-free metrics for
-// the long-running halves of the repository — atomic counters, gauges and
-// fixed-bucket histograms behind a Registry with a consistent snapshot API,
-// exposable as JSON or Prometheus text over an admin HTTP endpoint.
+// the long-running halves of the repository behind a Registry with a
+// consistent snapshot API, exposable as JSON or Prometheus text over an
+// admin HTTP endpoint. A counter or gauge is read at scrape time from a
+// function over state its subsystem already keeps (a sharded server's
+// summed atomics, say); the one instrument with storage of its own is the
+// fixed-bucket histogram.
 //
 // The package exists to make the paper's resource bounds *watchable* on a
 // live cluster: the theorems are statements about messages, bytes and
 // rounds per election, and a daemon multiplexing thousands of elections
 // needs to report those quantities from the outside without perturbing
 // them. Everything here is stdlib-only and allocation-free on the hot path:
-// an instrument update is one or three atomic adds, never a lock, never a
-// map lookup — instruments are resolved to pointers at registration time
-// and updated directly.
+// a read-at-scrape instrument adds nothing to it, and a histogram
+// observation is three atomic adds, never a lock, never a map lookup — a
+// histogram is resolved to a pointer at registration time and updated
+// directly.
 //
-// Instruments are nil-safe: every update method on a nil receiver is a
-// no-op, so instrumented code paths need no "metrics enabled?" branches —
-// an un-wired subsystem simply holds nil instruments.
+// Histograms are nil-safe: Observe on a nil receiver is a no-op, so
+// instrumented code paths need no "metrics enabled?" branches — an
+// un-wired subsystem simply holds nil histograms.
 package obs
 
 import (
@@ -46,31 +50,21 @@ const (
 	histogramKind
 )
 
-// metric is one registered instrument: either direct atomic storage (v),
-// a read-at-snapshot function (fn — for values another subsystem already
-// tracks, like a sharded server's summed counters), or histogram state.
+// metric is one registered instrument: a read-at-snapshot function (fn,
+// counters and gauges) or histogram state.
 type metric struct {
 	kind   metricKind
 	name   string
 	help   string
 	labels []Label
-	v      atomic.Int64
 	fn     func() int64
 	hist   *histState
 }
 
-// value reads the instrument's current value (counters and gauges).
-func (m *metric) value() int64 {
-	if m.fn != nil {
-		return m.fn()
-	}
-	return m.v.Load()
-}
-
 // Registry holds a process's instruments and takes consistent-enough
-// snapshots of them (each value is read atomically; the set is read under
-// the registration lock, so a scrape never sees a half-registered
-// instrument).
+// snapshots of them (each value is read through its function or its
+// histogram's atomics; the set is read under the registration lock, so a
+// scrape never sees a half-registered instrument).
 type Registry struct {
 	mu         sync.Mutex
 	metrics    []*metric
@@ -95,16 +89,6 @@ func (r *Registry) RegisterCollector(fn func(*Snapshot)) {
 	r.mu.Unlock()
 }
 
-// Counter is a monotonically increasing instrument.
-type Counter struct{ m *metric }
-
-// NewCounter registers a counter. By convention names end in _total.
-func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	m := &metric{kind: counterKind, name: name, help: help, labels: labels}
-	r.register(m)
-	return &Counter{m: m}
-}
-
 // NewCounterFunc registers a counter whose value is read from fn at
 // snapshot time — for totals another subsystem already tracks. fn must be
 // monotonic and safe to call from any goroutine.
@@ -112,62 +96,9 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() int64, labels ...
 	r.register(&metric{kind: counterKind, name: name, help: help, labels: labels, fn: fn})
 }
 
-// Add increases the counter by d (non-negative by convention; not checked).
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.m.v.Add(d)
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reads the counter.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.m.value()
-}
-
-// Gauge is an instrument whose value may go up and down.
-type Gauge struct{ m *metric }
-
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	m := &metric{kind: gaugeKind, name: name, help: help, labels: labels}
-	r.register(m)
-	return &Gauge{m: m}
-}
-
 // NewGaugeFunc registers a gauge read from fn at snapshot time.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() int64, labels ...Label) {
 	r.register(&metric{kind: gaugeKind, name: name, help: help, labels: labels, fn: fn})
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.m.v.Store(v)
-}
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.m.v.Add(d)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.m.value()
 }
 
 // histState is a histogram's storage: counts[i] counts observations
@@ -271,41 +202,6 @@ func (p *HistPoint) fillBuckets() {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts by
-// linear interpolation within the winning bucket; observations beyond the
-// last bound report that bound (the histogram cannot see past it).
-func (p *HistPoint) Quantile(q float64) int64 {
-	if p.Count == 0 {
-		return 0
-	}
-	rank := q * float64(p.Count)
-	cum := int64(0)
-	for i, c := range p.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(p.Bounds) { // overflow bucket: clamp to the last bound
-			if len(p.Bounds) == 0 {
-				return 0
-			}
-			return p.Bounds[len(p.Bounds)-1]
-		}
-		lo := int64(0)
-		if i > 0 {
-			lo = p.Bounds[i-1]
-		}
-		hi := p.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + int64(frac*float64(hi-lo))
-	}
-	return p.Bounds[len(p.Bounds)-1]
-}
-
 // Snapshot is one consistent read of a registry, in registration order.
 type Snapshot struct {
 	At         time.Time   `json:"at"`
@@ -327,9 +223,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, m := range metrics {
 		switch m.kind {
 		case counterKind:
-			s.Counters = append(s.Counters, Point{Name: m.name, Labels: m.labels, Value: m.value()})
+			s.Counters = append(s.Counters, Point{Name: m.name, Labels: m.labels, Value: m.fn()})
 		case gaugeKind:
-			s.Gauges = append(s.Gauges, Point{Name: m.name, Labels: m.labels, Value: m.value()})
+			s.Gauges = append(s.Gauges, Point{Name: m.name, Labels: m.labels, Value: m.fn()})
 		case histogramKind:
 			st := m.hist
 			hp := HistPoint{

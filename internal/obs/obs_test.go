@@ -7,33 +7,24 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestCounterGaugeBasics: direct and func-backed instruments read back what
-// was written, and Total sums across label sets.
+// TestCounterGaugeBasics: read-at-scrape instruments report what their
+// functions return at each snapshot, and Total sums across label sets.
 func TestCounterGaugeBasics(t *testing.T) {
 	r := obs.NewRegistry()
-	c0 := r.NewCounter("reqs_total", "requests", obs.L("server", "0"))
-	c1 := r.NewCounter("reqs_total", "requests", obs.L("server", "1"))
-	g := r.NewGauge("live", "live elections")
-	var fnVal int64 = 7
-	r.NewGaugeFunc("depth", "queue depth", func() int64 { return fnVal })
+	var reqs [2]atomic.Int64
+	r.NewCounterFunc("reqs_total", "requests", reqs[0].Load, obs.L("server", "0"))
+	r.NewCounterFunc("reqs_total", "requests", reqs[1].Load, obs.L("server", "1"))
+	var depth int64 = 7
+	r.NewGaugeFunc("depth", "queue depth", func() int64 { return depth })
 
-	c0.Add(3)
-	c0.Inc()
-	c1.Add(10)
-	g.Set(5)
-	g.Add(-2)
-
-	if got := c0.Value(); got != 4 {
-		t.Fatalf("counter = %d, want 4", got)
-	}
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %d, want 3", got)
-	}
+	reqs[0].Add(4)
+	reqs[1].Add(10)
 	s := r.Snapshot()
 	if got := s.Total("reqs_total"); got != 14 {
 		t.Fatalf("Total(reqs_total) = %d, want 14", got)
@@ -44,28 +35,25 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := s.Total("missing"); got != 0 {
 		t.Fatalf("Total(missing) = %d, want 0", got)
 	}
-}
-
-// TestNilInstrumentsAreNoOps: un-wired subsystems hold nil instruments and
-// must be able to update them freely.
-func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *obs.Counter
-	var g *obs.Gauge
-	var h *obs.Histogram
-	c.Add(1)
-	c.Inc()
-	g.Set(2)
-	g.Add(3)
-	h.Observe(4)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("nil instruments returned nonzero values")
+	reqs[1].Add(1)
+	depth = 3
+	s = r.Snapshot()
+	if got, gauge := s.Total("reqs_total"), s.Total("depth"); got != 15 || gauge != 3 {
+		t.Fatalf("second snapshot reads reqs_total %d, depth %d; want 15, 3", got, gauge)
 	}
 }
 
-// TestHistogramBucketsAndQuantile: observations land in the right buckets,
-// the overflow bucket catches values beyond the last bound, and quantile
-// estimates interpolate sanely.
-func TestHistogramBucketsAndQuantile(t *testing.T) {
+// TestNilInstrumentsAreNoOps: un-wired subsystems hold nil histograms and
+// must be able to observe into them freely.
+func TestNilInstrumentsAreNoOps(t *testing.T) {
+	var h *obs.Histogram
+	h.Observe(4)
+}
+
+// TestHistogramBuckets: observations land in the right buckets, the
+// overflow bucket catches values beyond the last bound, and the count and
+// sum cover every observation.
+func TestHistogramBuckets(t *testing.T) {
 	r := obs.NewRegistry()
 	h := r.NewHistogram("lat_usec", "latency", []int64{10, 100, 1000})
 	for _, v := range []int64{1, 5, 10, 50, 99, 500, 5000} {
@@ -84,13 +72,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if hp.Count != 7 || hp.Sum != 1+5+10+50+99+500+5000 {
 		t.Fatalf("count=%d sum=%d", hp.Count, hp.Sum)
-	}
-	if q := hp.Quantile(0.5); q <= 0 || q > 100 {
-		t.Fatalf("p50 = %d, want within (0, 100]", q)
-	}
-	// The p99 falls in the overflow bucket and clamps to the last bound.
-	if q := hp.Quantile(0.99); q != 1000 {
-		t.Fatalf("p99 = %d, want clamped 1000", q)
 	}
 }
 
@@ -147,11 +128,13 @@ func TestHistogramMergesAcrossLabels(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates: instruments are safe under parallel writers (run
-// with -race) and lose nothing.
+// TestConcurrentUpdates: a histogram is safe under parallel writers (run
+// with -race) and loses nothing, and a counter read at scrape time sees
+// every update its function's state took.
 func TestConcurrentUpdates(t *testing.T) {
 	r := obs.NewRegistry()
-	c := r.NewCounter("n_total", "")
+	var n atomic.Int64
+	r.NewCounterFunc("n_total", "", n.Load)
 	h := r.NewHistogram("v", "", obs.ExpBuckets(1, 2, 10))
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
@@ -160,7 +143,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				n.Add(1)
 				h.Observe(int64(i % 700))
 			}
 		}()
@@ -191,8 +174,8 @@ func TestExpBuckets(t *testing.T) {
 // cumulative histogram buckets ending at +Inf.
 func TestJSONAndPrometheusExposition(t *testing.T) {
 	r := obs.NewRegistry()
-	r.NewCounter("served_total", "requests served", obs.L("server", "2")).Add(9)
-	r.NewGauge("live", "live").Set(4)
+	r.NewCounterFunc("served_total", "requests served", func() int64 { return 9 }, obs.L("server", "2"))
+	r.NewGaugeFunc("live", "live", func() int64 { return 4 })
 	h := r.NewHistogram("lat_usec", "latency", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(5000)
@@ -236,7 +219,7 @@ func TestJSONAndPrometheusExposition(t *testing.T) {
 // Prometheus text form on request; unknown formats are 400s.
 func TestHTTPHandler(t *testing.T) {
 	r := obs.NewRegistry()
-	r.NewCounter("hits_total", "").Inc()
+	r.NewCounterFunc("hits_total", "", func() int64 { return 1 })
 	obs.RegisterRuntime(r)
 	h := obs.Handler(r)
 

@@ -295,7 +295,8 @@ func (s *Snapshot) Held(id uint64) bool {
 // tags is the process-wide counter Snapshot.Tag draws from.
 var tags atomic.Uint64
 
-// absent is the snapshot of a register array the store does not hold.
+// absent is the snapshot of a register array the store does not hold, and
+// of one with no cell written (see Snapshot).
 var absent Snapshot
 
 // find returns reg's array, or nil and the position reg would take.
@@ -465,13 +466,19 @@ func (s *Store) Load(reg string, owner rt.ProcID) *rt.Entry {
 // merge has won since it was built — one atomic load — and otherwise a
 // fresh one, rebuilt from the cells and republished. cached reports which;
 // a register the store holds no array for reads as an empty snapshot and
-// counts as cached.
+// counts as cached, and so, in a store without an encoder, does an array
+// at version 0, which has had no cell written since the store was built or
+// Reset: nothing is rebuilt or carved for it. (A store with an encoder
+// publishes such an array's encoding, an entry count of zero.)
 func (s *Store) Snapshot(reg string) (snap *Snapshot, cached bool) {
 	arr, _ := find(*s.dir.Load(), reg)
 	if arr == nil {
 		return &absent, true
 	}
 	ver := arr.version.Load() // before the cells: see Memory order
+	if ver == 0 && s.encode == nil {
+		return &absent, true
+	}
 	if snap := arr.snap.Load(); snap != nil && snap.ver == ver {
 		return snap, true
 	}

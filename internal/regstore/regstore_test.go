@@ -149,11 +149,13 @@ func TestSnapshotSizeTracksEntries(t *testing.T) {
 	}
 }
 
-// TestEncodingIsAppendEntries: an encoder store's snapshot is byte for byte
-// wire.AppendEntries of its cells in owner order — across bucket boundaries,
-// with every kind of value, and past 127 cells, where the count takes both
-// bytes of the room a rebuild reserves for it.
-func TestEncodingIsAppendEntries(t *testing.T) {
+// TestEncodingIsTheViewTail: an encoder store's snapshot is byte for byte
+// the register-array tail of a view of its cells in owner order — spliced
+// into a reply frame, as a server does, it gives the frame wire.Append
+// writes for that view — across bucket boundaries, with every kind of
+// value, and past 127 cells, where the count takes both bytes of the room a
+// rebuild reserves for it.
+func TestEncodingIsTheViewTail(t *testing.T) {
 	const reg = "elect/sift/1/status"
 	s := New(wire.AppendEntry)
 	vals := []rt.Value{nil, true, -7, "a string", core.Status{Stat: core.HighPri, List: []rt.ProcID{0, 3, 300}}}
@@ -170,13 +172,14 @@ func TestEncodingIsAppendEntries(t *testing.T) {
 					inOrder = append(inOrder, *e)
 				}
 			}
-			want, err := wire.AppendEntries(nil, reg, inOrder)
+			want, err := wire.Append(nil, &wire.Msg{Kind: wire.KindView, Election: 1, Call: 2, From: 3, Tag: 4, Reg: reg, Entries: inOrder})
 			if err != nil {
 				t.Fatal(err)
 			}
 			snap, _ := s.Snapshot(reg)
-			if !bytes.Equal(snap.Enc, want) || snap.Size != len(want)-rt.UvarintSize(uint64(len(inOrder))) {
-				t.Fatalf("%d cells: snapshot encodes\n  %x (size %d), AppendEntries of the cells\n  %x", len(inOrder), snap.Enc, snap.Size, want)
+			got, err := wire.AppendReplyFrame(nil, wire.KindView, 1, 2, 3, 4, reg, snap.Enc)
+			if err != nil || !bytes.Equal(got, want) || snap.Size != len(snap.Enc)-rt.UvarintSize(uint64(len(inOrder))) {
+				t.Fatalf("%d cells: snapshot encodes\n  %x (size %d), spliced into\n  %x, Append of the view\n  %x (%v)", len(inOrder), snap.Enc, snap.Size, got, want, err)
 			}
 		}
 	}
@@ -520,6 +523,31 @@ func TestResetRewindsBlocks(t *testing.T) {
 	}
 	if snap.Entries[0].Val != 1 || snap.Entries[1].Val != 2 || snap.Entries[1].Seq != 1 {
 		t.Fatalf("first rebuild after Reset reads %+v", snap.Entries)
+	}
+}
+
+// TestResetArrayCollectCarvesNothing: an array a Reset left at version 0
+// holds no cell, so in a store without an encoder a collect on it is the
+// shared empty snapshot, served as cached with no rebuild: it moves neither
+// the box block's counter nor the slab's. The first write after it is read
+// as usual.
+func TestResetArrayCollectCarvesNothing(t *testing.T) {
+	s := New(nil)
+	s.Write(&rt.Entry{Reg: "r", Owner: 1, Val: 1})
+	s.Snapshot("r") // carves a box and a one-entry run
+	s.Reset()
+	bx, sl := s.boxes.Load(), s.slab.Load()
+	for i := range 2 {
+		if snap, cached := s.Snapshot("r"); snap != &absent || !cached {
+			t.Fatalf("collect %d on a Reset array: %+v (cached=%v), want the shared empty snapshot", i, snap, cached)
+		}
+	}
+	if bx.next.Load() != 0 || sl.next.Load() != 0 {
+		t.Fatalf("collects on a Reset array carved %d boxes and %d slab slots", bx.next.Load(), sl.next.Load())
+	}
+	s.Write(&rt.Entry{Reg: "r", Owner: 2, Val: 2})
+	if snap, cached := s.Snapshot("r"); cached || len(snap.Entries) != 1 || snap.Entries[0].Val != 2 {
+		t.Fatalf("first collect after a write reads %+v (cached=%v)", snap.Entries, cached)
 	}
 }
 

@@ -91,10 +91,6 @@ func (k *Kernel) RandomInflight(rng *rand.Rand) (MsgID, bool) {
 	return k.liveIDs[rng.Intn(len(k.liveIDs))], true
 }
 
-// Inflight returns the message with the given ID, or nil if it is not in
-// flight. The adversary may read the payload; it must not mutate it.
-func (k *Kernel) Inflight(id MsgID) *Message { return k.msgs[id] }
-
 // EachInflight visits every in-flight message in send order until fn returns
 // false.
 func (k *Kernel) EachInflight(fn func(*Message) bool) {

@@ -67,16 +67,6 @@ func (s *Stats) MaxCommunicateCalls() int {
 	return maxCalls
 }
 
-// TotalCommunicateCalls returns the sum of communicate calls over all
-// processors.
-func (s *Stats) TotalCommunicateCalls() int {
-	total := 0
-	for _, c := range s.CommCalls {
-		total += c
-	}
-	return total
-}
-
 // clone returns a deep copy so callers cannot alias kernel-owned slices
 // (slices are copied at API boundaries).
 func (s *Stats) clone() Stats {

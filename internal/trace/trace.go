@@ -156,17 +156,6 @@ func Phases() []Phase {
 	return out
 }
 
-// ParsePhase maps a short name back to its Phase; ok is false for
-// unknown names.
-func ParsePhase(name string) (Phase, bool) {
-	for p := PEncode; p < numPhases; p++ {
-		if phaseNames[p] == name {
-			return p, true
-		}
-	}
-	return PNone, false
-}
-
 // Span is one recorded interval (or point event, Dur==0) of an election.
 type Span struct {
 	// Election is the election ID the span belongs to (0 when the
@@ -239,9 +228,6 @@ func (r *Recorder) Cap() int {
 	}
 	return len(r.slots)
 }
-
-// Enabled reports whether the recorder actually records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record appends one span, evicting the oldest if the ring is full.
 // Never blocks, never allocates; no-op on a nil recorder. start is a

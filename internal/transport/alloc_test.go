@@ -57,7 +57,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(i + 1), From: 3, Reg: "leaderelect/sift/3/status"}
 	}
-	frame, err := wire.EncodeBatch(msgs)
+	frame, err := appendBatch(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 }
 
 func TestEchoAllocBudget(t *testing.T) {
-	for name, nw := range map[string]Network{"loopback": NewLoopback(), "tcp": NewTCP(), "udp": NewUDP()} {
+	for name, nw := range map[string]Network{"loopback": NewLoopback(), "tcp": &TCP{}, "udp": &UDP{}} {
 		t.Run(name, func(t *testing.T) {
 			ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
 				c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call}) //nolint:errcheck // a lost ack fails the round trip below
@@ -157,7 +157,7 @@ func heapAfterGC() int64 {
 }
 
 func TestIdleTCPConnRetainsOneReadBuffer(t *testing.T) {
-	for name, nw := range map[string]Network{"tcp": NewTCP(), "loopback": NewLoopback()} {
+	for name, nw := range map[string]Network{"tcp": &TCP{}, "loopback": NewLoopback()} {
 		t.Run(name, func(t *testing.T) {
 			ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
 				c.Send(m) //nolint:errcheck // a lost echo fails the wait below
@@ -217,7 +217,7 @@ func TestIdleTCPConnRetainsOneReadBuffer(t *testing.T) {
 const hostileHeapGrowth = 8 << 20
 
 func TestTCPLengthPrefixSizesNoBuffer(t *testing.T) {
-	nw := NewTCP()
+	nw := &TCP{}
 	ln, err := nw.Listen(echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -300,12 +300,12 @@ func TestSendQueueCycleAllocs(t *testing.T) {
 // of all 64 took a 64 KiB and then a 128 KiB buffer per round.
 func TestReplyBatchesFitReadBuffer(t *testing.T) {
 	const reg, calls, rounds = "leaderelect/round", 64, 16
-	view, err := wire.Encode(&wire.Msg{Kind: wire.KindView, Call: 1, From: 2, Reg: reg,
+	view, err := wire.Append(nil, &wire.Msg{Kind: wire.KindView, Call: 1, From: 2, Reg: reg,
 		Entries: []rt.Entry{{Reg: reg, Owner: 1, Seq: 1, Val: strings.Repeat("v", 1000)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := NewTCP().Listen(func(c Conn, m *wire.Msg) {
+	ln, err := (&TCP{}).Listen(func(c Conn, m *wire.Msg) {
 		c.SendEncoded(append(wire.GetBuf(), view...)) //nolint:errcheck // a lost reply fails the read below
 		wire.RecycleMsg(m)
 	})
@@ -317,7 +317,7 @@ func TestReplyBatchesFitReadBuffer(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(i + 1), From: 3, Reg: reg}
 	}
-	batch, err := wire.EncodeBatch(msgs)
+	batch, err := appendBatch(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestReplyBatchesFitReadBuffer(t *testing.T) {
 		}
 	}()
 	got := make(chan struct{}, calls)
-	conn, err := NewTCP().Dial(fake.Addr().String(), func(_ Conn, m *wire.Msg) {
+	conn, err := (&TCP{}).Dial(fake.Addr().String(), func(_ Conn, m *wire.Msg) {
 		wire.PutMsg(m) // a memoized view
 		got <- struct{}{}
 	})

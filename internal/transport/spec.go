@@ -25,14 +25,13 @@ const (
 )
 
 // Spec is the one description of a socket transport that every layer
-// consumes: the substrate's name, the listeners' bind host and the flight
-// recorder. The zero value means "TCP, loopback host, untraced" — every
-// field's zero is the default.
+// consumes: the substrate's name and the flight recorder. The zero value
+// means "TCP, untraced" — every field's zero is the default. Networks the
+// spec builds listen on loopback; a daemon binds an explicit address
+// through ListenAddr.
 type Spec struct {
 	// Name picks the substrate: SpecTCP (default when empty) or SpecUDP.
 	Name string
-	// Host is the listeners' bind host, without a port. Default 127.0.0.1.
-	Host string
 	// Trace, when non-nil, threads the election flight recorder through
 	// every connection the network creates and turns on wire stamping.
 	Trace *trace.Recorder
@@ -43,19 +42,9 @@ type Spec struct {
 func (s Spec) Network() (Network, error) {
 	switch s.Name {
 	case "", SpecTCP:
-		t := NewTCP()
-		if s.Host != "" {
-			t.Host = s.Host
-		}
-		t.Trace = s.Trace
-		return t, nil
+		return &TCP{Trace: s.Trace}, nil
 	case SpecUDP:
-		u := NewUDP()
-		if s.Host != "" {
-			u.Host = s.Host
-		}
-		u.Trace = s.Trace
-		return u, nil
+		return &UDP{Trace: s.Trace}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown transport %q (want %q or %q)", s.Name, SpecTCP, SpecUDP)
 	}
@@ -83,9 +72,9 @@ type DaemonListener interface {
 func (s Spec) ListenAddr(addr string, h Handler) (DaemonListener, error) {
 	switch s.Name {
 	case "", SpecTCP:
-		return ListenTCP(addr, h)
+		return listenTCP(bindTCP, addr, h, nil)
 	case SpecUDP:
-		return ListenUDP(addr, h)
+		return listenUDP(addr, h, nil)
 	default:
 		return nil, fmt.Errorf("transport: unknown transport %q (want %q or %q)", s.Name, SpecTCP, SpecUDP)
 	}

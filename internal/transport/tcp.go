@@ -11,14 +11,12 @@ import (
 
 // TCP is the socket-backed Network: one net.Listener per server, one
 // pooled connection per (client, server) pair, length-prefixed wire frames
-// on the stream. Listeners bind to Host (default loopback) on an ephemeral
-// port, so a test or an in-process cluster can run dozens of nodes without
-// address coordination; cmd/electd binds explicit addresses via ListenTCP.
+// on the stream. Listen binds 127.0.0.1 on an ephemeral port — loopback
+// TCP: real sockets, kernel scheduling and backpressure, no external
+// reachability — so a test or an in-process cluster can run dozens of
+// nodes without address coordination; cmd/electd binds explicit addresses
+// via Spec.ListenAddr. The zero value is ready to use.
 type TCP struct {
-	// Host is the bind address for Listen, without a port. Default
-	// "127.0.0.1" — loopback TCP: real sockets, kernel scheduling and
-	// backpressure, no external reachability.
-	Host string
 	// Trace, when non-nil, records transport-phase spans (enqueue depth,
 	// write-loop drains, read-loop decodes) on every connection this
 	// network creates, and turns on wire stamping: each outer frame is
@@ -30,16 +28,9 @@ type TCP struct {
 	Trace *trace.Recorder
 }
 
-// NewTCP returns the loopback-TCP network.
-func NewTCP() *TCP { return &TCP{Host: "127.0.0.1"} }
-
-// Listen implements Network on an ephemeral port.
+// Listen implements Network on an ephemeral loopback port.
 func (t *TCP) Listen(h Handler) (Listener, error) {
-	host := t.Host
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	return listenTCP(bindTCP, net.JoinHostPort(host, "0"), h, t.Trace)
+	return listenTCP(bindTCP, "127.0.0.1:0", h, t.Trace)
 }
 
 // Dial implements Network.
@@ -65,12 +56,6 @@ type TCPListener struct {
 	acceptErr error // fatal accept failure; guarded by mu, set before done closes
 
 	done chan struct{} // closed when the current accept loop exits; swapped by Recover
-}
-
-// ListenTCP binds addr (host:port; port 0 for ephemeral) and serves inbound
-// frames to h.
-func ListenTCP(addr string, h Handler) (*TCPListener, error) {
-	return listenTCP(bindTCP, addr, h, nil)
 }
 
 // bindTCP listens on a TCP socket.

@@ -128,6 +128,7 @@ type Recoverer interface {
 type Network interface {
 	Listen(h Handler) (Listener, error)
 	// Dial connects to a listener. h receives the messages the server sends
-	// back over this connection; it runs on the connection's read loop.
+	// back over this connection; it runs on the connection's read loop and
+	// must not be nil — a datagram conn takes whatever reaches its port.
 	Dial(addr string, h Handler) (Conn, error)
 }

@@ -25,7 +25,7 @@ import (
 func networks() map[string]func() Network {
 	return map[string]func() Network{
 		"loopback": func() Network { return NewLoopback() },
-		"tcp":      func() Network { return NewTCP() },
+		"tcp":      func() Network { return &TCP{} },
 	}
 }
 
@@ -33,6 +33,37 @@ func networks() map[string]func() Network {
 // call id.
 func echoHandler(c Conn, m *wire.Msg) {
 	c.Send(&wire.Msg{Kind: wire.KindAck, Election: m.Election, Call: m.Call, From: 7}) //nolint:errcheck
+}
+
+// appendBatch encodes msgs as the write loops put them on the wire: each
+// message through wire.Append, a plain frame for one and
+// wire.AppendBatchFrame around two or more.
+func appendBatch(msgs []*wire.Msg) ([]byte, error) {
+	var frames []byte
+	for _, m := range msgs {
+		var err error
+		if frames, err = wire.Append(frames, m); err != nil {
+			return nil, err
+		}
+	}
+	if len(msgs) == 1 {
+		return frames, nil
+	}
+	return wire.AppendBatchFrame(nil, len(msgs), frames)
+}
+
+// decodeFrames decodes one frame body, plain or batch, as a read loop
+// does: wire.ForEachFrame over its message bodies, wire.Decode on each.
+func decodeFrames(body []byte) ([]*wire.Msg, error) {
+	var out []*wire.Msg
+	err := wire.ForEachFrame(body, func(sub []byte) error {
+		m, err := wire.Decode(sub)
+		if err == nil {
+			out = append(out, m)
+		}
+		return err
+	})
+	return out, err
 }
 
 func TestRequestReply(t *testing.T) {
@@ -374,7 +405,7 @@ func TestCoalesceFrames(t *testing.T) {
 		}
 		return frame
 	}
-	preBatched, err := wire.EncodeBatch([]*wire.Msg{
+	preBatched, err := appendBatch([]*wire.Msg{
 		{Kind: wire.KindAck, Call: 100},
 		{Kind: wire.KindAck, Call: 101},
 	})
@@ -400,7 +431,7 @@ func TestCoalesceFrames(t *testing.T) {
 		}
 		stream = stream[n:]
 		wireFrames++
-		ms, err := wire.DecodeFrames(nil, body)
+		ms, err := decodeFrames(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,8 +468,8 @@ func TestTCPReadLoopSplitsAnyChunking(t *testing.T) {
 		stamped bool
 		dial    func(addr string) (net.Conn, error)
 	}{
-		{"plain", NewTCP(), false, tcpDial},
-		{"stamped", &TCP{Host: "127.0.0.1", Trace: trace.NewRecorder(1 << 12)}, true, tcpDial},
+		{"plain", &TCP{}, false, tcpDial},
+		{"stamped", &TCP{Trace: trace.NewRecorder(1 << 12)}, true, tcpDial},
 		{"loopback", lo, false, lo.dialPipe},
 		{"loopback-stamped", stampedLo, true, stampedLo.dialPipe},
 	} {
@@ -465,7 +496,7 @@ func TestTCPReadLoopSplitsAnyChunking(t *testing.T) {
 				for i, p := range payloads {
 					msgs[i] = msg(i, p)
 				}
-				frame, err := wire.EncodeBatch(msgs)
+				frame, err := appendBatch(msgs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -482,7 +513,7 @@ func TestTCPReadLoopSplitsAnyChunking(t *testing.T) {
 			// exactly size bytes.
 			sendSized := func(size int) {
 				for p := size; p > 0; p-- {
-					frame, err := wire.Encode(msg(0, p))
+					frame, err := wire.Append(nil, msg(0, p))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -626,7 +657,7 @@ func TestViewMemoMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
 	name := fmt.Sprintf("metrics/%d", rand.Uint64())
-	frame, err := wire.Encode(&wire.Msg{Kind: wire.KindView, Reg: name,
+	frame, err := wire.Append(nil, &wire.Msg{Kind: wire.KindView, Reg: name,
 		Entries: []rt.Entry{{Reg: name, Owner: 1, Seq: 1, Val: 1 << 20}}})
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +734,7 @@ func collectBatch(t *testing.T, first, count int) []byte {
 	for i := range msgs {
 		msgs[i] = &wire.Msg{Kind: wire.KindCollect, Call: uint64(first + i), Reg: "r"}
 	}
-	frame, err := wire.EncodeBatch(msgs)
+	frame, err := appendBatch(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +752,7 @@ func ackCalls(t *testing.T, frame []byte) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acks, err := wire.DecodeFrames(nil, body)
+	acks, err := decodeFrames(body)
 	if err != nil {
 		t.Fatalf("reply frame does not decode: %v", err)
 	}
@@ -740,7 +771,7 @@ func TestTracedStreamsRecordTheSamePhases(t *testing.T) {
 	want := map[trace.Phase]bool{trace.PEnqueue: true, trace.PWriteDrain: true, trace.PWire: true, trace.PReadDecode: true}
 	traced := map[string]func(*trace.Recorder) Network{
 		"loopback": func(rec *trace.Recorder) Network { lo := NewLoopback(); lo.Trace = rec; return lo },
-		"tcp":      func(rec *trace.Recorder) Network { return &TCP{Host: "127.0.0.1", Trace: rec} },
+		"tcp":      func(rec *trace.Recorder) Network { return &TCP{Trace: rec} },
 	}
 	for name, mk := range traced {
 		t.Run(name, func(t *testing.T) {
@@ -884,19 +915,19 @@ func TestClosedConnRefusesEveryFrame(t *testing.T) {
 			return ends{send: c.SendEncoded, close: func() { c.Close() }} //nolint:errcheck // under test
 		}
 	}
-	tcp, loop := func() Network { return NewTCP() }, func() Network { return NewLoopback() }
+	tcp, loop := func() Network { return &TCP{} }, func() Network { return NewLoopback() }
 	cases := map[string]func(*testing.T) ends{
 		"tcp/dialed":        side(tcp, false),
 		"tcp/accepted":      side(tcp, true),
 		"loopback/dialed":   side(loop, false),
 		"loopback/accepted": side(loop, true),
-		"udp/dialed":        side(func() Network { return NewUDP() }, false),
+		"udp/dialed":        side(func() Network { return &UDP{} }, false),
 		"udp/accepted": func(t *testing.T) ends {
-			_, c, ln := open(t, NewUDP())
+			_, c, ln := open(t, &UDP{})
 			return ends{send: c.SendEncoded, close: func() { ln.Close() }} //nolint:errcheck // under test
 		},
 		"udp/accepted-endpoint-held": func(t *testing.T) ends {
-			_, c, ln := open(t, NewUDP())
+			_, c, ln := open(t, &UDP{})
 			ep, to := ln.(*UDPListener).ep.Load(), c.(*udpPeerConn).to
 			return ends{send: func(frame []byte) error { return ep.send(frame, to) }, close: func() { ln.Close() }} //nolint:errcheck // under test
 		},
@@ -999,7 +1030,7 @@ func crashDuringDials(t *testing.T, nw Network) {
 // network names nothing.
 func TestStreamIDNamesOneConnection(t *testing.T) {
 	nets := networks()
-	nets["udp"] = func() Network { return NewUDP() }
+	nets["udp"] = func() Network { return &UDP{} }
 	for name, mk := range nets {
 		t.Run(name, func(t *testing.T) {
 			nw := mk()
@@ -1021,7 +1052,7 @@ func TestStreamIDNamesOneConnection(t *testing.T) {
 				}
 				defer conn.Close()
 				msg := func(call uint64) *wire.Msg { return &wire.Msg{Kind: wire.KindCollect, Call: call, Reg: "r"} }
-				batch, err := wire.EncodeBatch([]*wire.Msg{msg(first + 1), msg(first + 2)})
+				batch, err := appendBatch([]*wire.Msg{msg(first + 1), msg(first + 2)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,11 +29,11 @@ import (
 // datagram analogue of the TCP write loop's coalescing. That packing is the
 // only batching: each datagram is one portable net.UDPConn write, each read
 // one ReadFrom, on every platform.
+//
+// Listen binds 127.0.0.1 on an ephemeral port — loopback datagrams: real
+// sockets, kernel buffers and genuine loss under overrun, no external
+// reachability. The zero value is ready to use.
 type UDP struct {
-	// Host is the bind address for Listen, without a port. Default
-	// "127.0.0.1" — loopback datagrams: real sockets, kernel buffers and
-	// genuine loss under overrun, no external reachability.
-	Host string
 	// Trace, when non-nil, records transport-phase spans on every endpoint
 	// this network creates and turns on wire stamping: each datagram ends
 	// with a send-time stamp so the receiver records wire transit
@@ -43,16 +43,9 @@ type UDP struct {
 	Trace *trace.Recorder
 }
 
-// NewUDP returns the loopback-UDP network.
-func NewUDP() *UDP { return &UDP{Host: "127.0.0.1"} }
-
-// Listen implements Network on an ephemeral port.
+// Listen implements Network on an ephemeral loopback port.
 func (u *UDP) Listen(h Handler) (Listener, error) {
-	host := u.Host
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	return listenUDP(net.JoinHostPort(host, "0"), h, u.Trace)
+	return listenUDP("127.0.0.1:0", h, u.Trace)
 }
 
 // Dial implements Network: a connected UDP socket. There is no handshake,
@@ -420,12 +413,8 @@ type UDPListener struct {
 	done   chan struct{} // closed when the current read loop exits; swapped by Recover
 }
 
-// ListenUDP binds addr (host:port; port 0 for ephemeral) and serves inbound
-// frames to h, with write-side frame packing on.
-func ListenUDP(addr string, h Handler) (*UDPListener, error) {
-	return listenUDP(addr, h, nil)
-}
-
+// listenUDP binds addr (host:port; port 0 for ephemeral) and serves
+// inbound frames to h, with write-side frame packing on.
 func listenUDP(addr string, h Handler, rec *trace.Recorder) (*UDPListener, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -446,14 +435,16 @@ func listenUDP(addr string, h Handler, rec *trace.Recorder) (*UDPListener, error
 	return l, nil
 }
 
-// arm wraps a bound socket in an endpoint and starts its loops; done is
-// closed when the endpoint's read loop exits.
+// arm wraps a bound socket in an endpoint, starts its loops and installs
+// it; done is closed when the endpoint's read loop exits. The loops start
+// before the endpoint is published, so whoever takes it from l.ep to close
+// it waits for both.
 func (l *UDPListener) arm(pc *net.UDPConn, done chan struct{}) {
 	ep := newUDPEndpoint(pc, l.rec)
 	ep.dispatch = l.dispatchBody
 	ep.onClose = func() { close(done) }
-	l.ep.Store(ep)
 	ep.start()
+	l.ep.Store(ep)
 }
 
 // Addr implements Listener. Fixed at listen time (resolved port for
@@ -505,11 +496,12 @@ func (l *UDPListener) peer(src netip.AddrPort) *udpPeerConn {
 }
 
 // Crash implements Listener: drop the socket, forget the peers, lose
-// anything inbound or queued.
+// anything inbound or queued. The state flips under l.mu, so a racing
+// Recover or Close orders wholly before or after it.
 func (l *UDPListener) Crash() {
+	l.mu.Lock()
 	l.crashed.Store(true)
 	ep := l.ep.Swap(nil)
-	l.mu.Lock()
 	l.peers = make(map[netip.AddrPort]*udpPeerConn)
 	l.mu.Unlock()
 	if ep != nil {
@@ -539,13 +531,13 @@ func (l *UDPListener) Recover() error {
 	}
 	done := make(chan struct{})
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed { // Close raced the rebind
-		l.mu.Unlock()
 		pc.Close()
 		return net.ErrClosed
 	}
+	// Armed under l.mu: a racing Close or Crash takes this endpoint down.
 	l.done = done
-	l.mu.Unlock()
 	l.arm(pc, done)
 	l.crashed.Store(false)
 	return nil
@@ -556,8 +548,8 @@ func (l *UDPListener) Recover() error {
 func (l *UDPListener) Close() error {
 	l.mu.Lock()
 	l.closed = true
-	l.mu.Unlock()
 	ep := l.ep.Swap(nil)
+	l.mu.Unlock()
 	if ep != nil {
 		ep.close()
 		ep.wg.Wait()

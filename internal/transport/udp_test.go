@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func udpCollect(t *testing.T, conn Conn, got <-chan *wire.Msg, reqs map[uint64]*
 }
 
 func TestUDPRequestReply(t *testing.T) {
-	nw := NewUDP()
+	nw := &UDP{}
 	ln, err := nw.Listen(echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +81,7 @@ func TestUDPRequestReply(t *testing.T) {
 // dispatched to the server handler message by message, in order — ordering
 // *within* one datagram is the one sequencing guarantee UDP does make.
 func TestUDPBatchRoundTrip(t *testing.T) {
-	nw := NewUDP()
+	nw := &UDP{}
 	const calls = 6
 	order := make(chan uint64, calls*4)
 	ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
@@ -160,7 +162,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 // drop the one datagram and keep serving. One bad datagram is loss, not a
 // broken stream.
 func TestUDPCorruptDatagramIsLoss(t *testing.T) {
-	nw := NewUDP()
+	nw := &UDP{}
 	served := make(chan uint64, 16)
 	ln, err := nw.Listen(func(c Conn, m *wire.Msg) {
 		served <- m.Call
@@ -210,7 +212,7 @@ func TestUDPCorruptDatagramIsLoss(t *testing.T) {
 // rebinds the same address and serves again; Recover after Close stays an
 // error.
 func TestUDPCrashLossAndRecover(t *testing.T) {
-	nw := NewUDP()
+	nw := &UDP{}
 	ln, err := nw.Listen(echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +246,7 @@ func TestUDPCrashLossAndRecover(t *testing.T) {
 	}
 	// The connectionless divergence, pinned: dial succeeds, datagrams just
 	// go nowhere.
-	dead, err := nw.Dial(ln.Addr(), nil)
+	dead, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {})
 	if err != nil {
 		t.Fatalf("dial to a crashed UDP listener must succeed (loss, not refusal): %v", err)
 	}
@@ -274,13 +276,15 @@ func TestUDPCrashLossAndRecover(t *testing.T) {
 // cross this transport; Send reports the loss to the caller instead of
 // fragmenting or silently truncating.
 func TestUDPOversizeFrameIsLoss(t *testing.T) {
-	nw := NewUDP()
+	nw := &UDP{}
 	ln, err := nw.Listen(echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	conn, err := nw.Dial(ln.Addr(), nil)
+	// The listener echoes the ack below, so the conn needs a handler: its
+	// read loop may take the reply before the deferred Close.
+	conn, err := nw.Dial(ln.Addr(), func(Conn, *wire.Msg) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +305,7 @@ func TestUDPOversizeFrameIsLoss(t *testing.T) {
 // the cache must stay under udpMaxPeers however many distinct sockets send,
 // and a peer dropped from it must still be answered.
 func TestUDPPeerCacheBounded(t *testing.T) {
-	ln, err := ListenUDP("127.0.0.1:0", echoHandler)
+	ln, err := listenUDP("127.0.0.1:0", echoHandler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +368,9 @@ func TestUDPReplyDatagramsFitPack(t *testing.T) {
 	for i := range entries {
 		entries[i] = rt.Entry{Reg: "r", Owner: rt.ProcID(i), Seq: 1, Val: 1 << 20}
 	}
-	ln, err := ListenUDP("127.0.0.1:0", func(c Conn, m *wire.Msg) {
+	ln, err := listenUDP("127.0.0.1:0", func(c Conn, m *wire.Msg) {
 		c.Send(&wire.Msg{Kind: wire.KindView, Call: m.Call, From: 7, Reg: "r", Entries: entries}) //nolint:errcheck
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +417,7 @@ func TestUDPReplyDatagramsFitPack(t *testing.T) {
 			if err != nil || body == nil {
 				t.Fatalf("reply datagram of %d bytes is no frame: %v", n, err)
 			}
-			msgs, err := wire.DecodeFrames(nil, body)
+			msgs, err := decodeFrames(body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,5 +429,101 @@ func TestUDPReplyDatagramsFitPack(t *testing.T) {
 				seen[m.Call] = true
 			}
 		}
+	}
+}
+
+// TestUDPListenerLifecycleRace races a UDPListener's Crash, Recover and
+// Close against everything that touches its socket: clients sending into
+// it, the read loop dispatching, handlers replying inline through their
+// udpPeerConn, and a replier goroutine sending again later through peer
+// conns it kept — across Crash's swap of the endpoint and Recover's rebind.
+// Each cycle ends with a Crash, a Recover and a Close racing one another,
+// after which nothing may still serve: no endpoint installed, Done closed
+// and the address free to bind. Run it under -race at GOMAXPROCS of at
+// least 4, many times over.
+func TestUDPListenerLifecycleRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const cycles, clients, flips = 200, 3, 3
+	recovered := 0
+	for cycle := range cycles {
+		held := make(chan Conn, 64)
+		ln, err := listenUDP("127.0.0.1:0", func(c Conn, m *wire.Msg) {
+			c.Send(&wire.Msg{Kind: wire.KindAck, Call: m.Call, From: 7}) //nolint:errcheck // loss while crashed
+			select {
+			case held <- c:
+			default:
+			}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(clients + 1)
+		go func() { // replies through kept peer conns, racing the endpoint swap
+			defer wg.Done()
+			for call := uint64(1); ; call++ {
+				select {
+				case c := <-held:
+					c.Send(&wire.Msg{Kind: wire.KindAck, Call: call, From: 7}) //nolint:errcheck // loss while crashed
+				case <-stop:
+					return
+				}
+			}
+		}()
+		for range clients {
+			go func() {
+				defer wg.Done()
+				conn, err := dialUDP(ln.Addr(), func(Conn, *wire.Msg) {}, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer conn.Close()
+				for call := uint64(1); ; call++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conn.Send(&wire.Msg{Kind: wire.KindCollect, Call: call, Reg: "r"}) //nolint:errcheck // loss is legal
+					if call%16 == 0 {
+						time.Sleep(10 * time.Microsecond)
+					}
+				}
+			}()
+		}
+		for range flips {
+			time.Sleep(50 * time.Microsecond)
+			ln.Crash()
+			if err := ln.Recover(); err == nil {
+				recovered++
+			}
+		}
+		var life sync.WaitGroup
+		life.Add(3)
+		go func() { defer life.Done(); ln.Crash() }()
+		go func() { defer life.Done(); ln.Recover() }() //nolint:errcheck // may lose to Close
+		go func() { defer life.Done(); ln.Close() }()
+		life.Wait()
+		close(stop)
+		wg.Wait()
+
+		if ep := ln.ep.Load(); ep != nil {
+			t.Fatalf("cycle %d: an endpoint still serves after Close", cycle)
+		}
+		select {
+		case <-ln.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: Done still open after Close", cycle)
+		}
+		pc, err := net.ListenPacket("udp", ln.Addr())
+		if err != nil {
+			t.Fatalf("cycle %d: the closed listener's address is still bound: %v", cycle, err)
+		}
+		pc.Close()
+	}
+	if recovered < cycles*flips/2 {
+		t.Fatalf("only %d of %d Recovers rebound the address", recovered, cycles*flips)
 	}
 }

@@ -51,7 +51,7 @@ func statusViewSeq(tb testing.TB, n int, seq uint64) []byte {
 // bodyOf encodes m and returns its frame body.
 func bodyOf(tb testing.TB, m *Msg) []byte {
 	tb.Helper()
-	frame, err := Encode(m)
+	frame, err := Append(nil, m)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func seedCorpus() [][]byte {
 	}
 	var out [][]byte
 	for _, m := range msgs {
-		frame, err := Encode(m)
+		frame, err := Append(nil, m)
 		if err != nil {
 			panic(err)
 		}
@@ -46,7 +46,7 @@ func seedCorpus() [][]byte {
 	}
 	// Batch bodies: the multi-op frames the coalescing hot path produces.
 	for _, batch := range [][]*Msg{msgs[:2], msgs} {
-		frame, err := EncodeBatch(batch)
+		frame, err := appendBatch(batch)
 		if err != nil {
 			panic(err)
 		}
@@ -78,10 +78,11 @@ func checkWarm(t *testing.T, body []byte, cold *Msg, coldErr error) {
 }
 
 // FuzzDecode: no frame body, however corrupt, may panic the decoders
-// (single-message Decode and the batch-aware DecodeFrames) or decode into
-// messages that do not re-encode to the identical bytes — decode∘encode is
-// the identity on both decoders' accepted sets, and the two decoders agree
-// wherever their domains overlap. Every input also goes through the warm
+// (single-message Decode, and ForEachFrame + Decode as every read loop
+// runs them) or decode into messages that do not re-encode to the
+// identical bytes through the senders' encoder (Append, AppendBatchFrame)
+// — decode∘encode is the identity on both decoders' accepted sets, and the
+// two decoders agree wherever their domains overlap. Every input also goes through the warm
 // process-wide cache (already holding the seed corpus), which must agree
 // with the cache-less Decode exactly; see checkWarm.
 func FuzzDecode(f *testing.F) {
@@ -94,7 +95,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(KindBatch), 2, 5, byte(KindAck), 0, 0, 0, 0, 5, byte(KindAck), 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, mErr := Decode(body)
-		ms, msErr := DecodeFrames(nil, body)
+		ms, msErr := decodeFrames(body)
 		for _, seed := range corpus {
 			DecodeShared(seed) //nolint:errcheck // warming only; batch bodies are rejected
 		}
@@ -102,12 +103,12 @@ func FuzzDecode(f *testing.F) {
 		if mErr == nil {
 			// Plain bodies: both decoders must accept and agree.
 			if msErr != nil {
-				t.Fatalf("Decode accepted what DecodeFrames rejected: %v", msErr)
+				t.Fatalf("Decode accepted what the read loop's decode rejected: %v", msErr)
 			}
 			if len(ms) != 1 || !reflect.DeepEqual(m, ms[0]) {
-				t.Fatalf("decoders disagree on a plain body:\n Decode       %+v\n DecodeFrames %+v", m, ms)
+				t.Fatalf("decoders disagree on a plain body:\n Decode       %+v\n decodeFrames %+v", m, ms)
 			}
-			frame, err := Encode(m)
+			frame, err := Append(nil, m)
 			if err != nil {
 				t.Fatalf("decoded message fails to re-encode: %v (%+v)", err, m)
 			}
@@ -123,11 +124,11 @@ func FuzzDecode(f *testing.F) {
 			return // both rejected is fine; panicking is the bug being hunted
 		}
 		// Batch bodies: re-encoding the sub-messages must reproduce the
-		// accepted bytes exactly (EncodeBatch emits the canonical form).
+		// accepted bytes exactly (the senders emit the canonical form).
 		if len(ms) < 2 {
-			t.Fatalf("DecodeFrames accepted a non-batch body Decode rejected (%v) as %d messages", mErr, len(ms))
+			t.Fatalf("the read loop's decode accepted a non-batch body Decode rejected (%v) as %d messages", mErr, len(ms))
 		}
-		frame, err := EncodeBatch(ms)
+		frame, err := appendBatch(ms)
 		if err != nil {
 			t.Fatalf("decoded batch fails to re-encode: %v", err)
 		}
@@ -196,9 +197,9 @@ func FuzzSplitFrame(f *testing.F) {
 	})
 }
 
-// FuzzRoundTripPropagate: structured fuzzing of the encoder — arbitrary
-// field values (identifiers, register names, int payload) must round-trip
-// exactly through encode/decode.
+// FuzzRoundTripPropagate: structured fuzzing of the senders' encoder,
+// Append — arbitrary field values (identifiers, register names, int
+// payload) must round-trip exactly through Append and Decode.
 func FuzzRoundTripPropagate(f *testing.F) {
 	f.Add(uint64(1), uint64(1), 0, "elect/door", uint64(1), 1)
 	f.Add(uint64(1<<40), uint64(128), 300, "", uint64(0), -(1 << 40))
@@ -209,7 +210,7 @@ func FuzzRoundTripPropagate(f *testing.F) {
 		}
 		m := &Msg{Kind: KindPropagate, Election: election, Call: call, From: rt.ProcID(from), Reg: reg,
 			Entries: []rt.Entry{{Reg: reg, Owner: rt.ProcID(from), Seq: seq, Val: val}}}
-		frame, err := Encode(m)
+		frame, err := Append(nil, m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

@@ -247,11 +247,6 @@ func Append(dst []byte, m *Msg) ([]byte, error) {
 	return dst, nil
 }
 
-// Encode returns m as one freshly allocated frame.
-func Encode(m *Msg) ([]byte, error) {
-	return Append(make([]byte, 0, PrefixSize(m.WireSize())+m.WireSize()), m)
-}
-
 // MaxBatch bounds the sub-message count of one batch frame. The coalescing
 // senders batch at most one message per concurrent caller, so anything near
 // this bound is corrupt.
@@ -262,7 +257,7 @@ const MaxBatch = 1 << 16
 // batch frame appended to dst. This is the coalescing senders' fast path:
 // sub-frames are encoded once, at enqueue time, and batching adds only the
 // header. count must be at least 2 (a single message travels as the plain
-// frame it already is — the canonical form DecodeFrames enforces).
+// frame it already is — the canonical form ForEachFrame enforces).
 func AppendBatchFrame(dst []byte, count int, frames []byte) ([]byte, error) {
 	dst, err := AppendBatchHeader(dst, count, len(frames))
 	if err != nil {
@@ -302,52 +297,18 @@ func BatchableFrame(frame []byte) bool {
 	return n > 0 && size >= 1 && size == uint64(len(frame)-n) && Kind(frame[n]) != KindBatch
 }
 
-// EncodeBatch returns msgs as one freshly allocated frame: a plain frame
-// for a single message, a batch frame for two or more.
-func EncodeBatch(msgs []*Msg) ([]byte, error) {
-	switch len(msgs) {
-	case 0:
-		return nil, fmt.Errorf("wire: empty batch")
-	case 1:
-		return Encode(msgs[0])
-	}
-	var frames []byte
-	for _, m := range msgs {
-		var err error
-		if frames, err = Append(frames, m); err != nil {
-			return nil, err
-		}
-	}
-	return AppendBatchFrame(nil, len(msgs), frames)
-}
-
-// DecodeFrames parses one frame body — plain or batch — and appends the
-// decoded messages to dst: exactly one for a plain frame, the sub-messages
-// in order for a batch. Like Decode it is canonical: batches of fewer than
-// two sub-messages, nested batches, non-minimal sub-frame prefixes and
-// trailing bytes are all rejected, so re-encoding the result (Append per
-// message, AppendBatchFrame around them) reproduces the accepted bytes.
-func DecodeFrames(dst []*Msg, body []byte) ([]*Msg, error) {
-	err := ForEachFrame(body, func(sub []byte) error {
-		m, err := Decode(sub)
-		if err != nil {
-			return err
-		}
-		dst = append(dst, m)
-		return nil
-	})
-	return dst, err
-}
-
 // ForEachFrame walks one frame body's message bodies in order — the body
 // itself for a plain frame, each sub-frame's body for a batch — calling fn
-// on each and stopping at its first error. It is the streaming form of
-// DecodeFrames: read loops decode-and-dispatch one message at a time, so
-// the handler of each message sees routing state that is current up to the
-// previous message of the same batch. Frame boundaries are
-// validated here (count bounds, sub-frame prefixes, trailing bytes); the
-// message bodies only by whatever decoding fn chooses to do. The bodies
-// passed to fn alias the input.
+// on each and stopping at its first error. Read loops decode-and-dispatch
+// one message at a time through it, so the handler of each message sees
+// routing state that is current up to the previous message of the same
+// batch. Frame boundaries are validated here and canonically: batches of
+// fewer than two sub-frames, non-minimal sub-frame prefixes and trailing
+// bytes are rejected, and Decode rejects a nested batch, so re-encoding
+// what the two accept (Append per message, AppendBatchFrame around them)
+// reproduces the accepted bytes. The message bodies are checked only by
+// whatever decoding fn chooses to do. The bodies passed to fn alias the
+// input.
 func ForEachFrame(body []byte, fn func(body []byte) error) error {
 	if len(body) == 0 {
 		return io.ErrUnexpectedEOF
@@ -614,7 +575,7 @@ func (m *Msg) decode(body []byte, shared bool) error {
 	case KindPropagate, KindCollect, KindAck, KindView, KindBusy, KindSame:
 	case KindBatch:
 		// Batches are containers, not messages: they never nest, and
-		// DecodeFrames is the entry point that understands them.
+		// ForEachFrame is the entry point that understands them.
 		return fmt.Errorf("wire: batch frame in single-message context")
 	default:
 		return fmt.Errorf("wire: unknown frame kind %d", kind)
@@ -723,7 +684,7 @@ const maxPrefix = 4
 // MaxFrame but never sizes anything, so a stream reader grows its buffer
 // with the bytes that actually arrive, never with what a peer claims it
 // will send. A prefix longer than any legal one, or a size over MaxFrame,
-// is an error. Decode and DecodeFrames copy everything they return, so the
+// is an error. Decode copies everything it returns, so the
 // buffer is reusable as soon as a body has been decoded.
 func SplitFrame(b []byte) (body []byte, n int, err error) {
 	size, p := binary.Uvarint(b[:min(len(b), maxPrefix)])
@@ -742,29 +703,15 @@ func SplitFrame(b []byte) (body []byte, n int, err error) {
 	return b[p:n:n], n, nil
 }
 
-// AppendEntries encodes a register-array tail — the entry count followed
-// by the entries — onto dst: exactly the bytes that follow the header of a
-// propagate or view body. Servers cache this encoding per register array
-// and splice it into reply frames with AppendReplyFrame, so a snapshot is
-// walked once per mutation instead of once per reply. The same validation
-// as Append applies.
-func AppendEntries(dst []byte, reg string, entries []rt.Entry) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for i := range entries {
-		var err error
-		if dst, err = AppendEntry(dst, reg, &entries[i]); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
 // AppendEntry encodes one entry of a register-array tail onto dst — its
 // owner, sequence number and value, without the count prefix — holding it
 // to the register reg the tail is for. A tail is its entry count followed by
-// AppendEntry of each entry in owner order: what AppendEntries produces,
-// and what a register store assembles cell by cell without gathering the
-// entries into a slice first.
+// AppendEntry of each entry in owner order: the bytes that follow the
+// header of a propagate or view body, and what a register store assembles
+// cell by cell without gathering the entries into a slice first. Servers
+// cache that tail per register array and splice it into reply frames with
+// AppendReplyFrame, so a snapshot is walked once per mutation instead of
+// once per reply.
 func AppendEntry(dst []byte, reg string, e *rt.Entry) ([]byte, error) {
 	if e.Reg != reg {
 		return dst, fmt.Errorf("wire: entry register %q differs from array register %q", e.Reg, reg)
@@ -778,7 +725,7 @@ func AppendEntry(dst []byte, reg string, e *rt.Entry) ([]byte, error) {
 }
 
 // AppendReplyFrame assembles one reply frame — ack, busy, view or same —
-// directly from header fields and a pre-encoded tail (AppendEntries output
+// directly from header fields and a pre-encoded tail (a register-array tail
 // for a view, nil otherwise), bypassing Msg construction and entry
 // re-encoding: the server hot path. tag is encoded for the kinds that carry
 // one (hasTag). The result is byte-identical to Append of the equivalent

@@ -71,7 +71,7 @@ func sampleMsgs(t *testing.T) []*Msg {
 // value kind.
 func TestRoundTrip(t *testing.T) {
 	for i, m := range sampleMsgs(t) {
-		frame, err := Encode(m)
+		frame, err := Append(nil, m)
 		if err != nil {
 			t.Fatalf("msg %d: encode: %v", i, err)
 		}
@@ -106,7 +106,7 @@ func normalize(m *Msg) *Msg {
 // contract the sim and live backends' bit-complexity accounting relies on.
 func TestExactSizes(t *testing.T) {
 	for i, m := range sampleMsgs(t) {
-		frame, err := Encode(m)
+		frame, err := Append(nil, m)
 		if err != nil {
 			t.Fatalf("msg %d: encode: %v", i, err)
 		}
@@ -125,7 +125,7 @@ func TestExactSizes(t *testing.T) {
 		if delta != e.WireSize() {
 			t.Fatalf("value %d (%T): entry delta %d != Entry.WireSize %d", i, v, delta, e.WireSize())
 		}
-		frame, err := Encode(with)
+		frame, err := Append(nil, with)
 		if err != nil {
 			t.Fatalf("value %d (%T): encode: %v", i, v, err)
 		}
@@ -163,7 +163,7 @@ func TestEncodeRejects(t *testing.T) {
 		{Kind: KindView, Reg: "a", Entries: []rt.Entry{{Reg: "a", Owner: 1, Seq: 1, Val: struct{}{}}}},
 	}
 	for i, m := range cases {
-		if _, err := Encode(m); err == nil {
+		if _, err := Append(nil, m); err == nil {
 			t.Fatalf("case %d (%+v): encode accepted an out-of-domain message", i, m)
 		}
 	}
@@ -180,7 +180,7 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 			Entries: []rt.Entry{{Reg: "elect/sift/2/status", Owner: 4, Seq: 1, Val: 1}}},
 		{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 4},
 	} {
-		frame, err := Encode(m)
+		frame, err := Append(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestSplitFrame(t *testing.T) {
 	}
 	// A body over 127 bytes takes a two-byte prefix, so cuts land in it too.
 	m := &Msg{Kind: KindCollect, Election: 1, Call: 2, From: 3, Reg: strings.Repeat("r", 200)}
-	frame, err := Encode(m)
+	frame, err := Append(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +278,44 @@ func TestSplitFrame(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip: EncodeBatch ∘ DecodeFrames is the identity on every
-// sub-message, for batches of every size including the single-message plain
-// form.
+// appendBatch encodes msgs as the coalescing senders put them on the
+// wire: each message through Append, a plain frame for one and
+// AppendBatchFrame around two or more.
+func appendBatch(msgs []*Msg) ([]byte, error) {
+	var frames []byte
+	for _, m := range msgs {
+		var err error
+		if frames, err = Append(frames, m); err != nil {
+			return nil, err
+		}
+	}
+	if len(msgs) == 1 {
+		return frames, nil
+	}
+	return AppendBatchFrame(nil, len(msgs), frames)
+}
+
+// decodeFrames decodes one frame body as a read loop does: ForEachFrame
+// over its message bodies, Decode on each.
+func decodeFrames(body []byte) ([]*Msg, error) {
+	var out []*Msg
+	err := ForEachFrame(body, func(sub []byte) error {
+		m, err := Decode(sub)
+		if err == nil {
+			out = append(out, m)
+		}
+		return err
+	})
+	return out, err
+}
+
+// TestBatchRoundTrip: decoding a batch the senders' encoder built gives
+// back every sub-message, for batches of every size including the
+// single-message plain form.
 func TestBatchRoundTrip(t *testing.T) {
 	msgs := sampleMsgs(t)
 	for count := 1; count <= len(msgs); count++ {
-		frame, err := EncodeBatch(msgs[:count])
+		frame, err := appendBatch(msgs[:count])
 		if err != nil {
 			t.Fatalf("count %d: encode: %v", count, err)
 		}
@@ -292,7 +323,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil || n != len(frame) {
 			t.Fatalf("count %d: split: %d of %d bytes, %v", count, n, len(frame), err)
 		}
-		got, err := DecodeFrames(nil, body)
+		got, err := decodeFrames(body)
 		if err != nil {
 			t.Fatalf("count %d: decode: %v", count, err)
 		}
@@ -308,8 +339,9 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 // TestBatchFromPreEncodedFrames: AppendBatchFrame over concatenated Append
-// outputs — the coalescing senders' zero-re-encode path — produces the same
-// bytes as EncodeBatch.
+// outputs — the coalescing senders' zero-re-encode path — is the layout of
+// docs/WIRE.md: the body's length prefix, the batch kind byte, the
+// sub-frame count, then the sub-frames as they are.
 func TestBatchFromPreEncodedFrames(t *testing.T) {
 	msgs := sampleMsgs(t)[:3]
 	var frames []byte
@@ -319,16 +351,13 @@ func TestBatchFromPreEncodedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fast, err := AppendBatchFrame(nil, len(msgs), frames)
+	got, err := AppendBatchFrame(nil, len(msgs), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := EncodeBatch(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fast, slow) {
-		t.Fatalf("pre-encoded batch differs from EncodeBatch:\n fast %x\n slow %x", fast, slow)
+	body := append([]byte{byte(KindBatch), byte(len(msgs))}, frames...)
+	if want := append(binary.AppendUvarint(nil, uint64(len(body))), body...); !bytes.Equal(got, want) {
+		t.Fatalf("pre-encoded batch differs from the documented layout:\n got  %x\n want %x", got, want)
 	}
 }
 
@@ -336,13 +365,13 @@ func TestBatchFromPreEncodedFrames(t *testing.T) {
 // batches, singleton batch frames (singles travel plain), nested batches,
 // truncated sub-frames and trailing bytes.
 func TestBatchRejects(t *testing.T) {
-	if _, err := EncodeBatch(nil); err == nil {
-		t.Fatal("EncodeBatch accepted an empty batch")
+	if _, err := AppendBatchFrame(nil, 0, nil); err == nil {
+		t.Fatal("AppendBatchFrame accepted an empty batch")
 	}
 	if _, err := AppendBatchFrame(nil, 1, []byte{1, byte(KindAck)}); err == nil {
 		t.Fatal("AppendBatchFrame accepted a singleton batch")
 	}
-	ack, err := Encode(&Msg{Kind: KindAck})
+	ack, err := Append(nil, &Msg{Kind: KindAck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +392,8 @@ func TestBatchRejects(t *testing.T) {
 		"undeclared frames": batchBody[:len(batchBody)-len(ack)],
 	}
 	for name, body := range cases {
-		if _, err := DecodeFrames(nil, body); err == nil {
-			t.Fatalf("%s: DecodeFrames accepted a malformed batch %x", name, body)
+		if _, err := decodeFrames(body); err == nil {
+			t.Fatalf("%s: a read loop's decode accepted a malformed batch %x", name, body)
 		}
 	}
 }
@@ -400,7 +429,7 @@ func TestCompactness(t *testing.T) {
 
 func ExampleMsg_WireSize() {
 	m := &Msg{Kind: KindAck, Election: 1, Call: 1, From: 2}
-	frame, _ := Encode(m)
+	frame, _ := Append(nil, m)
 	fmt.Println(m.WireSize(), len(frame))
 	// Output: 5 6
 }
@@ -414,7 +443,7 @@ func ExampleMsg_WireSize() {
 // shared entry array, each message keeping its own tag.
 func TestTagCanonicalForm(t *testing.T) {
 	same := &Msg{Kind: KindSame, Election: 1, Call: 2, From: 3, Tag: 5}
-	frame, err := Encode(same)
+	frame, err := Append(nil, same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,12 +463,12 @@ func TestTagCanonicalForm(t *testing.T) {
 	}
 	for _, k := range []Kind{KindPropagate, KindAck, KindBusy} {
 		m := &Msg{Kind: k, Election: 1, Call: 2, From: 3, Reg: "r"}
-		plain, err := Encode(m)
+		plain, err := Append(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Tag = 9
-		withTag, err := Encode(m)
+		withTag, err := Append(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +481,7 @@ func TestTagCanonicalForm(t *testing.T) {
 	entries := []rt.Entry{{Reg: "tagged", Owner: 1, Seq: seq, Val: core.Status{Stat: core.LowPri, List: []rt.ProcID{1, 2}}}}
 	var first []rt.Entry
 	for i, tag := range []uint64{7, 1 << 40} {
-		frame, err := Encode(&Msg{Kind: KindView, Election: 1, Call: uint64(i), From: rt.ProcID(i), Tag: tag, Reg: "tagged", Entries: entries})
+		frame, err := Append(nil, &Msg{Kind: KindView, Election: 1, Call: uint64(i), From: rt.ProcID(i), Tag: tag, Reg: "tagged", Entries: entries})
 		if err != nil {
 			t.Fatal(err)
 		}
