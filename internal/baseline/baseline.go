@@ -78,23 +78,24 @@ func matchInst(inst string, level, group int) string {
 const matchRounds = 1 << 20
 
 // playMatch races the participant against (at most one) opponent from the
-// sibling subtree, using the paper's own round mechanism: PreRound decides
-// Win when the contender is two rounds ahead of everything it can see and
-// Lose when it is behind (Figure 4 / [SSW91]); between rounds, a
-// two-participant basic PoisonPill with fair coin bias sifts the pair so the
-// race makes progress. A walkover (no opponent ever shows up) is decided by
-// the R < r−1 rule after two rounds, exactly like a solo election.
-func playMatch(c rt.Comm, inst string, s *core.State) core.Decision {
+// sibling subtree on the match's registers names, using the paper's own
+// round mechanism: PreRound decides Win when the contender is two rounds
+// ahead of everything it can see and Lose when it is behind (Figure 4 /
+// [SSW91]); between rounds, a two-participant basic PoisonPill with fair
+// coin bias sifts the pair so the race makes progress. A walkover (no
+// opponent ever shows up) is decided by the R < r−1 rule after two rounds,
+// exactly like a solo election.
+func playMatch(c rt.Comm, names *core.Names, s *core.State) core.Decision {
 	for r := 1; r <= matchRounds; r++ {
 		s.SetRound(r)
-		d := core.PreRound(c, inst, r, s)
+		d := core.PreRoundOn(c, names.Round(), r, s)
 		if d != core.Proceed {
 			return d
 		}
 		// Fair-bias pair sift: at least one of the two survives (Claim 3.1
 		// holds for any participant count), and with constant probability
 		// exactly one does, so the race decides in expected O(1) rounds.
-		if pairSift(c, inst+"/sift/"+strconv.Itoa(r), s) == core.Die {
+		if pairSift(c, names.SiftStatus(r), s) == core.Die {
 			return core.Lose
 		}
 	}
@@ -102,9 +103,9 @@ func playMatch(c rt.Comm, inst string, s *core.State) core.Decision {
 }
 
 // pairSift is the basic PoisonPill round with probability 1/2 (the natural
-// bias for two contenders) on a match-private register namespace.
-func pairSift(c rt.Comm, inst string, s *core.State) core.Outcome {
-	return core.PoisonPillBiased(c, inst, 0.5, s)
+// bias for two contenders) on a match-private status register.
+func pairSift(c rt.Comm, reg string, s *core.State) core.Outcome {
+	return core.PoisonPillOn(c, reg, 0.5, s)
 }
 
 // Tournament runs the [AGTV92] tournament-tree leader election for the
@@ -135,7 +136,9 @@ func TournamentWithState(c rt.Comm, inst string, s *core.State) core.Decision {
 	pos := int(c.Proc().ID())
 	for l := 0; l < levels; l++ {
 		group := pos >> (l + 1)
-		if d := playMatch(c, matchInst(inst, l, group), s); d == core.Lose {
+		// The match's register names are kept on s, one match per level,
+		// as an election's are: a warm tournament builds none.
+		if d := playMatch(c, s.SubNames(inst, l, group, matchInst), s); d == core.Lose {
 			s.SetDecided(core.Lose)
 			return core.Lose
 		}

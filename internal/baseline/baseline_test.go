@@ -238,7 +238,7 @@ func TestPairSiftNeverKillsBoth(t *testing.T) {
 			k2.Spawn(id, func(p *sim.Proc) {
 				c := quorum.NewComm(p, stores[id])
 				s := core.NewState(p, "pair")
-				outcomes[id] = pairSift(c, "m", s)
+				outcomes[id] = pairSift(c, "m/status", s)
 			})
 		}
 		if _, err := k2.Run(nil); err != nil {

@@ -4,6 +4,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,11 +16,12 @@ import (
 // participant pays on any backend on top of its messages. Run without the
 // race detector, as the other budgets are.
 const (
-	// doorwayAllocs: one warm Doorway. Measured 1: the door register's name.
-	doorwayAllocs = 1
-	// preRoundAllocs: one warm PreRound. Measured 1: the round register's
-	// name, which an election builds once for all its rounds.
-	preRoundAllocs = 1
+	// doorwayAllocs: one warm Doorway. Measured 0: the door register's
+	// name is the one the State keeps (Names). It was 1.
+	doorwayAllocs = 0
+	// preRoundAllocs: one warm PreRound. Measured 0: the round register's
+	// name is kept too. It was 1.
+	preRoundAllocs = 0
 	// hetSiftAllocs: one warm HetPoisonPill over 32 seen participants.
 	// Measured 3: the status register's name, ℓ (allocated once at its final
 	// size; appending it from nil took 6 at 32) and the boxed priority
@@ -28,9 +30,11 @@ const (
 	// was 13.
 	hetSiftAllocs = 3
 	// roundAllocs: one round of an election (Fig 6 lines 66-71: PreRound and
-	// one heterogeneous sift) beyond its first. Measured 3: the round's sift
-	// register name, ℓ and the priority status. It was 14.
-	roundAllocs = 3
+	// one heterogeneous sift) beyond its first. Measured 2: ℓ and the
+	// priority status. The round's sift register name is the State's
+	// (Names), built at the instance's first election on it. It was 3, and
+	// 14 before the sifting scratch.
+	roundAllocs = 2
 )
 
 // budgetN is the system size of the stub: a quorum of 17 views of 32
@@ -163,5 +167,74 @@ func TestRoundAllocBudget(t *testing.T) {
 	t.Logf("%v allocs per election round (%v over 9 rounds, %v over 1)", perRound, nine, one)
 	if perRound > roundAllocs {
 		t.Fatalf("%v allocs per election round (%v over 9 rounds, %v over 1), budget %d", perRound, nine, one, roundAllocs)
+	}
+}
+
+// TestRegisterNamesUnchanged: the names a State keeps are byte for byte
+// the ones the protocols have always used — the wire, the sim's golden
+// runs and every store key depend on them — for the door, the round
+// register and rounds 1…256 of the sifts, across the instance changes of a
+// renaming (a fresh instance per name competed for), and for the
+// tournament's matches (SubNames). A warm lookup, under an instance string
+// built again with equal bytes as a renaming builds it, allocates nothing.
+func TestRegisterNamesUnchanged(t *testing.T) {
+	const rounds = 256
+	s := NewState(stubProc{}, "rename/elect")
+	check := func(inst string) {
+		t.Helper()
+		nm := s.names.of(inst)
+		if got, want := nm.SiftStatus(7), inst+"/sift/7/status"; got != want { // a round before its predecessors
+			t.Fatalf("%s: round 7 status %q, want %q", inst, got, want)
+		}
+		if got, want := nm.Door(), inst+"/door"; got != want {
+			t.Fatalf("%s: door %q, want %q", inst, got, want)
+		}
+		if got, want := nm.Round(), inst+"/round"; got != want {
+			t.Fatalf("%s: round %q, want %q", inst, got, want)
+		}
+		for r := 1; r <= rounds; r++ {
+			if got, want := nm.SiftStatus(r), inst+"/sift/"+strconv.Itoa(r)+"/status"; got != want {
+				t.Fatalf("%s: round %d status %q, want %q", inst, r, got, want)
+			}
+		}
+	}
+	renamingInst := func(u int) string { return "rename/elect/" + strconv.Itoa(u) }
+	for _, u := range []int{5, 2, 31, 17, 9} {
+		check(renamingInst(u))
+	}
+	again := renamingInst(9) // equal bytes, another string
+	warm := func() {
+		nm := s.names.of(again)
+		nm.Door()
+		nm.Round()
+		for r := 1; r <= rounds; r++ {
+			nm.SiftStatus(r)
+		}
+	}
+	if got := testing.AllocsPerRun(100, warm); got != 0 {
+		t.Fatalf("warm lookup of %d names: %v allocs, want 0", rounds+2, got)
+	}
+	check("elect")
+
+	match := func(inst string, level, group int) string {
+		return inst + "/m/" + strconv.Itoa(level) + "/" + strconv.Itoa(group)
+	}
+	for _, lv := range []struct{ level, group int }{{0, 3}, {1, 1}, {2, 0}, {0, 3}, {0, 2}} {
+		nm := s.SubNames("tourn", lv.level, lv.group, match)
+		want := match("tourn", lv.level, lv.group)
+		if nm.Round() != want+"/round" || nm.SiftStatus(3) != want+"/sift/3/status" {
+			t.Fatalf("match %v: round %q, round 3 status %q; want them under %q", lv, nm.Round(), nm.SiftStatus(3), want)
+		}
+	}
+	warmMatch := func() {
+		for l := range 3 {
+			nm := s.SubNames("tourn", l, 7>>(l+1), match)
+			nm.Round()
+			nm.SiftStatus(4)
+		}
+	}
+	warmMatch()
+	if got := testing.AllocsPerRun(100, warmMatch); got != 0 {
+		t.Fatalf("warm lookup of a tournament's match names: %v allocs, want 0", got)
 	}
 }

@@ -194,6 +194,10 @@ type State struct {
 
 	// scratch is the sifting decisions' table, reused across sifts.
 	scratch siftScratch
+	// names are the register names of the election instance the state last
+	// ran, subs those of its sub-instances (SubNames).
+	names Names
+	subs  []subNames
 }
 
 // SetRound records a round transition, notifying RoundHook if installed.
@@ -208,9 +212,19 @@ func (s *State) SetRound(r int) {
 
 // NewState publishes a fresh State on p and returns it.
 func NewState(p rt.Procer, algorithm string) *State {
-	s := &State{Algorithm: algorithm, Stage: StageInit, Flip: -1}
-	p.Publish(s)
+	s := new(State)
+	s.Reset(p, algorithm)
 	return s
+}
+
+// Reset makes s what NewState(p, algorithm) builds and publishes it on p,
+// keeping what the participant's next runs would build again: the sifting
+// table and the register names it has cached. A backend that keeps one
+// State per processor resets it for each run; nothing of the run before
+// may still be reading or writing it.
+func (s *State) Reset(p rt.Procer, algorithm string) {
+	*s = State{Algorithm: algorithm, Stage: StageInit, Flip: -1, scratch: s.scratch, names: s.names, subs: s.subs}
+	p.Publish(s)
 }
 
 // setStage records a stage transition.

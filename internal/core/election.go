@@ -1,22 +1,8 @@
 package core
 
 import (
-	"strconv"
-
 	"repro/internal/rt"
 )
-
-// doorReg and roundReg name the shared registers of one election instance.
-func doorReg(inst string) string  { return inst + "/door" }
-func roundReg(inst string) string { return inst + "/round" }
-
-// siftStatusReg names the status register of round r's heterogeneous
-// PoisonPill, statusReg of the round's own sift namespace
-// ("HeterogeneousPoisonPill protocols for different rounds are completely
-// disjoint from each other", Section A.1), built with one allocation.
-func siftStatusReg(inst string, r int) string {
-	return inst + "/sift/" + strconv.Itoa(r) + "/status"
-}
 
 // Doorway executes the doorway procedure (Figure 5). The participant
 // collects the door flag from a quorum (line 56) and loses immediately if
@@ -25,10 +11,15 @@ func siftStatusReg(inst string, r int) string {
 // (line 61).
 //
 // The doorway makes the election linearizable (Lemma A.3): no participant
-// can lose before the eventual winner's invocation has started.
+// can lose before the eventual winner's invocation has started. The door
+// register's name is the one s keeps for inst (Names).
 func Doorway(c rt.Comm, inst string, s *State) Decision {
+	return doorway(c, s.names.of(inst).Door(), s)
+}
+
+// doorway is Doorway on the door register reg.
+func doorway(c rt.Comm, reg string, s *State) Decision {
 	s.setStage(StageDoorway)
-	reg := doorReg(inst)
 	views := c.Collect(reg) // line 56
 	for _, v := range views {
 		if len(v.Entries) > 0 { // some Doors[j] = true, lines 57-58
@@ -44,14 +35,14 @@ func Doorway(c rt.Comm, inst string, s *State) Decision {
 // rounds of others (line 47) and computes R, the maximum round of any other
 // processor in any view (line 48). Following [SSW91]: if r < R it loses
 // (lines 49-50), if R < r−1 it wins (lines 51-52), otherwise it proceeds
-// (line 53).
+// (line 53). The round register's name is the one s keeps for inst (Names).
 func PreRound(c rt.Comm, inst string, r int, s *State) Decision {
-	return preRound(c, roundReg(inst), r, s)
+	return PreRoundOn(c, s.names.of(inst).Round(), r, s)
 }
 
-// preRound is PreRound on the round register reg, named by the caller: an
-// election builds the name once, not once per round.
-func preRound(c rt.Comm, reg string, r int, s *State) Decision {
+// PreRoundOn is PreRound on the round register reg, named by the caller —
+// for a protocol that keeps the names of several instances (SubNames).
+func PreRoundOn(c rt.Comm, reg string, r int, s *State) Decision {
 	s.setStage(StagePreRound)
 	c.Propagate(reg, r)     // lines 45-46
 	views := c.Collect(reg) // line 47
@@ -101,19 +92,20 @@ func LeaderElectWithState(c rt.Comm, inst string, s *State) Decision {
 	s.Decided = false
 	s.Decision = 0
 	s.SetRound(0)
-	if Doorway(c, inst, s) == Lose { // lines 63-64
+	names := s.names.of(inst)
+	if doorway(c, names.Door(), s) == Lose { // lines 63-64
 		s.decide(Lose)
 		return Lose
 	}
-	round := roundReg(inst)
+	round := names.Round()
 	for r := 1; ; r++ { // lines 65, 71-72
 		s.SetRound(r)
-		d := preRound(c, round, r, s) // line 66
-		if d == Win || d == Lose {    // lines 67-68
+		d := PreRoundOn(c, round, r, s) // line 66
+		if d == Win || d == Lose {      // lines 67-68
 			s.decide(d)
 			return d
 		}
-		if hetPoisonPill(c, siftStatusReg(inst, r), PaperBias, s) == Die { // line 69
+		if hetPoisonPill(c, names.SiftStatus(r), PaperBias, s) == Die { // line 69
 			s.decide(Lose) // line 70
 			return Lose
 		}

@@ -44,8 +44,13 @@ func PoisonPill(c rt.Comm, inst string, s *State) Outcome {
 // bound (Claim 3.2) is specific to 1/√n. Exposed for the tournament
 // baseline, whose two-contender matches use the natural fair bias 1/2.
 func PoisonPillBiased(c rt.Comm, inst string, prob float64, s *State) Outcome {
+	return PoisonPillOn(c, statusReg(inst), prob, s)
+}
+
+// PoisonPillOn is PoisonPillBiased on the status register reg, named by the
+// caller — for a protocol that keeps its sifts' names (SubNames).
+func PoisonPillOn(c rt.Comm, reg string, prob float64, s *State) Outcome {
 	p := c.Proc()
-	reg := statusReg(inst)
 
 	s.setStage(StageCommit)
 	c.Propagate(reg, commitStatus) // lines 2-3
@@ -165,7 +170,7 @@ func HetPoisonPillWithBias(c rt.Comm, inst string, bias BiasFunc, s *State) Outc
 }
 
 // hetPoisonPill is HetPoisonPillWithBias on the status register reg, named
-// by the caller: an election builds each round's name once.
+// by the caller: an election takes each round's from its State's Names.
 func hetPoisonPill(c rt.Comm, reg string, bias BiasFunc, s *State) Outcome {
 	p := c.Proc()
 

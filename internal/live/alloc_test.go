@@ -118,15 +118,19 @@ func TestPooledHandleCheckoutAllocs(t *testing.T) {
 
 // pooledElectionAllocs: one warm fault-free n=32 election on a pooled chan
 // system, every participant's and every server goroutine's allocations
-// included. Measured 376–381 over 100-election means (2-core host,
-// GOMAXPROCS 1, 2, 4 and 8 alike). A fifth each are the one-entry
-// propagate payloads (by design, see Comm.Propagate) and the run's set-up of
-// its participants, most of the rest the election code's states, register
-// names, lists and statuses; fresh slabs and box blocks are 7 %. It was
-// ≈1 290 while every snapshot rebuild allocated its box and its entry
-// slice, which are now carved from each store's blocks and rewound by
-// Reset.
-const pooledElectionAllocs = 400
+// included. Measured 177–188 over 100-election means (2-core host,
+// GOMAXPROCS 1, 2, 4 and 8 alike); the budget is the highest plus 4 %.
+// Nearly half are the one-entry propagate payloads (by design, see
+// Comm.Propagate), a quarter the ℓ lists and the priority statuses that
+// carry them, which the stores adopt too; fresh slabs and box blocks are
+// a fifth, and the run's result maps and slices most of the rest. It was
+// ≈376 while each run started a goroutine and built a core.State per
+// participant and every election built its register names again (now the
+// processors' parked participant goroutines and kept States, see run and
+// core.Names), and ≈1 290 while every snapshot rebuild allocated its box
+// and its entry slice, which are now carved from each store's blocks and
+// rewound by Reset.
+const pooledElectionAllocs = 195
 
 // TestPooledElectionAllocBudget holds a warm pooled chan election, whole, to
 // pooledElectionAllocs.

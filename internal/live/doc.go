@@ -16,8 +16,10 @@
 //
 // Every processor runs a server goroutine draining a buffered mailbox of
 // quorum requests (the reactive half — the paper's standing assumption that
-// all processors always reply). Participants additionally run an algorithm
-// goroutine that issues communicate calls through Comm: a request goes to
+// all processors always reply), and a participant goroutine, parked on its
+// task channel until a run hands it the algorithm (the active half; a run
+// of k participants hands tasks to the first k). A participant issues
+// communicate calls through Comm: a request goes to
 // peers' mailboxes and the caller blocks until ⌊n/2⌋+1 processors (itself
 // included) have answered, so any two communicate calls intersect — the
 // quorum property every proof in the paper relies on. Which peers are asked
@@ -73,15 +75,25 @@
 //
 // High-throughput callers (the campaign engine) recycle whole systems
 // through SystemPool instead of building and shutting down a System per run:
-// server goroutines park on their empty mailboxes between runs, and checkout
+// server goroutines park on their empty mailboxes between runs and
+// participant goroutines on their task channels, and checkout
 // re-keys PRNG streams (each seeded at its first draw) and resets register
 // arrays, counters and crash flags in place — indistinguishable from a fresh
 // construction, including for runs with
 // crash plans (a crashed slot here is only a dropped flag; its serve loop
-// never exited). Config.Pool opts a run in. Every run, pooled or not, hands
-// its chan participants their processors' own communicate handles rather
-// than new ones: a handle is reset to what NewComm builds but keeps its
-// tally's arrays, views arena and tick timer, and its call ordinals run on across
-// runs, so a straggler of an earlier run never counts in a later one. Only
-// the system's RTT estimate carries over on purpose.
+// never exited). Config.Pool opts a run in. So a parked n-processor chan
+// system keeps 2n goroutines (n on a networked one, which has no servers),
+// n register stores, n communicate handles and n core.States, and holds
+// none of its last election's state. Every run, pooled or not, hands its
+// participants their processors' own parts rather than new ones: the
+// parked goroutine, which records how its task ended on the processor and
+// is joined through one WaitGroup; the processor's core.State, reset to
+// what core.NewState builds but keeping its sifting table and the register
+// names of the instance it last ran (core.Names); and on chan the
+// processor's communicate handle, reset to what NewComm builds but keeping
+// its tally's arrays, views arena and tick timer, its call ordinals running
+// on across runs so that a straggler of an earlier run never counts in a
+// later one. A run reads what it reports from the States before the system
+// can be checked out again. Only the system's RTT estimate carries over on
+// purpose.
 package live

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/regstore"
 	"repro/internal/rt"
@@ -58,14 +59,15 @@ type reply struct {
 type crashSignal struct{ id rt.ProcID }
 
 // System is one live run's processor set. A run builds one (newSystem) or
-// checks one out of a SystemPool, runs algorithm goroutines against Comm
-// handles, then shuts it down or parks it again.
+// checks one out of a SystemPool, hands its participant goroutines their
+// tasks, then shuts it down or parks it again.
 type System struct {
 	n        int
 	plan     *fault.Plan
 	procs    []*Proc
 	serving  bool
-	servers  sync.WaitGroup
+	parked   sync.WaitGroup // the server and participant goroutines, until Shutdown ends them
+	running  sync.WaitGroup // the run's participants, until each has ended its task
 	inflight sync.WaitGroup // delayed message deliveries still sleeping
 	reqs     sync.WaitGroup // mailbox requests handed off but not yet served
 	messages atomic.Int64
@@ -94,13 +96,14 @@ type System struct {
 // newSystem creates n processors with per-processor PRNG streams derived
 // from seed (each seeded at its first draw), under a fault-injection plan
 // (nil = none); the runner arms its crash times when the algorithms start.
-// With serve each processor gets the chan substrate's mailbox, register
-// store and server goroutine; a networked run, whose quorum is electd's,
-// goes without.
+// Every processor gets a participant goroutine, parked on its task channel
+// until a run hands it one (see run). With serve each processor also gets
+// the chan substrate's mailbox, register store and server goroutine; a
+// networked run, whose quorum is electd's, goes without.
 func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 	sys := &System{n: n, plan: plan, serving: serve, procs: make([]*Proc, n)}
 	for i := 0; i < n; i++ {
-		p := &Proc{id: rt.ProcID(i), sys: sys}
+		p := &Proc{id: rt.ProcID(i), sys: sys, tasks: make(chan task, 1)}
 		if serve {
 			// Capacity n absorbs the common case (each of ≤n participants
 			// has one outstanding communicate call), but a descheduled
@@ -119,9 +122,11 @@ func newSystem(n int, seed int64, plan *fault.Plan, serve bool) *System {
 	// A default fault-clock anchor; runners re-stamp it as the algorithms
 	// launch so partition windows align with the crash timers.
 	sys.start.Store(time.Now().UnixNano())
-	if serve {
-		for _, p := range sys.procs {
-			sys.servers.Add(1)
+	for _, p := range sys.procs {
+		sys.parked.Add(1)
+		go p.participate()
+		if serve {
+			sys.parked.Add(1)
 			go p.serve()
 		}
 	}
@@ -207,27 +212,28 @@ func (sys *System) Messages() int64 { return sys.messages.Load() }
 // PayloadBytes statistic and the TCP transport's byte counters.
 func (sys *System) Bytes() int64 { return sys.bytes.Load() }
 
-// Shutdown stops the server goroutines and waits for them to drain. It must
-// only be called after every algorithm goroutine has returned: closing the
-// mailboxes while a communicate call is still broadcasting would panic.
-// Deliveries still sleeping out an injected delay are waited for first, for
-// the same reason — the servers outlive every in-flight message.
+// Shutdown ends the system's parked goroutines — every participant
+// goroutine, and the server goroutines once they have drained their
+// mailboxes — and waits for them to exit. It must only be called after
+// every participant has ended its task: closing the mailboxes while a
+// communicate call is still broadcasting would panic. Deliveries still
+// sleeping out an injected delay are waited for first, for the same reason
+// — the servers outlive every in-flight message.
 func (sys *System) Shutdown() {
 	sys.inflight.Wait()
 	for _, p := range sys.procs {
+		close(p.tasks)
 		if p.inbox != nil {
 			close(p.inbox)
 		}
 	}
-	if sys.serving {
-		sys.servers.Wait()
-	}
+	sys.parked.Wait()
 }
 
 // Proc is a processor handle of the live backend; it implements rt.Procer.
-// Algorithm-facing methods must be called from the processor's single
-// algorithm goroutine; the server goroutine touches only the lock-free
-// register store.
+// Algorithm-facing methods must be called from the processor's participant
+// goroutine, the one algorithm goroutine it has; the server goroutine
+// touches only the lock-free register store.
 type Proc struct {
 	id  rt.ProcID
 	sys *System
@@ -262,6 +268,15 @@ type Proc struct {
 	// checkout and kept across runs, like regs and the streams; nil on a
 	// system whose runs go through electd.
 	comm *Comm
+	// state is the processor's published protocol state, built by its first
+	// run and kept across runs like comm, on either substrate (checkoutState).
+	state *core.State
+
+	// tasks hands the parked participant goroutine its task, one per run
+	// (participate); end is how its last task ended, read after the run
+	// joins.
+	tasks chan task
+	end   ending
 }
 
 // checkout hands out p's communicate handle for a run under the fault hooks
@@ -273,6 +288,19 @@ func (p *Proc) checkout(fp *fault.Profile) *Comm {
 	}
 	p.comm.reset(p, fp)
 	return p.comm
+}
+
+// checkoutState hands out p's State for a run of algorithm, reset to what
+// core.NewState(p, algorithm) builds and published on p: a run on a
+// recycled system builds no State, and keeps the sifting table and the
+// register names the processor's last run built. The processor's
+// participant must be parked.
+func (p *Proc) checkoutState(algorithm string) *core.State {
+	if p.state == nil {
+		p.state = new(core.State)
+	}
+	p.state.Reset(p, algorithm)
+	return p.state
 }
 
 // ID implements rt.Procer.
@@ -360,7 +388,7 @@ func (p *Proc) CommCalls() int { return p.commCalls }
 // crashed or not, so quiescence (Reset, pool checkout) can wait for the
 // mailboxes to empty.
 func (p *Proc) serve() {
-	defer p.sys.servers.Done()
+	defer p.sys.parked.Done()
 	for req := range p.inbox {
 		if p.down.Load() {
 			p.sys.reqs.Done()

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -448,5 +451,163 @@ func TestPoolConfigValidation(t *testing.T) {
 	}
 	if _, err := Elect(Config{N: 3, Seed: 1, Transport: TransportTCP, Pool: pool}); err == nil {
 		t.Fatal("substrate-mismatched pool accepted")
+	}
+}
+
+// TestPooledStateMatchesFresh: the State a checkout hands a participant is
+// core.NewState's in every field but the ones it keeps on purpose — the
+// sifting table and the register names — after pooled runs in which its
+// processor won, lost at the door, crashed and starved; and it is the State
+// the processor publishes.
+func TestPooledStateMatchesFresh(t *testing.T) {
+	const n, algo = 8, "poisonpill"
+	kept := map[string]bool{"scratch": true, "names": true, "subs": true}
+	typ := reflect.TypeFor[core.State]()
+	for i := range typ.NumField() {
+		if f := typ.Field(i); !f.IsExported() && !kept[f.Name] {
+			t.Fatalf("core.State has a field %s the checkout neither compares nor keeps: list it here", f.Name)
+		}
+	}
+	cut := fault.Scenario{Name: "cut-minority", NoQuorumOK: true,
+		Partition: &fault.PartitionSpec{Start: 100 * time.Microsecond,
+			Minority: fault.MinorityMax, Clients: fault.SideMinority}}
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	seen := map[string]bool{}
+	for seed := int64(1); len(seen) < 4; seed++ {
+		if seed > 20 {
+			t.Fatalf("20 rounds of runs left their processors only %v", seen)
+		}
+		for _, sc := range []fault.Scenario{{}, fault.CrashMinority(), cut} {
+			res, err := Elect(Config{N: n, Seed: seed, Scenario: sc, Pool: pool})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sc.Name, seed, err)
+			}
+			sys := pool.Get(seed, nil)
+			for _, p := range sys.procs {
+				switch s := p.state; {
+				case slices.Contains(res.Crashed, p.id):
+					seen["crashed"] = true
+				case slices.Contains(res.NoQuorum, p.id):
+					seen["starved"] = true
+				case s.Decision == core.Win:
+					seen["won"] = true
+				case s.Decision == core.Lose && s.Round == 0:
+					seen["lost at the door"] = true
+				}
+				fresh := core.NewState(p, algo)
+				got := p.checkoutState(algo)
+				if p.Published() != got {
+					t.Fatalf("%s seed %d: processor %d publishes %v, not its checked-out State", sc.Name, seed, p.id, p.Published())
+				}
+				g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(fresh).Elem()
+				for i := range typ.NumField() {
+					if f := typ.Field(i); f.IsExported() && !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+						t.Fatalf("%s seed %d: processor %d's checked-out State has %s = %v, a fresh one %v",
+							sc.Name, seed, p.id, f.Name, g.Field(i), w.Field(i))
+					}
+				}
+			}
+			pool.Put(sys)
+		}
+	}
+}
+
+// TestParkedParticipantsExitOnClose: a pooled system runs one participant
+// goroutine per processor beside its server goroutine, and no more, however
+// many elections it hosts — crash-scenario ones included, whose
+// participants unwind mid-run — and closing the pool ends them all.
+func TestParkedParticipantsExitOnClose(t *testing.T) {
+	const n, elections, slack = 8, 200, 4
+	// settled waits for the goroutine count to fall to at most limit:
+	// a goroutine past its last statement still counts for a moment.
+	settled := func(limit int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			g := runtime.NumGoroutine()
+			if g <= limit || time.Now().After(deadline) {
+				return g
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := runtime.NumGoroutine()
+	pool := NewSystemPool(n, true)
+	elect := func(i int) {
+		sc := fault.Scenario{}
+		if i%2 == 1 {
+			sc = fault.CrashMinority()
+		}
+		if _, err := Elect(Config{N: n, Seed: int64(i + 1), Scenario: sc, Pool: pool}); err != nil {
+			t.Fatalf("election %d (%s): %v", i, sc.Name, err)
+		}
+	}
+	elect(0)
+	if g := settled(before + 2*n); g > before+2*n {
+		t.Fatalf("%d goroutines before the first election and %d after it: a system of %d runs more than its %d servers and %d participants", before, g, n, n, n)
+	}
+	first := runtime.NumGoroutine()
+	for i := 1; i < elections; i++ {
+		elect(i)
+		if g := settled(first + slack); g > first+slack {
+			t.Fatalf("%d goroutines after election %d, %d after the first", g, i, first)
+		}
+	}
+	if len(pool.free) != 1 {
+		t.Fatalf("%d systems parked, want 1", len(pool.free))
+	}
+	pool.Close()
+	if g := settled(before); g > before {
+		t.Fatalf("%d goroutines after closing the pool, %d before it was made", g, before)
+	}
+}
+
+// TestConcurrentPooledElectionsReadOwnResults: workers sharing one pool
+// each read their election's results — decisions and Rounds, which come
+// from the processors' kept States — before the system goes back to the
+// pool, where another worker's checkout resets those States. Under -race a
+// read after Put is a reported race; without, each election must still
+// judge valid with a round count a winner can have.
+func TestConcurrentPooledElectionsReadOwnResults(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const n, workers, each = 16, 4, 25
+	pool := NewSystemPool(n, true)
+	defer pool.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e := range each {
+				seed := int64(w*each + e + 1)
+				res, err := Elect(Config{N: n, Seed: seed, Pool: pool})
+				if err != nil {
+					errs <- fmt.Errorf("seed %d: %w", seed, err)
+					return
+				}
+				winner, err := core.JudgeElection(n, res.Decisions)
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("seed %d: %w", seed, err)
+					return
+				case winner != res.Winner:
+					errs <- fmt.Errorf("seed %d: the judge elects %d, the result %d", seed, winner, res.Winner)
+					return
+				case res.Rounds < 2 || res.Rounds > 64:
+					// A winner passes PreRound's R < r−1 test: round 2 at
+					// the earliest.
+					errs <- fmt.Errorf("seed %d: %d rounds", seed, res.Rounds)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -226,17 +226,7 @@ func Elect(cfg Config) (Result, error) {
 	}
 
 	decisions := make([]core.Decision, cfg.K)
-	states := make([]*core.State, cfg.K)
-	res, err := run(cfg, func(p *Proc, c rt.Comm, i int) {
-		s := core.NewState(p, string(cfg.Algorithm))
-		states[i] = s
-		if cfg.Trace != nil {
-			// Round transitions stamp the comm's subsequent spans; both
-			// substrates' handles expose SetRound through the wrapper.
-			if rs, ok := c.(interface{ SetRound(int) }); ok {
-				s.RoundHook = rs.SetRound
-			}
-		}
+	res, err := run(cfg, func(c rt.Comm, s *core.State, i int) {
 		decisions[i] = body(c, s)
 	})
 	if err != nil {
@@ -245,7 +235,6 @@ func Elect(cfg Config) (Result, error) {
 
 	res.Decisions = make(map[rt.ProcID]core.Decision, cfg.K)
 	for i, d := range decisions {
-		res.Rounds = max(res.Rounds, states[i].Round)
 		res.Decisions[rt.ProcID(i)] = d
 	}
 	dropGone(res.Decisions, &res)
@@ -285,8 +274,7 @@ func Sift(cfg Config) (Result, error) {
 	}
 
 	outcomes := make([]core.Outcome, cfg.K)
-	res, err := run(cfg, func(p *Proc, c rt.Comm, i int) {
-		s := core.NewState(p, string(cfg.Algorithm))
+	res, err := run(cfg, func(c rt.Comm, s *core.State, i int) {
 		outcomes[i] = body(c, s)
 	})
 	if err != nil {
@@ -317,9 +305,68 @@ func dropGone[V any](m map[rt.ProcID]V, res *Result) {
 	}
 }
 
+// task is one run's work for a parked participant goroutine: algo, to run
+// on comm with the processor's State, and on a networked run the electd
+// client behind comm, which the participant leaves once it makes no
+// further call.
+type task struct {
+	algo   func(c rt.Comm, s *core.State, i int)
+	comm   rt.Comm
+	client *electd.Client
+}
+
+// ending is how a participant's task ended.
+type ending uint8
+
+const (
+	returned ending = iota // algo returned a decision or outcome
+	crashed                // the scenario crashed the participant (crashSignal)
+	starved                // a quorum call gave up (fault.NoQuorumError)
+)
+
+// participate is the participant goroutine: parked on its task channel
+// between runs, it performs each task it is handed, records how it ended on
+// the processor and counts it done on sys.running, until Shutdown closes
+// the channel.
+func (p *Proc) participate() {
+	defer p.sys.parked.Done()
+	for t := range p.tasks {
+		p.end = p.perform(t)
+		p.sys.running.Done()
+	}
+}
+
+// perform runs one task, turning the crash and starvation unwinds into
+// their endings; any other panic is a bug and propagates.
+func (p *Proc) perform(t task) (end ending) {
+	defer func() {
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case crashSignal:
+				end = crashed
+			case *fault.NoQuorumError:
+				end = starved
+			default:
+				panic(r)
+			}
+		}
+	}()
+	if t.client != nil {
+		// Its cohort's held requests must not wait for a participant that
+		// makes no further call, whatever way it ends.
+		defer t.client.Leave()
+	}
+	t.algo(t.comm, p.state, int(p.id))
+	return returned
+}
+
 // run builds a system (materializing the scenario's fault plan, if any),
-// executes algo on the first K processors concurrently, joins them, shuts
-// the substrate down and reports the shared measures.
+// executes algo on the first K processors concurrently — each processor's
+// parked participant goroutine, handed its comm and its processor's State
+// reset for the run — joins them, shuts the substrate down or parks it
+// again, and reports the shared measures, Rounds included — read from the
+// States before the system goes back to the pool, where the next checkout
+// resets them.
 //
 // On TransportChan the quorum runs over the in-process server goroutines;
 // on TransportTCP it runs over an electd cluster — cfg.Cluster when shared,
@@ -329,10 +376,10 @@ func dropGone[V any](m map[rt.ProcID]V, res *Result) {
 // quorum traffic through that alone. Scenario crashes are
 // armed as wall-clock timers when the algorithms start; a crashed
 // participant's goroutine unwinds via crashSignal and is recorded in
-// Result.Crashed. The timeout path leaves the run's goroutines behind by
-// design: there is no safe way to interrupt them, and the caller is about
-// to fail anyway.
-func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
+// Result.Crashed. The timeout path leaves the run's participants running
+// and the system neither shut down nor pooled, by design: there is no safe
+// way to interrupt them, and the caller is about to fail anyway.
+func run(cfg Config, algo func(c rt.Comm, s *core.State, i int)) (Result, error) {
 	plan, err := cfg.Scenario.Plan(cfg.N, cfg.Seed)
 	if err != nil {
 		return Result{}, err
@@ -390,18 +437,24 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 	// (nil on a fault-free run).
 	comms := make([]rt.Comm, cfg.K)
 	for i := 0; i < cfg.K; i++ {
+		p := sys.procs[i]
 		fp := sys.profile(i)
 		if clients != nil {
-			clients[i] = cluster.NewComm(sys.procs[i], election, fp)
+			clients[i] = cluster.NewComm(p, election, fp)
 			comms[i] = clients[i]
 		} else {
-			comms[i] = sys.procs[i].checkout(fp)
+			comms[i] = p.checkout(fp)
+		}
+		s := p.checkoutState(string(cfg.Algorithm))
+		if cfg.Trace != nil {
+			// Round transitions stamp the comm's subsequent spans; both
+			// substrates' handles expose SetRound through the wrapper.
+			if rs, ok := comms[i].(interface{ SetRound(int) }); ok {
+				s.RoundHook = rs.SetRound
+			}
 		}
 	}
 
-	crashed := make([]bool, cfg.K)
-	starved := make([]bool, cfg.K)
-	var wg sync.WaitGroup
 	start := time.Now()
 	sys.StartClock(start)
 	// Crash timers race run completion: a timer that fires between the last
@@ -467,34 +520,18 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			}
 		}()
 	}
+	sys.running.Add(cfg.K)
 	for i := 0; i < cfg.K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					switch r.(type) {
-					case crashSignal:
-						crashed[i] = true
-					case *fault.NoQuorumError:
-						starved[i] = true
-					default:
-						panic(r)
-					}
-				}
-			}()
-			if clients != nil {
-				// Its cohort's held requests must not wait for a participant
-				// that makes no further call, whatever way it ends.
-				defer clients[i].Leave()
-			}
-			algo(sys.procs[i], comms[i], i)
-		}(i)
+		t := task{algo: algo, comm: comms[i]}
+		if clients != nil {
+			t.client = clients[i]
+		}
+		sys.procs[i].tasks <- t
 	}
 
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
+		sys.running.Wait()
 		close(done)
 	}()
 	select {
@@ -527,14 +564,15 @@ func run(cfg Config, algo func(p *Proc, c rt.Comm, i int)) (Result, error) {
 			res.Time = max(res.Time, cl.Calls())
 		}
 	}
-	for i := 0; i < cfg.K; i++ {
-		if crashed[i] {
-			res.Crashed = append(res.Crashed, rt.ProcID(i))
+	for _, p := range sys.procs[:cfg.K] {
+		switch p.end {
+		case crashed:
+			res.Crashed = append(res.Crashed, p.id)
+		case starved:
+			res.NoQuorum = append(res.NoQuorum, p.id)
 		}
-		if starved[i] {
-			res.NoQuorum = append(res.NoQuorum, rt.ProcID(i))
-		}
-		res.Time = max(res.Time, sys.procs[i].CommCalls()) // the chan Comm's count; 0 on tcp/udp
+		res.Time = max(res.Time, p.CommCalls()) // the chan Comm's count; 0 on tcp/udp
+		res.Rounds = max(res.Rounds, p.state.Round)
 	}
 	if cfg.Pool != nil {
 		cfg.Pool.Put(sys)
